@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-all vet bench bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic fuzz-store soak-overload soak-elastic chaos chaos-wire check clean
+.PHONY: all build test race race-all vet bench bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
 
 all: check
 
@@ -98,6 +98,18 @@ bench-elastic:
 fuzz-store:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzMVCCOps -fuzztime 30s
 
+# Short fuzz pass over the fixed-layout state blobs of every registered state
+# type (the seed corpus of valid blobs, truncations and bit flips, plus 30s
+# of new inputs): decode errors or round-trips, never panics.
+fuzz-codec:
+	$(GO) test ./internal/algorithms/ -run '^$$' -fuzz FuzzDecodeState -fuzztime 30s
+
+# The BENCHMARK.json harness (benchmark/, a module of its own that tier-1
+# neither builds nor tests): its tests, then every workload untraced and
+# traced. About 13 minutes on 2 cores; leaves .bench_build/.
+benchmark:
+	cd benchmark && $(GO) test ./... && cd .. && bash benchmark/run.sh suite
+
 # Overload soak: the surge-plus-slow-consumer chaos test under the race
 # detector (bounded inboxes, credit stalls, recovery mid-surge), then the
 # backpressure benchmark — sustained updates/sec and p99 ingest latency at
@@ -115,7 +127,7 @@ soak-elastic:
 	$(GO) test -race ./internal/engine/ -run 'TestLiveMigration|TestScaleOutScaleIn|TestMigrationCrashAborts|TestDeltaParkedPendingSurvivesHandoff|TestReshardRejectsActiveIngestion' -count=2
 	$(GO) run ./cmd/tornado-bench -experiment elastic -scale small
 
-check: build vet test race chaos chaos-wire bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store soak-overload soak-elastic
+check: build vet test race fuzz-codec chaos chaos-wire bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store soak-overload soak-elastic
 
 clean:
 	$(GO) clean ./...

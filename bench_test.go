@@ -7,6 +7,7 @@ package tornado
 // full reports.
 
 import (
+	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -289,22 +290,54 @@ func BenchmarkStoreSnapshotRead(b *testing.B) {
 	}
 }
 
-// BenchmarkGobCodec measures vertex state serialization (every commit pays
-// this).
-func BenchmarkGobCodec(b *testing.B) {
-	codec := engine.GobCodec{}
-	state := &algorithms.SSSPState{
-		Length: 5, Sent: 5,
-		SrcLens: map[stream.VertexID]int64{1: 4, 2: 6, 3: 5},
+// gobSSSPState has SSSPState's fields but no binary layout, so its blobs
+// take the state codec's gob fallback (what an unregistered user type pays).
+type gobSSSPState struct {
+	Length, Sent int64
+	SrcLens      map[stream.VertexID]int64
+}
+
+func init() { gob.Register(&gobSSSPState{}) }
+
+// BenchmarkStateCodec measures vertex-version serialization on a blob shaped
+// like the benchmark harness's (four producers, four targets): encode is what
+// every commit pays, decode what a branch pays per vertex it touches.
+func BenchmarkStateCodec(b *testing.B) {
+	codec := engine.StateCodec{}
+	lens := map[stream.VertexID]int64{17: 4, 230: 6, 1042: 5, 4711: algorithms.Unreachable}
+	blob := engine.VertexBlob{
+		Targets:     []stream.VertexID{12, 377, 2048, 4999},
+		TargetClock: map[stream.VertexID]stream.Timestamp{12: 1200, 377: 45000, 2048: 90210, 4999: 133700, 801: 99000},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := codec.Encode(state)
+	for _, c := range []struct {
+		name  string
+		state any
+	}{
+		{"binary", &algorithms.SSSPState{Length: 5, Sent: 5, SrcLens: lens}},
+		{"gob-fallback", &gobSSSPState{Length: 5, Sent: 5, SrcLens: lens}},
+	} {
+		blob.State = c.state
+		data, err := codec.AppendBlob(nil, &blob)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := codec.Decode(data); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			buf := make([]byte, 0, 1024)
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(data)), "bytes")
+			for i := 0; i < b.N; i++ {
+				if buf, err = codec.AppendBlob(buf[:0], &blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.DecodeBlob(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -118,7 +118,7 @@ func TestEffectiveConsumersIncludesRemoved(t *testing.T) {
 	v.targets[5] = struct{}{}
 	v.removed[3] = struct{}{}
 	v.removed[5] = struct{}{} // removed AND re-added: count once
-	got := v.effectiveConsumers()
+	got := v.appendConsumers(nil)
 	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("effectiveConsumers = %v; want [3 5]", got)
 	}

@@ -79,8 +79,6 @@ type Config struct {
 	LoopID storage.LoopID
 	// Store holds the versioned vertex states. Required.
 	Store storage.Store
-	// Codec serializes vertex states; defaults to GobCodec.
-	Codec Codec
 	// Program defines vertex behavior (value mode). Exactly one of Program
 	// and Delta is required.
 	Program Program
@@ -229,9 +227,6 @@ func (c *Config) validate() error {
 	}
 	if (c.Program == nil) == (c.Delta == nil) {
 		return errors.New("engine: exactly one of Program and Delta is required")
-	}
-	if c.Codec == nil {
-		c.Codec = GobCodec{}
 	}
 	if c.Partition == nil {
 		c.Partition = func(id stream.VertexID, n int) int { return int(id % stream.VertexID(n)) }
@@ -1335,13 +1330,9 @@ func (e *Engine) ReadState(id stream.VertexID, maxIter int64) (any, int64, error
 }
 
 func (e *Engine) decodeState(id stream.VertexID, data []byte, iter int64) (any, int64, error) {
-	decoded, err := e.cfg.Codec.Decode(data)
+	blob, err := StateCodec{}.DecodeBlob(data)
 	if err != nil {
-		return nil, 0, err
-	}
-	blob, ok := decoded.(vertexBlob)
-	if !ok {
-		return nil, 0, fmt.Errorf("engine: stored version of vertex %d is %T", id, decoded)
+		return nil, 0, fmt.Errorf("engine: stored version of vertex %d: %w", id, err)
 	}
 	return blob.State, iter, nil
 }

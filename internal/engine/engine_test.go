@@ -646,37 +646,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestGobCodecRoundTrip(t *testing.T) {
-	c := GobCodec{}
-	blob := vertexBlob{
-		State:   &ssspState{Length: 7, Sent: 7, SrcLens: map[stream.VertexID]int64{3: 6}},
-		Targets: []stream.VertexID{1, 2, 3},
-	}
-	data, err := c.Encode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := out.(vertexBlob)
-	if !ok {
-		t.Fatalf("decoded %T", out)
-	}
-	st := got.State.(*ssspState)
-	if st.Length != 7 || st.SrcLens[3] != 6 || len(got.Targets) != 3 {
-		t.Fatalf("round trip mangled blob: %+v", got)
-	}
-}
-
-func TestGobCodecRejectsGarbage(t *testing.T) {
-	c := GobCodec{}
-	if _, err := c.Decode([]byte("not gob")); err == nil {
-		t.Fatal("Decode of garbage should error")
-	}
-}
-
 func TestTrackerAdvanceAndQuiesce(t *testing.T) {
 	tr := NewTracker(0)
 	if !tr.Quiesced() {

@@ -76,7 +76,7 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 		clock   map[stream.VertexID]stream.Timestamp
 	}
 	var adoptions []adoption
-	err := br.scanBlobs(math.MaxInt64, func(id stream.VertexID, blob vertexBlob) error {
+	err := br.scanBlobs(math.MaxInt64, func(id stream.VertexID, blob VertexBlob) error {
 		adoptions = append(adoptions, adoption{id: id, state: blob.State, targets: blob.Targets, clock: blob.TargetClock})
 		return nil
 	})
@@ -122,7 +122,7 @@ func (e *Engine) journalSeq() uint64 {
 // scanBlobs visits the freshest stored blob (state + targets) of every
 // vertex at or below maxIter, overlaying this loop's commits onto its
 // snapshot source.
-func (e *Engine) scanBlobs(maxIter int64, fn func(id stream.VertexID, blob vertexBlob) error) error {
+func (e *Engine) scanBlobs(maxIter int64, fn func(id stream.VertexID, blob VertexBlob) error) error {
 	return e.ScanStates(maxIter, func(id stream.VertexID, _ int64, _ any) error {
 		blob, err := e.readBlob(id, maxIter)
 		if err != nil {
@@ -134,21 +134,17 @@ func (e *Engine) scanBlobs(maxIter int64, fn func(id stream.VertexID, blob verte
 
 // readBlob reads the freshest stored blob of a vertex, falling back to the
 // snapshot source like ReadState.
-func (e *Engine) readBlob(id stream.VertexID, maxIter int64) (vertexBlob, error) {
+func (e *Engine) readBlob(id stream.VertexID, maxIter int64) (VertexBlob, error) {
 	data, _, err := e.cfg.Store.Latest(e.cfg.LoopID, id, maxIter)
 	if snap := e.snapshot(); err != nil && snap != nil {
 		data, _, err = e.cfg.Store.Latest(snap.Loop, id, snap.UpTo)
 	}
 	if err != nil {
-		return vertexBlob{}, err
+		return VertexBlob{}, err
 	}
-	decoded, err := e.cfg.Codec.Decode(data)
+	blob, err := StateCodec{}.DecodeBlob(data)
 	if err != nil {
-		return vertexBlob{}, err
-	}
-	blob, ok := decoded.(vertexBlob)
-	if !ok {
-		return vertexBlob{}, fmt.Errorf("engine: stored version of vertex %d is %T", id, decoded)
+		return VertexBlob{}, fmt.Errorf("engine: stored version of vertex %d: %w", id, err)
 	}
 	return blob, nil
 }
@@ -196,14 +192,7 @@ func (p *processor) handleAdopt(m msgAdopt) {
 			v.iter = m.Iteration
 		}
 		v.lastCommit = m.Iteration
-		blob := vertexBlob{State: v.state, Targets: m.Targets, TargetClock: cloneClock(v.targetClock)}
-		data, err := p.eng.cfg.Codec.Encode(blob)
-		if err != nil {
-			panic(fmt.Sprintf("engine: encode merged vertex %d: %v", v.id, err))
-		}
-		if err := p.eng.cfg.Store.Put(p.eng.cfg.LoopID, v.id, m.Iteration, data); err != nil {
-			panic(fmt.Sprintf("engine: persist merged vertex %d: %v", v.id, err))
-		}
+		p.persist(v, m.Iteration)
 		p.tk.RecordCommit(m.Iteration, 0)
 		p.eng.stats.Commits.Inc()
 		p.shareMu.Lock()

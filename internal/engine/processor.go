@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,6 +97,13 @@ type processor struct {
 	// Lifetime load counters read by PartitionLoads (elastic planner).
 	commitCount atomic.Int64
 	updateCount atomic.Int64
+
+	// Commit-path scratch, reused so a steady-state commit allocates nothing
+	// for persistence: the encoded blob (every Store.Put copies), the sorted
+	// target list inside it, and the sorted emit targets of commit's merge.
+	encBuf  []byte
+	idBuf   []stream.VertexID
+	emitBuf []stream.VertexID
 }
 
 // outEntry is one queued outgoing vertex message of the current window.
@@ -275,13 +283,9 @@ func (p *processor) ensure(id stream.VertexID) *vertex {
 	if snap := p.snap; snap != nil {
 		data, _, err := snap.latest(p.eng.cfg.Store, id, snap.UpTo)
 		if err == nil {
-			decoded, derr := p.eng.cfg.Codec.Decode(data)
+			blob, derr := StateCodec{}.DecodeBlob(data)
 			if derr != nil {
 				panic(fmt.Sprintf("engine: decode snapshot of vertex %d: %v", id, derr))
-			}
-			blob, ok := decoded.(vertexBlob)
-			if !ok {
-				panic(fmt.Sprintf("engine: snapshot of vertex %d is %T, not vertexBlob", id, decoded))
 			}
 			v.state = blob.State
 			for _, t := range blob.Targets {
@@ -748,7 +752,11 @@ func (p *processor) maybeStart(v *vertex) {
 		p.capBlocked[v.id] = struct{}{}
 		return
 	}
-	cons := v.effectiveConsumers()
+	// Targets cannot change between here and this update's commit (inputs and
+	// activations are held while preparing, adoption skips a preparing
+	// vertex), so commit reuses the list.
+	v.cons = v.appendConsumers(v.cons[:0])
+	cons := v.cons
 	// A vertex committing at the cap can skip the prepare phase: no consumer
 	// iteration can exceed the cap (Section 4.4). So can a vertex with no
 	// consumers.
@@ -826,15 +834,7 @@ func (p *processor) commit(v *vertex) {
 
 	// Persist before propagating: when the iteration terminates, all of its
 	// versions are already in the store (checkpoint property, Section 5.3).
-	blob := vertexBlob{State: v.state, Targets: sortedIDs(v.targets), TargetClock: cloneClock(v.targetClock),
-		Pending: v.pending, HasPending: v.hasPending}
-	data, err := p.eng.cfg.Codec.Encode(blob)
-	if err != nil {
-		panic(fmt.Sprintf("engine: encode vertex %d: %v", v.id, err))
-	}
-	if err := p.eng.cfg.Store.Put(p.eng.cfg.LoopID, v.id, tau, data); err != nil {
-		panic(fmt.Sprintf("engine: persist vertex %d: %v", v.id, err))
-	}
+	p.persist(v, tau)
 	p.tk.RecordCommit(tau, v.progress)
 	v.progress = 0
 	p.eng.stats.Commits.Inc()
@@ -860,18 +860,24 @@ func (p *processor) commit(v *vertex) {
 	// Propagate: every effective consumer gets a COMMIT message; those the
 	// program emitted to carry the value. Message tokens live at tau+1 and
 	// are acquired before the dirty token is released.
-	cons := v.effectiveConsumers()
-	carried := make(map[stream.VertexID]bool, len(v.emits))
+	carried := p.emitBuf[:0]
 	nmsgs := 0
 	for _, e := range v.emits {
 		tok := p.tk.AcquireFloor(tau + 1)
 		p.sendVertex(e.to, msgUpdate{From: v.id, To: e.to, Iteration: tau, Token: tok, Value: e.value, HasValue: true, Cum: e.cum, Ctx: tctx})
 		tctx = trace.Context{}
-		carried[e.to] = true
+		carried = append(carried, e.to)
 		nmsgs++
 	}
-	for _, t := range cons {
-		if !carried[t] {
+	slices.Sort(carried)
+	p.emitBuf = carried
+	// v.cons (from maybeStart) and carried are both ascending: one merge pass
+	// finds the consumers the program did not emit to.
+	for _, t := range v.cons {
+		for len(carried) > 0 && carried[0] < t {
+			carried = carried[1:]
+		}
+		if len(carried) == 0 || carried[0] != t {
 			tok := p.tk.AcquireFloor(tau + 1)
 			p.sendVertex(t, msgUpdate{From: v.id, To: t, Iteration: tau, Token: tok, Ctx: tctx})
 			tctx = trace.Context{}
@@ -915,6 +921,22 @@ func (p *processor) commit(v *vertex) {
 			p.applyWork(v, w)
 		}
 		p.maybeStart(v)
+	}
+}
+
+// persist writes the vertex's current version at iter. It encodes straight
+// from the vertex's own maps into the processor's scratch buffer.
+func (p *processor) persist(v *vertex, iter int64) {
+	p.idBuf = appendSortedIDs(p.idBuf[:0], v.targets)
+	blob := VertexBlob{State: v.state, Targets: p.idBuf, TargetClock: v.targetClock,
+		Pending: v.pending, HasPending: v.hasPending}
+	data, err := StateCodec{}.AppendBlob(p.encBuf[:0], &blob)
+	if err != nil {
+		panic(fmt.Sprintf("engine: encode vertex %d: %v", v.id, err))
+	}
+	p.encBuf = data
+	if err := p.eng.cfg.Store.Put(p.eng.cfg.LoopID, v.id, iter, data); err != nil {
+		panic(fmt.Sprintf("engine: persist vertex %d: %v", v.id, err))
 	}
 }
 

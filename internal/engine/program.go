@@ -145,9 +145,3 @@ type Program interface {
 type Combiner interface {
 	Combine(to stream.VertexID, old, new any) any
 }
-
-// Codec serializes vertex states for the versioned store and checkpoints.
-type Codec interface {
-	Encode(state any) ([]byte, error)
-	Decode(data []byte) (any, error)
-}

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"tornado/internal/lamport"
 	"tornado/internal/obs/trace"
@@ -45,7 +45,14 @@ type vertex struct {
 	progress   float64
 	holdInput  []heldWork // inputs/activations deferred while preparing
 	emits      []emission // values emitted by the current Scatter
-	rng        *rand.Rand
+	// cons is the effective consumer list of the update in flight, built by
+	// maybeStart and reused by its commit.
+	cons []stream.VertexID
+	// rng is created by the first Rand call (no shipped graph program draws,
+	// and a seeded source is ~5 KB per vertex); rngSeed keeps the sequence
+	// what an eagerly seeded source would have produced.
+	rng     *rand.Rand
+	rngSeed int64
 
 	// Delta mode (cfg.Delta != nil): gathered messages accumulate into
 	// pending instead of being folded into state; the next consuming commit
@@ -89,18 +96,17 @@ func newVertex(id stream.VertexID, seed int64) *vertex {
 		gatherSeen:  make(map[stream.VertexID]int64),
 		prepareList: make(map[stream.VertexID]struct{}),
 		waiting:     make(map[stream.VertexID]struct{}),
-		rng:         rand.New(rand.NewSource(seed ^ int64(uint64(id)*0x9E3779B97F4A7C15))),
+		rngSeed:     seed ^ int64(uint64(id)*0x9E3779B97F4A7C15),
 	}
 }
 
 // preparing reports whether the vertex is between phases two and three.
 func (v *vertex) preparing() bool { return !v.stamp.IsZero() }
 
-// effectiveConsumers returns current targets plus recently removed ones (the
-// paper's SSSP emits tombstones to removed targets during the commit that
-// detaches them).
-func (v *vertex) effectiveConsumers() []stream.VertexID {
-	out := make([]stream.VertexID, 0, len(v.targets)+len(v.removed))
+// appendConsumers appends, ascending, the current targets plus the recently
+// removed ones (the paper's SSSP emits tombstones to removed targets during
+// the commit that detaches them).
+func (v *vertex) appendConsumers(out []stream.VertexID) []stream.VertexID {
 	for t := range v.targets {
 		out = append(out, t)
 	}
@@ -109,29 +115,8 @@ func (v *vertex) effectiveConsumers() []stream.VertexID {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-// vertexBlob is the stored representation of a vertex version: application
-// state plus the dependency edges (and their event clocks), so a snapshot
-// carries the full input graph.
-type vertexBlob struct {
-	State       any
-	Targets     []stream.VertexID
-	TargetClock map[stream.VertexID]stream.Timestamp
-	// Pending persists an unconsumed accumulated delta alongside the state
-	// (delta mode): a commit that does not consume a sub-threshold pending
-	// must not strand its mass, because the gathers that produced it already
-	// mutated the persisted per-producer records — recovery re-sends would
-	// diff to zero. Persisting (state, pending) pairs keeps recovery and
-	// branch forks exact (DESIGN.md §13).
-	Pending    any
-	HasPending bool
-}
-
-func init() {
-	RegisterStateType(vertexBlob{})
 }
 
 // vertexContext implements Context for one program callback invocation.
@@ -147,7 +132,13 @@ func (c *vertexContext) Iteration() int64    { return c.v.iter }
 func (c *vertexContext) Loop() LoopKind      { return c.p.eng.cfg.Kind }
 func (c *vertexContext) State() any          { return c.v.state }
 func (c *vertexContext) SetState(s any)      { c.v.state = s }
-func (c *vertexContext) Rand() *rand.Rand    { return c.v.rng }
+
+func (c *vertexContext) Rand() *rand.Rand {
+	if c.v.rng == nil {
+		c.v.rng = rand.New(rand.NewSource(c.v.rngSeed))
+	}
+	return c.v.rng
+}
 
 func (c *vertexContext) Emit(to stream.VertexID, value any) {
 	if !c.allowEmit {
@@ -239,10 +230,14 @@ func cloneClock(in map[stream.VertexID]stream.Timestamp) map[stream.VertexID]str
 }
 
 func sortedIDs(set map[stream.VertexID]struct{}) []stream.VertexID {
-	out := make([]stream.VertexID, 0, len(set))
+	return appendSortedIDs(make([]stream.VertexID, 0, len(set)), set)
+}
+
+// appendSortedIDs appends the set's members to out (empty on entry) ascending.
+func appendSortedIDs(out []stream.VertexID, set map[stream.VertexID]struct{}) []stream.VertexID {
 	for t := range set {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

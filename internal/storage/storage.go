@@ -51,7 +51,8 @@ type Record struct {
 type Store interface {
 	// Put writes a version of vertex stamped with iteration. Writing the
 	// same (loop, vertex, iteration) twice overwrites (updates are
-	// idempotent under at-least-once delivery).
+	// idempotent under at-least-once delivery). Put copies data before it
+	// returns: the engine's commit path reuses one buffer for every call.
 	Put(loop LoopID, vertex stream.VertexID, iteration int64, data []byte) error
 
 	// Latest returns the freshest version of vertex with iteration <= maxIter,

@@ -213,9 +213,9 @@ type gobState struct {
 var gobPool = sync.Pool{New: func() any { return new(gobState) }}
 
 // GobPayloadCodec is the default PayloadCodec: encoding/gob with an
-// interface wrapper. It is symmetric with engine.GobCodec's state
-// serialization, so one registration (gob.Register / RegisterStateType)
-// covers checkpoints and the wire alike.
+// interface wrapper. engine.RegisterStateType registers state types with gob
+// too (engine.StateCodec's fixed layout covers only stored blobs), so one
+// registration covers checkpoints and the wire alike.
 type GobPayloadCodec struct{}
 
 // EncodePayload implements PayloadCodec.

@@ -129,7 +129,9 @@ const (
 
 // RegisterStateType registers a concrete vertex-state type for
 // serialization; call it (typically from init) for every state type your
-// Program stores.
+// Program stores. A type that also has BinaryTag, AppendBinary and
+// DecodeBinary methods (engine.BinaryState; DESIGN.md §14) is stored in the
+// fixed binary layout, any other through gob.
 func RegisterStateType(v any) { engine.RegisterStateType(v) }
 
 // Options configure a System. The zero value is usable.
