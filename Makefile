@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-all vet bench bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
+.PHONY: all build test race race-all vet bench bench-engine profile-ingest bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
 
 all: check
 
@@ -44,6 +44,27 @@ chaos-wire:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC default
+# (MemStore as the labelled control), one commit in isolation, and what one
+# more producer costs a hub consumer.
+bench-engine:
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$' -benchmem -count 5 ./internal/engine/
+
+# One traced sssp_churn_mem pass of the BENCHMARK.json harness, then the share
+# of its cpu.pprof samples whose stack passes through the runtime's map
+# functions (all of them, and without the harness's own host-speed job and the
+# programs' state maps, which leaves the protocol's), sync.(*Mutex) and the
+# input journal.
+pprof_share = $(GO) tool pprof -top -nodecount=100000 -nodefraction=0 $(1) .bench_build/out/sssp_churn_mem/cpu.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p'
+MAPFUNCS = runtime\.map|internal/runtime/maps\.
+profile-ingest:
+	bash benchmark/run.sh --workload sssp_churn_mem --seed 7 --seconds 20 --trace 1 > /dev/null
+	@echo "runtime map functions:  $$($(call pprof_share,-focus='$(MAPFUNCS)'))"
+	@echo "  under the protocol:   $$($(call pprof_share,-focus='$(MAPFUNCS)' -ignore='main\.hostJob|internal/algorithms\.'))"
+	@echo "sync.(*Mutex):          $$($(call pprof_share,-focus='sync\.\(\*Mutex\)'))"
+	@echo "inputJournal.*:         $$($(call pprof_share,-focus='inputJournal'))"
 
 # Query-serving benchmark (small scale): prints the coalesced-vs-uncoalesced
 # table and leaves the BENCH_queries.json artifact.

@@ -53,7 +53,8 @@ type Context interface {
 	AddTarget(to stream.VertexID)
 	// RemoveTarget retracts an out-edge (valid in Init/OnInput only).
 	RemoveTarget(to stream.VertexID)
-	// Targets returns the current out-edge set, sorted.
+	// Targets returns the current out-edge set, sorted. The three target
+	// slices are read-only views, valid until the callback returns.
 	Targets() []stream.VertexID
 	// AddedTargets returns targets added since the last commit.
 	AddedTargets() []stream.VertexID

@@ -71,6 +71,16 @@ func newBatchProbe(t *testing.T, prog Program) (*Engine, *processor) {
 	return e, p
 }
 
+// sendUpd queues an update the way commit does: along the producer's edge
+// record for the consumer, which holds the coalescing slot.
+func sendUpd(p *processor, m msgUpdate) {
+	v := p.vertices[m.From]
+	if v == nil {
+		v = p.host(newVertex(m.From, 0))
+	}
+	p.sendUpdate(v.edge(m.To), m)
+}
+
 // TestCoalesceQueueMergesUpdates drives the out-queue directly: consecutive
 // same-pair updates must merge in place (newest iteration wins, last-writer
 // value, superseded token released), while other pairs and message kinds
@@ -79,9 +89,9 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	e, p := newBatchProbe(t, ssspProg{source: 0})
 
 	tok1 := p.tk.AcquireFloor(1)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: int64(5), HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: int64(5), HasValue: true})
 	tok2 := p.tk.AcquireFloor(2)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: int64(3), HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: int64(3), HasValue: true})
 
 	if len(p.outQ) != 1 {
 		t.Fatalf("outQ has %d entries after same-pair updates; want 1", len(p.outQ))
@@ -99,7 +109,7 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 
 	// A valueless newer update carries the older value forward.
 	tok3 := p.tk.AcquireFloor(3)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 3, Token: tok3})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 3, Token: tok3})
 	m = p.outQ[0].payload.(msgUpdate)
 	if len(p.outQ) != 1 || m.Iteration != 3 || !m.HasValue || m.Value.(int64) != 3 {
 		t.Fatalf("valueless merge = %+v (outQ len %d); want iteration 3 carrying value 3", m, len(p.outQ))
@@ -109,10 +119,10 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	// never coalesced; and the original pair still merges into its old slot
 	// without disturbing either.
 	tok4 := p.tk.AcquireFloor(3)
-	p.sendVertex(2, msgUpdate{From: 9, To: 2, Iteration: 3, Token: tok4, Value: int64(1), HasValue: true})
+	sendUpd(p, msgUpdate{From: 9, To: 2, Iteration: 3, Token: tok4, Value: int64(1), HasValue: true})
 	p.sendVertex(2, msgPrepare{From: 1, To: 2})
 	tok5 := p.tk.AcquireFloor(4)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 4, Token: tok5, Value: int64(8), HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 4, Token: tok5, Value: int64(8), HasValue: true})
 	if len(p.outQ) != 3 {
 		t.Fatalf("outQ has %d entries; want 3 (merged update, other pair, prepare)", len(p.outQ))
 	}
@@ -124,10 +134,12 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 		t.Fatalf("slot 2 is %T; prepares must keep their queue position", p.outQ[2].payload)
 	}
 
-	// flushOut empties the queue and the index.
+	// flushOut empties the queue and retires every coalescing slot: the
+	// pair's next update opens a new window's queue.
 	p.flushOut()
-	if len(p.outQ) != 0 || len(p.outIdx) != 0 {
-		t.Fatalf("flushOut left outQ=%d outIdx=%d", len(p.outQ), len(p.outIdx))
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 5, Token: p.tk.AcquireFloor(5)})
+	if len(p.outQ) != 1 || p.outQ[0].payload.(msgUpdate).Iteration != 5 {
+		t.Fatalf("update after flushOut: outQ = %+v; want the one new update", p.outQ)
 	}
 }
 
@@ -139,9 +151,9 @@ func TestCoalesceCombiner(t *testing.T) {
 		t.Fatal("combiner not detected on a Combiner program")
 	}
 	tok1 := p.tk.AcquireFloor(1)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: int64(5), HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: int64(5), HasValue: true})
 	tok2 := p.tk.AcquireFloor(2)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: int64(3), HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: int64(3), HasValue: true})
 	m := p.outQ[0].payload.(msgUpdate)
 	if m.Value.(int64) != 8 {
 		t.Fatalf("combined value = %v; want 5+3=8", m.Value)
@@ -220,6 +232,7 @@ func TestCrashMidFlushExactInputCounts(t *testing.T) {
 	if s := e.StatsSnapshot(); s.Crashes < 1 || s.Recoveries < 1 {
 		t.Fatalf("Crashes = %d, Recoveries = %d; the crash was not exercised", s.Crashes, s.Recoveries)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestBatchingDisabledStillCorrect pins the escape hatch: DisableBatching

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"tornado/internal/stream"
 )
@@ -127,6 +128,81 @@ func (StateCodec) AppendBlob(dst []byte, b *VertexBlob) ([]byte, error) {
 	}
 	data, err := gobEncode(*b)
 	return append(dst[:start], data...), err
+}
+
+// appendVertex is AppendBlob for a live vertex: the same bytes, written from
+// the vertex's edge records without building the blob's slice and map.
+func (StateCodec) appendVertex(dst []byte, v *vertex) ([]byte, error) {
+	start := len(dst)
+	dst, ok := appendValue(append(dst, blobFormat), v.state)
+	if ok {
+		var ntargets, nclocks uint64
+		for i := range v.out {
+			if v.out[i].Flags&edgePresent != 0 {
+				ntargets++
+			}
+			if v.out[i].Flags&edgeClocked != 0 {
+				nclocks++
+			}
+		}
+		dst = binary.AppendUvarint(dst, ntargets)
+		for i := range v.out {
+			if v.out[i].Flags&edgePresent != 0 {
+				dst = AppendID(dst, v.out[i].To)
+			}
+		}
+		if nclocks > 0 {
+			nclocks++ // a map is written as len+1; 0 is the nil map
+		}
+		dst = binary.AppendUvarint(dst, nclocks)
+		for i := range v.out {
+			if e := &v.out[i]; e.Flags&edgeClocked != 0 {
+				dst = appendTimestamp(AppendID(dst, e.To), e.Clock)
+			}
+		}
+		dst = AppendBool(dst, v.hasPending)
+		dst, ok = appendValue(dst, v.pending)
+	}
+	if ok {
+		return dst, nil
+	}
+	data, err := gobEncode(v.blob())
+	return append(dst[:start], data...), err
+}
+
+// blob returns the vertex's stored representation as a VertexBlob.
+func (v *vertex) blob() VertexBlob {
+	b := VertexBlob{State: v.state, Pending: v.pending, HasPending: v.hasPending}
+	for i := range v.out {
+		e := &v.out[i]
+		if e.Flags&edgePresent != 0 {
+			b.Targets = append(b.Targets, e.To)
+		}
+		if e.Flags&edgeClocked != 0 {
+			if b.TargetClock == nil {
+				b.TargetClock = make(map[stream.VertexID]stream.Timestamp)
+			}
+			b.TargetClock[e.To] = e.Clock
+		}
+	}
+	return b
+}
+
+// setTargets is blob's inverse for a decoded (or adopted) version: targets
+// become the current target set, with no added or removed marks, and clock
+// merges into the edge clocks.
+func (v *vertex) setTargets(targets []stream.VertexID, clock map[stream.VertexID]stream.Timestamp) {
+	for i := range v.out {
+		v.out[i].Flags &^= edgePresent | edgeAdded | edgeRemoved
+	}
+	v.out = slices.Grow(v.out, len(targets))
+	for _, t := range targets {
+		v.edge(t).Flags |= edgePresent
+	}
+	for t, ts := range clock {
+		e := v.edge(t)
+		e.Clock, e.Flags = ts, e.Flags|edgeClocked
+	}
 }
 
 // DecodeBlob decodes a stored vertex version of either format.

@@ -11,7 +11,7 @@ import (
 
 func newTestCtx(allowEmit, allowTarget bool) *vertexContext {
 	v := newVertex(7, 1)
-	v.targets[9] = struct{}{}
+	v.setTargets([]stream.VertexID{9}, nil)
 	return &vertexContext{v: v, allowEmit: allowEmit, allowTarget: allowTarget}
 }
 
@@ -110,17 +110,6 @@ func TestContextStateAndProgress(t *testing.T) {
 	}
 	if ctx.Rand() == nil {
 		t.Fatal("Rand is nil")
-	}
-}
-
-func TestEffectiveConsumersIncludesRemoved(t *testing.T) {
-	v := newVertex(1, 1)
-	v.targets[5] = struct{}{}
-	v.removed[3] = struct{}{}
-	v.removed[5] = struct{}{} // removed AND re-added: count once
-	got := v.appendConsumers(nil)
-	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Fatalf("effectiveConsumers = %v; want [3 5]", got)
 	}
 }
 

@@ -209,6 +209,7 @@ func TestDeltaChaosSoakRecovery(t *testing.T) {
 	if s.DeltaQueueDepth != 0 {
 		t.Fatalf("DeltaQueueDepth = %d after settling, want 0", s.DeltaQueueDepth)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestDeltaBranchForkAndAdopt forks a branch off a delta-mode main loop
@@ -254,6 +255,7 @@ func TestDeltaBranchForkAndAdopt(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }
 
 // dsumState / dsumProg is the minimal additive delta program used by the
@@ -304,9 +306,9 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 
 	// Two plain deltas accumulate: 5 + 3 = 8.
 	tok1 := p.tk.AcquireFloor(1)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: 5.0, HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: 5.0, HasValue: true})
 	tok2 := p.tk.AcquireFloor(2)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: 3.0, HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: 3.0, HasValue: true})
 	if len(p.outQ) != 1 {
 		t.Fatalf("outQ has %d entries after same-pair deltas; want 1", len(p.outQ))
 	}
@@ -320,7 +322,7 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 
 	// A newer cumulative value supersedes the accumulated deltas outright.
 	tok3 := p.tk.AcquireFloor(3)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 3, Token: tok3, Value: 7.0, HasValue: true, Cum: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 3, Token: tok3, Value: 7.0, HasValue: true, Cum: true})
 	m = p.outQ[0].payload.(msgUpdate)
 	if len(p.outQ) != 1 || m.Iteration != 3 || !m.Cum || m.Value.(float64) != 7.0 {
 		t.Fatalf("cum supersede = %+v (outQ len %d); want iteration 3, value 7, cum=true", m, len(p.outQ))
@@ -328,7 +330,7 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 
 	// A plain delta folds INTO the pending cumulative value, keeping cum.
 	tok4 := p.tk.AcquireFloor(4)
-	p.sendVertex(2, msgUpdate{From: 1, To: 2, Iteration: 4, Token: tok4, Value: 2.0, HasValue: true})
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 4, Token: tok4, Value: 2.0, HasValue: true})
 	m = p.outQ[0].payload.(msgUpdate)
 	if len(p.outQ) != 1 || m.Iteration != 4 || !m.Cum || m.Value.(float64) != 9.0 {
 		t.Fatalf("delta-into-cum = %+v (outQ len %d); want iteration 4, value 9, cum=true", m, len(p.outQ))

@@ -42,7 +42,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"tornado/internal/stream"
@@ -105,7 +104,7 @@ func (e *Engine) PartitionLoads() []PartitionLoad {
 			continue
 		}
 		p.shareMu.Lock()
-		out[i].Vertices = len(p.commitLog)
+		out[i].Vertices = len(p.share) - len(p.freeSlots)
 		p.shareMu.Unlock()
 		out[i].Commits = p.commitCount.Load()
 		out[i].Updates = p.updateCount.Load()
@@ -195,24 +194,8 @@ func (e *Engine) hostedIDs(proc int) []stream.VertexID {
 	if p == nil {
 		return nil
 	}
-	set := make(map[stream.VertexID]struct{})
-	p.shareMu.Lock()
-	for id := range p.commitLog {
-		set[id] = struct{}{}
-	}
-	for id := range p.dirtySet {
-		set[id] = struct{}{}
-	}
-	p.shareMu.Unlock()
 	route := e.cur().route
-	ids := make([]stream.VertexID, 0, len(set))
-	for id := range set {
-		if route(id) == transport.NodeID(proc) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return p.hosted(func(s *shareSlot) bool { return route(s.id) == transport.NodeID(proc) })
 }
 
 // migrate runs one live migration synchronously: the calling goroutine is

@@ -86,6 +86,7 @@ func TestLiveMigrationUnderIngestion(t *testing.T) {
 	if got := e.PlanEpoch(); got != 2 {
 		t.Fatalf("plan epoch %d after two migrations; want 2", got)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestLiveMigrationDeltaUnderIngestion is the delta-mode twin: pending
@@ -133,6 +134,7 @@ func TestLiveMigrationDeltaUnderIngestion(t *testing.T) {
 	if s := e.StatsSnapshot(); s.DeltaQueueDepth != 0 {
 		t.Fatalf("DeltaQueueDepth = %d after quiesce, want 0", s.DeltaQueueDepth)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestScaleOutScaleIn exercises the split/merge operations end to end: a
@@ -199,6 +201,7 @@ func TestScaleOutScaleIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }
 
 func activePlanSlots(st PlanStats) int {
@@ -291,6 +294,7 @@ func TestMigrationCrashAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }
 
 // TestDeltaParkedPendingSurvivesHandoff pins the selective-activation
@@ -353,6 +357,53 @@ func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDSSSP(t, e, tuples)
+	checkQuiescent(t, e)
+}
+
+// TestMigrationCarriesAppliedJournalSeqs: a vertex that ships with inputs
+// applied but not yet committed takes their journal sequences along, so the
+// new owner's commit is what stamps them. The master is paused at B=1, which
+// leaves every second-wave input applied on a cap-blocked vertex — exactly
+// the state the freeze then catches.
+func TestMigrationCarriesAppliedJournalSeqs(t *testing.T) {
+	const n = 20
+	e, err := New(Config{Processors: 2, MaxProcessors: 3, DelayBound: 1, Kind: MainLoop, LoopID: storage.MainLoop,
+		Store: storage.NewMemStore(), Program: ssspProg{source: 100}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	e.PauseMaster()
+	var first, second []stream.Tuple
+	for i := 0; i < n; i++ {
+		first = append(first, stream.AddEdge(stream.Timestamp(i), stream.VertexID(100+i), stream.VertexID(200+i)))
+		second = append(second, stream.AddEdge(stream.Timestamp(n+i), stream.VertexID(100+i), stream.VertexID(300+i)))
+	}
+	e.IngestAll(first)
+	waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Commits >= n }, "first wave never committed at the cap")
+	e.IngestAll(second)
+	waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().InputMsgs == 2*n }, "second wave never reached its vertices")
+	if un, _ := e.JournalSize(); un != n {
+		t.Fatalf("%d uncommitted journal entries with the frontier pinned; want the second wave's %d", un, n)
+	}
+	if err := e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if un, _ := e.JournalSize(); un != n {
+		t.Fatalf("%d uncommitted journal entries after the hand-off; want %d", un, n)
+	}
+	e.ResumeMaster()
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if un, _ := e.JournalSize(); un != 0 {
+		t.Fatalf("%d journal entries never committed: their sequences were lost in the hand-off", un)
+	}
+	if s := e.PlanStats(); s.MigratedVertices < n {
+		t.Fatalf("migration moved %d vertices; want at least the %d sources", s.MigratedVertices, n)
+	}
+	checkQuiescent(t, e)
 }
 
 // TestReshardRejectsActiveIngestion is the regression test for the typed

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -764,16 +765,19 @@ func (e *Engine) ingestChunk(ts []stream.Tuple) {
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
 	inc := e.inc
+	// One tracker call and one journal call cover the chunk: the tokens all
+	// sit at the current frontier and the sequences are consecutive.
+	m := msgInput{Token: inc.tracker.AcquireFloorN(0, len(ts))}
+	if e.journal != nil {
+		m.JSeq, m.HasJSeq = e.journal.Ingested(ts...), true
+	}
 	for _, t := range ts {
-		tok := inc.tracker.AcquireFloor(0)
-		m := msgInput{Tuple: t, Token: tok}
+		m.Tuple = t
 		if traceOn {
 			m.Ctx = e.spans.Begin(now)
 		}
-		if e.journal != nil {
-			m.JSeq, m.HasJSeq = e.journal.Ingested(t), true
-		}
 		inc.ingestE.Send(inc.route(routeVertex(t)), m)
+		m.JSeq++
 	}
 	inc.ingestE.Flush()
 }
@@ -785,8 +789,8 @@ func (e *Engine) Activate(ids ...stream.VertexID) {
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
 	inc := e.inc
+	tok := inc.tracker.AcquireFloorN(0, len(ids))
 	for _, id := range ids {
-		tok := inc.tracker.AcquireFloor(0)
 		inc.ingestE.Send(inc.route(id), msgActivate{To: id, Token: tok})
 	}
 	inc.ingestE.Flush()
@@ -1406,20 +1410,20 @@ func (e *Engine) forkLocked() ForkSpec {
 	// post-fork inputs, which the fork instant may legitimately exclude.
 	quiesced := inc.tracker.Quiesced()
 	forkIter := inc.tracker.Notified()
-	seedSet := make(map[stream.VertexID]struct{})
+	var seeds []stream.VertexID
 	above := false
 	for _, p := range inc.procs {
 		if p == nil {
 			continue
 		}
-		for _, id := range p.forkScan(forkIter) {
-			seedSet[id] = struct{}{}
-		}
+		seeds = append(seeds, p.forkScan(forkIter)...)
 		if len(p.forkScan(forkIter+1)) > 0 {
 			above = true
 		}
 	}
-	spec := ForkSpec{ForkIter: forkIter, Seeds: sortedIDs(seedSet)}
+	// Mid-migration a vertex is in two processors' shares; list it once.
+	slices.Sort(seeds)
+	spec := ForkSpec{ForkIter: forkIter, Seeds: slices.Compact(seeds)}
 	if e.journal != nil {
 		spec.Residual = e.journal.Residual(forkIter)
 	}
@@ -1628,16 +1632,10 @@ func Reshard(e *Engine, newProcs int, newPartition func(stream.VertexID, int) in
 // the signal the paper's master uses to decide when to rebalance
 // (quarantined processors report zero).
 func (e *Engine) LoadStats() []int {
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
-	out := make([]int, len(e.inc.procs))
-	for i, p := range e.inc.procs {
-		if p == nil {
-			continue
-		}
-		p.shareMu.Lock()
-		out[i] = len(p.commitLog)
-		p.shareMu.Unlock()
+	loads := e.PartitionLoads()
+	out := make([]int, len(loads))
+	for i, l := range loads {
+		out[i] = l.Vertices
 	}
 	return out
 }

@@ -733,9 +733,8 @@ func TestJournalLifecycle(t *testing.T) {
 	s2 := j.Ingested(t2)
 	j.Ingested(t3) // stays in flight
 
-	j.Applied(s1, 1)
-	j.Applied(s2, 3)
-	j.Committed(1, 10) // t1 reflected at iteration 10
+	_ = s2                        // applied by its vertex, which has not committed
+	j.Committed([]uint64{s1}, 10) // t1's vertex commits: reflected at iteration 10
 
 	// Fork at 5: t1 committed later than 5, t2 applied-uncommitted, t3 in
 	// flight -> all three are residual, in ingest order.

@@ -167,6 +167,7 @@ func TestRepeatedPauseResumeCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }
 
 // TestStaleEdgeOpIsIgnored pins the event-time gate: when an edge insertion
@@ -199,6 +200,7 @@ func TestStaleEdgeOpIsIgnored(t *testing.T) {
 	if err != nil || st.(*ssspState).Length != 1 {
 		t.Fatalf("dist(1) = %v, %v; want 1 after fresh re-add", st, err)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestDuplicateActivationsAreIdempotent re-activates vertices repeatedly; the

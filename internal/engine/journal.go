@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"math"
 	"sync"
 
 	"tornado/internal/stream"
@@ -12,7 +12,8 @@ import (
 // states:
 //
 //	ingested  — accepted by the ingester, still in flight to the processor
-//	applied   — gathered by the destination vertex, commit pending
+//	applied   — gathered by the destination vertex, commit pending (the
+//	            vertex holds the sequence until then)
 //	committed — the vertex committed at some iteration; the input's effect
 //	            is in the store from that iteration on
 //
@@ -22,60 +23,75 @@ import (
 // while still in flight in the main loop are applied by both loops, which is
 // consistent: the fork instant includes everything ingested before it.
 type inputJournal struct {
-	mu        sync.Mutex
-	nextSeq   uint64
-	entries   map[uint64]*journalEntry
-	byVertex  map[stream.VertexID][]uint64 // applied but uncommitted, per vertex
-	committed []journalEntry               // committed, retained until pruned
+	mu sync.Mutex
+	// ring holds every retained input by sequence: sequence q in
+	// [base, nextSeq) sits at ring[q&(len(ring)-1)] (a power-of-two length
+	// that grows with the span). A commit stamps its slots in place; a
+	// committed slot stamped at or below pruned is dropped, and base moves
+	// past dropped slots. Which vertex applied an input is the vertex's own
+	// record (vertex.jseqs).
+	ring          []journalSlot
+	base, nextSeq uint64
+	live, held    int   // slots in state journalLive / journalCommitted
+	pruned        int64 // Prune's high-water mark
 }
 
-type journalEntry struct {
-	seq   uint64
-	iter  int64 // commit iteration once committed
+type journalSlot struct {
 	tuple stream.Tuple
+	iter  int64 // commit iteration, once state is journalCommitted
+	state uint8
 }
+
+const (
+	journalDropped   uint8 = iota // extracted by a recovery (or never used)
+	journalLive                   // ingested or applied
+	journalCommitted              // in the store from iter on
+)
 
 func newInputJournal() *inputJournal {
-	return &inputJournal{
-		entries:  make(map[uint64]*journalEntry),
-		byVertex: make(map[stream.VertexID][]uint64),
-	}
+	return &inputJournal{ring: make([]journalSlot, 256), pruned: math.MinInt64}
 }
 
-// Ingested registers a new input and returns its journal sequence.
-func (j *inputJournal) Ingested(tuple stream.Tuple) uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq := j.nextSeq
-	j.nextSeq++
-	j.entries[seq] = &journalEntry{seq: seq, tuple: tuple}
-	return seq
+func (j *inputJournal) slot(seq uint64) *journalSlot { return &j.ring[seq&uint64(len(j.ring)-1)] }
+
+// missingAt reports whether the slot's input is not reflected in the
+// snapshot at iteration upTo.
+func (s *journalSlot) missingAt(upTo int64) bool {
+	return s.state == journalLive || (s.state == journalCommitted && s.iter > upTo)
 }
 
-// Applied records that vertex v gathered the input with the given sequence.
-func (j *inputJournal) Applied(seq uint64, v stream.VertexID) {
+// Ingested registers new inputs under consecutive journal sequences and
+// returns the first.
+func (j *inputJournal) Ingested(tuples ...stream.Tuple) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.entries[seq]; ok {
-		j.byVertex[v] = append(j.byVertex[v], seq)
+	first := j.nextSeq
+	for _, t := range tuples {
+		if j.nextSeq-j.base == uint64(len(j.ring)) {
+			ring := make([]journalSlot, 2*len(j.ring))
+			for q := j.base; q < j.nextSeq; q++ {
+				ring[q&uint64(len(ring)-1)] = *j.slot(q)
+			}
+			j.ring = ring
+		}
+		*j.slot(j.nextSeq) = journalSlot{tuple: t, state: journalLive}
+		j.nextSeq++
 	}
+	j.live += len(tuples)
+	return first
 }
 
-// Committed stamps all of v's applied-but-uncommitted inputs with v's commit
-// iteration.
-func (j *inputJournal) Committed(v stream.VertexID, iter int64) {
+// Committed stamps the inputs a vertex applied since its previous commit
+// (seqs) with the vertex's commit iteration. Sequences an intervening
+// RecoverResidual extracted are skipped.
+func (j *inputJournal) Committed(seqs []uint64, iter int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	seqs := j.byVertex[v]
-	if len(seqs) == 0 {
-		return
-	}
-	delete(j.byVertex, v)
 	for _, seq := range seqs {
-		if e, ok := j.entries[seq]; ok {
-			e.iter = iter
-			j.committed = append(j.committed, *e)
-			delete(j.entries, seq)
+		if s := j.slot(seq); seq >= j.base && seq < j.nextSeq && s.state == journalLive {
+			s.state, s.iter = journalCommitted, iter
+			j.live--
+			j.held++
 		}
 	}
 }
@@ -85,20 +101,12 @@ func (j *inputJournal) Committed(v stream.VertexID, iter int64) {
 // after forkIter.
 func (j *inputJournal) Residual(forkIter int64) []stream.Tuple {
 	j.mu.Lock()
-	var picked []journalEntry
-	for _, e := range j.entries {
-		picked = append(picked, *e)
-	}
-	for _, e := range j.committed {
-		if e.iter > forkIter {
-			picked = append(picked, e)
+	defer j.mu.Unlock()
+	var out []stream.Tuple
+	for q := j.base; q < j.nextSeq; q++ {
+		if s := j.slot(q); s.missingAt(forkIter) {
+			out = append(out, s.tuple)
 		}
-	}
-	j.mu.Unlock()
-	sort.Slice(picked, func(a, b int) bool { return picked[a].seq < picked[b].seq })
-	out := make([]stream.Tuple, len(picked))
-	for i, e := range picked {
-		out[i] = e.tuple
 	}
 	return out
 }
@@ -108,13 +116,14 @@ func (j *inputJournal) Residual(forkIter int64) []stream.Tuple {
 // advances), so those inputs are in every future snapshot.
 func (j *inputJournal) Prune(k int64) {
 	j.mu.Lock()
-	kept := j.committed[:0]
-	for _, e := range j.committed {
-		if e.iter > k {
-			kept = append(kept, e)
+	j.pruned = max(j.pruned, k)
+	for j.base < j.nextSeq && !j.slot(j.base).missingAt(j.pruned) {
+		if j.slot(j.base).state == journalCommitted {
+			j.held--
 		}
+		*j.slot(j.base) = journalSlot{} // let go of the tuple's value
+		j.base++
 	}
-	j.committed = kept
 	j.mu.Unlock()
 }
 
@@ -127,33 +136,24 @@ func (j *inputJournal) Prune(k int64) {
 // retained for future forks.
 func (j *inputJournal) RecoverResidual(resume int64) []stream.Tuple {
 	j.mu.Lock()
-	var picked []journalEntry
-	for _, e := range j.entries {
-		picked = append(picked, *e)
-	}
-	j.entries = make(map[uint64]*journalEntry)
-	j.byVertex = make(map[stream.VertexID][]uint64)
-	kept := j.committed[:0]
-	for _, e := range j.committed {
-		if e.iter > resume {
-			picked = append(picked, e)
-		} else {
-			kept = append(kept, e)
+	defer j.mu.Unlock()
+	var out []stream.Tuple
+	for q := j.base; q < j.nextSeq; q++ {
+		if s := j.slot(q); s.missingAt(resume) {
+			if out = append(out, s.tuple); s.state == journalCommitted {
+				j.held--
+			}
+			*s = journalSlot{}
 		}
 	}
-	j.committed = kept
-	j.mu.Unlock()
-	sort.Slice(picked, func(a, b int) bool { return picked[a].seq < picked[b].seq })
-	out := make([]stream.Tuple, len(picked))
-	for i, e := range picked {
-		out[i] = e.tuple
-	}
+	j.live = 0
 	return out
 }
 
-// Size returns (uncommitted, committed-retained) entry counts.
-func (j *inputJournal) Size() (int, int) {
+// Size returns how many entries are uncommitted and how many committed ones
+// the ring still holds (a pruned entry leaves once every older one has).
+func (j *inputJournal) Size() (uncommitted, committed int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries), len(j.committed)
+	return j.live, j.held
 }

@@ -2,97 +2,148 @@ package engine
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"tornado/internal/stream"
 )
 
 // TestJournalAgainstModel drives the input journal with random operation
-// sequences and checks Residual against a brute-force model for every fork
-// iteration. This is the invariant branch exactness rests on: an input is
-// residual at fork iteration i exactly when it is not committed at or below
-// i.
+// sequences and checks Residual, RecoverResidual and Size against a
+// brute-force model for every fork iteration. This is the invariant branch
+// exactness rests on: an input is residual at fork iteration i exactly when
+// it is not committed at or below i. Bursts of in-flight inputs push the
+// sequence ring through growth and wrap-around; a
+// "migration" hands a vertex's applied-but-uncommitted sequences to a copy,
+// as a live hand-off does.
 func TestJournalAgainstModel(t *testing.T) {
 	type entry struct {
-		seq       uint64
-		vertex    stream.VertexID
+		id        int // the tuple's value: identifies the input across re-ingestion
 		committed bool
 		iter      int64
-		pruned    bool
 	}
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		j := newInputJournal()
-		var model []entry
-		applied := map[stream.VertexID][]int{} // vertex -> model indices applied, uncommitted
-		nextIter := int64(0)
-		pruneFloor := int64(-1)
+		model := map[uint64]*entry{}              // retained inputs by current sequence
+		applied := map[stream.VertexID][]uint64{} // vertex.jseqs
+		nextID, nextIter, pruneFloor := 0, int64(0), int64(-1)
+		modelBase, nextSeq := uint64(0), uint64(0)
+		maxRing := len(j.ring)
 
-		for op := 0; op < 200; op++ {
-			switch rng.Intn(4) {
-			case 0: // ingest + apply to a random vertex
-				v := stream.VertexID(rng.Intn(8))
-				tup := stream.Value(stream.Timestamp(op), v, op)
-				seq := j.Ingested(tup)
-				j.Applied(seq, v)
-				model = append(model, entry{seq: seq, vertex: v})
-				applied[v] = append(applied[v], len(model)-1)
-			case 1: // ingest only (still in flight)
-				v := stream.VertexID(rng.Intn(8))
-				tup := stream.Value(stream.Timestamp(op), v, op)
-				seq := j.Ingested(tup)
-				model = append(model, entry{seq: seq, vertex: v})
-			case 2: // commit a random vertex at the next iteration
-				v := stream.VertexID(rng.Intn(8))
-				nextIter++
-				j.Committed(v, nextIter)
-				for _, idx := range applied[v] {
-					model[idx].committed = true
-					model[idx].iter = nextIter
-				}
-				delete(applied, v)
-			case 3: // prune at a random terminated iteration
-				if nextIter > 0 {
-					k := rng.Int63n(nextIter + 1)
-					if k > pruneFloor {
-						pruneFloor = k
-					}
-					j.Prune(pruneFloor)
-					for i := range model {
-						if model[i].committed && model[i].iter <= pruneFloor {
-							model[i].pruned = true
-						}
-					}
+		ingest := func(v stream.VertexID, id int, apply bool) {
+			seq := j.Ingested(stream.Value(stream.Timestamp(id), v, id))
+			model[seq] = &entry{id: id}
+			nextSeq = seq + 1
+			if apply {
+				applied[v] = append(applied[v], seq)
+			}
+		}
+		// residual lists, in sequence order, the inputs the model says are
+		// missing from a snapshot at upTo.
+		residual := func(upTo int64) []int {
+			var seqs []uint64
+			for seq, e := range model {
+				if !e.committed || e.iter > max(upTo, pruneFloor) {
+					seqs = append(seqs, seq)
 				}
 			}
-			// Check residual at a random fork iteration at or above the
-			// prune floor (forks only happen at the advancing frontier).
+			slices.Sort(seqs)
+			ids := make([]int, len(seqs))
+			for i, seq := range seqs {
+				ids[i] = model[seq].id
+			}
+			return ids
+		}
+		check := func(what string, got []stream.Tuple, want []int) {
+			t.Helper()
+			ids := make([]int, len(got))
+			for i, tup := range got {
+				ids[i] = tup.Value.(int)
+			}
+			if !slices.Equal(ids, want) {
+				t.Fatalf("trial %d: %s = %v; model wants %v", trial, what, ids, want)
+			}
+		}
+
+		for op := 0; op < 240; op++ {
+			v := stream.VertexID(rng.Intn(8))
+			switch rng.Intn(7) {
+			case 0, 1: // ingest, usually applied at once
+				ingest(v, nextID, rng.Intn(4) > 0)
+				nextID++
+			case 2: // a burst that stays in flight: the ring has to grow
+				for n := rng.Intn(512); n > 0; n-- {
+					ingest(v, nextID, rng.Intn(8) > 0)
+					nextID++
+				}
+			case 3: // commit a vertex at the next iteration
+				nextIter++
+				j.Committed(applied[v], nextIter)
+				for _, seq := range applied[v] {
+					model[seq].committed, model[seq].iter = true, nextIter
+				}
+				applied[v] = applied[v][:0]
+			case 4: // the vertex migrates: the new owner installs a copy of its sequences
+				applied[v] = slices.Clone(applied[v])
+			case 5: // prune at a terminated iteration
+				if nextIter > 0 {
+					pruneFloor = max(pruneFloor, rng.Int63n(nextIter+1))
+					j.Prune(pruneFloor)
+					// The ring lets an entry go once it and every older entry has been
+					// pruned or extracted; until then a committed one counts as held.
+					for ; modelBase < nextSeq; modelBase++ {
+						if e := model[modelBase]; e != nil && (!e.committed || e.iter > pruneFloor) {
+							break
+						}
+						delete(model, modelBase)
+					}
+				}
+			case 6: // crash recovery at a checkpoint: extract, then re-ingest
+				if rng.Intn(4) > 0 {
+					break
+				}
+				resume := pruneFloor
+				if nextIter > resume {
+					resume += rng.Int63n(nextIter - pruneFloor + 1)
+				}
+				want := residual(resume)
+				check("RecoverResidual", j.RecoverResidual(resume), want)
+				for seq, e := range model {
+					if !e.committed || e.iter > resume {
+						delete(model, seq)
+					}
+				}
+				clear(applied) // the vertices died with the incarnation
+				for _, id := range want {
+					ingest(stream.VertexID(rng.Intn(8)), id, false)
+				}
+			}
+			maxRing = max(maxRing, len(j.ring))
+			if op%3 != 0 {
+				continue // the checks below walk every retained input
+			}
+
+			// Forks happen at the advancing frontier: at or above the prune floor.
 			forkIter := pruneFloor
 			if nextIter > forkIter {
 				forkIter += rng.Int63n(nextIter - pruneFloor + 1)
 			}
-			var want []uint64
+			check("Residual", j.Residual(forkIter), residual(forkIter))
+			un, com := 0, 0
 			for _, e := range model {
-				if e.pruned {
-					continue // retained only if newer than every prune
-				}
-				if !e.committed || e.iter > forkIter {
-					want = append(want, e.seq)
+				if e.committed {
+					com++
+				} else {
+					un++
 				}
 			}
-			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-			got := j.Residual(forkIter)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d op %d forkIter %d: residual %d entries; model wants %d",
-					trial, op, forkIter, len(got), len(want))
+			if gu, gc := j.Size(); gu != un || gc != com {
+				t.Fatalf("trial %d op %d: Size = (%d, %d); model wants (%d, %d)", trial, op, gu, gc, un, com)
 			}
-			for i, tup := range got {
-				if tup.Value.(int) < 0 {
-					t.Fatalf("bogus tuple %v", tup)
-				}
-				_ = i
-			}
+		}
+		if maxRing == 256 {
+			t.Fatalf("trial %d never grew the ring", trial)
 		}
 	}
 }

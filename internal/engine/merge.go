@@ -162,7 +162,7 @@ func (p *processor) handleAdopt(m msgAdopt) {
 	// A dirty or preparing vertex means inputs raced the merge; skip the
 	// adoption for this vertex — the merge driver detects the conflict via
 	// the journal and reports it.
-	if !v.dirty && !v.preparing() && len(v.prepareList) == 0 {
+	if !v.dirty && !v.preparing() && v.npreparing == 0 {
 		v.state = m.State
 		if p.dp != nil {
 			// The adopted state is the branch's fixed point over its own
@@ -177,17 +177,7 @@ func (p *processor) handleAdopt(m msgAdopt) {
 				p.tk.Release(it.Token)
 			}
 		}
-		for t := range v.targets {
-			delete(v.targets, t)
-		}
-		for _, t := range m.Targets {
-			v.targets[t] = struct{}{}
-		}
-		for t, ts := range m.TargetClock {
-			v.targetClock[t] = ts
-		}
-		clear(v.added)
-		clear(v.removed)
+		v.setTargets(m.Targets, m.TargetClock)
 		if m.Iteration > v.iter {
 			v.iter = m.Iteration
 		}
@@ -196,7 +186,7 @@ func (p *processor) handleAdopt(m msgAdopt) {
 		p.tk.RecordCommit(m.Iteration, 0)
 		p.eng.stats.Commits.Inc()
 		p.shareMu.Lock()
-		p.commitLog[v.id] = m.Iteration
+		p.share[v.slot].lastCommit = m.Iteration
 		p.shareMu.Unlock()
 	}
 	p.tk.Release(m.Token)

@@ -49,6 +49,7 @@ func TestAdoptBranchImprovesApproximation(t *testing.T) {
 	}
 	all := append(append([]stream.Tuple{}, tuples...), stream.AddEdge(1<<40, 0, 99))
 	checkSSSP(t, e, all)
+	checkQuiescent(t, e)
 }
 
 func TestAdoptBranchRejectsUnconvergedBranch(t *testing.T) {

@@ -129,21 +129,20 @@ type msgMigFreeze struct {
 // gob-register their state types (RegisterStateType) for checkpoints, so
 // the same registrations cover the wire here.
 type MigVertex struct {
-	ID          stream.VertexID
-	State       any
-	Targets     []stream.VertexID
-	Added       []stream.VertexID
-	Removed     []stream.VertexID
-	TargetClock map[stream.VertexID]stream.Timestamp
-	GatherSeen  map[stream.VertexID]int64
-	PrepareList []stream.VertexID
-	Iter        int64
-	LastCommit  int64
-	Progress    float64
-	Dirty       bool
-	Activated   bool
-	Pending     any
-	HasPending  bool
+	ID    stream.VertexID
+	State any
+	// Out and In are the vertex's edge records (their exported fields on the
+	// wire), JSeqs the journal sequences of its applied, uncommitted inputs.
+	Out        []outEdge
+	In         []inEdge
+	JSeqs      []uint64
+	Iter       int64
+	LastCommit int64
+	Progress   float64
+	Dirty      bool
+	Activated  bool
+	Pending    any
+	HasPending bool
 }
 
 // msgMigState ships one source's frozen vertices to the destination

@@ -8,6 +8,7 @@ package engine
 // when the coordinator confirms the plan flipped.
 
 import (
+	"slices"
 	"sort"
 
 	"tornado/internal/stream"
@@ -32,6 +33,8 @@ type migSource struct {
 	// prepares arriving after the state left are still answered (the reply
 	// is indistinguishable from an ack legally racing a consumer commit).
 	tomb map[stream.VertexID]int64
+	// slots are the shipped vertices' share slots, freed at cutover.
+	slots []int32
 }
 
 // migDest is a destination processor's install state: created by the first
@@ -127,33 +130,33 @@ func (p *processor) migMaybeShip() {
 				p.tk.Release(it.Token)
 			}
 		}
+		// The records go as they are: the source drops its only reference
+		// below, and the destination installs copies.
 		vs = append(vs, MigVertex{
-			ID:          v.id,
-			State:       v.state,
-			Targets:     sortedIDs(v.targets),
-			Added:       sortedIDs(v.added),
-			Removed:     sortedIDs(v.removed),
-			TargetClock: cloneClock(v.targetClock),
-			GatherSeen:  cloneSeen(v.gatherSeen),
-			PrepareList: sortedIDs(v.prepareList),
-			Iter:        v.iter,
-			LastCommit:  v.lastCommit,
-			Progress:    v.progress,
-			Dirty:       v.dirty,
-			Activated:   v.activated,
-			Pending:     v.pending,
-			HasPending:  v.hasPending,
+			ID:         v.id,
+			State:      v.state,
+			Out:        v.out,
+			In:         v.in,
+			JSeqs:      v.jseqs,
+			Iter:       v.iter,
+			LastCommit: v.lastCommit,
+			Progress:   v.progress,
+			Dirty:      v.dirty,
+			Activated:  v.activated,
+			Pending:    v.pending,
+			HasPending: v.hasPending,
 		})
 		mig.tomb[v.id] = v.iter
+		mig.slots = append(mig.slots, v.slot)
 		if v.dirtyToken >= 0 {
 			p.tk.Release(v.dirtyToken)
 			v.dirtyToken = -1
 		}
 		delete(p.vertices, v.id)
-		delete(p.capBlocked, v.id)
-		// commitLog/dirtySet entries stay until cutover: a branch fork
-		// scanning mid-migration must still see these vertices as part of
-		// its seed set on SOME live processor.
+		v.capBlocked = false // a capQ entry for it is now void
+		// The share slot stays until cutover: a branch fork scanning
+		// mid-migration must still see these vertices as part of its seed
+		// set on SOME live processor.
 	}
 	mig.shipped = true
 	p.ep.Send(transport.NodeID(mig.dest),
@@ -172,54 +175,36 @@ func (p *processor) handleMigState(m msgMigState) {
 		p.migIn = &migDest{seq: m.Seq, expect: m.NumSources}
 	}
 	for _, mv := range m.Vs {
+		if old := p.vertices[mv.ID]; old != nil {
+			p.unhost(old.slot) // a leftover a PREPARE created racing an earlier hand-off
+		}
 		v := newVertex(mv.ID, p.eng.cfg.Seed)
 		v.state = mv.State
-		for _, t := range mv.Targets {
-			v.targets[t] = struct{}{}
+		v.out, v.in, v.jseqs = slices.Clone(mv.Out), slices.Clone(mv.In), slices.Clone(mv.JSeqs)
+		for i := range v.out {
+			v.out[i].qEpoch = 0 // the source's window epochs mean nothing here
 		}
-		for _, t := range mv.Added {
-			v.added[t] = struct{}{}
-		}
-		for _, t := range mv.Removed {
-			v.removed[t] = struct{}{}
-		}
-		for t, ts := range mv.TargetClock {
-			v.targetClock[t] = ts
-		}
-		for t, it := range mv.GatherSeen {
-			v.gatherSeen[t] = it
-		}
-		for _, t := range mv.PrepareList {
-			v.prepareList[t] = struct{}{}
+		for i := range v.in {
+			if v.in[i].Preparing {
+				v.npreparing++
+			}
 		}
 		v.iter = mv.Iter
 		v.lastCommit = mv.LastCommit
 		v.progress = mv.Progress
 		v.activated = mv.Activated
 		v.pending, v.hasPending = mv.Pending, mv.HasPending
-		p.vertices[mv.ID] = v
 		p.migIn.ids = append(p.migIn.ids, mv.ID)
 		if mv.Dirty {
 			// Re-acquire the dirty token the source released at ship,
 			// exactly as markDirty would place it.
 			v.dirty = true
-			lower := v.iter
-			if v.lastCommit+1 > lower {
-				lower = v.lastCommit + 1
-			}
-			v.dirtyToken = p.tk.AcquireFloor(lower)
+			v.dirtyToken = p.tk.AcquireFloor(v.lower())
 			if v.dirtyToken > v.iter {
 				v.iter = v.dirtyToken
 			}
 		}
-		p.shareMu.Lock()
-		if mv.Dirty {
-			p.dirtySet[v.id] = struct{}{}
-		}
-		if mv.LastCommit >= 0 {
-			p.commitLog[v.id] = mv.LastCommit
-		}
-		p.shareMu.Unlock()
+		p.host(v)
 	}
 	p.migIn.got++
 	if p.migIn.got >= p.migIn.expect {
@@ -250,12 +235,7 @@ func (p *processor) handleMigCutover(m msgMigCutover) {
 			p.sendVertex(j.To, j)
 		}
 	}
-	p.shareMu.Lock()
-	for id := range mig.tomb {
-		delete(p.commitLog, id)
-		delete(p.dirtySet, id)
-	}
-	p.shareMu.Unlock()
+	p.unhost(mig.slots...)
 	if p.batch {
 		p.flushOut()
 	} else {
@@ -281,25 +261,9 @@ func (p *processor) handleMigActivate(m msgMigActivate) {
 			if v.dirty {
 				p.maybeStart(v)
 			} else if p.dp != nil && v.hasPending {
-				lower := v.iter
-				if v.lastCommit+1 > lower {
-					lower = v.lastCommit + 1
-				}
-				p.deltaSchedule(v, p.tk.AcquireFloor(lower))
+				p.deltaSchedule(v, p.tk.AcquireFloor(v.lower()))
 			}
 		}
 	}
 	p.tk.Release(m.Token)
-}
-
-// cloneSeen copies a per-producer gather watermark map.
-func cloneSeen(m map[stream.VertexID]int64) map[stream.VertexID]int64 {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[stream.VertexID]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

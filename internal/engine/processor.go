@@ -46,21 +46,23 @@ type processor struct {
 	// checked with one bool load before any call touches it.
 	sp *trace.Tracer
 
-	vertices   map[stream.VertexID]*vertex
-	notified   int64 // highest iteration the master announced terminated
-	holdback   map[int64][]msgUpdate
-	capBlocked map[stream.VertexID]struct{}
+	vertices map[stream.VertexID]*vertex
+	notified int64 // highest iteration the master announced terminated
+	holdback map[int64][]msgUpdate
+	capQ     []*vertex // vertices (capBlocked set) to retry when the cap rises
 
-	// Batched dispatch (nil/false when Config.DisableBatching): outgoing
-	// vertex messages queue here during one receive window and flush as
-	// multi-payload frames at its end. outIdx locates the pending msgUpdate
-	// for a (producer, consumer) pair so a newer update coalesces into it in
+	// Batched dispatch (false when Config.DisableBatching): outgoing vertex
+	// messages queue here during one receive window and flush as
+	// multi-payload frames at its end. A producer's edge record locates its
+	// pending msgUpdate for the consumer (outEdge.qPos, valid while
+	// outEdge.qEpoch is winEpoch) so a newer update coalesces into it in
 	// place — in-place merging is what keeps the legacy per-destination send
-	// order intact for every other message type.
+	// order intact for every other message type. flushOut bumps winEpoch,
+	// which retires every slot at once.
 	batch    bool
 	combiner Combiner // non-nil when the program customizes coalescing
 	outQ     []outEntry
-	outIdx   map[pairKey]int
+	winEpoch uint64
 
 	// Delta mode (cfg.Delta != nil): gathered messages fold into per-vertex
 	// pending slots, and actQ orders vertices with significant pendings so
@@ -74,19 +76,21 @@ type processor struct {
 	actQ       *delta.Queue
 	deltaDepth atomic.Int64
 
+	paused    atomic.Bool // read once per message; the lock is only for parking
 	pauseMu   sync.Mutex
 	pauseCond *sync.Cond
-	paused    bool
 
 	// maxCommit is the highest iteration this partition has committed;
 	// written only by the processor goroutine, read by the per-partition
 	// frontier-lag gauge at scrape time.
 	maxCommit atomic.Int64
 
-	// share exposes commit/dirty information to fork scans (Section 5.2).
+	// share exposes commit/dirty information to fork scans (Section 5.2) and
+	// the elastic planner: one slot per hosted vertex, indexed by vertex.slot,
+	// taken by host and freed when a migration's cutover releases the source.
 	shareMu   sync.Mutex
-	commitLog map[stream.VertexID]int64
-	dirtySet  map[stream.VertexID]struct{}
+	share     []shareSlot
+	freeSlots []int32
 
 	// Live migration (migrate.go): mig is the source-side freeze state,
 	// migIn the destination-side install state. Both confined to the
@@ -98,12 +102,20 @@ type processor struct {
 	commitCount atomic.Int64
 	updateCount atomic.Int64
 
-	// Commit-path scratch, reused so a steady-state commit allocates nothing
-	// for persistence: the encoded blob (every Store.Put copies), the sorted
-	// target list inside it, and the sorted emit targets of commit's merge.
+	// Callback scratch, reused so a steady-state commit allocates nothing for
+	// them: the encoded blob (every Store.Put copies), the emissions of the
+	// Scatter in progress, and the three target views a Context hands out.
 	encBuf  []byte
-	idBuf   []stream.VertexID
-	emitBuf []stream.VertexID
+	emitBuf []emission
+	viewBuf [3][]stream.VertexID
+}
+
+// shareSlot is one hosted vertex's entry in the processor share.
+type shareSlot struct {
+	id         stream.VertexID
+	lastCommit int64 // -1 until the first commit
+	dirty      bool
+	live       bool
 }
 
 // outEntry is one queued outgoing vertex message of the current window.
@@ -112,33 +124,25 @@ type outEntry struct {
 	payload any
 }
 
-// pairKey identifies a (producer, consumer) update stream for coalescing.
-type pairKey struct {
-	from, to stream.VertexID
-}
-
 func newProcessor(idx int, eng *Engine, ep *transport.Endpoint, tk *Tracker, snap *SnapshotSource, route func(stream.VertexID) transport.NodeID, startIter int64) *processor {
 	p := &processor{
-		idx:        idx,
-		eng:        eng,
-		ep:         ep,
-		tk:         tk,
-		snap:       snap,
-		route:      route,
-		tr:         eng.tracer,
-		loopU:      uint64(eng.cfg.LoopID),
-		sp:         eng.spans,
-		vertices:   make(map[stream.VertexID]*vertex),
-		notified:   startIter - 1,
-		holdback:   make(map[int64][]msgUpdate, 16),
-		capBlocked: make(map[stream.VertexID]struct{}, 16),
-		commitLog:  make(map[stream.VertexID]int64, 256),
-		dirtySet:   make(map[stream.VertexID]struct{}, 64),
-		batch:      eng.cfg.MaxBatch > 1,
+		idx:      idx,
+		eng:      eng,
+		ep:       ep,
+		tk:       tk,
+		snap:     snap,
+		route:    route,
+		tr:       eng.tracer,
+		loopU:    uint64(eng.cfg.LoopID),
+		sp:       eng.spans,
+		vertices: make(map[stream.VertexID]*vertex),
+		notified: startIter - 1,
+		holdback: make(map[int64][]msgUpdate, 16),
+		batch:    eng.cfg.MaxBatch > 1,
+		winEpoch: 1, // 0 is "no slot" in a fresh edge record
 	}
 	if p.batch {
 		p.combiner, _ = eng.cfg.Program.(Combiner)
-		p.outIdx = make(map[pairKey]int, 64)
 	}
 	if eng.cfg.Delta != nil {
 		p.dp = eng.cfg.Delta
@@ -257,8 +261,11 @@ func (p *processor) trace(kind obs.EventKind, vertex, peer stream.VertexID, iter
 }
 
 func (p *processor) maybePause() {
+	if !p.paused.Load() {
+		return
+	}
 	p.pauseMu.Lock()
-	for p.paused {
+	for p.paused.Load() {
 		p.pauseCond.Wait()
 	}
 	p.pauseMu.Unlock()
@@ -266,7 +273,7 @@ func (p *processor) maybePause() {
 
 func (p *processor) setPaused(paused bool) {
 	p.pauseMu.Lock()
-	p.paused = paused
+	p.paused.Store(paused)
 	p.pauseCond.Broadcast()
 	p.pauseMu.Unlock()
 }
@@ -278,8 +285,7 @@ func (p *processor) ensure(id stream.VertexID) *vertex {
 	if v, ok := p.vertices[id]; ok {
 		return v
 	}
-	v := newVertex(id, p.eng.cfg.Seed)
-	p.vertices[id] = v
+	v := p.host(newVertex(id, p.eng.cfg.Seed))
 	if snap := p.snap; snap != nil {
 		data, _, err := snap.latest(p.eng.cfg.Store, id, snap.UpTo)
 		if err == nil {
@@ -288,12 +294,7 @@ func (p *processor) ensure(id stream.VertexID) *vertex {
 				panic(fmt.Sprintf("engine: decode snapshot of vertex %d: %v", id, derr))
 			}
 			v.state = blob.State
-			for _, t := range blob.Targets {
-				v.targets[t] = struct{}{}
-			}
-			for t, ts := range blob.TargetClock {
-				v.targetClock[t] = ts
-			}
+			v.setTargets(blob.Targets, blob.TargetClock)
 			if p.dp != nil && blob.HasPending {
 				// A persisted unconsumed pending rides the checkpoint; if it
 				// is significant under the current threshold (e.g. the boost
@@ -315,6 +316,33 @@ func (p *processor) ensure(id stream.VertexID) *vertex {
 		p.eng.cfg.Program.Init(ctx)
 	}
 	return v
+}
+
+// host registers v with this processor: the ID lookup and a share slot
+// carrying the vertex's commit and dirty state.
+func (p *processor) host(v *vertex) *vertex {
+	p.vertices[v.id] = v
+	s := shareSlot{id: v.id, lastCommit: v.lastCommit, dirty: v.dirty, live: true}
+	p.shareMu.Lock()
+	if len(p.freeSlots) == 0 {
+		p.freeSlots = append(p.freeSlots, int32(len(p.share)))
+		p.share = append(p.share, shareSlot{})
+	}
+	n := len(p.freeSlots) - 1
+	v.slot, p.freeSlots = p.freeSlots[n], p.freeSlots[:n]
+	p.share[v.slot] = s
+	p.shareMu.Unlock()
+	return v
+}
+
+// unhost frees share slots whose vertices have left this processor.
+func (p *processor) unhost(slots ...int32) {
+	p.shareMu.Lock()
+	for _, slot := range slots {
+		p.share[slot] = shareSlot{}
+	}
+	p.freeSlots = append(p.freeSlots, slots...)
+	p.shareMu.Unlock()
 }
 
 // deltaSchedule decides what to do with a vertex whose pending slot may have
@@ -384,11 +412,7 @@ func (p *processor) handleRescan(m msgRescan) {
 			}
 			prio := p.dp.Priority(&vertexContext{p: p, v: v}, v.pending)
 			if prio >= p.effDeltaThreshold() {
-				lower := v.iter
-				if v.lastCommit+1 > lower {
-					lower = v.lastCommit + 1
-				}
-				p.actQ.Push(v.id, prio, p.tk.AcquireFloor(lower))
+				p.actQ.Push(v.id, prio, p.tk.AcquireFloor(v.lower()))
 				p.deltaDepth.Add(1)
 			}
 		}
@@ -404,16 +428,12 @@ func (p *processor) markDirty(v *vertex) {
 		return
 	}
 	v.dirty = true
-	lower := v.iter
-	if v.lastCommit+1 > lower {
-		lower = v.lastCommit + 1
-	}
-	v.dirtyToken = p.tk.AcquireFloor(lower)
+	v.dirtyToken = p.tk.AcquireFloor(v.lower())
 	if v.dirtyToken > v.iter {
 		v.iter = v.dirtyToken
 	}
 	p.shareMu.Lock()
-	p.dirtySet[v.id] = struct{}{}
+	p.share[v.slot].dirty = true
 	p.shareMu.Unlock()
 }
 
@@ -477,15 +497,16 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 			// Event-time gate: a retransmitted edge operation must not
 			// override a newer one for the same target (at-least-once
 			// delivery does not preserve order across retransmissions).
-			if last, seen := v.targetClock[w.tuple.Dst]; seen && w.tuple.Time < last {
+			e := v.edge(w.tuple.Dst)
+			if e.Flags&edgeClocked != 0 && w.tuple.Time < e.Clock {
 				stale = true
 				break
 			}
-			v.targetClock[w.tuple.Dst] = w.tuple.Time
+			e.Clock, e.Flags = w.tuple.Time, e.Flags|edgeClocked
 			if w.tuple.Kind == stream.KindAddEdge {
-				ctx.AddTarget(w.tuple.Dst)
+				e.add()
 			} else {
-				ctx.RemoveTarget(w.tuple.Dst)
+				e.remove()
 			}
 		}
 		if !stale {
@@ -502,8 +523,13 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 			p.adoptTraceCtx(v, p.sp.Stage(w.tctx, trace.StageProcess,
 				p.loopU, uint64(v.id), 0, p.sp.Now()))
 		}
-		if p.eng.journal != nil && w.hasJSeq {
-			p.eng.journal.Applied(w.jseq, v.id)
+		if w.hasJSeq {
+			// Applied: the vertex's next commit stamps it in the journal. A
+			// stale operation on a clean vertex has no commit coming; it is
+			// reflected in everything since the vertex's last one.
+			if v.jseqs = append(v.jseqs, w.jseq); !v.dirty {
+				p.journalCommitted(v, v.lastCommit)
+			}
 		}
 		// The input has landed on its vertex: hand the admission credit back
 		// so the gate tracks unapplied inputs, not unterminated iterations.
@@ -532,7 +558,7 @@ func (p *processor) handleUpdate(m msgUpdate) {
 	if m.Iteration >= p.cap() {
 		v := p.ensure(m.To)
 		p.trace(obs.EvHoldback, v.id, m.From, m.Iteration)
-		delete(v.prepareList, m.From)
+		v.committedBy(m.From)
 		p.holdback[m.Iteration] = append(p.holdback[m.Iteration], m)
 		p.maybeStart(v)
 		return
@@ -551,15 +577,14 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 	if m.Iteration+1 > v.iter {
 		v.iter = m.Iteration + 1
 	}
-	// The producer has committed: it no longer blocks our own update.
-	delete(v.prepareList, m.From)
+	v.committedBy(m.From)
 	// Per-producer monotonicity: a producer's commits carry strictly
 	// increasing iterations, so an update at or below the last gathered one
 	// is a retransmission-reordered stale value and must be discarded
 	// (Section 5.3).
 	if m.HasValue {
-		if last, seen := v.gatherSeen[m.From]; !seen || m.Iteration > last {
-			v.gatherSeen[m.From] = m.Iteration
+		if from := v.producer(m.From, true); m.Iteration > from.Seen {
+			from.Seen = m.Iteration
 			ctx := &vertexContext{p: p, v: v}
 			if p.dp != nil {
 				// Delta mode: the message becomes a local delta (diffed
@@ -662,7 +687,10 @@ func (p *processor) handlePrepare(m msgPrepare) {
 	v := p.ensure(m.To)
 	p.trace(obs.EvPrepareRecv, v.id, m.From, v.iter)
 	p.eng.clock.Witness(m.Stamp.Time)
-	v.prepareList[m.From] = struct{}{}
+	if from := v.producer(m.From, true); !from.Preparing {
+		from.Preparing = true
+		v.npreparing++
+	}
 	// Only acknowledge producers whose update happened before our own
 	// in-flight update; later ones wait until we commit (Figure 3,
 	// OnReceivePrepare). The Lamport order makes this deadlock-free.
@@ -687,11 +715,12 @@ func (p *processor) handleAck(m msgAck) {
 	if m.Iteration > v.iter {
 		v.iter = m.Iteration
 	}
-	if _, owed := v.waiting[m.From]; owed {
-		delete(v.waiting, m.From)
+	if i, ok := v.findOut(m.From); ok && v.out[i].Flags&edgeOwesAck != 0 {
+		v.out[i].Flags &^= edgeOwesAck
+		v.nwaiting--
 		p.eng.pendingPrepares.Add(-1)
 	}
-	if len(v.waiting) == 0 {
+	if v.nwaiting == 0 {
 		p.commit(v)
 	}
 }
@@ -719,14 +748,12 @@ func (p *processor) handleFrontier(m msgFrontier) {
 		}
 	}
 	// Retry vertices whose commit was blocked by the old cap.
-	if len(p.capBlocked) > 0 {
-		blocked := make([]stream.VertexID, 0, len(p.capBlocked))
-		for id := range p.capBlocked {
-			blocked = append(blocked, id)
-		}
-		for _, id := range blocked {
-			delete(p.capBlocked, id)
-			p.maybeStart(p.vertices[id])
+	blocked := p.capQ
+	p.capQ = nil // a retry that is still blocked queues afresh
+	for _, v := range blocked {
+		if v.capBlocked { // false once the vertex has shipped to another processor
+			v.capBlocked = false
+			p.maybeStart(v)
 		}
 	}
 }
@@ -735,7 +762,7 @@ func (p *processor) handleFrontier(m msgFrontier) {
 // permitted: the vertex must be dirty, must not already be preparing, and
 // must not be involved in any producer's preparation.
 func (p *processor) maybeStart(v *vertex) {
-	if v == nil || v.preparing() || !v.dirty || len(v.prepareList) > 0 {
+	if v == nil || v.preparing() || !v.dirty || v.npreparing > 0 {
 		return
 	}
 	// A frozen migrating vertex must not start a new commit: it ships as
@@ -743,38 +770,36 @@ func (p *processor) maybeStart(v *vertex) {
 	if p.migrating(v.id) {
 		return
 	}
-	lower := v.iter
-	if v.lastCommit+1 > lower {
-		lower = v.lastCommit + 1
-	}
-	c := p.cap()
+	lower, c := v.lower(), p.cap()
 	if lower > c {
-		p.capBlocked[v.id] = struct{}{}
-		return
-	}
-	// Targets cannot change between here and this update's commit (inputs and
-	// activations are held while preparing, adoption skips a preparing
-	// vertex), so commit reuses the list.
-	v.cons = v.appendConsumers(v.cons[:0])
-	cons := v.cons
-	// A vertex committing at the cap can skip the prepare phase: no consumer
-	// iteration can exceed the cap (Section 4.4). So can a vertex with no
-	// consumers.
-	if (lower == c && !p.eng.cfg.DisablePrepareSkip) || len(cons) == 0 {
-		v.stamp = lamport.Stamp{Time: p.eng.clock.Tick(), Owner: uint64(v.id)}
-		p.commit(v)
+		if !v.capBlocked {
+			v.capBlocked = true
+			p.capQ = append(p.capQ, v)
+		}
 		return
 	}
 	v.stamp = lamport.Stamp{Time: p.eng.clock.Tick(), Owner: uint64(v.id)}
-	for _, t := range cons {
-		v.waiting[t] = struct{}{}
+	// A vertex committing at the cap can skip the prepare phase: no consumer
+	// iteration can exceed the cap (Section 4.4). So can a vertex with no
+	// consumers. The consumer set cannot change between here and this
+	// update's commit: inputs and activations are held while preparing, and
+	// adoption skips a preparing vertex.
+	if lower < c || p.eng.cfg.DisablePrepareSkip {
+		for i := range v.out {
+			if e := &v.out[i]; e.Flags&edgeConsumer != 0 {
+				e.Flags |= edgeOwesAck
+				v.nwaiting++
+				p.trace(obs.EvPrepareSend, v.id, e.To, lower)
+				p.sendVertex(e.To, msgPrepare{From: v.id, To: e.To, Stamp: v.stamp})
+			}
+		}
+		if v.nwaiting > 0 {
+			p.eng.stats.PrepareMsgs.Add(int64(v.nwaiting))
+			p.eng.pendingPrepares.Add(int64(v.nwaiting))
+			return
+		}
 	}
-	p.eng.stats.PrepareMsgs.Add(int64(len(cons)))
-	p.eng.pendingPrepares.Add(int64(len(cons)))
-	for _, t := range cons {
-		p.trace(obs.EvPrepareSend, v.id, t, lower)
-		p.sendVertex(t, msgPrepare{From: v.id, To: t, Stamp: v.stamp})
-	}
+	p.commit(v)
 }
 
 // commit is phase three: fix the iteration number, run the user Scatter,
@@ -806,7 +831,7 @@ func (p *processor) commit(v *vertex) {
 	p.trace(obs.EvCommit, v.id, 0, tau)
 
 	// User scatter collects emissions.
-	v.emits = v.emits[:0]
+	v.emits = p.emitBuf[:0]
 	ctx := &vertexContext{p: p, v: v, allowEmit: true}
 	if p.dp != nil {
 		// A queued activation for this vertex is satisfied by this commit
@@ -839,9 +864,7 @@ func (p *processor) commit(v *vertex) {
 	v.progress = 0
 	p.eng.stats.Commits.Inc()
 	p.commitCount.Add(1)
-	if p.eng.journal != nil {
-		p.eng.journal.Committed(v.id, tau)
-	}
+	p.journalCommitted(v, tau)
 
 	// Close the traced delta's commit stage (apply -> version persisted) and
 	// register the commit for frontier-lag attribution. The restamped context
@@ -859,43 +882,42 @@ func (p *processor) commit(v *vertex) {
 
 	// Propagate: every effective consumer gets a COMMIT message; those the
 	// program emitted to carry the value. Message tokens live at tau+1 and
-	// are acquired before the dirty token is released.
-	carried := p.emitBuf[:0]
-	nmsgs := 0
-	for _, e := range v.emits {
-		tok := p.tk.AcquireFloor(tau + 1)
-		p.sendVertex(e.to, msgUpdate{From: v.id, To: e.to, Iteration: tau, Token: tok, Value: e.value, HasValue: true, Cum: e.cum, Ctx: tctx})
-		tctx = trace.Context{}
-		carried = append(carried, e.to)
-		nmsgs++
-	}
-	slices.Sort(carried)
-	p.emitBuf = carried
-	// v.cons (from maybeStart) and carried are both ascending: one merge pass
-	// finds the consumers the program did not emit to.
-	for _, t := range v.cons {
-		for len(carried) > 0 && carried[0] < t {
-			carried = carried[1:]
-		}
-		if len(carried) == 0 || carried[0] != t {
-			tok := p.tk.AcquireFloor(tau + 1)
-			p.sendVertex(t, msgUpdate{From: v.id, To: t, Iteration: tau, Token: tok, Ctx: tctx})
-			tctx = trace.Context{}
+	// are acquired, in one call, before the dirty token is released.
+	nmsgs := len(v.emits)
+	for i := range v.out {
+		if f := v.out[i].Flags; f&edgeConsumer != 0 && f&edgeEmitted == 0 {
 			nmsgs++
 		}
 	}
+	tok := p.tk.AcquireFloorN(tau+1, nmsgs)
+	for _, em := range v.emits {
+		e := &v.out[em.edge]
+		p.sendUpdate(e, msgUpdate{From: v.id, To: e.To, Iteration: tau, Token: tok, Value: em.value, HasValue: true, Cum: em.cum, Ctx: tctx})
+		tctx = trace.Context{}
+	}
+	// One pass over the edge records sends the valueless COMMITs and closes
+	// the update out: added/removed marks drop, and a record with nothing left
+	// to remember (a clock-less target removed again) is compacted away.
+	kept := v.out[:0]
+	for i := range v.out {
+		e := v.out[i]
+		if e.Flags&edgeConsumer != 0 && e.Flags&edgeEmitted == 0 {
+			p.sendUpdate(&e, msgUpdate{From: v.id, To: e.To, Iteration: tau, Token: tok, Ctx: tctx})
+			tctx = trace.Context{}
+		}
+		if e.Flags &^= edgeAdded | edgeRemoved | edgeEmitted; e.Flags != 0 {
+			kept = append(kept, e)
+		}
+	}
+	v.out = kept
 	p.eng.stats.UpdateMsgs.Add(int64(nmsgs))
 
-	// Close out the update.
-	v.emits = nil
-	clear(v.added)
-	clear(v.removed)
+	p.emitBuf, v.emits = v.emits[:0], nil
 	v.dirty = false
 	v.activated = false
 	v.stamp = lamport.Stamp{}
 	p.shareMu.Lock()
-	delete(p.dirtySet, v.id)
-	p.commitLog[v.id] = tau
+	p.share[v.slot].dirty, p.share[v.slot].lastCommit = false, tau
 	p.shareMu.Unlock()
 	if v.dirtyToken >= 0 {
 		p.tk.Release(v.dirtyToken)
@@ -924,13 +946,18 @@ func (p *processor) commit(v *vertex) {
 	}
 }
 
-// persist writes the vertex's current version at iter. It encodes straight
-// from the vertex's own maps into the processor's scratch buffer.
+// journalCommitted stamps the inputs v applied since its last commit with iter.
+func (p *processor) journalCommitted(v *vertex, iter int64) {
+	if len(v.jseqs) > 0 {
+		p.eng.journal.Committed(v.jseqs, iter)
+		v.jseqs = v.jseqs[:0]
+	}
+}
+
+// persist writes the vertex's current version at iter, encoded straight from
+// the vertex's edge records into the processor's scratch buffer.
 func (p *processor) persist(v *vertex, iter int64) {
-	p.idBuf = appendSortedIDs(p.idBuf[:0], v.targets)
-	blob := VertexBlob{State: v.state, Targets: p.idBuf, TargetClock: v.targetClock,
-		Pending: v.pending, HasPending: v.hasPending}
-	data, err := StateCodec{}.AppendBlob(p.encBuf[:0], &blob)
+	data, err := StateCodec{}.appendVertex(p.encBuf[:0], v)
 	if err != nil {
 		panic(fmt.Sprintf("engine: encode vertex %d: %v", v.id, err))
 	}
@@ -941,24 +968,27 @@ func (p *processor) persist(v *vertex, iter int64) {
 }
 
 // sendVertex routes a vertex-addressed message to its owning processor:
-// immediately in legacy mode, via the out-queue in batched mode. A queued
-// msgUpdate superseded by a newer one for the same (producer, consumer) pair
-// coalesces into the earlier queue slot.
+// immediately in legacy mode, via the out-queue in batched mode.
 func (p *processor) sendVertex(to stream.VertexID, payload any) {
 	if !p.batch {
 		p.ep.Send(p.route(to), payload)
 		return
 	}
-	if m, ok := payload.(msgUpdate); ok {
-		key := pairKey{from: m.From, to: m.To}
-		if i, pending := p.outIdx[key]; pending {
-			old := p.outQ[i].payload.(msgUpdate)
-			p.outQ[i].payload = p.coalesceUpdate(old, m)
-			return
-		}
-		p.outIdx[key] = len(p.outQ)
-	}
 	p.outQ = append(p.outQ, outEntry{node: p.route(to), payload: payload})
+}
+
+// sendUpdate sends a commit's update along the producer's edge record e. In
+// batched mode it coalesces into an update still queued for the same consumer.
+// (A forwarded or bounced update has no producer record here: it goes through
+// sendVertex and queues uncoalesced.)
+func (p *processor) sendUpdate(e *outEdge, m msgUpdate) {
+	if p.batch && e.qEpoch == p.winEpoch {
+		q := &p.outQ[e.qPos]
+		q.payload = p.coalesceUpdate(q.payload.(msgUpdate), m)
+		return
+	}
+	e.qEpoch, e.qPos = p.winEpoch, int32(len(p.outQ))
+	p.sendVertex(m.To, m)
 }
 
 // coalesceUpdate merges a pending update with a newer one from the same
@@ -1029,7 +1059,7 @@ func (p *processor) flushOut() {
 		p.outQ[i] = outEntry{}
 	}
 	p.outQ = p.outQ[:0]
-	clear(p.outIdx)
+	p.winEpoch++
 	p.ep.Flush()
 }
 
@@ -1038,18 +1068,21 @@ func (p *processor) flushOut() {
 // with the journal residual these cover every effect missing from the
 // snapshot at forkIter.
 func (p *processor) forkScan(forkIter int64) []stream.VertexID {
+	return p.hosted(func(s *shareSlot) bool { return s.dirty || s.lastCommit >= forkIter })
+}
+
+// hosted returns, ascending, the IDs of the share slots pick accepts.
+func (p *processor) hosted(pick func(*shareSlot) bool) []stream.VertexID {
+	var ids []stream.VertexID
 	p.shareMu.Lock()
-	defer p.shareMu.Unlock()
-	seen := make(map[stream.VertexID]struct{})
-	for id, lc := range p.commitLog {
-		if lc >= forkIter {
-			seen[id] = struct{}{}
+	for i := range p.share {
+		if s := &p.share[i]; s.live && pick(s) {
+			ids = append(ids, s.id)
 		}
 	}
-	for id := range p.dirtySet {
-		seen[id] = struct{}{}
-	}
-	return sortedIDs(seen)
+	p.shareMu.Unlock()
+	slices.Sort(ids)
+	return ids
 }
 
 // routeVertex returns the vertex an input tuple is routed to: edge tuples go

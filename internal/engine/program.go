@@ -46,8 +46,8 @@ func (k LoopKind) String() string {
 }
 
 // Context is the engine-provided view a vertex program uses to inspect and
-// affect its vertex. A Context is only valid for the duration of the program
-// callback it is passed to.
+// affect its vertex. A Context, and every target slice it returns, is only
+// valid for the duration of the program callback it is passed to.
 type Context interface {
 	// ID returns the vertex's identifier.
 	ID() stream.VertexID
@@ -78,7 +78,10 @@ type Context interface {
 	// OnInput and Gather.
 	RemoveTarget(to stream.VertexID)
 
-	// Targets returns the current targets in ascending order.
+	// Targets returns the current targets in ascending order. Like
+	// AddedTargets and RemovedTargets it returns a read-only view into an
+	// engine buffer, valid until the callback returns: copy it to keep it,
+	// and call the method again after AddTarget/RemoveTarget.
 	Targets() []stream.VertexID
 
 	// AddedTargets returns targets added since the last commit, ascending.

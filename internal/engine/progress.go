@@ -33,44 +33,94 @@ type Tracker struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	counts          map[int64]int64 // active tokens per iteration
-	notified        int64           // highest iteration announced terminated
-	maxSeen         int64           // highest iteration that ever held a token
+	// ring holds iteration i's cell at ring[i&(len(ring)-1)] for i in
+	// [base, top]: base is the lowest iteration whose statistics the master
+	// has not dropped (it trails notified+1), top the highest iteration
+	// touched; the power-of-two length grows to cover them (about B cells
+	// under a delay bound B). Cells outside [base, top] are zero.
+	ring      []iterCell
+	base, top int64
+
+	live            int64 // tokens outstanding
+	min             int64 // lowest iteration holding a token; meaningful while live > 0
+	notified        int64 // highest iteration announced terminated
+	maxSeen         int64 // highest iteration that ever held a token
 	closed          bool
 	quiesceReported bool // quiescence already surfaced to the master
-
-	commits  map[int64]int64   // vertex updates committed per iteration
-	progress map[int64]float64 // user progress aggregate per iteration
 }
+
+// iterCell is one iteration's active tokens and, for the master, the vertex
+// updates committed in it and their user progress aggregate.
+type iterCell struct {
+	tokens   int64
+	commits  int64
+	progress float64
+}
+
+const minTrackerRing = 64
 
 // NewTracker returns a tracker whose first live iteration is base (pass 0
 // for a fresh loop; a resumed loop passes its last terminated iteration + 1
 // so new commits stamp above its history).
 func NewTracker(base int64) *Tracker {
 	t := &Tracker{
-		counts:   make(map[int64]int64),
+		ring:     make([]iterCell, minTrackerRing),
+		base:     base,
+		top:      base - 1,
 		notified: base - 1,
 		maxSeen:  base - 1,
-		commits:  make(map[int64]int64),
-		progress: make(map[int64]float64),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
 
+func (t *Tracker) at(iter int64) *iterCell { return &t.ring[iter&int64(len(t.ring)-1)] }
+
+// cell returns iteration iter's cell (iter >= base), growing the ring to
+// cover it.
+func (t *Tracker) cell(iter int64) *iterCell {
+	if span := iter - t.base + 1; span > int64(len(t.ring)) {
+		t.resize(span)
+	}
+	t.top = max(t.top, iter)
+	return t.at(iter)
+}
+
+// resize moves the live cells into the smallest ring holding span cells.
+func (t *Tracker) resize(span int64) {
+	n := int64(minTrackerRing)
+	for n < span {
+		n <<= 1
+	}
+	ring := make([]iterCell, n)
+	for i := t.base; i <= t.top; i++ {
+		ring[i&(n-1)] = *t.at(i)
+	}
+	t.ring = ring
+}
+
 // AcquireFloor places one token at max(iter, lastTerminated+1) and returns
 // the placement.
-func (t *Tracker) AcquireFloor(iter int64) int64 {
+func (t *Tracker) AcquireFloor(iter int64) int64 { return t.AcquireFloorN(iter, 1) }
+
+// AcquireFloorN places n tokens (none for n = 0) at max(iter,
+// lastTerminated+1) and returns the placement; each is released on its own.
+func (t *Tracker) AcquireFloorN(iter int64, n int) int64 {
+	if n <= 0 {
+		return iter // nothing placed, nothing to release: not worth the lock
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if iter <= t.notified {
 		iter = t.notified + 1
 	}
 	t.quiesceReported = false
-	t.counts[iter]++
-	if iter > t.maxSeen {
-		t.maxSeen = iter
+	t.cell(iter).tokens += int64(n)
+	if t.live == 0 || iter < t.min {
+		t.min = iter
 	}
+	t.live += int64(n)
+	t.maxSeen = max(t.maxSeen, iter)
 	return iter
 }
 
@@ -79,15 +129,18 @@ func (t *Tracker) AcquireFloor(iter int64) int64 {
 func (t *Tracker) Release(iter int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, ok := t.counts[iter]
-	if !ok || n <= 0 {
+	c := t.at(iter)
+	if iter < t.base || iter > t.top || c.tokens <= 0 {
 		panic(fmt.Sprintf("engine: token release at iteration %d without acquire", iter))
 	}
-	if n == 1 {
-		delete(t.counts, iter)
-		t.cond.Broadcast() // the frontier may have moved
-	} else {
-		t.counts[iter] = n - 1
+	c.tokens--
+	t.live--
+	if c.tokens == 0 && iter == t.min {
+		// The frontier moved: find the next iteration holding a token.
+		for t.live > 0 && t.at(t.min).tokens == 0 {
+			t.min++
+		}
+		t.cond.Broadcast()
 	}
 }
 
@@ -97,8 +150,11 @@ func (t *Tracker) Release(iter int64) {
 // processor guarantees by recording before releasing.
 func (t *Tracker) RecordCommit(iter int64, progress float64) {
 	t.mu.Lock()
-	t.commits[iter]++
-	t.progress[iter] += progress
+	if iter >= t.base {
+		c := t.cell(iter)
+		c.commits++
+		c.progress += progress
+	}
 	t.mu.Unlock()
 }
 
@@ -113,7 +169,7 @@ func (t *Tracker) Notified() int64 {
 func (t *Tracker) Quiesced() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.counts) == 0
+	return t.live == 0
 }
 
 // Settled reports whether the loop is quiescent AND the master has announced
@@ -123,30 +179,34 @@ func (t *Tracker) Quiesced() bool {
 func (t *Tracker) Settled() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.counts) == 0 && t.notified >= t.maxSeen
+	return t.live == 0 && t.notified >= t.maxSeen
 }
 
 // IterStats returns the commit count and progress aggregate of iteration k.
 func (t *Tracker) IterStats(k int64) (commits int64, progress float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.commits[k], t.progress[k]
+	if k < t.base || k > t.top {
+		return 0, 0
+	}
+	return t.at(k).commits, t.at(k).progress
 }
 
 // DropStatsThrough forgets per-iteration statistics up to and including k
-// (the master prunes after consuming them).
+// (the master prunes after consuming them). Terminated iterations leave the
+// ring, which shrinks once it is mostly empty.
 func (t *Tracker) DropStatsThrough(k int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.commits {
-		if i <= k {
-			delete(t.commits, i)
-		}
+	for i := t.base; i <= k && i <= t.top; i++ {
+		t.at(i).commits, t.at(i).progress = 0, 0
 	}
-	for i := range t.progress {
-		if i <= k {
-			delete(t.progress, i)
-		}
+	if k = min(k, t.notified); k >= t.base {
+		t.base = k + 1
+		t.top = max(t.top, k)
+	}
+	if span := t.top - t.base + 1; len(t.ring) > minTrackerRing && span*4 <= int64(len(t.ring)) {
+		t.resize(span * 2)
 	}
 }
 
@@ -184,16 +244,10 @@ func (t *Tracker) Advance() (from, to int64, quiesced, ok bool) {
 
 // pollLocked returns the largest terminable iteration and quiescence.
 func (t *Tracker) pollLocked() (int64, bool) {
-	if len(t.counts) == 0 {
+	if t.live == 0 {
 		return t.maxSeen, true
 	}
-	min := int64(1<<63 - 1)
-	for k := range t.counts {
-		if k < min {
-			min = k
-		}
-	}
-	return min - 1, false
+	return t.min - 1, false
 }
 
 // Frontier returns the smallest iteration currently holding a token, or
@@ -214,11 +268,7 @@ func (t *Tracker) Frontier() int64 {
 func (t *Tracker) TokenCount() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var n int64
-	for _, c := range t.counts {
-		n += c
-	}
-	return n
+	return t.live
 }
 
 // FrontierLag returns how many iterations the frontier trails the highest

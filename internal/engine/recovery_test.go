@@ -155,6 +155,7 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 	if !sawObservation {
 		t.Fatalf("tornado_recovery_seconds histogram recorded nothing:\n%s", exp)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestSupervisorRecoversCrashedMaster crashes the master: termination
@@ -192,6 +193,7 @@ func TestSupervisorRecoversCrashedMaster(t *testing.T) {
 	if s := e.StatsSnapshot(); s.Recoveries < 1 {
 		t.Fatalf("Recoveries = %d, want >= 1", s.Recoveries)
 	}
+	checkQuiescent(t, e)
 }
 
 // TestFlappingProcessorQuarantined crashes the same processor repeatedly;
@@ -265,6 +267,7 @@ func TestFlappingProcessorQuarantined(t *testing.T) {
 	if kinds[EventQuarantine] == 0 {
 		t.Fatalf("no quarantine event in recovery log: %+v", e.RecoveryLog())
 	}
+	checkQuiescent(t, e)
 }
 
 // TestFaultPlanSchedule arms a deterministic chaos schedule — crash a
@@ -295,16 +298,18 @@ func TestFaultPlanSchedule(t *testing.T) {
 	defer e.Stop()
 
 	e.IngestAll(tuples)
+	// Both faults fire, but recovery is loop-granular: deaths noticed in
+	// the same detection window legitimately share one restart. The watcher
+	// polls the frontier every millisecond, so a fast run can settle before
+	// it fires them: wait for the crashes and a recovery, then for the loop.
+	waitUntil(t, waitFor, func() bool {
+		s := e.StatsSnapshot()
+		return s.Crashes >= 2 && s.Recoveries >= 1
+	}, "planned crashes never fired and recovered")
 	if err := e.WaitSettled(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
-	// Both faults fire, but recovery is loop-granular: deaths noticed in
-	// the same detection window legitimately share one restart.
-	s := e.StatsSnapshot()
-	if s.Crashes < 2 || s.Recoveries < 1 {
-		t.Fatalf("Crashes = %d, Recoveries = %d, want >= 2, >= 1", s.Crashes, s.Recoveries)
-	}
 
 	// Crash mid-branch-fork: the fork spec is captured before the fault
 	// fires, so the branch still converges to the fixed point while the
@@ -325,4 +330,5 @@ func TestFaultPlanSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }

@@ -108,6 +108,7 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 	all := append(append([]stream.Tuple{}, tuples...), extra...)
 	all = append(all, tuples[0])
 	checkSSSP(t, ne, all)
+	checkQuiescent(t, ne)
 }
 
 func tail(evs []RecoveryEvent, n int) []RecoveryEvent {
@@ -277,6 +278,7 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 			t.Fatal("dropped connections produced no supervised reconnects")
 		}
 	}
+	checkQuiescent(t, e)
 }
 
 // TestChaosSoakSurgeOverload is the overload soak: a 10x ingest surge slams
@@ -437,4 +439,5 @@ func runChaosSoakSurgeOverload(t *testing.T, wire *WireSpec) {
 	if s.Recoveries < 1 {
 		t.Fatalf("Recoveries = %d, want >= 1 (log: %+v)", s.Recoveries, e.RecoveryLog())
 	}
+	checkQuiescent(t, e)
 }

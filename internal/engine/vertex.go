@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -10,6 +11,65 @@ import (
 	"tornado/internal/stream"
 )
 
+// edgeFlags is the per-target state held in an outEdge.
+type edgeFlags uint8
+
+const (
+	edgePresent edgeFlags = 1 << iota // a current target
+	edgeAdded                         // added since the last commit (implies edgePresent)
+	edgeRemoved                       // removed since the last commit (excludes edgePresent)
+	edgeClocked                       // Clock holds the event time of the latest edge operation
+	edgeOwesAck                       // the consumer has not answered the PREPARE in flight
+	edgeEmitted                       // the Scatter in progress emitted to this target
+
+	// edgeConsumer selects the next commit's effective consumers: the targets
+	// plus the recently removed ones (the paper's SSSP emits tombstones to
+	// removed targets during the commit that detaches them).
+	edgeConsumer = edgePresent | edgeRemoved
+)
+
+// outEdge is everything a vertex knows about one target; the records sit in
+// one slice ascending by To, so a lookup is a binary search and persisting
+// walks them in stored order. A record outlives the edge's removal: a dropped-
+// and-retransmitted add can arrive after the remove that supersedes it, and
+// gating edge mutations on the event time in Clock keeps topology application
+// commutative. The exported fields travel with a migrating vertex.
+type outEdge struct {
+	To    stream.VertexID
+	Clock stream.Timestamp
+	// qEpoch and qPos are the coalescing slot: while qEpoch equals the
+	// processor's window epoch, this producer's pending msgUpdate for the
+	// target sits at outQ[qPos].
+	qEpoch uint64
+	qPos   int32
+	Flags  edgeFlags
+}
+
+func (e *outEdge) add() {
+	if e.Flags&edgePresent == 0 {
+		e.Flags = e.Flags&^edgeRemoved | edgePresent | edgeAdded
+	}
+}
+
+func (e *outEdge) remove() {
+	if e.Flags&edgePresent != 0 {
+		e.Flags = e.Flags&^(edgePresent|edgeAdded) | edgeRemoved
+	}
+}
+
+// inEdge is a vertex's record of one producer, kept ascending by From.
+type inEdge struct {
+	From stream.VertexID
+	// Seen is the highest update iteration gathered from the producer (-1 if
+	// none). Retransmission can reorder two updates from one producer; a
+	// producer's commit iterations are strictly increasing, so discarding
+	// updates at or below Seen restores program order (the paper's Section
+	// 5.3 stale-update discard).
+	Seen int64
+	// Preparing is set between the producer's PREPARE and its COMMIT.
+	Preparing bool
+}
+
 // vertex is the engine-side state of one component. All access happens on
 // the owning processor's goroutine.
 type vertex struct {
@@ -17,37 +77,27 @@ type vertex struct {
 	iter       int64 // τ(x)
 	lastCommit int64 // iteration of the last committed update; -1 if none
 	state      any   // application state
+	slot       int32 // index into the processor's share
 
-	targets map[stream.VertexID]struct{} // current consumers (out-edges)
-	added   map[stream.VertexID]struct{} // targets added since last commit
-	removed map[stream.VertexID]struct{} // targets removed since last commit
-	// targetClock holds the event time of the latest edge operation applied
-	// per target. Under at-least-once transport a dropped-and-retransmitted
-	// add can arrive after the remove that supersedes it; gating edge
-	// mutations on event time keeps topology application commutative.
-	targetClock map[stream.VertexID]stream.Timestamp
-	// gatherSeen holds the highest update iteration gathered per producer.
-	// Retransmission can reorder two updates from one producer; a producer's
-	// commit iterations are strictly increasing, so discarding updates at or
-	// below the last gathered iteration restores program order (the paper's
-	// Section 5.3 stale-update discard).
-	gatherSeen map[stream.VertexID]int64
+	out []outEdge // targets, ascending
+	in  []inEdge  // producers, ascending
 
 	// Three-phase protocol state.
-	prepareList map[stream.VertexID]struct{} // producers currently preparing
-	stamp       lamport.Stamp                // non-zero while preparing own update
-	waiting     map[stream.VertexID]struct{} // consumers owing an ACK
-	pendingAcks []stream.VertexID            // producers whose PREPARE was deferred
+	npreparing  int               // in records with Preparing set
+	stamp       lamport.Stamp     // non-zero while preparing own update
+	nwaiting    int               // out records with edgeOwesAck set
+	pendingAcks []stream.VertexID // producers whose PREPARE was deferred
 
 	dirty      bool
+	capBlocked bool  // queued on the processor's capQ for a retry when the cap rises
 	dirtyToken int64 // iteration of the held dirty token; -1 if none
 	activated  bool  // this update was triggered by an explicit activation
 	progress   float64
 	holdInput  []heldWork // inputs/activations deferred while preparing
 	emits      []emission // values emitted by the current Scatter
-	// cons is the effective consumer list of the update in flight, built by
-	// maybeStart and reused by its commit.
-	cons []stream.VertexID
+	// jseqs holds the journal sequences of inputs applied since the last
+	// commit; the commit hands them to the input journal.
+	jseqs []uint64
 	// rng is created by the first Rand call (no shipped graph program draws,
 	// and a seeded source is ~5 KB per vertex); rngSeed keeps the sequence
 	// what an eagerly seeded source would have produced.
@@ -70,9 +120,9 @@ type vertex struct {
 }
 
 type emission struct {
-	to    stream.VertexID
 	value any
-	cum   bool // EmitCum: value is cumulative per (producer,consumer), not a delta
+	cum   bool  // EmitCum: value is cumulative per (producer,consumer), not a delta
+	edge  int32 // index of the target's record in the emitter's out
 }
 
 type heldWork struct {
@@ -86,37 +136,56 @@ type heldWork struct {
 
 func newVertex(id stream.VertexID, seed int64) *vertex {
 	return &vertex{
-		id:          id,
-		lastCommit:  -1,
-		dirtyToken:  -1,
-		targets:     make(map[stream.VertexID]struct{}),
-		added:       make(map[stream.VertexID]struct{}),
-		removed:     make(map[stream.VertexID]struct{}),
-		targetClock: make(map[stream.VertexID]stream.Timestamp),
-		gatherSeen:  make(map[stream.VertexID]int64),
-		prepareList: make(map[stream.VertexID]struct{}),
-		waiting:     make(map[stream.VertexID]struct{}),
-		rngSeed:     seed ^ int64(uint64(id)*0x9E3779B97F4A7C15),
+		id:         id,
+		lastCommit: -1,
+		dirtyToken: -1,
+		rngSeed:    seed ^ int64(uint64(id)*0x9E3779B97F4A7C15),
 	}
 }
 
 // preparing reports whether the vertex is between phases two and three.
 func (v *vertex) preparing() bool { return !v.stamp.IsZero() }
 
-// appendConsumers appends, ascending, the current targets plus the recently
-// removed ones (the paper's SSSP emits tombstones to removed targets during
-// the commit that detaches them).
-func (v *vertex) appendConsumers(out []stream.VertexID) []stream.VertexID {
-	for t := range v.targets {
-		out = append(out, t)
+// lower is the lowest iteration the vertex's next commit can land in.
+func (v *vertex) lower() int64 {
+	return max(v.iter, v.lastCommit+1)
+}
+
+// findOut returns the position of target to in out (where it would be
+// inserted when absent) and whether it is there.
+func (v *vertex) findOut(to stream.VertexID) (int, bool) {
+	return slices.BinarySearchFunc(v.out, to, func(e outEdge, to stream.VertexID) int { return cmp.Compare(e.To, to) })
+}
+
+// edge returns the record of target to, inserting an empty one when absent.
+// The pointer is valid until the next insertion.
+func (v *vertex) edge(to stream.VertexID) *outEdge {
+	i, ok := v.findOut(to)
+	if !ok {
+		v.out = slices.Insert(v.out, i, outEdge{To: to})
 	}
-	for t := range v.removed {
-		if _, cur := v.targets[t]; !cur {
-			out = append(out, t)
+	return &v.out[i]
+}
+
+// producer returns the record of producer from, or nil when there is none and
+// create is false. The pointer is valid until the next insertion.
+func (v *vertex) producer(from stream.VertexID, create bool) *inEdge {
+	i, ok := slices.BinarySearchFunc(v.in, from, func(e inEdge, from stream.VertexID) int { return cmp.Compare(e.From, from) })
+	if !ok {
+		if !create {
+			return nil
 		}
+		v.in = slices.Insert(v.in, i, inEdge{From: from, Seen: -1})
 	}
-	slices.Sort(out)
-	return out
+	return &v.in[i]
+}
+
+// committedBy: producer from has committed and no longer blocks our own update.
+func (v *vertex) committedBy(from stream.VertexID) {
+	if e := v.producer(from, false); e != nil && e.Preparing {
+		e.Preparing = false
+		v.npreparing--
+	}
 }
 
 // vertexContext implements Context for one program callback invocation.
@@ -140,74 +209,67 @@ func (c *vertexContext) Rand() *rand.Rand {
 	return c.v.rng
 }
 
-func (c *vertexContext) Emit(to stream.VertexID, value any) {
-	if !c.allowEmit {
-		panic(fmt.Sprintf("engine: vertex %d Emit outside Scatter", c.v.id))
-	}
-	if _, ok := c.v.targets[to]; !ok {
-		if _, wasRemoved := c.v.removed[to]; !wasRemoved {
-			panic(fmt.Sprintf("engine: vertex %d Emit to %d, which is not a target", c.v.id, to))
-		}
-	}
-	if c.p != nil { // contexts built without a processor (tests) skip stats
-		c.p.eng.stats.Emits.Inc()
-	}
-	c.v.emits = append(c.v.emits, emission{to: to, value: value})
-}
+func (c *vertexContext) Emit(to stream.VertexID, value any) { c.emit(to, value, false, "Emit") }
 
 // EmitCum emits a cumulative per-(producer,consumer) value (delta mode):
 // the receiver's Gather is told cum=true and diffs it against its record of
 // this producer, which keeps deltas exact under the at-least-once
 // transport's reordering and duplication (see package delta).
-func (c *vertexContext) EmitCum(to stream.VertexID, value any) {
+func (c *vertexContext) EmitCum(to stream.VertexID, value any) { c.emit(to, value, true, "EmitCum") }
+
+func (c *vertexContext) emit(to stream.VertexID, value any, cum bool, call string) {
+	v := c.v
 	if !c.allowEmit {
-		panic(fmt.Sprintf("engine: vertex %d EmitCum outside Update", c.v.id))
+		panic(fmt.Sprintf("engine: vertex %d %s outside Scatter/Update", v.id, call))
 	}
-	if _, ok := c.v.targets[to]; !ok {
-		if _, wasRemoved := c.v.removed[to]; !wasRemoved {
-			panic(fmt.Sprintf("engine: vertex %d EmitCum to %d, which is not a target", c.v.id, to))
-		}
+	i, ok := v.findOut(to)
+	if !ok || v.out[i].Flags&edgeConsumer == 0 {
+		panic(fmt.Sprintf("engine: vertex %d %s to %d, which is not a target", v.id, call, to))
 	}
-	if c.p != nil {
+	v.out[i].Flags |= edgeEmitted
+	if c.p != nil { // contexts built without a processor (tests) skip stats
 		c.p.eng.stats.Emits.Inc()
 	}
-	c.v.emits = append(c.v.emits, emission{to: to, value: value, cum: true})
+	v.emits = append(v.emits, emission{value: value, cum: cum, edge: int32(i)})
 }
 
 func (c *vertexContext) AddTarget(to stream.VertexID) {
 	if !c.allowTarget {
 		panic(fmt.Sprintf("engine: vertex %d AddTarget during Scatter", c.v.id))
 	}
-	if _, ok := c.v.targets[to]; ok {
-		return
-	}
-	c.v.targets[to] = struct{}{}
-	c.v.added[to] = struct{}{}
-	delete(c.v.removed, to)
+	c.v.edge(to).add()
 }
 
 func (c *vertexContext) RemoveTarget(to stream.VertexID) {
 	if !c.allowTarget {
 		panic(fmt.Sprintf("engine: vertex %d RemoveTarget during Scatter", c.v.id))
 	}
-	if _, ok := c.v.targets[to]; !ok {
-		return
+	if i, ok := c.v.findOut(to); ok {
+		c.v.out[i].remove()
 	}
-	delete(c.v.targets, to)
-	delete(c.v.added, to)
-	c.v.removed[to] = struct{}{}
 }
 
-func (c *vertexContext) Targets() []stream.VertexID {
-	return sortedIDs(c.v.targets)
-}
+func (c *vertexContext) Targets() []stream.VertexID        { return c.view(0, edgePresent) }
+func (c *vertexContext) AddedTargets() []stream.VertexID   { return c.view(1, edgeAdded) }
+func (c *vertexContext) RemovedTargets() []stream.VertexID { return c.view(2, edgeRemoved) }
 
-func (c *vertexContext) AddedTargets() []stream.VertexID {
-	return sortedIDs(c.v.added)
-}
-
-func (c *vertexContext) RemovedTargets() []stream.VertexID {
-	return sortedIDs(c.v.removed)
+// view collects the targets whose record has flag want, ascending, into the
+// processor's k-th view buffer: the result is overwritten by the next call of
+// the same method on this processor, hence valid for the callback only.
+func (c *vertexContext) view(k int, want edgeFlags) []stream.VertexID {
+	var ids []stream.VertexID
+	if c.p != nil {
+		ids = c.p.viewBuf[k][:0]
+	}
+	for i := range c.v.out {
+		if c.v.out[i].Flags&want != 0 {
+			ids = append(ids, c.v.out[i].To)
+		}
+	}
+	if c.p != nil {
+		c.p.viewBuf[k] = ids
+	}
+	return ids
 }
 
 func (c *vertexContext) ReportProgress(val float64) {
@@ -215,29 +277,3 @@ func (c *vertexContext) ReportProgress(val float64) {
 }
 
 func (c *vertexContext) Activated() bool { return c.v.activated }
-
-// cloneClock copies a target clock for persistence (nil when empty, to keep
-// blobs of clock-less vertices compact).
-func cloneClock(in map[stream.VertexID]stream.Timestamp) map[stream.VertexID]stream.Timestamp {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[stream.VertexID]stream.Timestamp, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func sortedIDs(set map[stream.VertexID]struct{}) []stream.VertexID {
-	return appendSortedIDs(make([]stream.VertexID, 0, len(set)), set)
-}
-
-// appendSortedIDs appends the set's members to out (empty on entry) ascending.
-func appendSortedIDs(out []stream.VertexID, set map[stream.VertexID]struct{}) []stream.VertexID {
-	for t := range set {
-		out = append(out, t)
-	}
-	slices.Sort(out)
-	return out
-}

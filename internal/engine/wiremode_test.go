@@ -124,6 +124,7 @@ func TestWireModeCrashRecovery(t *testing.T) {
 		t.Fatalf("%v (recoveries=%d notified=%d)", err, e.StatsSnapshot().Recoveries, e.Notified())
 	}
 	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }
 
 // A mid-run wire partition stalls progress but loses nothing: healing

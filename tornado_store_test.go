@@ -91,6 +91,15 @@ func TestQueriesExactOnMVCCUnderCompaction(t *testing.T) {
 		}
 	}
 
+	// What the public API shows of a quiescent main loop: no obligation left
+	// (the per-vertex audit, checkQuiescent, is internal to the engine's tests).
+	if err := sys.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if s := sys.Engine().StatsSnapshot(); s.PendingPrepares != 0 {
+		t.Fatalf("%d prepares pending on a quiescent main loop", s.PendingPrepares)
+	}
+
 	// The MVCC stats surface through the public API, and once results are
 	// closed the pinned-snapshot count drains back to zero.
 	stats, ok := sys.StoreStats()
