@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-all vet bench bench-engine profile-ingest bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
+.PHONY: all build test race race-all vet bench bench-engine profile-ingest harness-test bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
 
 all: check
 
@@ -46,17 +46,19 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC default
-# (MemStore as the labelled control), one commit in isolation, and what one
-# more producer costs a hub consumer.
+# (MemStore as the labelled control), one commit in isolation, what one more
+# producer costs a hub consumer, and the message plane alone (ns and allocs per
+# delivered message, processor to processor and to itself).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$' -benchmem -count 5 .
-	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$' -benchmem -count 5 ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$|BenchmarkMessageHop$$' -benchmem -count 5 ./internal/engine/
 
 # One traced sssp_churn_mem pass of the BENCHMARK.json harness, then the share
 # of its cpu.pprof samples whose stack passes through the runtime's map
 # functions (all of them, and without the harness's own host-speed job and the
-# programs' state maps, which leaves the protocol's), sync.(*Mutex) and the
-# input journal.
+# programs' state maps, which leaves the protocol's), sync.(*Mutex), the input
+# journal, boxing into interfaces (runtime.convT*) and the transport's
+# per-payload entry points.
 pprof_share = $(GO) tool pprof -top -nodecount=100000 -nodefraction=0 $(1) .bench_build/out/sssp_churn_mem/cpu.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p'
 MAPFUNCS = runtime\.map|internal/runtime/maps\.
 profile-ingest:
@@ -65,6 +67,8 @@ profile-ingest:
 	@echo "  under the protocol:   $$($(call pprof_share,-focus='$(MAPFUNCS)' -ignore='main\.hostJob|internal/algorithms\.'))"
 	@echo "sync.(*Mutex):          $$($(call pprof_share,-focus='sync\.\(\*Mutex\)'))"
 	@echo "inputJournal.*:         $$($(call pprof_share,-focus='inputJournal'))"
+	@echo "runtime.convT*:         $$($(call pprof_share,-focus='runtime\.convT'))"
+	@echo "Endpoint.Send|deliver:  $$($(call pprof_share,-focus='transport\.\(\*Endpoint\)\.(Send|deliver)$$'))"
 
 # Query-serving benchmark (small scale): prints the coalesced-vs-uncoalesced
 # table and leaves the BENCH_queries.json artifact.
@@ -125,11 +129,15 @@ fuzz-store:
 fuzz-codec:
 	$(GO) test ./internal/algorithms/ -run '^$$' -fuzz FuzzDecodeState -fuzztime 30s
 
-# The BENCHMARK.json harness (benchmark/, a module of its own that tier-1
-# neither builds nor tests): its tests, then every workload untraced and
-# traced. About 13 minutes on 2 cores; leaves .bench_build/.
-benchmark:
-	cd benchmark && $(GO) test ./... && cd .. && bash benchmark/run.sh suite
+# The BENCHMARK.json harness's own tests (benchmark/ is a module of its own
+# that tier-1 neither builds nor tests), against this tree; under 5 s.
+harness-test:
+	cd benchmark && $(GO) test ./...
+
+# The harness itself: its tests, then every workload untraced and traced.
+# About 13 minutes on 2 cores; leaves .bench_build/.
+benchmark: harness-test
+	bash benchmark/run.sh suite
 
 # Overload soak: the surge-plus-slow-consumer chaos test under the race
 # detector (bounded inboxes, credit stalls, recovery mid-surge), then the
@@ -148,7 +156,7 @@ soak-elastic:
 	$(GO) test -race ./internal/engine/ -run 'TestLiveMigration|TestScaleOutScaleIn|TestMigrationCrashAborts|TestDeltaParkedPendingSurvivesHandoff|TestReshardRejectsActiveIngestion' -count=2
 	$(GO) run ./cmd/tornado-bench -experiment elastic -scale small
 
-check: build vet test race fuzz-codec chaos chaos-wire bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store soak-overload soak-elastic
+check: build vet test harness-test race fuzz-codec chaos chaos-wire bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store soak-overload soak-elastic
 
 clean:
 	$(GO) clean ./...

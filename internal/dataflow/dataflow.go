@@ -415,7 +415,7 @@ func (t *Topology) runSpout(c *component, ep *transport.Endpoint) {
 		// tree's XOR algebra is exact: register XOR(delivery ids), each
 		// consumer XORs out its input and XORs in its own emissions, zero
 		// means complete.
-		root := TupleID(t.nextID.Add(1))
+		root := t.newID()
 		type delivery struct {
 			node transport.NodeID
 			tup  Tuple
@@ -424,7 +424,7 @@ func (t *Topology) runSpout(c *component, ep *transport.Endpoint) {
 		var xor uint64
 		for _, e := range c.downstream {
 			for _, task := range e.grouping.Select(payload, e.to.tasks) {
-				id := TupleID(t.nextID.Add(1))
+				id := t.newID()
 				xor ^= uint64(id)
 				deliveries = append(deliveries, delivery{
 					node: e.to.taskBase + transport.NodeID(task),
@@ -441,6 +441,19 @@ func (t *Topology) runSpout(c *component, ep *transport.Endpoint) {
 			ep.Send(d.node, d.tup)
 		}
 	}
+}
+
+// newID returns a fresh tuple ID: a counter pushed through a 64-bit mixer
+// (splitmix64's finalizer, a bijection, so IDs stay distinct). The XOR
+// algebra needs IDs whose subsets do not cancel: with the bare counter a tree
+// of deliveries 2..6 reads zero after the acks of 2 and 4 alone — or of 6
+// alone — once the emitter's own ack is in, and the spout was told "complete"
+// with leaves still unexecuted, whenever acks arrived in such an order.
+func (t *Topology) newID() TupleID {
+	z := t.nextID.Add(1) * 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return TupleID(z ^ (z >> 31))
 }
 
 // runBolt executes tuples on one task.
@@ -485,7 +498,7 @@ type Collector struct {
 func (c *Collector) Emit(payload any) {
 	for _, e := range c.comp.downstream {
 		for _, task := range e.grouping.Select(payload, e.to.tasks) {
-			id := TupleID(c.topo.nextID.Add(1))
+			id := c.topo.newID()
 			c.xorAcc ^= uint64(id)
 			c.ep.Send(e.to.taskBase+transport.NodeID(task), Tuple{ID: id, Root: c.input.Root, Payload: payload})
 		}

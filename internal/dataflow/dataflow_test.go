@@ -373,3 +373,31 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestTupleIDSubsetsDoNotCancel: a tuple tree is complete when the XOR of
+// everything registered and acknowledged reads zero, so no proper subset of a
+// tree's delivery IDs may XOR to zero — or the acks of the others, arriving
+// first, complete the tree with those deliveries still unexecuted. Bare
+// counter IDs fail on the very first fan-out of five (3^5^6 == 0), which made
+// TestMultiStageTreeCompletesOnlyWhenAllLeavesDo flake under load.
+func TestTupleIDSubsetsDoNotCancel(t *testing.T) {
+	topo := NewTopology(time.Second)
+	topo.newID() // the spout's delivery
+	for tree := 0; tree < 200; tree++ {
+		var ids [5]uint64
+		for i := range ids {
+			ids[i] = uint64(topo.newID())
+		}
+		for subset := 1; subset < 1<<len(ids)-1; subset++ {
+			var x uint64
+			for i, id := range ids {
+				if subset&(1<<i) != 0 {
+					x ^= id
+				}
+			}
+			if x == 0 {
+				t.Fatalf("tree %d: deliveries %v: subset %05b XORs to zero", tree, ids, subset)
+			}
+		}
+	}
+}

@@ -47,8 +47,45 @@ func (sumProg) Gather(Context, stream.VertexID, int64, any) {}
 func (sumProg) Scatter(Context)                             {}
 func (sumProg) Combine(_ stream.VertexID, old, new any) any { return old.(int64) + new.(int64) }
 
+// flatten returns b's messages as the sequence a queue of boxed messages would
+// hold: the tag stream replayed.
+func flatten(b *msgBatch) []any {
+	var out []any
+	var pos [numKinds]int
+	for _, k := range b.Tags {
+		i := pos[k]
+		pos[k]++
+		switch k {
+		case kindInput:
+			out = append(out, b.Inputs[i])
+		case kindActivate:
+			out = append(out, b.Activates[i])
+		case kindUpdate:
+			out = append(out, b.Updates[i])
+		case kindPrepare:
+			out = append(out, b.Prepares[i])
+		case kindAck:
+			out = append(out, b.Acks[i])
+		case kindAdopt:
+			out = append(out, b.Adopts[i])
+		}
+	}
+	return out
+}
+
+// queued returns what p has queued for processor node in the current window.
+func queued(p *processor, node int) []any { return flatten(p.out.win[node]) }
+
+// dropLocal discards p's window for its own vertices (a probe's processors
+// never run, so nothing would dispatch it).
+func dropLocal(p *processor) {
+	if w := p.takeLocal(); w != nil {
+		p.putLocal(w)
+	}
+}
+
 // newBatchProbe builds an engine whose processors exist but never run, so a
-// test can drive sendVertex directly and inspect the out-queue.
+// test can queue messages directly and inspect the window.
 func newBatchProbe(t *testing.T, prog Program) (*Engine, *processor) {
 	t.Helper()
 	e, err := New(Config{
@@ -64,11 +101,7 @@ func newBatchProbe(t *testing.T, prog Program) (*Engine, *processor) {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Stop)
-	p := e.proc(0)
-	if p == nil || !p.batch {
-		t.Fatalf("batched dispatch not enabled by default (proc=%v)", p)
-	}
-	return e, p
+	return e, e.proc(0)
 }
 
 // sendUpd queues an update the way commit does: along the producer's edge
@@ -81,7 +114,7 @@ func sendUpd(p *processor, m msgUpdate) {
 	p.sendUpdate(v.edge(m.To), m)
 }
 
-// TestCoalesceQueueMergesUpdates drives the out-queue directly: consecutive
+// TestCoalesceQueueMergesUpdates drives the window directly: consecutive
 // same-pair updates must merge in place (newest iteration wins, last-writer
 // value, superseded token released), while other pairs and message kinds
 // keep their own slots and relative order.
@@ -93,10 +126,10 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	tok2 := p.tk.AcquireFloor(2)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: int64(3), HasValue: true})
 
-	if len(p.outQ) != 1 {
-		t.Fatalf("outQ has %d entries after same-pair updates; want 1", len(p.outQ))
+	if q := queued(p, 0); len(q) != 1 {
+		t.Fatalf("window has %d entries after same-pair updates; want 1", len(q))
 	}
-	m := p.outQ[0].payload.(msgUpdate)
+	m := queued(p, 0)[0].(msgUpdate)
 	if m.Iteration != 2 || !m.HasValue || m.Value.(int64) != 3 {
 		t.Fatalf("merged update = %+v; want iteration 2, last-writer value 3", m)
 	}
@@ -110,9 +143,9 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	// A valueless newer update carries the older value forward.
 	tok3 := p.tk.AcquireFloor(3)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 3, Token: tok3})
-	m = p.outQ[0].payload.(msgUpdate)
-	if len(p.outQ) != 1 || m.Iteration != 3 || !m.HasValue || m.Value.(int64) != 3 {
-		t.Fatalf("valueless merge = %+v (outQ len %d); want iteration 3 carrying value 3", m, len(p.outQ))
+	m = queued(p, 0)[0].(msgUpdate)
+	if n := len(queued(p, 0)); n != 1 || m.Iteration != 3 || !m.HasValue || m.Value.(int64) != 3 {
+		t.Fatalf("valueless merge = %+v (window len %d); want iteration 3 carrying value 3", m, n)
 	}
 
 	// A different producer pair gets its own slot; a non-update message is
@@ -120,26 +153,36 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	// without disturbing either.
 	tok4 := p.tk.AcquireFloor(3)
 	sendUpd(p, msgUpdate{From: 9, To: 2, Iteration: 3, Token: tok4, Value: int64(1), HasValue: true})
-	p.sendVertex(2, msgPrepare{From: 1, To: 2})
+	p.window(2).addPrepare(msgPrepare{From: 1, To: 2})
 	tok5 := p.tk.AcquireFloor(4)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 4, Token: tok5, Value: int64(8), HasValue: true})
-	if len(p.outQ) != 3 {
-		t.Fatalf("outQ has %d entries; want 3 (merged update, other pair, prepare)", len(p.outQ))
+	q := queued(p, 0)
+	if len(q) != 3 {
+		t.Fatalf("window has %d entries; want 3 (merged update, other pair, prepare)", len(q))
 	}
-	m = p.outQ[0].payload.(msgUpdate)
+	m = q[0].(msgUpdate)
 	if m.Iteration != 4 || m.Value.(int64) != 8 {
 		t.Fatalf("slot 0 after third merge = %+v; want iteration 4 value 8", m)
 	}
-	if _, ok := p.outQ[2].payload.(msgPrepare); !ok {
-		t.Fatalf("slot 2 is %T; prepares must keep their queue position", p.outQ[2].payload)
+	if _, ok := q[2].(msgPrepare); !ok {
+		t.Fatalf("slot 2 is %T; prepares must keep their queue position", q[2])
 	}
 
-	// flushOut empties the queue and retires every coalescing slot: the
-	// pair's next update opens a new window's queue.
+	// flushOut retires every coalescing slot — the messages for this
+	// processor's own vertices stay queued for its run loop — so the pair's
+	// next update takes a slot of its own, behind them.
 	p.flushOut()
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 5, Token: p.tk.AcquireFloor(5)})
-	if len(p.outQ) != 1 || p.outQ[0].payload.(msgUpdate).Iteration != 5 {
-		t.Fatalf("update after flushOut: outQ = %+v; want the one new update", p.outQ)
+	q = queued(p, 0)
+	if len(q) != 4 || q[0].(msgUpdate).Iteration != 4 || q[3].(msgUpdate).Iteration != 5 {
+		t.Fatalf("update after flushOut: window = %+v; want it queued fourth, uncoalesced", q)
+	}
+	// Detaching the window (what run does before dispatching it) opens an
+	// empty one.
+	dropLocal(p)
+	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 6, Token: p.tk.AcquireFloor(6)})
+	if q = queued(p, 0); len(q) != 1 || q[0].(msgUpdate).Iteration != 6 {
+		t.Fatalf("update after the window was taken: window = %+v; want the one new update", q)
 	}
 }
 
@@ -154,7 +197,7 @@ func TestCoalesceCombiner(t *testing.T) {
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: int64(5), HasValue: true})
 	tok2 := p.tk.AcquireFloor(2)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: int64(3), HasValue: true})
-	m := p.outQ[0].payload.(msgUpdate)
+	m := queued(p, 0)[0].(msgUpdate)
 	if m.Value.(int64) != 8 {
 		t.Fatalf("combined value = %v; want 5+3=8", m.Value)
 	}
@@ -233,39 +276,4 @@ func TestCrashMidFlushExactInputCounts(t *testing.T) {
 		t.Fatalf("Crashes = %d, Recoveries = %d; the crash was not exercised", s.Crashes, s.Recoveries)
 	}
 	checkQuiescent(t, e)
-}
-
-// TestBatchingDisabledStillCorrect pins the escape hatch: DisableBatching
-// must reproduce the legacy unbatched behavior and the same fixed point.
-func TestBatchingDisabledStillCorrect(t *testing.T) {
-	e, err := New(Config{
-		Processors:      2,
-		DelayBound:      8,
-		Kind:            MainLoop,
-		LoopID:          storage.MainLoop,
-		Store:           storage.NewMemStore(),
-		Program:         ssspProg{source: 0},
-		Seed:            5,
-		DisableBatching: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := e.proc(0); p.batch {
-		t.Fatal("DisableBatching left batched dispatch on")
-	}
-	e.Start()
-	defer e.Stop()
-	var tuples []stream.Tuple
-	for i := 0; i < 40; i++ {
-		tuples = append(tuples, stream.AddEdge(stream.Timestamp(i), stream.VertexID(i%8), stream.VertexID((i+1)%8)))
-	}
-	e.IngestAll(tuples)
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	checkSSSP(t, e, tuples)
-	if c := e.StatsSnapshot().Coalesced; c != 0 {
-		t.Fatalf("Coalesced = %d with batching disabled; want 0", c)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"tornado/internal/lamport"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
-	"tornado/internal/transport"
 )
 
 // newCommitProbe returns a step function that runs one main-loop commit in
@@ -31,7 +30,6 @@ func newCommitProbe(tb testing.TB) (step func()) {
 		e.Clock, e.Flags = stream.Timestamp(t), e.Flags|edgeClocked
 		v.state.(*ssspState).SrcLens[t+10] = int64(t)
 	}
-	var inbox []transport.Envelope
 	n := 0
 	return func() {
 		p.markDirty(v)
@@ -39,10 +37,11 @@ func newCommitProbe(tb testing.TB) (step func()) {
 		v.stamp = lamport.Stamp{Time: e.clock.Tick(), Owner: uint64(v.id)}
 		p.commit(v)
 		p.flushOut()
-		inbox, _ = p.ep.RecvBatch(inbox)
-		for _, env := range inbox {
-			p.tk.Release(env.Payload.(msgUpdate).Token)
+		w := p.takeLocal() // the targets are this (only) processor's: as run would
+		for _, u := range w.Updates {
+			p.tk.Release(u.Token)
 		}
+		p.putLocal(w)
 		if n++; n%64 == 0 { // the main loop's CompactEvery: keeps the vertex's version chain short
 			if err := store.Compact(storage.MainLoop, v.lastCommit); err != nil {
 				tb.Fatal(err)
@@ -90,11 +89,7 @@ func BenchmarkHubInDegree(b *testing.B) {
 					p.handleUpdate(msgUpdate{From: from, To: hub, Iteration: 1, Token: p.tk.AcquireFloor(2), Value: int64(1), HasValue: true})
 					if n%1024 == 1023 { // a receive window's worth of acks
 						p.flushOut()
-						for {
-							if _, more := p.ep.TryRecv(); !more {
-								break
-							}
-						}
+						dropLocal(p)
 					}
 				}
 			}
@@ -140,16 +135,35 @@ func TestInnerLoopAllocs(t *testing.T) {
 		t.Errorf("journal ingest+commit+prune allocates %v times; want 0", n)
 	}
 
-	// parentCommitAllocs is what one warm newCommitProbe step allocated at
-	// the commit before edge records (go test -bench ProcessorCommit
-	// -benchmem there): the message boxing, the Context and the store's
-	// version node.
-	const parentCommitAllocs = 16
+	// A warm hop of one prepare, one ack and one update — queued, framed, sent,
+	// received, replayed, and the prepare's ack all the way back — allocates
+	// nothing: no message is boxed, frames and payload slices are recycled.
+	// (The update's value is a small int64, which Go boxes without allocating;
+	// a program value that needs a box is the program's allocation.) The race
+	// detector makes sync.Pool drop a quarter of its puts, so only a normal
+	// build can hold the pools to zero.
+	if raceStretch == 1 {
+		for _, local := range []bool{false, true} {
+			hop, _ := newHopProbe(t, local, 3)
+			for i := 0; i < 64; i++ {
+				hop()
+			}
+			if n := testing.AllocsPerRun(256, hop); n != 0 {
+				t.Errorf("a warm message hop (own vertices: %v) allocates %v times; want 0", local, n)
+			}
+		}
+	}
+
+	// parentCommitAllocs is what one warm newCommitProbe step allocates now
+	// that its four updates are no longer boxed (go test -bench
+	// ProcessorCommit -benchmem: 12 at the commit before typed batches): the
+	// Context, the Scatter's values and the store's version node.
+	const parentCommitAllocs = 6
 	step := newCommitProbe(t)
 	for i := 0; i < 256; i++ {
 		step()
 	}
 	if n := testing.AllocsPerRun(256, step); n > parentCommitAllocs {
-		t.Errorf("a warm commit allocates %v times; the parent's was %d", n, parentCommitAllocs)
+		t.Errorf("a warm commit allocates %v times; the probe measured %d when typed batches landed", n, parentCommitAllocs)
 	}
 }

@@ -300,19 +300,16 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 	}
 	t.Cleanup(e.Stop)
 	p := e.proc(0)
-	if p == nil || !p.batch {
-		t.Fatalf("batched dispatch not enabled by default (proc=%v)", p)
-	}
 
 	// Two plain deltas accumulate: 5 + 3 = 8.
 	tok1 := p.tk.AcquireFloor(1)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 1, Token: tok1, Value: 5.0, HasValue: true})
 	tok2 := p.tk.AcquireFloor(2)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 2, Token: tok2, Value: 3.0, HasValue: true})
-	if len(p.outQ) != 1 {
-		t.Fatalf("outQ has %d entries after same-pair deltas; want 1", len(p.outQ))
+	if q := queued(p, 0); len(q) != 1 {
+		t.Fatalf("window has %d entries after same-pair deltas; want 1", len(q))
 	}
-	m := p.outQ[0].payload.(msgUpdate)
+	m := queued(p, 0)[0].(msgUpdate)
 	if m.Iteration != 2 || !m.HasValue || m.Cum || m.Value.(float64) != 8.0 {
 		t.Fatalf("merged delta = %+v; want iteration 2, accumulated value 8, cum=false", m)
 	}
@@ -323,17 +320,17 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 	// A newer cumulative value supersedes the accumulated deltas outright.
 	tok3 := p.tk.AcquireFloor(3)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 3, Token: tok3, Value: 7.0, HasValue: true, Cum: true})
-	m = p.outQ[0].payload.(msgUpdate)
-	if len(p.outQ) != 1 || m.Iteration != 3 || !m.Cum || m.Value.(float64) != 7.0 {
-		t.Fatalf("cum supersede = %+v (outQ len %d); want iteration 3, value 7, cum=true", m, len(p.outQ))
+	m = queued(p, 0)[0].(msgUpdate)
+	if n := len(queued(p, 0)); n != 1 || m.Iteration != 3 || !m.Cum || m.Value.(float64) != 7.0 {
+		t.Fatalf("cum supersede = %+v (window len %d); want iteration 3, value 7, cum=true", m, n)
 	}
 
 	// A plain delta folds INTO the pending cumulative value, keeping cum.
 	tok4 := p.tk.AcquireFloor(4)
 	sendUpd(p, msgUpdate{From: 1, To: 2, Iteration: 4, Token: tok4, Value: 2.0, HasValue: true})
-	m = p.outQ[0].payload.(msgUpdate)
-	if len(p.outQ) != 1 || m.Iteration != 4 || !m.Cum || m.Value.(float64) != 9.0 {
-		t.Fatalf("delta-into-cum = %+v (outQ len %d); want iteration 4, value 9, cum=true", m, len(p.outQ))
+	m = queued(p, 0)[0].(msgUpdate)
+	if n := len(queued(p, 0)); n != 1 || m.Iteration != 4 || !m.Cum || m.Value.(float64) != 9.0 {
+		t.Fatalf("delta-into-cum = %+v (window len %d); want iteration 4, value 9, cum=true", m, n)
 	}
 	if c := e.stats.Coalesced.Value(); c != 3 {
 		t.Fatalf("Coalesced = %d; want 3", c)

@@ -177,21 +177,15 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 			// The window's queue: this step's commit (if any) must have sent one
 			// update per consumer, valued exactly where the program emitted.
 			sent := map[stream.VertexID]bool{}
-			for _, q := range p.outQ {
-				if u, ok := q.payload.(msgUpdate); ok {
-					if _, dup := sent[u.To]; dup {
-						t.Fatalf("trial %d op %d: two updates to %d in one commit", trial, op, u.To)
-					}
-					sent[u.To] = u.HasValue
-					p.tk.Release(u.Token)
+			for _, u := range p.out.win[0].Updates {
+				if _, dup := sent[u.To]; dup {
+					t.Fatalf("trial %d op %d: two updates to %d in one commit", trial, op, u.To)
 				}
+				sent[u.To] = u.HasValue
+				p.tk.Release(u.Token)
 			}
 			p.flushOut()
-			for { // drop what the flush delivered to this (only) processor
-				if _, more := p.ep.TryRecv(); !more {
-					break
-				}
-			}
+			dropLocal(p) // the processor is the only one and never runs
 			want := m.sent
 			m.sent = nil
 			if len(sent) != len(want) {

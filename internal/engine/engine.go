@@ -115,19 +115,15 @@ type Config struct {
 	// dead-lettered frame to a live processor leaks its obligation token,
 	// which only a checkpoint recovery can reclaim.
 	MaxResends int
-	// MaxBatch is the transport's per-destination output buffer size:
-	// messages accumulate into multi-payload frames shipped at protocol
-	// boundaries (or when the buffer fills). Default 64; values <= 1 send
-	// every message as its own frame.
+	// MaxBatch caps a frame in messages: senders queue vertex messages for a
+	// whole receive window, and at its end cut each destination's queue into
+	// frames of at most this many. Default 64; 1 (or less) ships every
+	// message as a frame of its own, on the same path.
 	MaxBatch int
 	// FlushInterval is the transport's latency backstop: buffered frames and
 	// deferred acks older than this are shipped by a background tick even if
 	// no protocol boundary flushed them (default 2ms when batching).
 	FlushInterval time.Duration
-	// DisableBatching reverts the message plane to the unbatched baseline:
-	// one frame per message, an ack per data frame, no update coalescing and
-	// no transport route cache (benchmark comparisons).
-	DisableBatching bool
 	// CommitDelay, when non-nil, injects per-commit latency into a
 	// processor (straggler and I/O-cost modelling in the experiments).
 	CommitDelay func(proc int) time.Duration
@@ -235,10 +231,10 @@ func (c *Config) validate() error {
 	if c.CompactEvery == 0 && c.Kind == MainLoop {
 		c.CompactEvery = 64
 	}
-	if c.DisableBatching {
-		c.MaxBatch = 1
-	} else if c.MaxBatch == 0 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
+	} else if c.MaxBatch < 1 {
+		c.MaxBatch = 1
 	}
 	if c.MaxBatch > 1 && c.FlushInterval <= 0 {
 		c.FlushInterval = 2 * time.Millisecond
@@ -292,6 +288,9 @@ type Stats struct {
 	// Coalesced counts update messages merged into a newer update for the
 	// same (producer, consumer) pair before leaving the processor.
 	Coalesced metrics.Counter
+	// LocalMsgs counts vertex messages whose owner was the sending processor:
+	// dispatched from its own window, never handed to the transport.
+	LocalMsgs metrics.Counter
 	// Delta-mode counters (static zero in value mode). DeltaMerged counts
 	// deltas accumulated into an already-pending slot, DeltaSkipped counts
 	// sub-threshold pendings parked instead of scheduled (selective
@@ -308,9 +307,13 @@ type StatsSnapshot struct {
 	// Coalesced is the number of update messages merged away before send;
 	// UpdateMsgs counts updates as produced, so the wire carried
 	// UpdateMsgs − Coalesced of them.
-	Coalesced                                          int64
+	Coalesced int64
+	// LocalMsgs is the number of vertex messages a processor sent to its own
+	// vertices; they skip the transport, so over a settled run the vertex
+	// messages sent equal TransportDelivered (less control traffic) plus it.
+	LocalMsgs                                          int64
 	TransportSent, TransportDelivered, TransportResent int64
-	// TransportPayloads counts payloads inside first-transmission frames, so
+	// TransportPayloads counts messages inside first-transmission frames, so
 	// TransportPayloads/(TransportSent−TransportResent) is the average batch
 	// size and TransportAckFrames/TransportPayloads the ack suppression
 	// ratio.
@@ -400,6 +403,10 @@ type Engine struct {
 	journal  *inputJournal // main loops only
 	stats    Stats
 	netStats *transport.Stats // shared across incarnations
+	// outboxes recycles the ingest-side windows: Ingest, IngestAll, Activate
+	// and AdoptBranch callers run concurrently, so each call fills an outbox
+	// of its own (ingestOut) and ships it through the ingest endpoint.
+	outboxes sync.Pool
 	start    time.Time
 	created  time.Time
 
@@ -517,6 +524,7 @@ func New(cfg Config) (*Engine, error) {
 		pins:        make(map[int64]int),
 		slow:        make([]atomic.Int64, cfg.MaxProcessors),
 	}
+	e.outboxes.New = func() any { return newOutbox(cfg.MaxProcessors) }
 	e.plan.Store(basePlan(cfg.Processors, cfg.MaxProcessors))
 	e.delayBound.Store(cfg.DelayBound)
 	e.deltaBoost.Store(math.Float64bits(1))
@@ -562,18 +570,16 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 		wire = e.buildWire(gen)
 	}
 	inc.net = transport.NewNetwork(transport.Options{
-		ResendAfter:       e.cfg.ResendAfter,
-		MaxResends:        e.cfg.MaxResends,
-		MaxBatch:          e.cfg.MaxBatch,
-		FlushInterval:     e.cfg.FlushInterval,
-		DisableRouteCache: e.cfg.DisableBatching,
-		InboxHigh:         e.cfg.InboxHigh,
-		InboxLow:          e.cfg.InboxLow,
-		DropSeed:          e.cfg.Seed,
-		Stats:             e.netStats,
-		Spans:             e.spans,
-		SpanLoop:          uint64(e.cfg.LoopID),
-		Wire:              wire,
+		ResendAfter:   e.cfg.ResendAfter,
+		MaxResends:    e.cfg.MaxResends,
+		MaxBatch:      e.cfg.MaxBatch,
+		FlushInterval: e.cfg.FlushInterval,
+		InboxHigh:     e.cfg.InboxHigh,
+		InboxLow:      e.cfg.InboxLow,
+		DropSeed:      e.cfg.Seed,
+		Stats:         e.netStats,
+		Spans:         e.spans,
+		Wire:          wire,
 	})
 	e.faultMu.Lock()
 	if e.faultDrop > 0 || e.faultDup > 0 {
@@ -734,8 +740,19 @@ func (e *Engine) IngestTraced(t stream.Tuple, ctx trace.Context) {
 	if e.journal != nil {
 		m.JSeq, m.HasJSeq = e.journal.Ingested(t), true
 	}
-	inc.ingestE.Send(inc.route(routeVertex(t)), m)
-	inc.ingestE.Flush()
+	out := e.ingestOut()
+	out.win[inc.route(routeVertex(t))].addInput(m)
+	e.ingestShip(inc, out)
+}
+
+// ingestOut returns an empty outbox for one ingest-side call to fill.
+func (e *Engine) ingestOut() *outbox { return e.outboxes.Get().(*outbox) }
+
+// ingestShip sends what an ingest-side call queued in out through inc's
+// ingest endpoint and recycles the outbox.
+func (e *Engine) ingestShip(inc *incarnation, out *outbox) {
+	out.ship(inc.ingestE, -1, e.cfg.MaxBatch, e.spans, uint64(e.cfg.LoopID))
+	e.outboxes.Put(out)
 }
 
 // IngestAll ingests a tuple slice in order, in admission-gate-sized chunks:
@@ -771,15 +788,16 @@ func (e *Engine) ingestChunk(ts []stream.Tuple) {
 	if e.journal != nil {
 		m.JSeq, m.HasJSeq = e.journal.Ingested(ts...), true
 	}
+	out := e.ingestOut()
 	for _, t := range ts {
 		m.Tuple = t
 		if traceOn {
 			m.Ctx = e.spans.Begin(now)
 		}
-		inc.ingestE.Send(inc.route(routeVertex(t)), m)
+		out.win[inc.route(routeVertex(t))].addInput(m)
 		m.JSeq++
 	}
-	inc.ingestE.Flush()
+	e.ingestShip(inc, out)
 }
 
 // Activate re-activates vertices: each becomes dirty and re-scatters its
@@ -790,10 +808,11 @@ func (e *Engine) Activate(ids ...stream.VertexID) {
 	defer e.genMu.RUnlock()
 	inc := e.inc
 	tok := inc.tracker.AcquireFloorN(0, len(ids))
+	out := e.ingestOut()
 	for _, id := range ids {
-		inc.ingestE.Send(inc.route(id), msgActivate{To: id, Token: tok})
+		out.win[inc.route(id)].addActivate(msgActivate{To: id, Token: tok})
 	}
-	inc.ingestE.Flush()
+	e.ingestShip(inc, out)
 }
 
 // masterRun is the master node of one incarnation: it advances the iteration
@@ -1285,6 +1304,7 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 		InputMsgs:            e.stats.InputMsgs.Value(),
 		Emits:                e.stats.Emits.Value(),
 		Coalesced:            e.stats.Coalesced.Value(),
+		LocalMsgs:            e.stats.LocalMsgs.Value(),
 		TransportSent:        e.netStats.Sent.Value(),
 		TransportDelivered:   e.netStats.Delivered.Value(),
 		TransportResent:      e.netStats.Resent.Value(),

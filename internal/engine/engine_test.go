@@ -161,17 +161,26 @@ func TestSSSPMatrixMatchesReference(t *testing.T) {
 	tuples := datasets.PowerLawGraph(120, 3, 7)
 	for _, procs := range []int{1, 4} {
 		for _, bound := range []int64{1, 4, 1 << 40} {
-			name := fmt.Sprintf("procs=%d/B=%d", procs, bound)
-			t.Run(name, func(t *testing.T) {
-				e := newSSSPEngine(t, procs, bound, storage.NewMemStore(), storage.MainLoop)
-				e.Start()
-				defer e.Stop()
-				e.IngestAll(tuples)
-				if err := e.WaitQuiesce(waitFor); err != nil {
-					t.Fatal(err)
-				}
-				checkSSSP(t, e, tuples)
-			})
+			for _, maxBatch := range []int{0, 1} { // the default (64), and every message a frame of its own
+				name := fmt.Sprintf("procs=%d/B=%d/MaxBatch=%d", procs, bound, maxBatch)
+				t.Run(name, func(t *testing.T) {
+					e, err := New(Config{Processors: procs, DelayBound: bound, Kind: MainLoop, LoopID: storage.MainLoop,
+						Store: storage.NewMemStore(), Program: ssspProg{source: 0}, Seed: 42, MaxBatch: maxBatch})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.Start()
+					defer e.Stop()
+					e.IngestAll(tuples)
+					if err := e.WaitQuiesce(waitFor); err != nil {
+						t.Fatal(err)
+					}
+					checkSSSP(t, e, tuples)
+					if s := e.StatsSnapshot(); maxBatch == 1 && procs > 1 && s.TransportPayloads != s.TransportSent {
+						t.Fatalf("MaxBatch=1 shipped %d messages in %d frames; want one per frame", s.TransportPayloads, s.TransportSent)
+					}
+				})
+			}
 		}
 	}
 }

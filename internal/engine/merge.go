@@ -86,14 +86,15 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 	if e.journalSeq() != journalBefore {
 		return ErrMergeConflict
 	}
+	out := e.ingestOut()
 	for _, a := range adoptions {
 		tok := inc.tracker.AcquireFloor(mergeIter)
-		inc.ingestE.Send(inc.route(a.id), msgAdopt{
+		out.win[inc.route(a.id)].addAdopt(msgAdopt{
 			To: a.id, State: a.state, Targets: a.targets, TargetClock: a.clock,
 			Iteration: mergeIter, Token: tok,
 		})
 	}
-	inc.ingestE.Flush()
+	e.ingestShip(inc, out)
 	release()
 	if err := e.WaitQuiesce(time.Minute); err != nil {
 		return err
@@ -152,10 +153,11 @@ func (e *Engine) readBlob(id stream.VertexID, maxIter int64) (VertexBlob, error)
 // handleAdopt applies a merged state on the owning processor.
 func (p *processor) handleAdopt(m msgAdopt) {
 	if p.migrating(m.To) {
-		p.mig.journal = append(p.mig.journal, m)
+		p.mig.journal.addAdopt(m)
 		return
 	}
-	if p.bounce(m.To, m) {
+	if w := p.bounce(m.To); w != nil {
+		w.addAdopt(m)
 		return
 	}
 	v := p.ensure(m.To)

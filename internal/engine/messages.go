@@ -6,8 +6,11 @@ import (
 	"tornado/internal/stream"
 )
 
-// Messages exchanged over the transport. Processors are nodes 0..P-1, the
-// master is node P, the ingester node P+1.
+// Messages exchanged between the loop's nodes. Processors are nodes 0..P-1,
+// the master is node P, the ingester node P+1. Vertex-addressed messages
+// (msgInput, msgActivate, msgUpdate, msgPrepare, msgAck, msgAdopt) travel by
+// value inside a msgBatch (batch.go); everything else is a control message
+// and a transport payload of its own.
 
 // msgInput carries one external stream tuple to the processor owning the
 // routed vertex. Token is the tracker token held on the input's behalf; the
@@ -23,14 +26,6 @@ type msgInput struct {
 	// Ctx is the causal span context of a sampled delta (zero when the delta
 	// is untraced). Exported plain data: a wire codec serializes it as-is.
 	Ctx trace.Context
-}
-
-// TraceCtx / WithTraceCtx implement trace.Carrier so the transport can
-// attribute output-buffer and frame latency without knowing engine types.
-func (m msgInput) TraceCtx() trace.Context { return m.Ctx }
-func (m msgInput) WithTraceCtx(c trace.Context) any {
-	m.Ctx = c
-	return m
 }
 
 // msgActivate re-activates a vertex without delivering data: the vertex
@@ -60,13 +55,6 @@ type msgUpdate struct {
 	// (most recently) dirtied the producer; coalesced-away updates leave a
 	// span link in the survivor's context (see processor.coalesceUpdate).
 	Ctx trace.Context
-}
-
-// TraceCtx / WithTraceCtx implement trace.Carrier (see msgInput).
-func (m msgUpdate) TraceCtx() trace.Context { return m.Ctx }
-func (m msgUpdate) WithTraceCtx(c trace.Context) any {
-	m.Ctx = c
-	return m
 }
 
 // msgPrepare asks a consumer for its iteration number (phase two).

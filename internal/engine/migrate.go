@@ -26,9 +26,9 @@ type migSource struct {
 	numSources int
 	shipped    bool
 	// journal holds vertex-addressed messages (msgInput, msgActivate,
-	// msgUpdate, msgAdopt) for migrating vertices, tokens still held inside
-	// the messages; forwarded to the new owner at cutover.
-	journal []any
+	// msgUpdate, msgAdopt) for migrating vertices in arrival order, tokens
+	// still held inside the messages; forwarded to the new owner at cutover.
+	journal msgBatch
 	// tomb maps each shipped vertex to its iteration at ship time, so
 	// prepares arriving after the state left are still answered (the reply
 	// is indistinguishable from an ack legally racing a consumer commit).
@@ -55,16 +55,17 @@ func (p *processor) migrating(id stream.VertexID) bool {
 
 // bounce re-routes a vertex-addressed message this processor does not own
 // through the current plan (an in-flight frame overtaken by a cutover, or a
-// retransmission addressed to a pre-migration owner). Returns true when the
-// message was forwarded. Running before ensure() is what prevents
-// misdirected frames from ghost-creating vertices on the old owner.
-func (p *processor) bounce(id stream.VertexID, m any) bool {
-	if p.route(id) == transport.NodeID(p.idx) {
-		return false
+// retransmission addressed to a pre-migration owner): it returns the owner's
+// window for the handler to forward the message into, or nil when id is this
+// processor's. Running before ensure() is what prevents misdirected frames
+// from ghost-creating vertices on the old owner.
+func (p *processor) bounce(id stream.VertexID) *msgBatch {
+	owner := p.route(id)
+	if owner == transport.NodeID(p.idx) {
+		return nil
 	}
 	p.eng.migBounced.Inc()
-	p.sendVertex(id, m)
-	return true
+	return p.out.win[owner]
 }
 
 func (p *processor) handleMigFreeze(m msgMigFreeze) {
@@ -72,12 +73,14 @@ func (p *processor) handleMigFreeze(m msgMigFreeze) {
 		tomb: make(map[stream.VertexID]int64)}
 	// Held-back updates addressed to migrating vertices move to the journal
 	// now: handleFrontier must never gather into a frozen vertex, and the
-	// new owner applies them under its own cap after the hand-off.
-	for iter, msgs := range p.holdback {
+	// new owner applies them under its own cap after the hand-off. Oldest
+	// iteration first, as handleFrontier would have released them.
+	for _, iter := range p.heldIters() {
+		msgs := p.holdback[iter]
 		keep := msgs[:0]
 		for _, u := range msgs {
 			if p.migrating(u.To) {
-				p.mig.journal = append(p.mig.journal, u)
+				p.mig.journal.addUpdate(u)
 			} else {
 				keep = append(keep, u)
 			}
@@ -112,12 +115,10 @@ func (p *processor) migMaybeShip() {
 	}
 	sort.Slice(moving, func(i, j int) bool { return moving[i].id < moving[j].id })
 
-	// In batched mode flush the window's queued vertex messages first so
-	// nothing this source already committed can arrive at the destination
-	// after the state that reflects it.
-	if p.batch {
-		p.flushOut()
-	}
+	// Flush the window's queued vertex messages first so nothing this source
+	// already committed can arrive at the destination after the state that
+	// reflects it.
+	p.flushOut()
 
 	vs := make([]MigVertex, 0, len(moving))
 	for _, v := range moving {
@@ -214,33 +215,33 @@ func (p *processor) handleMigState(m msgMigState) {
 }
 
 // handleMigCutover releases a source: the new plan epoch is published, so
-// the journal forwards through sendVertex (which now routes the moved range
-// to its new owner), tombstones drop, and the frozen range's share entries
-// leave the fork-scan surface.
+// the journal forwards in order through window (which now routes the moved
+// range to its new owner), tombstones drop, and the frozen range's share
+// entries leave the fork-scan surface.
 func (p *processor) handleMigCutover(m msgMigCutover) {
 	mig := p.mig
 	if mig == nil || mig.seq != m.Seq {
 		return
 	}
 	p.mig = nil
-	for _, e := range mig.journal {
-		switch j := e.(type) {
-		case msgInput:
-			p.sendVertex(routeVertex(j.Tuple), j)
-		case msgActivate:
-			p.sendVertex(j.To, j)
-		case msgUpdate:
-			p.sendVertex(j.To, j)
-		case msgAdopt:
-			p.sendVertex(j.To, j)
+	j := &mig.journal
+	var pos [numKinds]int
+	for _, k := range j.Tags {
+		i := pos[k]
+		pos[k]++
+		switch k {
+		case kindInput:
+			p.window(routeVertex(j.Inputs[i].Tuple)).addInput(j.Inputs[i])
+		case kindActivate:
+			p.window(j.Activates[i].To).addActivate(j.Activates[i])
+		case kindUpdate:
+			p.window(j.Updates[i].To).addUpdate(j.Updates[i])
+		case kindAdopt:
+			p.window(j.Adopts[i].To).addAdopt(j.Adopts[i])
 		}
 	}
 	p.unhost(mig.slots...)
-	if p.batch {
-		p.flushOut()
-	} else {
-		p.ep.Flush()
-	}
+	p.flushOut()
 }
 
 // handleMigActivate starts the installed vertices on the destination: dirty

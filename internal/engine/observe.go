@@ -54,6 +54,8 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 		"Values emitted by program Scatter calls.", &e.stats.Emits)
 	sc.RegisterCounter("tornado_coalesced_updates_total",
 		"Update messages merged into a newer same-pair update before leaving the processor.", &e.stats.Coalesced)
+	sc.RegisterCounter("tornado_local_msgs_total",
+		"Vertex messages a processor sent to its own vertices, dispatched without touching the transport.", &e.stats.LocalMsgs)
 
 	if e.cfg.Delta != nil {
 		sc.RegisterCounter("tornado_delta_merged_total",
@@ -313,6 +315,7 @@ func (e *Engine) statusz() any {
 		"input_msgs":         s.InputMsgs,
 		"emits":              s.Emits,
 		"coalesced":          s.Coalesced,
+		"local_msgs":         s.LocalMsgs,
 		"frames":             s.TransportSent,
 		"payloads":           s.TransportPayloads,
 		"payloads_per_frame": ratio(s.TransportPayloads, s.TransportSent-s.TransportResent),

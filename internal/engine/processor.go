@@ -48,21 +48,29 @@ type processor struct {
 
 	vertices map[stream.VertexID]*vertex
 	notified int64 // highest iteration the master announced terminated
+	// holdback keeps, per commit iteration, the updates the delay bound is
+	// withholding; they are released in ascending iteration order (heldIters).
 	holdback map[int64][]msgUpdate
+	iterBuf  []int64   // heldIters scratch
 	capQ     []*vertex // vertices (capBlocked set) to retry when the cap rises
 
-	// Batched dispatch (false when Config.DisableBatching): outgoing vertex
-	// messages queue here during one receive window and flush as
-	// multi-payload frames at its end. A producer's edge record locates its
-	// pending msgUpdate for the consumer (outEdge.qPos, valid while
-	// outEdge.qEpoch is winEpoch) so a newer update coalesces into it in
-	// place — in-place merging is what keeps the legacy per-destination send
-	// order intact for every other message type. flushOut bumps winEpoch,
-	// which retires every slot at once.
-	batch    bool
+	// The message plane (DESIGN §8). Outgoing vertex messages are appended,
+	// by value, to out's window for the owning processor during one receive
+	// window; flushOut ships the windows as frames at its end. A producer's
+	// edge record locates its pending msgUpdate for the consumer (outEdge.qPos
+	// into the window's Updates, valid while outEdge.qEpoch is the window's
+	// epoch) so a newer update coalesces into it in place — in-place merging
+	// is what keeps the per-destination order intact for every other message
+	// kind. Epochs come from one counter, so handing a window a fresh one
+	// retires exactly its slots. The window for this processor itself never
+	// reaches the transport: run detaches it (swapping in spare) and
+	// dispatches it as the next window. recycle says a dispatched frame may
+	// go back to framePool.
+	out      *outbox
+	spare    *msgBatch
+	epochSeq uint64
+	recycle  bool
 	combiner Combiner // non-nil when the program customizes coalescing
-	outQ     []outEntry
-	winEpoch uint64
 
 	// Delta mode (cfg.Delta != nil): gathered messages fold into per-vertex
 	// pending slots, and actQ orders vertices with significant pendings so
@@ -118,12 +126,6 @@ type shareSlot struct {
 	live       bool
 }
 
-// outEntry is one queued outgoing vertex message of the current window.
-type outEntry struct {
-	node    transport.NodeID
-	payload any
-}
-
 func newProcessor(idx int, eng *Engine, ep *transport.Endpoint, tk *Tracker, snap *SnapshotSource, route func(stream.VertexID) transport.NodeID, startIter int64) *processor {
 	p := &processor{
 		idx:      idx,
@@ -138,12 +140,14 @@ func newProcessor(idx int, eng *Engine, ep *transport.Endpoint, tk *Tracker, sna
 		vertices: make(map[stream.VertexID]*vertex),
 		notified: startIter - 1,
 		holdback: make(map[int64][]msgUpdate, 16),
-		batch:    eng.cfg.MaxBatch > 1,
-		winEpoch: 1, // 0 is "no slot" in a fresh edge record
+		out:      newOutbox(eng.cfg.MaxProcessors),
+		spare:    new(msgBatch),
+		recycle:  eng.cfg.ResendAfter <= 0 && eng.cfg.Wire == nil,
 	}
-	if p.batch {
-		p.combiner, _ = eng.cfg.Program.(Combiner)
+	for _, w := range p.out.win {
+		w.epoch = p.nextEpoch() // from 1: 0 is "no slot" in a fresh edge record
 	}
+	p.combiner, _ = eng.cfg.Program.(Combiner)
 	if eng.cfg.Delta != nil {
 		p.dp = eng.cfg.Delta
 		p.deltaBase = p.dp.Threshold()
@@ -167,44 +171,40 @@ func (p *processor) cap() int64 {
 	return p.notified + p.eng.delayBound.Load()
 }
 
-func (p *processor) run() {
-	if p.batch {
-		p.runBatched()
-		return
-	}
-	for {
-		p.maybePause()
-		env, ok := p.ep.Recv()
-		if !ok {
-			return
-		}
-		p.maybePause()
-		if !p.dispatch(env) {
-			return
-		}
-		p.drainActQ()
-		p.migMaybeShip()
-	}
+func (p *processor) nextEpoch() uint64 {
+	p.epochSeq++
+	return p.epochSeq
 }
 
-// runBatched is the vectorized run loop: drain the whole inbox under one
-// lock, dispatch every message, then flush the out-queue before blocking
-// again. The flush window is therefore exactly one receive window — under
-// load the inbox refills while the previous window is processed, so windows
-// (and with them frame sizes and coalescing opportunities) grow with
-// saturation, while an idle processor flushes immediately and adds no
-// latency.
-func (p *processor) runBatched() {
-	var buf []transport.Envelope
+// run is the processor's loop: drain the whole inbox under one lock, dispatch
+// every message, then flush the windows before blocking again. The flush
+// window is therefore exactly one receive window — under load the inbox
+// refills while the previous window is processed, so windows (and with them
+// frame sizes and coalescing opportunities) grow with saturation, while an
+// idle processor flushes immediately and adds no latency. Messages for this
+// processor's own vertices are the next window's first: they skip the
+// transport, and the inbox is polled instead of waited on while there are any.
+func (p *processor) run() {
+	var inbox []transport.Envelope
 	for {
 		p.maybePause()
-		batch, ok := p.ep.RecvBatch(buf)
+		local := p.takeLocal()
+		var ok bool
+		if local == nil {
+			inbox, ok = p.ep.RecvBatch(inbox)
+		} else {
+			inbox, ok = p.ep.PollBatch(inbox)
+		}
 		if !ok {
 			return
 		}
-		for i := range batch {
+		if local != nil {
+			p.dispatchBatch(local, transport.NodeID(p.idx), 0)
+			p.putLocal(local)
+		}
+		for i := range inbox {
 			p.maybePause()
-			if !p.dispatch(batch[i]) {
+			if !p.dispatch(inbox[i]) {
 				return
 			}
 		}
@@ -214,25 +214,38 @@ func (p *processor) runBatched() {
 		p.drainActQ()
 		p.migMaybeShip()
 		p.flushOut()
-		buf = batch
 	}
 }
 
-// dispatch routes one message to its handler; false means halt.
+// takeLocal detaches the window of messages addressed to this processor's own
+// vertices (nil when empty), leaving an empty one in its place.
+func (p *processor) takeLocal() *msgBatch {
+	w := p.out.win[p.idx]
+	if len(w.Tags) == 0 {
+		return nil
+	}
+	p.spare.epoch = p.nextEpoch()
+	p.out.win[p.idx], p.spare = p.spare, nil
+	p.eng.stats.LocalMsgs.Add(int64(len(w.Tags)))
+	return w
+}
+
+// putLocal takes back a window takeLocal detached, once it is dispatched.
+func (p *processor) putLocal(w *msgBatch) {
+	w.reset()
+	p.spare = w
+}
+
+// dispatch routes one transport payload — a frame of vertex messages or a
+// control message — to its handler; false means halt.
 func (p *processor) dispatch(env transport.Envelope) bool {
 	switch m := env.Payload.(type) {
-	case msgInput:
-		p.handleInput(m)
-	case msgActivate:
-		p.handleActivate(m)
-	case msgUpdate:
-		p.handleUpdate(m)
-	case msgPrepare:
-		p.handlePrepare(m)
-	case msgAck:
-		p.handleAck(m)
-	case msgAdopt:
-		p.handleAdopt(m)
+	case *msgBatch:
+		p.dispatchBatch(m, env.From, env.At)
+		if p.recycle {
+			m.reset()
+			framePool.Put(m)
+		}
 	case msgFrontier:
 		p.handleFrontier(m)
 	case msgRescan:
@@ -251,6 +264,41 @@ func (p *processor) dispatch(env transport.Envelope) bool {
 		panic(fmt.Sprintf("engine: processor %d: unknown message %T", p.idx, env.Payload))
 	}
 	return true
+}
+
+// dispatchBatch replays a batch in queue order. The members are read by
+// value — a frame may still be the sender's to retransmit. at is the frame's
+// delivery stamp when it is traced (zero otherwise, and for the local
+// window): traced members close their frame-transit stage at it.
+func (p *processor) dispatchBatch(b *msgBatch, from transport.NodeID, at int64) {
+	var pos [numKinds]int
+	for _, k := range b.Tags {
+		p.maybePause()
+		i := pos[k]
+		pos[k]++
+		switch k {
+		case kindInput:
+			m := b.Inputs[i]
+			if at != 0 {
+				m.Ctx = p.sp.Stage(m.Ctx, trace.StageFrame, p.loopU, trace.NoVertex, uint64(from), at)
+			}
+			p.handleInput(m)
+		case kindActivate:
+			p.handleActivate(b.Activates[i])
+		case kindUpdate:
+			m := b.Updates[i]
+			if at != 0 {
+				m.Ctx = p.sp.Stage(m.Ctx, trace.StageFrame, p.loopU, trace.NoVertex, uint64(from), at)
+			}
+			p.handleUpdate(m)
+		case kindPrepare:
+			p.handlePrepare(b.Prepares[i])
+		case kindAck:
+			p.handleAck(b.Acks[i])
+		case kindAdopt:
+			p.handleAdopt(b.Adopts[i])
+		}
+	}
 }
 
 // trace records one protocol event when the vertex is sampled or watched.
@@ -441,10 +489,11 @@ func (p *processor) handleInput(m msgInput) {
 	p.eng.stats.InputMsgs.Inc()
 	id := routeVertex(m.Tuple)
 	if p.migrating(id) {
-		p.mig.journal = append(p.mig.journal, m)
+		p.mig.journal.addInput(m)
 		return
 	}
-	if p.bounce(id, m) {
+	if w := p.bounce(id); w != nil {
+		w.addInput(m)
 		return
 	}
 	v := p.ensure(id)
@@ -464,10 +513,11 @@ func (p *processor) handleInput(m msgInput) {
 
 func (p *processor) handleActivate(m msgActivate) {
 	if p.migrating(m.To) {
-		p.mig.journal = append(p.mig.journal, m)
+		p.mig.journal.addActivate(m)
 		return
 	}
-	if p.bounce(m.To, m) {
+	if w := p.bounce(m.To); w != nil {
+		w.addActivate(m)
 		return
 	}
 	v := p.ensure(m.To)
@@ -543,10 +593,11 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 func (p *processor) handleUpdate(m msgUpdate) {
 	p.updateCount.Add(1)
 	if p.migrating(m.To) {
-		p.mig.journal = append(p.mig.journal, m)
+		p.mig.journal.addUpdate(m)
 		return
 	}
-	if p.bounce(m.To, m) {
+	if w := p.bounce(m.To); w != nil {
+		w.addUpdate(m) // no producer record here: forwarded uncoalesced
 		return
 	}
 	// Delay bounding (Section 4.4): updates committed at the cap iteration
@@ -677,11 +728,12 @@ func (p *processor) handlePrepare(m msgPrepare) {
 		if iter, gone := mig.tomb[m.To]; gone {
 			p.eng.clock.Witness(m.Stamp.Time)
 			p.eng.stats.AckMsgs.Inc()
-			p.sendVertex(m.From, msgAck{From: m.To, To: m.From, Iteration: iter})
+			p.window(m.From).addAck(msgAck{From: m.To, To: m.From, Iteration: iter})
 			return
 		}
 	}
-	if p.bounce(m.To, m) {
+	if w := p.bounce(m.To); w != nil {
+		w.addPrepare(m)
 		return
 	}
 	v := p.ensure(m.To)
@@ -697,14 +749,15 @@ func (p *processor) handlePrepare(m msgPrepare) {
 	if !v.preparing() || m.Stamp.Before(v.stamp) {
 		p.eng.stats.AckMsgs.Inc()
 		p.trace(obs.EvAckSend, v.id, m.From, v.iter)
-		p.sendVertex(m.From, msgAck{From: v.id, To: m.From, Iteration: v.iter})
+		p.window(m.From).addAck(msgAck{From: v.id, To: m.From, Iteration: v.iter})
 	} else {
 		v.pendingAcks = append(v.pendingAcks, m.From)
 	}
 }
 
 func (p *processor) handleAck(m msgAck) {
-	if p.bounce(m.To, m) {
+	if w := p.bounce(m.To); w != nil {
+		w.addAck(m)
 		return
 	}
 	v, ok := p.vertices[m.To]
@@ -733,18 +786,21 @@ func (p *processor) handleFrontier(m msgFrontier) {
 	// the old cap, and a coalescing window must never span a cap change
 	// (DESIGN §8) — the delay bound's accounting assumes a frame's updates
 	// were all admissible when they were committed.
-	if p.batch {
-		p.flushOut()
-	}
+	p.flushOut()
 	p.notified = m.Notified
 	c := p.cap()
-	// Release held-back updates that are now below the cap.
-	for iter, msgs := range p.holdback {
-		if iter < c {
-			delete(p.holdback, iter)
-			for _, u := range msgs {
-				p.gatherUpdate(u)
-			}
+	// Release held-back updates that are now below the cap, oldest iteration
+	// first: one producer can have updates held at two iterations, and
+	// gathering the newer first would make the per-producer monotonic check
+	// discard the older as stale.
+	for _, iter := range p.heldIters() {
+		if iter >= c {
+			break
+		}
+		msgs := p.holdback[iter]
+		delete(p.holdback, iter)
+		for _, u := range msgs {
+			p.gatherUpdate(u)
 		}
 	}
 	// Retry vertices whose commit was blocked by the old cap.
@@ -756,6 +812,17 @@ func (p *processor) handleFrontier(m msgFrontier) {
 			p.maybeStart(v)
 		}
 	}
+}
+
+// heldIters returns the iterations that have updates held back, ascending
+// (valid until the next call).
+func (p *processor) heldIters() []int64 {
+	p.iterBuf = p.iterBuf[:0]
+	for iter := range p.holdback {
+		p.iterBuf = append(p.iterBuf, iter)
+	}
+	slices.Sort(p.iterBuf)
+	return p.iterBuf
 }
 
 // maybeStart begins the vertex's update (phase two, or a direct commit) when
@@ -790,7 +857,7 @@ func (p *processor) maybeStart(v *vertex) {
 				e.Flags |= edgeOwesAck
 				v.nwaiting++
 				p.trace(obs.EvPrepareSend, v.id, e.To, lower)
-				p.sendVertex(e.To, msgPrepare{From: v.id, To: e.To, Stamp: v.stamp})
+				p.window(e.To).addPrepare(msgPrepare{From: v.id, To: e.To, Stamp: v.stamp})
 			}
 		}
 		if v.nwaiting > 0 {
@@ -929,7 +996,7 @@ func (p *processor) commit(v *vertex) {
 		p.eng.stats.AckMsgs.Add(int64(len(v.pendingAcks)))
 		for _, producer := range v.pendingAcks {
 			p.trace(obs.EvAckSend, v.id, producer, v.iter)
-			p.sendVertex(producer, msgAck{From: v.id, To: producer, Iteration: v.iter})
+			p.window(producer).addAck(msgAck{From: v.id, To: producer, Iteration: v.iter})
 		}
 		v.pendingAcks = v.pendingAcks[:0]
 	}
@@ -967,28 +1034,23 @@ func (p *processor) persist(v *vertex, iter int64) {
 	}
 }
 
-// sendVertex routes a vertex-addressed message to its owning processor:
-// immediately in legacy mode, via the out-queue in batched mode.
-func (p *processor) sendVertex(to stream.VertexID, payload any) {
-	if !p.batch {
-		p.ep.Send(p.route(to), payload)
-		return
-	}
-	p.outQ = append(p.outQ, outEntry{node: p.route(to), payload: payload})
+// window returns the current window's batch for the processor owning vertex to.
+func (p *processor) window(to stream.VertexID) *msgBatch {
+	return p.out.win[p.route(to)]
 }
 
-// sendUpdate sends a commit's update along the producer's edge record e. In
-// batched mode it coalesces into an update still queued for the same consumer.
-// (A forwarded or bounced update has no producer record here: it goes through
-// sendVertex and queues uncoalesced.)
+// sendUpdate queues a commit's update along the producer's edge record e,
+// coalescing it into an update the window still holds for the same consumer.
 func (p *processor) sendUpdate(e *outEdge, m msgUpdate) {
-	if p.batch && e.qEpoch == p.winEpoch {
-		q := &p.outQ[e.qPos]
-		q.payload = p.coalesceUpdate(q.payload.(msgUpdate), m)
+	w := p.window(m.To)
+	if e.qEpoch == w.epoch {
+		q := &w.Updates[e.qPos]
+		*q = p.coalesceUpdate(*q, m)
+		w.Traced = w.Traced || q.Ctx.Traced()
 		return
 	}
-	e.qEpoch, e.qPos = p.winEpoch, int32(len(p.outQ))
-	p.sendVertex(m.To, m)
+	e.qEpoch, e.qPos = w.epoch, int32(len(w.Updates))
+	w.addUpdate(m)
 }
 
 // coalesceUpdate merges a pending update with a newer one from the same
@@ -1045,22 +1107,19 @@ func (p *processor) coalesceUpdate(old, next msgUpdate) msgUpdate {
 	return merged
 }
 
-// flushOut ships the window's queued messages in order and flushes the
-// endpoint's transport buffers. Called at the end of every receive window
-// (so the processor never blocks on an unflushed queue) and before applying
-// a frontier advance (so no coalesced update ever merges commits made under
-// different iteration caps).
+// flushOut ships the windows for the other processors as frames, in order,
+// and retires every coalescing slot — this processor's own window included,
+// whose messages stay queued for run to dispatch. Called at the end of every
+// receive window (so the processor never blocks on an unflushed window) and
+// before applying a frontier advance (so no coalesced update ever merges
+// commits made under different iteration caps).
 func (p *processor) flushOut() {
-	if len(p.outQ) == 0 {
-		return // every processor send funnels through the queue, so the transport buffer is empty too
+	for _, w := range p.out.win {
+		if len(w.Tags) > 0 {
+			w.epoch = p.nextEpoch()
+		}
 	}
-	for i := range p.outQ {
-		p.ep.Send(p.outQ[i].node, p.outQ[i].payload)
-		p.outQ[i] = outEntry{}
-	}
-	p.outQ = p.outQ[:0]
-	p.winEpoch++
-	p.ep.Flush()
+	p.out.ship(p.ep, p.idx, p.eng.cfg.MaxBatch, p.sp, p.loopU)
 }
 
 // forkScan returns the fork seed set of this partition: vertices whose last

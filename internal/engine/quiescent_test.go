@@ -25,9 +25,13 @@ func checkQuiescent(t *testing.T, e *Engine) {
 		if p == nil {
 			continue // quarantined
 		}
-		if len(p.outQ) != 0 || p.deltaDepth.Load() != 0 || p.mig != nil || p.migIn != nil {
+		queued := 0
+		for _, w := range p.out.win {
+			queued += len(w.Tags)
+		}
+		if queued != 0 || p.deltaDepth.Load() != 0 || p.mig != nil || p.migIn != nil {
 			t.Fatalf("processor %d: %d queued messages, activation depth %d, migration %v/%v",
-				p.idx, len(p.outQ), p.deltaDepth.Load(), p.mig != nil, p.migIn != nil)
+				p.idx, queued, p.deltaDepth.Load(), p.mig != nil, p.migIn != nil)
 		}
 		if n := len(p.share) - len(p.freeSlots); n != len(p.vertices) {
 			t.Fatalf("processor %d: %d live share slots for %d vertices", p.idx, n, len(p.vertices))

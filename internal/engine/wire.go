@@ -27,19 +27,17 @@ import (
 	"tornado/internal/transport"
 )
 
-// The engine's message vocabulary must be gob-registered to ride the wire
-// (the transport registers plain scalars; stream.Tuple and trace.Context are
-// plain exported data carried inside these structs).
+// What the engine hands the transport must be gob-registered to ride the
+// wire: the frame of vertex messages and the control messages (the transport
+// registers plain scalars; the frame's members, stream.Tuple and
+// trace.Context are plain exported data inside it, and program values in
+// msgUpdate.Value are registered by RegisterStateType).
 func init() {
-	gob.Register(msgInput{})
-	gob.Register(msgActivate{})
-	gob.Register(msgUpdate{})
-	gob.Register(msgPrepare{})
-	gob.Register(msgAck{})
+	gob.Register(&msgBatch{})
 	gob.Register(msgFrontier{})
 	gob.Register(msgHalt{})
+	gob.Register(msgRescan{})
 	gob.Register(msgHeartbeat{})
-	gob.Register(msgAdopt{})
 	gob.Register(msgMigFreeze{})
 	gob.Register(msgMigState{})
 	gob.Register(msgMigShipped{})

@@ -110,13 +110,13 @@ type Context struct {
 // Traced reports whether stages of this context should record spans.
 func (c Context) Traced() bool { return c.Sampled && c.Trace != 0 }
 
-// Carrier is implemented by payload structs that carry a Context, letting
-// the transport (which sees payloads as `any`) read and restamp contexts at
-// frame boundaries without knowing concrete types. WithTraceCtx returns a
-// copy of the payload with the context replaced.
+// Carrier is implemented by transport payloads whose members carry Contexts,
+// letting the transport (which sees payloads as `any`) tell a traced frame
+// from an untraced one and attribute a resend or dead letter to a trace
+// without knowing concrete types. TraceCtx returns the context of the first
+// traced member, or the zero Context when there is none.
 type Carrier interface {
 	TraceCtx() Context
-	WithTraceCtx(Context) any
 }
 
 // Span is one recorded stage of a trace.

@@ -393,7 +393,7 @@ type flight struct {
 	forked    bool
 	forkSeq   uint64
 	waiters   []*Ticket
-	index     int // heap index; -1 when not queued
+	index     int           // heap index; -1 when not queued
 	tctx      trace.Context // creator's causal span context
 
 	abortOnce sync.Once

@@ -373,3 +373,94 @@ func waitCondition(t *testing.T, cond func() bool, msg string) {
 	}
 	t.Fatal(msg)
 }
+
+// weighed stands in for a sender-built batch: one payload, that many messages.
+type weighed int
+
+func (w weighed) PayloadLen() int { return int(w) }
+
+// TestCountedPayloadsFrameByMessages: MaxBatch, Buffered, Pending and the
+// Payloads/Delivered counters all count the messages inside Counted payloads,
+// and a payload that would take a buffer past MaxBatch ships what is buffered
+// first — no frame exceeds MaxBatch messages.
+func TestCountedPayloadsFrameByMessages(t *testing.T) {
+	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Hour})
+	defer n.Close()
+	a, b := n.Register(1), n.Register(2)
+
+	a.Send(2, weighed(5))
+	if got := a.Buffered(); got != 5 {
+		t.Fatalf("Buffered = %d after a 5-message payload; want 5", got)
+	}
+	a.Send(2, weighed(5)) // 5+5 > 8: the first ships alone
+	if sent, buffered := n.Stats.Sent.Value(), a.Buffered(); sent != 1 || buffered != 5 {
+		t.Fatalf("after the second payload: %d frames sent, %d messages buffered; want 1 and 5", sent, buffered)
+	}
+	a.Send(2, weighed(8)) // a full batch: the buffered one ships, then it does
+	if sent, buffered := n.Stats.Sent.Value(), a.Buffered(); sent != 3 || buffered != 0 {
+		t.Fatalf("after the full payload: %d frames sent, %d messages buffered; want 3 and 0", sent, buffered)
+	}
+	a.Send(2, "plain") // everything else weighs one
+	a.Flush()
+
+	if got := b.Pending(); got != 19 {
+		t.Fatalf("Pending = %d; want 19 messages", got)
+	}
+	if got := n.Stats.Payloads.Value(); got != 19 {
+		t.Fatalf("Stats.Payloads = %d; want 19", got)
+	}
+	if got := n.Stats.Delivered.Value(); got != 19 {
+		t.Fatalf("Stats.Delivered = %d; want 19", got)
+	}
+	batch, ok := b.RecvBatch(nil)
+	if !ok || len(batch) != 4 {
+		t.Fatalf("RecvBatch = %d envelopes, %v; want the 4 payloads", len(batch), ok)
+	}
+	for i, want := range []any{weighed(5), weighed(5), weighed(8), "plain"} {
+		if batch[i].Payload != want {
+			t.Fatalf("envelope %d = %v; want %v (per-pair order)", i, batch[i].Payload, want)
+		}
+	}
+	if got := b.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after the drain; want 0", got)
+	}
+	if batch, ok = b.PollBatch(batch); !ok || len(batch) != 0 {
+		t.Fatalf("PollBatch on an empty inbox = %d envelopes, %v; want none, true", len(batch), ok)
+	}
+}
+
+// TestCountedPayloadsDriveWatermarks: credit is withdrawn and restored by the
+// messages in the inbox, not the envelopes.
+func TestCountedPayloadsDriveWatermarks(t *testing.T) {
+	n := NewNetwork(Options{InboxHigh: 10, InboxLow: 5})
+	defer n.Close()
+	a, b := n.Register(1), n.Register(2)
+
+	a.Send(2, weighed(6))
+	if b.Stalled() {
+		t.Fatal("stalled at 6 of 10 messages")
+	}
+	a.Send(2, weighed(6))
+	if !b.Stalled() {
+		t.Fatal("not stalled at 12 messages in 2 envelopes; the watermark must count messages")
+	}
+	a.Send(2, weighed(1))
+	if held := a.HeldFrames(); held != 1 {
+		t.Fatalf("HeldFrames = %d with credit withdrawn; want 1", held)
+	}
+	if _, ok := b.Recv(); !ok {
+		t.Fatal("Recv failed")
+	}
+	if !b.Stalled() { // 6 left > InboxLow
+		t.Fatal("credit restored above the low watermark")
+	}
+	if _, ok := b.Recv(); !ok {
+		t.Fatal("Recv failed")
+	}
+	if b.Stalled() || a.HeldFrames() != 0 {
+		t.Fatalf("drained to 0: stalled=%v held=%d; want credit back and the parked frame released", b.Stalled(), a.HeldFrames())
+	}
+	if env, ok := b.Recv(); !ok || env.Payload != weighed(1) {
+		t.Fatalf("parked payload = %v, %v", env.Payload, ok)
+	}
+}

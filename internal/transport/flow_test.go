@@ -223,3 +223,53 @@ func TestQueueDepthsSnapshot(t *testing.T) {
 		t.Fatalf("held = %d, want 6", held)
 	}
 }
+
+// TestResendLeavesCreditReplayAlone: frames parked for a stalled destination
+// age past their resend timeout while they wait. When credit returns and
+// releaseHeld replays them (the parked queue is then in its hands, not in
+// held), the resend loop must not retransmit them too: resends skip the credit
+// check, so that would pour the whole parked backlog into the inbox the stall
+// protects (TestChaosSoakSurgeOverload saw 600-message inboxes against a
+// watermark of 256 this way) — and their clocks restart at the replay, so the
+// first tick after it does not resend them either.
+func TestResendLeavesCreditReplayAlone(t *testing.T) {
+	const (
+		total  = 8000
+		high   = 64
+		resend = 4 * time.Millisecond
+	)
+	net := NewNetwork(Options{InboxHigh: high, InboxLow: 16, ResendAfter: resend})
+	defer net.Close()
+	src, dst := net.Register(1), net.Register(2)
+	for i := 0; i < total; i++ {
+		src.Send(2, i)
+	}
+	if held := src.HeldFrames(); held != total-high {
+		t.Fatalf("HeldFrames = %d; want %d parked behind the watermark", held, total-high)
+	}
+	time.Sleep(resend + resend/2) // every parked frame's resend clock has run out
+
+	got, peak := 0, 0
+	var batch []Envelope
+	for got < total {
+		if d := dst.Pending(); d > peak {
+			peak = d
+		}
+		var ok bool
+		if batch, ok = dst.RecvBatch(batch); !ok {
+			t.Fatal("endpoint closed mid-drain")
+		}
+		for _, env := range batch {
+			if env.Payload.(int) != got {
+				t.Fatalf("payload %d arrived at position %d", env.Payload, got)
+			}
+			got++
+		}
+	}
+	if peak > high+1 {
+		t.Fatalf("inbox peaked at %d messages; the watermark is %d and one sender overshoots by at most a frame", peak, high)
+	}
+	if n := net.Stats.Resent.Value(); n != 0 {
+		t.Fatalf("%d frames resent on a lossless plane: the resend loop raced the credit replay", n)
+	}
+}

@@ -23,6 +23,13 @@
 // inbox under a single lock with RecvBatch, recycling the caller's previous
 // batch slice so the steady state allocates nothing.
 //
+// Everything the transport counts — MaxBatch, the inbox watermarks, Pending,
+// Stats.Payloads and Stats.Delivered — is in messages. A payload is one
+// message unless it implements Counted, which is how a sender that builds its
+// own batches (the engine's processors) hands a whole batch over as a single
+// payload — one lock, one frame — without changing what the credit watermarks
+// and the payloads-per-frame ratio mean.
+//
 // Acks are cumulative: an ack frame carries both the acked sequence and the
 // receiver's contiguous watermark (every sequence below it has been
 // delivered). Senders compact their unacked map against the watermark, and
@@ -67,6 +74,24 @@ type NodeID int32
 type Envelope struct {
 	From    NodeID
 	Payload any
+	// At is the tracer's clock at delivery into the inbox, set only on the
+	// payloads of a traced frame (zero otherwise): the receiver closes the
+	// frame-transit stage of the payload's traced members at it.
+	At int64
+}
+
+// Counted is implemented by a payload that stands for several messages (a
+// sender-built batch); PayloadLen is how many. Every other payload counts as
+// one.
+type Counted interface {
+	PayloadLen() int
+}
+
+func payloadLen(p any) int {
+	if c, ok := p.(Counted); ok {
+		return c.PayloadLen()
+	}
+	return 1
 }
 
 // frame is the wire representation: a batch of payloads (data) or an ack.
@@ -79,14 +104,17 @@ type frame struct {
 	// all of them even if their dedicated acks were lost.
 	ackUpTo  uint64
 	payloads []any // data frames: one or more payloads, in send order
+	// msgs is the number of messages inside payloads (see Counted); the wire
+	// decoder recounts it.
+	msgs int
 	// urgent marks SendNow traffic: it bypasses sender-side credit parking,
 	// and a watermark-full receiver sheds (acks without enqueueing) it
 	// rather than growing without bound — urgent payloads are refreshable
 	// control signals, not data.
 	urgent bool
-	// traced marks a frame carrying at least one causally-traced payload, so
-	// the receive path pays the per-payload trace.Carrier assertion only for
-	// the rare sampled frame.
+	// traced marks a frame carrying at least one causally-traced payload: its
+	// delivery is stamped (Envelope.At), and a resend or dead letter records
+	// an escalation marker against the trace.
 	traced bool
 }
 
@@ -95,9 +123,9 @@ type frame struct {
 // teardown/rebuild a crash recovery performs.
 type Stats struct {
 	// Sent counts every data frame accepted for transmission (including
-	// resends and duplicates); Payloads counts the payloads inside
+	// resends and duplicates); Payloads counts the messages inside
 	// first-transmission frames (so Payloads/(Sent−Resent) is the average
-	// batch size); Delivered counts payloads handed to live receivers after
+	// batch size); Delivered counts messages handed to live receivers after
 	// dedup.
 	Sent      metrics.Counter
 	Payloads  metrics.Counter
@@ -157,31 +185,30 @@ type Options struct {
 	// it is abandoned and counted in Stats.DeadLetters. Zero means
 	// unlimited (legacy behavior).
 	MaxResends int
-	// MaxBatch is the per-destination output buffer size: Send buffers
-	// payloads and ships a multi-payload frame when the buffer fills (or on
-	// Flush / the FlushInterval tick). Zero or one sends every payload as
-	// its own frame immediately (legacy behavior).
+	// MaxBatch is the per-destination output buffer size in messages: Send
+	// buffers payloads and ships a multi-payload frame when the buffer fills
+	// (or on Flush / the FlushInterval tick); a payload that would take the
+	// buffer past MaxBatch ships what is buffered first, so no frame exceeds
+	// it unless a single payload does. Zero or one sends every payload as
+	// its own frame immediately.
 	MaxBatch int
 	// FlushInterval bounds how long a buffered payload or a deferred ack may
 	// wait before a background tick ships it. Only meaningful with
 	// MaxBatch > 1 (default 2ms there).
 	FlushInterval time.Duration
-	// DisableRouteCache forces every frame through the global endpoint table
-	// lookup instead of the per-endpoint peer cache (benchmark baseline).
-	DisableRouteCache bool
 	// InboxHigh bounds every endpoint's inbox with credit-based flow
-	// control: once an inbox holds this many envelopes the receiver
+	// control: once an inbox holds this many messages the receiver
 	// withdraws delivery credit and senders park further data frames
 	// locally (they never block) until the receiver drains back to
 	// InboxLow. Control traffic — acks and SendNow frames — is never
 	// parked, so heartbeats and failure detection are immune to data
 	// congestion; a SendNow frame arriving at an inbox already holding
-	// InboxHigh envelopes is instead shed (acknowledged but not enqueued,
+	// InboxHigh messages is instead shed (acknowledged but not enqueued,
 	// counted in Stats.UrgentShed), so a starved consumer's control backlog
 	// stays bounded too — urgent payloads are refreshed every interval, so
 	// dropping the excess loses nothing a later beat does not restate.
 	// Zero leaves inboxes unbounded (legacy behavior). The bound is on
-	// envelopes, not frames: a frame already in flight when the watermark
+	// messages, not frames: a frame already in flight when the watermark
 	// trips still lands whole, so momentary overshoot is at most one
 	// MaxBatch frame per concurrent sender.
 	InboxHigh int
@@ -194,14 +221,14 @@ type Options struct {
 	// Stats, when non-nil, receives the network's counters; otherwise the
 	// network allocates its own.
 	Stats *Stats
-	// Spans, when non-nil, records causal stage spans for traced payloads
-	// riding through the transport: output-buffer dwell (batch), frame
-	// transit including credit parking (frame), and escalation markers for
-	// resends and dead letters. Payloads participate by implementing
-	// trace.Carrier.
+	// Spans, when non-nil, makes the transport trace-aware: frames carrying
+	// a traced payload (one implementing trace.Carrier) stamp their delivery
+	// on the Envelope, and a resend or dead letter of one records an
+	// escalation marker against the trace. The stage spans themselves are
+	// recorded by whoever owns the payload's members: the sender closes the
+	// output-buffer dwell (batch) before Send, the receiver the frame transit
+	// (frame, credit parking included) at Envelope.At.
 	Spans *trace.Tracer
-	// SpanLoop labels this network's spans with the owning loop's ID.
-	SpanLoop uint64
 	// Wire, when non-nil, attaches a socket substrate (see WireConfig): in
 	// ForceLoop mode every frame between local endpoints detours through a
 	// real connection; otherwise frames addressed to NodeIDs with no local
@@ -310,14 +337,13 @@ func (n *Network) Register(id NodeID) *Endpoint {
 		panic(fmt.Sprintf("transport: node %d registered twice", id))
 	}
 	ep := &Endpoint{
-		id:        id,
-		net:       n,
-		nextSeq:   make(map[NodeID]uint64),
-		outbuf:    make(map[NodeID][]any),
-		outTraced: make(map[NodeID]bool),
-		unacked:   make(map[NodeID]map[uint64]*pending),
-		recv:      make(map[NodeID]*recvState),
-		rng:       rand.New(rand.NewSource(n.opts.DropSeed ^ int64(id)<<17 ^ 0x5bf03635)),
+		id:      id,
+		net:     n,
+		nextSeq: make(map[NodeID]uint64),
+		outbuf:  make(map[NodeID]outBuf),
+		unacked: make(map[NodeID]map[uint64]*pending),
+		recv:    make(map[NodeID]*recvState),
+		rng:     rand.New(rand.NewSource(n.opts.DropSeed ^ int64(id)<<17 ^ 0x5bf03635)),
 	}
 	ep.cond = sync.NewCond(&ep.mu)
 	n.endpoints[id] = ep
@@ -455,21 +481,31 @@ type recvState struct {
 }
 
 // payloadPool recycles the per-frame payload slices on paths where the frame
-// is not retained for retransmission.
-var payloadPool = sync.Pool{New: func() any { return make([]any, 0, 64) }}
+// is not retained for retransmission. A sync.Pool holds pointers, and boxing a
+// slice header into one allocates, so the slices travel in *[]any holders and
+// the emptied holders wait in holderPool for the next put: a steady
+// get/put cycle allocates nothing.
+var (
+	payloadPool = sync.Pool{New: func() any { s := make([]any, 0, 8); return &s }}
+	holderPool  = sync.Pool{New: func() any { return new([]any) }}
+)
 
 func getPayloadSlice() []any {
-	return payloadPool.Get().([]any)[:0]
+	h := payloadPool.Get().(*[]any)
+	s := (*h)[:0]
+	*h = nil
+	holderPool.Put(h)
+	return s
 }
 
 func putPayloadSlice(s []any) {
 	if cap(s) == 0 || cap(s) > 1024 {
 		return
 	}
-	for i := range s {
-		s[i] = nil
-	}
-	payloadPool.Put(s[:0]) //nolint:staticcheck // slice header boxing is fine here
+	clear(s)
+	h := holderPool.Get().(*[]any)
+	*h = s[:0]
+	payloadPool.Put(h)
 }
 
 // Endpoint is one node's attachment to the network. Send and Recv are safe
@@ -484,18 +520,17 @@ type Endpoint struct {
 	// anyway.
 	peers sync.Map // NodeID → *Endpoint
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	inbox   []Envelope
-	closed  bool
-	dead    bool
-	crashed bool
-	nextSeq map[NodeID]uint64
-	outbuf  map[NodeID][]any
-	// outTraced marks destinations whose output buffer holds at least one
-	// causally-traced payload; the seal pays the per-payload restamp walk
-	// only for those. Guarded by mu, entries consumed by sealLocked.
-	outTraced map[NodeID]bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	inbox []Envelope
+	// inboxMsgs is the number of messages inside inbox (see Counted): what the
+	// watermarks and Pending count.
+	inboxMsgs int
+	closed    bool
+	dead      bool
+	crashed   bool
+	nextSeq   map[NodeID]uint64
+	outbuf    map[NodeID]outBuf
 	unacked   map[NodeID]map[uint64]*pending
 	recv      map[NodeID]*recvState
 	rng       *rand.Rand // jitter; guarded by mu
@@ -516,6 +551,14 @@ type Endpoint struct {
 	flushStop  chan struct{}
 }
 
+// outBuf is one destination's output buffer: the payloads waiting for a seal,
+// how many messages they hold, and whether any of them is traced.
+type outBuf struct {
+	payloads []any
+	msgs     int
+	traced   bool
+}
+
 // ID returns the endpoint's node ID.
 func (e *Endpoint) ID() NodeID { return e.id }
 
@@ -525,6 +568,7 @@ func (e *Endpoint) ID() NodeID { return e.id }
 // recovers (when the network has a resend timeout).
 func (e *Endpoint) Send(to NodeID, payload any) {
 	maxBatch := e.net.opts.MaxBatch
+	msgs := payloadLen(payload)
 	// One atomic load decides whether the trace machinery is consulted at
 	// all; only then is the payload's carrier interface inspected.
 	traced := false
@@ -538,29 +582,33 @@ func (e *Endpoint) Send(to NodeID, payload any) {
 		e.mu.Unlock()
 		return
 	}
-	if traced {
-		e.outTraced[to] = true
+	var frames [2]frame
+	n := 0
+	ob := e.outbuf[to]
+	if len(ob.payloads) > 0 && ob.msgs+msgs > maxBatch {
+		// The payload would take the buffer past MaxBatch: what is buffered
+		// ships as its own frame first.
+		frames[n] = e.sealLocked(to, ob)
+		n++
+		ob = outBuf{}
 	}
-	if maxBatch <= 1 {
-		f := e.sealLocked(to, append(getPayloadSlice(), payload))
-		e.mu.Unlock()
-		e.transmitData(f)
-		return
+	if ob.payloads == nil {
+		ob.payloads = getPayloadSlice()
 	}
-	buf := e.outbuf[to]
-	if buf == nil {
-		buf = getPayloadSlice()
-	}
-	buf = append(buf, payload)
-	if len(buf) >= maxBatch {
+	ob.payloads = append(ob.payloads, payload)
+	ob.msgs += msgs
+	ob.traced = ob.traced || traced
+	if ob.msgs >= maxBatch {
 		delete(e.outbuf, to)
-		f := e.sealLocked(to, buf)
-		e.mu.Unlock()
-		e.transmitData(f)
-		return
+		frames[n] = e.sealLocked(to, ob)
+		n++
+	} else {
+		e.outbuf[to] = ob
 	}
-	e.outbuf[to] = buf
 	e.mu.Unlock()
+	for _, f := range frames[:n] {
+		e.transmitData(f)
+	}
 }
 
 // SendNow transmits payload immediately, bypassing the batch buffer (after
@@ -575,12 +623,12 @@ func (e *Endpoint) SendNow(to NodeID, payload any) {
 	}
 	var pre frame
 	hasPre := false
-	if buf := e.outbuf[to]; len(buf) > 0 {
+	if ob := e.outbuf[to]; len(ob.payloads) > 0 {
 		delete(e.outbuf, to)
-		pre = e.sealLocked(to, buf)
+		pre = e.sealLocked(to, ob)
 		hasPre = true
 	}
-	f := e.sealLocked(to, append(getPayloadSlice(), payload))
+	f := e.sealLocked(to, outBuf{payloads: append(getPayloadSlice(), payload), msgs: payloadLen(payload)})
 	f.urgent = true
 	if m := e.unacked[to]; m != nil {
 		if p := m[f.seq]; p != nil {
@@ -601,10 +649,11 @@ func (e *Endpoint) SendNow(to NodeID, payload any) {
 // Senders call it at protocol boundaries (end of a dispatch window, frontier
 // notifications); the FlushInterval ticker is only the latency backstop.
 func (e *Endpoint) Flush() {
+	var buf [8]frame // a flush rarely has more destinations; more spill to the heap
+	frames := buf[:0]
 	e.mu.Lock()
-	var frames []frame
 	if !e.closed && !e.dead {
-		frames = e.sealOutbufLocked()
+		frames = e.sealOutbufLocked(frames)
 	}
 	e.mu.Unlock()
 	for _, f := range frames {
@@ -612,35 +661,12 @@ func (e *Endpoint) Flush() {
 	}
 }
 
-// sealLocked assigns the next sequence number for to, builds the frame and
-// registers it for retransmission. Caller holds e.mu. Traced payloads record
-// their output-buffer dwell here and are restamped at seal time, so the
-// receive side measures pure frame transit (including credit parking).
-func (e *Endpoint) sealLocked(to NodeID, payloads []any) frame {
-	wasTraced := e.outTraced[to]
-	if wasTraced {
-		delete(e.outTraced, to)
-		if sp := e.net.opts.Spans; sp.Enabled() {
-			now := sp.Now()
-			for i, pl := range payloads {
-				c, ok := pl.(trace.Carrier)
-				if !ok {
-					continue
-				}
-				ctx := c.TraceCtx()
-				if !ctx.Traced() {
-					continue
-				}
-				payloads[i] = c.WithTraceCtx(sp.Stage(ctx, trace.StageBatch,
-					e.net.opts.SpanLoop, trace.NoVertex, uint64(to), now))
-			}
-		} else {
-			wasTraced = false
-		}
-	}
+// sealLocked assigns the next sequence number for to, builds the frame from
+// the buffer and registers it for retransmission. Caller holds e.mu.
+func (e *Endpoint) sealLocked(to NodeID, ob outBuf) frame {
 	seq := e.nextSeq[to]
 	e.nextSeq[to] = seq + 1
-	f := frame{from: e.id, to: to, seq: seq, payloads: payloads, traced: wasTraced}
+	f := frame{from: e.id, to: to, seq: seq, payloads: ob.payloads, msgs: ob.msgs, traced: ob.traced}
 	if after := e.net.opts.ResendAfter; after > 0 {
 		m := e.unacked[to]
 		if m == nil {
@@ -652,15 +678,12 @@ func (e *Endpoint) sealLocked(to NodeID, payloads []any) frame {
 	return f
 }
 
-// sealOutbufLocked seals every buffered destination. Caller holds e.mu.
-func (e *Endpoint) sealOutbufLocked() []frame {
-	if len(e.outbuf) == 0 {
-		return nil
-	}
-	frames := make([]frame, 0, len(e.outbuf))
-	for to, buf := range e.outbuf {
+// sealOutbufLocked seals every buffered destination, appending the frames to
+// frames. Caller holds e.mu.
+func (e *Endpoint) sealOutbufLocked(frames []frame) []frame {
+	for to, ob := range e.outbuf {
 		delete(e.outbuf, to)
-		frames = append(frames, e.sealLocked(to, buf))
+		frames = append(frames, e.sealLocked(to, ob))
 	}
 	return frames
 }
@@ -670,7 +693,7 @@ func (e *Endpoint) sealOutbufLocked() []frame {
 // nor parked awaiting credit.
 func (e *Endpoint) transmitData(f frame) {
 	e.net.Stats.Sent.Inc()
-	e.net.Stats.Payloads.Add(int64(len(f.payloads)))
+	e.net.Stats.Payloads.Add(int64(f.msgs))
 	if e.holdOrTransmit(f) {
 		return // parked; the credit grant transmits (and recycles) it later
 	}
@@ -695,7 +718,7 @@ func (n *Network) recycleAfterTransmit() bool {
 // harmless, whereas a parked heartbeat is a false crash suspicion.
 func (e *Endpoint) transmitDataNow(f frame) {
 	e.net.Stats.Sent.Inc()
-	e.net.Stats.Payloads.Add(int64(len(f.payloads)))
+	e.net.Stats.Payloads.Add(int64(f.msgs))
 	e.transmit(f)
 	if e.net.recycleAfterTransmit() {
 		putPayloadSlice(f.payloads)
@@ -768,6 +791,16 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 	for len(e.held[to]) > 0 {
 		frames := e.held[to]
 		delete(e.held, to)
+		// Their resend clocks ran while they were parked; restart them, or
+		// the first resend tick after the replay retransmits every one.
+		if m := e.unacked[to]; m != nil {
+			now := time.Now()
+			for _, f := range frames {
+				if p := m[f.seq]; p != nil {
+					p.nextAt = now.Add(p.backoff)
+				}
+			}
+		}
 		e.mu.Unlock()
 		dst := e.peer(to)
 		stopped := -1
@@ -845,9 +878,6 @@ func (n *Network) dispatch(dst *Endpoint, f frame) {
 
 // peer resolves the destination endpoint through the per-endpoint cache.
 func (e *Endpoint) peer(to NodeID) *Endpoint {
-	if e.net.opts.DisableRouteCache {
-		return e.net.endpoint(to)
-	}
 	if v, ok := e.peers.Load(to); ok {
 		return v.(*Endpoint)
 	}
@@ -917,34 +947,25 @@ func (e *Endpoint) deliver(f frame) {
 		// payloads are not enqueued — its sender refreshes them every
 		// interval, and appending would grow a starved consumer's backlog
 		// without bound (urgent traffic is exempt from sender-side parking).
-		if high := e.net.opts.InboxHigh; f.urgent && high > 0 && len(e.inbox) >= high {
+		if high := e.net.opts.InboxHigh; f.urgent && high > 0 && e.inboxMsgs >= high {
 			shed = true
 		} else {
-			sp := e.net.opts.Spans
-			spanNow := int64(0)
-			if f.traced && sp.Enabled() {
-				spanNow = sp.Now()
+			// Frame transit (seal -> inbox, credit parking included) ends
+			// here; the payloads are the sender's to retransmit, so the stamp
+			// rides the envelope and the receiver closes the stage.
+			at := int64(0)
+			if sp := e.net.opts.Spans; f.traced && sp.Enabled() {
+				at = sp.Now()
 			}
 			for _, pl := range f.payloads {
-				if spanNow != 0 {
-					// Frame transit closes here: seal -> inbox, credit
-					// parking included. Restamp so inbox dwell starts now.
-					// The local pl copy is restamped (never f.payloads, which
-					// the sender may still hold for retransmission).
-					if c, ok := pl.(trace.Carrier); ok {
-						if ctx := c.TraceCtx(); ctx.Traced() {
-							pl = c.WithTraceCtx(sp.Stage(ctx, trace.StageFrame,
-								e.net.opts.SpanLoop, trace.NoVertex, uint64(f.from), spanNow))
-						}
-					}
-				}
-				e.inbox = append(e.inbox, Envelope{From: f.from, Payload: pl})
+				e.inbox = append(e.inbox, Envelope{From: f.from, Payload: pl, At: at})
 			}
+			e.inboxMsgs += f.msgs
 			e.cond.Broadcast()
 		}
 	}
 	stalledNow := false
-	if high := e.net.opts.InboxHigh; high > 0 && len(e.inbox) >= high && !e.stalled.Load() {
+	if high := e.net.opts.InboxHigh; high > 0 && e.inboxMsgs >= high && !e.stalled.Load() {
 		e.stalled.Store(true)
 		stalledNow = true
 	}
@@ -964,7 +985,7 @@ func (e *Endpoint) deliver(f frame) {
 	if shed {
 		e.net.Stats.UrgentShed.Inc()
 	} else if !dup {
-		e.net.Stats.Delivered.Add(int64(len(f.payloads)))
+		e.net.Stats.Delivered.Add(int64(f.msgs))
 	}
 	if ackNow && e.net.opts.ResendAfter > 0 {
 		e.net.Stats.AckFrames.Inc()
@@ -976,7 +997,7 @@ func (e *Endpoint) deliver(f frame) {
 // holds mu. When it reports true the caller must, after releasing every
 // lock, call e.net.grantCredits(e.id) so parked senders resume.
 func (e *Endpoint) drainedLocked() bool {
-	if e.stalled.Load() && len(e.inbox) <= e.net.opts.InboxLow {
+	if e.stalled.Load() && e.inboxMsgs <= e.net.opts.InboxLow {
 		e.stalled.Store(false)
 		return true
 	}
@@ -996,6 +1017,7 @@ func (e *Endpoint) Recv() (Envelope, bool) {
 	}
 	env := e.inbox[0]
 	e.inbox = e.inbox[1:]
+	e.inboxMsgs -= payloadLen(env.Payload)
 	grant := e.drainedLocked()
 	e.mu.Unlock()
 	if grant {
@@ -1013,6 +1035,7 @@ func (e *Endpoint) TryRecv() (Envelope, bool) {
 	}
 	env := e.inbox[0]
 	e.inbox = e.inbox[1:]
+	e.inboxMsgs -= payloadLen(env.Payload)
 	grant := e.drainedLocked()
 	e.mu.Unlock()
 	if grant {
@@ -1028,19 +1051,30 @@ func (e *Endpoint) TryRecv() (Envelope, bool) {
 // allocates nothing. The second result is false once the endpoint is closed
 // and drained (or crashed).
 func (e *Endpoint) RecvBatch(reuse []Envelope) ([]Envelope, bool) {
+	return e.recvBatch(reuse, true)
+}
+
+// PollBatch is RecvBatch for a receiver that has work of its own queued: an
+// empty inbox returns an empty batch at once instead of blocking.
+func (e *Endpoint) PollBatch(reuse []Envelope) ([]Envelope, bool) {
+	return e.recvBatch(reuse, false)
+}
+
+func (e *Endpoint) recvBatch(reuse []Envelope, block bool) ([]Envelope, bool) {
 	for i := range reuse {
 		reuse[i] = Envelope{} // drop payload references before reuse
 	}
 	e.mu.Lock()
-	for len(e.inbox) == 0 && !e.closed {
+	for block && len(e.inbox) == 0 && !e.closed {
 		e.cond.Wait()
 	}
 	if len(e.inbox) == 0 {
+		closed := e.closed
 		e.mu.Unlock()
-		return nil, false
+		return reuse[:0], !closed
 	}
 	batch := e.inbox
-	e.inbox = reuse[:0]
+	e.inbox, e.inboxMsgs = reuse[:0], 0
 	grant := e.drainedLocked()
 	e.mu.Unlock()
 	if grant {
@@ -1053,7 +1087,7 @@ func (e *Endpoint) RecvBatch(reuse []Envelope) ([]Envelope, bool) {
 func (e *Endpoint) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.inbox)
+	return e.inboxMsgs
 }
 
 // Close shuts the endpoint down gracefully; buffered outgoing frames are
@@ -1066,7 +1100,7 @@ func (e *Endpoint) Close() {
 	}
 	var frames []frame
 	if !e.dead {
-		frames = e.sealOutbufLocked()
+		frames = e.sealOutbufLocked(nil)
 	}
 	e.closed = true
 	if e.resendStop != nil {
@@ -1101,9 +1135,8 @@ func (e *Endpoint) Crash() {
 	}
 	e.crashed = true
 	e.dead = true
-	e.inbox = nil
-	e.outbuf = make(map[NodeID][]any)
-	e.outTraced = make(map[NodeID]bool)
+	e.inbox, e.inboxMsgs = nil, 0
+	e.outbuf = make(map[NodeID]outBuf)
 	e.unacked = make(map[NodeID]map[uint64]*pending)
 	e.recv = make(map[NodeID]*recvState)
 	e.held = nil // our own parked frames die with us
@@ -1155,7 +1188,7 @@ func (e *Endpoint) flushLoop(interval time.Duration) {
 		var frames []frame
 		var acks []frame
 		if !e.closed && !e.dead {
-			frames = e.sealOutbufLocked()
+			frames = e.sealOutbufLocked(nil)
 			for from, st := range e.recv {
 				if st.ackDirty {
 					st.ackDirty = false
@@ -1200,9 +1233,12 @@ func (e *Endpoint) resendLoop(after time.Duration) {
 		for to, m := range e.unacked {
 			// Frames parked for this destination were never delivered;
 			// retransmitting them here would race the credit-grant replay
-			// and deliver a second copy out of order. The resend clock
-			// resumes once the grant empties the queue.
-			if len(e.held[to]) > 0 {
+			// and deliver a second copy out of order — and, resends skipping
+			// the credit check, would pour the whole parked backlog into the
+			// inbox the stall protects. While a replay runs the queue is in
+			// releaseHeld's hands (held is empty, draining set). The resend
+			// clock resumes once the grant empties the queue.
+			if len(e.held[to]) > 0 || e.draining[to] {
 				continue
 			}
 			for seq, p := range m {
@@ -1293,14 +1329,14 @@ func (e *Endpoint) SeenSize() int {
 	return n
 }
 
-// Buffered reports how many payloads are waiting in output buffers
+// Buffered reports how many messages are waiting in output buffers
 // (diagnostics and tests).
 func (e *Endpoint) Buffered() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	for _, buf := range e.outbuf {
-		n += len(buf)
+	for _, ob := range e.outbuf {
+		n += ob.msgs
 	}
 	return n
 }

@@ -37,6 +37,9 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if len(got.payloads) != len(want.payloads) {
 			t.Fatalf("case %d: payload count %d want %d", i, len(got.payloads), len(want.payloads))
 		}
+		if got.msgs != len(want.payloads) { // the decoder recounts; these payloads weigh one each
+			t.Fatalf("case %d: decoded frame weighs %d messages; want %d", i, got.msgs, len(want.payloads))
+		}
 		for j := range want.payloads {
 			switch w := want.payloads[j].(type) {
 			case []byte:

@@ -46,7 +46,8 @@ const MaxFrameBytes = 16 << 20
 
 // maxWirePayloads bounds the payload count one frame may declare. The
 // batching layer seals frames at MaxBatch payloads (default 64), so a frame
-// claiming more than this is adversarial or corrupt.
+// claiming more than this is adversarial or corrupt (a sender-built batch is
+// one payload however many messages it holds).
 const maxWirePayloads = 1 << 16
 
 const wireHeaderLen = 34 // version..count, before the payload section
@@ -173,6 +174,7 @@ func decodeFrame(data []byte, pc PayloadCodec) (frame, error) {
 			return f, fmt.Errorf("transport: decode payload: %w", err)
 		}
 		f.payloads = append(f.payloads, p)
+		f.msgs += payloadLen(p)
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
