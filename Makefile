@@ -15,8 +15,9 @@ test:
 	$(GO) test ./...
 
 # The obs registry/tracer and metrics primitives are hammered concurrently,
-# and the MVCC store serves lock-free readers against concurrent writers and
-# compaction; keep them honest under the race detector on every change.
+# and the MVCC store's writers mutate in place whatever no snapshot handle can
+# reach while handle readers take no lock (TestInPlaceWritersVsHandles); keep
+# them honest under the race detector on every change.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/storage/...
 
@@ -56,16 +57,24 @@ bench-engine:
 # One traced sssp_churn_mem pass of the BENCHMARK.json harness, then the share
 # of its cpu.pprof samples whose stack passes through the runtime's map
 # functions (all of them, and without the harness's own host-speed job and the
-# programs' state maps, which leaves the protocol's), sync.(*Mutex), the input
-# journal, boxing into interfaces (runtime.convT*) and the transport's
-# per-payload entry points.
+# programs' state maps, which leaves the protocol's), the store, the
+# per-message searches of a vertex's edge records, sync.(*Mutex) (split into
+# the store's writer lock and every other lock — the tracker's is the largest
+# of the rest), the input journal, boxing into interfaces (runtime.convT*)
+# and the transport's per-payload entry points.
 pprof_share = $(GO) tool pprof -top -nodecount=100000 -nodefraction=0 $(1) .bench_build/out/sssp_churn_mem/cpu.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p'
 MAPFUNCS = runtime\.map|internal/runtime/maps\.
+MUTEX = sync\.\(\*Mutex\)
+STORAGE = internal/storage\.
 profile-ingest:
 	bash benchmark/run.sh --workload sssp_churn_mem --seed 7 --seconds 20 --trace 1 > /dev/null
 	@echo "runtime map functions:  $$($(call pprof_share,-focus='$(MAPFUNCS)'))"
 	@echo "  under the protocol:   $$($(call pprof_share,-focus='$(MAPFUNCS)' -ignore='main\.hostJob|internal/algorithms\.'))"
-	@echo "sync.(*Mutex):          $$($(call pprof_share,-focus='sync\.\(\*Mutex\)'))"
+	@echo "storage.*:              $$($(call pprof_share,-focus='$(STORAGE)'))"
+	@echo "edge-record searches:   $$($(call pprof_share,-focus='BinarySearchFunc|\(\*vertex\)\.(findOut|findIn|producer)'))"
+	@echo "sync.(*Mutex):          $$($(call pprof_share,-focus='$(MUTEX)'))"
+	@echo "  under storage.:       $$($(call pprof_share,-focus='$(MUTEX)' -show_from='$(STORAGE)'))"
+	@echo "  everywhere else:      $$($(call pprof_share,-focus='$(MUTEX)' -ignore='$(STORAGE)'))"
 	@echo "inputJournal.*:         $$($(call pprof_share,-focus='inputJournal'))"
 	@echo "runtime.convT*:         $$($(call pprof_share,-focus='runtime\.convT'))"
 	@echo "Endpoint.Send|deliver:  $$($(call pprof_share,-focus='transport\.\(\*Endpoint\)\.(Send|deliver)$$'))"

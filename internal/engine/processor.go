@@ -628,13 +628,17 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 	if m.Iteration+1 > v.iter {
 		v.iter = m.Iteration + 1
 	}
-	v.committedBy(m.From)
-	// Per-producer monotonicity: a producer's commits carry strictly
-	// increasing iterations, so an update at or below the last gathered one
-	// is a retransmission-reordered stale value and must be discarded
-	// (Section 5.3).
-	if m.HasValue {
-		if from := v.producer(m.From, true); m.Iteration > from.Seen {
+	if !m.HasValue {
+		v.committedBy(m.From)
+	} else {
+		// One search serves both: the producer has committed, and its record
+		// gates the value. Per-producer monotonicity: a producer's commits
+		// carry strictly increasing iterations, so an update at or below the
+		// last gathered one is a retransmission-reordered stale value and
+		// must be discarded (Section 5.3).
+		from := v.producer(m.From, true)
+		v.committed(from)
+		if m.Iteration > from.Seen {
 			from.Seen = m.Iteration
 			ctx := &vertexContext{p: p, v: v}
 			if p.dp != nil {

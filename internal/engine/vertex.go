@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -152,9 +151,34 @@ func (v *vertex) lower() int64 {
 }
 
 // findOut returns the position of target to in out (where it would be
-// inserted when absent) and whether it is there.
+// inserted when absent) and whether it is there. It and findIn run once per
+// message: a plain loop over the concrete slice, where the generic search's
+// comparison closure is a call per probe.
 func (v *vertex) findOut(to stream.VertexID) (int, bool) {
-	return slices.BinarySearchFunc(v.out, to, func(e outEdge, to stream.VertexID) int { return cmp.Compare(e.To, to) })
+	lo, hi := 0, len(v.out)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v.out[mid].To < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(v.out) && v.out[lo].To == to
+}
+
+// findIn is findOut over the producer records.
+func (v *vertex) findIn(from stream.VertexID) (int, bool) {
+	lo, hi := 0, len(v.in)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v.in[mid].From < from {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(v.in) && v.in[lo].From == from
 }
 
 // edge returns the record of target to, inserting an empty one when absent.
@@ -170,7 +194,7 @@ func (v *vertex) edge(to stream.VertexID) *outEdge {
 // producer returns the record of producer from, or nil when there is none and
 // create is false. The pointer is valid until the next insertion.
 func (v *vertex) producer(from stream.VertexID, create bool) *inEdge {
-	i, ok := slices.BinarySearchFunc(v.in, from, func(e inEdge, from stream.VertexID) int { return cmp.Compare(e.From, from) })
+	i, ok := v.findIn(from)
 	if !ok {
 		if !create {
 			return nil
@@ -182,7 +206,14 @@ func (v *vertex) producer(from stream.VertexID, create bool) *inEdge {
 
 // committedBy: producer from has committed and no longer blocks our own update.
 func (v *vertex) committedBy(from stream.VertexID) {
-	if e := v.producer(from, false); e != nil && e.Preparing {
+	if e := v.producer(from, false); e != nil {
+		v.committed(e)
+	}
+}
+
+// committed is committedBy for a caller that already holds the record.
+func (v *vertex) committed(e *inEdge) {
+	if e.Preparing {
 		e.Preparing = false
 		v.npreparing--
 	}

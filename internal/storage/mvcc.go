@@ -15,24 +15,30 @@ import (
 // MemStore serializes every fork against every commit: taking a consistent
 // view means materializing a full Scan under the store lock, O(n) in the
 // vertex count, and nothing ties version reclamation to the snapshots still
-// reading. MVCCStore inverts the design. Each loop's index is a persistent
-// treap keyed by vertex: writers path-copy the O(log n) spine from the root
-// to the touched node and publish the new root with a single atomic pointer
-// store, so every root ever published describes a complete, immutable tree.
-// A Snapshot is therefore one atomic root load — O(1) regardless of how
-// many vertices or versions exist — and readers (live or snapshot) never
-// take a lock at all.
+// reading. MVCCStore inverts the design. Each loop's index is a treap keyed
+// by vertex that is persistent only across the instants somebody looks: the
+// loop carries a writer epoch, every node and version chain is tagged with
+// the epoch that created it, and a writer (always under the loop's wmu) may
+// mutate what the current epoch created in place. A Snapshot takes wmu,
+// grabs the root and bumps the epoch — O(1) regardless of how many vertices
+// or versions exist — which freezes everything reachable from that root:
+// the first write that touches a frozen node or chain afterwards copies it
+// (re-tagged) instead, once per snapshot rather than once per commit. Reads
+// through a handle therefore never take a lock. Reads of the live store do
+// synchronise: Latest descends under wmu, Scan freezes the root like a
+// snapshot and walks it outside the lock.
 //
 // Reclamation is epoch-style by construction: a snapshot handle keeps its
 // root reachable, the root keeps exactly the nodes of its epoch reachable,
-// and Go's GC frees a version the moment no published root and no
+// and Go's GC frees a version the moment neither the live root nor an
 // outstanding handle can reach it. Compaction rewrites version chains below
-// `min(checkpoint horizon, oldest pin)` into a new root; subtrees with
-// nothing to reclaim are shared, not copied, so the treap's shape (and its
-// hash-derived priorities) survive. A handle taken before the compaction
-// still reads the old root — a live branch structurally cannot lose its
-// view — while the pin registry additionally clamps the floor for readers
-// of the live root (the engine's non-handle fallback paths).
+// `min(checkpoint horizon, oldest pin)` into fresh nodes and fresh
+// exact-size chains under a new root; subtrees with nothing to reclaim are
+// shared, not copied, so the treap's shape (and its hash-derived
+// priorities) survive. A handle taken before the compaction still reads the
+// old root — a live branch structurally cannot lose its view — while the
+// pin registry additionally clamps the floor for readers of the live store
+// (the engine's non-handle fallback paths).
 type MVCCStore struct {
 	loops sync.Map // LoopID -> *mvccLoop
 	pins  pinRegistry
@@ -55,34 +61,49 @@ type MVCCStore struct {
 	done     chan struct{}
 }
 
-// mvccLoop is one loop's namespace: an atomically published tree root plus
-// the checkpoint mark and residency counters. wmu serializes writers only;
-// readers load root without any lock.
+// mvccLoop is one loop's namespace: the tree root and the writer epoch, both
+// guarded by wmu, plus the checkpoint mark and residency counters.
+//
+// The ownership rule: a node or chain whose tag equals epoch was created
+// after the last freeze, so no handle can reach it and the holder of wmu
+// may write it; anything with an older tag may be reachable from a handle
+// and is never written again. Children of a frozen node are frozen (a
+// frozen node is never relinked), so the owned nodes are a connected top of
+// the tree.
 type mvccLoop struct {
-	wmu  sync.Mutex
-	root atomic.Pointer[treapNode]
-	ckpt atomic.Pointer[int64] // nil until the first Flush
+	wmu   sync.Mutex
+	root  *treapNode
+	epoch uint64
+	ckpt  atomic.Pointer[int64] // nil until the first Flush
 
 	liveVersions atomic.Int64
 	liveBytes    atomic.Int64
 }
 
-// treapNode is one immutable node of the persistent vertex index. Nodes are
-// never modified after their root is published; writers copy the path from
-// the root down and share every untouched subtree.
+// treapNode is one node of the vertex index; chain holds the vertex's
+// versions. Writable only under its loop's wmu while epoch is current.
 type treapNode struct {
 	key         stream.VertexID
 	prio        uint64
 	left, right *treapNode
-	chain       *vchain
+	epoch       uint64
+	chain       vchain
 }
 
-// vchain is an immutable version chain in ascending iteration order.
-// Mutating operations return a fresh chain (or the receiver, when nothing
-// changed) instead of editing in place.
+// version is one stored payload. The bytes are never modified once stored:
+// an overwrite swaps the slice, so readers handed the old one keep it.
+type version struct {
+	iter int64
+	data []byte
+}
+
+// vchain is a version chain in ascending iteration order, tagged like a
+// node: copying a node copies the tag with the slice header, so the copy
+// still knows a frozen chain may share the backing array, whose slots below
+// the frozen chain's length are then read-only (see put).
 type vchain struct {
-	iters []int64
-	data  [][]byte
+	vers  []version
+	epoch uint64
 }
 
 // MVCCOption configures an MVCCStore.
@@ -136,63 +157,149 @@ func (s *MVCCStore) lookup(l LoopID) *mvccLoop {
 }
 
 // Put implements Store. Like MemStore, a re-delivered identical write is a
-// no-op with zero allocations and — here — zero published roots.
+// no-op with zero allocations and — here — zero copied nodes. Between two
+// snapshots a write is one descent, an in-place chain append and one
+// allocation, the payload copy.
 func (s *MVCCStore) Put(loop LoopID, vertex stream.VertexID, iteration int64, data []byte) error {
 	lp := s.loop(loop)
 	lp.wmu.Lock()
-	defer lp.wmu.Unlock()
-	root := lp.root.Load()
-	if c := find(root, vertex); c != nil {
-		if old, ok := c.get(iteration); ok && bytes.Equal(old, data) {
-			return nil
-		}
+	dVer, dBytes := lp.put(vertex, prioOf(vertex), iteration, data)
+	// The gauges move under wmu, like Compact's and Truncate's subtractions,
+	// so a reader never sees a version subtracted before it was added.
+	if dVer != 0 {
+		lp.liveVersions.Add(dVer)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	var dVer, dBytes int64
-	lp.root.Store(insert(root, vertex, func(old *vchain) *vchain {
-		nc, replaced, overwrote := old.withPut(iteration, cp)
-		if overwrote {
-			dBytes = int64(len(cp)) - replaced
-		} else {
-			dVer, dBytes = 1, int64(len(cp))
-		}
-		return nc
-	}))
-	lp.liveVersions.Add(dVer)
-	lp.liveBytes.Add(dBytes)
+	if dBytes != 0 {
+		lp.liveBytes.Add(dBytes)
+	}
+	lp.wmu.Unlock()
 	return nil
 }
 
-// Latest implements Store: a lock-free read of the current root.
+// put writes the version under wmu and reports the residency deltas.
+func (lp *mvccLoop) put(key stream.VertexID, prio uint64, iteration int64, data []byte) (dVer, dBytes int64) {
+	ep := lp.epoch
+	link := &lp.root
+	var frozen **treapNode // the link holding the first frozen node on the path
+	n := lp.root
+	for n != nil && n.prio > prio {
+		if frozen == nil && n.epoch != ep {
+			frozen = link
+		}
+		if key < n.key {
+			link = &n.left
+		} else {
+			link = &n.right
+		}
+		n = *link
+	}
+	if frozen == nil && n != nil && n.epoch != ep {
+		frozen = link
+	}
+	// prioOf is a bijection, so the search stops either at key's own node or
+	// at the subtree a node for key belongs above.
+	exists := n != nil && n.key == key
+	if exists {
+		if i, exact := n.chain.search(iteration); exact && bytes.Equal(n.chain.vers[i].data, data) {
+			return 0, 0
+		}
+	}
+	cp := bytes.Clone(data)
+	if frozen != nil {
+		link = lp.thaw(frozen, key, prio)
+	}
+	if !exists {
+		l, r := lp.split(*link, key)
+		*link = &treapNode{key: key, prio: prio, left: l, right: r, epoch: ep,
+			chain: vchain{vers: append(make([]version, 0, 4), version{iteration, cp}), epoch: ep}}
+		return 1, int64(len(cp))
+	}
+	if replaced, overwrote := (*link).chain.put(ep, iteration, cp); overwrote {
+		return 0, int64(len(cp)) - replaced
+	}
+	return 1, int64(len(cp))
+}
+
+// owned returns n if the current epoch created it, else a copy it did.
+func (lp *mvccLoop) owned(n *treapNode) *treapNode {
+	if n.epoch == lp.epoch {
+		return n
+	}
+	cp := *n
+	cp.epoch = lp.epoch
+	return &cp
+}
+
+// thaw replaces the nodes on key's search path from *link down to key's own
+// node (or to where one would be inserted) by owned copies, and returns the
+// link — now inside an owned node — that the search stops at.
+func (lp *mvccLoop) thaw(link **treapNode, key stream.VertexID, prio uint64) **treapNode {
+	for n := *link; n != nil && n.prio >= prio; n = *link {
+		n = lp.owned(n)
+		*link = n
+		if n.prio == prio {
+			break
+		}
+		if key < n.key {
+			link = &n.left
+		} else {
+			link = &n.right
+		}
+	}
+	return link
+}
+
+// split cuts the subtree at n into the keys below and above key (key itself
+// is absent), relinking owned nodes in place and copying frozen ones.
+func (lp *mvccLoop) split(n *treapNode, key stream.VertexID) (l, r *treapNode) {
+	lt, rt := &l, &r
+	for n != nil {
+		n = lp.owned(n)
+		if n.key < key {
+			*lt, lt, n = n, &n.right, n.right
+		} else {
+			*rt, rt, n = n, &n.left, n.left
+		}
+	}
+	*lt, *rt = nil, nil
+	return l, r
+}
+
+// freeze hands out the current root and moves the epoch on: everything
+// reachable from the returned root is immutable from here on.
+func (lp *mvccLoop) freeze() *treapNode {
+	lp.wmu.Lock()
+	root := lp.root
+	lp.epoch++
+	lp.wmu.Unlock()
+	return root
+}
+
+// Latest implements Store: one descent of the live tree under the writer
+// lock (the live tree is mutated in place; only frozen roots are lock-free).
 func (s *MVCCStore) Latest(loop LoopID, vertex stream.VertexID, maxIter int64) ([]byte, int64, error) {
 	lp := s.lookup(loop)
 	if lp == nil {
 		return nil, 0, ErrNotFound
 	}
-	return chainLatest(find(lp.root.Load(), vertex), maxIter)
-}
-
-func chainLatest(c *vchain, maxIter int64) ([]byte, int64, error) {
-	if c == nil {
-		return nil, 0, ErrNotFound
-	}
-	data, iter, ok := c.latest(maxIter)
+	lp.wmu.Lock()
+	data, iter, ok := find(lp.root, vertex).latest(maxIter)
+	lp.wmu.Unlock()
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
 	return data, iter, nil
 }
 
-// Scan implements Store. The in-order walk of one atomically loaded root is
-// a consistent point-in-time view by construction — no record
-// materialization, no lock, and concurrent writers are never blocked.
+// Scan implements Store. It freezes the root exactly like Snapshot and walks
+// it outside the lock: a consistent point-in-time view with no record
+// materialization, and concurrent writers are blocked for O(1).
 func (s *MVCCStore) Scan(loop LoopID, maxIter int64, fn func(Record) error) error {
 	lp := s.lookup(loop)
 	if lp == nil {
 		return nil
 	}
-	return scanTree(lp.root.Load(), maxIter, fn)
+	return scanTree(lp.freeze(), maxIter, fn)
 }
 
 func scanTree(n *treapNode, maxIter int64, fn func(Record) error) error {
@@ -237,8 +344,9 @@ func (s *MVCCStore) LastCheckpoint(loop LoopID) (int64, error) {
 }
 
 // Compact implements Store: chains are rewritten below keepFrom (clamped at
-// the oldest pin) into a fresh root; subtrees with nothing to drop are
-// shared with the old root, which outstanding snapshot handles keep intact.
+// the oldest pin) into fresh nodes under a new root; subtrees with nothing
+// to drop are shared with the old root, which outstanding snapshot handles
+// keep intact.
 func (s *MVCCStore) Compact(loop LoopID, keepFrom int64) error {
 	keepFrom = s.pins.clamp(loop, keepFrom)
 	lp := s.lookup(loop)
@@ -248,13 +356,10 @@ func (s *MVCCStore) Compact(loop LoopID, keepFrom int64) error {
 	lp.wmu.Lock()
 	defer lp.wmu.Unlock()
 	var rc reclaim
-	root := lp.root.Load()
-	if nr := compactTree(root, keepFrom, &rc); nr != root {
-		lp.root.Store(nr)
-		lp.liveVersions.Add(-rc.versions)
-		lp.liveBytes.Add(-rc.bytes)
-		s.reclaimedVer.Add(rc.versions)
-	}
+	lp.root = lp.compactTree(lp.root, keepFrom, &rc)
+	lp.liveVersions.Add(-rc.versions)
+	lp.liveBytes.Add(-rc.bytes)
+	s.reclaimedVer.Add(rc.versions)
 	s.compactions.Add(1)
 	return nil
 }
@@ -269,12 +374,9 @@ func (s *MVCCStore) Truncate(loop LoopID, above int64) error {
 	lp.wmu.Lock()
 	defer lp.wmu.Unlock()
 	var rc reclaim
-	root := lp.root.Load()
-	if nr := truncateTree(root, above, &rc); nr != root {
-		lp.root.Store(nr)
-		lp.liveVersions.Add(-rc.versions)
-		lp.liveBytes.Add(-rc.bytes)
-	}
+	lp.root = lp.truncateTree(lp.root, above, &rc)
+	lp.liveVersions.Add(-rc.versions)
+	lp.liveBytes.Add(-rc.bytes)
 	return nil
 }
 
@@ -341,14 +443,15 @@ func (s *MVCCStore) NumVersions(loop LoopID) int {
 }
 
 // Snapshot returns an O(1) read-only handle on the loop's current state:
-// one atomic root load, no locks, no copying. The handle stays exactly as
-// consistent and complete as it was at the grab no matter what Put, Compact,
-// Truncate or DropLoop do afterwards; Release it when done so the
-// pinned-snapshot gauges (and the GC) can let its epoch go.
+// one uncontended lock to grab the root and move the writer epoch on, no
+// copying. The handle stays exactly as consistent and complete as it was at
+// the grab no matter what Put, Compact, Truncate or DropLoop do afterwards;
+// Release it when done so the pinned-snapshot gauges (and the GC) can let
+// its epoch go.
 func (s *MVCCStore) Snapshot(loop LoopID) Snapshot {
 	var root *treapNode
 	if lp := s.lookup(loop); lp != nil {
-		root = lp.root.Load()
+		root = lp.freeze()
 	}
 	h := &mvccSnap{store: s, root: root, tag: &snapTag{taken: time.Now()}}
 	s.handleMu.Lock()
@@ -360,10 +463,11 @@ func (s *MVCCStore) Snapshot(loop LoopID) Snapshot {
 	return h
 }
 
-// mvccSnap is a point-in-time view: just a captured root. root is written
-// once at construction and never again — Latest/Scan on one handle from many
-// goroutines, concurrent with Release, are race-free because every method
-// only ever reads it.
+// mvccSnap is a point-in-time view: just a captured, frozen root. root is
+// written once at construction and never again, and nothing reachable from
+// it is written after the freeze — Latest/Scan on one handle from many
+// goroutines, concurrent with Release and with writers, are race-free
+// because every method only ever reads.
 type mvccSnap struct {
 	store *MVCCStore
 	root  *treapNode
@@ -379,7 +483,11 @@ type snapTag struct {
 
 // Latest implements Snapshot.
 func (h *mvccSnap) Latest(vertex stream.VertexID, maxIter int64) ([]byte, int64, error) {
-	return chainLatest(find(h.root, vertex), maxIter)
+	data, iter, ok := find(h.root, vertex).latest(maxIter)
+	if !ok {
+		return nil, 0, ErrNotFound
+	}
+	return data, iter, nil
 }
 
 // Scan implements Snapshot.
@@ -444,12 +552,12 @@ var (
 	_ StatsProvider = (*MVCCStore)(nil)
 )
 
-// ---- persistent treap machinery ----
+// ---- treap machinery ----
 
 // prioOf derives a node's heap priority from its key (splitmix64 finalizer):
 // deterministic, so compaction and truncation can rebuild chains without
-// re-randomizing, and uniform enough to keep the treap balanced in
-// expectation regardless of insertion order.
+// re-randomizing, uniform enough to keep the treap balanced in expectation
+// regardless of insertion order, and a bijection — two keys never tie.
 func prioOf(key stream.VertexID) uint64 {
 	x := uint64(key) + 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -460,12 +568,13 @@ func prioOf(key stream.VertexID) uint64 {
 	return x
 }
 
-// find returns the chain at key, or nil. Pure read: safe on any root.
+// find returns the chain at key, or nil. Pure read: safe on a frozen root,
+// and on the live one under wmu.
 func find(n *treapNode, key stream.VertexID) *vchain {
 	for n != nil {
 		switch {
 		case key == n.key:
-			return n.chain
+			return &n.chain
 		case key < n.key:
 			n = n.left
 		default:
@@ -475,43 +584,10 @@ func find(n *treapNode, key stream.VertexID) *vchain {
 	return nil
 }
 
-// insert returns the root of a tree identical to n except that the chain at
-// key is upd(old) (old is nil for a fresh vertex). Only the root-to-key
-// path is copied; the returned node is always freshly allocated, which is
-// what makes the local rotation relinks below safe.
-func insert(n *treapNode, key stream.VertexID, upd func(*vchain) *vchain) *treapNode {
-	if n == nil {
-		return &treapNode{key: key, prio: prioOf(key), chain: upd(nil)}
-	}
-	cp := *n
-	switch {
-	case key == n.key:
-		cp.chain = upd(n.chain)
-		return &cp
-	case key < n.key:
-		l := insert(n.left, key, upd)
-		cp.left = l
-		if l.prio > cp.prio {
-			cp.left = l.right
-			l.right = &cp
-			return l
-		}
-		return &cp
-	default:
-		r := insert(n.right, key, upd)
-		cp.right = r
-		if r.prio > cp.prio {
-			cp.right = r.left
-			r.left = &cp
-			return r
-		}
-		return &cp
-	}
-}
-
 // join merges two treaps where every key of l precedes every key of r
-// (deletion support for truncated-empty chains). Path-copying like insert.
-func join(l, r *treapNode) *treapNode {
+// (deletion support for truncated-empty chains), building fresh nodes along
+// the seam like the passes that call it.
+func (lp *mvccLoop) join(l, r *treapNode) *treapNode {
 	if l == nil {
 		return r
 	}
@@ -520,11 +596,13 @@ func join(l, r *treapNode) *treapNode {
 	}
 	if l.prio >= r.prio {
 		cp := *l
-		cp.right = join(l.right, r)
+		cp.epoch = lp.epoch
+		cp.right = lp.join(l.right, r)
 		return &cp
 	}
 	cp := *r
-	cp.left = join(l, r.left)
+	cp.epoch = lp.epoch
+	cp.left = lp.join(l, r.left)
 	return &cp
 }
 
@@ -532,58 +610,46 @@ func join(l, r *treapNode) *treapNode {
 type reclaim struct{ versions, bytes int64 }
 
 // compactTree rewrites every chain to keep the freshest version <= keepFrom
-// plus all newer ones. Untouched subtrees are returned as-is (pointer
-// equality), so an idle region of the key space costs nothing to "compact".
-func compactTree(n *treapNode, keepFrom int64, rc *reclaim) *treapNode {
+// plus all newer ones. It builds fresh nodes even where it could write an
+// owned one: the pass runs off the commit path, and a fresh node with a
+// fresh exact-size chain is what lets the dropped payloads go. Untouched
+// subtrees are returned as-is (pointer equality), so an idle region of the
+// key space costs nothing to "compact".
+func (lp *mvccLoop) compactTree(n *treapNode, keepFrom int64, rc *reclaim) *treapNode {
 	if n == nil {
 		return nil
 	}
-	l := compactTree(n.left, keepFrom, rc)
-	r := compactTree(n.right, keepFrom, rc)
-	c := n.chain.compacted(keepFrom, rc)
-	if l == n.left && r == n.right && c == n.chain {
+	l := lp.compactTree(n.left, keepFrom, rc)
+	r := lp.compactTree(n.right, keepFrom, rc)
+	c, dropped := n.chain.compacted(keepFrom, lp.epoch, rc)
+	if l == n.left && r == n.right && !dropped {
 		return n
 	}
-	cp := *n
-	cp.left, cp.right, cp.chain = l, r, c
-	return &cp
+	return &treapNode{key: n.key, prio: n.prio, left: l, right: r, epoch: lp.epoch, chain: c}
 }
 
 // truncateTree drops every version above `above`; vertices whose chains
 // empty out are deleted from the index entirely.
-func truncateTree(n *treapNode, above int64, rc *reclaim) *treapNode {
+func (lp *mvccLoop) truncateTree(n *treapNode, above int64, rc *reclaim) *treapNode {
 	if n == nil {
 		return nil
 	}
-	l := truncateTree(n.left, above, rc)
-	r := truncateTree(n.right, above, rc)
-	c, empty := n.chain.truncated(above, rc)
-	if empty {
-		return join(l, r)
+	l := lp.truncateTree(n.left, above, rc)
+	r := lp.truncateTree(n.right, above, rc)
+	c, dropped := n.chain.truncated(above, lp.epoch, rc)
+	if len(c.vers) == 0 {
+		return lp.join(l, r)
 	}
-	if l == n.left && r == n.right && c == n.chain {
+	if l == n.left && r == n.right && !dropped {
 		return n
 	}
-	cp := *n
-	cp.left, cp.right, cp.chain = l, r, c
-	return &cp
+	return &treapNode{key: n.key, prio: n.prio, left: l, right: r, epoch: lp.epoch, chain: c}
 }
 
-// ---- immutable version chains ----
+// ---- version chains ----
 
-// get returns the exact version at iteration. Nil receiver: absent vertex.
-func (c *vchain) get(iteration int64) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	i, ok := c.search(iteration)
-	if !ok {
-		return nil, false
-	}
-	return c.data[i], true
-}
-
-// latest returns the freshest version <= maxIter.
+// latest returns the freshest version <= maxIter. Nil receiver: absent
+// vertex.
 func (c *vchain) latest(maxIter int64) ([]byte, int64, bool) {
 	if c == nil {
 		return nil, 0, false
@@ -592,17 +658,17 @@ func (c *vchain) latest(maxIter int64) ([]byte, int64, bool) {
 	if i == 0 {
 		return nil, 0, false
 	}
-	return c.data[i-1], c.iters[i-1], true
+	return c.vers[i-1].data, c.vers[i-1].iter, true
 }
 
-// upperBound returns the first index with iters[i] > iter. Unlike
+// upperBound returns the first index with an iteration > iter. Unlike
 // search(iter+1) it is safe at iter == MaxInt64 (readers pass it for "the
 // newest").
 func (c *vchain) upperBound(iter int64) int {
-	lo, hi := 0, len(c.iters)
+	lo, hi := 0, len(c.vers)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.iters[mid] <= iter {
+		if c.vers[mid].iter <= iter {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -611,87 +677,91 @@ func (c *vchain) upperBound(iter int64) int {
 	return lo
 }
 
-// search returns the insertion index for iteration (first i with
-// iters[i] >= iteration) and whether an exact match sits there.
+// search returns the insertion index for iteration (the first index with an
+// iteration >= it) and whether an exact match sits there. Commits arrive in
+// ascending order, so the tail is tried before the binary search.
 func (c *vchain) search(iteration int64) (int, bool) {
-	lo, hi := 0, len(c.iters)
+	hi := len(c.vers)
+	if hi == 0 || c.vers[hi-1].iter < iteration {
+		return hi, false
+	}
+	lo := 0
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.iters[mid] < iteration {
+		if c.vers[mid].iter < iteration {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(c.iters) && c.iters[lo] == iteration
+	return lo, c.vers[lo].iter == iteration
 }
 
-// withPut returns a fresh chain with the version at iteration set to data.
-// replaced is the byte length of an overwritten payload (overwrote reports
-// whether one existed).
-func (c *vchain) withPut(iteration int64, data []byte) (nc *vchain, replaced int64, overwrote bool) {
-	if c == nil {
-		return &vchain{iters: []int64{iteration}, data: [][]byte{data}}, 0, false
-	}
+// put sets the version at iteration to data on behalf of epoch ep, which
+// must own the node holding c. A new newest version is appended whoever
+// created the backing array: a frozen chain sharing it ends below the
+// appended slot, and only the one live chain ever appends. An overwrite or
+// an out-of-order insert edits slots a frozen chain can see, so a chain the
+// epoch did not create is first moved to an array of its own. replaced is
+// the byte length of an overwritten payload (overwrote reports whether one
+// existed).
+func (c *vchain) put(ep uint64, iteration int64, data []byte) (replaced int64, overwrote bool) {
 	i, exact := c.search(iteration)
+	if i == len(c.vers) {
+		c.vers = append(c.vers, version{iteration, data})
+		return 0, false
+	}
+	if c.epoch != ep {
+		c.vers, c.epoch = append(make([]version, 0, len(c.vers)+1), c.vers...), ep
+	}
 	if exact {
-		nc = &vchain{iters: c.iters, data: make([][]byte, len(c.data))}
-		copy(nc.data, c.data)
-		replaced = int64(len(nc.data[i]))
-		nc.data[i] = data
-		return nc, replaced, true
+		replaced = int64(len(c.vers[i].data))
+		c.vers[i].data = data
+		return replaced, true
 	}
-	nc = &vchain{
-		iters: make([]int64, len(c.iters)+1),
-		data:  make([][]byte, len(c.data)+1),
-	}
-	copy(nc.iters, c.iters[:i])
-	copy(nc.data, c.data[:i])
-	nc.iters[i], nc.data[i] = iteration, data
-	copy(nc.iters[i+1:], c.iters[i:])
-	copy(nc.data[i+1:], c.data[i:])
-	return nc, 0, false
+	c.vers = append(c.vers, version{})
+	copy(c.vers[i+1:], c.vers[i:])
+	c.vers[i] = version{iteration, data}
+	return 0, false
 }
 
-// compacted keeps the freshest version <= keepFrom plus all newer ones,
-// returning the receiver when nothing drops. The kept window is copied into
-// fresh slices — a subslice of the old arrays would keep every dropped
-// payload GC-reachable while the residency gauges claim it reclaimed.
-func (c *vchain) compacted(keepFrom int64, rc *reclaim) *vchain {
+// compacted returns the chain keeping the freshest version <= keepFrom plus
+// all newer ones, and whether anything dropped (if not, the receiver's
+// value). The kept window is copied into a fresh exact-size array tagged ep
+// — a subslice of the old array would keep every dropped payload
+// GC-reachable while the residency gauges claim it reclaimed.
+func (c *vchain) compacted(keepFrom int64, ep uint64, rc *reclaim) (vchain, bool) {
 	i := c.upperBound(keepFrom)
 	if i <= 1 {
-		return c
+		return *c, false
 	}
 	keep := i - 1
-	for _, d := range c.data[:keep] {
-		rc.bytes += int64(len(d))
+	for _, v := range c.vers[:keep] {
+		rc.bytes += int64(len(v.data))
 	}
 	rc.versions += int64(keep)
-	n := len(c.iters) - keep
-	nc := &vchain{iters: make([]int64, n), data: make([][]byte, n)}
-	copy(nc.iters, c.iters[keep:])
-	copy(nc.data, c.data[keep:])
-	return nc
+	return vchain{vers: exactCopy(c.vers[keep:]), epoch: ep}, true
 }
 
-// truncated drops versions above `above`, reporting whether the chain
-// emptied. Returns the receiver when nothing drops. Like compacted, the
-// kept prefix is copied so the dropped payloads actually become
-// unreachable.
-func (c *vchain) truncated(above int64, rc *reclaim) (*vchain, bool) {
+// truncated returns the chain without the versions above `above` (empty if
+// none is left), and whether anything dropped. Like compacted, the kept
+// prefix is copied so the dropped payloads actually become unreachable.
+func (c *vchain) truncated(above int64, ep uint64, rc *reclaim) (vchain, bool) {
 	i := c.upperBound(above)
-	if i == len(c.iters) {
-		return c, len(c.iters) == 0
+	if i == len(c.vers) {
+		return *c, false
 	}
-	for _, d := range c.data[i:] {
-		rc.bytes += int64(len(d))
+	for _, v := range c.vers[i:] {
+		rc.bytes += int64(len(v.data))
 	}
-	rc.versions += int64(len(c.iters) - i)
-	if i == 0 {
-		return nil, true
-	}
-	nc := &vchain{iters: make([]int64, i), data: make([][]byte, i)}
-	copy(nc.iters, c.iters[:i])
-	copy(nc.data, c.data[:i])
-	return nc, false
+	rc.versions += int64(len(c.vers) - i)
+	return vchain{vers: exactCopy(c.vers[:i]), epoch: ep}, true
+}
+
+// exactCopy copies vers into an array of exactly its length (append and
+// slices.Clone round capacity up to a size class).
+func exactCopy(vers []version) []version {
+	out := make([]version, len(vers))
+	copy(out, vers)
+	return out
 }

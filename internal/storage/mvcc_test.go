@@ -2,11 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -94,10 +96,203 @@ func checkEquivalent(t testing.TB, ref, got Store, loops []LoopID, verts []strea
 	}
 }
 
-// TestMVCCEquivalenceRandom drives MemStore (the reference model) and
-// MVCCStore through identical random Put/Flush/Compact/Truncate/DropLoop
-// sequences and asserts observational equality — Latest at every probe
-// point, Scan order/contents, checkpoints — throughout.
+// eqHarness drives MemStore (the reference model) and MVCCStore through one
+// op stream: the seven store ops of applyOp plus Snapshot and Release. Every
+// handle it holds carries an oracle materialised from the reference at grab
+// time. After every later op each held handle is probed (Latest of the op's
+// vertex at every probe iteration, one full Scan), and when it is released
+// or the harness closes, checked in full — a write that reached a node or
+// chain a handle can still see shows up as a diverging handle read.
+type eqHarness struct {
+	t      testing.TB
+	mem    *MemStore
+	mvcc   *MVCCStore
+	probes []int64 // 0..maxIter, then math.MaxInt64
+	held   []heldHandle
+	quiet  bool // preloading: handles are checked in full afterwards instead
+}
+
+// heldHandle is one outstanding MVCC handle and what it must keep reading:
+// a copy of the reference's version chains at grab time, in vertex order.
+// (The copy shares the payloads: MemStore swaps a payload, never edits one.)
+type heldHandle struct {
+	ctx string
+	h   Snapshot
+	ref []refVertex
+}
+
+type refVertex struct {
+	id stream.VertexID
+	vs versions
+}
+
+// materialise copies loop l of the reference.
+func (e *eqHarness) materialise(l LoopID) []refVertex {
+	e.mem.mu.RLock()
+	defer e.mem.mu.RUnlock()
+	ls := e.mem.loops[l]
+	if ls == nil {
+		return nil
+	}
+	ref := make([]refVertex, 0, len(ls.verts))
+	for id, vs := range ls.verts {
+		ref = append(ref, refVertex{id, versions{iters: slices.Clone(vs.iters), data: slices.Clone(vs.data)}})
+	}
+	slices.SortFunc(ref, func(a, b refVertex) int { return cmp.Compare(a.id, b.id) })
+	return ref
+}
+
+const maxHeld = 3
+
+func newEqHarness(t testing.TB, maxIter int64) *eqHarness {
+	e := &eqHarness{t: t, mem: NewMemStore(), mvcc: NewMVCCStore()}
+	for p := int64(0); p <= maxIter; p++ {
+		e.probes = append(e.probes, p)
+	}
+	e.probes = append(e.probes, math.MaxInt64)
+	return e
+}
+
+func (e *eqHarness) close() {
+	e.t.Helper()
+	for len(e.held) > 0 {
+		e.release(0, "at close")
+	}
+	e.mvcc.Close()
+}
+
+// apply runs one op on both stores (kinds 0-6 are applyOp's; 7 takes a
+// snapshot of l, 8 releases the held handle iter selects), then probes
+// every held handle.
+func (e *eqHarness) apply(kind int, l LoopID, v stream.VertexID, iter int64, tag int) {
+	e.t.Helper()
+	after := fmt.Sprintf("after op %d (kind %d)", tag, kind%9)
+	switch kind % 9 {
+	case 7:
+		if len(e.held) == maxHeld {
+			e.release(0, after)
+		}
+		e.held = append(e.held, heldHandle{
+			ctx: fmt.Sprintf("handle on loop %d taken at op %d", l, tag),
+			h:   e.mvcc.Snapshot(l), ref: e.materialise(l)})
+	case 8:
+		if len(e.held) > 0 {
+			e.release(int(iter)%len(e.held), after)
+		}
+	default:
+		applyOp(e.t, []Store{e.mem, e.mvcc}, kind%9, l, v, iter, tag)
+	}
+	for _, hh := range e.held {
+		if !e.quiet {
+			e.checkScan(hh, math.MaxInt64, after)
+			for _, p := range e.probes {
+				e.checkLatest(hh, v, p, after)
+			}
+		}
+	}
+}
+
+// release checks a handle in full before letting it go.
+func (e *eqHarness) release(i int, when string) {
+	e.t.Helper()
+	e.checkFull(e.held[i], when)
+	e.held[i].h.Release()
+	e.held = append(e.held[:i], e.held[i+1:]...)
+}
+
+// checkFull is a Scan at every probe iteration (every chain at every
+// probe), and Latest of every vertex the handle holds (every search path of
+// the frozen tree).
+func (e *eqHarness) checkFull(hh heldHandle, when string) {
+	e.t.Helper()
+	for _, p := range e.probes {
+		e.checkScan(hh, p, when)
+	}
+	for _, rv := range hh.ref {
+		e.checkLatest(hh, rv.id, math.MaxInt64, when)
+	}
+}
+
+// checkScan compares a full Scan through the handle at p with the oracle.
+func (e *eqHarness) checkScan(hh heldHandle, p int64, when string) {
+	e.t.Helper()
+	i := 0
+	// next advances i to the oracle's next vertex with a version <= p.
+	next := func() (id stream.VertexID, data []byte, iter int64, ok bool) {
+		for ; i < len(hh.ref); i++ {
+			if data, iter, ok = hh.ref[i].vs.latest(p); ok {
+				i++
+				return hh.ref[i-1].id, data, iter, true
+			}
+		}
+		return 0, nil, 0, false
+	}
+	must(e.t, hh.h.Scan(p, func(r Record) error {
+		id, data, iter, ok := next()
+		if !ok {
+			return fmt.Errorf("%s, %s: Scan(%d) yields extra vertex %d", hh.ctx, when, p, r.Vertex)
+		}
+		if r.Vertex != id || r.Iteration != iter || !bytes.Equal(r.Data, data) {
+			return fmt.Errorf("%s, %s: Scan(%d) yields %d@%d %q, want %d@%d %q", hh.ctx, when, p, r.Vertex, r.Iteration, r.Data, id, iter, data)
+		}
+		return nil
+	}))
+	if id, _, _, ok := next(); ok {
+		e.t.Fatalf("%s, %s: Scan(%d) ends before vertex %d", hh.ctx, when, p, id)
+	}
+}
+
+// checkLatest compares Latest of v — present in the handle's view or not —
+// at p with the oracle.
+func (e *eqHarness) checkLatest(hh heldHandle, v stream.VertexID, p int64, when string) {
+	e.t.Helper()
+	var (
+		want     []byte
+		wantIter int64
+		found    bool
+	)
+	if j, ok := slices.BinarySearchFunc(hh.ref, v, func(rv refVertex, v stream.VertexID) int { return cmp.Compare(rv.id, v) }); ok {
+		want, wantIter, found = hh.ref[j].vs.latest(p)
+	}
+	data, iter, err := hh.h.Latest(v, p)
+	if !found {
+		if !errors.Is(err, ErrNotFound) {
+			e.t.Fatalf("%s, %s: Latest(%d,%d) = (%q,%d,%v), want ErrNotFound", hh.ctx, when, v, p, data, iter, err)
+		}
+	} else if err != nil || iter != wantIter || !bytes.Equal(data, want) {
+		e.t.Fatalf("%s, %s: Latest(%d,%d) = (%q,%d,%v), want (%q,%d)", hh.ctx, when, v, p, data, iter, err, want, wantIter)
+	}
+}
+
+// wideKeys is the key space of the ownership tests: wide enough that search
+// paths are several nodes deep, so a write after a snapshot has frozen
+// ancestors to copy and a new key's rotation has frozen and owned nodes to
+// relink.
+const wideKeys = 1024
+
+// preload inserts 512 of the wide keys into loop 0 in a random order, taking
+// a snapshot every 100 inserts so the tree is built across several epochs.
+func (e *eqHarness) preload(rng *rand.Rand) {
+	e.t.Helper()
+	e.quiet = true
+	for i, k := range rng.Perm(wideKeys)[:512] {
+		e.apply(0, 0, stream.VertexID(k), 0, -i)
+		if i%100 == 99 {
+			e.apply(7, 0, 0, 0, -i)
+		}
+	}
+	e.quiet = false
+	for _, hh := range e.held {
+		e.checkFull(hh, "after the preload")
+	}
+}
+
+// TestMVCCEquivalenceRandom drives MemStore and MVCCStore through identical
+// random Put/Flush/Compact/Truncate/DropLoop/Snapshot/Release sequences and
+// asserts observational equality — Latest at every probe point, Scan
+// order/contents, checkpoints — throughout, and that every held handle keeps
+// reading its grab-time state. Odd trials work a handful of keys (dense
+// same-iteration overwrites and chain edits), even ones the wide key space.
 func TestMVCCEquivalenceRandom(t *testing.T) {
 	loops := []LoopID{0, 1, 2}
 	verts := []stream.VertexID{1, 2, 3, 4, 9}
@@ -106,25 +301,30 @@ func TestMVCCEquivalenceRandom(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)*104729 + 1))
-			mem := NewMemStore()
-			mvcc := NewMVCCStore()
-			defer mvcc.Close()
+			e := newEqHarness(t, maxIter)
+			defer e.close()
+			wide := trial%2 == 0
+			if wide {
+				e.preload(rng)
+			}
 			for op := 0; op < 200; op++ {
-				applyOp(t, []Store{mem, mvcc},
-					rng.Intn(7), loops[rng.Intn(len(loops))],
-					verts[rng.Intn(len(verts))], rng.Int63n(maxIter), op)
+				v := verts[rng.Intn(len(verts))]
+				if wide {
+					v = stream.VertexID(rng.Intn(wideKeys))
+				}
+				e.apply(rng.Intn(9), loops[rng.Intn(len(loops))], v, rng.Int63n(maxIter), op)
 				if op%20 == 19 {
-					checkEquivalent(t, mem, mvcc, loops, verts, maxIter, fmt.Sprintf("op %d", op))
+					checkEquivalent(t, e.mem, e.mvcc, loops, verts, maxIter, fmt.Sprintf("op %d", op))
 				}
 			}
-			checkEquivalent(t, mem, mvcc, loops, verts, maxIter, "final")
+			checkEquivalent(t, e.mem, e.mvcc, loops, verts, maxIter, "final")
 		})
 	}
 }
 
 // TestMVCCEquivalenceConcurrent runs one deterministic op sequence per loop
 // from its own goroutine (writers to different loops never conflict) while
-// reader goroutines hammer lock-free Latest/Scan and snapshot handles on
+// reader goroutines hammer live Latest/Scan and snapshot handles on
 // the shared store. Afterwards each loop must match a MemStore that
 // replayed the same per-loop sequence. Run under -race (make check does).
 func TestMVCCEquivalenceConcurrent(t *testing.T) {
@@ -191,30 +391,185 @@ func TestMVCCEquivalenceConcurrent(t *testing.T) {
 	}
 }
 
+// TestInPlaceWritersVsHandles is the ownership rule under the race detector
+// (make race runs it): two writers put in place into ONE loop — first a
+// burst of new keys in random order (splits over owned and frozen nodes),
+// then appends to the chains — while readers take handles at random instants
+// and hold them across later writes, and one goroutine reads the live store.
+// Writer w's j-th put is version j/K+1 of its key j%K, so a view is a
+// consistent cut exactly when, per writer, the versions it holds are a
+// prefix of that sequence; every view must be one, and must read the same
+// twice.
+func TestInPlaceWritersVsHandles(t *testing.T) {
+	const (
+		nWriters = 2
+		K        = 700 // keys per writer
+		rounds   = 6
+		loop     = MainLoop
+	)
+	s := NewMVCCStore()
+	defer s.Close()
+	keys := make([][]stream.VertexID, nWriters)
+	owner := map[stream.VertexID][2]int{} // key -> (writer, index)
+	perm := rand.New(rand.NewSource(11)).Perm(nWriters * K)
+	for w := range keys {
+		for x := 0; x < K; x++ {
+			k := stream.VertexID(perm[w*K+x])
+			keys[w] = append(keys[w], k)
+			owner[k] = [2]int{w, x}
+		}
+	}
+	payload := func(k stream.VertexID, iter int64) []byte { return []byte(fmt.Sprintf("%d@%d", k, iter)) }
+
+	// cut reports a view's records as per-writer put counts, checking each
+	// payload and that each writer's visible versions form a prefix.
+	cut := func(recs []Record, ctx string) (counts [nWriters]int) {
+		var top, visible [nWriters]int // highest put index seen, plus one; keys seen
+		for _, r := range recs {
+			if !bytes.Equal(r.Data, payload(r.Vertex, r.Iteration)) {
+				t.Errorf("%s: vertex %d@%d holds %q", ctx, r.Vertex, r.Iteration, r.Data)
+			}
+			o := owner[r.Vertex]
+			top[o[0]] = max(top[o[0]], int(r.Iteration-1)*K+o[1]+1)
+			visible[o[0]]++
+		}
+		for w := range top {
+			if want := min(top[w], K); visible[w] != want {
+				t.Errorf("%s: writer %d shows %d puts but %d keys, want %d: not a consistent cut", ctx, w, top[w], visible[w], want)
+			}
+		}
+		for _, r := range recs {
+			o := owner[r.Vertex]
+			// The newest version of key x among the first top puts.
+			if want := int64((top[o[0]]-1-o[1])/K + 1); r.Iteration != want {
+				t.Errorf("%s: writer %d shows %d puts but vertex %d is at iteration %d, want %d: not a consistent cut",
+					ctx, o[0], top[o[0]], r.Vertex, r.Iteration, want)
+			}
+		}
+		return top
+	}
+	collect := func(scan func(int64, func(Record) error) error) []Record {
+		var recs []Record
+		_ = scan(math.MaxInt64, func(r Record) error { recs = append(recs, r); return nil })
+		return recs
+	}
+
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < nWriters; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for j := 0; j < rounds*K; j++ {
+				k, iter := keys[w][j%K], int64(j/K+1)
+				if err := s.Put(loop, k, iter, payload(k, iter)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				h := s.Snapshot(loop)
+				ctx := fmt.Sprintf("reader %d handle %d", r, i)
+				first := collect(h.Scan)
+				cut(first, ctx)
+				for spin := rng.Intn(2000); spin > 0; spin-- {
+					runtime.Gosched() // hold the handle across later in-place writes
+				}
+				again := collect(h.Scan)
+				if len(again) != len(first) {
+					t.Errorf("%s: saw %d vertices, then %d", ctx, len(first), len(again))
+				}
+				for i := range again {
+					if a, f := again[i], first[i]; len(again) == len(first) && (a.Vertex != f.Vertex || a.Iteration != f.Iteration) {
+						t.Errorf("%s: [%d] was %d@%d, now %d@%d", ctx, i, f.Vertex, f.Iteration, a.Vertex, a.Iteration)
+					}
+				}
+				for _, f := range first[:min(len(first), 64)] {
+					if data, iter, err := h.Latest(f.Vertex, math.MaxInt64); err != nil || iter != f.Iteration || !bytes.Equal(data, f.Data) {
+						t.Errorf("%s: Latest(%d) = (%q,%d,%v), scan saw %d", ctx, f.Vertex, data, iter, err, f.Iteration)
+					}
+				}
+				h.Release()
+			}
+		}(r)
+	}
+	readers.Add(1)
+	go func() { // the live store: Latest never goes back, Scan is a consistent cut
+		defer readers.Done()
+		rng := rand.New(rand.NewSource(99))
+		seen := map[stream.VertexID]int64{}
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			k := keys[rng.Intn(nWriters)][rng.Intn(K)]
+			data, iter, err := s.Latest(loop, k, math.MaxInt64)
+			if err == nil && (!bytes.Equal(data, payload(k, iter)) || iter < seen[k]) {
+				t.Errorf("live Latest(%d) = (%q,%d) after iteration %d", k, data, iter, seen[k])
+			}
+			if err == nil {
+				seen[k] = iter
+			}
+			if i%64 == 0 {
+				cut(collect(func(m int64, fn func(Record) error) error { return s.Scan(loop, m, fn) }), "live scan")
+			}
+		}
+	}()
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if got := cut(collect(func(m int64, fn func(Record) error) error { return s.Scan(loop, m, fn) }), "final"); got != [nWriters]int{rounds * K, rounds * K} {
+		t.Fatalf("final state shows %v puts per writer, want %d each", got, rounds*K)
+	}
+	if n := s.NumVersions(loop); n != nWriters*rounds*K {
+		t.Fatalf("NumVersions = %d, want %d", n, nWriters*rounds*K)
+	}
+}
+
 // FuzzMVCCOps feeds arbitrary byte strings through the shared op vocabulary
-// into MemStore and MVCCStore and asserts observational equality after the
-// sequence. go test -fuzz=FuzzMVCCOps ./internal/storage/ explores; the
-// seed corpus replays in every ordinary test run.
+// (four bytes an op: kind and loop, two bytes of vertex, iteration) into
+// MemStore and MVCCStore over the preloaded wide key space, checks every held
+// handle after every op, and asserts observational equality after the
+// sequence. go test -fuzz=FuzzMVCCOps ./internal/storage/ explores; the seed
+// corpus replays in every ordinary test run.
 func FuzzMVCCOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x13, 0x27, 0x3b})
-	f.Add([]byte{0x04, 0x04, 0x04, 0x04, 0x04})
+	f.Add([]byte{0x04, 0x04, 0x04, 0x04, 0x04, 0x04, 0x04, 0x04})
 	f.Add([]byte("put-compact-truncate-drop"))
+	// Snapshot; a new key beside a frozen leaf; overwrite it at the same
+	// iteration; truncate it away (a join over frozen nodes); compact.
+	f.Add([]byte{7, 0, 0, 0, 0, 3, 1, 5, 0, 3, 1, 5, 5, 0, 0, 4, 4, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
 		loops := []LoopID{0, 1}
-		verts := []stream.VertexID{1, 2, 3}
 		const maxIter = 15
-		mem := NewMemStore()
-		mvcc := NewMVCCStore()
-		defer mvcc.Close()
-		for i, b := range ops {
-			applyOp(t, []Store{mem, mvcc},
-				int(b)%7, loops[int(b>>3)%len(loops)],
-				verts[int(b>>5)%len(verts)], int64(b>>4)%maxIter, i)
+		e := newEqHarness(t, maxIter)
+		defer e.close()
+		e.preload(rand.New(rand.NewSource(1)))
+		var verts []stream.VertexID
+		for i := 0; i+4 <= len(ops); i += 4 {
+			b := ops[i : i+4]
+			v := stream.VertexID(int(b[1])<<8|int(b[2])) % wideKeys
+			verts = append(verts, v)
+			e.apply(int(b[0]&0x0f), loops[int(b[0]>>4)%len(loops)], v, int64(b[3])%maxIter, i/4)
 		}
-		checkEquivalent(t, mem, mvcc, loops, verts, maxIter, "fuzz")
+		checkEquivalent(t, e.mem, e.mvcc, loops, verts, maxIter, "fuzz")
 	})
 }
 
@@ -468,23 +823,24 @@ func TestLeakedHandleRetiresGauge(t *testing.T) {
 func TestCompactedChainsDropPayloadReferences(t *testing.T) {
 	c := &vchain{}
 	for iter := int64(1); iter <= 8; iter++ {
-		c, _, _ = c.withPut(iter, []byte{byte(iter)})
+		c.put(0, iter, []byte{byte(iter)})
 	}
 	var rc reclaim
-	cc := c.compacted(5, &rc)
-	if got := len(cc.iters); got != 4 {
-		t.Fatalf("compacted kept %d versions, want 4 (iters 5..8)", got)
+	cc, dropped := c.compacted(5, 1, &rc)
+	if got := len(cc.vers); !dropped || got != 4 {
+		t.Fatalf("compacted kept %d versions (dropped=%v), want 4 (iters 5..8)", got, dropped)
 	}
-	if cap(cc.iters) != len(cc.iters) || cap(cc.data) != len(cc.data) {
-		t.Fatalf("compacted shares the old backing array: len %d/%d cap %d/%d",
-			len(cc.iters), len(cc.data), cap(cc.iters), cap(cc.data))
+	if cap(cc.vers) != len(cc.vers) {
+		t.Fatalf("compacted shares the old backing array: len %d cap %d", len(cc.vers), cap(cc.vers))
 	}
-	tc, empty := c.truncated(3, &rc)
-	if empty || len(tc.iters) != 3 {
-		t.Fatalf("truncated kept %d versions (empty=%v), want 3", len(tc.iters), empty)
+	tc, dropped := c.truncated(3, 1, &rc)
+	if !dropped || len(tc.vers) != 3 {
+		t.Fatalf("truncated kept %d versions (dropped=%v), want 3", len(tc.vers), dropped)
 	}
-	if cap(tc.iters) != len(tc.iters) || cap(tc.data) != len(tc.data) {
-		t.Fatalf("truncated shares the old backing array: len %d/%d cap %d/%d",
-			len(tc.iters), len(tc.data), cap(tc.iters), cap(tc.data))
+	if cap(tc.vers) != len(tc.vers) {
+		t.Fatalf("truncated shares the old backing array: len %d cap %d", len(tc.vers), cap(tc.vers))
+	}
+	if cc.epoch != 1 || tc.epoch != 1 {
+		t.Fatalf("rebuilt chains tagged %d/%d, want the rebuilding epoch 1", cc.epoch, tc.epoch)
 	}
 }

@@ -478,15 +478,94 @@ func BenchmarkMemPut(b *testing.B) {
 	})
 }
 
+// mvccPutKeys is the vertex count of the BENCHMARK.json harness's larger
+// workload; treap paths are 17-24 nodes deep at this size.
+const mvccPutKeys = 5000
+
+func preloadedMVCC(tb testing.TB, payload []byte) *MVCCStore {
+	s := NewMVCCStore()
+	tb.Cleanup(func() { s.Close() })
+	for v := stream.VertexID(0); v < mvccPutKeys; v++ {
+		if err := s.Put(MainLoop, v, 0, payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// BenchmarkMVCCPut prices a commit-path write at 5 000 vertices by how often
+// somebody looks: never (steady: one descent, an in-place append, the
+// payload copy), at the query path's cadence, and before every single write
+// (the degenerate case: every put copies its whole search path and chain,
+// which is what every put cost before nodes had owners). The epoch is moved
+// with freeze, Snapshot's effect on writers without the handle's own cost,
+// and chains are compacted every 64 iterations as the engine's master does.
+// overwrite-same is the redelivery path.
 func BenchmarkMVCCPut(b *testing.B) {
 	payload := make([]byte, 64)
-	s := NewMVCCStore()
-	defer s.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := s.Put(MainLoop, stream.VertexID(i%1024), int64(i/1024), payload); err != nil {
-			b.Fatal(err)
+	for _, every := range []int{0, 1024, 1} {
+		name := "steady"
+		if every > 0 {
+			name = fmt.Sprintf("snapshot-every-%d", every)
 		}
+		b.Run(name, func(b *testing.B) {
+			s := preloadedMVCC(b, payload)
+			lp := s.loop(MainLoop)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if every > 0 && i%every == 0 {
+					lp.freeze()
+				}
+				iter := int64(i/mvccPutKeys + 1)
+				if err := s.Put(MainLoop, stream.VertexID(i%mvccPutKeys), iter, payload); err != nil {
+					b.Fatal(err)
+				}
+				if i%(64*mvccPutKeys) == 64*mvccPutKeys-1 {
+					if err := s.Compact(MainLoop, iter); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+	b.Run("overwrite-same", func(b *testing.B) {
+		s := preloadedMVCC(b, payload)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Put(MainLoop, stream.VertexID(i%mvccPutKeys), 0, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestMVCCPutAllocs pins what BenchmarkMVCCPut reports: with no snapshot
+// outstanding a put allocates its payload copy and nothing else, and a
+// redelivered put allocates nothing and copies nothing even when every node
+// it passes is frozen.
+func TestMVCCPutAllocs(t *testing.T) {
+	payload := make([]byte, 64)
+	s := preloadedMVCC(t, payload)
+	i := 0
+	if got := testing.AllocsPerRun(4*mvccPutKeys, func() {
+		must(t, s.Put(MainLoop, stream.VertexID(i%mvccPutKeys), int64(i/mvccPutKeys+1), payload))
+		i++
+	}); got > 1 {
+		t.Errorf("steady put allocates %v times, want at most 1 (the payload copy)", got)
+	}
+	lp := s.loop(MainLoop)
+	root := lp.freeze()
+	i = 0
+	if got := testing.AllocsPerRun(mvccPutKeys, func() {
+		must(t, s.Put(MainLoop, stream.VertexID(i%mvccPutKeys), 0, payload))
+		i++
+	}); got != 0 {
+		t.Errorf("redelivered put allocates %v times, want 0", got)
+	}
+	if lp.root != root {
+		t.Errorf("redelivered puts replaced the frozen root")
 	}
 }
 
