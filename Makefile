@@ -17,9 +17,12 @@ test:
 # The obs registry/tracer and metrics primitives are hammered concurrently,
 # and the MVCC store's writers mutate in place whatever no snapshot handle can
 # reach while handle readers take no lock (TestInPlaceWritersVsHandles); keep
-# them honest under the race detector on every change.
+# them honest under the race detector on every change. The feed's pump and its
+# hand-off at the admission gate are raced 20 times over (the retired
+# ingestion topology hung there under -race).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/storage/...
+	$(GO) test -race -count=20 -run 'TestAttachSource|TestFeed' .
 
 race-all:
 	$(GO) test -race ./...
@@ -154,7 +157,7 @@ benchmark: harness-test
 # the overload knee; leaves the BENCH_overload.json artifact.
 soak-overload:
 	$(GO) test -race ./internal/engine/ -run 'TestChaosSoakSurgeOverload$$|TestSlowConsumerBoundedInbox' -count=1
-	$(GO) test -race . -run 'TestOverloadControllerLadder|TestFeedMaxPendingPausesSpout' -count=1
+	$(GO) test -race . -run 'TestOverloadControllerLadder|TestFeedBoundedInFlight' -count=1
 	$(GO) run ./cmd/tornado-bench -experiment overload -scale small
 
 # Elasticity soak: live migration under sustained ingestion (value and delta

@@ -1,9 +1,9 @@
-// Command feedpipeline demonstrates Tornado's Storm-like ingestion side:
-// instead of calling Ingest directly, the application attaches a live
-// stream.Queue source to the System. Tuples then flow through a dataflow
-// topology — spout → router bolt (fields-grouped by routed vertex) → ingest
-// sink — with Storm-style tuple-tree acking providing at-least-once delivery
-// into the main loop, exactly the role of the paper's ingesters.
+// Command feedpipeline demonstrates Tornado's ingestion side: instead of
+// calling Ingest directly, the application attaches a live stream.Queue
+// source to the System — the role of the paper's ingesters (spouts). The
+// feed's pump pulls each tuple and hands it to the main loop's admission
+// gate, in the queue's order; a full gate pauses the pull, and the main
+// loop's input journal, not an acker, makes admitted input reliable.
 //
 // A producer goroutine pushes crawl batches into the queue while the
 // foreground issues exact queries and finally merges the last result back
@@ -36,9 +36,9 @@ func main() {
 	}
 	defer sys.Close()
 
-	// Attach a live queue through the dataflow topology.
+	// Attach a live queue.
 	q := stream.NewQueue()
-	feed, err := sys.AttachSource(q, 2)
+	feed, err := sys.AttachSource(q, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,6 +107,6 @@ func main() {
 		log.Fatal(err)
 	}
 	s := sys.Stats()
-	fmt.Printf("final: %d inputs via the dataflow feed, %d vertex updates; result merged back\n",
+	fmt.Printf("final: %d inputs via the feed, %d vertex updates; result merged back\n",
 		s.InputMsgs, s.Commits)
 }

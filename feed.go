@@ -7,327 +7,148 @@ import (
 	"sync"
 	"time"
 
-	"tornado/internal/dataflow"
 	"tornado/internal/obs/trace"
 	"tornado/internal/stream"
 )
 
-// tracedTuple rides the ingestion topology carrying the causal span context
-// born at spout emission; the sink hands it to IngestTraced, which closes
-// the "spout" stage (emission, routing and topology transit). Untraced
-// tuples travel bare — the wrapper exists only on the sampled path.
-type tracedTuple struct {
-	T   stream.Tuple
-	Ctx trace.Context
-}
-
-// feedTuple unwraps a topology payload into the tuple and its (possibly
-// zero) span context.
-func feedTuple(p any) (stream.Tuple, trace.Context) {
-	if tt, ok := p.(tracedTuple); ok {
-		return tt.T, tt.Ctx
-	}
-	return p.(stream.Tuple), trace.Context{}
-}
-
-// Feed is a running ingestion topology attached to a System: a spout pulls
-// from a stream.Source, a router bolt partitions tuples by their routed
-// vertex (preserving per-vertex order), and a sink bolt ingests into the
-// main loop. Delivery is tracked with Storm-style tuple-tree acking — the
-// paper's ingesters are exactly such spouts (Section 5.1).
+// Feed pumps a stream.Source into the main loop: one goroutine pulls each
+// tuple, takes its head-sampling decision — the paper's ingesters are spouts
+// (Section 5.1), so the spout stage heads the feed's traces — and hands it to
+// the admission gate. A full gate blocks that hand-off, so the pump stops
+// pulling: a slow main loop pauses the source with at most one tuple in
+// flight, and the loop journals tuples in the source's total order.
 //
-// The feed participates in end-to-end backpressure: the spout stops pulling
-// from the source while FeedOptions.MaxPending tuple trees are incomplete,
-// the topology transport bounds its inboxes with credit watermarks, and the
-// sink's Ingest blocks at the main loop's admission gate — so a slow main
-// loop propagates all the way back to a paused source instead of unbounded
-// buffering at any hop.
+// There is no acking and no replay. Storm's tuple-tree acking does not carry
+// over to Tornado (Section 5.3): input reliability is the main loop's own
+// input journal plus checkpoints, and a delta applied twice is a different
+// input, not a retry.
 type Feed struct {
-	topo  *dataflow.Topology
-	spout *sourceSpout
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{} // closed when the pump exits
+
+	mu      sync.Mutex
+	emitted int64
+	acked   int64
+	ended   bool  // the source was exhausted or failed
+	err     error // the source's failure, if it was not exhaustion
 }
 
-// FeedOptions tune AttachSourceWith. The zero value enables bounded
-// ingestion with the defaults below; set a field to -1 to disable that
-// bound explicitly.
-type FeedOptions struct {
-	// RouterTasks is the router and sink bolts' parallelism (default 2).
-	// The router partitions by routed vertex, preserving per-vertex order.
-	RouterTasks int
-	// MaxPending caps incomplete tuple trees; at the cap the spout pauses
-	// until acks drain it (default 4096, -1 unbounded).
-	MaxPending int
-	// InboxHigh / InboxLow are the topology transport's credit watermarks
-	// (default 1024 / high÷2, -1 unbounded).
-	InboxHigh, InboxLow int
-	// Timeout is how long a tuple tree may stay incomplete before it is
-	// failed back to the spout for replay (default 30s).
-	Timeout time.Duration
-}
-
-func (o *FeedOptions) fill() {
-	if o.RouterTasks < 1 {
-		o.RouterTasks = 2
-	}
-	if o.MaxPending == 0 {
-		o.MaxPending = 4096
-	}
-	if o.InboxHigh == 0 {
-		o.InboxHigh = 1024
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 30 * time.Second
-	}
-}
-
-// FeedStats is a point-in-time snapshot of a feed's delivery and
-// backpressure state.
+// FeedStats is a point-in-time snapshot of a feed's delivery counters.
 type FeedStats struct {
-	// Emitted and Acked count spout emissions (including replays) and
-	// completed tuple trees; Retried counts tuples failed back for replay.
-	Emitted, Acked, Retried int64
-	// RetryLen and RetryCap are the replay queue's current length and its
-	// backing array's capacity (the latter stays bounded by compaction).
-	RetryLen, RetryCap int
-	// PendingTrees is the number of incomplete tuple trees.
-	PendingTrees int
-	// SourceErrors counts source failures other than exhaustion (the first
-	// is retained in Err).
+	// Emitted counts tuples pulled from the source and Acked those handed to
+	// the main loop; Emitted − Acked is never more than one.
+	Emitted, Acked int64
+	// Retried is always 0: the feed never replays.
+	Retried int64
+	// SourceErrors is 1 once the source failed with an error other than
+	// exhaustion (retained in Err); the pump stops pulling at the failure.
 	SourceErrors int64
-	// SpoutPauses and SpoutPaused count transitions into the paused state
-	// at the MaxPending cap and the cumulative time spent there.
+	// SpoutPauses and SpoutPaused are always 0: the pump's only pause is the
+	// admission gate's wait, which FlowStats counts.
 	SpoutPauses int64
 	SpoutPaused time.Duration
 }
 
-// sourceSpout adapts a stream.Source to the dataflow spout contract with
-// replay-on-failure.
-type sourceSpout struct {
-	// spans makes the spout the head of causal freshness traces: each
-	// emitted tuple takes its sampling decision here (nil-safe).
-	spans *trace.Tracer
-
-	mu        sync.Mutex
-	src       stream.Source
-	retry     []stream.Tuple
-	retryHead int // index of the next replay in retry
-	exhausted bool
-	emitted   int64
-	acked     int64
-	retried   int64
-	err       error
-	errCount  int64
+// AttachSource starts a Feed pulling tuples from src into the main loop.
+// Close or exhaust the source, then Wait for full delivery. The second
+// argument is ignored (it sized the retired ingestion topology's router).
+func (s *System) AttachSource(src stream.Source, _ int) (*Feed, error) {
+	f := &Feed{stop: make(chan struct{}), done: make(chan struct{})}
+	go f.pump(s, src)
+	return f, nil
 }
 
-// popRetryLocked takes the oldest failed tuple for replay. The queue is an
-// indexed slice, not a re-sliced one: popping advances retryHead and zeroes
-// the slot, and once the dead prefix dominates the backing array the live
-// tail is copied down — so replay churn cannot retain an ever-growing array.
-func (s *sourceSpout) popRetryLocked() stream.Tuple {
-	t := s.retry[s.retryHead]
-	s.retry[s.retryHead] = stream.Tuple{}
-	s.retryHead++
-	if s.retryHead >= 64 && s.retryHead*2 >= len(s.retry) {
-		n := copy(s.retry, s.retry[s.retryHead:])
-		clear(s.retry[n:])
-		s.retry = s.retry[:n]
-		s.retryHead = 0
-	}
-	return t
-}
-
-// emitPayload takes the head-sampling decision for one emitted tuple: a
-// sampled tuple travels wrapped with its newborn span context, everything
-// else travels bare.
-func (s *sourceSpout) emitPayload(t stream.Tuple) any {
-	if s.spans.Enabled() {
-		if ctx := s.spans.Begin(s.spans.Now()); ctx.Traced() {
-			return tracedTuple{T: t, Ctx: ctx}
-		}
-	}
-	return t
-}
-
-func (s *sourceSpout) Next() (any, bool) {
-	s.mu.Lock()
-	if s.retryHead < len(s.retry) {
-		t := s.popRetryLocked()
-		s.emitted++
-		s.mu.Unlock()
-		return s.emitPayload(t), true
-	}
-	if s.exhausted {
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.mu.Unlock()
-	// Pull outside the lock: Queue-backed sources block until data or
-	// Close.
-	t, err := s.src.Next()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if errors.Is(err, stream.ErrExhausted) {
-		s.exhausted = true
-		return nil, false
-	}
-	if err != nil {
-		// A real source failure, not exhaustion: stop pulling, but surface
-		// it — swallowing it here would report a truncated stream as a
-		// clean drain.
-		s.errCount++
-		if s.err == nil {
-			s.err = err
-			log.Printf("tornado: feed source failed: %v", err)
-		}
-		s.exhausted = true
-		return nil, false
-	}
-	s.emitted++
-	return s.emitPayload(t), true
-}
-
-func (s *sourceSpout) Ack(any) {
-	s.mu.Lock()
-	s.acked++
-	s.mu.Unlock()
-}
-
-func (s *sourceSpout) Fail(p any) {
-	// Replays re-enter the queue bare: a replayed emission takes a fresh
-	// sampling decision (the failed tree's trace died with the tree).
-	t, _ := feedTuple(p)
-	s.mu.Lock()
-	s.retry = append(s.retry, t)
-	s.retried++
-	s.mu.Unlock()
-}
-
-func (s *sourceSpout) done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.exhausted && s.retryHead >= len(s.retry) && s.acked == s.emitted
-}
-
-// AttachSource pulls tuples from src through a dataflow topology into the
-// main loop with the default FeedOptions bounds. routerTasks sets the router
-// bolt's parallelism (it partitions by routed vertex, so per-vertex tuple
-// order is preserved). Close or exhaust the source, then Wait for full
-// delivery.
-func (s *System) AttachSource(src stream.Source, routerTasks int) (*Feed, error) {
-	return s.AttachSourceWith(src, FeedOptions{RouterTasks: routerTasks})
-}
-
-// AttachSourceWith is AttachSource with explicit flow-control bounds.
-func (s *System) AttachSourceWith(src stream.Source, opts FeedOptions) (*Feed, error) {
-	opts.fill()
-	topo := dataflow.NewTopology(opts.Timeout)
-	if opts.MaxPending > 0 {
-		if err := topo.SetMaxPending(opts.MaxPending); err != nil {
-			return nil, err
-		}
-	}
-	if opts.InboxHigh > 0 {
-		if err := topo.SetInboxWatermarks(opts.InboxHigh, opts.InboxLow); err != nil {
-			return nil, err
-		}
-	}
-	spout := &sourceSpout{src: src, spans: s.hub.Spans}
-	if err := topo.AddSpout("source", spout); err != nil {
-		return nil, err
-	}
-	// The router exists to demonstrate/exercise fields grouping the way
-	// Storm topologies partition ingesters' output; the sink performs the
-	// actual ingest.
-	router := dataflow.BoltFunc(func(t dataflow.Tuple, c *dataflow.Collector) {
-		c.Emit(t.Payload)
-	})
-	sys := s
-	sink := dataflow.BoltFunc(func(t dataflow.Tuple, _ *dataflow.Collector) {
-		tup, ctx := feedTuple(t.Payload)
-		sys.engine().IngestTraced(tup, ctx)
-	})
-	if err := topo.AddBolt("router", router, opts.RouterTasks); err != nil {
-		return nil, err
-	}
-	if err := topo.AddBolt("ingest", sink, opts.RouterTasks); err != nil {
-		return nil, err
-	}
-	routeKey := dataflow.Fields(func(p any) uint64 {
-		t, _ := feedTuple(p)
-		switch t.Kind {
-		case stream.KindAddEdge, stream.KindRemoveEdge:
-			return uint64(t.Src)
+// pump is the feed's one goroutine.
+func (f *Feed) pump(sys *System, src stream.Source) {
+	defer close(f.done)
+	spans := sys.hub.Spans
+	for {
+		select {
+		case <-f.stop:
+			return
 		default:
-			return uint64(t.Dst)
 		}
-	})
-	if err := topo.Subscribe("router", "source", routeKey); err != nil {
-		return nil, err
+		t, err := src.Next()
+		if err != nil {
+			f.finish(err)
+			return
+		}
+		f.mu.Lock()
+		f.emitted++
+		f.mu.Unlock()
+		// One sampling decision per tuple: a sampled-out context still
+		// carries a trace ID, so the engine does not sample it again.
+		var ctx trace.Context
+		if spans.Enabled() {
+			ctx = spans.Begin(spans.Now())
+		}
+		sys.engine().IngestTraced(t, ctx)
+		f.mu.Lock()
+		f.acked++
+		f.mu.Unlock()
 	}
-	if err := topo.Subscribe("ingest", "router", routeKey); err != nil {
-		return nil, err
-	}
-	// Completed tuple trees feed the spout_tree stage histogram: emit-to-ack
-	// wall time through the whole ingestion topology.
-	if err := topo.SetTreeObserver(func(d time.Duration) {
-		s.hub.ObserveStage("spout_tree", d)
-	}); err != nil {
-		return nil, err
-	}
-	if err := topo.Start(); err != nil {
-		return nil, err
-	}
-	return &Feed{topo: topo, spout: spout}, nil
 }
 
-// Err returns the first source failure other than exhaustion, or nil. A
+// finish records the end of the source's stream. A real source failure, not
+// exhaustion, is surfaced: swallowing it would report a truncated stream as
+// a clean drain.
+func (f *Feed) finish(err error) {
+	if errors.Is(err, stream.ErrExhausted) {
+		err = nil
+	} else {
+		log.Printf("tornado: feed source failed: %v", err)
+	}
+	f.mu.Lock()
+	f.ended, f.err = true, err
+	f.mu.Unlock()
+}
+
+// Err returns the source's failure other than exhaustion, or nil. A
 // feed with a non-nil Err delivered everything the source produced before
 // failing, but the stream is truncated.
 func (f *Feed) Err() error {
-	f.spout.mu.Lock()
-	defer f.spout.mu.Unlock()
-	return f.spout.err
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
-// Stats snapshots the feed's delivery and backpressure counters.
+// Stats snapshots the feed's delivery counters.
 func (f *Feed) Stats() FeedStats {
-	sp := f.spout
-	sp.mu.Lock()
-	st := FeedStats{
-		Emitted:      sp.emitted,
-		Acked:        sp.acked,
-		Retried:      sp.retried,
-		RetryLen:     len(sp.retry) - sp.retryHead,
-		RetryCap:     cap(sp.retry),
-		SourceErrors: sp.errCount,
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st := FeedStats{Emitted: f.emitted, Acked: f.acked}
+	if f.err != nil {
+		st.SourceErrors = 1
 	}
-	sp.mu.Unlock()
-	st.PendingTrees = f.topo.PendingTrees()
-	st.SpoutPauses = f.topo.SpoutPauses()
-	st.SpoutPaused = f.topo.SpoutPaused()
 	return st
 }
 
-// Wait blocks until the source is exhausted and every tuple tree has been
-// acknowledged (all input handed to the main loop). A source failure is
-// reported after the tuples it did produce have drained.
+// Wait blocks until the source is exhausted and every tuple it produced has
+// been handed to the main loop. A source failure is reported after the
+// tuples it did produce have been handed over.
 func (f *Feed) Wait(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if f.spout.done() && f.topo.PendingTrees() == 0 {
-			if err := f.Err(); err != nil {
-				return fmt.Errorf("tornado: feed source failed: %w", err)
-			}
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("tornado: feed did not drain within %v", timeout)
-		}
-		time.Sleep(time.Millisecond)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-f.done:
+	case <-timer.C:
+		return fmt.Errorf("tornado: feed did not drain within %v", timeout)
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case f.err != nil:
+		return fmt.Errorf("tornado: feed source failed: %w", f.err)
+	case !f.ended:
+		return errors.New("tornado: feed stopped before its source was exhausted")
+	}
+	return nil
 }
 
-// Stop tears the ingestion topology down. For blocking sources (such as
-// stream.Queue) close the source first, or Stop will wait on the pull in
-// flight.
-func (f *Feed) Stop() { f.topo.Stop() }
+// Stop stops the pump. For blocking sources (such as stream.Queue) close the
+// source first, or Stop will wait on the pull in flight.
+func (f *Feed) Stop() {
+	f.stopOnce.Do(func() { close(f.stop) })
+	<-f.done
+}

@@ -95,81 +95,39 @@ func TestFeedSourceErrorSurfaced(t *testing.T) {
 	}
 }
 
-// TestFeedRetryQueueBounded is the regression for the replay-queue head leak:
-// the old `retry = retry[1:]` pop kept the backing array's dead prefix alive,
-// so sustained fail/replay churn grew memory without bound. The indexed pop
-// with periodic compaction must keep the backing array small no matter how
-// many failures cycle through.
-func TestFeedRetryQueueBounded(t *testing.T) {
-	sp := &sourceSpout{src: stream.FromSlice(nil)}
-	tu := stream.AddEdge(1, 2, 3)
-	for i := 0; i < 10000; i++ {
-		sp.Fail(tu)
-		if _, ok := sp.Next(); !ok {
-			t.Fatalf("cycle %d: failed tuple not replayed", i)
-		}
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if live := len(sp.retry) - sp.retryHead; live != 0 {
-		t.Fatalf("replay queue holds %d tuples after full drain", live)
-	}
-	if c := cap(sp.retry); c > 256 {
-		t.Fatalf("replay backing array grew to %d after 10000 fail/replay cycles, want <= 256", c)
-	}
-	if sp.retried != 10000 || sp.emitted != 10000 {
-		t.Fatalf("retried %d emitted %d, want 10000 each", sp.retried, sp.emitted)
-	}
-}
+// throttledProcs is the processor count of throttledFeed's system.
+const throttledProcs = 2
 
-// TestFeedMaxPendingPausesSpout: with a throttled main loop the spout must
-// park at the tuple-tree cap instead of emitting the whole source into the
-// tracking table, and still deliver everything once the loop catches up.
-func TestFeedMaxPendingPausesSpout(t *testing.T) {
-	tuples := datasets.PowerLawGraph(250, 3, 41)
-	sys := newSSSP(t, Options{Processors: 2, DelayBound: 32})
-	const maxPending = 32
-	sys.Engine().SlowProcessor(0, 200*time.Microsecond)
-	feed, err := sys.AttachSourceWith(stream.FromSlice(tuples), FeedOptions{
-		RouterTasks: 2,
-		MaxPending:  maxPending,
-		InboxHigh:   64,
-	})
+// throttledFeed feeds tuples to an SSSP system whose processors are slowed
+// and whose admission gate holds maxPending inputs, so the gate fills and the
+// pump has to wait at it.
+func throttledFeed(t *testing.T, tuples []stream.Tuple, maxPending int) (*System, *Feed) {
+	t.Helper()
+	sys := newSSSP(t, Options{Processors: throttledProcs, DelayBound: 32,
+		Flow: FlowOptions{MaxPendingInputs: maxPending}})
+	for i := 0; i < throttledProcs; i++ {
+		sys.Engine().SlowProcessor(i, 100*time.Microsecond)
+	}
+	feed, err := sys.AttachSource(stream.FromSlice(tuples), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer feed.Stop()
-	peak := 0
-	sampled := make(chan struct{})
-	go func() {
-		defer close(sampled)
-		for {
-			st := feed.Stats()
-			if st.PendingTrees > peak {
-				peak = st.PendingTrees
-			}
-			if st.Emitted >= int64(len(tuples)) && st.PendingTrees == 0 {
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	sys.Engine().SlowProcessor(0, 0)
-	if err := feed.Wait(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	<-sampled
-	if peak > maxPending {
-		t.Fatalf("pending trees peaked at %d, want <= cap %d", peak, maxPending)
-	}
-	if feed.Stats().SpoutPauses == 0 {
-		t.Fatal("spout never paused; the cap did not engage")
+	t.Cleanup(feed.Stop)
+	return sys, feed
+}
+
+// checkSSSPFixedPoint lifts the throttle, waits for quiescence and holds the
+// main loop's approximation to the sequential reference over tuples.
+func checkSSSPFixedPoint(t *testing.T, sys *System, tuples []stream.Tuple) {
+	t.Helper()
+	for i := 0; i < throttledProcs; i++ {
+		sys.Engine().SlowProcessor(i, 0)
 	}
 	if err := sys.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	want := algorithms.RefSSSP(tuples, 0, 64)
-	err = sys.ScanApprox(func(id VertexID, state any) error {
+	err := sys.ScanApprox(func(id VertexID, state any) error {
 		if got := state.(*algorithms.SSSPState).Length; got != want[id] {
 			t.Fatalf("vertex %d: %d vs %d", id, got, want[id])
 		}
@@ -178,6 +136,56 @@ func TestFeedMaxPendingPausesSpout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFeedHandsEachTupleOverOnce: a feed waiting at a full admission gate must
+// not hand a tuple to the main loop twice. The retired topology failed such
+// waits back to its spout after a tree timeout and replayed them, and the loop
+// journalled every replay as a new input.
+func TestFeedHandsEachTupleOverOnce(t *testing.T) {
+	tuples := datasets.PowerLawGraph(250, 3, 43)
+	sys, feed := throttledFeed(t, tuples, 8)
+	if err := feed.Wait(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Engine().JournalSeq(); got != uint64(len(tuples)) {
+		t.Fatalf("main loop journalled %d inputs; the source produced %d", got, len(tuples))
+	}
+	if st := feed.Stats(); st.Emitted != int64(len(tuples)) || st.Acked != st.Emitted {
+		t.Fatalf("emitted %d acked %d, want both %d", st.Emitted, st.Acked, len(tuples))
+	}
+	checkSSSPFixedPoint(t, sys, tuples)
+}
+
+// TestFeedBoundedInFlight: with a slow main loop the pump stops pulling while
+// it waits at the admission gate, so at most one tuple is ever between the
+// source and the loop, and the wait shows up in the gate's counters.
+func TestFeedBoundedInFlight(t *testing.T) {
+	tuples := datasets.PowerLawGraph(250, 3, 41)
+	sys, feed := throttledFeed(t, tuples, 16)
+	var samples, worst int64
+	for deadline := time.Now().Add(waitFor); ; {
+		st := feed.Stats()
+		samples++
+		worst = max(worst, st.Emitted-st.Acked)
+		if st.Acked == int64(len(tuples)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("handed over %d of %d tuples within %v", st.Acked, len(tuples), waitFor)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if worst > 1 {
+		t.Fatalf("%d tuples in flight at once across %d samples, want <= 1", worst, samples)
+	}
+	if err := feed.Wait(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if fs := sys.FlowStats().Engine; fs.GateWaits == 0 {
+		t.Fatalf("the pump never waited at the gate (peak %d of %d)", fs.GatePeak, fs.GateCapacity)
+	}
+	checkSSSPFixedPoint(t, sys, tuples)
 }
 
 func TestAttachSourceFromQueue(t *testing.T) {

@@ -720,7 +720,7 @@ func (e *Engine) IngestTraced(t stream.Tuple, ctx trace.Context) {
 			ctx = e.spans.Begin(now)
 		} else if ctx.Traced() {
 			// Duration since the spout stamped the context = the spout stage
-			// (emission, routing, and topology transit).
+			// (the feed's pull to this ingest entry).
 			ctx = e.spans.Stage(ctx, trace.StageSpout, uint64(e.cfg.LoopID), uint64(routeVertex(t)), 0, now)
 		}
 	}

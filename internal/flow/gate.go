@@ -1,8 +1,9 @@
 // Package flow holds the backpressure primitives shared by the ingest
 // pipeline: a watermark credit gate that bounds in-flight work, and an
 // overload controller that walks a degradation ladder when the bounds run
-// hot. Both are deliberately free of engine types so transport, dataflow
-// and the system layer can all lean on them.
+// hot. Both are deliberately free of engine types so the engine and the
+// system layer (including the feed, which waits at the gate) can both lean
+// on them.
 package flow
 
 import (

@@ -64,6 +64,53 @@ func recvWithin(t *testing.T, e *Endpoint, d time.Duration) (Envelope, bool) {
 	return Envelope{}, false
 }
 
+// TestHeldReplayHonoursLateGrant: a credit replay that meets a re-stalled
+// receiver parks its remainder again, and a grant arriving between that stall
+// check and the re-park finds the replay in progress and returns — so the
+// replay must finish the job itself when the receiver is no longer stalled,
+// or the frames sit parked with nobody left to release them. A receiver with
+// a one-message watermark spins through stall/grant cycles against a sender
+// that stops after each burst; every burst must arrive whole and in order.
+func TestHeldReplayHonoursLateGrant(t *testing.T) {
+	const frames = 64
+	start := time.Now()
+	for round := 0; time.Since(start) < time.Second; round++ {
+		net := NewNetwork(Options{InboxHigh: 1})
+		src := net.Register(1)
+		dst := net.Register(2)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < frames; i++ {
+				src.Send(2, i)
+			}
+		}()
+		var idleSince time.Time
+		for got := 0; got < frames; {
+			if env, ok := dst.TryRecv(); ok {
+				if env.Payload.(int) != got {
+					t.Fatalf("round %d: message %d arrived as %v", round, got, env.Payload)
+				}
+				got++
+				idleSince = time.Time{}
+				continue
+			}
+			select {
+			case <-done:
+				if idleSince.IsZero() {
+					idleSince = time.Now()
+				} else if time.Since(idleSince) > 200*time.Millisecond {
+					t.Fatalf("round %d: received %d of %d; the sender still parks %d frames for a receiver with stalled=%v",
+						round, got, frames, src.HeldFrames(), dst.Stalled())
+				}
+			default:
+			}
+		}
+		<-done
+		net.Close()
+	}
+}
+
 // TestInboxWatermarkBoundWhileDraining keeps a slow consumer running and
 // asserts the inbox never exceeds the watermark plus the documented
 // overshoot (one in-flight frame per sender).

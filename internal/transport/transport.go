@@ -823,7 +823,13 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 			merged = append(merged, rest...)
 			merged = append(merged, e.held[to]...)
 			e.held[to] = merged
-			break
+			// A grant that landed after the stall check found draining set
+			// and returned: unless the destination is still stalled, the
+			// replay is ours to finish, or the frames wait for a stall that
+			// may never come again.
+			if dst.stalled.Load() {
+				break
+			}
 		}
 	}
 	delete(e.draining, to)

@@ -170,8 +170,13 @@ func TestStatsAndIterationLog(t *testing.T) {
 	if s.Commits == 0 || s.UpdateMsgs == 0 || s.InputMsgs == 0 {
 		t.Fatalf("stats look dead: %+v", s)
 	}
-	if len(sys.IterationLog()) == 0 {
-		t.Fatal("no iteration records")
+	// Quiescence is the tracker draining; the master appends the iteration's
+	// record after it advances the frontier, so wait for the record itself.
+	for deadline := time.Now().Add(waitFor); len(sys.IterationLog()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no iteration records")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
