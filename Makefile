@@ -49,10 +49,10 @@ chaos-wire:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC default
-# (MemStore as the labelled control), one commit in isolation, what one more
-# producer costs a hub consumer, and the message plane alone (ns and allocs per
-# delivered message, processor to processor and to itself).
+# The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC store,
+# one commit in isolation, what one more producer costs a hub consumer, and the
+# message plane alone (ns and allocs per delivered message, processor to
+# processor and to itself).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$|BenchmarkMessageHop$$' -benchmem -count 5 ./internal/engine/
@@ -113,11 +113,11 @@ bench-wire:
 bench-delta:
 	$(GO) run ./cmd/tornado-bench -experiment delta -scale small
 
-# MVCC storage benchmark (small scale): snapshot-fork latency vs a MemStore
-# consistent view at 1k/10k/100k vertices, then a put/flush/fork churn soak
-# with background compaction; leaves the BENCH_store.json artifact and exits
-# nonzero if forks stop being O(1) (>= 10x over MemStore at 100k, flat in
-# vertex count) or live versions / post-GC heap grow instead of plateauing.
+# MVCC storage benchmark (small scale): snapshot-fork latency at 1k/10k/100k
+# vertices, then a put/flush/fork churn soak with background compaction;
+# leaves the BENCH_store.json artifact and exits nonzero if forks stop being
+# O(1) (flat in vertex count) or live versions / post-GC heap grow instead of
+# plateauing.
 bench-store:
 	$(GO) run ./cmd/tornado-bench -experiment store -scale small
 
@@ -130,8 +130,10 @@ bench-store:
 bench-elastic:
 	$(GO) run ./cmd/tornado-bench -experiment elastic -scale small
 
-# Short randomized-op fuzz pass over the MVCC store against the MemStore
-# reference (the seed corpus plus 30s of new inputs).
+# Short randomized-op fuzz pass over both stores, MVCCStore and DiskStore (the
+# latter reopened from its log at the end of every input), against the
+# storage tests' map-based reference model (the seed corpus plus 30s of new
+# inputs).
 fuzz-store:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzMVCCOps -fuzztime 30s
 

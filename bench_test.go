@@ -198,41 +198,32 @@ func BenchmarkTable3Systems(b *testing.B) {
 // --- Engine micro-benchmarks ------------------------------------------------
 
 // BenchmarkEngineIngestSSSP measures end-to-end main-loop ingestion of a
-// power-law graph to quiescence on the store that ships (MVCC), with the
-// in-memory MemStore as the labelled control.
+// power-law graph to quiescence on the store that ships (MVCC).
 func BenchmarkEngineIngestSSSP(b *testing.B) {
 	tuples := datasets.PowerLawGraph(500, 3, 3)
-	for _, store := range []struct {
-		name string
-		open func() storage.Store
-	}{
-		{"mvcc", func() storage.Store { return storage.NewMVCCStore() }},
-		{"memstore_control", func() storage.Store { return storage.NewMemStore() }},
-	} {
-		b.Run(store.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st := store.open()
-				e, err := engine.New(engine.Config{
-					Processors: 4, DelayBound: 256, Kind: engine.MainLoop,
-					LoopID: storage.MainLoop, Store: st,
-					Program: algorithms.SSSP{Source: 0}, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				e.Start()
-				e.IngestAll(tuples)
-				if err := e.WaitQuiesce(time.Minute); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(e.StatsSnapshot().Commits), "commits")
-				e.Stop()
-				st.Close()
+	b.Run("mvcc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st := storage.NewMVCCStore()
+			e, err := engine.New(engine.Config{
+				Processors: 4, DelayBound: 256, Kind: engine.MainLoop,
+				LoopID: storage.MainLoop, Store: st,
+				Program: algorithms.SSSP{Source: 0}, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(tuples)), "tuples")
-		})
-	}
+			e.Start()
+			e.IngestAll(tuples)
+			if err := e.WaitQuiesce(time.Minute); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(e.StatsSnapshot().Commits), "commits")
+			e.Stop()
+			st.Close()
+		}
+		b.ReportMetric(float64(len(tuples)), "tuples")
+	})
 }
 
 // BenchmarkEngineForkQuery measures the full query path (fork, converge,
@@ -263,7 +254,7 @@ func BenchmarkStorePut(b *testing.B) {
 		b.Run(backend, func(b *testing.B) {
 			var store storage.Store
 			if backend == "mem" {
-				store = storage.NewMemStore()
+				store = storage.NewMVCCStore()
 			} else {
 				disk, err := storage.OpenDisk(b.TempDir() + "/bench.log")
 				if err != nil {
@@ -286,7 +277,7 @@ func BenchmarkStorePut(b *testing.B) {
 
 // BenchmarkStoreSnapshotRead measures snapshot reads (Latest at a bound).
 func BenchmarkStoreSnapshotRead(b *testing.B) {
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	data := make([]byte, 64)
 	for v := 0; v < 1024; v++ {
 		for it := 0; it < 8; it++ {

@@ -54,7 +54,7 @@ var experiments = []experiment{
 	{"trace_overhead", "causal span tracing: SSSP updates/sec at off/1%/100% sampling (3% gate)", wrap(bench.RunTraceOverhead)},
 	{"delta", "delta-accumulative PageRank: updates-to-convergence vs value mode on power-law and uniform graphs", wrap(bench.RunDelta)},
 	{"wire", "TCP wire: serialization overhead, corruption-storm recovery, multi-process SSSP", wrap(bench.RunWire)},
-	{"store", "MVCC store: snapshot-fork latency vs MemStore, churn-soak RSS plateau under compaction", wrap(bench.RunStore)},
+	{"store", "MVCC store: snapshot-fork latency across vertex counts, churn-soak RSS plateau under compaction", wrap(bench.RunStore)},
 	{"elastic", "elastic hot split: throughput recovery from 4x hot-key skew, split planner vs control", wrap(bench.RunElastic)},
 }
 

@@ -22,7 +22,7 @@ func newEngine(t *testing.T, prog engine.Program, procs int, bound int64) *engin
 		DelayBound: bound,
 		Kind:       engine.MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    prog,
 		Seed:       7,
 	})

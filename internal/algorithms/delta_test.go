@@ -19,7 +19,7 @@ func newDeltaEngine(t *testing.T, dp delta.Program, procs int, bound int64) *eng
 		DelayBound: bound,
 		Kind:       engine.MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Delta:      dp,
 		Seed:       7,
 	})

@@ -61,7 +61,7 @@ func parentStoreTuples() []stream.Tuple {
 // the edge records it was bootstrapped with, byte for byte the same blob
 // wherever the program's state is unchanged.
 func TestBranchBootstrapsFromParentWrittenStore(t *testing.T) {
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	var ids []stream.VertexID
 	for _, r := range parentStore {
 		data, err := hex.DecodeString(r.blob)
@@ -76,7 +76,7 @@ func TestBranchBootstrapsFromParentWrittenStore(t *testing.T) {
 	br, err := engine.New(engine.Config{
 		Processors: 2, DelayBound: 8, Kind: engine.BranchLoop, LoopID: storage.LoopID(1),
 		Store: store, Program: SSSP{Source: 0}, Seed: 7,
-		Snapshot: &engine.SnapshotSource{Loop: storage.MainLoop, UpTo: parentStoreUpTo},
+		Snapshot: &engine.SnapshotSource{UpTo: parentStoreUpTo, Handle: store.Snapshot(storage.MainLoop)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,6 +74,9 @@ type QueryStats struct {
 	Latency    time.Duration
 	Iterations int
 	Rounds     int
+	// Reloaded counts the input tuples deserialized from the spill before
+	// the query recomputed (0 when the input stays in memory).
+	Reloaded int
 }
 
 // FromScratchEngine recomputes on every query.
@@ -127,7 +130,11 @@ func (e *FromScratchEngine) Query() (Result, QueryStats, error) {
 		input = reloaded
 	}
 	res := e.work.FromScratch(input)
-	return res, QueryStats{Latency: time.Since(start), Iterations: e.work.CostIterations(), Rounds: e.work.CostRounds()}, nil
+	st := QueryStats{Latency: time.Since(start), Iterations: e.work.CostIterations(), Rounds: e.work.CostRounds()}
+	if e.spill {
+		st.Reloaded = len(input)
+	}
+	return res, st, nil
 }
 
 // Len returns the number of collected tuples.

@@ -18,8 +18,9 @@ import (
 //     committing without the prepare phase when no consumer can be ahead;
 //   - the fork fast path: seedless branches from settled main loops;
 //   - store backend: the per-commit materialization cost of a durable
-//     (fsync-on-checkpoint) store versus the in-memory one, which is the
-//     I/O pressure behind the paper's per-iteration times (Figure 8a).
+//     (fsync-on-checkpoint) store versus the in-memory one — the same index,
+//     so the difference is the log alone — which is the I/O pressure behind
+//     the paper's per-iteration times (Figure 8a).
 type AblationReport struct {
 	Rows []AblationRow
 }
@@ -66,7 +67,7 @@ func RunAblations(s Scale) (AblationReport, error) {
 	for _, disable := range []bool{false, true} {
 		e, err := engine.New(engine.Config{
 			Processors: s.Procs, DelayBound: 1, Kind: engine.MainLoop,
-			LoopID: storage.MainLoop, Store: storage.NewMemStore(),
+			LoopID: storage.MainLoop, Store: storage.NewMVCCStore(),
 			Program: algorithms.SSSP{Source: 0}, Seed: 1,
 			DisablePrepareSkip: disable,
 		})
@@ -94,7 +95,7 @@ func RunAblations(s Scale) (AblationReport, error) {
 	for _, disable := range []bool{false, true} {
 		e, err := engine.New(engine.Config{
 			Processors: s.Procs, DelayBound: 256, Kind: engine.MainLoop,
-			LoopID: storage.MainLoop, Store: storage.NewMemStore(),
+			LoopID: storage.MainLoop, Store: storage.NewMVCCStore(),
 			Program: algorithms.SSSP{Source: 0}, Seed: 1,
 			DisableJournalPrune: disable,
 		})
@@ -121,7 +122,7 @@ func RunAblations(s Scale) (AblationReport, error) {
 		var store storage.Store
 		var cleanup func()
 		if backend == "mem" {
-			store = storage.NewMemStore()
+			store = storage.NewMVCCStore()
 			cleanup = func() {}
 		} else {
 			dir, err := tempLogDir()

@@ -89,7 +89,7 @@ func newEngine(prog engine.Program, procs int, bound int64) (*engine.Engine, err
 		DelayBound: bound,
 		Kind:       engine.MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    prog,
 		Seed:       1,
 	})

@@ -110,7 +110,7 @@ func runDeltaMode(tuples []stream.Tuple, mode string, procs int, bound int64, ep
 		DelayBound: bound,
 		Kind:       engine.MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Seed:       1,
 	}
 	if mode == "delta" {

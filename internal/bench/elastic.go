@@ -104,7 +104,7 @@ func runElasticMode(n int, mode string) (ElasticRow, error) {
 		DelayBound:    16,
 		Kind:          engine.MainLoop,
 		LoopID:        storage.MainLoop,
-		Store:         storage.NewMemStore(),
+		Store:         storage.NewMVCCStore(),
 		Program:       algorithms.SSSP{Source: 0},
 		Seed:          1,
 		Partition: func(id stream.VertexID, procs int) int {

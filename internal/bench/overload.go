@@ -102,7 +102,7 @@ func runOverloadMode(tuples []stream.Tuple, mode string, soak, slowCommit time.D
 		DelayBoundCeiling: 64,
 		Kind:              engine.MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           algorithms.SSSP{Source: 0},
 		Seed:              1,
 		MaxPendingInputs:  gateCap,

@@ -45,7 +45,7 @@ type QueriesReport struct {
 // RunQueries measures the query service at 1/8/64 concurrent clients.
 func RunQueries(s Scale) (*QueriesReport, error) {
 	tuples := edgeStream(s, 71)
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e, err := engine.New(engine.Config{
 		Processors: s.Procs,
 		DelayBound: 64,

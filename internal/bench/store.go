@@ -14,15 +14,11 @@ import (
 )
 
 // StoreForkRow is one vertex-count cell of the snapshot-latency sweep: the
-// cost of obtaining a consistent read view from each backend. For MemStore
-// that is the only consistent view it can offer — a full Scan materialized
-// into a private copy; for the MVCC store it is Pin + Snapshot, an O(1)
+// cost of the consistent read view a fork takes, Pin + Snapshot, an O(1)
 // root-pointer grab.
 type StoreForkRow struct {
 	Vertices   int     `json:"vertices"`
-	MemForkUs  float64 `json:"mem_fork_us"`
 	MVCCForkUs float64 `json:"mvcc_fork_us"`
-	Speedup    float64 `json:"speedup"`
 }
 
 // StoreSoakSample is one probe of the churn soak: live version count and
@@ -34,13 +30,11 @@ type StoreSoakSample struct {
 }
 
 // StoreReport is the MVCC storage-engine benchmark: snapshot-fork latency
-// versus MemStore across vertex counts (the O(1) claim), and a put/flush/
-// fork churn soak with background compaction on (the bounded-RSS claim),
-// with a compaction-off control for contrast.
+// across vertex counts (the O(1) claim), and a put/flush/fork churn soak
+// with background compaction on (the bounded-RSS claim), with a
+// compaction-off control for contrast.
 //
 // Gates (Failed):
-//   - at the largest vertex count, MVCC fork must be >= 10x cheaper than a
-//     MemStore consistent view;
 //   - MVCC fork latency must be flat in vertex count (largest <= 5x the
 //     smallest, above a small noise floor);
 //   - after the soak, live versions must be bounded by ~3x the vertex count;
@@ -87,60 +81,25 @@ func RunStore(s Scale) (*StoreReport, error) {
 	return rep, nil
 }
 
-// forkLatencyRow loads n vertices (one version each) into both backends and
-// times obtaining a consistent read view from each.
+// forkLatencyRow loads n vertices (one version each) and times obtaining a
+// consistent read view.
 func forkLatencyRow(n, reps int) (StoreForkRow, error) {
 	payload := make([]byte, 32)
-	mem := storage.NewMemStore()
 	mv := storage.NewMVCCStore()
-	defer mem.Close()
 	defer mv.Close()
 	for v := 0; v < n; v++ {
-		for _, st := range []storage.Store{mem, mv} {
-			if err := st.Put(storage.MainLoop, stream.VertexID(v), 1, payload); err != nil {
-				return StoreForkRow{}, err
-			}
-		}
-	}
-
-	// MemStore has no O(1) snapshot: a caller needing a stable view while
-	// writers keep committing must materialize a private copy under Scan.
-	memReps := reps
-	if n >= 100_000 && memReps > 10 {
-		memReps = 10
-	}
-	start := time.Now()
-	for i := 0; i < memReps; i++ {
-		view := make(map[stream.VertexID][]byte, n)
-		err := mem.Scan(storage.MainLoop, math.MaxInt64, func(r storage.Record) error {
-			cp := make([]byte, len(r.Data))
-			copy(cp, r.Data)
-			view[r.Vertex] = cp
-			return nil
-		})
-		if err != nil {
+		if err := mv.Put(storage.MainLoop, stream.VertexID(v), 1, payload); err != nil {
 			return StoreForkRow{}, err
 		}
-		if len(view) != n {
-			return StoreForkRow{}, fmt.Errorf("mem view has %d vertices, want %d", len(view), n)
-		}
 	}
-	memUs := float64(time.Since(start).Nanoseconds()) / float64(memReps) / 1e3
-
-	start = time.Now()
+	start := time.Now()
 	for i := 0; i < reps; i++ {
 		unpin := mv.Pin(storage.MainLoop, 1)
 		snap := mv.Snapshot(storage.MainLoop)
 		snap.Release()
 		unpin()
 	}
-	mvccUs := float64(time.Since(start).Nanoseconds()) / float64(reps) / 1e3
-
-	row := StoreForkRow{Vertices: n, MemForkUs: memUs, MVCCForkUs: mvccUs}
-	if mvccUs > 0 {
-		row.Speedup = memUs / mvccUs
-	}
-	return row, nil
+	return StoreForkRow{Vertices: n, MVCCForkUs: float64(time.Since(start).Nanoseconds()) / float64(reps) / 1e3}, nil
 }
 
 // runChurnSoak drives put-wave / flush / fork-drop churn against an MVCC
@@ -173,7 +132,7 @@ func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 					snap.Release()
 				}
 				unpin = st.Pin(storage.MainLoop, int64(round))
-				snap = st.(storage.Snapshotter).Snapshot(storage.MainLoop)
+				snap = st.Snapshot(storage.MainLoop)
 			}
 			if sample != nil && (round%10 == 0 || round == rounds) {
 				sample(round, st)
@@ -195,7 +154,7 @@ func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 		runtime.ReadMemStats(&ms)
 		rep.Soak = append(rep.Soak, StoreSoakSample{
 			Round:        round,
-			LiveVersions: st.(*storage.MVCCStore).StoreStats().LiveVersions,
+			LiveVersions: st.StoreStats().LiveVersions,
 			HeapAllocMB:  float64(ms.HeapAlloc) / (1 << 20),
 		})
 	})
@@ -222,12 +181,6 @@ func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 func (r *StoreReport) gate() {
 	last := r.ForkRows[len(r.ForkRows)-1]
 	first := r.ForkRows[0]
-	if last.Speedup < 10 {
-		r.Violation = fmt.Sprintf(
-			"MVCC fork at %d vertices is only %.1fx cheaper than a MemStore consistent view (want >= 10x)",
-			last.Vertices, last.Speedup)
-		return
-	}
 	// Flatness above a 2us noise floor: O(1) means the largest store must
 	// not fork materially slower than the smallest.
 	floor := math.Max(first.MVCCForkUs, 2.0)
@@ -270,12 +223,10 @@ func (r *StoreReport) String() string {
 	for _, row := range r.ForkRows {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", row.Vertices),
-			fmt.Sprintf("%.1f", row.MemForkUs),
 			fmt.Sprintf("%.2f", row.MVCCForkUs),
-			fmt.Sprintf("%.0fx", row.Speedup),
 		})
 	}
-	b.WriteString(table([]string{"vertices", "mem-view-us", "mvcc-fork-us", "speedup"}, rows))
+	b.WriteString(table([]string{"vertices", "mvcc-fork-us"}, rows))
 	fmt.Fprintf(&b, "churn soak: %d vertices x %d waves, %dB payloads\n",
 		r.SoakVertices, r.SoakRounds, r.SoakPayload)
 	for _, s := range r.Soak {

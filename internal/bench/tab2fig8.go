@@ -231,7 +231,7 @@ func engineWithJitter(prog engine.Program, procs int, bound int64, seed int64) (
 		DelayBound: bound,
 		Kind:       engine.MainLoop,
 		LoopID:     0,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    prog,
 		Seed:       1,
 		CommitDelay: func(p int) time.Duration {

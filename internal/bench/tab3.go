@@ -22,6 +22,9 @@ var tab3Fractions = []float64{0.01, 0.05, 0.10, 0.20}
 type Table3Cell struct {
 	Latency time.Duration
 	OOM     bool
+	// Stats is the from-scratch baselines' own report of the query (zero in
+	// the other cells); Latency adds the simulated rounds to its latency.
+	Stats baselines.QueryStats
 }
 
 func (c Table3Cell) String() string {
@@ -35,6 +38,7 @@ func (c Table3Cell) String() string {
 type Table3Row struct {
 	Workload string
 	Frac     float64
+	Tuples   int        // input accumulated at Frac
 	Spark    Table3Cell // from scratch with spill
 	GraphLab Table3Cell // from scratch in memory
 	Naiad    Table3Cell // difference traces
@@ -170,15 +174,15 @@ func RunTable3(s Scale) (Table3Report, error) {
 			naiad.Feed(delta...)
 			tor.IngestAll(delta)
 
-			row := Table3Row{Workload: wl.name, Frac: frac}
+			row := Table3Row{Workload: wl.name, Frac: frac, Tuples: fed}
 			if _, st, err := spark.Query(); err == nil {
-				row.Spark = Table3Cell{Latency: st.Latency + time.Duration(st.Rounds)*s.RTT}
+				row.Spark = Table3Cell{Latency: st.Latency + time.Duration(st.Rounds)*s.RTT, Stats: st}
 			} else {
 				tor.Stop()
 				return rep, err
 			}
 			if _, st, err := graphlab.Query(); err == nil {
-				row.GraphLab = Table3Cell{Latency: st.Latency + time.Duration(st.Rounds)*s.RTT}
+				row.GraphLab = Table3Cell{Latency: st.Latency + time.Duration(st.Rounds)*s.RTT, Stats: st}
 			} else {
 				tor.Stop()
 				return rep, err

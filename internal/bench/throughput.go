@@ -84,7 +84,7 @@ func runThroughputMode(tuples []stream.Tuple, mode string, soak time.Duration) (
 		DelayBound: 64,
 		Kind:       engine.MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    algorithms.SSSP{Source: 0},
 		Seed:       1,
 		// Reliability on: without an ack/resend deadline the transport

@@ -111,7 +111,7 @@ func runTraceOverheadMode(tuples []stream.Tuple, rate float64, soak time.Duratio
 		DelayBound:  64,
 		Kind:        engine.MainLoop,
 		LoopID:      storage.MainLoop,
-		Store:       storage.NewMemStore(),
+		Store:       storage.NewMVCCStore(),
 		Program:     algorithms.SSSP{Source: 0},
 		Seed:        1,
 		ResendAfter: 20 * time.Millisecond,

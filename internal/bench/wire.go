@@ -145,7 +145,7 @@ func runWireChurn(tuples []stream.Tuple, waves int, wire *engine.WireSpec) (Wire
 		DelayBound:  64,
 		Kind:        engine.MainLoop,
 		LoopID:      storage.MainLoop,
-		Store:       storage.NewMemStore(),
+		Store:       storage.NewMVCCStore(),
 		Program:     algorithms.SSSP{Source: 0},
 		Seed:        83,
 		ResendAfter: 20 * time.Millisecond,

@@ -93,7 +93,7 @@ func newBatchProbe(t *testing.T, prog Program) (*Engine, *processor) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    prog,
 		Seed:       7,
 	})
@@ -217,7 +217,7 @@ func TestCrashMidFlushExactInputCounts(t *testing.T) {
 		DelayBound:        8,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           countProg{},
 		Seed:              31,
 		HeartbeatInterval: 5 * time.Millisecond,

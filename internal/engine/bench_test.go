@@ -72,7 +72,7 @@ func BenchmarkHubInDegree(b *testing.B) {
 	for _, d := range []int{64, 4096, 65536} {
 		b.Run(fmt.Sprint(d), func(b *testing.B) {
 			e, err := New(Config{Processors: 1, DelayBound: 1 << 40, Kind: MainLoop, LoopID: storage.MainLoop,
-				Store: storage.NewMemStore(), Program: countProg{}, Seed: 1})
+				Store: storage.NewMVCCStore(), Program: countProg{}, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

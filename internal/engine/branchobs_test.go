@@ -33,7 +33,7 @@ func TestForkRegistersNoNewFamilies(t *testing.T) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       7,
 		Obs:        hub,
@@ -125,7 +125,7 @@ func benchFork(b *testing.B, hub *obs.Hub) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       7,
 		Obs:        hub,

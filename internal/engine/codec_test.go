@@ -268,7 +268,7 @@ func TestLazyRandSameStreams(t *testing.T) {
 
 	run := func(procs int) map[stream.VertexID][]int64 {
 		e, err := New(Config{Processors: procs, DelayBound: 8, Kind: MainLoop, LoopID: storage.MainLoop,
-			Store: storage.NewMemStore(), Program: drawProg{}, Seed: 5})
+			Store: storage.NewMVCCStore(), Program: drawProg{}, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

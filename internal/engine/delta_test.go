@@ -158,7 +158,7 @@ func TestDeltaChaosSoakRecovery(t *testing.T) {
 		DelayBound:        16,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Delta:             dssspProg{source: 0},
 		ResendAfter:       5 * time.Millisecond,
 		Seed:              77,
@@ -223,7 +223,7 @@ func TestDeltaBranchForkAndAdopt(t *testing.T) {
 		DelayBound: 16,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Delta:      dssspProg{source: 0},
 		Seed:       31,
 	})
@@ -291,7 +291,7 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Delta:      dsumProg{},
 		Seed:       7,
 	})

@@ -123,7 +123,7 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 	const self, ids = stream.VertexID(1000), 12
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		store := storage.NewMemStore()
+		store := storage.NewMVCCStore()
 		e, err := New(Config{Processors: 1, DelayBound: 1 << 40, Kind: MainLoop, LoopID: storage.MainLoop,
 			Store: store, Program: edgeProg{}, Seed: int64(trial)})
 		if err != nil {

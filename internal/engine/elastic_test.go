@@ -19,7 +19,7 @@ func newElasticSSSP(t *testing.T, procs, maxProcs int, seed int64) *Engine {
 		DelayBound:    8,
 		Kind:          MainLoop,
 		LoopID:        storage.MainLoop,
-		Store:         storage.NewMemStore(),
+		Store:         storage.NewMVCCStore(),
 		Program:       ssspProg{source: 0},
 		Seed:          seed,
 	})
@@ -100,7 +100,7 @@ func TestLiveMigrationDeltaUnderIngestion(t *testing.T) {
 		DelayBound:    8,
 		Kind:          MainLoop,
 		LoopID:        storage.MainLoop,
-		Store:         storage.NewMemStore(),
+		Store:         storage.NewMVCCStore(),
 		Delta:         dssspProg{source: 0},
 		Seed:          87,
 	})
@@ -226,7 +226,7 @@ func TestMigrationCrashAborts(t *testing.T) {
 		DelayBound:        8,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		Seed:              97,
 		HeartbeatInterval: heartbeatFor(nil),
@@ -310,7 +310,7 @@ func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 		DelayBound:    8,
 		Kind:          MainLoop,
 		LoopID:        storage.MainLoop,
-		Store:         storage.NewMemStore(),
+		Store:         storage.NewMVCCStore(),
 		Delta:         dssspProg{source: 0},
 		Seed:          101,
 	})
@@ -368,7 +368,7 @@ func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 func TestMigrationCarriesAppliedJournalSeqs(t *testing.T) {
 	const n = 20
 	e, err := New(Config{Processors: 2, MaxProcessors: 3, DelayBound: 1, Kind: MainLoop, LoopID: storage.MainLoop,
-		Store: storage.NewMemStore(), Program: ssspProg{source: 100}, Seed: 5})
+		Store: storage.NewMVCCStore(), Program: ssspProg{source: 100}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestReshardRejectsActiveIngestion(t *testing.T) {
 		DelayBound:       8,
 		Kind:             MainLoop,
 		LoopID:           storage.MainLoop,
-		Store:            storage.NewMemStore(),
+		Store:            storage.NewMVCCStore(),
 		Program:          ssspProg{source: 0},
 		Seed:             103,
 		MaxPendingInputs: 4096,

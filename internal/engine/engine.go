@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,38 +24,19 @@ import (
 // of another loop (branch forking, Section 5.2, and checkpoint recovery,
 // Section 5.3).
 type SnapshotSource struct {
-	Loop storage.LoopID
+	// UpTo bounds every read: the engine sees the freshest version <= UpTo
+	// of each vertex.
 	UpTo int64
-	// Handle, when non-nil, is a pinned point-in-time view of Loop captured
-	// at fork/recovery time (storage.Snapshotter backends): snapshot reads
-	// go through it instead of the live store, so no concurrent compaction,
+	// Handle is the point-in-time view of the source loop, taken with
+	// Store.Snapshot at fork/recovery time: no concurrent compaction,
 	// truncation, or drop of the source loop can narrow what this engine
-	// sees. Reads stay bounded by UpTo either way. The engine that owns the
-	// source releases it on Stop.
+	// sees. The engine that owns the source releases it on Stop.
 	Handle storage.Snapshot
 }
 
-// latest reads the freshest snapshot version of vertex <= maxIter: through
-// the pinned handle when present, else from the live store (whose Pin clamp
-// is then the only thing standing between the read and a compaction).
-func (s *SnapshotSource) latest(st storage.Store, vertex stream.VertexID, maxIter int64) ([]byte, int64, error) {
-	if s.Handle != nil {
-		return s.Handle.Latest(vertex, maxIter)
-	}
-	return st.Latest(s.Loop, vertex, maxIter)
-}
-
-// scan visits the freshest snapshot version <= maxIter of every vertex.
-func (s *SnapshotSource) scan(st storage.Store, maxIter int64, fn func(storage.Record) error) error {
-	if s.Handle != nil {
-		return s.Handle.Scan(maxIter, fn)
-	}
-	return st.Scan(s.Loop, maxIter, fn)
-}
-
-// release drops the pinned handle, if any. Idempotent (handles are).
+// release drops the handle. Idempotent (handles are).
 func (s *SnapshotSource) release() {
-	if s != nil && s.Handle != nil {
+	if s != nil {
 		s.Handle.Release()
 	}
 }
@@ -221,6 +201,9 @@ func (c *Config) validate() error {
 	}
 	if c.Store == nil {
 		return errors.New("engine: Store is required")
+	}
+	if c.Snapshot != nil && c.Snapshot.Handle == nil {
+		return errors.New("engine: Snapshot requires a Handle")
 	}
 	if (c.Program == nil) == (c.Delta == nil) {
 		return errors.New("engine: exactly one of Program and Delta is required")
@@ -494,10 +477,8 @@ type Engine struct {
 	supWG        sync.WaitGroup
 	started      atomic.Bool
 
-	// pins holds the fork iterations of live branches; compaction never
-	// drops versions a pinned snapshot may still lazily read.
-	pinMu sync.Mutex
-	pins  map[int64]int
+	// forks counts branches forked off this loop and not yet stopped.
+	forks atomic.Int64
 
 	// onStop runs after the engine stops (branch engines release their
 	// parent's fork pin here; a Reshard replacement releases its resume
@@ -521,7 +502,6 @@ func New(cfg Config) (*Engine, error) {
 		restartLog:  make(map[int][]time.Time),
 		created:     time.Now(),
 		done:        make(chan struct{}),
-		pins:        make(map[int64]int),
 		slow:        make([]atomic.Int64, cfg.MaxProcessors),
 	}
 	e.outboxes.New = func() any { return newOutbox(cfg.MaxProcessors) }
@@ -868,7 +848,7 @@ func (e *Engine) masterRun(inc *incarnation) {
 				e.journal.Prune(to)
 			}
 			if n := e.cfg.CompactEvery; n > 0 && to/n > (from-1)/n {
-				if err := e.cfg.Store.Compact(e.cfg.LoopID, e.compactFloor(to)); err != nil {
+				if err := e.cfg.Store.Compact(e.cfg.LoopID, to); err != nil {
 					panic(fmt.Sprintf("engine: compact store: %v", err))
 				}
 			}
@@ -1066,53 +1046,17 @@ func (e *Engine) Stop() {
 	})
 }
 
-// pinFork registers a live snapshot at iter and returns its release.
-func (e *Engine) pinFork(iter int64) func() {
-	e.pinMu.Lock()
-	e.pins[iter]++
-	e.pinMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			e.pinMu.Lock()
-			if e.pins[iter]--; e.pins[iter] <= 0 {
-				delete(e.pins, iter)
-			}
-			e.pinMu.Unlock()
-		})
-	}
-}
-
-// PinnedForks returns the number of live fork pins: snapshots of this loop
-// still held by running branch loops or retained query results. Compaction
-// never drops versions a pinned snapshot may read, so a nonzero count after
-// every query closed indicates a leak.
-func (e *Engine) PinnedForks() int {
-	e.pinMu.Lock()
-	defer e.pinMu.Unlock()
-	n := 0
-	for _, c := range e.pins {
-		n += c
-	}
-	return n
-}
+// PinnedForks returns the number of branches forked off this loop and not
+// yet stopped: snapshots of this loop still held by running branch loops or
+// retained query results. Each holds a store pin, so compaction keeps the
+// versions its fork iteration can observe; a nonzero count after every
+// query closed indicates a leak.
+func (e *Engine) PinnedForks() int { return int(e.forks.Load()) }
 
 // ForkJournalSeq returns, on a branch engine, the parent main loop's
 // input-journal sequence at fork time: the number of ingested inputs this
 // branch's fixed point reflects.
 func (e *Engine) ForkJournalSeq() uint64 { return e.forkJournalSeq }
-
-// compactFloor caps a compaction at the oldest pinned fork iteration.
-func (e *Engine) compactFloor(to int64) int64 {
-	e.pinMu.Lock()
-	defer e.pinMu.Unlock()
-	for iter := range e.pins {
-		if iter < to {
-			to = iter
-		}
-	}
-	return to
-}
 
 // FlowSnapshot is a point-in-time view of the loop's backpressure state:
 // the ingest admission ledger, the effective delay bound, and the transport
@@ -1345,54 +1289,73 @@ func (e *Engine) IterationLog() []IterationRecord {
 func (e *Engine) ReadState(id stream.VertexID, maxIter int64) (any, int64, error) {
 	data, iter, err := e.cfg.Store.Latest(e.cfg.LoopID, id, maxIter)
 	if snap := e.snapshot(); errors.Is(err, storage.ErrNotFound) && snap != nil {
-		data, iter, err = snap.latest(e.cfg.Store, id, snap.UpTo)
+		data, iter, err = snap.Handle.Latest(id, snap.UpTo)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	return e.decodeState(id, data, iter)
-}
-
-func (e *Engine) decodeState(id stream.VertexID, data []byte, iter int64) (any, int64, error) {
-	blob, err := StateCodec{}.DecodeBlob(data)
+	blob, err := decodeStored(id, data)
 	if err != nil {
-		return nil, 0, fmt.Errorf("engine: stored version of vertex %d: %w", id, err)
+		return nil, 0, err
 	}
 	return blob.State, iter, nil
+}
+
+// decodeStored decodes a stored version of vertex id.
+func decodeStored(id stream.VertexID, data []byte) (VertexBlob, error) {
+	blob, err := StateCodec{}.DecodeBlob(data)
+	if err != nil {
+		return VertexBlob{}, fmt.Errorf("engine: stored version of vertex %d: %w", id, err)
+	}
+	return blob, nil
 }
 
 // ScanStates visits the freshest stored state of every vertex at or below
 // maxIter in ascending vertex order, overlaying this loop's commits onto its
 // snapshot source (if any).
 func (e *Engine) ScanStates(maxIter int64, fn func(id stream.VertexID, iter int64, state any) error) error {
-	own := make(map[stream.VertexID]storage.Record)
+	return e.scanBlobs(maxIter, func(id stream.VertexID, iter int64, blob VertexBlob) error {
+		return fn(id, iter, blob.State)
+	})
+}
+
+// scanBlobs is ScanStates over the whole stored blob (state, targets and
+// pending). It walks the overlay once and decodes each visited version once:
+// both scans ascend by vertex, so this loop's commits (collected first) are
+// merged into the snapshot's stream, shadowing the snapshot's version of
+// every vertex the loop committed itself.
+func (e *Engine) scanBlobs(maxIter int64, fn func(id stream.VertexID, iter int64, blob VertexBlob) error) error {
+	var own []storage.Record
 	if err := e.cfg.Store.Scan(e.cfg.LoopID, maxIter, func(r storage.Record) error {
-		own[r.Vertex] = r
+		own = append(own, r)
 		return nil
 	}); err != nil {
 		return err
 	}
-	merged := make([]storage.Record, 0, len(own))
+	visit := func(r storage.Record) error {
+		blob, err := decodeStored(r.Vertex, r.Data)
+		if err != nil {
+			return err
+		}
+		return fn(r.Vertex, r.Iteration, blob)
+	}
 	if snap := e.snapshot(); snap != nil {
-		if err := snap.scan(e.cfg.Store, snap.UpTo, func(r storage.Record) error {
-			if _, overlaid := own[r.Vertex]; !overlaid {
-				merged = append(merged, r)
+		if err := snap.Handle.Scan(snap.UpTo, func(r storage.Record) error {
+			for ; len(own) > 0 && own[0].Vertex < r.Vertex; own = own[1:] {
+				if err := visit(own[0]); err != nil {
+					return err
+				}
 			}
-			return nil
+			if len(own) > 0 && own[0].Vertex == r.Vertex {
+				return nil // shadowed: the loop's own version is visited in its turn
+			}
+			return visit(r)
 		}); err != nil {
 			return err
 		}
 	}
 	for _, r := range own {
-		merged = append(merged, r)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Vertex < merged[j].Vertex })
-	for _, r := range merged {
-		state, iter, err := e.decodeState(r.Vertex, r.Data, r.Iteration)
-		if err != nil {
-			return err
-		}
-		if err := fn(r.Vertex, iter, state); err != nil {
+		if err := visit(r); err != nil {
 			return err
 		}
 	}
@@ -1488,18 +1451,14 @@ func (e *Engine) InjectTransportFaults(drop, dup float64) {
 // use it instead of post-fork Activate calls, which can race an empty
 // branch's instant convergence.
 func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), seed func(*Engine)) (*Engine, ForkSpec, error) {
-	// Pin before capturing the spec so a concurrent compaction can never
-	// drop versions between the snapshot decision and the pin. The pinned
+	// Pin before capturing the spec so no compaction — the master's, the
+	// store's background pass, or a direct Compact call — can drop versions
+	// between the snapshot decision and the handle grab below. The pinned
 	// iteration is at most the spec's fork iteration (the frontier only
-	// advances), which keeps the pin conservative and safe. The pin is
-	// taken twice on purpose: engine-side (compactFloor, for this engine's
-	// own periodic compaction) and store-side (the Store.Pin clamp, which
-	// also covers direct Compact calls and background compactors the
-	// engine never sees).
+	// advances), which keeps the pin conservative and safe.
 	e.genMu.RLock()
-	pinIter := e.inc.tracker.Notified()
-	enginePin := e.pinFork(pinIter)
-	storePin := e.cfg.Store.Pin(e.cfg.LoopID, pinIter)
+	storePin := e.cfg.Store.Pin(e.cfg.LoopID, e.inc.tracker.Notified())
+	e.forks.Add(1)
 	forkSeq := e.journalSeq() // before the spec: conservative for merges
 	spec := e.forkLocked()
 	cfg := e.cfg
@@ -1509,15 +1468,12 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 	cfg.Kind = BranchLoop
 	cfg.LoopID = branchLoop
 	cfg.branchObs = e.branchObs
-	// An MVCC-style backend upgrades the fork to an O(1) pinned handle: the
-	// grab is safe here, after the spec, because the pins above already
-	// clamp any compaction below the fork iteration. From now on the branch
-	// reads an immutable root instead of racing the parent's live tree.
-	var handle storage.Snapshot
-	if sn, ok := cfg.Store.(storage.Snapshotter); ok {
-		handle = sn.Snapshot(e.cfg.LoopID)
-	}
-	cfg.Snapshot = &SnapshotSource{Loop: e.cfg.LoopID, UpTo: spec.ForkIter, Handle: handle}
+	// The branch reads the parent through an O(1) handle: the grab is safe
+	// here, after the spec, because the pin above already clamps any
+	// compaction below the fork iteration. From now on the branch reads an
+	// immutable root instead of racing the parent's live tree.
+	handle := cfg.Store.Snapshot(e.cfg.LoopID)
+	cfg.Snapshot = &SnapshotSource{UpTo: spec.ForkIter, Handle: handle}
 	cfg.Converge = nil
 	cfg.MaxIterations = 0
 	cfg.StartIteration = 0
@@ -1528,11 +1484,9 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 		override(&cfg)
 	}
 	unpin := func() {
-		enginePin()
 		storePin()
-		if handle != nil {
-			handle.Release()
-		}
+		handle.Release()
+		e.forks.Add(-1)
 	}
 	br, err := New(cfg)
 	if err != nil {
@@ -1577,7 +1531,7 @@ func (e *Engine) ActivateStored() error {
 		return errors.New("engine: ActivateStored requires a snapshot source")
 	}
 	var ids []stream.VertexID
-	if err := snap.scan(e.cfg.Store, snap.UpTo, func(r storage.Record) error {
+	if err := snap.Handle.Scan(snap.UpTo, func(r storage.Record) error {
 		ids = append(ids, r.Vertex)
 		return nil
 	}); err != nil {
@@ -1623,17 +1577,13 @@ func Reshard(e *Engine, newProcs int, newPartition func(stream.VertexID, int) in
 	if newPartition != nil {
 		cfg.Partition = newPartition
 	}
-	cfg.Snapshot = &SnapshotSource{Loop: cfg.LoopID, UpTo: resume}
-	// Resuming over own history: pin the view like a fork would, so the
-	// replacement's lazy bootstrap reads are immune to compaction. The
-	// Store.Pin clamp covers every backend (MemStore and DiskStore have no
-	// handles, only the pin registry); on Snapshotter backends the handle
-	// additionally makes the view immutable. The old engine is already
-	// stopped, so the grab sees all its commits.
+	// Resuming over own history: the replacement bootstraps through a handle
+	// on its own loop, pinned at resume like a fork's view, so neither its
+	// lazy reads nor readers of the live store at resume lose a version to
+	// compaction. The old engine is already stopped, so the grab sees all
+	// its commits.
 	storePin := cfg.Store.Pin(cfg.LoopID, resume)
-	if sn, ok := cfg.Store.(storage.Snapshotter); ok {
-		cfg.Snapshot.Handle = sn.Snapshot(cfg.LoopID)
-	}
+	cfg.Snapshot = &SnapshotSource{UpTo: resume, Handle: cfg.Store.Snapshot(cfg.LoopID)}
 	cfg.StartIteration = resume + 1
 	ne, err := New(cfg)
 	if err != nil {

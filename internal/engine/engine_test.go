@@ -165,7 +165,7 @@ func TestSSSPMatrixMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("procs=%d/B=%d/MaxBatch=%d", procs, bound, maxBatch)
 				t.Run(name, func(t *testing.T) {
 					e, err := New(Config{Processors: procs, DelayBound: bound, Kind: MainLoop, LoopID: storage.MainLoop,
-						Store: storage.NewMemStore(), Program: ssspProg{source: 0}, Seed: 42, MaxBatch: maxBatch})
+						Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: 42, MaxBatch: maxBatch})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,7 +191,7 @@ func TestSSSPIncrementalAndRemovals(t *testing.T) {
 	half := len(all) / 2
 	for _, bound := range []int64{1, 1 << 40} {
 		t.Run(fmt.Sprintf("B=%d", bound), func(t *testing.T) {
-			e := newSSSPEngine(t, 3, bound, storage.NewMemStore(), storage.MainLoop)
+			e := newSSSPEngine(t, 3, bound, storage.NewMVCCStore(), storage.MainLoop)
 			e.Start()
 			defer e.Stop()
 			e.IngestAll(all[:half])
@@ -215,7 +215,7 @@ func TestEdgeRemovalRaisesDistance(t *testing.T) {
 		stream.AddEdge(1, 0, 1), stream.AddEdge(2, 1, 2),
 		stream.AddEdge(3, 0, 3), stream.AddEdge(4, 3, 4), stream.AddEdge(5, 4, 2),
 	}
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(edges)
@@ -238,7 +238,7 @@ func TestEdgeRemovalRaisesDistance(t *testing.T) {
 
 func TestSynchronousLoopSendsNoPrepares(t *testing.T) {
 	tuples := datasets.PowerLawGraph(80, 3, 11)
-	e := newSSSPEngine(t, 4, 1, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 4, 1, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
@@ -256,7 +256,7 @@ func TestSynchronousLoopSendsNoPrepares(t *testing.T) {
 
 func TestAsynchronousLoopUsesPrepares(t *testing.T) {
 	tuples := datasets.PowerLawGraph(80, 3, 11)
-	e := newSSSPEngine(t, 4, 1<<40, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 4, 1<<40, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
@@ -272,7 +272,7 @@ func TestAsynchronousLoopUsesPrepares(t *testing.T) {
 func TestSyncNeedsFewerIterationsThanAsync(t *testing.T) {
 	tuples := datasets.PowerLawGraph(150, 3, 13)
 	iters := func(bound int64) int64 {
-		e := newSSSPEngine(t, 4, bound, storage.NewMemStore(), storage.MainLoop)
+		e := newSSSPEngine(t, 4, bound, storage.NewMVCCStore(), storage.MainLoop)
 		e.Start()
 		defer e.Stop()
 		e.IngestAll(tuples)
@@ -291,7 +291,7 @@ func TestSyncNeedsFewerIterationsThanAsync(t *testing.T) {
 func TestBranchForkAfterQuiesce(t *testing.T) {
 	tuples := datasets.PowerLawGraph(100, 3, 17)
 	half := len(tuples) / 2
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 3, 16, store, storage.MainLoop)
 	e.Start()
 	defer e.Stop()
@@ -324,7 +324,7 @@ func TestBranchForkWhileRunningIsExact(t *testing.T) {
 	// the branch's fixed point (snapshot + seeds + residual replay).
 	tuples := datasets.PowerLawGraph(100, 3, 19)
 	cut := 2 * len(tuples) / 3
-	e := newSSSPEngine(t, 3, 64, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 3, 64, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples[:cut])
@@ -349,7 +349,7 @@ func TestBranchForkWhileRunningIsExact(t *testing.T) {
 
 func TestConcurrentBranches(t *testing.T) {
 	tuples := datasets.PowerLawGraph(80, 3, 23)
-	e := newSSSPEngine(t, 2, 32, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 32, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
@@ -379,7 +379,7 @@ func TestMasterPauseStallsSyncLoop(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		tuples = append(tuples, stream.AddEdge(stream.Timestamp(i+1), stream.VertexID(i), stream.VertexID(i+1)))
 	}
-	e := newSSSPEngine(t, 2, 1, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 1, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
@@ -415,7 +415,7 @@ func TestMasterPauseDoesNotStallUnboundedLoop(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		tuples = append(tuples, stream.AddEdge(stream.Timestamp(i+1), stream.VertexID(i), stream.VertexID(i+1)))
 	}
-	e := newSSSPEngine(t, 2, 1<<40, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 1<<40, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.PauseMaster() // dead from the start: termination detection never runs
@@ -438,7 +438,7 @@ func TestMasterPauseDoesNotStallUnboundedLoop(t *testing.T) {
 
 func TestProcessorPauseStallsAndResumes(t *testing.T) {
 	tuples := datasets.PowerLawGraph(100, 3, 29)
-	e := newSSSPEngine(t, 4, 16, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 4, 16, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.PauseProcessor(2)
@@ -456,7 +456,7 @@ func TestProcessorPauseStallsAndResumes(t *testing.T) {
 func TestRecoveryFromCheckpoint(t *testing.T) {
 	tuples := datasets.PowerLawGraph(100, 3, 31)
 	half := len(tuples) / 2
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 3, 8, store, storage.MainLoop)
 	e.Start()
 	e.IngestAll(tuples[:half])
@@ -476,7 +476,7 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 		LoopID:     storage.LoopID(9),
 		Store:      store,
 		Program:    ssspProg{source: 0},
-		Snapshot:   &SnapshotSource{Loop: storage.MainLoop, UpTo: ckpt},
+		Snapshot:   &SnapshotSource{UpTo: ckpt, Handle: store.Snapshot(storage.MainLoop)},
 		Seed:       42,
 	})
 	if err != nil {
@@ -508,7 +508,7 @@ func TestAtLeastOnceTransportStillConverges(t *testing.T) {
 		DelayBound:  16,
 		Kind:        MainLoop,
 		LoopID:      storage.MainLoop,
-		Store:       storage.NewMemStore(),
+		Store:       storage.NewMVCCStore(),
 		Program:     ssspProg{source: 0},
 		ResendAfter: 5 * time.Millisecond,
 		Seed:        42,
@@ -533,7 +533,7 @@ func TestMaxIterationsHaltsLoop(t *testing.T) {
 		DelayBound:    4,
 		Kind:          MainLoop,
 		LoopID:        storage.MainLoop,
-		Store:         storage.NewMemStore(),
+		Store:         storage.NewMVCCStore(),
 		Program:       chatterProg{},
 		MaxIterations: 50,
 		Seed:          1,
@@ -557,7 +557,7 @@ func TestConvergePredicateHaltsLoop(t *testing.T) {
 		DelayBound: 4,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    chatterProg{},
 		Converge:   func(iter, _ int64, _ float64) bool { return iter >= stopAt },
 		Seed:       1,
@@ -602,7 +602,7 @@ func (chatterProg) Scatter(ctx Context) {
 
 func TestIterationLogMonotone(t *testing.T) {
 	tuples := datasets.PowerLawGraph(60, 3, 41)
-	e := newSSSPEngine(t, 2, 4, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 4, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
@@ -641,12 +641,13 @@ func TestIterationLogMonotone(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	cases := []Config{
 		{Processors: 0, DelayBound: 1, Store: store, Program: ssspProg{}},
 		{Processors: 1, DelayBound: 0, Store: store, Program: ssspProg{}},
 		{Processors: 1, DelayBound: 1, Program: ssspProg{}},
 		{Processors: 1, DelayBound: 1, Store: store},
+		{Processors: 1, DelayBound: 1, Store: store, Program: ssspProg{}, Snapshot: &SnapshotSource{}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -768,7 +769,7 @@ func TestJournalLifecycle(t *testing.T) {
 }
 
 func TestReadStateNotFound(t *testing.T) {
-	e := newSSSPEngine(t, 1, 1, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 1, 1, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	if _, _, err := e.ReadState(99, math.MaxInt64); !errors.Is(err, storage.ErrNotFound) {

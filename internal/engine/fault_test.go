@@ -27,7 +27,7 @@ func TestLossyTransportStillConverges(t *testing.T) {
 				DelayBound:  16,
 				Kind:        MainLoop,
 				LoopID:      storage.MainLoop,
-				Store:       storage.NewMemStore(),
+				Store:       storage.NewMVCCStore(),
 				Program:     ssspProg{source: 0},
 				ResendAfter: 2 * time.Millisecond,
 				Seed:        42,
@@ -56,7 +56,7 @@ func TestLossyTransportBranchFork(t *testing.T) {
 		DelayBound:  32,
 		Kind:        MainLoop,
 		LoopID:      storage.MainLoop,
-		Store:       storage.NewMemStore(),
+		Store:       storage.NewMVCCStore(),
 		Program:     ssspProg{source: 0},
 		ResendAfter: 2 * time.Millisecond,
 		Seed:        42,
@@ -105,7 +105,7 @@ func TestRandomizedConfigurations(t *testing.T) {
 				DelayBound: bound,
 				Kind:       MainLoop,
 				LoopID:     storage.MainLoop,
-				Store:      storage.NewMemStore(),
+				Store:      storage.NewMVCCStore(),
 				Program:    ssspProg{source: 0},
 				Seed:       seed,
 			}
@@ -142,7 +142,7 @@ func TestRandomizedConfigurations(t *testing.T) {
 // absorbed; the final state must still be exact.
 func TestRepeatedPauseResumeCycles(t *testing.T) {
 	tuples := datasets.PowerLawGraph(120, 3, 83)
-	e := newSSSPEngine(t, 4, 16, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 4, 16, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	chunk := len(tuples) / 6
@@ -175,7 +175,7 @@ func TestRepeatedPauseResumeCycles(t *testing.T) {
 // frame is retransmitted under at-least-once delivery), the removal must
 // win — topology application is commutative in event time.
 func TestStaleEdgeOpIsIgnored(t *testing.T) {
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
@@ -207,7 +207,7 @@ func TestStaleEdgeOpIsIgnored(t *testing.T) {
 // fixed point must be unaffected (re-scattering a fixed point is a no-op).
 func TestDuplicateActivationsAreIdempotent(t *testing.T) {
 	tuples := datasets.PowerLawGraph(60, 3, 89)
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)

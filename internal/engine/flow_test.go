@@ -20,7 +20,7 @@ func newFlowSSSPEngine(t *testing.T, cfg Config) *Engine {
 	cfg.Kind = MainLoop
 	cfg.LoopID = storage.MainLoop
 	if cfg.Store == nil {
-		cfg.Store = storage.NewMemStore()
+		cfg.Store = storage.NewMVCCStore()
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestSetDelayBoundClamps(t *testing.T) {
 	}
 
 	noCeiling := newFlowSSSPEngine(t, Config{Processors: 2, DelayBound: 8, Seed: 1,
-		Store: storage.NewMemStore()})
+		Store: storage.NewMVCCStore()})
 	defer noCeiling.Stop()
 	noCeiling.Start()
 	if got := noCeiling.SetDelayBound(1 << 20); got != 8 {

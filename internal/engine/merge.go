@@ -76,7 +76,7 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 		clock   map[stream.VertexID]stream.Timestamp
 	}
 	var adoptions []adoption
-	err := br.scanBlobs(math.MaxInt64, func(id stream.VertexID, blob VertexBlob) error {
+	err := br.scanBlobs(math.MaxInt64, func(id stream.VertexID, _ int64, blob VertexBlob) error {
 		adoptions = append(adoptions, adoption{id: id, state: blob.State, targets: blob.Targets, clock: blob.TargetClock})
 		return nil
 	})
@@ -118,36 +118,6 @@ func (e *Engine) journalSeq() uint64 {
 	e.journal.mu.Lock()
 	defer e.journal.mu.Unlock()
 	return e.journal.nextSeq
-}
-
-// scanBlobs visits the freshest stored blob (state + targets) of every
-// vertex at or below maxIter, overlaying this loop's commits onto its
-// snapshot source.
-func (e *Engine) scanBlobs(maxIter int64, fn func(id stream.VertexID, blob VertexBlob) error) error {
-	return e.ScanStates(maxIter, func(id stream.VertexID, _ int64, _ any) error {
-		blob, err := e.readBlob(id, maxIter)
-		if err != nil {
-			return err
-		}
-		return fn(id, blob)
-	})
-}
-
-// readBlob reads the freshest stored blob of a vertex, falling back to the
-// snapshot source like ReadState.
-func (e *Engine) readBlob(id stream.VertexID, maxIter int64) (VertexBlob, error) {
-	data, _, err := e.cfg.Store.Latest(e.cfg.LoopID, id, maxIter)
-	if snap := e.snapshot(); err != nil && snap != nil {
-		data, _, err = e.cfg.Store.Latest(snap.Loop, id, snap.UpTo)
-	}
-	if err != nil {
-		return VertexBlob{}, err
-	}
-	blob, err := StateCodec{}.DecodeBlob(data)
-	if err != nil {
-		return VertexBlob{}, fmt.Errorf("engine: stored version of vertex %d: %w", id, err)
-	}
-	return blob, nil
 }
 
 // handleAdopt applies a merged state on the owning processor.

@@ -12,7 +12,7 @@ import (
 
 func TestAdoptBranchImprovesApproximation(t *testing.T) {
 	tuples := datasets.PowerLawGraph(100, 3, 47)
-	e := newSSSPEngine(t, 3, 16, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 3, 16, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
@@ -53,7 +53,7 @@ func TestAdoptBranchImprovesApproximation(t *testing.T) {
 }
 
 func TestAdoptBranchRejectsUnconvergedBranch(t *testing.T) {
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
@@ -76,7 +76,7 @@ func TestAdoptBranchRejectsUnconvergedBranch(t *testing.T) {
 }
 
 func TestAdoptBranchRequiresMainLoop(t *testing.T) {
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
@@ -98,7 +98,7 @@ func TestAdoptBranchRequiresMainLoop(t *testing.T) {
 
 func TestAdoptBranchDetectsConflictingIngest(t *testing.T) {
 	tuples := datasets.PowerLawGraph(60, 3, 53)
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)

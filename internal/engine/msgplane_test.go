@@ -29,7 +29,7 @@ func TestWindowMatchesBoxedQueue(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		maxBatch := 1 + rng.Intn(9)
 		e, err := New(Config{Processors: procs, DelayBound: 8, Kind: MainLoop, LoopID: storage.MainLoop,
-			Store: storage.NewMemStore(), Program: ssspProg{source: 0}, Seed: seed, MaxBatch: maxBatch,
+			Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: seed, MaxBatch: maxBatch,
 			// The transport's backstop tick seals buffers from its own
 			// goroutine and can deliver a partial frame out of turn (the
 			// transport dedups, it does not order); this test is about the
@@ -250,7 +250,7 @@ func TestHoldbackReleasedInIterationOrder(t *testing.T) {
 // control message (frontier broadcast) muddies the transport's count.
 func TestMessagesReconcile(t *testing.T) {
 	e, err := New(Config{Processors: 4, DelayBound: 1 << 40, Kind: MainLoop, LoopID: storage.MainLoop,
-		Store: storage.NewMemStore(), Program: ssspProg{source: 0}, Seed: 3})
+		Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestMessagesReconcile(t *testing.T) {
 // delivers. The processors never run; the probe is their loop.
 func newHopProbe(tb testing.TB, local bool, n int) (step func(), delivered int) {
 	e, err := New(Config{Processors: 2, DelayBound: 1 << 40, Kind: MainLoop, LoopID: storage.MainLoop,
-		Store: storage.NewMemStore(), Program: countProg{}, Seed: 1})
+		Store: storage.NewMVCCStore(), Program: countProg{}, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

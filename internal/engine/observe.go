@@ -7,7 +7,6 @@ import (
 
 	"tornado/internal/metrics"
 	"tornado/internal/obs"
-	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
 
@@ -221,29 +220,27 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 			func() float64 { u, _ := e.journal.Size(); return float64(u) })
 	}
 
-	// Versioned-store residency, exported only when the backend accounts
-	// itself (the MVCC store does; map/disk backends register nothing).
-	// The gauges answer the capacity questions a long-running evolving
-	// stream raises: is compaction keeping up (live_versions, resident
-	// bytes), is it running at all (compactions_total), and is anything
-	// pinning history alive (pinned_snapshots, snapshot_age).
-	if sp, ok := e.cfg.Store.(storage.StatsProvider); ok {
-		sc.GaugeFunc("tornado_store_live_versions",
-			"Versions reachable from the store's live roots across all loops.",
-			func() float64 { return float64(sp.StoreStats().LiveVersions) })
-		sc.GaugeFunc("tornado_store_resident_bytes",
-			"Payload bytes held by live versions (excludes handle-retained epochs, which die with their handles).",
-			func() float64 { return float64(sp.StoreStats().ResidentBytes) })
-		sc.GaugeFunc("tornado_store_compactions_total",
-			"Compaction passes run (engine-driven and background).",
-			func() float64 { return float64(sp.StoreStats().Compactions) })
-		sc.GaugeFunc("tornado_store_pinned_snapshots",
-			"Unreleased snapshot handles plus live fork pins; nonzero with no branches running means a leaked fork.",
-			func() float64 { return float64(sp.StoreStats().PinnedSnapshots) })
-		sc.GaugeFunc("tornado_store_snapshot_age_seconds",
-			"Age of the oldest unreleased snapshot handle (bounds how much superseded history compaction must retain).",
-			func() float64 { return sp.StoreStats().OldestSnapshotAge.Seconds() })
-	}
+	// Versioned-store residency. The gauges answer the capacity questions a
+	// long-running evolving stream raises: is compaction keeping up
+	// (live_versions, resident bytes), is it running at all
+	// (compactions_total), and is anything pinning history alive
+	// (pinned_snapshots, snapshot_age).
+	st := e.cfg.Store
+	sc.GaugeFunc("tornado_store_live_versions",
+		"Versions reachable from the store's live roots across all loops.",
+		func() float64 { return float64(st.StoreStats().LiveVersions) })
+	sc.GaugeFunc("tornado_store_resident_bytes",
+		"Payload bytes held by live versions (excludes handle-retained epochs, which die with their handles).",
+		func() float64 { return float64(st.StoreStats().ResidentBytes) })
+	sc.GaugeFunc("tornado_store_compactions_total",
+		"Compaction passes run (engine-driven and background).",
+		func() float64 { return float64(st.StoreStats().Compactions) })
+	sc.GaugeFunc("tornado_store_pinned_snapshots",
+		"Unreleased snapshot handles plus live fork pins; nonzero with no branches running means a leaked fork.",
+		func() float64 { return float64(st.StoreStats().PinnedSnapshots) })
+	sc.GaugeFunc("tornado_store_snapshot_age_seconds",
+		"Age of the oldest unreleased snapshot handle (bounds how much superseded history compaction must retain).",
+		func() float64 { return st.StoreStats().OldestSnapshotAge.Seconds() })
 
 	// Branch loops pool their series here instead of registering families.
 	e.branchObs = newBranchObs()
@@ -344,17 +341,15 @@ func (e *Engine) statusz() any {
 			"threshold_boost":     e.DeltaBoost(),
 		}
 	}
-	if sp, ok := e.cfg.Store.(storage.StatsProvider); ok {
-		st := sp.StoreStats()
-		m["store"] = map[string]any{
-			"loops":              st.Loops,
-			"live_versions":      st.LiveVersions,
-			"resident_bytes":     st.ResidentBytes,
-			"compactions":        st.Compactions,
-			"reclaimed_versions": st.ReclaimedVersions,
-			"pinned_snapshots":   st.PinnedSnapshots,
-			"oldest_snapshot":    st.OldestSnapshotAge.String(),
-		}
+	st := e.cfg.Store.StoreStats()
+	m["store"] = map[string]any{
+		"loops":              st.Loops,
+		"live_versions":      st.LiveVersions,
+		"resident_bytes":     st.ResidentBytes,
+		"compactions":        st.Compactions,
+		"reclaimed_versions": st.ReclaimedVersions,
+		"pinned_snapshots":   st.PinnedSnapshots,
+		"oldest_snapshot":    st.OldestSnapshotAge.String(),
 	}
 	if e.cfg.Wire != nil {
 		m["wire"] = map[string]any{

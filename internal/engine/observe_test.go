@@ -29,7 +29,7 @@ func TestObservabilityReconciliationAndTrace(t *testing.T) {
 		DelayBound: 4,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       42,
 		Obs:        hub,
@@ -152,7 +152,7 @@ func TestObservabilityReconciliationAndTrace(t *testing.T) {
 }
 
 func TestEngineWithoutHubHasNoObsOverhead(t *testing.T) {
-	e := newSSSPEngine(t, 2, 4, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 4, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(ringTuples(8))

@@ -335,7 +335,7 @@ func (p *processor) ensure(id stream.VertexID) *vertex {
 	}
 	v := p.host(newVertex(id, p.eng.cfg.Seed))
 	if snap := p.snap; snap != nil {
-		data, _, err := snap.latest(p.eng.cfg.Store, id, snap.UpTo)
+		data, _, err := snap.Handle.Latest(id, snap.UpTo)
 		if err == nil {
 			blob, derr := StateCodec{}.DecodeBlob(data)
 			if derr != nil {

@@ -31,7 +31,7 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, msg string
 // iteration and still reaches the exact fixed point.
 func TestCrashDiscardsStateManualRecovery(t *testing.T) {
 	tuples := datasets.PowerLawGraph(300, 3, 11)
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 4, 8, store, storage.MainLoop)
 	e.Start()
 	defer e.Stop()
@@ -92,7 +92,7 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 		DelayBound:        8,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		Seed:              21,
 		HeartbeatInterval: 2 * time.Millisecond,
@@ -168,7 +168,7 @@ func TestSupervisorRecoversCrashedMaster(t *testing.T) {
 		DelayBound:        4,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		Seed:              31,
 		HeartbeatInterval: 2 * time.Millisecond,
@@ -207,7 +207,7 @@ func TestFlappingProcessorQuarantined(t *testing.T) {
 		DelayBound:        8,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		Seed:              41,
 		HeartbeatInterval: 10 * time.Millisecond,
@@ -281,7 +281,7 @@ func TestFaultPlanSchedule(t *testing.T) {
 		DelayBound:        8,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		Seed:              51,
 		HeartbeatInterval: 2 * time.Millisecond,

@@ -12,7 +12,7 @@ import (
 func TestReshardResumesInPlace(t *testing.T) {
 	tuples := datasets.PowerLawGraph(120, 3, 61)
 	half := len(tuples) / 2
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 2, 16, store, storage.MainLoop)
 	e.Start()
 	e.IngestAll(tuples[:half])
@@ -50,7 +50,7 @@ func TestReshardResumesInPlace(t *testing.T) {
 }
 
 func TestReshardRejectsBranch(t *testing.T) {
-	e := newSSSPEngine(t, 2, 8, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 8, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
@@ -72,7 +72,7 @@ func TestReshardRejectsBranch(t *testing.T) {
 
 func TestReshardCustomPartition(t *testing.T) {
 	tuples := datasets.PowerLawGraph(80, 3, 67)
-	e := newSSSPEngine(t, 2, 16, storage.NewMemStore(), storage.MainLoop)
+	e := newSSSPEngine(t, 2, 16, storage.NewMVCCStore(), storage.MainLoop)
 	e.Start()
 	e.IngestAll(tuples)
 	// Route everything to processor 1 — a degenerate but legal scheme.
@@ -95,7 +95,7 @@ func TestReshardCustomPartition(t *testing.T) {
 
 func TestCompactionBoundsMainLoopVersions(t *testing.T) {
 	tuples := datasets.PowerLawGraph(100, 3, 71)
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e, err := New(Config{
 		Processors: 2, DelayBound: 4, Kind: MainLoop,
 		LoopID: storage.MainLoop, Store: store,
@@ -124,7 +124,7 @@ func TestCompactionBoundsMainLoopVersions(t *testing.T) {
 func TestCompactionSparesPinnedForks(t *testing.T) {
 	tuples := datasets.PowerLawGraph(100, 3, 73)
 	half := len(tuples) / 2
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e, err := New(Config{
 		Processors: 2, DelayBound: 4, Kind: MainLoop,
 		LoopID: storage.MainLoop, Store: store,
@@ -160,14 +160,14 @@ func TestCompactionSparesPinnedForks(t *testing.T) {
 
 // TestReshardPinsResumeView: a Reshard replacement bootstraps lazily over
 // its own history for as long as it runs, so Reshard must take a store pin
-// at the resume iteration (on every backend, not just Snapshotter ones).
+// at the resume iteration beside its handle, for readers of the live store.
 // An aggressive Compact while the replacement lives is clamped at resume —
 // every vertex's resume-view version stays readable — and once the
 // replacement stops the pin is released and the same compact reclaims.
 func TestReshardPinsResumeView(t *testing.T) {
 	tuples := datasets.PowerLawGraph(120, 3, 77)
 	half := len(tuples) / 2
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 2, 16, store, storage.MainLoop)
 	e.Start()
 	e.IngestAll(tuples[:half])

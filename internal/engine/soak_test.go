@@ -18,7 +18,7 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	tuples := datasets.WithRemovals(datasets.PowerLawGraph(800, 3, 2016), 0.1, 17)
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e, err := New(Config{
 		Processors:   6,
 		DelayBound:   32,
@@ -190,7 +190,7 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 		DelayBound:        16,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		ResendAfter:       5 * time.Millisecond,
 		Seed:              77,
@@ -338,7 +338,7 @@ func runChaosSoakSurgeOverload(t *testing.T, wire *WireSpec) {
 		DelayBoundCeiling: 64,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
-		Store:             storage.NewMemStore(),
+		Store:             storage.NewMVCCStore(),
 		Program:           ssspProg{source: 0},
 		ResendAfter:       5 * time.Millisecond,
 		Seed:              404,

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"tornado/internal/obs/trace"
-	"tornado/internal/storage"
 	"tornado/internal/stream"
 	"tornado/internal/transport"
 )
@@ -365,16 +364,13 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 
 	// The new incarnation bootstraps every vertex from the checkpoint and
 	// commits strictly above it, so recovered versions supersede the old.
-	// On snapshotting backends the recovered view is a pinned handle taken
-	// right after the rollback (reads stay bounded by resume, so post-crash
-	// commits landing in the live tree are never shadowed and never leak
-	// in); the handle the engine read through before — a fork's, or a
-	// previous recovery's — is released, idempotently.
+	// The recovered view is a handle taken right after the rollback (reads
+	// stay bounded by resume, so post-crash commits landing in the live tree
+	// are never shadowed and never leak in); the handle the engine read
+	// through before — a fork's, or a previous recovery's — is released,
+	// idempotently.
 	e.cfg.Snapshot.release()
-	e.cfg.Snapshot = &SnapshotSource{Loop: e.cfg.LoopID, UpTo: resume}
-	if sn, ok := e.cfg.Store.(storage.Snapshotter); ok {
-		e.cfg.Snapshot.Handle = sn.Snapshot(e.cfg.LoopID)
-	}
+	e.cfg.Snapshot = &SnapshotSource{UpTo: resume, Handle: e.cfg.Store.Snapshot(e.cfg.LoopID)}
 	e.cfg.StartIteration = resume + 1
 	ninc := e.buildIncarnation(old.gen + 1)
 	// Hold a quiescence guard across the handoff: the new tracker is born

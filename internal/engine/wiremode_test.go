@@ -23,7 +23,7 @@ func TestWireModeSSSPExact(t *testing.T) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       99,
 		Wire:       &WireSpec{Mem: transport.NewMemWire()},
@@ -62,7 +62,7 @@ func TestWireModeTCPDefaultsResend(t *testing.T) {
 		DelayBound: 4,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       1,
 		Wire:       &WireSpec{}, // TCP on a fresh loopback port
@@ -96,7 +96,7 @@ func TestWireModeCrashRecovery(t *testing.T) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       31,
 		// A 300ms suspicion window: wide enough that race-detector
@@ -136,7 +136,7 @@ func TestWireModePartitionHeal(t *testing.T) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       63,
 		Wire:       &WireSpec{Mem: transport.NewMemWire()},
@@ -180,7 +180,7 @@ func TestWireModeObservability(t *testing.T) {
 		DelayBound: 4,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       7,
 		Obs:        hub,
@@ -239,7 +239,7 @@ func TestWireModeBranchForkMerge(t *testing.T) {
 		DelayBound: 8,
 		Kind:       MainLoop,
 		LoopID:     storage.MainLoop,
-		Store:      storage.NewMemStore(),
+		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       12,
 		Wire:       &WireSpec{Mem: transport.NewMemWire()},

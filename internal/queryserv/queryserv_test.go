@@ -21,14 +21,14 @@ const waitFor = 30 * time.Second
 type harness struct {
 	t     *testing.T
 	e     *engine.Engine
-	store *storage.MemStore
+	store *storage.MVCCStore
 	next  atomic.Uint64
 	live  atomic.Int64 // branch loops forked minus dropped
 }
 
 func newHarness(t *testing.T, prog engine.Program, procs int, bound int64) *harness {
 	t.Helper()
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	e, err := engine.New(engine.Config{
 		Processors: procs,
 		DelayBound: bound,

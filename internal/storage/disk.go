@@ -13,22 +13,27 @@ import (
 	"tornado/internal/stream"
 )
 
-// DiskStore is a Store backed by a single append-only log file with an
-// in-memory index. It stands in for the paper's PostgreSQL backend: every
-// Put appends a record, Flush fsyncs the log and appends a checkpoint mark,
-// and Open replays the log to recover all state written before a crash
+// DiskStore is an MVCCStore made durable by a single append-only log. It
+// stands in for the paper's PostgreSQL backend: every Put appends a record,
+// Flush fsyncs the log and appends a checkpoint mark, and OpenDisk replays
+// the log into a fresh index to recover all state written before a crash
 // (truncated or corrupt tails are discarded, mirroring write-ahead-log
-// recovery).
+// recovery). The log adds only the writes it must record; reads, snapshot
+// handles, pins, Compact, StoreStats, NumVersions and LastCheckpoint are the
+// embedded index's. Compact trims the index only: the log keeps history
+// until rewritten (out of scope), so a reopened store holds the versions a
+// compaction had dropped.
 //
 // Record layout (little endian):
 //
 //	kind(1) loop(8) vertex(8) iteration(8) dataLen(4) data(dataLen) crc32(4)
 //
-// where crc32 covers everything before it. kind is recPut or recCheckpoint
-// (checkpoint records carry no data and reuse the iteration field).
+// where crc32 covers everything before it. kind is recPut, recCheckpoint,
+// recDropLoop or recTruncate (all but recPut carry no data; recCheckpoint
+// and recTruncate reuse the iteration field).
 type DiskStore struct {
-	mu   sync.RWMutex
-	mem  *MemStore // index + cache; the log is the durable copy
+	*MVCCStore
+	mu   sync.Mutex // orders each log append with its index update
 	f    *os.File
 	w    *bufio.Writer
 	path string
@@ -55,7 +60,7 @@ func OpenDisk(path string) (*DiskStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open log: %w", err)
 	}
-	s := &DiskStore{mem: NewMemStore(), f: f, path: path}
+	s := &DiskStore{MVCCStore: NewMVCCStore(), f: f, path: path}
 	valid, err := s.replay()
 	if err != nil {
 		f.Close()
@@ -74,7 +79,7 @@ func OpenDisk(path string) (*DiskStore, error) {
 	return s, nil
 }
 
-// replay scans the log, rebuilding the in-memory index. It returns the
+// replay scans the log, rebuilding the index. It returns the
 // offset just past the last valid record.
 func (s *DiskStore) replay() (int64, error) {
 	fi, err := s.f.Stat()
@@ -112,19 +117,19 @@ func (s *DiskStore) replay() (int64, error) {
 		}
 		switch kind {
 		case recPut:
-			if err := s.mem.Put(loop, vertex, iter, data); err != nil {
+			if err := s.MVCCStore.Put(loop, vertex, iter, data); err != nil {
 				return 0, err
 			}
 		case recCheckpoint:
-			if err := s.mem.Flush(loop, iter); err != nil {
+			if err := s.MVCCStore.Flush(loop, iter); err != nil {
 				return 0, err
 			}
 		case recDropLoop:
-			if err := s.mem.DropLoop(loop); err != nil {
+			if err := s.MVCCStore.DropLoop(loop); err != nil {
 				return 0, err
 			}
 		case recTruncate:
-			if err := s.mem.Truncate(loop, iter); err != nil {
+			if err := s.MVCCStore.Truncate(loop, iter); err != nil {
 				return 0, err
 			}
 		default:
@@ -164,19 +169,7 @@ func (s *DiskStore) Put(loop LoopID, vertex stream.VertexID, iteration int64, da
 	if err := s.append(recPut, loop, vertex, iteration, data); err != nil {
 		return err
 	}
-	return s.mem.Put(loop, vertex, iteration, data)
-}
-
-// Latest implements Store.
-func (s *DiskStore) Latest(loop LoopID, vertex stream.VertexID, maxIter int64) ([]byte, int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.mem.Latest(loop, vertex, maxIter)
-}
-
-// Scan implements Store.
-func (s *DiskStore) Scan(loop LoopID, maxIter int64, fn func(Record) error) error {
-	return s.mem.Scan(loop, maxIter, fn)
+	return s.MVCCStore.Put(loop, vertex, iteration, data)
 }
 
 // Flush implements Store: it records the checkpoint mark, flushes the
@@ -193,28 +186,7 @@ func (s *DiskStore) Flush(loop LoopID, upTo int64) error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("storage: fsync: %w", err)
 	}
-	return s.mem.Flush(loop, upTo)
-}
-
-// LastCheckpoint implements Store.
-func (s *DiskStore) LastCheckpoint(loop LoopID) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.mem.LastCheckpoint(loop)
-}
-
-// Compact implements Store. Compaction drops superseded versions from the
-// index only; the log keeps history until rewritten (out of scope).
-func (s *DiskStore) Compact(loop LoopID, keepFrom int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem.Compact(loop, keepFrom)
-}
-
-// Pin implements Store: pins live in the in-memory index's registry, which
-// is exactly what Compact (also delegated to the index) clamps against.
-func (s *DiskStore) Pin(loop LoopID, iter int64) func() {
-	return s.mem.Pin(loop, iter)
+	return s.MVCCStore.Flush(loop, upTo)
 }
 
 // Truncate implements Store: a truncation record is logged (and fsynced, so
@@ -232,23 +204,24 @@ func (s *DiskStore) Truncate(loop LoopID, above int64) error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("storage: fsync truncate: %w", err)
 	}
-	return s.mem.Truncate(loop, above)
+	return s.MVCCStore.Truncate(loop, above)
 }
 
-// DropLoop implements Store.
+// DropLoop implements Store: the drop is logged, then applied.
 func (s *DiskStore) DropLoop(loop LoopID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.append(recDropLoop, loop, 0, 0, nil); err != nil {
 		return err
 	}
-	return s.mem.DropLoop(loop)
+	return s.MVCCStore.DropLoop(loop)
 }
 
-// Close flushes buffers and closes the log file.
+// Close flushes buffers, closes the log file and then the index.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.MVCCStore.Close()
 	if err := s.w.Flush(); err != nil {
 		s.f.Close()
 		return fmt.Errorf("storage: flush on close: %w", err)

@@ -11,10 +11,10 @@ import (
 	"tornado/internal/stream"
 )
 
-// TestBackendEquivalence drives MemStore and DiskStore with identical random
-// operation sequences and asserts observationally identical behavior —
-// including after a close/reopen of the disk backend mid-sequence. Both
-// backends implement one contract; any divergence is a bug in one of them.
+// TestBackendEquivalence drives the reference MemStore and DiskStore with
+// identical random operation sequences and asserts observationally identical
+// behavior. Both implement one contract; any divergence is a bug in one of
+// them.
 func TestBackendEquivalence(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		trial := trial

@@ -10,12 +10,13 @@ import (
 	"tornado/internal/stream"
 )
 
-// This file implements MVCCStore, the copy-on-write multi-version backend.
+// This file implements MVCCStore, the copy-on-write multi-version index.
 //
-// MemStore serializes every fork against every commit: taking a consistent
-// view means materializing a full Scan under the store lock, O(n) in the
-// vertex count, and nothing ties version reclamation to the snapshots still
-// reading. MVCCStore inverts the design. Each loop's index is a treap keyed
+// A map of version chains under one lock would serialize every fork against
+// every commit: taking a consistent view would mean materializing a full
+// Scan under the lock, O(n) in the vertex count, and nothing would tie
+// version reclamation to the snapshots still reading. Instead each loop's
+// index is a treap keyed
 // by vertex that is persistent only across the instants somebody looks: the
 // loop carries a writer epoch, every node and version chain is tagged with
 // the epoch that created it, and a writer (always under the loop's wmu) may
@@ -37,8 +38,7 @@ import (
 // shared, not copied, so the treap's shape (and its hash-derived
 // priorities) survive. A handle taken before the compaction still reads the
 // old root — a live branch structurally cannot lose its view — while the
-// pin registry additionally clamps the floor for readers of the live store
-// (the engine's non-handle fallback paths).
+// pin registry additionally clamps the floor for readers of the live store.
 type MVCCStore struct {
 	loops sync.Map // LoopID -> *mvccLoop
 	pins  pinRegistry
@@ -156,8 +156,8 @@ func (s *MVCCStore) lookup(l LoopID) *mvccLoop {
 	return nil
 }
 
-// Put implements Store. Like MemStore, a re-delivered identical write is a
-// no-op with zero allocations and — here — zero copied nodes. Between two
+// Put implements Store. A re-delivered identical write is a no-op with zero
+// allocations and zero copied nodes. Between two
 // snapshots a write is one descent, an in-place chain append and one
 // allocation, the payload copy.
 func (s *MVCCStore) Put(loop LoopID, vertex stream.VertexID, iteration int64, data []byte) error {
@@ -520,7 +520,7 @@ func (s *MVCCStore) dropTag(t *snapTag) {
 	s.handleMu.Unlock()
 }
 
-// StoreStats implements StatsProvider.
+// StoreStats implements Store.
 func (s *MVCCStore) StoreStats() StoreStats {
 	st := StoreStats{
 		Compactions:       s.compactions.Load(),
@@ -546,11 +546,7 @@ func (s *MVCCStore) StoreStats() StoreStats {
 	return st
 }
 
-var (
-	_ Store         = (*MVCCStore)(nil)
-	_ Snapshotter   = (*MVCCStore)(nil)
-	_ StatsProvider = (*MVCCStore)(nil)
-)
+var _ Store = (*MVCCStore)(nil)
 
 // ---- treap machinery ----
 

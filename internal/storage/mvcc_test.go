@@ -2,13 +2,12 @@ package storage
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -96,56 +95,49 @@ func checkEquivalent(t testing.TB, ref, got Store, loops []LoopID, verts []strea
 	}
 }
 
-// eqHarness drives MemStore (the reference model) and MVCCStore through one
-// op stream: the seven store ops of applyOp plus Snapshot and Release. Every
-// handle it holds carries an oracle materialised from the reference at grab
-// time. After every later op each held handle is probed (Latest of the op's
+// eqHarness drives the reference MemStore and both stores under test,
+// MVCCStore and DiskStore, through one op stream: the seven store ops of
+// applyOp plus Snapshot and Release. A snapshot is taken of all three at
+// once, and each store's handle is held to the reference's materialised
+// copy. After every later op each held handle is probed (Latest of the op's
 // vertex at every probe iteration, one full Scan), and when it is released
 // or the harness closes, checked in full — a write that reached a node or
-// chain a handle can still see shows up as a diverging handle read.
+// chain a handle can still see shows up as a diverging handle read. At the
+// end the disk log is closed and reopened (checkReopened).
 type eqHarness struct {
-	t      testing.TB
-	mem    *MemStore
-	mvcc   *MVCCStore
-	probes []int64 // 0..maxIter, then math.MaxInt64
-	held   []heldHandle
-	quiet  bool // preloading: handles are checked in full afterwards instead
+	t   testing.TB
+	mem *MemStore
+	// replayed is the reference fed every op but Compact, which trims the
+	// disk store's index and not its log: what a reopened log must hold.
+	replayed *MemStore
+	mvcc     *MVCCStore
+	disk     *DiskStore
+	path     string
+	probes   []int64 // 0..maxIter, then math.MaxInt64
+	held     []heldHandle
+	quiet    bool // preloading: handles are checked in full afterwards instead
 }
 
-// heldHandle is one outstanding MVCC handle and what it must keep reading:
-// a copy of the reference's version chains at grab time, in vertex order.
-// (The copy shares the payloads: MemStore swaps a payload, never edits one.)
+// heldHandle is one snapshot taken of every store at the same instant.
 type heldHandle struct {
 	ctx string
-	h   Snapshot
-	ref []refVertex
+	ref Snapshot            // the reference's materialised copy
+	got map[string]Snapshot // store name -> its handle
 }
 
-type refVertex struct {
-	id stream.VertexID
-	vs versions
-}
-
-// materialise copies loop l of the reference.
-func (e *eqHarness) materialise(l LoopID) []refVertex {
-	e.mem.mu.RLock()
-	defer e.mem.mu.RUnlock()
-	ls := e.mem.loops[l]
-	if ls == nil {
-		return nil
-	}
-	ref := make([]refVertex, 0, len(ls.verts))
-	for id, vs := range ls.verts {
-		ref = append(ref, refVertex{id, versions{iters: slices.Clone(vs.iters), data: slices.Clone(vs.data)}})
-	}
-	slices.SortFunc(ref, func(a, b refVertex) int { return cmp.Compare(a.id, b.id) })
-	return ref
+// subjects names the stores under test.
+func (e *eqHarness) subjects() map[string]Store {
+	return map[string]Store{"mvcc": e.mvcc, "disk": e.disk}
 }
 
 const maxHeld = 3
 
 func newEqHarness(t testing.TB, maxIter int64) *eqHarness {
-	e := &eqHarness{t: t, mem: NewMemStore(), mvcc: NewMVCCStore()}
+	e := &eqHarness{t: t, mem: NewMemStore(), replayed: NewMemStore(), mvcc: NewMVCCStore(),
+		path: filepath.Join(t.TempDir(), "tornado.log")}
+	disk, err := OpenDisk(e.path)
+	must(t, err)
+	e.disk = disk
 	for p := int64(0); p <= maxIter; p++ {
 		e.probes = append(e.probes, p)
 	}
@@ -155,13 +147,19 @@ func newEqHarness(t testing.TB, maxIter int64) *eqHarness {
 
 func (e *eqHarness) close() {
 	e.t.Helper()
-	for len(e.held) > 0 {
-		e.release(0, "at close")
-	}
+	e.releaseAll("at close")
 	e.mvcc.Close()
+	e.disk.Close()
 }
 
-// apply runs one op on both stores (kinds 0-6 are applyOp's; 7 takes a
+func (e *eqHarness) releaseAll(when string) {
+	e.t.Helper()
+	for len(e.held) > 0 {
+		e.release(0, when)
+	}
+}
+
+// apply runs one op on every store (kinds 0-6 are applyOp's; 7 takes a
 // snapshot of l, 8 releases the held handle iter selects), then probes
 // every held handle.
 func (e *eqHarness) apply(kind int, l LoopID, v stream.VertexID, iter int64, tag int) {
@@ -172,15 +170,21 @@ func (e *eqHarness) apply(kind int, l LoopID, v stream.VertexID, iter int64, tag
 		if len(e.held) == maxHeld {
 			e.release(0, after)
 		}
-		e.held = append(e.held, heldHandle{
-			ctx: fmt.Sprintf("handle on loop %d taken at op %d", l, tag),
-			h:   e.mvcc.Snapshot(l), ref: e.materialise(l)})
+		hh := heldHandle{ctx: fmt.Sprintf("handle on loop %d taken at op %d", l, tag),
+			ref: e.mem.Snapshot(l), got: map[string]Snapshot{}}
+		for name, s := range e.subjects() {
+			hh.got[name] = s.Snapshot(l)
+		}
+		e.held = append(e.held, hh)
 	case 8:
 		if len(e.held) > 0 {
 			e.release(int(iter)%len(e.held), after)
 		}
 	default:
-		applyOp(e.t, []Store{e.mem, e.mvcc}, kind%9, l, v, iter, tag)
+		applyOp(e.t, []Store{e.mem, e.mvcc, e.disk}, kind%9, l, v, iter, tag)
+		if kind%9 != 4 {
+			applyOp(e.t, []Store{e.replayed}, kind%9, l, v, iter, tag)
+		}
 	}
 	for _, hh := range e.held {
 		if !e.quiet {
@@ -195,72 +199,111 @@ func (e *eqHarness) apply(kind int, l LoopID, v stream.VertexID, iter int64, tag
 // release checks a handle in full before letting it go.
 func (e *eqHarness) release(i int, when string) {
 	e.t.Helper()
-	e.checkFull(e.held[i], when)
-	e.held[i].h.Release()
+	hh := e.held[i]
+	e.checkFull(hh, when)
+	for _, h := range hh.got {
+		h.Release()
+	}
+	hh.ref.Release()
 	e.held = append(e.held[:i], e.held[i+1:]...)
 }
 
+// check holds both stores to the reference over the probed loops and
+// vertices (checkEquivalent), and to its residency counters — the ones the
+// tornado_store_* gauges export.
+func (e *eqHarness) check(loops []LoopID, verts []stream.VertexID, maxIter int64, ctx string) {
+	e.t.Helper()
+	want := e.mem.StoreStats()
+	for name, s := range e.subjects() {
+		checkEquivalent(e.t, e.mem, s, loops, verts, maxIter, ctx+" ("+name+")")
+		got := s.StoreStats()
+		if got.Loops != want.Loops || got.LiveVersions != want.LiveVersions || got.ResidentBytes != want.ResidentBytes {
+			e.t.Fatalf("%s (%s): %d loops, %d versions, %d bytes; the reference holds %d, %d, %d", ctx, name,
+				got.Loops, got.LiveVersions, got.ResidentBytes, want.Loops, want.LiveVersions, want.ResidentBytes)
+		}
+	}
+}
+
+// checkReopened releases every held handle, then closes the disk log and
+// reopens it: for each loop, the replayed index must hold every version the
+// replayed reference holds (a full check through a handle on each) and the
+// same checkpoint.
+func (e *eqHarness) checkReopened(loops []LoopID) {
+	e.t.Helper()
+	e.releaseAll("before reopening the log")
+	must(e.t, e.disk.Close())
+	disk, err := OpenDisk(e.path)
+	must(e.t, err)
+	e.disk = disk
+	for _, l := range loops {
+		hh := heldHandle{ctx: fmt.Sprintf("loop %d", l), ref: e.replayed.Snapshot(l),
+			got: map[string]Snapshot{"reopened disk": disk.Snapshot(l)}}
+		e.checkFull(hh, "after reopening the log")
+		hh.got["reopened disk"].Release()
+		rc, rerr := e.replayed.LastCheckpoint(l)
+		dc, derr := disk.LastCheckpoint(l)
+		if errors.Is(rerr, ErrNotFound) != errors.Is(derr, ErrNotFound) || (rerr == nil && rc != dc) {
+			e.t.Fatalf("reopened log: LastCheckpoint(%d) = (%d,%v), the reference's (%d,%v)", l, dc, derr, rc, rerr)
+		}
+	}
+}
+
 // checkFull is a Scan at every probe iteration (every chain at every
-// probe), and Latest of every vertex the handle holds (every search path of
-// the frozen tree).
+// probe), and Latest of every vertex the reference holds (every search path
+// of the frozen tree).
 func (e *eqHarness) checkFull(hh heldHandle, when string) {
 	e.t.Helper()
 	for _, p := range e.probes {
 		e.checkScan(hh, p, when)
 	}
-	for _, rv := range hh.ref {
-		e.checkLatest(hh, rv.id, math.MaxInt64, when)
-	}
-}
-
-// checkScan compares a full Scan through the handle at p with the oracle.
-func (e *eqHarness) checkScan(hh heldHandle, p int64, when string) {
-	e.t.Helper()
-	i := 0
-	// next advances i to the oracle's next vertex with a version <= p.
-	next := func() (id stream.VertexID, data []byte, iter int64, ok bool) {
-		for ; i < len(hh.ref); i++ {
-			if data, iter, ok = hh.ref[i].vs.latest(p); ok {
-				i++
-				return hh.ref[i-1].id, data, iter, true
-			}
-		}
-		return 0, nil, 0, false
-	}
-	must(e.t, hh.h.Scan(p, func(r Record) error {
-		id, data, iter, ok := next()
-		if !ok {
-			return fmt.Errorf("%s, %s: Scan(%d) yields extra vertex %d", hh.ctx, when, p, r.Vertex)
-		}
-		if r.Vertex != id || r.Iteration != iter || !bytes.Equal(r.Data, data) {
-			return fmt.Errorf("%s, %s: Scan(%d) yields %d@%d %q, want %d@%d %q", hh.ctx, when, p, r.Vertex, r.Iteration, r.Data, id, iter, data)
-		}
+	must(e.t, hh.ref.Scan(math.MaxInt64, func(r Record) error {
+		e.checkLatest(hh, r.Vertex, math.MaxInt64, when)
 		return nil
 	}))
-	if id, _, _, ok := next(); ok {
-		e.t.Fatalf("%s, %s: Scan(%d) ends before vertex %d", hh.ctx, when, p, id)
+}
+
+// checkScan compares a full Scan at p through each handle with the
+// reference's.
+func (e *eqHarness) checkScan(hh heldHandle, p int64, when string) {
+	e.t.Helper()
+	var want []Record
+	must(e.t, hh.ref.Scan(p, func(r Record) error {
+		want = append(want, r)
+		return nil
+	}))
+	for name, h := range hh.got {
+		n := 0
+		must(e.t, h.Scan(p, func(r Record) error {
+			if n == len(want) {
+				return fmt.Errorf("%s (%s), %s: Scan(%d) yields extra vertex %d", hh.ctx, name, when, p, r.Vertex)
+			}
+			w := want[n]
+			n++
+			if r.Vertex != w.Vertex || r.Iteration != w.Iteration || !bytes.Equal(r.Data, w.Data) {
+				return fmt.Errorf("%s (%s), %s: Scan(%d) yields %d@%d %q, want %d@%d %q", hh.ctx, name, when, p, r.Vertex, r.Iteration, r.Data, w.Vertex, w.Iteration, w.Data)
+			}
+			return nil
+		}))
+		if n < len(want) {
+			e.t.Fatalf("%s (%s), %s: Scan(%d) ends before vertex %d", hh.ctx, name, when, p, want[n].Vertex)
+		}
 	}
 }
 
-// checkLatest compares Latest of v — present in the handle's view or not —
-// at p with the oracle.
+// checkLatest compares Latest of v — present in the view or not — at p
+// through each handle with the reference's.
 func (e *eqHarness) checkLatest(hh heldHandle, v stream.VertexID, p int64, when string) {
 	e.t.Helper()
-	var (
-		want     []byte
-		wantIter int64
-		found    bool
-	)
-	if j, ok := slices.BinarySearchFunc(hh.ref, v, func(rv refVertex, v stream.VertexID) int { return cmp.Compare(rv.id, v) }); ok {
-		want, wantIter, found = hh.ref[j].vs.latest(p)
-	}
-	data, iter, err := hh.h.Latest(v, p)
-	if !found {
-		if !errors.Is(err, ErrNotFound) {
-			e.t.Fatalf("%s, %s: Latest(%d,%d) = (%q,%d,%v), want ErrNotFound", hh.ctx, when, v, p, data, iter, err)
+	want, wantIter, werr := hh.ref.Latest(v, p)
+	for name, h := range hh.got {
+		data, iter, err := h.Latest(v, p)
+		if werr != nil {
+			if !errors.Is(err, ErrNotFound) {
+				e.t.Fatalf("%s (%s), %s: Latest(%d,%d) = (%q,%d,%v), want ErrNotFound", hh.ctx, name, when, v, p, data, iter, err)
+			}
+		} else if err != nil || iter != wantIter || !bytes.Equal(data, want) {
+			e.t.Fatalf("%s (%s), %s: Latest(%d,%d) = (%q,%d,%v), want (%q,%d)", hh.ctx, name, when, v, p, data, iter, err, want, wantIter)
 		}
-	} else if err != nil || iter != wantIter || !bytes.Equal(data, want) {
-		e.t.Fatalf("%s, %s: Latest(%d,%d) = (%q,%d,%v), want (%q,%d)", hh.ctx, when, v, p, data, iter, err, want, wantIter)
 	}
 }
 
@@ -287,12 +330,14 @@ func (e *eqHarness) preload(rng *rand.Rand) {
 	}
 }
 
-// TestMVCCEquivalenceRandom drives MemStore and MVCCStore through identical
-// random Put/Flush/Compact/Truncate/DropLoop/Snapshot/Release sequences and
-// asserts observational equality — Latest at every probe point, Scan
-// order/contents, checkpoints — throughout, and that every held handle keeps
-// reading its grab-time state. Odd trials work a handful of keys (dense
-// same-iteration overwrites and chain edits), even ones the wide key space.
+// TestMVCCEquivalenceRandom drives the reference MemStore, MVCCStore and
+// DiskStore through identical random
+// Put/Flush/Compact/Truncate/DropLoop/Snapshot/Release sequences and asserts
+// observational equality — Latest at every probe point, Scan order/contents,
+// checkpoints, residency counters — throughout, that every held handle keeps
+// reading its grab-time state, and that the disk log replays to the same
+// state. Odd trials work a handful of keys (dense same-iteration overwrites
+// and chain edits), even ones the wide key space.
 func TestMVCCEquivalenceRandom(t *testing.T) {
 	loops := []LoopID{0, 1, 2}
 	verts := []stream.VertexID{1, 2, 3, 4, 9}
@@ -314,10 +359,11 @@ func TestMVCCEquivalenceRandom(t *testing.T) {
 				}
 				e.apply(rng.Intn(9), loops[rng.Intn(len(loops))], v, rng.Int63n(maxIter), op)
 				if op%20 == 19 {
-					checkEquivalent(t, e.mem, e.mvcc, loops, verts, maxIter, fmt.Sprintf("op %d", op))
+					e.check(loops, verts, maxIter, fmt.Sprintf("op %d", op))
 				}
 			}
-			checkEquivalent(t, e.mem, e.mvcc, loops, verts, maxIter, "final")
+			e.check(loops, verts, maxIter, "final")
+			e.checkReopened(loops)
 		})
 	}
 }
@@ -541,10 +587,10 @@ func TestInPlaceWritersVsHandles(t *testing.T) {
 }
 
 // FuzzMVCCOps feeds arbitrary byte strings through the shared op vocabulary
-// (four bytes an op: kind and loop, two bytes of vertex, iteration) into
-// MemStore and MVCCStore over the preloaded wide key space, checks every held
-// handle after every op, and asserts observational equality after the
-// sequence. go test -fuzz=FuzzMVCCOps ./internal/storage/ explores; the seed
+// (four bytes an op: kind and loop, two bytes of vertex, iteration) into the
+// reference MemStore, MVCCStore and DiskStore over the preloaded wide key
+// space, checks every held handle after every op, and asserts observational
+// equality after the sequence, and again after the disk log is reopened. go test -fuzz=FuzzMVCCOps ./internal/storage/ explores; the seed
 // corpus replays in every ordinary test run.
 func FuzzMVCCOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x13, 0x27, 0x3b})
@@ -569,7 +615,8 @@ func FuzzMVCCOps(f *testing.F) {
 			verts = append(verts, v)
 			e.apply(int(b[0]&0x0f), loops[int(b[0]>>4)%len(loops)], v, int64(b[3])%maxIter, i/4)
 		}
-		checkEquivalent(t, e.mem, e.mvcc, loops, verts, maxIter, "fuzz")
+		e.check(loops, verts, maxIter, "fuzz")
+		e.checkReopened(loops)
 	})
 }
 

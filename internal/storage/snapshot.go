@@ -11,11 +11,10 @@ import (
 // was taken: later Puts, Compacts, Truncates, or even a DropLoop of the
 // underlying loop never change what the handle returns. Handles are safe
 // for concurrent use, including reads racing a Release: a reader that holds
-// the handle keeps its coherent view. In MVCCStore a handle owns a frozen
-// root — taking it moved the loop's writer epoch on, so writers copy what it
-// can reach instead of editing it — and its reads take no lock, where reads
-// of the live store do. Release is idempotent and retires the
-// handle from the pinned-snapshot gauges; the store never holds a strong
+// the handle keeps its coherent view. A handle owns a frozen root — taking
+// it moved the loop's writer epoch on, so writers copy what it can reach
+// instead of editing it — and its reads take no lock, where reads of the
+// live store do. Release is idempotent and retires the handle from the pinned-snapshot gauges; the store never holds a strong
 // reference to the handle itself, so nothing breaks if one leaks — the GC
 // frees it (and its epoch) normally, and the gauge shows the leak only
 // until collection.
@@ -30,19 +29,7 @@ type Snapshot interface {
 	Release()
 }
 
-// Snapshotter is implemented by stores whose Snapshot is an O(1) handle
-// grab (MVCCStore: one short hold of the loop's writer lock). Callers that
-// fork loops should prefer a handle over repeated Store reads: the handle is
-// immune to concurrent compaction by construction and never waits for a
-// writer, where live-store reads rely on the Pin clamp and share the
-// writers' lock. A grab is cheap but not free for writers — the first write
-// to each vertex afterwards copies its search path — so take one per view,
-// not one per read.
-type Snapshotter interface {
-	Snapshot(loop LoopID) Snapshot
-}
-
-// StoreStats is a residency report from a self-accounting store.
+// StoreStats is the store's residency report (Store.StoreStats).
 type StoreStats struct {
 	// Loops is the number of live loop namespaces.
 	Loops int
@@ -62,10 +49,4 @@ type StoreStats struct {
 	// leaked fork.
 	PinnedSnapshots   int64
 	OldestSnapshotAge time.Duration
-}
-
-// StatsProvider is implemented by stores that account their own residency;
-// the engine exports these as tornado_store_* gauges when available.
-type StatsProvider interface {
-	StoreStats() StoreStats
 }

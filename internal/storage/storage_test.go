@@ -14,7 +14,8 @@ import (
 	"tornado/internal/stream"
 )
 
-// stores returns one instance of every backend, keyed by name.
+// stores returns one instance of each store and of the reference model
+// ("mem"), keyed by name: every contract test holds all three to it.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
 	disk, err := OpenDisk(filepath.Join(t.TempDir(), "tornado.log"))
@@ -175,20 +176,6 @@ func TestCompactKeepsSnapshotFloor(t *testing.T) {
 				t.Fatalf("newest version lost by Compact: (%q, %v)", data, err)
 			}
 		})
-	}
-}
-
-func TestMemCompactDropsVersions(t *testing.T) {
-	s := NewMemStore()
-	for i := int64(1); i <= 10; i++ {
-		must(t, s.Put(MainLoop, 1, i, []byte{byte(i)}))
-	}
-	if n := s.NumVersions(MainLoop); n != 10 {
-		t.Fatalf("NumVersions = %d; want 10", n)
-	}
-	must(t, s.Compact(MainLoop, 8))
-	if n := s.NumVersions(MainLoop); n != 3 { // versions 8, 9, 10
-		t.Fatalf("NumVersions after Compact = %d; want 3", n)
 	}
 }
 
@@ -355,129 +342,6 @@ func must(t testing.TB, err error) {
 	}
 }
 
-// TestMemScanCacheInvalidation drives the sorted-ID cache through its
-// invalidation edges: scans interleaved with new-vertex puts, existing-vertex
-// puts (no invalidation), truncation-driven deletions, and concurrent
-// scanners racing a writer. Every scan must see the full current ID set in
-// ascending order.
-func TestMemScanCacheInvalidation(t *testing.T) {
-	s := NewMemStore()
-	scanIDs := func() []stream.VertexID {
-		var got []stream.VertexID
-		if err := s.Scan(MainLoop, 1<<40, func(r Record) error {
-			got = append(got, r.Vertex)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	want := func(ids ...stream.VertexID) {
-		t.Helper()
-		got := scanIDs()
-		if len(got) != len(ids) {
-			t.Fatalf("scan saw %v, want %v", got, ids)
-		}
-		for i := range ids {
-			if got[i] != ids[i] {
-				t.Fatalf("scan saw %v, want %v", got, ids)
-			}
-		}
-	}
-	want() // empty store
-	put := func(v stream.VertexID, iter int64) {
-		if err := s.Put(MainLoop, v, iter, []byte{byte(v)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(30, 1)
-	put(10, 1)
-	want(10, 30) // cache built fresh, sorted
-	put(20, 2)
-	want(10, 20, 30) // new vertex invalidates
-	put(10, 3)
-	want(10, 20, 30) // existing-vertex put keeps the cache
-	// Truncate above iteration 1: vertices whose only versions are newer
-	// vanish (20 at iter 2; 10 keeps its iter-1 version).
-	if err := s.Truncate(MainLoop, 1); err != nil {
-		t.Fatal(err)
-	}
-	want(10, 30)
-	put(20, 5)
-	want(10, 20, 30)
-	// Concurrent scanners racing new-vertex writers: every scan must be
-	// sorted and include everything written before it started.
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ids := scanIDs()
-				if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-					t.Errorf("unsorted scan: %v", ids)
-					return
-				}
-				if len(ids) < 3 {
-					t.Errorf("scan lost vertices: %v", ids)
-					return
-				}
-			}
-		}()
-	}
-	for v := stream.VertexID(100); v < 400; v++ {
-		put(v, 1)
-	}
-	close(stop)
-	wg.Wait()
-	want2 := scanIDs()
-	if len(want2) != 303 {
-		t.Fatalf("final scan saw %d vertices, want 303", len(want2))
-	}
-}
-
-// BenchmarkMemScan measures Scan over a settled vertex population — the
-// sorted-ID cache turns the per-scan sort into a cache hit.
-// BenchmarkMemPut covers the two hot commit-path shapes: fresh iterations
-// (one defensive copy each) and identical overwrites (at-least-once
-// redelivery), which must not allocate at all.
-func BenchmarkMemPut(b *testing.B) {
-	payload := make([]byte, 64)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	b.Run("fresh", func(b *testing.B) {
-		s := NewMemStore()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// 1024 vertices, advancing iterations: every put is a new version.
-			if err := s.Put(MainLoop, stream.VertexID(i%1024), int64(i/1024), payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("overwrite-same", func(b *testing.B) {
-		s := NewMemStore()
-		for v := stream.VertexID(0); v < 1024; v++ {
-			if err := s.Put(MainLoop, v, 1, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := s.Put(MainLoop, stream.VertexID(i%1024), 1, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // mvccPutKeys is the vertex count of the BENCHMARK.json harness's larger
 // workload; treap paths are 17-24 nodes deep at this size.
 const mvccPutKeys = 5000
@@ -570,8 +434,7 @@ func TestMVCCPutAllocs(t *testing.T) {
 }
 
 // BenchmarkMVCCSnapshot measures the O(1) handle grab against a populated
-// store (compare with BenchmarkMemScan, MemStore's only consistent-view
-// primitive at the same vertex count).
+// store.
 func BenchmarkMVCCSnapshot(b *testing.B) {
 	s := NewMVCCStore()
 	defer s.Close()
@@ -584,24 +447,5 @@ func BenchmarkMVCCSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := s.Snapshot(MainLoop)
 		h.Release()
-	}
-}
-
-func BenchmarkMemScan(b *testing.B) {
-	s := NewMemStore()
-	for v := stream.VertexID(0); v < 5000; v++ {
-		if err := s.Put(MainLoop, v, 1, []byte{1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := s.Scan(MainLoop, 1<<40, func(Record) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != 5000 {
-			b.Fatalf("scan saw %d", n)
-		}
 	}
 }

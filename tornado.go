@@ -145,8 +145,8 @@ type Options struct {
 	// snapshot handles and superseded versions are reclaimed below the
 	// checkpoint horizon, so RSS stays bounded on long-running streams (the
 	// system closes a store it defaulted; one you pass stays yours to
-	// close). Use storage.NewMemStore for the plain map backend or
-	// storage.OpenDisk for durable checkpoints.
+	// close). Pass storage.OpenDisk's store for durable checkpoints: the
+	// same index with an append-only log underneath it.
 	Store storage.Store
 	// ResendAfter enables at-least-once transport with the given
 	// retransmission timeout (default 0: trusted in-process delivery).
@@ -572,13 +572,9 @@ func (s *System) dropBranch(loop storage.LoopID) {
 
 // StoreStats reports the versioned store's residency counters — live
 // versions and bytes, compaction activity, pinned snapshots and the oldest
-// handle's age. ok is false when the configured store does not account
-// itself (the default MVCC store does; MemStore and DiskStore do not).
+// handle's age. ok is always true: every store accounts itself.
 func (s *System) StoreStats() (stats StoreStats, ok bool) {
-	if sp, isProvider := s.store.(storage.StatsProvider); isProvider {
-		return sp.StoreStats(), true
-	}
-	return StoreStats{}, false
+	return s.store.StoreStats(), true
 }
 
 // flowPressure is the overload controller's signal: utilization of the

@@ -144,7 +144,7 @@ func TestReadApprox(t *testing.T) {
 }
 
 func TestResultCloseDropsLoop(t *testing.T) {
-	store := storage.NewMemStore()
+	store := storage.NewMVCCStore()
 	// Disable the result cache so Close releases the last reference.
 	sys := newSSSP(t, Options{Store: store, Query: QueryOptions{DisableCache: true}})
 	sys.Ingest(stream.AddEdge(1, 0, 1))
