@@ -164,10 +164,13 @@ soak-overload:
 
 # Elasticity soak: live migration under sustained ingestion (value and delta
 # modes), the crash-mid-migration abort path, and the parked-pending
-# hand-off — all under the race detector and repeated — then the elastic
-# benchmark.
+# hand-off — all under the race detector and repeated — then the plan
+# transitions on the checkpoint restart (Reshard and quarantine, engine and
+# System level), then the elastic benchmark.
 soak-elastic:
 	$(GO) test -race ./internal/engine/ -run 'TestLiveMigration|TestScaleOutScaleIn|TestMigrationCrashAborts|TestDeltaParkedPendingSurvivesHandoff|TestReshardRejectsActiveIngestion' -count=2
+	$(GO) test -race ./internal/engine/ -run 'TestReshard|TestFlappingProcessorQuarantined|TestQuarantine' -count=3
+	$(GO) test -race . -run 'TestSystemReshard' -count=3
 	$(GO) run ./cmd/tornado-bench -experiment elastic -scale small
 
 check: build vet test harness-test race fuzz-codec chaos chaos-wire bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store soak-overload soak-elastic

@@ -42,7 +42,8 @@
 //	slow [min-ms] [n]    the n slowest retained traces at least min-ms of
 //	                     wall time (defaults 0ms, 8)
 //	watch <id>           force tracing of a vertex (ignore sampling)
-//	partitions           the live partition plan: epoch, per-slot state
+//	partitions           the live partition plan: epoch (bumped by every
+//	                     migration, reshard and quarantine), per-slot state
 //	                     (active/spare/quarantined), hosted vertices and
 //	                     commit/update counters, layered range overrides
 //	                     and lifetime migration counters

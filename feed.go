@@ -83,7 +83,7 @@ func (f *Feed) pump(sys *System, src stream.Source) {
 		if spans.Enabled() {
 			ctx = spans.Begin(spans.Now())
 		}
-		sys.engine().IngestTraced(t, ctx)
+		sys.main.IngestTraced(t, ctx)
 		f.mu.Lock()
 		f.acked++
 		f.mu.Unlock()

@@ -2,7 +2,8 @@ package engine
 
 // Live vertex-range migration and elastic scaling (ROADMAP item 4).
 //
-// Reshard (engine.go) reproduces the paper's stop-the-world rebalancing.
+// Reshard (engine.go) reproduces the paper's stop-the-world rebalancing as a
+// plan transition on the engine's checkpoint restart (supervisor.go).
 // Migrate changes the partition map WITHOUT stopping the main loop:
 //
 //  1. The coordinator (the Migrate caller itself, receiving on the
@@ -42,6 +43,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tornado/internal/stream"
@@ -57,8 +59,8 @@ var (
 	// ErrMigrationActive is returned when a migration is already running
 	// (one at a time).
 	ErrMigrationActive = errors.New("engine: a migration is already in flight")
-	// ErrNoSpare is returned by ScaleOut when no inactive processor slot
-	// remains below MaxProcessors.
+	// ErrNoSpare is returned by ScaleOut when no spare processor slot
+	// remains.
 	ErrNoSpare = errors.New("engine: no spare processor slot")
 	// ErrMigrationAborted is returned when the incarnation died (crash
 	// recovery or Stop) mid-migration; the plan is unchanged.
@@ -76,7 +78,7 @@ const (
 type PartitionLoad struct {
 	Proc        int
 	Active      bool // owns part of the current plan
-	Quarantined bool
+	Quarantined bool // out of rotation for good (the plan's third slot state)
 	// Vertices is the number of vertices the slot currently hosts.
 	Vertices int
 	// Commits / Updates are lifetime totals for this slot (reset by crash
@@ -90,27 +92,29 @@ type PartitionLoad struct {
 
 // PartitionLoads returns per-slot load accounting for every processor slot.
 func (e *Engine) PartitionLoads() []PartitionLoad {
-	plan := e.plan.Load()
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
+	plan := e.plan.Load()
 	out := make([]PartitionLoad, len(e.inc.procs))
 	for i, p := range e.inc.procs {
-		out[i] = PartitionLoad{Proc: i}
-		if i < len(plan.Active) && plan.Active[i] != 0 {
-			out[i].Active = true
+		out[i] = PartitionLoad{
+			Proc:        i,
+			Active:      plan.Active[i] > 0,
+			Quarantined: plan.Active[i] == slotQuarantined,
+			Vertices:    p.hostedCount(),
+			Commits:     p.commitCount.Load(),
+			Updates:     p.updateCount.Load(),
+			QueueDepth:  p.deltaDepth.Load(),
 		}
-		if p == nil {
-			out[i].Quarantined = true
-			continue
-		}
-		p.shareMu.Lock()
-		out[i].Vertices = len(p.share) - len(p.freeSlots)
-		p.shareMu.Unlock()
-		out[i].Commits = p.commitCount.Load()
-		out[i].Updates = p.updateCount.Load()
-		out[i].QueueDepth = p.deltaDepth.Load()
 	}
 	return out
+}
+
+// hostedCount is the number of vertices the processor's share holds.
+func (p *processor) hostedCount() int {
+	p.shareMu.Lock()
+	defer p.shareMu.Unlock()
+	return len(p.share) - len(p.freeSlots)
 }
 
 // Migrate moves the vertex range r onto processor dest without stopping the
@@ -129,24 +133,18 @@ func (e *Engine) Migrate(r VertexRange, dest int) error {
 func (e *Engine) ScaleOut(hot int) (int, error) {
 	plan := e.plan.Load()
 	loads := e.PartitionLoads()
-	spare := -1
-	for _, l := range loads {
-		if !l.Active && !l.Quarantined {
-			spare = l.Proc
-			break
-		}
-	}
+	spare := slices.Index(plan.Active, 0)
 	if spare < 0 {
 		return -1, ErrNoSpare
 	}
 	if hot < 0 {
 		for _, l := range loads {
-			if l.Active && !l.Quarantined && (hot < 0 || l.Vertices > loads[hot].Vertices) {
+			if l.Active && (hot < 0 || l.Vertices > loads[hot].Vertices) {
 				hot = l.Proc
 			}
 		}
 	}
-	if hot < 0 || hot >= len(plan.Active) || plan.Active[hot] == 0 {
+	if hot < 0 || hot >= len(plan.Active) || plan.Active[hot] <= 0 {
 		return -1, fmt.Errorf("engine: no splittable hot partition (hot=%d)", hot)
 	}
 	ids := e.hostedIDs(hot)
@@ -168,19 +166,11 @@ func (e *Engine) ScaleOut(hot int) (int, error) {
 // least-loaded other active slot — and retires it from the plan.
 func (e *Engine) ScaleIn(s int) error {
 	plan := e.plan.Load()
-	if s < 0 || s >= len(plan.Active) || plan.Active[s] == 0 {
+	if s < 0 || s >= len(plan.Active) || plan.Active[s] <= 0 {
 		return fmt.Errorf("engine: slot %d is not active", s)
 	}
-	dest := -1
 	loads := e.PartitionLoads()
-	for _, l := range loads {
-		if l.Proc == s || !l.Active || l.Quarantined {
-			continue
-		}
-		if dest < 0 || l.Vertices < loads[dest].Vertices {
-			dest = l.Proc
-		}
-	}
+	dest := plan.leastLoaded(s, func(i int) int { return loads[i].Vertices })
 	if dest < 0 {
 		return errors.New("engine: no surviving active slot to drain onto")
 	}
@@ -194,8 +184,7 @@ func (e *Engine) hostedIDs(proc int) []stream.VertexID {
 	if p == nil {
 		return nil
 	}
-	route := e.cur().route
-	return p.hosted(func(s *shareSlot) bool { return route(s.id) == transport.NodeID(proc) })
+	return p.hosted(func(s *shareSlot) bool { return e.owner(s.id) == transport.NodeID(proc) })
 }
 
 // migrate runs one live migration synchronously: the calling goroutine is
@@ -204,9 +193,6 @@ func (e *Engine) hostedIDs(proc int) []stream.VertexID {
 func (e *Engine) migrate(r VertexRange, from, dest int, retire bool) error {
 	if e.cfg.Kind != MainLoop {
 		return errors.New("engine: Migrate applies to main loops")
-	}
-	if dest < 0 || dest >= e.cfg.MaxProcessors {
-		return fmt.Errorf("engine: migration destination %d out of range [0,%d)", dest, e.cfg.MaxProcessors)
 	}
 	e.migMu.Lock()
 	if e.migActive {
@@ -226,26 +212,22 @@ func (e *Engine) migrate(r VertexRange, from, dest int, retire bool) error {
 	e.genMu.RLock()
 	inc := e.inc
 	stopped := e.stopped
-	var destProc *processor
-	if dest < len(inc.procs) {
-		destProc = inc.procs[dest]
-	}
+	slots := e.plan.Load().Active
 	e.genMu.RUnlock()
 	if stopped {
 		return errors.New("engine: migrate on a stopped engine")
 	}
-	if destProc == nil {
+	if dest < 0 || dest >= len(slots) {
+		return fmt.Errorf("engine: migration destination %d out of range [0,%d)", dest, len(slots))
+	}
+	if slots[dest] == slotQuarantined {
 		return fmt.Errorf("engine: migration destination %d is quarantined", dest)
 	}
 	var sources []int
-	for i, p := range inc.procs {
-		if p == nil || i == dest {
-			continue
+	for i := range inc.procs {
+		if i != dest && (from < 0 || i == from) {
+			sources = append(sources, i)
 		}
-		if from >= 0 && i != from {
-			continue
-		}
-		sources = append(sources, i)
 	}
 	if len(sources) == 0 {
 		return errors.New("engine: no live source processors")
@@ -303,9 +285,16 @@ func (e *Engine) migrate(r VertexRange, from, dest int, retire bool) error {
 
 	// THE cutover: one atomic pointer store. Every route call after this —
 	// any processor, the ingester, recovery's ActivateStored — resolves the
-	// range to dest.
+	// range to dest. The read lock keeps a restart from publishing between
+	// the load and the store, and from having replaced inc already.
+	e.genMu.RLock()
+	if e.inc != inc {
+		e.genMu.RUnlock()
+		return abort("incarnation restarted before cutover")
+	}
 	next := e.plan.Load().withMove(r, from, dest, retire)
 	e.plan.Store(next)
+	e.genMu.RUnlock()
 
 	for _, s := range sources {
 		inc.migE.Send(transport.NodeID(s), msgMigCutover{Seq: seq})

@@ -427,6 +427,7 @@ func TestReshardRejectsActiveIngestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start()
+	defer e.Stop()
 
 	// Pause one processor so its share of the ingested inputs stays
 	// admitted-but-unapplied: the gate provably holds depth.
@@ -435,7 +436,7 @@ func TestReshardRejectsActiveIngestion(t *testing.T) {
 	waitUntil(t, waitFor, func() bool { return e.FlowSnapshot().GateDepth > 0 },
 		"admission gate never held depth with a paused processor")
 
-	if _, err := Reshard(e, 4, nil, waitFor); !errors.Is(err, ErrIngestionActive) {
+	if err := e.Reshard(4, waitFor); !errors.Is(err, ErrIngestionActive) {
 		t.Fatalf("Reshard over a live ingestion backlog returned %v; want ErrIngestionActive", err)
 	}
 
@@ -443,12 +444,10 @@ func TestReshardRejectsActiveIngestion(t *testing.T) {
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
-	ne, err := Reshard(e, 4, nil, waitFor)
-	if err != nil {
+	if err := e.Reshard(4, waitFor); err != nil {
 		t.Fatal(err)
 	}
-	defer ne.Stop()
-	checkSSSP(t, ne, tuples)
+	checkSSSP(t, e, tuples)
 }
 
 // TestMigrateRejectsConcurrent pins the one-at-a-time coordinator guard and

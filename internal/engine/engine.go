@@ -46,10 +46,10 @@ type Config struct {
 	// Processors is the number of processor goroutines the base partition
 	// spreads vertices over (>= 1).
 	Processors int
-	// MaxProcessors is the slot ceiling elastic scaling may grow into
-	// (default Processors — no spares). Slots Processors..MaxProcessors-1
-	// run idle processor goroutines that own no vertices until a
-	// hot-partition split migrates a range onto them (Migrate/ScaleOut).
+	// MaxProcessors is the slot count elastic scaling may grow into (default
+	// Processors — no spares; a Reshard past it grows it). Slots
+	// Processors..MaxProcessors-1 run idle processors owning no vertices
+	// until a hot-partition split migrates a range onto them.
 	MaxProcessors int
 	// DelayBound is B, the bound on iteration delays (>= 1). B = 1 yields
 	// synchronous (BSP) execution.
@@ -74,9 +74,9 @@ type Config struct {
 	// loop's versions instead of Program.Init.
 	Snapshot *SnapshotSource
 	// StartIteration is the first iteration this loop may commit in
-	// (default 0). A loop resuming in place over its own history (Reshard,
-	// in-place recovery) starts above its last terminated iteration so new
-	// versions supersede old ones.
+	// (default 0). Every checkpoint restart — crash recovery or Reshard —
+	// moves it above the last terminated iteration, so the resumed loop's
+	// versions supersede its history.
 	StartIteration int64
 	// MaxIterations halts the loop once that many iterations terminated
 	// (0 = unlimited).
@@ -167,8 +167,8 @@ type Config struct {
 	// (default 3).
 	SuspectAfter int
 	// MaxRestarts is how many times one processor may crash within
-	// RestartWindow before it is quarantined and its partition reassigned
-	// to the survivors (default 5).
+	// RestartWindow before the restart moves its range to a spare or the
+	// least-loaded survivor and quarantines its slot (default 5).
 	MaxRestarts int
 	// RestartWindow is the sliding window for MaxRestarts (default 1m).
 	RestartWindow time.Duration
@@ -330,20 +330,23 @@ type StatsSnapshot struct {
 }
 
 // incarnation is one generation of the loop's running topology: network,
-// tracker, processors and control endpoints. A crash recovery tears the
-// current incarnation down wholesale and builds the next one from the last
+// tracker, one processor per plan slot, and control endpoints. A checkpoint
+// restart tears it down wholesale and builds the next one from the last
 // terminated-iteration checkpoint; everything durable (store, journal,
-// counters, Lamport clock) lives on the Engine and survives.
+// counters, Lamport clock, plan) lives on the Engine and survives.
 type incarnation struct {
 	gen     int
 	net     *transport.Network
 	tracker *Tracker
-	procs   []*processor // nil entries are quarantined processors
+	procs   []*processor
 	masterE *transport.Endpoint
 	ingestE *transport.Endpoint
 	supE    *transport.Endpoint // heartbeat sink; nil when unsupervised
 	migE    *transport.Endpoint // migration-coordinator endpoint (elastic.go)
-	route   func(stream.VertexID) transport.NodeID
+	// outboxes recycles the ingest-side windows, one per slot: Ingest,
+	// IngestAll, Activate and AdoptBranch callers run concurrently, so each
+	// call fills an outbox of its own and ships it through ingestE.
+	outboxes sync.Pool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -368,28 +371,38 @@ func (inc *incarnation) markReady() {
 	inc.readyOnce.Do(func() { close(inc.ready) })
 }
 
+// crashed reports whether a processor or the master of inc crashed: its
+// quiescence then proves nothing, since the restart that replaces it
+// re-activates the whole checkpoint.
+func (inc *incarnation) crashed() bool {
+	if inc.masterCrashed.Load() {
+		return true
+	}
+	for _, p := range inc.procs {
+		if p.ep.Crashed() {
+			return true
+		}
+	}
+	return false
+}
+
 // Engine runs one loop (main or branch) of the iterative computation.
 type Engine struct {
-	// genMu guards the current incarnation and the per-incarnation parts of
-	// cfg (Snapshot, StartIteration), plus the quarantine and restart
-	// bookkeeping. Processor goroutines never take it: they capture their
-	// incarnation's tracker/route/snapshot at construction, so a recovery
+	// genMu guards the current incarnation, cfg's Snapshot and
+	// StartIteration, slow's width and the restart log, and serializes plan
+	// publishes. Processor goroutines never take it: they capture their
+	// incarnation's tracker and snapshot at construction, so a restart
 	// holding the write lock can wait for them to drain without deadlock.
-	genMu       sync.RWMutex
-	cfg         Config
-	inc         *incarnation
-	quarantined map[int]struct{}
-	restartLog  map[int][]time.Time // per-processor restart times (-1 = master)
-	stopped     bool
+	genMu      sync.RWMutex
+	cfg        Config
+	inc        *incarnation
+	restartLog map[int][]time.Time // per-processor restart times (-1 = master)
+	stopped    bool
 
 	clock    lamport.Clock
 	journal  *inputJournal // main loops only
 	stats    Stats
 	netStats *transport.Stats // shared across incarnations
-	// outboxes recycles the ingest-side windows: Ingest, IngestAll, Activate
-	// and AdoptBranch callers run concurrently, so each call fills an outbox
-	// of its own (ingestOut) and ships it through the ingest endpoint.
-	outboxes sync.Pool
 	start    time.Time
 	created  time.Time
 
@@ -399,8 +412,8 @@ type Engine struct {
 	// lock to unwedge the very consumer being waited on — and applyWork
 	// releases as inputs land on vertices. delayBound is the effective B,
 	// raised at runtime by SetDelayBound within the configured ceiling.
-	// slow is per-processor injected commit latency (FaultSlowProcessor);
-	// it survives incarnations so a recovered processor stays slow.
+	// slow is per-slot injected commit latency (FaultSlowProcessor); it
+	// survives incarnations so a recovered processor stays slow.
 	ingestGate *flow.Gate
 	delayBound atomic.Int64
 	slow       []atomic.Int64
@@ -410,10 +423,10 @@ type Engine struct {
 	// convergence quality degrades instead of input being dropped.
 	deltaBoost atomic.Uint64
 
-	// Elastic repartitioning (plan.go, elastic.go). plan is the current
-	// partition-plan epoch, read atomically by every route call and replaced
-	// only by a migration's cutover publish; it lives on the Engine so plans
-	// survive crash recoveries. migMu serializes migrations (one at a time).
+	// Partition plans (plan.go, elastic.go). plan is the current epoch,
+	// read atomically by every route call and replaced only by a migration's
+	// cutover or a checkpoint restart; it lives on the Engine so plans
+	// survive restarts. migMu serializes migrations (one at a time).
 	plan          atomic.Pointer[PartitionPlan]
 	migMu         sync.Mutex
 	migActive     bool
@@ -481,8 +494,7 @@ type Engine struct {
 	forks atomic.Int64
 
 	// onStop runs after the engine stops (branch engines release their
-	// parent's fork pin here; a Reshard replacement releases its resume
-	// pin).
+	// parent's fork pin here).
 	onStop func()
 	// forkJournalSeq is, on a branch engine, the parent's input-journal
 	// sequence at fork time; AdoptBranch uses it to detect inputs that
@@ -496,15 +508,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:         cfg,
-		netStats:    &transport.Stats{},
-		quarantined: make(map[int]struct{}),
-		restartLog:  make(map[int][]time.Time),
-		created:     time.Now(),
-		done:        make(chan struct{}),
-		slow:        make([]atomic.Int64, cfg.MaxProcessors),
+		cfg:        cfg,
+		netStats:   &transport.Stats{},
+		restartLog: make(map[int][]time.Time),
+		created:    time.Now(),
+		done:       make(chan struct{}),
+		slow:       make([]atomic.Int64, cfg.MaxProcessors),
 	}
-	e.outboxes.New = func() any { return newOutbox(cfg.MaxProcessors) }
 	e.plan.Store(basePlan(cfg.Processors, cfg.MaxProcessors))
 	e.delayBound.Store(cfg.DelayBound)
 	e.deltaBoost.Store(math.Float64bits(1))
@@ -533,18 +543,23 @@ func (e *Engine) supervised() bool {
 	return e.cfg.Kind == MainLoop && e.cfg.HeartbeatInterval > 0
 }
 
-// Node-ID layout: processor slots occupy 0..MaxProcessors-1 (spares above
-// Config.Processors idle until a migration lands on them); the control
-// endpoints sit above the slot ceiling.
-func (e *Engine) masterNode() transport.NodeID { return transport.NodeID(e.cfg.MaxProcessors) }
-func (e *Engine) ingestNode() transport.NodeID { return transport.NodeID(e.cfg.MaxProcessors + 1) }
-func (e *Engine) supNode() transport.NodeID    { return transport.NodeID(e.cfg.MaxProcessors + 2) }
-func (e *Engine) migNode() transport.NodeID    { return transport.NodeID(e.cfg.MaxProcessors + 3) }
+// Node-ID layout: processor slots occupy 0..slots-1 (spares idle until a
+// migration lands on them); the control endpoints sit at fixed IDs far above
+// any slot count, so a restart that grows the slots never moves them.
+const (
+	masterNode transport.NodeID = 1<<30 + iota
+	ingestNode
+	supNode
+	migNode
+)
 
 // buildIncarnation assembles generation gen's topology from the engine's
-// current configuration and quarantine set. Caller holds genMu (or is New).
+// configuration and plan, one processor per slot. Caller holds genMu (or is
+// New).
 func (e *Engine) buildIncarnation(gen int) *incarnation {
+	slots := len(e.plan.Load().Active)
 	inc := &incarnation{gen: gen, stop: make(chan struct{}), ready: make(chan struct{})}
+	inc.outboxes.New = func() any { return newOutbox(slots) }
 	var wire *transport.WireConfig
 	if e.cfg.Wire != nil {
 		wire = e.buildWire(gen)
@@ -567,64 +582,32 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 	}
 	e.faultMu.Unlock()
 	inc.tracker = NewTracker(e.cfg.StartIteration)
-	inc.route = e.routeFn()
-	// Every slot up to MaxProcessors runs a processor goroutine: spares idle
-	// on Recv until a migration moves a range onto them, so scaling out never
-	// has to mutate a live incarnation's topology.
-	inc.procs = make([]*processor, e.cfg.MaxProcessors)
-	for i := 0; i < e.cfg.MaxProcessors; i++ {
-		if _, q := e.quarantined[i]; q {
-			continue
-		}
-		ep := inc.net.Register(transport.NodeID(i))
-		inc.procs[i] = newProcessor(i, e, ep, inc.tracker, e.cfg.Snapshot, inc.route, e.cfg.StartIteration)
+	// Every slot runs a processor goroutine: spares (and quarantined slots)
+	// idle on Recv owning nothing, so scaling out never has to mutate a live
+	// incarnation's topology.
+	inc.procs = make([]*processor, slots)
+	for i := range inc.procs {
+		inc.procs[i] = newProcessor(i, slots, e, inc.net.Register(transport.NodeID(i)), inc.tracker)
 	}
-	inc.masterE = inc.net.Register(e.masterNode())
-	inc.ingestE = inc.net.Register(e.ingestNode())
+	inc.masterE = inc.net.Register(masterNode)
+	inc.ingestE = inc.net.Register(ingestNode)
 	if e.supervised() {
-		inc.supE = inc.net.Register(e.supNode())
+		inc.supE = inc.net.Register(supNode)
 	}
-	inc.migE = inc.net.Register(e.migNode())
+	inc.migE = inc.net.Register(migNode)
 	return inc
 }
 
-// routeFn builds the effective vertex→node mapping: the current partition
-// plan (base partition folded through published migrations, read atomically
-// per call so a cutover takes effect everywhere at once), with quarantined
-// processors remapped onto the survivors. Caller holds genMu (or is New).
-func (e *Engine) routeFn() func(stream.VertexID) transport.NodeID {
-	base := e.cfg.Partition
-	if len(e.quarantined) == 0 {
-		return func(id stream.VertexID) transport.NodeID {
-			return transport.NodeID(e.plan.Load().Owner(id, base))
-		}
-	}
-	bad := make(map[int]struct{}, len(e.quarantined))
-	for i := range e.quarantined {
-		bad[i] = struct{}{}
-	}
-	var survivors []int
-	for i := 0; i < e.cfg.MaxProcessors; i++ {
-		if _, q := bad[i]; !q {
-			survivors = append(survivors, i)
-		}
-	}
-	return func(id stream.VertexID) transport.NodeID {
-		p := e.plan.Load().Owner(id, base)
-		if _, q := bad[p]; q {
-			p = survivors[int(uint64(id)%uint64(len(survivors)))]
-		}
-		return transport.NodeID(p)
-	}
+// owner resolves a vertex to its processor slot under the current plan,
+// read atomically per call so a cutover takes effect everywhere at once.
+func (e *Engine) owner(id stream.VertexID) transport.NodeID {
+	return transport.NodeID(e.plan.Load().Owner(id, e.cfg.Partition))
 }
 
 // startIncarnation launches an incarnation's goroutines: processors, master,
 // and (when supervised) heartbeat senders plus the supervisor.
 func (e *Engine) startIncarnation(inc *incarnation) {
 	for _, p := range inc.procs {
-		if p == nil {
-			continue
-		}
 		inc.wg.Add(1)
 		go func(p *processor) {
 			defer inc.wg.Done()
@@ -636,11 +619,8 @@ func (e *Engine) startIncarnation(inc *incarnation) {
 		defer inc.wg.Done()
 		e.masterRun(inc)
 	}()
-	if e.supervised() && inc.supE != nil {
+	if e.supervised() {
 		for i, p := range inc.procs {
-			if p == nil {
-				continue
-			}
 			inc.wg.Add(1)
 			go e.heartbeatRun(inc, i, p.ep)
 		}
@@ -720,19 +700,19 @@ func (e *Engine) IngestTraced(t stream.Tuple, ctx trace.Context) {
 	if e.journal != nil {
 		m.JSeq, m.HasJSeq = e.journal.Ingested(t), true
 	}
-	out := e.ingestOut()
-	out.win[inc.route(routeVertex(t))].addInput(m)
+	out := inc.ingestOut()
+	out.win[e.owner(routeVertex(t))].addInput(m)
 	e.ingestShip(inc, out)
 }
 
 // ingestOut returns an empty outbox for one ingest-side call to fill.
-func (e *Engine) ingestOut() *outbox { return e.outboxes.Get().(*outbox) }
+func (inc *incarnation) ingestOut() *outbox { return inc.outboxes.Get().(*outbox) }
 
 // ingestShip sends what an ingest-side call queued in out through inc's
 // ingest endpoint and recycles the outbox.
 func (e *Engine) ingestShip(inc *incarnation, out *outbox) {
 	out.ship(inc.ingestE, -1, e.cfg.MaxBatch, e.spans, uint64(e.cfg.LoopID))
-	e.outboxes.Put(out)
+	inc.outboxes.Put(out)
 }
 
 // IngestAll ingests a tuple slice in order, in admission-gate-sized chunks:
@@ -768,13 +748,13 @@ func (e *Engine) ingestChunk(ts []stream.Tuple) {
 	if e.journal != nil {
 		m.JSeq, m.HasJSeq = e.journal.Ingested(ts...), true
 	}
-	out := e.ingestOut()
+	out := inc.ingestOut()
 	for _, t := range ts {
 		m.Tuple = t
 		if traceOn {
 			m.Ctx = e.spans.Begin(now)
 		}
-		out.win[inc.route(routeVertex(t))].addInput(m)
+		out.win[e.owner(routeVertex(t))].addInput(m)
 		m.JSeq++
 	}
 	e.ingestShip(inc, out)
@@ -788,9 +768,9 @@ func (e *Engine) Activate(ids ...stream.VertexID) {
 	defer e.genMu.RUnlock()
 	inc := e.inc
 	tok := inc.tracker.AcquireFloorN(0, len(ids))
-	out := e.ingestOut()
+	out := inc.ingestOut()
 	for _, id := range ids {
-		out.win[inc.route(id)].addActivate(msgActivate{To: id, Token: tok})
+		out.win[e.owner(id)].addActivate(msgActivate{To: id, Token: tok})
 	}
 	e.ingestShip(inc, out)
 }
@@ -936,13 +916,10 @@ func (e *Engine) traceFrontier(to int64) {
 	}
 }
 
-// broadcast sends a control message to every live processor and flushes, so
+// broadcast sends a control message to every processor and flushes, so
 // frontier notifications and halts are never delayed by batching.
 func (e *Engine) broadcast(inc *incarnation, payload any) {
-	for i, p := range inc.procs {
-		if p == nil {
-			continue
-		}
+	for i := range inc.procs {
 		inc.masterE.Send(transport.NodeID(i), payload)
 	}
 	inc.masterE.Flush()
@@ -980,11 +957,12 @@ func (e *Engine) WaitDone(timeout time.Duration) error {
 // synchronization point for tests and fork call sites that want exact
 // results. It follows the live incarnation: tokens lost in a crash pin the
 // old tracker forever, so quiescence is only ever reached by the incarnation
-// that finishes the work.
+// that finishes the work — never by one with a crashed member, whose restart
+// is still to come.
 func (e *Engine) WaitQuiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if e.cur().tracker.Quiesced() {
+		if inc := e.cur(); inc.tracker.Quiesced() && !inc.crashed() {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -1000,7 +978,7 @@ func (e *Engine) WaitQuiesce(timeout time.Duration) error {
 func (e *Engine) WaitSettled(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if e.cur().tracker.Settled() {
+		if inc := e.cur(); inc.tracker.Settled() && !inc.crashed() {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -1026,9 +1004,7 @@ func (e *Engine) Stop() {
 		e.broadcast(inc, msgHalt{})
 		e.doneOnce.Do(func() { close(e.done) })
 		for _, p := range inc.procs {
-			if p != nil {
-				p.setPaused(false) // a paused goroutine must wake to exit
-			}
+			p.setPaused(false) // a paused goroutine must wake to exit
 		}
 		inc.net.Close()
 		inc.wg.Wait()
@@ -1039,9 +1015,9 @@ func (e *Engine) Stop() {
 		if e.onStop != nil {
 			e.onStop()
 		}
-		// Drop the snapshot handle this engine reads through (recovery and
-		// Reshard grab one on self-bootstrapping loops; for branches this
-		// doubles the onStop release, which is idempotent).
+		// Drop the snapshot handle this engine reads through (every
+		// checkpoint restart grabs one; for branches this doubles the onStop
+		// release, which is idempotent).
 		e.snapshot().release()
 	})
 }
@@ -1180,10 +1156,7 @@ func (e *Engine) SetDeltaBoost(mult float64) float64 {
 		e.genMu.RLock()
 		defer e.genMu.RUnlock()
 		inc := e.inc
-		for i, p := range inc.procs {
-			if p == nil {
-				continue
-			}
+		for i := range inc.procs {
 			tok := inc.tracker.AcquireFloor(0)
 			inc.ingestE.Send(transport.NodeID(i), msgRescan{Token: tok})
 		}
@@ -1197,6 +1170,8 @@ func (e *Engine) SetDeltaBoost(mult float64) float64 {
 // engine and survives crash recoveries, which makes it the slow-consumer
 // chaos primitive behind FaultSlowProcessor.
 func (e *Engine) SlowProcessor(i int, d time.Duration) {
+	e.genMu.RLock()
+	defer e.genMu.RUnlock()
 	if i >= 0 && i < len(e.slow) {
 		e.slow[i].Store(int64(d))
 	}
@@ -1228,12 +1203,9 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 	e.genMu.RLock()
 	tracker := e.inc.tracker
 	gen := e.inc.gen
-	quarantined := len(e.quarantined)
 	var queueDepth int64
 	for _, p := range e.inc.procs {
-		if p != nil {
-			queueDepth += p.deltaDepth.Load()
-		}
+		queueDepth += p.deltaDepth.Load()
 	}
 	e.genMu.RUnlock()
 	return StatsSnapshot{
@@ -1267,7 +1239,7 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 		PendingPrepares:      e.pendingPrepares.Load(),
 		Crashes:              e.crashes.Value(),
 		Recoveries:           e.recoveries.Value(),
-		Quarantined:          int64(quarantined),
+		Quarantined:          int64(len(e.Quarantined())),
 		Generation:           int64(gen),
 	}
 }
@@ -1396,9 +1368,6 @@ func (e *Engine) forkLocked() ForkSpec {
 	var seeds []stream.VertexID
 	above := false
 	for _, p := range inc.procs {
-		if p == nil {
-			continue
-		}
 		seeds = append(seeds, p.forkScan(forkIter)...)
 		if len(p.forkScan(forkIter+1)) > 0 {
 			above = true
@@ -1465,6 +1434,8 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 	e.genMu.RUnlock()
 	// Chaos schedules may target the fork instant (crash mid-branch-fork).
 	e.fireForkFaults()
+	// The branch runs the main loop's current base width, without spares.
+	cfg.Processors, cfg.MaxProcessors = e.plan.Load().BaseN, 0
 	cfg.Kind = BranchLoop
 	cfg.LoopID = branchLoop
 	cfg.branchObs = e.branchObs
@@ -1541,61 +1512,39 @@ func (e *Engine) ActivateStored() error {
 	return nil
 }
 
-// Reshard stops a settled main loop and returns a replacement running
-// newProcs processors (and newPartition, when non-nil) that resumes in place
-// over the same store and loop ID. This is the paper's load rebalancing
-// (Section 5.1): "the master stops the computation before the modification
-// to the partitioning scheme; after the partitioning scheme is modified, the
-// computation will restart from the last terminated iteration." The caller
-// must pause ingestion around the call; the old engine is stopped on
-// success.
-func Reshard(e *Engine, newProcs int, newPartition func(stream.VertexID, int) int, settleTimeout time.Duration) (*Engine, error) {
-	if e.cfg.Kind != MainLoop {
-		return nil, errors.New("engine: Reshard applies to main loops")
+// Reshard rebalances a settled main loop in place onto newProcs processors,
+// the paper's Section 5.1: "the master stops the computation before the
+// modification to the partitioning scheme; after the partitioning scheme is
+// modified, the computation will restart from the last terminated
+// iteration." The checkpoint restart publishes the base partition over
+// newProcs — no overrides, no quarantines — on max(newProcs, current) slots.
+// The caller must pause ingestion around the call.
+func (e *Engine) Reshard(newProcs int, settleTimeout time.Duration) error {
+	if e.cfg.Kind != MainLoop || newProcs < 1 {
+		return errors.New("engine: Reshard applies to main loops, onto >= 1 processor")
 	}
 	// The documented precondition, enforced: admitted-but-unapplied inputs
-	// ride the incarnation that dies with Stop below, and nothing replays
-	// them (Reshard is not a crash recovery). Callers must drain or pause
-	// the spout first — or use live migration (Migrate), which needs no
-	// pause at all.
+	// ride the incarnation the restart tears down, and nothing replays them
+	// (the journal residual of a settled loop is empty). Callers must drain
+	// or pause the spout first — or use live migration (Migrate), which needs
+	// no pause at all.
 	if d := e.FlowSnapshot().GateDepth; d > 0 {
-		return nil, fmt.Errorf("%w: %d admitted inputs not yet applied", ErrIngestionActive, d)
+		return fmt.Errorf("%w: %d admitted inputs not yet applied", ErrIngestionActive, d)
 	}
 	if err := e.WaitSettled(settleTimeout); err != nil {
-		return nil, err
+		return err
 	}
-	resume := e.Notified()
-	e.Stop()
-	cfg := e.Config()
-	cfg.Processors = newProcs
-	if cfg.MaxProcessors < newProcs {
-		// The replacement re-defaults its slot ceiling: a reshard that grows
-		// past the old ceiling should not fail validation, and the old
-		// ceiling (defaulted from the old width) carries no intent.
-		cfg.MaxProcessors = 0
+	ninc, resume, _ := e.restart(e.cur(), func(p *PartitionPlan) *PartitionPlan {
+		next := basePlan(newProcs, max(newProcs, len(p.Active)))
+		next.Epoch = p.Epoch + 1
+		return next
+	}, nil)
+	if ninc == nil {
+		return errors.New("engine: Reshard raced Stop or a crash recovery")
 	}
-	if newPartition != nil {
-		cfg.Partition = newPartition
-	}
-	// Resuming over own history: the replacement bootstraps through a handle
-	// on its own loop, pinned at resume like a fork's view, so neither its
-	// lazy reads nor readers of the live store at resume lose a version to
-	// compaction. The old engine is already stopped, so the grab sees all
-	// its commits.
-	storePin := cfg.Store.Pin(cfg.LoopID, resume)
-	cfg.Snapshot = &SnapshotSource{UpTo: resume, Handle: cfg.Store.Snapshot(cfg.LoopID)}
-	cfg.StartIteration = resume + 1
-	ne, err := New(cfg)
-	if err != nil {
-		cfg.Snapshot.release()
-		storePin()
-		return nil, err
-	}
-	// Held until the replacement stops: its lazy bootstrap reads span its
-	// whole life, exactly like a branch's.
-	ne.onStop = storePin
-	ne.Start()
-	return ne, nil
+	e.recordEvent(RecoveryEvent{Kind: EventReshard, Proc: -2, Gen: ninc.gen, Resume: resume,
+		Detail: fmt.Sprintf("epoch %d: base partition over %d processors", e.PlanEpoch(), newProcs)})
+	return nil
 }
 
 // LoadStats returns the number of vertices each processor currently hosts,
@@ -1636,8 +1585,8 @@ func (e *Engine) PauseMaster() { e.masterPaused.Store(true) }
 // ResumeMaster resumes a paused master.
 func (e *Engine) ResumeMaster() { e.masterPaused.Store(false) }
 
-// proc returns processor i of the current incarnation (nil when out of range
-// or quarantined).
+// proc returns processor i of the current incarnation (nil when out of
+// range).
 func (e *Engine) proc(i int) *processor {
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()

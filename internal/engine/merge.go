@@ -44,11 +44,11 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 	default:
 		return errors.New("engine: branch has not converged")
 	}
-	// Snapshot the incarnation once: if a crash recovery replaces it while
-	// the merge is in flight, the adoptions land on dead endpoints and the
-	// post-merge quiescence check runs against the new incarnation, which has
-	// recomputed its pre-merge state — the merge simply degrades to a no-op
-	// or a conflict, never to corruption.
+	// Snapshot the incarnation once: if a checkpoint restart replaces it
+	// while the merge is in flight, the adoptions are refused or land on dead
+	// endpoints and the post-merge quiescence check runs against the new
+	// incarnation, which has recomputed its pre-merge state — the merge simply
+	// degrades to a no-op or a conflict, never to corruption.
 	inc := e.cur()
 	if !inc.tracker.Settled() {
 		return fmt.Errorf("%w: loop not quiescent at merge start", ErrMergeConflict)
@@ -86,15 +86,23 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 	if e.journalSeq() != journalBefore {
 		return ErrMergeConflict
 	}
-	out := e.ingestOut()
+	// Route under the generation lock: the plan must still be the one inc's
+	// outboxes were sized for.
+	e.genMu.RLock()
+	if e.inc != inc {
+		e.genMu.RUnlock()
+		return fmt.Errorf("%w: loop restarted during merge", ErrMergeConflict)
+	}
+	out := inc.ingestOut()
 	for _, a := range adoptions {
 		tok := inc.tracker.AcquireFloor(mergeIter)
-		out.win[inc.route(a.id)].addAdopt(msgAdopt{
+		out.win[e.owner(a.id)].addAdopt(msgAdopt{
 			To: a.id, State: a.state, Targets: a.targets, TargetClock: a.clock,
 			Iteration: mergeIter, Token: tok,
 		})
 	}
 	e.ingestShip(inc, out)
+	e.genMu.RUnlock()
 	release()
 	if err := e.WaitQuiesce(time.Minute); err != nil {
 		return err

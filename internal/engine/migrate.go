@@ -50,7 +50,7 @@ type migDest struct {
 // in-flight migration: traffic for it is journaled. Once the plan flips the
 // route check fails and the same traffic bounces to the new owner instead.
 func (p *processor) migrating(id stream.VertexID) bool {
-	return p.mig != nil && p.mig.r.Contains(id) && p.route(id) == transport.NodeID(p.idx)
+	return p.mig != nil && p.mig.r.Contains(id) && p.eng.owner(id) == transport.NodeID(p.idx)
 }
 
 // bounce re-routes a vertex-addressed message this processor does not own
@@ -60,7 +60,7 @@ func (p *processor) migrating(id stream.VertexID) bool {
 // processor's. Running before ensure() is what prevents misdirected frames
 // from ghost-creating vertices on the old owner.
 func (p *processor) bounce(id stream.VertexID) *msgBatch {
-	owner := p.route(id)
+	owner := p.eng.owner(id)
 	if owner == transport.NodeID(p.idx) {
 		return nil
 	}
@@ -162,7 +162,7 @@ func (p *processor) migMaybeShip() {
 	mig.shipped = true
 	p.ep.Send(transport.NodeID(mig.dest),
 		msgMigState{Seq: mig.seq, Source: p.idx, NumSources: mig.numSources, Vs: vs})
-	p.ep.Send(p.eng.migNode(), msgMigShipped{Seq: mig.seq, Source: p.idx, Count: len(vs)})
+	p.ep.Send(migNode, msgMigShipped{Seq: mig.seq, Source: p.idx, Count: len(vs)})
 	p.ep.Flush()
 }
 
@@ -209,7 +209,7 @@ func (p *processor) handleMigState(m msgMigState) {
 	}
 	p.migIn.got++
 	if p.migIn.got >= p.migIn.expect {
-		p.ep.Send(p.eng.migNode(), msgMigInstalled{Seq: m.Seq, Count: len(p.migIn.ids)})
+		p.ep.Send(migNode, msgMigInstalled{Seq: m.Seq, Count: len(p.migIn.ids)})
 		p.ep.Flush()
 	}
 }

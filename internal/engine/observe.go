@@ -70,9 +70,7 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 				defer e.genMu.RUnlock()
 				var n int64
 				for _, p := range e.inc.procs {
-					if p != nil {
-						n += p.deltaDepth.Load()
-					}
+					n += p.deltaDepth.Load()
 				}
 				return float64(n)
 			})
@@ -125,12 +123,8 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	sc.RegisterCounter("tornado_recoveries_total",
 		"Completed checkpoint restarts (supervisor-driven or manual).", &e.recoveries)
 	sc.GaugeFunc("tornado_quarantined_processors",
-		"Processors removed from rotation after exceeding the restart budget.",
-		func() float64 {
-			e.genMu.RLock()
-			defer e.genMu.RUnlock()
-			return float64(len(e.quarantined))
-		})
+		"Processor slots the partition plan took out of rotation after exceeding the restart budget.",
+		func() float64 { return float64(len(e.Quarantined())) })
 	sc.GaugeFunc("tornado_incarnation_generation",
 		"Loop incarnation number (0 = never recovered).",
 		func() float64 { return float64(e.Generation()) })
@@ -146,7 +140,7 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	sc.RegisterCounter("tornado_elastic_bounced_frames_total",
 		"Vertex-addressed messages re-routed through the plan after arriving at a non-owner.", &e.migBounced)
 	sc.GaugeFunc("tornado_elastic_plan_epoch",
-		"Partition-plan epoch (bumped by every migration cutover).",
+		"Partition-plan epoch (bumped by every migration cutover, Reshard and quarantine).",
 		func() float64 { return float64(e.PlanEpoch()) })
 	sc.GaugeFunc("tornado_elastic_active_processors",
 		"Processor slots currently owning part of the partition plan.",
@@ -207,13 +201,7 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	// Freshness watermarks: how far each partition's committed work runs
 	// ahead of the terminated frontier, and how many journaled inputs have
 	// not yet committed (the query path exposes its own journal-seq age).
-	for i := 0; i < e.cfg.MaxProcessors; i++ {
-		proc := i
-		sc.GaugeFunc("tornado_partition_frontier_lag_iterations",
-			"Iterations between a partition's newest commit and the terminated frontier (per-partition staleness watermark).",
-			func() float64 { return float64(e.partitionLag(proc)) },
-			obs.L("proc", strconv.Itoa(proc)))
-	}
+	e.registerSlotGauges()
 	if e.journal != nil {
 		sc.GaugeFunc("tornado_input_journal_uncommitted",
 			"Journaled inputs not yet covered by a vertex commit (ingest-side freshness debt).",
@@ -266,6 +254,18 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	}
 }
 
+// registerSlotGauges registers the per-slot frontier-lag gauge of every slot
+// the plan has; registering an existing slot's again is a no-op, so a restart
+// that grows the slot count calls it to cover the new ones.
+func (e *Engine) registerSlotGauges() {
+	for i := range e.plan.Load().Active {
+		e.obsScope.GaugeFunc("tornado_partition_frontier_lag_iterations",
+			"Iterations between a partition's newest commit and the terminated frontier (per-partition staleness watermark).",
+			func() float64 { return float64(e.partitionLag(i)) },
+			obs.L("proc", strconv.Itoa(i)))
+	}
+}
+
 // statusz is the engine's per-loop /statusz section.
 func (e *Engine) statusz() any {
 	s := e.StatsSnapshot()
@@ -294,7 +294,7 @@ func (e *Engine) statusz() any {
 			"frames_held":           fs.FramesHeld,
 			"urgent_shed":           fs.UrgentShed,
 		},
-		"processors":         e.cfg.Processors,
+		"processors":         e.plan.Load().BaseN,
 		"frontier":           s.Frontier,
 		"notified":           s.Notified,
 		"frontier_lag":       tracker.FrontierLag(),
@@ -326,7 +326,7 @@ func (e *Engine) statusz() any {
 		"plan_epoch":        ps.Epoch,
 		"base_processors":   ps.BaseProcessors,
 		"max_processors":    ps.MaxProcessors,
-		"active_processors": activeCount(ps.Active),
+		"active_processors": e.plan.Load().ActiveCount(),
 		"overrides":         len(ps.Overrides),
 		"migrations":        ps.Migrations,
 		"migrated_vertices": ps.MigratedVertices,
@@ -365,17 +365,6 @@ func (e *Engine) statusz() any {
 		}
 	}
 	return m
-}
-
-// activeCount counts true entries of a PlanStats.Active slice.
-func activeCount(active []bool) int {
-	n := 0
-	for _, a := range active {
-		if a {
-			n++
-		}
-	}
-	return n
 }
 
 // ratio divides, returning 0 for an empty denominator.
@@ -419,14 +408,9 @@ func (e *Engine) Unwatch(id stream.VertexID) {
 
 // partitionLag is the per-partition staleness watermark: the distance between
 // the partition's newest committed iteration and the loop's terminated
-// frontier. Zero for quarantined or not-yet-committed partitions.
+// frontier. Zero for idle or not-yet-committed partitions.
 func (e *Engine) partitionLag(proc int) int64 {
-	e.genMu.RLock()
-	inc := e.inc
-	e.genMu.RUnlock()
-	if proc >= len(inc.procs) || inc.procs[proc] == nil {
-		return 0
-	}
+	inc := e.cur()
 	lag := inc.procs[proc].maxCommit.Load() - inc.tracker.Notified()
 	if lag < 0 {
 		return 0

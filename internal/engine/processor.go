@@ -28,14 +28,13 @@ type processor struct {
 	eng *Engine
 	ep  *transport.Endpoint
 
-	// tk, snap and route are this incarnation's tracker, snapshot source and
-	// vertex→node mapping, captured at construction. Processors never read
-	// them through the engine: a crash recovery replaces them under the
-	// engine's generation lock while waiting for the old processors to drain,
-	// and that wait must not depend on the lock.
-	tk    *Tracker
-	snap  *SnapshotSource
-	route func(stream.VertexID) transport.NodeID
+	// tk and snap are this incarnation's tracker and snapshot source,
+	// captured at construction. Processors never read them through the
+	// engine: a checkpoint restart replaces them under the engine's
+	// generation lock while waiting for the old processors to drain, and that
+	// wait must not depend on the lock. Routing reads the plan (Engine.owner).
+	tk   *Tracker
+	snap *SnapshotSource
 
 	// tr is the engine's protocol tracer (nil when unobserved), cached here
 	// with the numeric loop ID so the hot path pays one nil check plus, for
@@ -126,21 +125,20 @@ type shareSlot struct {
 	live       bool
 }
 
-func newProcessor(idx int, eng *Engine, ep *transport.Endpoint, tk *Tracker, snap *SnapshotSource, route func(stream.VertexID) transport.NodeID, startIter int64) *processor {
+func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Tracker) *processor {
 	p := &processor{
 		idx:      idx,
 		eng:      eng,
 		ep:       ep,
 		tk:       tk,
-		snap:     snap,
-		route:    route,
+		snap:     eng.cfg.Snapshot,
 		tr:       eng.tracer,
 		loopU:    uint64(eng.cfg.LoopID),
 		sp:       eng.spans,
 		vertices: make(map[stream.VertexID]*vertex),
-		notified: startIter - 1,
+		notified: eng.cfg.StartIteration - 1,
 		holdback: make(map[int64][]msgUpdate, 16),
-		out:      newOutbox(eng.cfg.MaxProcessors),
+		out:      newOutbox(slots),
 		spare:    new(msgBatch),
 		recycle:  eng.cfg.ResendAfter <= 0 && eng.cfg.Wire == nil,
 	}
@@ -1040,7 +1038,7 @@ func (p *processor) persist(v *vertex, iter int64) {
 
 // window returns the current window's batch for the processor owning vertex to.
 func (p *processor) window(to stream.VertexID) *msgBatch {
-	return p.out.win[p.route(to)]
+	return p.out.win[p.eng.owner(to)]
 }
 
 // sendUpdate queues a commit's update along the producer's edge record e,

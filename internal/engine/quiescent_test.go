@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 // checkQuiescent audits a loop a test has just seen quiesce, and stops it
@@ -14,7 +17,7 @@ func checkQuiescent(t *testing.T, e *Engine) {
 	t.Helper()
 	inc := e.cur()
 	if n := inc.tracker.TokenCount(); n != 0 {
-		t.Fatalf("quiescent loop holds %d tokens", n)
+		t.Fatalf("quiescent loop holds %d tokens\n%s", n, tokenDump(e, inc))
 	}
 	if n := e.pendingPrepares.Load(); n != 0 {
 		t.Fatalf("quiescent loop has %d prepares pending", n)
@@ -22,9 +25,6 @@ func checkQuiescent(t *testing.T, e *Engine) {
 	e.Stop()
 	applied := 0
 	for _, p := range inc.procs {
-		if p == nil {
-			continue // quarantined
-		}
 		queued := 0
 		for _, w := range p.out.win {
 			queued += len(w.Tags)
@@ -79,4 +79,29 @@ func checkQuiescent(t *testing.T, e *Engine) {
 			t.Fatalf("journal holds %d uncommitted inputs; the vertices hold %d applied sequences", un, applied)
 		}
 	}
+}
+
+// tokenDump says where a failed audit's tokens sit: which incarnation holds
+// them (a restart after the test's WaitQuiesce leaves its guard,
+// re-activations and residual replay in a fresh tracker), their iterations,
+// and the recovery log's tail with timestamps to set against the audit's.
+func tokenDump(e *Engine, inc *incarnation) string {
+	var b strings.Builder
+	s := e.StatsSnapshot()
+	fmt.Fprintf(&b, "audit at %s: generation %d (crashes %d, recoveries %d)\n",
+		time.Now().Format("15:04:05.000000"), inc.gen, s.Crashes, s.Recoveries)
+	tk := inc.tracker
+	tk.mu.Lock()
+	fmt.Fprintf(&b, "tracker: live %d notified %d maxSeen %d; tokens by iteration:", tk.live, tk.notified, tk.maxSeen)
+	for i := tk.base; i <= tk.top; i++ {
+		if n := tk.at(i).tokens; n != 0 {
+			fmt.Fprintf(&b, " %d:%d", i, n)
+		}
+	}
+	tk.mu.Unlock()
+	for _, ev := range tail(e.RecoveryLog(), 8) {
+		fmt.Fprintf(&b, "\n  %s %s proc %d gen %d resume %d %s",
+			ev.Time.Format("15:04:05.000000"), ev.Kind, ev.Proc, ev.Gen, ev.Resume, ev.Detail)
+	}
+	return b.String()
 }

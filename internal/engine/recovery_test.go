@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -328,6 +329,163 @@ func TestFaultPlanSchedule(t *testing.T) {
 	br.Stop()
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
+	}
+	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
+}
+
+// TestQuarantineMovesRangeOntoSpare is the quarantine-with-spares regression
+// test: with spare slots in the plan, a processor over its restart budget
+// must hand its range to a spare through a plan transition. Every slot that
+// hosts vertices is then active in the plan (and counted by
+// tornado_elastic_active_processors), the quarantined slot is neither active
+// nor a spare, and a later ScaleOut lands on a slot that really hosts
+// nothing.
+func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
+	tuples := datasets.PowerLawGraph(200, 3, 43)
+	hub := obs.NewHub(obs.HubOptions{})
+	e, err := New(Config{
+		Processors:        2,
+		MaxProcessors:     4,
+		DelayBound:        8,
+		Kind:              MainLoop,
+		LoopID:            storage.MainLoop,
+		Store:             storage.NewMVCCStore(),
+		Program:           ssspProg{source: 0},
+		Seed:              43,
+		HeartbeatInterval: 10 * time.Millisecond,
+		SuspectAfter:      5,
+		MaxRestarts:       2,
+		RestartWindow:     time.Minute,
+		RestartBackoff:    time.Millisecond,
+		Obs:               hub,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+
+	half := len(tuples) / 2
+	e.IngestAll(tuples[:half])
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		before := e.StatsSnapshot().Recoveries
+		e.CrashProcessor(0)
+		waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Recoveries > before },
+			fmt.Sprintf("round %d: supervisor never recovered the crash", round))
+	}
+	if q := e.Quarantined(); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("Quarantined() = %v after three crashes of slot 0; want [0]", q)
+	}
+	e.IngestAll(tuples[half:])
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+
+	// hosting checks the plan against where the vertices really are, and
+	// returns the number of slots hosting any.
+	hosting := func(when string) int {
+		t.Helper()
+		st, loads := e.PlanStats(), e.PartitionLoads()
+		n := 0
+		for _, l := range loads {
+			if l.Vertices > 0 {
+				n++
+				if !st.Active[l.Proc] {
+					t.Fatalf("%s: slot %d hosts %d vertices but the plan calls it inactive (active %v, loads %+v)",
+						when, l.Proc, l.Vertices, st.Active, loads)
+				}
+			}
+		}
+		if st.Active[0] || !loads[0].Quarantined || loads[0].Vertices != 0 {
+			t.Fatalf("%s: quarantined slot 0 is active=%v quarantined=%v hosting %d", when, st.Active[0], loads[0].Quarantined, loads[0].Vertices)
+		}
+		if got := scrapeGauge(t, hub, "tornado_elastic_active_processors"); got != float64(n) {
+			t.Fatalf("%s: tornado_elastic_active_processors = %v, but %d slots host vertices", when, got, n)
+		}
+		return n
+	}
+	if n := hosting("after quarantine"); n != 2 {
+		t.Fatalf("%d slots host vertices after the quarantine; want the survivor and one spare", n)
+	}
+	checkSSSP(t, e, tuples)
+
+	before := e.PartitionLoads()
+	spare, err := e.ScaleOut(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spare == 0 || before[spare].Vertices != 0 {
+		t.Fatalf("ScaleOut landed on slot %d, which hosted %d vertices (loads before: %+v)", spare, before[spare].Vertices, before)
+	}
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if n := hosting("after scale-out"); n != 3 {
+		t.Fatalf("%d slots host vertices after the scale-out; want 3", n)
+	}
+	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
+}
+
+// scrapeGauge reads one unlabeled-or-single-series sample off the hub's
+// Prometheus exposition.
+func scrapeGauge(t *testing.T, hub *obs.Hub, name string) float64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := hub.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, name+"{") || strings.HasPrefix(line, name+" ") {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", name)
+	return 0
+}
+
+// TestWaitQuiesceAwaitsCrashRestart: a processor that crashes holding no
+// tokens leaves its incarnation's tracker quiescent, yet the supervisor's
+// restart is about to re-activate the whole checkpoint in a new one.
+// WaitQuiesce must not report the crashed incarnation's quiescence: it
+// returns once the restart ran and the incarnation it built quiesced, so an
+// audit right after finds no tokens in the restart's hand-off.
+func TestWaitQuiesceAwaitsCrashRestart(t *testing.T) {
+	tuples := datasets.PowerLawGraph(200, 3, 53)
+	e, err := New(Config{
+		Processors:        3,
+		DelayBound:        8,
+		Kind:              MainLoop,
+		LoopID:            storage.MainLoop,
+		Store:             storage.NewMVCCStore(),
+		Program:           ssspProg{source: 0},
+		Seed:              53,
+		HeartbeatInterval: 10 * time.Millisecond,
+		RestartBackoff:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	e.IngestAll(tuples)
+	if err := e.WaitSettled(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	e.CrashProcessor(0)
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.StatsSnapshot(); s.Recoveries != 1 {
+		t.Fatalf("WaitQuiesce returned after a crash with Recoveries = %d; want the restart done", s.Recoveries)
 	}
 	checkSSSP(t, e, tuples)
 	checkQuiescent(t, e)

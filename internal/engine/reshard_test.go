@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tornado/internal/datasets"
+	"tornado/internal/obs"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
@@ -17,24 +20,23 @@ func TestReshardResumesInPlace(t *testing.T) {
 	e.Start()
 	e.IngestAll(tuples[:half])
 
-	ne, err := Reshard(e, 5, nil, waitFor)
-	if err != nil {
+	if err := e.Reshard(5, waitFor); err != nil {
 		t.Fatal(err)
 	}
-	defer ne.Stop()
+	defer e.Stop()
 	// The resharded engine answers for the pre-reshard input...
-	checkSSSP(t, ne, tuples[:half])
+	checkSSSP(t, e, tuples[:half])
 	// ...continues ingesting on the new partitioning...
-	ne.IngestAll(tuples[half:])
-	if err := ne.WaitQuiesce(waitFor); err != nil {
+	e.IngestAll(tuples[half:])
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
-	checkSSSP(t, ne, tuples)
+	checkSSSP(t, e, tuples)
 	// ...and stamps new versions above the resumed history.
-	if got := ne.Notified(); got <= 0 {
+	if got := e.Notified(); got <= 0 {
 		t.Fatalf("resharded loop never advanced: notified=%d", got)
 	}
-	loads := ne.LoadStats()
+	loads := e.LoadStats()
 	if len(loads) != 5 {
 		t.Fatalf("LoadStats reported %d processors; want 5", len(loads))
 	}
@@ -47,6 +49,77 @@ func TestReshardResumesInPlace(t *testing.T) {
 	if active < 4 {
 		t.Fatalf("vertices did not spread across the new processors: %v", loads)
 	}
+}
+
+// TestReshardIsAPlanTransition: Reshard restarts the same engine under the
+// next plan epoch — the base partition over the new count, no overrides —
+// so its counters and recovery log carry on, a ScaleOut's override does not
+// survive it, and with a spare slot left a later ScaleOut lands on a slot
+// that hosts nothing.
+func TestReshardIsAPlanTransition(t *testing.T) {
+	tuples := datasets.PowerLawGraph(200, 3, 63)
+	half := len(tuples) / 2
+	hub := obs.NewHub(obs.HubOptions{})
+	e, err := New(Config{Processors: 2, MaxProcessors: 4, DelayBound: 8, Kind: MainLoop, LoopID: storage.MainLoop,
+		Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: 63, Obs: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	e.IngestAll(tuples[:half])
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ScaleOut(-1); err != nil {
+		t.Fatal(err)
+	}
+	epoch, commits := e.PlanEpoch(), e.StatsSnapshot().Commits
+
+	if err := e.Reshard(3, waitFor); err != nil {
+		t.Fatal(err)
+	}
+	st := e.PlanStats()
+	if st.Epoch != epoch+1 || st.BaseProcessors != 3 || st.MaxProcessors != 4 || len(st.Overrides) != 0 {
+		t.Fatalf("plan after Reshard(3): %+v; want epoch %d, base 3 of 4 slots, no overrides", st, epoch+1)
+	}
+	if got := scrapeGauge(t, hub, "tornado_elastic_plan_epoch"); got != float64(epoch+1) {
+		t.Fatalf("tornado_elastic_plan_epoch = %v; want %d", got, epoch+1)
+	}
+	if got := e.StatsSnapshot().Commits; got < commits {
+		t.Fatalf("Commits went from %d to %d across Reshard", commits, got)
+	}
+	if got := scrapeGauge(t, hub, "tornado_commits_total"); got < float64(commits) {
+		t.Fatalf("tornado_commits_total = %v after Reshard; was %d before", got, commits)
+	}
+	var reshards []RecoveryEvent
+	for _, ev := range e.RecoveryLog() {
+		if ev.Kind == EventReshard {
+			reshards = append(reshards, ev)
+		}
+	}
+	if want := fmt.Sprintf("epoch %d", epoch+1); len(reshards) != 1 || !strings.Contains(reshards[0].Detail, want) {
+		t.Fatalf("reshard events %+v; want one at %s", reshards, want)
+	}
+
+	// The resharded loop hosts vertices lazily, as traffic reaches them.
+	e.IngestAll(tuples[half:])
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	before := e.PartitionLoads()
+	spare, err := e.ScaleOut(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spare != 3 || before[3].Vertices != 0 {
+		t.Fatalf("ScaleOut after Reshard(3) landed on slot %d (loads before: %+v); want the empty spare 3", spare, before)
+	}
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }
 
 func TestReshardRejectsBranch(t *testing.T) {
@@ -65,31 +138,8 @@ func TestReshardRejectsBranch(t *testing.T) {
 	if err := br.WaitDone(waitFor); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Reshard(br, 4, nil, waitFor); err == nil {
+	if err := br.Reshard(4, waitFor); err == nil {
 		t.Fatal("resharding a branch should fail")
-	}
-}
-
-func TestReshardCustomPartition(t *testing.T) {
-	tuples := datasets.PowerLawGraph(80, 3, 67)
-	e := newSSSPEngine(t, 2, 16, storage.NewMVCCStore(), storage.MainLoop)
-	e.Start()
-	e.IngestAll(tuples)
-	// Route everything to processor 1 — a degenerate but legal scheme.
-	ne, err := Reshard(e, 3, func(stream.VertexID, int) int { return 1 }, waitFor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ne.Stop()
-	ne.Ingest(stream.AddEdge(1<<40, 0, 79))
-	if err := ne.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]stream.Tuple{}, tuples...), stream.AddEdge(1<<40, 0, 79))
-	checkSSSP(t, ne, all)
-	loads := ne.LoadStats()
-	if loads[0] != 0 || loads[2] != 0 || loads[1] == 0 {
-		t.Fatalf("custom partition ignored: %v", loads)
 	}
 }
 
@@ -158,63 +208,37 @@ func TestCompactionSparesPinnedForks(t *testing.T) {
 	checkSSSP(t, e, tuples)
 }
 
-// TestReshardPinsResumeView: a Reshard replacement bootstraps lazily over
-// its own history for as long as it runs, so Reshard must take a store pin
-// at the resume iteration beside its handle, for readers of the live store.
-// An aggressive Compact while the replacement lives is clamped at resume —
-// every vertex's resume-view version stays readable — and once the
-// replacement stops the pin is released and the same compact reclaims.
+// TestReshardPinsResumeView: the resharded loop bootstraps lazily over its
+// own history through the snapshot handle its restart took at the resume
+// iteration, so no store pin is needed: even after a Compact with an
+// unbounded floor reclaims every superseded version of the live tree, the
+// loop still reads its exact fixed point — vertices it never touched again
+// through the handle, the rest from its own commits.
 func TestReshardPinsResumeView(t *testing.T) {
 	tuples := datasets.PowerLawGraph(120, 3, 77)
 	half := len(tuples) / 2
 	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 2, 16, store, storage.MainLoop)
 	e.Start()
+	defer e.Stop()
 	e.IngestAll(tuples[:half])
 
-	ne, err := Reshard(e, 3, nil, waitFor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resume := ne.Config().StartIteration - 1
-	var atResume []stream.VertexID
-	if err := store.Scan(storage.MainLoop, resume, func(r storage.Record) error {
-		atResume = append(atResume, r.Vertex)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(atResume) == 0 {
-		t.Fatal("no versions at the resume iteration; test needs pre-reshard state")
-	}
-	// Commit new versions above resume, then compact with an unbounded
-	// floor: the pin must clamp it at resume.
-	ne.IngestAll(tuples[half:])
-	if err := ne.WaitQuiesce(waitFor); err != nil {
+	if err := e.Reshard(3, waitFor); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Compact(storage.MainLoop, math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range atResume {
-		if _, _, err := store.Latest(storage.MainLoop, v, resume); err != nil {
-			t.Fatalf("resume-view version of vertex %d dropped while the replacement lives: %v", v, err)
-		}
+	checkSSSP(t, e, tuples[:half])
+	// Commit new versions above resume, compact again, and read the whole
+	// fixed point once more.
+	e.IngestAll(tuples[half:])
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
 	}
-	checkSSSP(t, ne, tuples)
-
-	ne.Stop()
 	if err := store.Compact(storage.MainLoop, math.MaxInt64); err != nil {
 		t.Fatal(err)
 	}
-	reclaimed := false
-	for _, v := range atResume {
-		if _, _, err := store.Latest(storage.MainLoop, v, resume); err != nil {
-			reclaimed = true
-			break
-		}
-	}
-	if !reclaimed {
-		t.Fatal("pin outlived the resharded engine: no resume-view version was reclaimed")
-	}
+	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }

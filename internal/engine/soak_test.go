@@ -87,11 +87,10 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 	br.Stop()
 	checkSSSP(t, e, tuples)
 
-	ne, err := Reshard(e, 3, nil, waitFor)
-	if err != nil {
+	if err := e.Reshard(3, waitFor); err != nil {
 		t.Fatal(err)
 	}
-	defer ne.Stop()
+	defer e.Stop()
 	extra := datasets.PowerLawGraph(50, 2, 404)
 	// Shift the extra vertices into a fresh ID range so they extend rather
 	// than duplicate the main graph, then connect them to it.
@@ -99,16 +98,16 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 		extra[i].Src += 10000
 		extra[i].Dst += 10000
 	}
-	ne.IngestAll(extra)
-	ne.IngestAll(datasets.PowerLawGraph(0, 0, 1)) // no-op guard
-	ne.Ingest(tuples[0])                          // duplicate input: idempotent per-source gathers
-	if err := ne.WaitQuiesce(waitFor); err != nil {
+	e.IngestAll(extra)
+	e.IngestAll(datasets.PowerLawGraph(0, 0, 1)) // no-op guard
+	e.Ingest(tuples[0])                          // duplicate input: idempotent per-source gathers
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	all := append(append([]stream.Tuple{}, tuples...), extra...)
 	all = append(all, tuples[0])
-	checkSSSP(t, ne, all)
-	checkQuiescent(t, ne)
+	checkSSSP(t, e, all)
+	checkQuiescent(t, e)
 }
 
 func tail(evs []RecoveryEvent, n int) []RecoveryEvent {

@@ -18,7 +18,8 @@ package engine
 //     SuspectAfter missed beats, and restarts the loop from the checkpoint;
 //   - exponential backoff with jitter between successive restarts, and
 //     quarantine of processors that crash more than MaxRestarts times in
-//     RestartWindow (their partition is remapped onto the survivors);
+//     RestartWindow: the restart publishes a plan that moves their range to
+//     a spare or the least-loaded survivor;
 //   - a deterministic fault-plan API for chaos tests (crash processor i at
 //     iteration k, crash the master, crash in the middle of a branch fork).
 //
@@ -27,12 +28,14 @@ package engine
 // restarted in place: the tokens that died with it can never be released, so
 // the old tracker's frontier is pinned forever. Recovery therefore replaces
 // the whole incarnation — network, tracker, processors — and recomputes from
-// the checkpoint, which is exactly the paper's loop-granularity restart.
+// the checkpoint, which is exactly the paper's loop-granularity restart. The
+// same restart is how Reshard changes the partitioning (Section 5.1).
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"tornado/internal/obs/trace"
@@ -46,6 +49,7 @@ const (
 	EventSuspect    = "suspect"    // the supervisor declared a node dead
 	EventRecovery   = "recovery"   // a checkpoint restart completed
 	EventQuarantine = "quarantine" // a flapping processor left the rotation
+	EventReshard    = "reshard"    // Reshard restarted under a new base partition
 )
 
 // RecoveryEvent is one entry of the engine's recovery log.
@@ -92,7 +96,7 @@ func (e *Engine) CrashProcessor(i int) {
 	e.genMu.RLock()
 	inc := e.inc
 	var p *processor
-	if i >= 0 && i < len(inc.procs) {
+	if i >= 0 && i < len(inc.procs) && e.plan.Load().Active[i] != slotQuarantined {
 		p = inc.procs[i]
 	}
 	e.genMu.RUnlock()
@@ -137,7 +141,6 @@ func (e *Engine) RecoverFromCheckpoint() bool {
 // a process death.
 func (e *Engine) heartbeatRun(inc *incarnation, proc int, ep *transport.Endpoint) {
 	defer inc.wg.Done()
-	sup := e.supNode()
 	t := time.NewTicker(e.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
@@ -147,7 +150,7 @@ func (e *Engine) heartbeatRun(inc *incarnation, proc int, ep *transport.Endpoint
 		case <-t.C:
 			// SendNow bypasses the batch buffer: a beat delayed behind a
 			// filling data frame would look like a missed heartbeat.
-			ep.SendNow(sup, msgHeartbeat{Proc: proc})
+			ep.SendNow(supNode, msgHeartbeat{Proc: proc})
 		}
 	}
 }
@@ -215,10 +218,7 @@ func (e *Engine) superviseRun(inc *incarnation) {
 		}
 		prevTick = now
 		var dead []int
-		for i, p := range inc.procs {
-			if p == nil {
-				continue
-			}
+		for i := range inc.procs {
 			if now.Sub(last[i]) > suspect {
 				dead = append(dead, i)
 			}
@@ -273,37 +273,84 @@ func (e *Engine) restartDelay(rng *rand.Rand) time.Duration {
 	return d + time.Duration(rng.Int63n(int64(d)/4+1))
 }
 
-// doRecover is the checkpoint restart (Section 5.3): it tears down the
-// incarnation `from` wholesale, rolls the store back to the last terminated
-// iteration, and builds and starts the next incarnation resuming above it.
-// It returns false when the engine is stopped or `from` is no longer
-// current (a concurrent recovery won). deadProcs feeds the quarantine
-// bookkeeping; detected is when the failure was noticed (for the MTTR
-// histogram).
+// doRecover is crash recovery (Section 5.3): the checkpoint restart of `from`
+// that also logs each dead processor's restart (quarantining, as a plan
+// transition, one over its budget) and re-activates the checkpoint, so work
+// lost in the crash is recomputed. detected is when the failure was noticed
+// (MTTR). It returns false when restart declines.
 func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []int, deadMaster bool, reason string) bool {
+	var quarantined []int
+	ninc, resume, replayed := e.restart(from, func(p *PartitionPlan) *PartitionPlan {
+		now := time.Now()
+		cutoff := now.Add(-e.cfg.RestartWindow)
+		next := p
+		for _, i := range deadProcs {
+			e.restartLog[i] = append(slices.DeleteFunc(e.restartLog[i], func(t time.Time) bool { return !t.After(cutoff) }), now)
+			if e.cfg.MaxRestarts > 0 && len(e.restartLog[i]) > e.cfg.MaxRestarts && next.Active[i] != slotQuarantined {
+				if q := next.withQuarantine(i, func(s int) int { return from.procs[s].hostedCount() }); q != nil {
+					next, quarantined = q, append(quarantined, i)
+				}
+			}
+		}
+		if deadMaster {
+			e.restartLog[-1] = append(e.restartLog[-1], now)
+		}
+		return next
+	}, func() {
+		if err := e.ActivateStored(); err != nil {
+			panic(fmt.Sprintf("engine: re-activate checkpoint state: %v", err))
+		}
+		// Counted under restart's quiescence guard: an observer reading the
+		// stats right after a WaitQuiesce must already see this restart.
+		e.recoveries.Inc()
+		if e.mttrHist != nil {
+			e.mttrHist.Observe(time.Since(detected).Seconds())
+		}
+		// A recovered incarnation is exactly the window tail sampling wants
+		// traced: mark the event and force-retain the aftermath.
+		e.spans.Escalate(trace.MarkRecovery, trace.Context{}, e.spans.Now())
+	})
+	if ninc == nil {
+		return false
+	}
+	for _, i := range quarantined {
+		e.recordEvent(RecoveryEvent{Kind: EventQuarantine, Proc: i, Gen: ninc.gen,
+			Detail: fmt.Sprintf("crashed >%d times in %v; range moved off the slot", e.cfg.MaxRestarts, e.cfg.RestartWindow)})
+	}
+	e.recordEvent(RecoveryEvent{Kind: EventRecovery, Proc: -2, Gen: ninc.gen, Resume: resume,
+		Detail: fmt.Sprintf("%s; replayed %d inputs", reason, replayed)})
+	return true
+}
+
+// restart is the engine's one checkpoint restart, shared by crash recovery
+// and Reshard: it tears `from` down, rolls the store back to the last
+// terminated iteration, publishes the plan next derives from the current one
+// (under genMu, `from` drained), then starts the next incarnation above the
+// checkpoint and replays the journal residual into it. recovered, if non-nil,
+// runs before the replay, under the quiescence guard. It returns the new
+// incarnation (nil when the engine stopped or `from` is stale), the
+// checkpoint and the number of inputs replayed.
+func (e *Engine) restart(from *incarnation, next func(*PartitionPlan) *PartitionPlan, recovered func()) (*incarnation, int64, int) {
 	e.genMu.Lock()
 	if e.stopped || e.inc != from {
 		e.genMu.Unlock()
-		return false
+		return nil, 0, 0
 	}
-	old := e.inc
 
 	// Tear the old incarnation down wholesale. Closing the tracker unblocks
 	// the master's Advance; aborting the network crashes every endpoint so
 	// processor Recv loops exit; unpausing wakes goroutines parked in the
 	// pause condition. The wait cannot deadlock: none of these goroutines
-	// ever takes the generation lock (processors captured their tracker,
-	// route and snapshot at construction).
-	old.stopNow()
-	old.tracker.Close()
-	old.net.Abort()
-	for _, p := range old.procs {
-		if p != nil {
-			p.setPaused(false)
-		}
+	// ever takes the generation lock (processors captured their tracker and
+	// snapshot at construction).
+	from.stopNow()
+	from.tracker.Close()
+	from.net.Abort()
+	for _, p := range from.procs {
+		p.setPaused(false)
 	}
 	e.masterPaused.Store(false)
-	old.wg.Wait()
+	from.wg.Wait()
 
 	// Every in-flight input of the dead incarnation is now either applied
 	// (its credit already released) or discarded with the incarnation.
@@ -320,34 +367,7 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 	// old master has exited — a closing tracker can hand the master one
 	// final advance, and reading earlier would race its flush and journal
 	// prune, losing the inputs committed in between.
-	resume := old.tracker.Notified()
-
-	// Quarantine bookkeeping: a processor that crashed more than MaxRestarts
-	// times within RestartWindow leaves the rotation, and the route remaps
-	// its partition onto the survivors. At least one processor always stays.
-	now := time.Now()
-	cutoff := now.Add(-e.cfg.RestartWindow)
-	var quarantinedNow []int
-	for _, i := range deadProcs {
-		log := e.restartLog[i][:0]
-		for _, t := range e.restartLog[i] {
-			if t.After(cutoff) {
-				log = append(log, t)
-			}
-		}
-		log = append(log, now)
-		e.restartLog[i] = log
-		if e.cfg.MaxRestarts > 0 && len(log) > e.cfg.MaxRestarts &&
-			len(e.quarantined) < e.cfg.MaxProcessors-1 {
-			if _, q := e.quarantined[i]; !q {
-				e.quarantined[i] = struct{}{}
-				quarantinedNow = append(quarantinedNow, i)
-			}
-		}
-	}
-	if deadMaster {
-		e.restartLog[-1] = append(e.restartLog[-1], now)
-	}
+	resume := from.tracker.Notified()
 
 	// Extract the inputs whose effects the checkpoint does not cover; the
 	// new incarnation re-ingests them. Then roll the store back: versions
@@ -358,67 +378,43 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 		residual = e.journal.RecoverResidual(resume)
 	}
 	if err := e.cfg.Store.Truncate(e.cfg.LoopID, resume); err != nil {
-		panic(fmt.Sprintf("engine: roll store back for recovery: %v", err))
+		panic(fmt.Sprintf("engine: roll store back for restart: %v", err))
 	}
 	e.pendingPrepares.Store(0)
 
 	// The new incarnation bootstraps every vertex from the checkpoint and
-	// commits strictly above it, so recovered versions supersede the old.
-	// The recovered view is a handle taken right after the rollback (reads
-	// stay bounded by resume, so post-crash commits landing in the live tree
-	// are never shadowed and never leak in); the handle the engine read
-	// through before — a fork's, or a previous recovery's — is released,
-	// idempotently.
+	// commits strictly above it, so its versions supersede the old. The view
+	// is a handle taken right after the rollback (reads stay bounded by
+	// resume, so commits landing in the live tree after it are never shadowed
+	// and never leak in); the handle the engine read through before — a
+	// fork's, or a previous restart's — is released, idempotently.
 	e.cfg.Snapshot.release()
 	e.cfg.Snapshot = &SnapshotSource{UpTo: resume, Handle: e.cfg.Store.Snapshot(e.cfg.LoopID)}
 	e.cfg.StartIteration = resume + 1
-	ninc := e.buildIncarnation(old.gen + 1)
+	e.plan.Store(next(e.plan.Load()))
+	// Per-slot state that outlives incarnations follows the slot count.
+	if n := len(e.plan.Load().Active); n > len(e.slow) {
+		e.slow = append(e.slow, make([]atomic.Int64, n-len(e.slow))...)
+		if e.obsScope != nil {
+			e.registerSlotGauges()
+		}
+	}
+	ninc := e.buildIncarnation(from.gen + 1)
 	// Hold a quiescence guard across the handoff: the new tracker is born
 	// empty, so without it a concurrent WaitQuiesce could succeed in the
-	// instant before the checkpoint re-activation lands.
+	// instant before the re-activation and replay land.
 	guard := ninc.tracker.AcquireFloor(0)
 	e.inc = ninc
 	e.genMu.Unlock()
 
 	e.startIncarnation(ninc)
-	// Re-activate everything at or below the checkpoint and replay the
-	// residual inputs: any work lost in the crash is recomputed.
-	if err := e.ActivateStored(); err != nil {
-		panic(fmt.Sprintf("engine: re-activate checkpoint state: %v", err))
+	if recovered != nil {
+		recovered()
 	}
 	e.IngestAll(residual)
-	// Count the recovery before dropping the quiescence guard: once the
-	// guard is gone a WaitQuiesce may succeed, and an observer reading the
-	// stats right after must already see this restart.
-	e.recoveries.Inc()
-	if e.mttrHist != nil {
-		e.mttrHist.Observe(time.Since(detected).Seconds())
-	}
-	// A recovered incarnation is exactly the window tail sampling wants
-	// traced: mark the event and force-retain the aftermath.
-	e.spans.Escalate(trace.MarkRecovery, trace.Context{}, e.spans.Now())
 	ninc.tracker.Release(guard)
 	ninc.markReady()
-	for _, i := range quarantinedNow {
-		e.recordEvent(RecoveryEvent{Kind: EventQuarantine, Proc: i, Gen: ninc.gen,
-			Detail: fmt.Sprintf("crashed >%d times in %v; partition reassigned", e.cfg.MaxRestarts, e.cfg.RestartWindow)})
-	}
-	e.recordEvent(RecoveryEvent{Kind: EventRecovery, Proc: -2, Gen: ninc.gen, Resume: resume,
-		Detail: fmt.Sprintf("%s; replayed %d inputs", reason, len(residual))})
-	return true
-}
-
-// Quarantined returns the indexes of quarantined processors in ascending
-// order.
-func (e *Engine) Quarantined() []int {
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
-	out := make([]int, 0, len(e.quarantined))
-	for i := range e.quarantined {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	return ninc, resume, len(residual)
 }
 
 // FaultKind selects what a planned fault does.

@@ -174,8 +174,8 @@ type Options struct {
 	// (default 3).
 	SuspectAfter int
 	// MaxRestarts quarantines a processor that crashes more than this many
-	// times within RestartWindow; its partition is remapped onto the
-	// survivors (default 5; 0 disables quarantine).
+	// times within RestartWindow: the restart moves its range to a spare (or
+	// the least-loaded survivor) and retires its slot for good (default 5).
 	MaxRestarts int
 	// RestartWindow is the sliding window for MaxRestarts (default 1m).
 	RestartWindow time.Duration
@@ -335,7 +335,6 @@ func (o *Options) fill() {
 // System is a running Tornado instance: one main loop plus on-demand branch
 // loops.
 type System struct {
-	mu       sync.RWMutex
 	main     *engine.Engine
 	store    storage.Store
 	ownStore bool         // store was defaulted by New: Close owns it
@@ -363,14 +362,6 @@ type System struct {
 	branchTotal  atomic.Int64
 	branchHist   *obs.StreamHist
 	obsScope     *obs.Scope
-}
-
-// engine returns the current main-loop engine (it can be swapped by
-// Reshard).
-func (s *System) engine() *engine.Engine {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.main
 }
 
 // New assembles and starts a System running program.
@@ -447,7 +438,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 	s.qs = queryserv.New(queryserv.Backend{
 		Fork:        s.forkBranch,
 		Drop:        s.dropBranch,
-		JournalSeq:  func() uint64 { return s.engine().JournalSeq() },
+		JournalSeq:  func() uint64 { return s.main.JournalSeq() },
 		OnConverged: func(d time.Duration) { s.branchHist.Observe(d.Seconds()) },
 	}, opts.Query, hub)
 	if !opts.Flow.Disable && !opts.Flow.DisableController {
@@ -481,8 +472,9 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 // scaleRun is the elastic planner loop: it samples per-partition load and
 // the overload ladder, asks the flow.ScalePlanner for a verdict, and
 // executes split/merge decisions as live migrations. Rates are deltas of
-// the slots' lifetime counters over the sampling window; a crash recovery
-// resets the counters, which reads as a negative delta and is skipped.
+// the slots' lifetime counters over the sampling window; a checkpoint restart
+// (crash recovery or Reshard) resets the counters, which reads as a negative
+// delta and is skipped.
 func (s *System) scaleRun(opts ElasticOptions) {
 	defer s.scaleWG.Done()
 	planner := flow.NewScalePlanner(flow.ScalePlannerOptions{
@@ -495,19 +487,15 @@ func (s *System) scaleRun(opts ElasticOptions) {
 	tick := time.NewTicker(opts.SampleEvery)
 	defer tick.Stop()
 	var (
-		prevEng *engine.Engine
-		prev    []engine.PartitionLoad
-		prevAt  time.Time
+		prev   []engine.PartitionLoad
+		prevAt time.Time
 	)
+	e := s.main
 	for {
 		select {
 		case <-s.scaleStop:
 			return
 		case <-tick.C:
-		}
-		e := s.engine()
-		if e != prevEng {
-			prevEng, prev = e, nil // Reshard swapped the engine: rates restart
 		}
 		loads := e.PartitionLoads()
 		stats := e.PlanStats()
@@ -554,7 +542,7 @@ func (s *System) scaleRun(opts ElasticOptions) {
 // branch accounting.
 func (s *System) forkBranch(override func(*engine.Config), seed func(*engine.Engine)) (*engine.Engine, engine.ForkSpec, storage.LoopID, error) {
 	loop := storage.LoopID(s.nextLoop.Add(1))
-	br, spec, err := s.engine().ForkBranch(loop, override, seed)
+	br, spec, err := s.main.ForkBranch(loop, override, seed)
 	if err != nil {
 		return nil, engine.ForkSpec{}, 0, err
 	}
@@ -582,7 +570,7 @@ func (s *System) StoreStats() (stats StoreStats, ok bool) {
 // deepest transport inbox against its high watermark, and the query wait
 // queue — as a 0..1 fraction.
 func (s *System) flowPressure() float64 {
-	fs := s.engine().FlowSnapshot()
+	fs := s.main.FlowSnapshot()
 	var p float64
 	if fs.GateCapacity > 0 {
 		if fs.GateSaturated {
@@ -622,7 +610,7 @@ func (s *System) flowPressure() float64 {
 // approximation just coarsens to threshold-sized dust while the overload
 // lasts.
 func (s *System) applyFlowLevel(level int) {
-	e := s.engine()
+	e := s.main
 	switch {
 	case level <= 0:
 		s.qs.SetDegraded(0)
@@ -666,7 +654,7 @@ type FlowStats struct {
 
 // FlowStats snapshots the backpressure and overload state end to end.
 func (s *System) FlowStats() FlowStats {
-	st := FlowStats{Engine: s.engine().FlowSnapshot()}
+	st := FlowStats{Engine: s.main.FlowSnapshot()}
 	if c := s.flowCtl; c != nil {
 		st.OverloadLevel = c.Level()
 		st.OverloadTransitions = c.Transitions()
@@ -755,36 +743,36 @@ func (s *System) Spans() *trace.Tracer { return s.hub.Spans }
 // first: input applications, PREPARE/ACK negotiations, iteration-number
 // assignments at commit, and gathered updates. Only sampled or watched
 // vertices have events; call Watch(id) before the run to guarantee coverage.
-func (s *System) Trace(id VertexID) []TraceEvent { return s.engine().Trace(id) }
+func (s *System) Trace(id VertexID) []TraceEvent { return s.main.Trace(id) }
 
 // Watch forces tracing of one vertex regardless of the sampling rate.
-func (s *System) Watch(id VertexID) { s.engine().Watch(id) }
+func (s *System) Watch(id VertexID) { s.main.Watch(id) }
 
 // Unwatch reverses Watch.
-func (s *System) Unwatch(id VertexID) { s.engine().Unwatch(id) }
+func (s *System) Unwatch(id VertexID) { s.main.Unwatch(id) }
 
 // Ingest feeds one stream tuple to the main loop. Edge tuples evolve the
 // dependency graph; value tuples are delivered to the program's OnInput.
-func (s *System) Ingest(t Tuple) { s.engine().Ingest(t) }
+func (s *System) Ingest(t Tuple) { s.main.Ingest(t) }
 
 // IngestAll feeds tuples in order.
-func (s *System) IngestAll(ts []Tuple) { s.engine().IngestAll(ts) }
+func (s *System) IngestAll(ts []Tuple) { s.main.IngestAll(ts) }
 
 // WaitQuiesce blocks until the main loop has fully absorbed all ingested
 // input (approximation caught up) or the timeout expires.
 func (s *System) WaitQuiesce(timeout time.Duration) error {
-	return s.engine().WaitQuiesce(timeout)
+	return s.main.WaitQuiesce(timeout)
 }
 
 // ReadApprox returns the main loop's current approximate state of a vertex.
 func (s *System) ReadApprox(id VertexID) (any, error) {
-	state, _, err := s.engine().ReadState(id, math.MaxInt64)
+	state, _, err := s.main.ReadState(id, math.MaxInt64)
 	return state, err
 }
 
 // ScanApprox visits the main loop's approximate state of every vertex.
 func (s *System) ScanApprox(fn func(id VertexID, state any) error) error {
-	return s.engine().ScanStates(math.MaxInt64, func(id VertexID, _ int64, state any) error {
+	return s.main.ScanStates(math.MaxInt64, func(id VertexID, _ int64, state any) error {
 		return fn(id, state)
 	})
 }
@@ -899,28 +887,23 @@ func (s *System) submitAndWait(spec QuerySpec) (*Result, error) {
 // and the main loop is unchanged. The Result remains readable and must
 // still be closed by the caller.
 func (s *System) Merge(res *Result) error {
-	return s.engine().AdoptBranch(res.qr.Engine())
+	return s.main.AdoptBranch(res.qr.Engine())
 }
 
 // Reshard rebalances the main loop onto a new processor count (the paper's
-// Section 5.1 repartitioning): the loop settles, stops, and resumes in place
-// from its last terminated iteration under the new partitioning. Pause
-// ingestion (and any attached Feed) around the call.
+// Section 5.1 repartitioning): the loop settles, and the engine's checkpoint
+// restart resumes it from its last terminated iteration under the base
+// partition over newProcs — the same engine, counters and recovery log, with
+// the plan epoch bumped by one. Pause ingestion (and any attached Feed)
+// around the call.
 func (s *System) Reshard(newProcs int, timeout time.Duration) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Ingestion is paused by contract, so the admitted backlog drains to
 	// zero; if a spout is still feeding, the quiesce times out or the gate
-	// refills and engine.Reshard refuses with ErrIngestionActive.
+	// refills and the engine refuses with ErrIngestionActive.
 	if err := s.main.WaitQuiesce(timeout); err != nil {
 		return err
 	}
-	ne, err := engine.Reshard(s.main, newProcs, nil, timeout)
-	if err != nil {
-		return err
-	}
-	s.main = ne
-	return nil
+	return s.main.Reshard(newProcs, timeout)
 }
 
 // Migrate moves the inclusive vertex-ID range [lo, hi] onto main-loop
@@ -930,27 +913,27 @@ func (s *System) Reshard(newProcs int, timeout time.Duration) error {
 // Ingestion and queries keep running throughout. Blocks until the migration
 // completes; on a crash mid-migration it aborts with the plan unchanged.
 func (s *System) Migrate(lo, hi VertexID, dest int) error {
-	return s.engine().Migrate(VertexRange{Lo: lo, Hi: hi}, dest)
+	return s.main.Migrate(VertexRange{Lo: lo, Hi: hi}, dest)
 }
 
 // ScaleOut splits the hottest partition (by hosted vertex count) onto the
 // first spare processor slot as a live migration, returning the slot scaled
 // onto. Requires Options.Elastic.MaxProcessors > Processors.
-func (s *System) ScaleOut() (int, error) { return s.engine().ScaleOut(-1) }
+func (s *System) ScaleOut() (int, error) { return s.main.ScaleOut(-1) }
 
 // ScaleIn drains processor slot proc live — everything it owns migrates to
 // the least-loaded remaining active slot — and retires it from the plan.
-func (s *System) ScaleIn(proc int) error { return s.engine().ScaleIn(proc) }
+func (s *System) ScaleIn(proc int) error { return s.main.ScaleIn(proc) }
 
 // PlanStats reports the current partition plan: epoch, base and maximum
 // processor counts, which slots are active, the override chain, and the
 // lifetime migration counters.
-func (s *System) PlanStats() PlanStats { return s.engine().PlanStats() }
+func (s *System) PlanStats() PlanStats { return s.main.PlanStats() }
 
 // PartitionLoads reports per-slot load accounting: hosted vertices,
 // lifetime commit/update counters and delta queue depth — the signals the
 // elastic planner weighs.
-func (s *System) PartitionLoads() []PartitionLoad { return s.engine().PartitionLoads() }
+func (s *System) PartitionLoads() []PartitionLoad { return s.main.PartitionLoads() }
 
 // CrashProcessor crashes main-loop processor i with true crash semantics:
 // its in-memory vertex states, pending inputs and in-flight frames are
@@ -958,61 +941,62 @@ func (s *System) PartitionLoads() []PartitionLoad { return s.engine().PartitionL
 // enabled (Options.HeartbeatInterval) the failure is detected via missed
 // heartbeats and the loop restarts from the last checkpoint automatically;
 // without it, call RecoverFromCheckpoint.
-func (s *System) CrashProcessor(i int) { s.engine().CrashProcessor(i) }
+func (s *System) CrashProcessor(i int) { s.main.CrashProcessor(i) }
 
 // CrashMaster crashes the main loop's master: termination notifications stop
 // and no further checkpoints are taken until recovery.
-func (s *System) CrashMaster() { s.engine().CrashMaster() }
+func (s *System) CrashMaster() { s.main.CrashMaster() }
 
 // RecoverFromCheckpoint manually restarts the main loop from the last
 // terminated iteration's checkpoint. It returns false when there is nothing
 // to do (system closed, or a concurrent recovery already ran).
-func (s *System) RecoverFromCheckpoint() bool { return s.engine().RecoverFromCheckpoint() }
+func (s *System) RecoverFromCheckpoint() bool { return s.main.RecoverFromCheckpoint() }
 
 // InjectFaultPlan arms a deterministic chaos schedule against the main loop:
 // crash processor i at iteration k, crash the master, crash mid-fork.
-func (s *System) InjectFaultPlan(plan FaultPlan) { s.engine().InjectFaultPlan(plan) }
+func (s *System) InjectFaultPlan(plan FaultPlan) { s.main.InjectFaultPlan(plan) }
 
 // RecoveryLog returns the main loop's crash-recovery event log (crashes,
 // suspicions, restarts, quarantines) in chronological order.
-func (s *System) RecoveryLog() []RecoveryEvent { return s.engine().RecoveryLog() }
+func (s *System) RecoveryLog() []RecoveryEvent { return s.main.RecoveryLog() }
 
-// Quarantined returns the indexes of quarantined main-loop processors.
-func (s *System) Quarantined() []int { return s.engine().Quarantined() }
+// Quarantined returns the main-loop processor slots the partition plan took
+// out of rotation after they exceeded Options.MaxRestarts.
+func (s *System) Quarantined() []int { return s.main.Quarantined() }
 
 // WireAddr returns the main loop's wire listener address, or "" when the
 // system runs on the in-process transport (Options.Wire nil).
-func (s *System) WireAddr() string { return s.engine().WireAddr() }
+func (s *System) WireAddr() string { return s.main.WireAddr() }
 
 // SetWirePartition hard-partitions (or heals) the wire: while on, every
 // frame on every connection vanishes. Returns false without a wire.
-func (s *System) SetWirePartition(on bool) bool { return s.engine().SetWirePartition(on) }
+func (s *System) SetWirePartition(on bool) bool { return s.main.SetWirePartition(on) }
 
 // SetWireCorrupt makes the wire flip bytes in roughly the given fraction of
 // frames; corrupted frames fail their checksum at the receiver and are
 // dropped with the connection, never delivered. Returns false without a wire.
-func (s *System) SetWireCorrupt(rate float64) bool { return s.engine().SetWireCorrupt(rate) }
+func (s *System) SetWireCorrupt(rate float64) bool { return s.main.SetWireCorrupt(rate) }
 
 // Stats returns the main loop's counters.
-func (s *System) Stats() StatsSnapshot { return s.engine().StatsSnapshot() }
+func (s *System) Stats() StatsSnapshot { return s.main.StatsSnapshot() }
 
 // DeltaBoost returns the delta-mode significance threshold multiplier
 // (1 at rest, and always 1 in value mode).
-func (s *System) DeltaBoost() float64 { return s.engine().DeltaBoost() }
+func (s *System) DeltaBoost() float64 { return s.main.DeltaBoost() }
 
 // SetDeltaBoost manually adjusts the delta-mode significance threshold
 // multiplier (clamped to >= 1; no-op in value mode) and returns the adopted
 // value. Lowering it rescans parked pendings, so the loop converges back to
 // the base threshold's fixed point. The overload controller drives the same
 // knob automatically at degradation levels 2 and 3.
-func (s *System) SetDeltaBoost(mult float64) float64 { return s.engine().SetDeltaBoost(mult) }
+func (s *System) SetDeltaBoost(mult float64) float64 { return s.main.SetDeltaBoost(mult) }
 
 // IterationLog returns the main loop's per-iteration records.
-func (s *System) IterationLog() []IterationRecord { return s.engine().IterationLog() }
+func (s *System) IterationLog() []IterationRecord { return s.main.IterationLog() }
 
 // Engine exposes the underlying main-loop engine (advanced use: fault
 // injection, custom forks).
-func (s *System) Engine() *engine.Engine { return s.engine() }
+func (s *System) Engine() *engine.Engine { return s.main }
 
 // Close stops the overload controller, the query service, the main loop and
 // the exposition endpoint. Branch results obtained earlier must be closed
@@ -1026,7 +1010,7 @@ func (s *System) Close() {
 	}
 	s.qapi.Close()
 	s.qs.Close()
-	s.engine().Stop()
+	s.main.Stop()
 	// After Stop: a planner-driven migration in flight aborts when the
 	// incarnation dies, unblocking the loop to observe the closed channel.
 	s.scaleWG.Wait()

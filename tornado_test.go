@@ -1,6 +1,9 @@
 package tornado
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +211,91 @@ func TestSystemReshard(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Close()
+}
+
+// TestSystemReshardContinuity: Reshard is a plan transition on the main
+// loop's own checkpoint restart, so the System keeps its engine — counters,
+// recovery log and metric series carry on, and the plan epoch rises by one —
+// and /metrics and /statusz stay scrapeable while the slot count grows.
+func TestSystemReshardContinuity(t *testing.T) {
+	tuples := datasets.PowerLawGraph(100, 3, 29)
+	half := len(tuples) / 2
+	sys := newSSSP(t, Options{Processors: 2, DelayBound: 16})
+	sys.IngestAll(tuples[:half])
+	if err := sys.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	eng, commits := sys.Engine(), sys.Stats().Commits
+	h := sys.Obs().Handler()
+	scrape := func(path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("GET %s: %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				scrape("/metrics")
+				scrape("/statusz")
+			}
+		}
+	}()
+	err := sys.Reshard(5, waitFor)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if sys.Engine() != eng {
+		t.Fatal("Reshard replaced the main-loop engine")
+	}
+	if got := sys.Stats().Commits; got < commits {
+		t.Fatalf("Stats().Commits went from %d to %d across Reshard", commits, got)
+	}
+	body := scrape("/metrics")
+	if got, _ := metricValue(t, body, "tornado_commits_total"); got < float64(commits) {
+		t.Fatalf("tornado_commits_total = %v after Reshard; was %d before", got, commits)
+	}
+	if got, _ := metricValue(t, body, "tornado_elastic_plan_epoch"); got != 1 {
+		t.Fatalf("tornado_elastic_plan_epoch = %v after one Reshard; want 1", got)
+	}
+	if !strings.Contains(body, `tornado_partition_frontier_lag_iterations{kind="main",loop="0",proc="4",`) {
+		t.Fatal("no frontier-lag gauge for slot 4 after growing to 5 slots")
+	}
+	var reshards []RecoveryEvent
+	for _, ev := range sys.RecoveryLog() {
+		if ev.Kind == engine.EventReshard {
+			reshards = append(reshards, ev)
+		}
+	}
+	if len(reshards) != 1 || !strings.Contains(reshards[0].Detail, "epoch 1") {
+		t.Fatalf("recovery log's reshard events: %+v; want one at epoch 1", reshards)
+	}
+
+	sys.IngestAll(tuples[half:])
+	if err := sys.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	want := algorithms.RefSSSP(tuples, 0, 64)
+	if err := sys.ScanApprox(func(id VertexID, state any) error {
+		if got := state.(*algorithms.SSSPState).Length; got != want[id] {
+			t.Fatalf("vertex %d: %d vs %d after reshard", id, got, want[id])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMergeQueryResultBack(t *testing.T) {
