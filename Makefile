@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-all vet bench bench-engine profile-ingest harness-test bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
+.PHONY: all build test race race-all vet bench bench-engine profile-ingest profile-query harness-test bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
 
 all: check
 
@@ -50,11 +50,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC store,
-# one commit in isolation, what one more producer costs a hub consumer, and the
-# message plane alone (ns and allocs per delivered message, processor to
-# processor and to itself).
+# one exact query behind a churn burst (with the branch's commits, hosted
+# vertices and decoded versions per query), one commit in isolation, what one
+# more producer costs a hub consumer, and the message plane alone (ns and
+# allocs per delivered message, processor to processor and to itself).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$|BenchmarkEngineForkQuery$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$|BenchmarkMessageHop$$' -benchmem -count 5 ./internal/engine/
 
 # One traced sssp_churn_mem pass of the BENCHMARK.json harness, then the share
@@ -65,7 +66,8 @@ bench-engine:
 # the store's writer lock and every other lock — the tracker's is the largest
 # of the rest), the input journal, boxing into interfaces (runtime.convT*)
 # and the transport's per-payload entry points.
-pprof_share = $(GO) tool pprof -top -nodecount=100000 -nodefraction=0 $(1) .bench_build/out/sssp_churn_mem/cpu.pprof 2>/dev/null | sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p'
+pprof_share_of = $(GO) tool pprof -top -nodecount=100000 -nodefraction=0 $(1) $(2) 2>/dev/null | sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p'
+pprof_share = $(call pprof_share_of,$(1),.bench_build/out/sssp_churn_mem/cpu.pprof)
 MAPFUNCS = runtime\.map|internal/runtime/maps\.
 MUTEX = sync\.\(\*Mutex\)
 STORAGE = internal/storage\.
@@ -81,6 +83,22 @@ profile-ingest:
 	@echo "inputJournal.*:         $$($(call pprof_share,-focus='inputJournal'))"
 	@echo "runtime.convT*:         $$($(call pprof_share,-focus='runtime\.convT'))"
 	@echo "Endpoint.Send|deliver:  $$($(call pprof_share,-focus='transport\.\(\*Endpoint\)\.(Send|deliver)$$'))"
+
+# BenchmarkEngineForkQuery under -cpuprofile (3000 queries), then the share of
+# its samples under a branch's vertex bootstrap — processor.ensure, load and
+# touch together, load (the stored-version read and decode) and touch alone —
+# in the stored-version decode (DecodeBlob, or decodeVertex since the branch
+# decodes into the edge records) and in the garbage collector. The profile
+# holds the whole process: the main loop's set-up and bursts too.
+QUERY_PROF = .bench_build/query/cpu.pprof
+profile-query:
+	@mkdir -p .bench_build/query
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineForkQuery$$' -benchtime 3000x -o .bench_build/query/tornado.test -cpuprofile $(QUERY_PROF) .
+	@echo "processor.ensure|load|touch: $$($(call pprof_share_of,-focus='\(\*processor\)\.(ensure|load|touch)$$',$(QUERY_PROF)))"
+	@echo "  processor.load:            $$($(call pprof_share_of,-focus='\(\*processor\)\.load$$',$(QUERY_PROF)))"
+	@echo "  processor.touch:           $$($(call pprof_share_of,-focus='\(\*processor\)\.touch$$',$(QUERY_PROF)))"
+	@echo "stored-version decode:       $$($(call pprof_share_of,-focus='StateCodec\.(DecodeBlob|decodeVertex)$$',$(QUERY_PROF)))"
+	@echo "runtime GC (runtime.gc*):    $$($(call pprof_share_of,-focus='^runtime\.gc',$(QUERY_PROF)))"
 
 # Query-serving benchmark (small scale): prints the coalesced-vs-uncoalesced
 # table and leaves the BENCH_queries.json artifact.

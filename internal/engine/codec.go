@@ -205,6 +205,77 @@ func (v *vertex) setTargets(targets []stream.VertexID, clock map[stream.VertexID
 	}
 }
 
+// decodeVertex is appendVertex's inverse for a vertex with no edge records
+// yet (a new vertex or a shell): it sets the stored state and builds v.out in
+// order from the stored targets and clocks, both ascending, without the
+// blob's slice and map. It returns the stored pending. A gob blob goes
+// through DecodeBlob and setTargets.
+func (c StateCodec) decodeVertex(data []byte, v *vertex) (pending any, hasPending bool, err error) {
+	if len(data) == 0 || data[0] != blobFormat {
+		b, err := c.DecodeBlob(data)
+		if err != nil {
+			return nil, false, err
+		}
+		v.state = b.State
+		v.setTargets(b.Targets, b.TargetClock)
+		return b.Pending, b.HasPending, nil
+	}
+	r := BinReader{Buf: data[1:]}
+	state := readValue(&r)
+	// Skip ahead to the clock count, so the records are sized for the larger
+	// list (every target an edge input added has a clock), then read the
+	// targets from where they start.
+	nt := r.Count(1)
+	targets := r
+	for range nt {
+		r.ID()
+	}
+	nc := r.Uvarint() // a map is written as len+1; 0 is the nil map
+	if nc > 0 {
+		if nc--; nc > uint64(len(r.Buf)/2) { // an entry is at least a key byte and a value byte
+			r.advance(0)
+			nc = 0
+		}
+	}
+	var out []outEdge
+	if n := max(nt, int(nc)); n > 0 {
+		out = make([]outEdge, 0, n)
+	}
+	for range nt {
+		to := targets.ID()
+		if len(out) > 0 && to <= out[len(out)-1].To {
+			r.advance(0)
+			break
+		}
+		out = append(out, outEdge{To: to, Flags: edgePresent})
+	}
+	j := 0
+	for k := range nc {
+		to, ts := r.ID(), take(&r, readTimestamp)
+		if k > 0 && to <= out[j].To {
+			r.advance(0)
+			break
+		}
+		for j < len(out) && out[j].To < to {
+			j++
+		}
+		if j == len(out) || out[j].To != to { // a clocked record that is not a target
+			out = slices.Insert(out, j, outEdge{To: to})
+		}
+		out[j].Clock, out[j].Flags = ts, out[j].Flags|edgeClocked
+	}
+	hasPending = r.Byte() != 0
+	pending = readValue(&r)
+	if r.Err == nil && len(r.Buf) != 0 {
+		r.Err = ErrCorruptState
+	}
+	if r.Err != nil {
+		return nil, false, fmt.Errorf("engine: decode state: %w", r.Err)
+	}
+	v.state, v.out = state, out
+	return pending, hasPending, nil
+}
+
 // DecodeBlob decodes a stored vertex version of either format.
 func (StateCodec) DecodeBlob(data []byte) (VertexBlob, error) {
 	if len(data) == 0 || data[0] != blobFormat {

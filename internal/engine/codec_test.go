@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,6 +185,59 @@ func TestStateCodecRejectsCorruptBlobs(t *testing.T) {
 		"trailing byte": append(append([]byte(nil), good...), 0),
 	} {
 		if _, err := c.DecodeBlob(data); !errors.Is(err, ErrCorruptState) {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+}
+
+// TestDecodeVertexMatchesDecodeBlob: decoding a stored version straight into
+// a fresh vertex's records gives what DecodeBlob and setTargets give — for
+// targets without clocks, clocks of targets since removed, no edges at all,
+// and the gob fallback — and it rejects what DecodeBlob rejects, plus records
+// out of order, which no writer produces.
+func TestDecodeVertexMatchesDecodeBlob(t *testing.T) {
+	c := StateCodec{}
+	for name, blob := range map[string]VertexBlob{
+		"binary":     testBlob(),
+		"no edges":   {State: &ssspState{}},
+		"interleave": {State: int64(4), Targets: []stream.VertexID{2, 5, 9}, TargetClock: map[stream.VertexID]stream.Timestamp{1: 3, 5: 7, 9: 8, 12: -4}},
+		"only clock": {State: &dssspState{Seq: 3}, TargetClock: map[stream.VertexID]stream.Timestamp{7: 1}, Pending: dssspDelta{Len: 2}, HasPending: true},
+		"gob-state":  {State: &gobOnlyState{Name: "x"}, Targets: []stream.VertexID{4, 6}, TargetClock: map[stream.VertexID]stream.Timestamp{3: 1, 6: 2}},
+	} {
+		data, err := c.Encode(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := newVertex(1, 1)
+		want.state = blob.State
+		want.setTargets(blob.Targets, blob.TargetClock)
+		got := newVertex(1, 1)
+		pending, hasPending, err := c.decodeVertex(data, got)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.state, want.state) || !slices.Equal(got.out, want.out) ||
+			!reflect.DeepEqual(pending, blob.Pending) || hasPending != blob.HasPending {
+			t.Errorf("%s: decodeVertex gives state %+v, records %+v, pending %v/%v\nwant %+v, %+v, %v/%v",
+				name, got.state, got.out, pending, hasPending, want.state, want.out, blob.Pending, blob.HasPending)
+		}
+	}
+
+	good, _ := c.Encode(testBlob())
+	for n := 1; n < len(good); n++ {
+		if _, _, err := c.decodeVertex(good[:n], newVertex(1, 1)); !errors.Is(err, ErrCorruptState) {
+			t.Errorf("truncation to %d bytes: err = %v", n, err)
+		}
+	}
+	for name, data := range map[string][]byte{
+		"length prefix":    binary.AppendUvarint([]byte{blobFormat, tagNil}, 1<<40),
+		"clock prefix":     binary.AppendUvarint([]byte{blobFormat, tagNil, 0}, 1<<40),
+		"trailing byte":    append(append([]byte(nil), good...), 0),
+		"targets unsorted": {blobFormat, tagNil, 2, 5, 3, 0, 0, tagNil},
+		"targets repeated": {blobFormat, tagNil, 2, 5, 5, 0, 0, tagNil},
+		"clocks unsorted":  {blobFormat, tagNil, 0, 3, 5, 2, 3, 2, 0, tagNil},
+	} {
+		if _, _, err := c.decodeVertex(data, newVertex(1, 1)); !errors.Is(err, ErrCorruptState) {
 			t.Errorf("%s: err = %v", name, err)
 		}
 	}

@@ -274,6 +274,8 @@ type Stats struct {
 	// LocalMsgs counts vertex messages whose owner was the sending processor:
 	// dispatched from its own window, never handed to the transport.
 	LocalMsgs metrics.Counter
+	// SnapshotLoads counts stored versions decoded to bootstrap a vertex.
+	SnapshotLoads metrics.Counter
 	// Delta-mode counters (static zero in value mode). DeltaMerged counts
 	// deltas accumulated into an already-pending slot, DeltaSkipped counts
 	// sub-threshold pendings parked instead of scheduled (selective
@@ -294,7 +296,13 @@ type StatsSnapshot struct {
 	// LocalMsgs is the number of vertex messages a processor sent to its own
 	// vertices; they skip the transport, so over a settled run the vertex
 	// messages sent equal TransportDelivered (less control traffic) plus it.
-	LocalMsgs                                          int64
+	LocalMsgs int64
+	// SnapshotLoads is the number of stored versions a branch or restarted
+	// loop decoded to bootstrap its vertices. A value-mode loop reads one only
+	// when a vertex first needs its state, so it stays below the hosted count
+	// (PartitionLoads) by the vertices that only answered PREPAREs or absorbed
+	// valueless COMMITs.
+	SnapshotLoads                                      int64
 	TransportSent, TransportDelivered, TransportResent int64
 	// TransportPayloads counts messages inside first-transmission frames, so
 	// TransportPayloads/(TransportSent−TransportResent) is the average batch
@@ -1221,6 +1229,7 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 		Emits:                e.stats.Emits.Value(),
 		Coalesced:            e.stats.Coalesced.Value(),
 		LocalMsgs:            e.stats.LocalMsgs.Value(),
+		SnapshotLoads:        e.stats.SnapshotLoads.Value(),
 		TransportSent:        e.netStats.Sent.Value(),
 		TransportDelivered:   e.netStats.Delivered.Value(),
 		TransportResent:      e.netStats.Resent.Value(),
@@ -1368,10 +1377,8 @@ func (e *Engine) forkLocked() ForkSpec {
 	var seeds []stream.VertexID
 	above := false
 	for _, p := range inc.procs {
-		seeds = append(seeds, p.forkScan(forkIter)...)
-		if len(p.forkScan(forkIter+1)) > 0 {
-			above = true
-		}
+		s, a := p.forkScan(forkIter)
+		seeds, above = append(seeds, s...), above || a
 	}
 	// Mid-migration a vertex is in two processors' shares; list it once.
 	slices.Sort(seeds)

@@ -57,8 +57,8 @@ func (p *processor) migrating(id stream.VertexID) bool {
 // through the current plan (an in-flight frame overtaken by a cutover, or a
 // retransmission addressed to a pre-migration owner): it returns the owner's
 // window for the handler to forward the message into, or nil when id is this
-// processor's. Running before ensure() is what prevents misdirected frames
-// from ghost-creating vertices on the old owner.
+// processor's. Running before ensure() or touch() is what prevents
+// misdirected frames from ghost-creating vertices on the old owner.
 func (p *processor) bounce(id stream.VertexID) *msgBatch {
 	owner := p.eng.owner(id)
 	if owner == transport.NodeID(p.idx) {
@@ -122,6 +122,12 @@ func (p *processor) migMaybeShip() {
 
 	vs := make([]MigVertex, 0, len(moving))
 	for _, v := range moving {
+		// A shell ships loaded: the destination installs what it receives. It
+		// is loaded here, not at the freeze, because a PREPARE can still host
+		// a shell in the frozen range until it ships.
+		if v.unloaded {
+			p.load(v)
+		}
 		// A queued activation travels as the pending slot itself: drop the
 		// entry and release its parked token (the coordinator's floor-0 pin
 		// covers the gap until the destination re-schedules).

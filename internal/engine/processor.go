@@ -35,6 +35,10 @@ type processor struct {
 	// wait must not depend on the lock. Routing reads the plan (Engine.owner).
 	tk   *Tracker
 	snap *SnapshotSource
+	// shells says new vertices that only answer a PREPARE or absorb a
+	// valueless COMMIT are hosted unloaded (touch): the engine bootstraps
+	// from snap in value mode. No other processor holds an unloaded vertex.
+	shells bool
 
 	// tr is the engine's protocol tracer (nil when unobserved), cached here
 	// with the numeric loop ID so the hot path pays one nil check plus, for
@@ -151,6 +155,7 @@ func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Track
 		p.deltaBase = p.dp.Threshold()
 		p.actQ = delta.NewQueue()
 	}
+	p.shells = p.snap != nil && p.dp == nil
 	p.pauseCond = sync.NewCond(&p.pauseMu)
 	return p
 }
@@ -324,35 +329,63 @@ func (p *processor) setPaused(paused bool) {
 	p.pauseMu.Unlock()
 }
 
-// ensure returns the vertex, creating it on first touch. New vertices of a
-// branch (or recovering) engine bootstrap from the configured snapshot; all
-// others run the program's Init.
+// ensure returns the vertex loaded, creating it on first touch or loading
+// the shell touch left.
 func (p *processor) ensure(id stream.VertexID) *vertex {
-	if v, ok := p.vertices[id]; ok {
+	v, ok := p.vertices[id]
+	if ok && !(p.shells && v.unloaded) {
 		return v
 	}
-	v := p.host(newVertex(id, p.eng.cfg.Seed))
+	if !ok {
+		v = p.host(newVertex(id, p.eng.cfg.Seed))
+	}
+	p.load(v)
+	return v
+}
+
+// touch returns the vertex for a message that never reads its state — a
+// PREPARE or a valueless COMMIT. Where p.shells holds, a new vertex is hosted
+// as an unloaded shell: its stored version is read by the first ensure, if
+// one ever comes. Delta mode loads at once, because its bootstrap may
+// re-queue a persisted pending.
+func (p *processor) touch(id stream.VertexID) *vertex {
+	if !p.shells {
+		return p.ensure(id)
+	}
+	v, ok := p.vertices[id]
+	if !ok {
+		v = p.host(newVertex(id, p.eng.cfg.Seed))
+		v.unloaded = true
+	}
+	return v
+}
+
+// load gives a new vertex (or a shell) its starting state: the stored
+// version of a branch or restarted engine's snapshot when there is one, the
+// program's Init otherwise. It leaves the protocol fields alone, so a
+// shell's iteration, producer records and preparing count carry over.
+func (p *processor) load(v *vertex) {
+	v.unloaded = false
 	if snap := p.snap; snap != nil {
-		data, _, err := snap.Handle.Latest(id, snap.UpTo)
+		data, _, err := snap.Handle.Latest(v.id, snap.UpTo)
 		if err == nil {
-			blob, derr := StateCodec{}.DecodeBlob(data)
+			pending, hasPending, derr := StateCodec{}.decodeVertex(data, v)
 			if derr != nil {
-				panic(fmt.Sprintf("engine: decode snapshot of vertex %d: %v", id, derr))
+				panic(fmt.Sprintf("engine: decode snapshot of vertex %d: %v", v.id, derr))
 			}
-			v.state = blob.State
-			v.setTargets(blob.Targets, blob.TargetClock)
-			if p.dp != nil && blob.HasPending {
+			p.eng.stats.SnapshotLoads.Inc()
+			if p.dp != nil && hasPending {
 				// A persisted unconsumed pending rides the checkpoint; if it
 				// is significant under the current threshold (e.g. the boost
 				// relaxed since it was parked), re-queue it so recovery and
 				// branch forks never strand real mass.
-				v.pending, v.hasPending = blob.Pending, true
+				v.pending, v.hasPending = pending, true
 				p.deltaSchedule(v, p.tk.AcquireFloor(v.iter))
 			}
-			return v
+			return
 		}
 		if !errors.Is(err, storage.ErrNotFound) {
-			panic(fmt.Sprintf("engine: read snapshot of vertex %d: %v", id, err))
+			panic(fmt.Sprintf("engine: read snapshot of vertex %d: %v", v.id, err))
 		}
 	}
 	ctx := &vertexContext{p: p, v: v, allowTarget: true}
@@ -361,7 +394,6 @@ func (p *processor) ensure(id stream.VertexID) *vertex {
 	} else {
 		p.eng.cfg.Program.Init(ctx)
 	}
-	return v
 }
 
 // host registers v with this processor: the ID lookup and a share slot
@@ -616,7 +648,12 @@ func (p *processor) handleUpdate(m msgUpdate) {
 }
 
 func (p *processor) gatherUpdate(m msgUpdate) {
-	v := p.ensure(m.To)
+	var v *vertex
+	if m.HasValue {
+		v = p.ensure(m.To)
+	} else {
+		v = p.touch(m.To)
+	}
 	p.trace(obs.EvGather, v.id, m.From, m.Iteration)
 	if m.Ctx.Traced() {
 		// Inbox dwell (including delay-bound holdback) closes at gather.
@@ -738,7 +775,7 @@ func (p *processor) handlePrepare(m msgPrepare) {
 		w.addPrepare(m)
 		return
 	}
-	v := p.ensure(m.To)
+	v := p.touch(m.To)
 	p.trace(obs.EvPrepareRecv, v.id, m.From, v.iter)
 	p.eng.clock.Witness(m.Stamp.Time)
 	if from := v.producer(m.From, true); !from.Preparing {
@@ -1127,9 +1164,19 @@ func (p *processor) flushOut() {
 // forkScan returns the fork seed set of this partition: vertices whose last
 // commit is at or after forkIter, plus currently dirty vertices. Together
 // with the journal residual these cover every effect missing from the
-// snapshot at forkIter.
-func (p *processor) forkScan(forkIter int64) []stream.VertexID {
-	return p.hosted(func(s *shareSlot) bool { return s.dirty || s.lastCommit >= forkIter })
+// snapshot at forkIter. above reports whether any of them is dirty or
+// committed after forkIter — activity the snapshot cannot hold yet. The
+// seeds come back unsorted.
+func (p *processor) forkScan(forkIter int64) (seeds []stream.VertexID, above bool) {
+	p.shareMu.Lock()
+	for i := range p.share {
+		if s := &p.share[i]; s.live && (s.dirty || s.lastCommit >= forkIter) {
+			seeds = append(seeds, s.id)
+			above = above || s.dirty || s.lastCommit > forkIter
+		}
+	}
+	p.shareMu.Unlock()
+	return seeds, above
 }
 
 // hosted returns, ascending, the IDs of the share slots pick accepts.

@@ -65,6 +65,13 @@ func checkQuiescent(t *testing.T, e *Engine) {
 				t.Fatalf("vertex %d is mid-update: dirty %v preparing %v token %d capBlocked %v held %d deferred acks %d",
 					id, v.dirty, v.preparing(), v.dirtyToken, v.capBlocked, len(v.holdInput), len(v.pendingAcks))
 			}
+			// A shell has only answered PREPAREs and absorbed valueless
+			// COMMITs: anything else would have loaded it first.
+			if v.unloaded && (v.state != nil || len(v.out) != 0 || v.dirty || v.preparing() ||
+				len(v.jseqs) != 0 || v.hasPending || v.pending != nil) {
+				t.Fatalf("vertex %d is an unloaded shell holding state %v, %d out records, dirty %v, preparing %v, %d jseqs, pending %v",
+					id, v.state, len(v.out), v.dirty, v.preparing(), len(v.jseqs), v.hasPending)
+			}
 			if s := p.share[v.slot]; s != (shareSlot{id: id, lastCommit: v.lastCommit, live: true}) {
 				t.Fatalf("vertex %d (last commit %d): share slot %d holds %+v", id, v.lastCommit, v.slot, s)
 			}

@@ -77,6 +77,11 @@ type vertex struct {
 	lastCommit int64 // iteration of the last committed update; -1 if none
 	state      any   // application state
 	slot       int32 // index into the processor's share
+	// unloaded marks a shell (processor.touch): hosted for a PREPARE or a
+	// valueless COMMIT, its stored version not yet read. A shell has nil
+	// state, no out records, no jseqs and no pending, and is neither dirty
+	// nor preparing; only its iteration and producer records are live.
+	unloaded bool
 
 	out []outEdge // targets, ascending
 	in  []inEdge  // producers, ascending
