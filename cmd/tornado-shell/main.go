@@ -11,8 +11,8 @@
 // With -mode delta the loop runs the delta-accumulative engine (DESIGN.md
 // §13): updates fold into per-vertex pending deltas, a priority queue
 // activates the most significant ones first, and 'stats' additionally shows
-// the activation queue depth, merged/parked counts and the significance
-// boost. The fixed point is identical to value mode.
+// the activation queue depth and the merged, parked and applied counts. The
+// fixed point is identical to value mode.
 //
 // Commands (also via piped stdin):
 //
@@ -33,8 +33,8 @@
 //	                     and the oldest snapshot's age
 //	flow                 backpressure and overload state (alias: pressure):
 //	                     the degradation-ladder level, admission-gate
-//	                     ledger, transport inbox watermark state, the
-//	                     effective delay bound and query shedding
+//	                     ledger, transport inbox watermark state and
+//	                     query shedding
 //	trace [id]           no argument: print recent end-to-end causal
 //	                     freshness traces (sampled input deltas and queries
 //	                     with per-stage latency attribution); with a vertex
@@ -343,8 +343,8 @@ func main() {
 			fmt.Printf("generation=%d crashes=%d recoveries=%d quarantined=%d dead-letters=%d\n",
 				s.Generation, s.Crashes, s.Recoveries, s.Quarantined, s.TransportDeadLetters)
 			if deltaMode {
-				fmt.Printf("delta queue-depth=%d merged=%d parked=%d applied=%d boost=%.1f\n",
-					s.DeltaQueueDepth, s.DeltaMerged, s.DeltaSkipped, s.DeltaApplied, sys.DeltaBoost())
+				fmt.Printf("delta queue-depth=%d merged=%d parked=%d applied=%d\n",
+					s.DeltaQueueDepth, s.DeltaMerged, s.DeltaSkipped, s.DeltaApplied)
 			}
 			if addr := sys.WireAddr(); addr != "" {
 				bpf := 0.0
@@ -380,7 +380,6 @@ func main() {
 			fmt.Printf("transport inbox max=%d total=%d stalled-endpoints=%d held-frames=%d stalls=%d frames-held=%d urgent-shed=%d\n",
 				fs.Engine.InboxMax, fs.Engine.InboxTotal, fs.Engine.StalledEndpoints,
 				fs.Engine.HeldFrames, fs.Engine.Stalls, fs.Engine.FramesHeld, fs.Engine.UrgentShed)
-			fmt.Printf("delay bound effective=%d (configured %d)\n", fs.Engine.DelayBound, *bound)
 			fmt.Printf("queries degrade-level=%d shed-low-priority=%d shed-total=%d queue-depth=%d\n",
 				qs.DegradeLevel, qs.ShedLowPriority, qs.Shed, qs.QueueDepth)
 		case "partitions":

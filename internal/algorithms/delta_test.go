@@ -139,38 +139,6 @@ func TestDeltaConnCompMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDeltaBoostDegradesAndRecovers drives a delta loop with a raised
-// significance threshold (the overload rung), verifies pendings park rather
-// than vanish, then lowers the boost and requires the rescan to finish the
-// computation to the exact reference fixed point.
-func TestDeltaBoostDegradesAndRecovers(t *testing.T) {
-	tuples := datasets.PowerLawGraph(100, 3, 23)
-	e := newDeltaEngine(t, DeltaPageRank{Epsilon: 1e-7}, 3, 16)
-	// Degrade hard: only huge pendings activate while the stream pours in.
-	if got := e.SetDeltaBoost(1e6); got != 1e6 {
-		t.Fatalf("SetDeltaBoost(1e6) = %v", got)
-	}
-	runToQuiesce(t, e, tuples)
-	if s := e.StatsSnapshot(); s.DeltaSkipped == 0 {
-		t.Fatal("boosted threshold parked no pendings — degradation did nothing")
-	}
-	// Recover: boost back to 1 rescans parked pendings.
-	e.SetDeltaBoost(1)
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Ranks(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RefPageRank(tuples, 0.85, 1e-12)
-	for v, w := range want {
-		if g, ok := got[v]; ok && math.Abs(g-w) > 1e-3*math.Max(1, w) {
-			t.Fatalf("vertex %d after recovery: rank %.8f vs reference %.8f", v, g, w)
-		}
-	}
-}
-
 // TestDeltaNoLostActivation floods single vertices with rapid-fire deltas so
 // new deltas constantly land on already-queued vertices (the merge path) and
 // requires the final labels to be exact — no accumulated mass may be lost to

@@ -97,17 +97,16 @@ func runOverloadMode(tuples []stream.Tuple, mode string, soak, slowCommit time.D
 		inboxHigh = 512
 	)
 	e, err := engine.New(engine.Config{
-		Processors:        4,
-		DelayBound:        16,
-		DelayBoundCeiling: 64,
-		Kind:              engine.MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           algorithms.SSSP{Source: 0},
-		Seed:              1,
-		MaxPendingInputs:  gateCap,
-		InboxHigh:         inboxHigh,
-		InboxLow:          inboxHigh / 4,
+		Processors:       4,
+		DelayBound:       16,
+		Kind:             engine.MainLoop,
+		LoopID:           storage.MainLoop,
+		Store:            storage.NewMVCCStore(),
+		Program:          algorithms.SSSP{Source: 0},
+		Seed:             1,
+		MaxPendingInputs: gateCap,
+		InboxHigh:        inboxHigh,
+		InboxLow:         inboxHigh / 4,
 	})
 	if err != nil {
 		return OverloadRow{}, err

@@ -94,10 +94,9 @@ type Program interface {
 	// Priority scores a pending delta's impact; higher runs first.
 	// Pendings scoring below Threshold are parked, not scheduled.
 	Priority(ctx Context, pending any) float64
-	// Threshold is the base significance threshold. The engine may raise
-	// the effective threshold under overload (SetDeltaBoost) and lower it
-	// back, rescanning parked pendings — convergence only requires that
-	// every above-threshold pending is eventually consumed.
+	// Threshold is the significance threshold, fixed for the loop's life:
+	// convergence only requires that every above-threshold pending is
+	// eventually consumed.
 	Threshold() float64
 	// Init seeds a new vertex's state (targets may be added here).
 	Init(ctx Context)

@@ -2,10 +2,14 @@ package engine
 
 import (
 	"errors"
+	"maps"
+	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"tornado/internal/datasets"
+	"tornado/internal/delta"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
@@ -297,67 +301,171 @@ func TestMigrationCrashAborts(t *testing.T) {
 	checkQuiescent(t, e)
 }
 
+// dflowState / dflowProg: an additive delta program whose pendings can sit
+// below the threshold for good. A value input adds its int64 payload to the
+// vertex's Src mass; every commit ships the cumulative Src to the vertex's
+// targets, and a consumer's pending is the sum of the increments it gathered.
+// Total is the mass a vertex has consumed. Priority logs the last pending the
+// engine scored for each vertex, which lets a test read the engine's pending
+// slots from outside the processor goroutines.
+type dflowState struct {
+	Src   int64
+	Total int64
+	Cum   map[stream.VertexID]int64
+}
+
+type dflowProg struct {
+	mu     *sync.Mutex
+	scored map[stream.VertexID]int64
+}
+
+func init() { RegisterStateType(&dflowState{}) }
+
+func newDflowProg() dflowProg {
+	return dflowProg{mu: new(sync.Mutex), scored: make(map[stream.VertexID]int64)}
+}
+
+// takeScored returns the pendings scored since the last call, and forgets them.
+func (p dflowProg) takeScored() map[stream.VertexID]int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := maps.Clone(p.scored)
+	clear(p.scored)
+	return out
+}
+
+func (dflowProg) Identity() any           { return int64(0) }
+func (dflowProg) Accumulate(a, b any) any { return a.(int64) + b.(int64) }
+func (dflowProg) Threshold() float64      { return 4 }
+func (dflowProg) Init(ctx delta.Context) {
+	ctx.SetState(&dflowState{Cum: make(map[stream.VertexID]int64)})
+}
+
+func (p dflowProg) Priority(ctx delta.Context, pending any) float64 {
+	n := pending.(int64)
+	p.mu.Lock()
+	p.scored[ctx.ID()] = n
+	p.mu.Unlock()
+	return math.Abs(float64(n))
+}
+
+func (dflowProg) OnInput(ctx delta.Context, t stream.Tuple) {
+	if t.Kind == stream.KindValue {
+		ctx.State().(*dflowState).Src += t.Value.(int64)
+	}
+}
+
+func (dflowProg) Gather(ctx delta.Context, src stream.VertexID, value any, _ bool) (any, bool) {
+	st := ctx.State().(*dflowState)
+	d := value.(int64) - st.Cum[src]
+	st.Cum[src] = value.(int64)
+	return d, d != 0
+}
+
+func (dflowProg) Update(ctx delta.Context, pending any) {
+	st := ctx.State().(*dflowState)
+	st.Total += pending.(int64)
+	for _, t := range ctx.Targets() {
+		ctx.EmitCum(t, st.Src)
+	}
+}
+
 // TestDeltaParkedPendingSurvivesHandoff pins the selective-activation
-// contract across a migration: pendings parked below the (boosted)
-// significance threshold must travel with their vertices and stay parked at
-// the new owner, then surface through the rescan when the threshold relaxes.
-// Losing a parked pending would leave the loop at a wrong fixed point.
+// contract across a migration: pendings parked below the program's threshold
+// travel with their vertices, arrive with the same mass, and stay parked at
+// the new owner until a later delta lifts them over the threshold. The loop
+// must then sit where an unmigrated twin fed the same stream sits. Losing or
+// changing a parked pending would leave it at a wrong fixed point.
 func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
-	tuples := datasets.PowerLawGraph(160, 3, 101)
-	e, err := New(Config{
-		Processors:    2,
-		MaxProcessors: 3,
-		DelayBound:    8,
-		Kind:          MainLoop,
-		LoopID:        storage.MainLoop,
-		Store:         storage.NewMVCCStore(),
-		Delta:         dssspProg{source: 0},
-		Seed:          101,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Sources 0..39 feed sinks 100..139, two sources a sink; the sinks are
+	// the range that migrates.
+	const n = 40
+	var edges, drip, lift []stream.Tuple
+	for i := 0; i < n; i++ {
+		src := stream.VertexID(i)
+		edges = append(edges,
+			stream.AddEdge(stream.Timestamp(2*i), src, stream.VertexID(100+i)),
+			stream.AddEdge(stream.Timestamp(2*i+1), src, stream.VertexID(100+(i+1)%n)))
+		drip = append(drip, stream.Value(stream.Timestamp(2*n+i), src, int64(1)))
+		lift = append(lift, stream.Value(stream.Timestamp(3*n+i), src, int64(4)))
 	}
-	e.Start()
-	defer e.Stop()
-
-	half := len(tuples) / 2
-	e.IngestAll(tuples[:half])
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
+	run := func(migrate bool) map[stream.VertexID]int64 {
+		prog := newDflowProg()
+		e, err := New(Config{
+			Processors:    2,
+			MaxProcessors: 3,
+			DelayBound:    8,
+			Kind:          MainLoop,
+			LoopID:        storage.MainLoop,
+			Store:         storage.NewMVCCStore(),
+			Delta:         prog,
+			Seed:          101,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		defer e.Stop()
+		for _, wave := range [][]stream.Tuple{edges, drip} {
+			e.IngestAll(wave)
+			if err := e.WaitQuiesce(waitFor); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Every sink has gathered 1 from each of its two sources: a pending
+		// of 2, parked under the threshold of 4.
+		parked := prog.takeScored()
+		for i := 0; i < n; i++ {
+			id := stream.VertexID(100 + i)
+			if got, ok := parked[id]; !ok || got != 2 {
+				t.Fatalf("sink %d scored pending %d (scored %v); want 2 parked", id, got, ok)
+			}
+		}
+		if migrate {
+			if err := e.Migrate(VertexRange{Lo: 100, Hi: FullRange().Hi}, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.WaitQuiesce(waitFor); err != nil {
+				t.Fatal(err)
+			}
+			if loads := e.PartitionLoads(); loads[2].Vertices != n {
+				t.Fatalf("spare hosts %d vertices after migration; want the %d sinks: %+v", loads[2].Vertices, n, loads)
+			}
+			// The new owner schedules every installed pending once: each
+			// must carry the mass it left with.
+			arrived := prog.takeScored()
+			for i := 0; i < n; i++ {
+				id := stream.VertexID(100 + i)
+				if got, ok := arrived[id]; !ok || got != parked[id] {
+					t.Fatalf("sink %d arrived with pending %d (scored %v); it left with %d", id, got, ok, parked[id])
+				}
+			}
+		}
+		e.IngestAll(lift)
+		if err := e.WaitQuiesce(waitFor); err != nil {
+			t.Fatal(err)
+		}
+		totals := make(map[stream.VertexID]int64)
+		if err := e.ScanStates(math.MaxInt64, func(id stream.VertexID, _ int64, state any) error {
+			totals[id] = state.(*dflowState).Total
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		checkQuiescent(t, e)
+		return totals
 	}
-
-	// Boost the threshold sky-high: every delta from the second ingestion
-	// wave parks instead of committing.
-	skippedBefore := e.stats.DeltaSkipped.Value()
-	e.SetDeltaBoost(1e12)
-	e.IngestAll(tuples[half:])
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
+	twin, moved := run(false), run(true)
+	for i := 0; i < n; i++ {
+		// 2 parked + 4 from each source, every lift significant on its
+		// own: consumed in full, whatever order the lifts arrive in.
+		if id := stream.VertexID(100 + i); twin[id] != 10 {
+			t.Fatalf("unmigrated sink %d consumed %d; want 10", id, twin[id])
+		}
 	}
-	if e.stats.DeltaSkipped.Value() == skippedBefore {
-		t.Fatal("no pendings parked under boost; the hand-off test is vacuous")
+	if !maps.Equal(moved, twin) {
+		t.Fatalf("migrated loop's totals %v differ from the unmigrated twin's %v", moved, twin)
 	}
-
-	// Migrate the upper half of the ID space — parked pendings included —
-	// onto the spare while the threshold is still boosted.
-	if err := e.Migrate(VertexRange{Lo: 80, Hi: FullRange().Hi}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	if loads := e.PartitionLoads(); loads[2].Vertices == 0 {
-		t.Fatalf("spare hosts no vertices after migration: %+v", loads)
-	}
-
-	// Relax the threshold: the rescan must find the parked pendings on the
-	// NEW owner and drive the loop to the exact base fixed point.
-	e.SetDeltaBoost(1)
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	checkDSSSP(t, e, tuples)
-	checkQuiescent(t, e)
 }
 
 // TestMigrationCarriesAppliedJournalSeqs: a vertex that ships with inputs

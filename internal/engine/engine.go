@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -100,10 +99,11 @@ type Config struct {
 	// frames of at most this many. Default 64; 1 (or less) ships every
 	// message as a frame of its own, on the same path.
 	MaxBatch int
-	// FlushInterval is the transport's latency backstop: buffered frames and
-	// deferred acks older than this are shipped by a background tick even if
-	// no protocol boundary flushed them (default 2ms when batching).
-	FlushInterval time.Duration
+	// flushInterval overrides the transport's latency backstop, the tick
+	// that ships buffered frames and deferred acks no protocol boundary
+	// flushed (0 = the transport's 2ms default). Only tests about send order
+	// set it, so that a partial frame never ships out of turn.
+	flushInterval time.Duration
 	// CommitDelay, when non-nil, injects per-commit latency into a
 	// processor (straggler and I/O-cost modelling in the experiments).
 	CommitDelay func(proc int) time.Duration
@@ -130,11 +130,6 @@ type Config struct {
 	// 0 leaves inboxes unbounded.
 	InboxHigh int
 	InboxLow  int
-	// DelayBoundCeiling lets the overload controller raise the effective
-	// delay bound B at runtime (SetDelayBound) up to this value: a larger B
-	// lets processors run further ahead of termination notifications,
-	// trading result staleness for ingest headroom. 0 pins B at DelayBound.
-	DelayBoundCeiling int64
 	// Seed drives all engine-internal randomness.
 	Seed int64
 	// CompactEvery makes the master compact the store every N terminated
@@ -219,14 +214,8 @@ func (c *Config) validate() error {
 	} else if c.MaxBatch < 1 {
 		c.MaxBatch = 1
 	}
-	if c.MaxBatch > 1 && c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
-	}
 	if c.Wire != nil && c.ResendAfter <= 0 {
 		c.ResendAfter = 5 * time.Millisecond
-	}
-	if c.DelayBoundCeiling < 0 || (c.DelayBoundCeiling > 0 && c.DelayBoundCeiling < c.DelayBound) {
-		return errors.New("engine: DelayBoundCeiling must be 0 or >= DelayBound")
 	}
 	if c.InboxHigh > 0 && (c.InboxLow <= 0 || c.InboxLow >= c.InboxHigh) {
 		c.InboxLow = c.InboxHigh / 2
@@ -418,18 +407,11 @@ type Engine struct {
 	// admission ledger: Ingest acquires before touching the incarnation —
 	// blocking under genMu would deadlock the recovery that needs the write
 	// lock to unwedge the very consumer being waited on — and applyWork
-	// releases as inputs land on vertices. delayBound is the effective B,
-	// raised at runtime by SetDelayBound within the configured ceiling.
-	// slow is per-slot injected commit latency (FaultSlowProcessor); it
-	// survives incarnations so a recovered processor stays slow.
+	// releases as inputs land on vertices. slow is per-slot injected commit
+	// latency (FaultSlowProcessor); it survives incarnations so a recovered
+	// processor stays slow.
 	ingestGate *flow.Gate
-	delayBound atomic.Int64
 	slow       []atomic.Int64
-	// deltaBoost is the overload multiplier on the delta significance
-	// threshold (Float64bits; 1.0 at rest). Raised by the degradation
-	// ladder: commits get rarer, pendings keep absorbing arrivals, and
-	// convergence quality degrades instead of input being dropped.
-	deltaBoost atomic.Uint64
 
 	// Partition plans (plan.go, elastic.go). plan is the current epoch,
 	// read atomically by every route call and replaced only by a migration's
@@ -524,8 +506,6 @@ func New(cfg Config) (*Engine, error) {
 		slow:       make([]atomic.Int64, cfg.MaxProcessors),
 	}
 	e.plan.Store(basePlan(cfg.Processors, cfg.MaxProcessors))
-	e.delayBound.Store(cfg.DelayBound)
-	e.deltaBoost.Store(math.Float64bits(1))
 	if cfg.MaxPendingInputs > 0 {
 		e.ingestGate = flow.NewGate(cfg.MaxPendingInputs, 0)
 	}
@@ -576,7 +556,7 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 		ResendAfter:   e.cfg.ResendAfter,
 		MaxResends:    e.cfg.MaxResends,
 		MaxBatch:      e.cfg.MaxBatch,
-		FlushInterval: e.cfg.FlushInterval,
+		FlushInterval: e.cfg.flushInterval,
 		InboxHigh:     e.cfg.InboxHigh,
 		InboxLow:      e.cfg.InboxLow,
 		DropSeed:      e.cfg.Seed,
@@ -1043,8 +1023,7 @@ func (e *Engine) PinnedForks() int { return int(e.forks.Load()) }
 func (e *Engine) ForkJournalSeq() uint64 { return e.forkJournalSeq }
 
 // FlowSnapshot is a point-in-time view of the loop's backpressure state:
-// the ingest admission ledger, the effective delay bound, and the transport
-// inbox watermark machinery.
+// the ingest admission ledger and the transport inbox watermark machinery.
 type FlowSnapshot struct {
 	// GateDepth / GateCapacity are the admission ledger: inputs admitted
 	// but not yet applied, against MaxPendingInputs (both zero when
@@ -1060,9 +1039,6 @@ type FlowSnapshot struct {
 	GateWaitTime time.Duration
 	// GateResets counts crash recoveries that discarded the ledger.
 	GateResets int64
-	// DelayBound is the effective B (>= Config.DelayBound when the
-	// overload controller raised it).
-	DelayBound int64
 	// InboxMax / InboxTotal are the deepest and summed transport inbox
 	// depths; StalledEndpoints and HeldFrames are the receivers currently
 	// withholding credit and the frames senders have parked for them.
@@ -1076,7 +1052,7 @@ type FlowSnapshot struct {
 
 // FlowSnapshot captures the engine's current backpressure state.
 func (e *Engine) FlowSnapshot() FlowSnapshot {
-	s := FlowSnapshot{DelayBound: e.delayBound.Load()}
+	var s FlowSnapshot
 	if g := e.ingestGate; g != nil {
 		s.GateDepth = g.Depth()
 		s.GateCapacity = g.Capacity()
@@ -1091,33 +1067,6 @@ func (e *Engine) FlowSnapshot() FlowSnapshot {
 	s.FramesHeld = e.netStats.HeldFrames.Value()
 	s.UrgentShed = e.netStats.UrgentShed.Value()
 	return s
-}
-
-// DelayBound returns the effective delay bound B; SetDelayBound may have
-// raised it above the configured value.
-func (e *Engine) DelayBound() int64 { return e.delayBound.Load() }
-
-// SetDelayBound adjusts the effective B, clamped to
-// [Config.DelayBound, Config.DelayBoundCeiling], and returns the value
-// adopted. With no ceiling configured it is a no-op pinned at the
-// configured bound. Raising B is the L2 degradation rung: in-flight work
-// may run further ahead of termination notifications, absorbing an ingest
-// surge at the price of staler approximations. Any value already admitted
-// under a larger B stays valid when B is lowered again — the delay bound
-// only gates new holdbacks, so correctness is that of the largest B used.
-func (e *Engine) SetDelayBound(b int64) int64 {
-	lo, hi := e.cfg.DelayBound, e.cfg.DelayBoundCeiling
-	if hi < lo {
-		hi = lo
-	}
-	if b < lo {
-		b = lo
-	}
-	if b > hi {
-		b = hi
-	}
-	e.delayBound.Store(b)
-	return b
 }
 
 // progLabel names the running program for metric labels and statusz: the
@@ -1135,42 +1084,6 @@ func (e *Engine) execMode() string {
 		return "delta"
 	}
 	return "value"
-}
-
-// DeltaBoost returns the current significance-threshold multiplier (1.0 at
-// rest; delta mode only).
-func (e *Engine) DeltaBoost() float64 {
-	return math.Float64frombits(e.deltaBoost.Load())
-}
-
-// SetDeltaBoost adjusts the delta-mode significance threshold multiplier
-// (clamped to >= 1) and returns the value adopted; a no-op returning 1 in
-// value mode. Raising the boost is a degradation rung: pendings keep
-// accumulating exactly (nothing is dropped), but fewer clear the bar, so
-// commit work shrinks and the loop's answer coarsens toward
-// threshold-sized dust. Lowering it rescans every parked pending — any that
-// became significant again are re-queued, so convergence to the base
-// threshold's fixed point is preserved once the overload passes.
-func (e *Engine) SetDeltaBoost(mult float64) float64 {
-	if e.cfg.Delta == nil {
-		return 1
-	}
-	if mult < 1 || math.IsNaN(mult) {
-		mult = 1
-	}
-	old := math.Float64frombits(e.deltaBoost.Load())
-	e.deltaBoost.Store(math.Float64bits(mult))
-	if mult < old {
-		e.genMu.RLock()
-		defer e.genMu.RUnlock()
-		inc := e.inc
-		for i := range inc.procs {
-			tok := inc.tracker.AcquireFloor(0)
-			inc.ingestE.Send(transport.NodeID(i), msgRescan{Token: tok})
-		}
-		inc.ingestE.Flush()
-	}
-	return mult
 }
 
 // SlowProcessor injects d of extra latency into every commit of processor i

@@ -134,59 +134,6 @@ func TestIngestGateBoundsPendingInputs(t *testing.T) {
 	checkSSSP(t, e, tuples)
 }
 
-// TestSetDelayBoundClamps: the dynamic B must stay inside
-// [DelayBound, DelayBoundCeiling] and be a no-op without a ceiling.
-func TestSetDelayBoundClamps(t *testing.T) {
-	e := newFlowSSSPEngine(t, Config{
-		Processors:        2,
-		DelayBound:        8,
-		DelayBoundCeiling: 32,
-		Seed:              1,
-	})
-	defer e.Stop()
-	e.Start()
-	if got := e.SetDelayBound(1); got != 8 {
-		t.Fatalf("SetDelayBound(1) = %d, want clamp to configured bound 8", got)
-	}
-	if got := e.SetDelayBound(1 << 40); got != 32 {
-		t.Fatalf("SetDelayBound(huge) = %d, want clamp to ceiling 32", got)
-	}
-	if got := e.SetDelayBound(16); got != 16 || e.DelayBound() != 16 {
-		t.Fatalf("SetDelayBound(16) = %d (DelayBound %d), want 16", got, e.DelayBound())
-	}
-
-	noCeiling := newFlowSSSPEngine(t, Config{Processors: 2, DelayBound: 8, Seed: 1,
-		Store: storage.NewMVCCStore()})
-	defer noCeiling.Stop()
-	noCeiling.Start()
-	if got := noCeiling.SetDelayBound(1 << 20); got != 8 {
-		t.Fatalf("SetDelayBound without ceiling = %d, want pinned at 8", got)
-	}
-}
-
-// TestDynamicDelayBoundConverges: raising B mid-run (the L2 degradation
-// rung) must not break the fixed point.
-func TestDynamicDelayBoundConverges(t *testing.T) {
-	tuples := datasets.PowerLawGraph(200, 3, 33)
-	e := newFlowSSSPEngine(t, Config{
-		Processors:        4,
-		DelayBound:        4,
-		DelayBoundCeiling: 64,
-		Seed:              33,
-	})
-	e.Start()
-	defer e.Stop()
-	half := len(tuples) / 2
-	e.IngestAll(tuples[:half])
-	e.SetDelayBound(64) // widen under (simulated) overload
-	e.IngestAll(tuples[half:])
-	e.SetDelayBound(4) // relax back while work is still in flight
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	checkSSSP(t, e, tuples)
-}
-
 // TestFaultPlanSlowProcessor: the chaos schedule's slow-consumer fault must
 // engage (and clear) through the plan machinery.
 func TestFaultPlanSlowProcessor(t *testing.T) {

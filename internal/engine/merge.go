@@ -61,9 +61,9 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 		return ErrMergeConflict
 	}
 
-	// Use the effective (possibly controller-raised) B: adopted versions must
-	// land above anything an in-flight commit could still write under it.
-	mergeIter := inc.tracker.Notified() + e.delayBound.Load()
+	// Adopted versions must land above anything an in-flight commit could
+	// still write within B of the frontier.
+	mergeIter := inc.tracker.Notified() + e.cfg.DelayBound
 	release := e.HoldQuiesce()
 	defer release()
 

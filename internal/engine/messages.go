@@ -78,15 +78,6 @@ type msgFrontier struct {
 // msgHalt stops a processor (loop converged or engine stopping).
 type msgHalt struct{}
 
-// msgRescan asks a delta-mode processor to re-examine parked pending
-// deltas after the effective significance threshold was LOWERED (overload
-// boost relaxing): pendings that became significant again are enqueued for
-// activation. Raising the threshold needs no message — queued entries are
-// simply consumed under the old score.
-type msgRescan struct {
-	Token int64
-}
-
 // msgHeartbeat is a liveness beat sent to the supervisor endpoint (node P+2)
 // by every processor (Proc = index) and by the master (Proc = -1). A crashed
 // endpoint cannot send, so missed beats are how the supervisor detects

@@ -34,7 +34,7 @@ func TestWindowMatchesBoxedQueue(t *testing.T) {
 			// goroutine and can deliver a partial frame out of turn (the
 			// transport dedups, it does not order); this test is about the
 			// sender's order, so keep the tick out of it.
-			FlushInterval: time.Hour})
+			flushInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}

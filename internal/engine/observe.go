@@ -74,9 +74,6 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 				}
 				return float64(n)
 			})
-		sc.GaugeFunc("tornado_delta_threshold_boost",
-			"Significance-threshold multiplier (1.0 at rest; raised by the overload ladder).",
-			func() float64 { return e.DeltaBoost() })
 		// Shorthand spellings stay scrapeable as deprecated aliases so every
 		// delta series resolves under the canonical tornado_delta_* names.
 		hub.Registry.Alias("tornado_deltas_merged_total", "tornado_delta_merged_total")
@@ -179,9 +176,6 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	sc.GaugeFunc("tornado_flow_held_frames",
 		"Frames currently parked at senders waiting for credit.",
 		func() float64 { _, _, _, h := e.cur().net.QueueDepths(); return float64(h) })
-	sc.GaugeFunc("tornado_flow_delay_bound",
-		"Effective delay bound B (above the configured value while degraded).",
-		func() float64 { return float64(e.delayBound.Load()) })
 	if g := e.ingestGate; g != nil {
 		sc.GaugeFunc("tornado_flow_ingest_gate_depth",
 			"Inputs admitted but not yet applied to a vertex.",
@@ -278,21 +272,20 @@ func (e *Engine) statusz() any {
 		"mode":        e.execMode(),
 		"delay_bound": e.cfg.DelayBound,
 		"flow": map[string]any{
-			"delay_bound_effective": fs.DelayBound,
-			"gate_depth":            fs.GateDepth,
-			"gate_capacity":         fs.GateCapacity,
-			"gate_saturated":        fs.GateSaturated,
-			"gate_peak":             fs.GatePeak,
-			"gate_waits":            fs.GateWaits,
-			"ingest_pause":          fs.GateWaitTime.String(),
-			"gate_resets":           fs.GateResets,
-			"inbox_max":             fs.InboxMax,
-			"inbox_total":           fs.InboxTotal,
-			"stalled_endpoints":     fs.StalledEndpoints,
-			"held_frames":           fs.HeldFrames,
-			"stalls":                fs.Stalls,
-			"frames_held":           fs.FramesHeld,
-			"urgent_shed":           fs.UrgentShed,
+			"gate_depth":        fs.GateDepth,
+			"gate_capacity":     fs.GateCapacity,
+			"gate_saturated":    fs.GateSaturated,
+			"gate_peak":         fs.GatePeak,
+			"gate_waits":        fs.GateWaits,
+			"ingest_pause":      fs.GateWaitTime.String(),
+			"gate_resets":       fs.GateResets,
+			"inbox_max":         fs.InboxMax,
+			"inbox_total":       fs.InboxTotal,
+			"stalled_endpoints": fs.StalledEndpoints,
+			"held_frames":       fs.HeldFrames,
+			"stalls":            fs.Stalls,
+			"frames_held":       fs.FramesHeld,
+			"urgent_shed":       fs.UrgentShed,
 		},
 		"processors":         e.plan.Load().BaseN,
 		"frontier":           s.Frontier,
@@ -338,7 +331,6 @@ func (e *Engine) statusz() any {
 			"activations_skipped": s.DeltaSkipped,
 			"applied":             s.DeltaApplied,
 			"queue_depth":         s.DeltaQueueDepth,
-			"threshold_boost":     e.DeltaBoost(),
 		}
 	}
 	st := e.cfg.Store.StoreStats()

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -80,8 +79,8 @@ type processor struct {
 	// the highest-impact activation commits first. The queue is drained to
 	// empty at the end of every receive window, so entries never outlive a
 	// window — its depth (deltaDepth, read by the scrape-time gauge) measures
-	// in-window scheduling pressure. deltaBase caches dp.Threshold(); the
-	// effective threshold multiplies in the engine's overload boost.
+	// in-window scheduling pressure. deltaBase caches dp.Threshold(), the
+	// significance bar a pending must clear to be scheduled.
 	dp         delta.Program
 	deltaBase  float64
 	actQ       *delta.Queue
@@ -160,18 +159,10 @@ func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Track
 	return p
 }
 
-// effDeltaThreshold is the significance bar a pending delta must clear to be
-// scheduled: the program's base threshold times the engine's overload boost
-// (>= 1; raised by the degradation ladder, lowered back with a rescan).
-func (p *processor) effDeltaThreshold() float64 {
-	return p.deltaBase * math.Float64frombits(p.eng.deltaBoost.Load())
-}
-
 // cap returns the highest iteration updates may currently commit in:
-// lastTerminated + B (Section 4.4). B is read through the engine's dynamic
-// bound so the overload controller can widen it mid-run.
+// lastTerminated + B (Section 4.4).
 func (p *processor) cap() int64 {
-	return p.notified + p.eng.delayBound.Load()
+	return p.notified + p.eng.cfg.DelayBound
 }
 
 func (p *processor) nextEpoch() uint64 {
@@ -251,8 +242,6 @@ func (p *processor) dispatch(env transport.Envelope) bool {
 		}
 	case msgFrontier:
 		p.handleFrontier(m)
-	case msgRescan:
-		p.handleRescan(m)
 	case msgMigFreeze:
 		p.handleMigFreeze(m)
 	case msgMigState:
@@ -376,9 +365,8 @@ func (p *processor) load(v *vertex) {
 			p.eng.stats.SnapshotLoads.Inc()
 			if p.dp != nil && hasPending {
 				// A persisted unconsumed pending rides the checkpoint; if it
-				// is significant under the current threshold (e.g. the boost
-				// relaxed since it was parked), re-queue it so recovery and
-				// branch forks never strand real mass.
+				// is significant, re-queue it so recovery and branch forks
+				// never strand real mass.
 				v.pending, v.hasPending = pending, true
 				p.deltaSchedule(v, p.tk.AcquireFloor(v.iter))
 			}
@@ -442,7 +430,7 @@ func (p *processor) deltaSchedule(v *vertex, tok int64) {
 		p.tk.Release(tok)
 		return
 	}
-	if prio >= p.effDeltaThreshold() {
+	if prio >= p.deltaBase {
 		p.actQ.Push(v.id, prio, tok)
 		p.deltaDepth.Add(1)
 		return
@@ -474,28 +462,6 @@ func (p *processor) drainActQ() {
 		p.tk.Release(it.Token)
 		p.maybeStart(v)
 	}
-}
-
-// handleRescan re-examines parked pendings after the effective threshold was
-// lowered; newly significant ones are queued with fresh tokens (acquired
-// before the rescan token is released, preserving acquire-before-release).
-func (p *processor) handleRescan(m msgRescan) {
-	if p.dp != nil {
-		for _, v := range p.vertices {
-			if !v.hasPending || v.dirty {
-				continue
-			}
-			if _, queued := p.actQ.Priority(v.id); queued {
-				continue
-			}
-			prio := p.dp.Priority(&vertexContext{p: p, v: v}, v.pending)
-			if prio >= p.effDeltaThreshold() {
-				p.actQ.Push(v.id, prio, p.tk.AcquireFloor(v.lower()))
-				p.deltaDepth.Add(1)
-			}
-		}
-	}
-	p.tk.Release(m.Token)
 }
 
 // markDirty acquires the vertex's dirty token at the lower bound of its
@@ -710,7 +676,7 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 						// place; the queued (older) token keeps the floor.
 						p.actQ.Update(v.id, prio)
 						p.tk.Release(m.Token)
-					} else if prio >= p.effDeltaThreshold() {
+					} else if prio >= p.deltaBase {
 						p.actQ.Push(v.id, prio, m.Token)
 						p.deltaDepth.Add(1)
 					} else {
@@ -953,7 +919,7 @@ func (p *processor) commit(v *vertex) {
 		// and is persisted with the state below.
 		pend := p.dp.Identity()
 		if v.hasPending && (v.activated ||
-			p.dp.Priority(&vertexContext{p: p, v: v}, v.pending) >= p.effDeltaThreshold()) {
+			p.dp.Priority(&vertexContext{p: p, v: v}, v.pending) >= p.deltaBase) {
 			pend = v.pending
 			v.pending, v.hasPending = nil, false
 			p.eng.stats.DeltaApplied.Inc()

@@ -334,7 +334,6 @@ func runChaosSoakSurgeOverload(t *testing.T, wire *WireSpec) {
 	e, err := New(Config{
 		Processors:        procs,
 		DelayBound:        16,
-		DelayBoundCeiling: 64,
 		Kind:              MainLoop,
 		LoopID:            storage.MainLoop,
 		Store:             storage.NewMVCCStore(),

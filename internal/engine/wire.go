@@ -36,7 +36,6 @@ func init() {
 	gob.Register(&msgBatch{})
 	gob.Register(msgFrontier{})
 	gob.Register(msgHalt{})
-	gob.Register(msgRescan{})
 	gob.Register(msgHeartbeat{})
 	gob.Register(msgMigFreeze{})
 	gob.Register(msgMigState{})

@@ -56,8 +56,8 @@ type Decision struct {
 // conservative defaults.
 type ScalePlannerOptions struct {
 	// SplitLevel is the minimum overload-ladder level that counts as
-	// split-worthy degradation (default 2: load shedding has begun — cheaper
-	// remedies like delay-bound widening and delta boosting did not hold).
+	// split-worthy degradation (default 2: pressure outlasted the first
+	// rung — the query staleness floor alone did not relieve it).
 	SplitLevel int
 	// SplitAfter is how many consecutive degraded-and-concentrated samples
 	// arm a split (default 3).

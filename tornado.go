@@ -256,12 +256,13 @@ type ElasticOptions struct {
 // under overload. With the (default) bounds in place a slow consumer
 // propagates backpressure all the way to the ingesting source instead of
 // growing unbounded buffers, and the overload controller walks a
-// degradation ladder — widen the query staleness window, raise the delay
-// bound B toward its ceiling, shed low-priority queries — before any input
-// is ever dropped.
+// degradation ladder — widen the query staleness window, then shed
+// low-priority queries — before any input is ever dropped. The ladder never
+// touches the engine: the delay bound B is Options.DelayBound for the
+// system's life.
 type FlowOptions struct {
-	// Disable turns all flow control off: unbounded queues, fixed B, no
-	// degradation (the pre-flow-control behavior).
+	// Disable turns all flow control off: unbounded queues, no degradation
+	// (the pre-flow-control behavior).
 	Disable bool
 	// MaxPendingInputs bounds stream inputs admitted into the main loop but
 	// not yet applied to a vertex; Ingest blocks at the bound, parking the
@@ -272,21 +273,19 @@ type FlowOptions struct {
 	// senders park frames until it drains to InboxLow (default 4096 /
 	// high÷2, -1 unbounded).
 	InboxHigh, InboxLow int
-	// DelayBoundCeiling is how far the overload controller may raise the
-	// effective delay bound B while degraded — more asynchrony, fewer
-	// synchronization stalls, staler approximation (default 4×DelayBound,
-	// -1 pins B at its configured value).
+	// Deprecated: ignored. B no longer moves at runtime; the field stays so
+	// that code which set it still compiles.
 	DelayBoundCeiling int64
 	// DisableController keeps the bounds but never walks the degradation
 	// ladder automatically (manual control via QueryService().SetDegraded
-	// and Engine().SetDelayBound remains available).
+	// remains available).
 	DisableController bool
 	// SampleEvery is the overload controller's sampling period
 	// (default 25ms).
 	SampleEvery time.Duration
 }
 
-func (o *FlowOptions) fill(delayBound int64) {
+func (o *FlowOptions) fill() {
 	if o.Disable {
 		return
 	}
@@ -295,9 +294,6 @@ func (o *FlowOptions) fill(delayBound int64) {
 	}
 	if o.InboxHigh == 0 {
 		o.InboxHigh = 4096
-	}
-	if o.DelayBoundCeiling == 0 {
-		o.DelayBoundCeiling = 4 * delayBound
 	}
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 25 * time.Millisecond
@@ -326,7 +322,7 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	o.Flow.fill(o.DelayBound)
+	o.Flow.fill()
 	if o.Elastic.SampleEvery <= 0 {
 		o.Elastic.SampleEvery = 250 * time.Millisecond
 	}
@@ -345,11 +341,9 @@ type System struct {
 	qs   *queryserv.Service
 	qapi *queryserv.API
 
-	// Overload controller state: the ladder base/ceiling for B and the
-	// bounds the pressure signal normalizes against (all fixed at New).
+	// Overload controller state: the bounds the pressure signal normalizes
+	// against (fixed at New).
 	flowCtl       *flow.Controller
-	flowBase      int64
-	flowCeil      int64
 	flowInboxHigh int
 	flowQueueCap  int
 
@@ -373,10 +367,7 @@ func New(program Program, opts Options) (*System, error) {
 // program (DESIGN.md §13): gathered updates fold into per-vertex pending
 // deltas through the program's commutative-associative accumulator, a
 // per-processor priority queue activates the most significant pendings
-// first, and sub-threshold pendings park until they matter. Under overload
-// the degradation ladder raises the significance threshold instead of the
-// delay bound alone, shrinking commit work while every withheld delta keeps
-// accumulating exactly.
+// first, and sub-threshold pendings park until they matter.
 func NewDelta(dp DeltaProgram, opts Options) (*System, error) {
 	return newSystem(nil, dp, opts)
 }
@@ -420,15 +411,12 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 		cfg.MaxPendingInputs = nonNeg(opts.Flow.MaxPendingInputs)
 		cfg.InboxHigh = nonNeg(opts.Flow.InboxHigh)
 		cfg.InboxLow = nonNeg(opts.Flow.InboxLow)
-		cfg.DelayBoundCeiling = nonNeg(opts.Flow.DelayBoundCeiling)
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &System{main: e, store: opts.Store, ownStore: ownStore, program: program, delta: dp, hub: hub}
-	s.flowBase = opts.DelayBound
-	s.flowCeil = cfg.DelayBoundCeiling
 	s.flowInboxHigh = cfg.InboxHigh
 	if s.flowQueueCap = opts.Query.QueueCap; s.flowQueueCap <= 0 {
 		s.flowQueueCap = 128 // the queryserv default
@@ -591,43 +579,25 @@ func (s *System) flowPressure() float64 {
 	return p
 }
 
-// applyFlowLevel is the degradation ladder. Each rung trades answer quality
-// or low-priority service for headroom, and every rung is reversible — input
-// is never dropped:
+// applyFlowLevel is the degradation ladder. It moves only the query
+// service, and every rung is reversible — input is never dropped:
 //
-//	level 0: exact service, configured delay bound.
-//	level 1: the query service imposes its degraded staleness floor, so
-//	         cache hits and coalescing absorb fork load.
-//	level 2: additionally raise the effective delay bound B to its ceiling —
-//	         fewer synchronization stalls, staler approximation.
-//	level 3: additionally shed queries below the priority cut with
-//	         ErrOverloaded.
+//	level 0:     exact service.
+//	level 1, 2:  the query service imposes its degraded staleness floor, so
+//	             cache hits and coalescing absorb fork load.
+//	level 3+:    additionally shed queries below the priority cut with
+//	             ErrOverloaded.
 //
-// A delta-mode loop (NewDelta) gets one more reversible lever: levels 2 and
-// 3 also boost the significance threshold (×4, ×16), so sub-threshold
-// pendings park instead of committing. Nothing is dropped — parked deltas
-// keep accumulating exactly, and stepping back down rescans them — the
-// approximation just coarsens to threshold-sized dust while the overload
-// lasts.
+// The controller still tells levels 1 and 2 apart, because the elastic
+// planner splits a hot partition from level 2 up.
 func (s *System) applyFlowLevel(level int) {
-	e := s.main
 	switch {
 	case level <= 0:
 		s.qs.SetDegraded(0)
-		e.SetDelayBound(s.flowBase)
-		e.SetDeltaBoost(1)
-	case level == 1:
+	case level <= 2:
 		s.qs.SetDegraded(1)
-		e.SetDelayBound(s.flowBase)
-		e.SetDeltaBoost(1)
-	case level == 2:
-		s.qs.SetDegraded(1)
-		e.SetDelayBound(s.flowCeil)
-		e.SetDeltaBoost(4)
 	default:
 		s.qs.SetDegraded(2)
-		e.SetDelayBound(s.flowCeil)
-		e.SetDeltaBoost(16)
 	}
 }
 
@@ -635,7 +605,7 @@ func (s *System) applyFlowLevel(level int) {
 // degradation state.
 type FlowStats struct {
 	// Engine is the main loop's flow snapshot: admission-gate ledger,
-	// transport inbox depths, credit stalls, effective delay bound.
+	// transport inbox depths, credit stalls.
 	Engine engine.FlowSnapshot
 	// OverloadLevel is the degradation ladder's current rung (0 = normal);
 	// OverloadTransitions counts rung changes and Degraded the cumulative
@@ -979,17 +949,6 @@ func (s *System) SetWireCorrupt(rate float64) bool { return s.main.SetWireCorrup
 
 // Stats returns the main loop's counters.
 func (s *System) Stats() StatsSnapshot { return s.main.StatsSnapshot() }
-
-// DeltaBoost returns the delta-mode significance threshold multiplier
-// (1 at rest, and always 1 in value mode).
-func (s *System) DeltaBoost() float64 { return s.main.DeltaBoost() }
-
-// SetDeltaBoost manually adjusts the delta-mode significance threshold
-// multiplier (clamped to >= 1; no-op in value mode) and returns the adopted
-// value. Lowering it rescans parked pendings, so the loop converges back to
-// the base threshold's fixed point. The overload controller drives the same
-// knob automatically at degradation levels 2 and 3.
-func (s *System) SetDeltaBoost(mult float64) float64 { return s.main.SetDeltaBoost(mult) }
 
 // IterationLog returns the main loop's per-iteration records.
 func (s *System) IterationLog() []IterationRecord { return s.main.IterationLog() }

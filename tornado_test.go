@@ -414,10 +414,4 @@ func TestNewDeltaQueryAndMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.SetDeltaBoost(8); got != 8 {
-		t.Fatalf("SetDeltaBoost(8) = %v", got)
-	}
-	if got := sys.SetDeltaBoost(1); got != 1 || sys.DeltaBoost() != 1 {
-		t.Fatalf("boost did not return to rest: %v / %v", got, sys.DeltaBoost())
-	}
 }
