@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-all vet bench bench-engine profile-ingest profile-query harness-test bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
+.PHONY: all build test race race-all vet bench bench-engine profile-ingest profile-query profile-delta-query harness-test bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store bench-elastic benchmark fuzz-store fuzz-codec soak-overload soak-elastic chaos chaos-wire check clean
 
 all: check
 
@@ -50,12 +50,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC store,
-# one exact query behind a churn burst (with the branch's commits, hosted
-# vertices and decoded versions per query), one commit in isolation, what one
-# more producer costs a hub consumer, and the message plane alone (ns and
-# allocs per delivered message, processor to processor and to itself).
+# one exact query behind a churn burst, value mode and delta mode (with the
+# branch's commits, iterations, emitted values, hosted vertices and decoded
+# versions per query), one commit in isolation, what one more producer costs a
+# hub consumer, and the message plane alone (ns and allocs per delivered
+# message, processor to processor and to itself).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$|BenchmarkEngineForkQuery$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$|BenchmarkEngineForkQuery$$|BenchmarkEngineDeltaForkQuery$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$|BenchmarkMessageHop$$' -benchmem -count 5 ./internal/engine/
 
 # One traced sssp_churn_mem pass of the BENCHMARK.json harness, then the share
@@ -99,6 +100,24 @@ profile-query:
 	@echo "  processor.touch:           $$($(call pprof_share_of,-focus='\(\*processor\)\.touch$$',$(QUERY_PROF)))"
 	@echo "stored-version decode:       $$($(call pprof_share_of,-focus='StateCodec\.(DecodeBlob|decodeVertex)$$',$(QUERY_PROF)))"
 	@echo "runtime GC (runtime.gc*):    $$($(call pprof_share_of,-focus='^runtime\.gc',$(QUERY_PROF)))"
+
+# BenchmarkEngineDeltaForkQuery under -cpuprofile (300 queries), then the share
+# of its samples whose stack passes through the commit (processor.commit, the
+# program's Update and the persist in it), the gather (processor.gatherUpdate,
+# where deltas fold into pendings; a gather that starts a commit counts in
+# both), the activation queue's own methods (delta.(*Queue)), the tracker,
+# the stored-version decode and the garbage collector. Like profile-query, the
+# profile holds the main loop's set-up and bursts too.
+DELTA_QUERY_PROF = .bench_build/delta-query/cpu.pprof
+profile-delta-query:
+	@mkdir -p .bench_build/delta-query
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineDeltaForkQuery$$' -benchtime 300x -o .bench_build/delta-query/tornado.test -cpuprofile $(DELTA_QUERY_PROF) .
+	@echo "processor.commit:            $$($(call pprof_share_of,-focus='\(\*processor\)\.commit$$',$(DELTA_QUERY_PROF)))"
+	@echo "processor.gatherUpdate:      $$($(call pprof_share_of,-focus='\(\*processor\)\.gatherUpdate$$',$(DELTA_QUERY_PROF)))"
+	@echo "delta.(*Queue).*:            $$($(call pprof_share_of,-focus='delta\.\(\*Queue\)\.',$(DELTA_QUERY_PROF)))"
+	@echo "engine.(*Tracker).*:         $$($(call pprof_share_of,-focus='engine\.\(\*Tracker\)\.',$(DELTA_QUERY_PROF)))"
+	@echo "stored-version decode:       $$($(call pprof_share_of,-focus='StateCodec\.(DecodeBlob|decodeVertex)$$',$(DELTA_QUERY_PROF)))"
+	@echo "runtime GC (runtime.gc*):    $$($(call pprof_share_of,-focus='^runtime\.gc',$(DELTA_QUERY_PROF)))"
 
 # Query-serving benchmark (small scale): prints the coalesced-vs-uncoalesced
 # table and leaves the BENCH_queries.json artifact.

@@ -227,44 +227,57 @@ func BenchmarkEngineIngestSSSP(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineForkQuery measures one exact query as the benchmark harness
-// issues it on sssp_churn_mem: a 64-tuple burst of edge churn (a tenth of the
-// graph kept missing, removals and re-adds interleaved) lands on a settled
-// PowerLawGraph(5000,4,1) loop, and the query forks at once, so the branch
-// converges behind input the main loop has not absorbed. The main loop
-// settles between operations, off the clock. Per query it reports the
-// branch's commits, the vertices it hosted, and the stored versions it
-// decoded to bootstrap them.
-func BenchmarkEngineForkQuery(b *testing.B) {
-	base := datasets.PowerLawGraph(5000, 4, 1)
-	sys, err := New(algorithms.SSSP{Source: 0}, Options{})
-	if err != nil {
-		b.Fatal(err)
+// edgeChurn is the benchmark harness's input stream over a base graph: an
+// endless pass over a seeded permutation of its edges in which a tenth of the
+// graph is kept missing — remove the next edge of the pass, re-add the one
+// removed longest ago — with timestamps after the base's.
+type edgeChurn struct {
+	base           []stream.Tuple
+	order          []int
+	removed, added int
+	ts             stream.Timestamp
+}
+
+func newEdgeChurn(base []stream.Tuple) *edgeChurn {
+	return &edgeChurn{base: base, order: rand.New(rand.NewSource(1)).Perm(len(base)), ts: stream.Timestamp(len(base))}
+}
+
+// fill overwrites burst with the stream's next len(burst) tuples.
+func (c *edgeChurn) fill(burst []stream.Tuple) {
+	for k := range burst {
+		c.ts++
+		if c.removed-c.added >= len(c.base)/10 {
+			e := c.base[c.order[c.added%len(c.order)]]
+			c.added++
+			burst[k] = stream.AddEdge(c.ts, e.Src, e.Dst)
+		} else {
+			e := c.base[c.order[c.removed%len(c.order)]]
+			c.removed++
+			burst[k] = stream.RemoveEdge(c.ts, e.Src, e.Dst)
+		}
 	}
+}
+
+// benchForkQuery measures one exact query as the benchmark harness issues it:
+// a 64-tuple burst of edge churn lands on a settled loop over base, and the
+// query forks at once, so the branch converges behind input the main loop has
+// not absorbed. The main loop settles between operations, off the clock. Per
+// query it reports the branch's commits, the iterations it ran, the values
+// its commits emitted, the vertices it hosted and the stored versions it
+// decoded to bootstrap them.
+func benchForkQuery(b *testing.B, sys *System, base []stream.Tuple) {
+	b.Helper()
 	defer sys.Close()
 	sys.IngestAll(base)
 	if err := sys.WaitQuiesce(time.Minute); err != nil {
 		b.Fatal(err)
 	}
-	order := rand.New(rand.NewSource(1)).Perm(len(base))
-	ts := stream.Timestamp(len(base))
-	removed, added := 0, 0
+	churn := newEdgeChurn(base)
 	burst := make([]stream.Tuple, 64)
-	var commits, hosted, loads int64
+	var commits, iters, emits, hosted, loads int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := range burst {
-			ts++
-			if removed-added >= len(base)/10 {
-				e := base[order[added%len(order)]]
-				added++
-				burst[k] = stream.AddEdge(ts, e.Src, e.Dst)
-			} else {
-				e := base[order[removed%len(order)]]
-				removed++
-				burst[k] = stream.RemoveEdge(ts, e.Src, e.Dst)
-			}
-		}
+		churn.fill(burst)
 		sys.IngestAll(burst)
 		res, err := sys.Query(time.Minute)
 		if err != nil {
@@ -273,7 +286,8 @@ func BenchmarkEngineForkQuery(b *testing.B) {
 		b.StopTimer()
 		br := res.Engine()
 		s := br.StatsSnapshot()
-		commits, loads = commits+s.Commits, loads+s.SnapshotLoads
+		commits, emits, loads = commits+s.Commits, emits+s.Emits, loads+s.SnapshotLoads
+		iters += s.Notified + 1 // a branch starts at iteration 0
 		for _, n := range br.LoadStats() {
 			hosted += int64(n)
 		}
@@ -284,8 +298,30 @@ func BenchmarkEngineForkQuery(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(commits)/float64(b.N), "commits/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+	b.ReportMetric(float64(emits)/float64(b.N), "emits/op")
 	b.ReportMetric(float64(hosted)/float64(b.N), "hosted/op")
 	b.ReportMetric(float64(loads)/float64(b.N), "loads/op")
+}
+
+// BenchmarkEngineForkQuery is benchForkQuery on sssp_churn_mem's shape:
+// value-mode SSSP on PowerLawGraph(5000,4,1).
+func BenchmarkEngineForkQuery(b *testing.B) {
+	sys, err := New(algorithms.SSSP{Source: 0}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchForkQuery(b, sys, datasets.PowerLawGraph(5000, 4, 1))
+}
+
+// BenchmarkEngineDeltaForkQuery is its delta twin, on pagerank_delta_churn's
+// shape: delta-accumulative PageRank on PowerLawGraph(500,4,1).
+func BenchmarkEngineDeltaForkQuery(b *testing.B) {
+	sys, err := NewDelta(algorithms.DeltaPageRank{}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchForkQuery(b, sys, datasets.PowerLawGraph(500, 4, 1))
 }
 
 // BenchmarkStorePut measures versioned store writes.

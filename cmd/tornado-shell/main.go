@@ -9,8 +9,9 @@
 //	tornado-shell [-algo sssp|pagerank] [-mode value|delta] [-source N] [-procs N] [-bound B] [-spares N] [-autoscale]
 //
 // With -mode delta the loop runs the delta-accumulative engine (DESIGN.md
-// §13): updates fold into per-vertex pending deltas, a priority queue
-// activates the most significant ones first, and 'stats' additionally shows
+// §13): updates fold into per-vertex pending deltas, an activation queue
+// fires them as the iteration frontier reaches them, most significant first,
+// and 'stats' additionally shows
 // the activation queue depth and the merged, parked and applied counts. The
 // fixed point is identical to value mode.
 //

@@ -11,12 +11,15 @@ type Item struct {
 	Token    int64
 }
 
-// Queue is an indexed max-heap of pending activations, one entry per
-// vertex. The index makes merge-in-place O(log n): when a new delta
-// arrives for an already-queued vertex the engine recomputes the merged
-// pending's priority and calls Update instead of pushing a duplicate, so
-// an activation is never lost and never doubled. Not safe for concurrent
-// use; each processor owns one.
+// Queue is an indexed heap of pending activations, one entry per vertex,
+// ordered by token ascending and, among equal tokens, by priority
+// descending: activations fire in iteration order, the highest-impact first
+// within an iteration. The index makes merge-in-place O(log n): when a new
+// delta arrives for an already-queued vertex the engine recomputes the
+// merged pending's priority and calls Update instead of pushing a
+// duplicate, so an activation is never lost and never doubled, and the
+// entry keeps the token it was pushed with. Not safe for concurrent use;
+// each processor owns one.
 type Queue struct {
 	items []Item
 	pos   map[stream.VertexID]int
@@ -69,7 +72,17 @@ func (q *Queue) Update(id stream.VertexID, prio float64) bool {
 	return true
 }
 
-// PopMax removes and returns the highest-priority activation.
+// PopReady removes and returns the head activation if its token is at or
+// below upTo; a later token leaves the queue untouched.
+func (q *Queue) PopReady(upTo int64) (Item, bool) {
+	if len(q.items) == 0 || q.items[0].Token > upTo {
+		return Item{}, false
+	}
+	return q.PopMax()
+}
+
+// PopMax removes and returns the head activation: the lowest token, and
+// among equal tokens the highest priority.
 func (q *Queue) PopMax() (Item, bool) {
 	if len(q.items) == 0 {
 		return Item{}, false
@@ -110,10 +123,18 @@ func (q *Queue) swap(i, j int) {
 	q.pos[q.items[j].ID] = j
 }
 
+// before reports whether a is ahead of b in the queue order.
+func before(a, b Item) bool {
+	if a.Token != b.Token {
+		return a.Token < b.Token
+	}
+	return a.Priority > b.Priority
+}
+
 func (q *Queue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q.items[parent].Priority >= q.items[i].Priority {
+		if !before(q.items[i], q.items[parent]) {
 			return
 		}
 		q.swap(i, parent)
@@ -125,17 +146,17 @@ func (q *Queue) down(i int) {
 	n := len(q.items)
 	for {
 		l, r := 2*i+1, 2*i+2
-		max := i
-		if l < n && q.items[l].Priority > q.items[max].Priority {
-			max = l
+		head := i
+		if l < n && before(q.items[l], q.items[head]) {
+			head = l
 		}
-		if r < n && q.items[r].Priority > q.items[max].Priority {
-			max = r
+		if r < n && before(q.items[r], q.items[head]) {
+			head = r
 		}
-		if max == i {
+		if head == i {
 			return
 		}
-		q.swap(i, max)
-		i = max
+		q.swap(i, head)
+		i = head
 	}
 }

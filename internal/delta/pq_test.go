@@ -9,15 +9,16 @@ import (
 )
 
 // checkInvariants verifies the heap property and the position index after
-// every mutation: items[parent] >= items[child], and pos maps every queued
-// vertex to its actual slot (and nothing else).
+// every mutation: no child is ahead of its parent in (token ascending,
+// priority descending) order, and pos maps every queued vertex to its actual
+// slot (and nothing else).
 func checkInvariants(t *testing.T, q *Queue) {
 	t.Helper()
 	for i := 1; i < len(q.items); i++ {
 		parent := (i - 1) / 2
-		if q.items[parent].Priority < q.items[i].Priority {
-			t.Fatalf("heap violation: items[%d].Priority=%v < items[%d].Priority=%v",
-				parent, q.items[parent].Priority, i, q.items[i].Priority)
+		if before(q.items[i], q.items[parent]) {
+			t.Fatalf("heap violation: items[%d]=%+v is ahead of its parent items[%d]=%+v",
+				i, q.items[i], parent, q.items[parent])
 		}
 	}
 	if len(q.pos) != len(q.items) {
@@ -34,10 +35,14 @@ func checkInvariants(t *testing.T, q *Queue) {
 // from vertex to its current (priority, token).
 type ref map[stream.VertexID]Item
 
+// popMax removes the model's head: the lowest token, then the highest
+// priority, then (arbitrarily, for determinism) the lowest ID.
 func (r ref) popMax() (Item, bool) {
 	best, ok := Item{}, false
 	for _, it := range r {
-		if !ok || it.Priority > best.Priority || (it.Priority == best.Priority && it.ID < best.ID) {
+		if !ok || it.Token < best.Token ||
+			(it.Token == best.Token && (it.Priority > best.Priority ||
+				(it.Priority == best.Priority && it.ID < best.ID))) {
 			best, ok = it, true
 		}
 	}
@@ -49,14 +54,14 @@ func (r ref) popMax() (Item, bool) {
 
 // TestQueueRandomOps drives random push/update/pop/remove interleavings
 // against the reference model, checking heap + index invariants after every
-// operation and that pops come out in non-increasing priority order between
-// mutations.
+// operation and that a drain comes out in (token ascending, priority
+// descending) order. Tokens come from a few iterations, so both orderings
+// are exercised.
 func TestQueueRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 50; round++ {
 		q := NewQueue()
 		model := ref{}
-		var nextTok int64
 		for op := 0; op < 400; op++ {
 			id := stream.VertexID(rng.Intn(40))
 			switch rng.Intn(5) {
@@ -70,9 +75,9 @@ func TestQueueRandomOps(t *testing.T) {
 					it.Priority = prio
 					model[id] = it
 				} else {
-					nextTok++
-					q.Push(id, prio, nextTok)
-					model[id] = Item{ID: id, Priority: prio, Token: nextTok}
+					tok := int64(rng.Intn(4))
+					q.Push(id, prio, tok)
+					model[id] = Item{ID: id, Priority: prio, Token: tok}
 				}
 			case 2: // pop
 				got, ok := q.PopMax()
@@ -80,19 +85,18 @@ func TestQueueRandomOps(t *testing.T) {
 				if ok != wok {
 					t.Fatalf("PopMax ok=%v, model ok=%v", ok, wok)
 				}
-				if ok && got.Priority != want.Priority {
-					t.Fatalf("PopMax priority=%v, model max=%v", got.Priority, want.Priority)
+				if ok && (got.Token != want.Token || got.Priority != want.Priority) {
+					t.Fatalf("PopMax = (token %d, priority %v), model head = (token %d, priority %v)",
+						got.Token, got.Priority, want.Token, want.Priority)
 				}
-				if ok {
+				if ok && got.ID != want.ID {
 					// Ties may pop a different vertex; put the model's choice
-					// back and take the heap's, so tokens stay matched.
-					if got.ID != want.ID {
-						model[want.ID] = want
-						want = model[got.ID]
-						delete(model, got.ID)
-					}
-					if got.Token != want.Token {
-						t.Fatalf("PopMax token=%d, model=%d: token lost or swapped", got.Token, want.Token)
+					// back and take the heap's, so the entries stay matched.
+					model[want.ID] = want
+					want = model[got.ID]
+					delete(model, got.ID)
+					if got.Token != want.Token || got.Priority != want.Priority {
+						t.Fatalf("PopMax = %+v, model holds %+v: entry lost or swapped", got, want)
 					}
 				}
 			case 3: // remove
@@ -116,19 +120,19 @@ func TestQueueRandomOps(t *testing.T) {
 			}
 			checkInvariants(t, q)
 		}
-		// Drain: priorities must come out sorted descending and the token
+		// Drain: entries must come out in queue order and the token
 		// multiset must match the model exactly (no token leaked or doubled).
 		var gotToks, wantToks []int64
-		last := float64(1 << 30)
-		for {
+		var last Item
+		for n := 0; ; n++ {
 			it, ok := q.PopMax()
 			if !ok {
 				break
 			}
-			if it.Priority > last {
-				t.Fatalf("drain out of order: %v after %v", it.Priority, last)
+			if n > 0 && before(it, last) {
+				t.Fatalf("drain out of order: %+v after %+v", it, last)
 			}
-			last = it.Priority
+			last = it
 			gotToks = append(gotToks, it.Token)
 		}
 		for _, it := range model {
@@ -151,11 +155,12 @@ func TestQueueRandomOps(t *testing.T) {
 // delta arrives for a vertex already queued, the engine calls Update (never
 // a second Push), and the single entry must survive with the new priority
 // and the ORIGINAL token — raising, lowering, and equal re-scores included.
+// The three share an iteration, so the re-scores decide the pop order.
 func TestQueueMergeKeepsActivation(t *testing.T) {
 	q := NewQueue()
 	q.Push(7, 1.0, 41)
-	q.Push(3, 5.0, 42)
-	q.Push(9, 3.0, 43)
+	q.Push(3, 5.0, 41)
+	q.Push(9, 3.0, 41)
 
 	// Merge raises vertex 7 above everything.
 	if !q.Update(7, 9.5) {
@@ -177,8 +182,8 @@ func TestQueueMergeKeepsActivation(t *testing.T) {
 	checkInvariants(t, q)
 	first, _ := q.PopMax()
 	second, _ := q.PopMax()
-	if first.ID != 9 || second.ID != 3 || second.Token != 42 {
-		t.Fatalf("drain after lowering = %+v, %+v; want 9 then 3 (token 42)", first, second)
+	if first.ID != 9 || second.ID != 3 || second.Token != 41 {
+		t.Fatalf("drain after lowering = %+v, %+v; want 9 then 3 (token 41)", first, second)
 	}
 	if _, ok := q.PopMax(); ok {
 		t.Fatal("queue not empty after draining both entries")
@@ -195,6 +200,50 @@ func TestQueueMergeKeepsActivation(t *testing.T) {
 	q.Push(4, 3.0, 45)
 }
 
+// TestQueueTokenOrder pins the queue order rule by rule: a lower token pops
+// first whatever the priorities, equal tokens pop by priority, Update keeps
+// the token the entry was pushed with, and PopReady leaves an entry above its
+// bound queued.
+func TestQueueTokenOrder(t *testing.T) {
+	q := NewQueue()
+	q.Push(1, 100, 9) // highest priority, latest iteration
+	q.Push(2, 0.5, 7)
+	q.Push(3, 2.0, 8)
+	q.Push(4, 5.0, 8)
+	checkInvariants(t, q)
+
+	// A lower token pops first, whatever the priorities.
+	if it, _ := q.PopMax(); it.ID != 2 || it.Token != 7 {
+		t.Fatalf("head = %+v; want vertex 2 (token 7) ahead of higher priorities at later tokens", it)
+	}
+	// Equal tokens pop by priority.
+	if it, _ := q.PopMax(); it.ID != 4 {
+		t.Fatalf("head = %+v; want vertex 4, the higher priority at token 8", it)
+	}
+	// Update keeps the older token: raising vertex 1 far above vertex 3 does
+	// not move it ahead of token 8.
+	if !q.Update(1, 1e9) {
+		t.Fatal("Update lost vertex 1")
+	}
+	checkInvariants(t, q)
+	if it, _ := q.PopMax(); it.ID != 3 || it.Token != 8 {
+		t.Fatalf("head = %+v; want vertex 3 (token 8) ahead of the re-scored token-9 entry", it)
+	}
+	// PopReady fires only what its bound has reached.
+	if it, ok := q.PopReady(8); ok {
+		t.Fatalf("PopReady(8) = %+v; want nothing (the head's token is 9)", it)
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d after a refused PopReady; want 1", q.Len())
+	}
+	if it, ok := q.PopReady(9); !ok || it.ID != 1 || it.Token != 9 || it.Priority != 1e9 {
+		t.Fatalf("PopReady(9) = %+v,%v; want vertex 1 with its original token 9 and the new priority", it, ok)
+	}
+	if _, ok := q.PopReady(1 << 62); ok {
+		t.Fatal("PopReady on an empty queue returned an entry")
+	}
+}
+
 // FuzzQueueOps feeds byte-driven operation sequences through the queue,
 // checking structural invariants and conservation of entries throughout.
 func FuzzQueueOps(f *testing.F) {
@@ -204,21 +253,30 @@ func FuzzQueueOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		q := NewQueue()
 		live := map[stream.VertexID]bool{}
-		var tok int64
 		for i := 0; i+1 < len(ops); i += 2 {
 			id := stream.VertexID(ops[i+1] % 16)
 			prio := float64(ops[i+1] % 32)
+			tok := int64(ops[i] / 4 % 4)
 			switch ops[i] % 4 {
 			case 0:
 				if _, queued := q.Priority(id); queued {
 					q.Update(id, prio)
 				} else {
-					tok++
 					q.Push(id, prio, tok)
 					live[id] = true
 				}
 			case 1:
-				if it, ok := q.PopMax(); ok {
+				var it Item
+				var ok bool
+				if tok%2 == 0 {
+					it, ok = q.PopMax()
+				} else {
+					ready := q.Len() > 0 && q.items[0].Token <= tok
+					if it, ok = q.PopReady(tok); ok != ready {
+						t.Fatalf("PopReady(%d) ok=%v, but the head's readiness is %v", tok, ok, ready)
+					}
+				}
+				if ok {
 					delete(live, it.ID)
 				}
 			case 2:
@@ -232,7 +290,7 @@ func FuzzQueueOps(f *testing.F) {
 				t.Fatalf("Len=%d but model holds %d", q.Len(), len(live))
 			}
 			for j := 1; j < len(q.items); j++ {
-				if q.items[(j-1)/2].Priority < q.items[j].Priority {
+				if before(q.items[j], q.items[(j-1)/2]) {
 					t.Fatalf("heap violation at %d", j)
 				}
 			}

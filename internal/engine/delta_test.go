@@ -336,3 +336,69 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 		t.Fatalf("Coalesced = %d; want 3", c)
 	}
 }
+
+// TestDeltaActivationWaitsForFrontier drives one processor by hand: a
+// significant delta whose token sits above notified+1 queues its activation
+// but must not commit at the window's end. A second delta for the same
+// vertex folds into the waiting pending, a frontier advance that stops short
+// still leaves it queued, and the advance that reaches the token fires ONE
+// commit consuming both deltas.
+func TestDeltaActivationWaitsForFrontier(t *testing.T) {
+	e, err := New(Config{
+		Processors: 1,
+		DelayBound: 8,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Delta:      dsumProg{},
+		Seed:       7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Stop)
+	p := e.proc(0)
+	deliver := func(from stream.VertexID, v float64) {
+		p.handleUpdate(msgUpdate{From: from, To: 2, Iteration: 2, Token: p.tk.AcquireFloor(3), Value: v, HasValue: true})
+		p.drainActQ() // the receive window ends
+	}
+	waiting := func(when string) {
+		t.Helper()
+		if c := e.stats.Commits.Value(); c != 0 {
+			t.Fatalf("%s: %d commits; the activation parked at iteration 3 must wait for the frontier (notified %d)",
+				when, c, p.notified)
+		}
+		if d := p.deltaDepth.Load(); d != 1 || p.actQ.Len() != 1 {
+			t.Fatalf("%s: queue depth %d (len %d); want the one waiting activation", when, d, p.actQ.Len())
+		}
+	}
+
+	deliver(1, 5.0)
+	waiting("first delta")
+	deliver(5, 3.0)
+	waiting("second delta")
+	if n := p.tk.TokenCount(); n != 1 {
+		t.Fatalf("TokenCount = %d with one merged activation queued; want 1 (the older token kept)", n)
+	}
+	p.handleFrontier(msgFrontier{Notified: 1})
+	p.drainActQ()
+	waiting("frontier at 1")
+
+	p.handleFrontier(msgFrontier{Notified: 2})
+	p.drainActQ()
+	if c := e.stats.Commits.Value(); c != 1 {
+		t.Fatalf("%d commits after the frontier reached the activation; want 1", c)
+	}
+	if d := p.deltaDepth.Load(); d != 0 || p.actQ.Len() != 0 {
+		t.Fatalf("queue depth %d after the activation fired; want 0", d)
+	}
+	if got := p.vertices[2].state.(*dsumState).Total; got != 8.0 {
+		t.Fatalf("committed total = %v; want 8 (both deltas folded into one commit)", got)
+	}
+	if merged, applied := e.stats.DeltaMerged.Value(), e.stats.DeltaApplied.Value(); merged != 1 || applied != 1 {
+		t.Fatalf("DeltaMerged = %d, DeltaApplied = %d; want 1 and 1", merged, applied)
+	}
+	if n := p.tk.TokenCount(); n != 0 {
+		t.Fatalf("TokenCount = %d after the commit; want 0", n)
+	}
+}

@@ -128,9 +128,10 @@ func (p *processor) migMaybeShip() {
 		if v.unloaded {
 			p.load(v)
 		}
-		// A queued activation travels as the pending slot itself: drop the
-		// entry and release its parked token (the coordinator's floor-0 pin
-		// covers the gap until the destination re-schedules).
+		// A queued activation — one still waiting for the frontier —
+		// travels as the pending slot itself: drop the entry and release its
+		// parked token (the coordinator's floor-0 pin covers the gap until
+		// the destination re-schedules it at its own frontier).
 		if p.actQ != nil {
 			if it, ok := p.actQ.Remove(v.id); ok {
 				p.deltaDepth.Add(-1)

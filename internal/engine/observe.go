@@ -64,7 +64,7 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 		sc.RegisterCounter("tornado_delta_applied_total",
 			"Pending deltas consumed by commits.", &e.stats.DeltaApplied)
 		sc.GaugeFunc("tornado_delta_activation_queue_depth",
-			"Summed per-processor activation-queue depth (drained to zero at every receive-window end).",
+			"Summed per-processor activation-queue depth: significant pendings waiting for the frontier to reach their iteration.",
 			func() float64 {
 				e.genMu.RLock()
 				defer e.genMu.RUnlock()

@@ -75,12 +75,13 @@ type processor struct {
 	combiner Combiner // non-nil when the program customizes coalescing
 
 	// Delta mode (cfg.Delta != nil): gathered messages fold into per-vertex
-	// pending slots, and actQ orders vertices with significant pendings so
-	// the highest-impact activation commits first. The queue is drained to
-	// empty at the end of every receive window, so entries never outlive a
-	// window — its depth (deltaDepth, read by the scrape-time gauge) measures
-	// in-window scheduling pressure. deltaBase caches dp.Threshold(), the
-	// significance bar a pending must clear to be scheduled.
+	// pending slots, and actQ orders vertices with significant pendings by
+	// their parked token's iteration, then by priority. An entry fires once
+	// the frontier reaches its iteration (drainActQ), so a vertex commits
+	// once per round, not once per delta; its depth (deltaDepth, read by the
+	// scrape-time gauge) counts activations waiting for the frontier.
+	// deltaBase caches dp.Threshold(), the significance bar a pending must
+	// clear to be scheduled.
 	dp         delta.Program
 	deltaBase  float64
 	actQ       *delta.Queue
@@ -202,9 +203,10 @@ func (p *processor) run() {
 				return
 			}
 		}
-		// Delta mode: consume the window's significant pendings in priority
-		// order before the flush, so the highest-impact activations commit
-		// (and coalesce) within the same frame window.
+		// Delta mode: fire the activations the frontier has reached, in
+		// priority order, before the flush, so they commit (and coalesce)
+		// within the same frame window. A frontier advance in this window
+		// is what releases the next round's.
 		p.drainActQ()
 		p.migMaybeShip()
 		p.flushOut()
@@ -442,17 +444,24 @@ func (p *processor) deltaSchedule(v *vertex, tok int64) {
 	p.tk.Release(tok)
 }
 
-// drainActQ consumes the activation queue in priority order: each popped
-// vertex is marked dirty (acquiring its own commit token before the queue
-// token is released) and offered to the three-phase protocol. Runs at the
-// end of every receive window, so the queue is empty whenever the processor
-// blocks — scheduling never delays quiescence.
+// drainActQ fires the activations the frontier has reached — those whose
+// parked token sits at p.notified+1, every lower iteration terminated — in
+// priority order: each popped vertex is marked dirty (acquiring its own
+// commit token before the queue token is released) and offered to the
+// three-phase protocol. Later entries wait, still holding their tokens, and
+// keep folding gathers into their pendings, so the commit that finally fires
+// consumes a whole round's deltas. A parked token holds the tracker's
+// minimum at or below its iteration, so the master announces the iteration
+// below once every lower obligation is gone; and a queued vertex is neither
+// dirty nor preparing — it acks PREPAREs at once — so no lower obligation
+// waits on it. Runs at the end of every receive window, handleFrontier's
+// included.
 func (p *processor) drainActQ() {
 	if p.dp == nil {
 		return
 	}
 	for {
-		it, ok := p.actQ.PopMax()
+		it, ok := p.actQ.PopReady(p.notified + 1)
 		if !ok {
 			return
 		}
@@ -660,15 +669,16 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 							p.loopU, uint64(m.To), uint64(m.From), p.sp.Now()))
 					}
 				}
-				// Significant pendings commit through the activation queue in
-				// priority order. Everything else must STILL commit this
-				// window: Gather may rewrite the per-producer record even when
-				// it yields no delta, and a parked pending has to reach the
-				// blob — quiescent checkpoints must equal in-memory state or
-				// branch forks and adoption silently lose records. The no-op
-				// commit emits nothing, so selective activation still saves
-				// its update messages. markDirty acquires its commit token
-				// before the message token is released.
+				// Significant pendings commit through the activation queue
+				// once the frontier reaches them. Everything else must STILL
+				// commit this window: Gather may rewrite the per-producer
+				// record even when it yields no delta, and a parked pending
+				// has to reach the blob — quiescent checkpoints must equal
+				// in-memory state or branch forks and adoption silently lose
+				// records. The no-op commit emits nothing, so selective
+				// activation still saves its update messages. markDirty
+				// acquires its commit token before the message token is
+				// released.
 				if !v.dirty && v.hasPending {
 					prio := p.dp.Priority(ctx, v.pending)
 					if _, queued := p.actQ.Priority(v.id); queued {

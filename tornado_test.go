@@ -415,3 +415,39 @@ func TestNewDeltaQueryAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeltaChurnCommitBudget holds the main loop's work per burst on
+// pagerank_delta_churn's shape: delta PageRank on PowerLawGraph(500,4,1)
+// absorbs ten 64-tuple churn bursts, each to quiescence. A vertex that
+// commits once for every delta that trickles in spends ≈ 5 900 commits a
+// burst; one that waits for the frontier and folds a round's deltas into
+// one commit spends ≈ 2 200.
+func TestDeltaChurnCommitBudget(t *testing.T) {
+	const bursts, budget = 10, 3500
+	base := datasets.PowerLawGraph(500, 4, 1)
+	sys, err := NewDelta(algorithms.DeltaPageRank{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	sys.IngestAll(base)
+	if err := sys.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	churn := newEdgeChurn(base)
+	burst := make([]stream.Tuple, 64)
+	start := sys.Stats()
+	for i := 0; i < bursts; i++ {
+		churn.fill(burst)
+		sys.IngestAll(burst)
+		if err := sys.WaitQuiesce(waitFor); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := sys.Stats()
+	mean := float64(end.Commits-start.Commits) / bursts
+	t.Logf("%.0f commits and %.1f iterations per burst", mean, float64(end.Notified-start.Notified)/bursts)
+	if mean > budget {
+		t.Fatalf("main loop spent %.0f commits per 64-tuple burst; budget %d", mean, budget)
+	}
+}
