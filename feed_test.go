@@ -104,7 +104,7 @@ const throttledProcs = 2
 func throttledFeed(t *testing.T, tuples []stream.Tuple, maxPending int) (*System, *Feed) {
 	t.Helper()
 	sys := newSSSP(t, Options{Processors: throttledProcs, DelayBound: 32,
-		Flow: FlowOptions{MaxPendingInputs: maxPending}})
+		Flow: FlowOptions{maxPendingInputs: maxPending}})
 	for i := 0; i < throttledProcs; i++ {
 		sys.Engine().SlowProcessor(i, 100*time.Microsecond)
 	}

@@ -32,9 +32,9 @@ func TestOverloadControllerLadder(t *testing.T) {
 		Processors: 2,
 		DelayBound: 8,
 		Flow: FlowOptions{
-			MaxPendingInputs: 64,
-			InboxHigh:        256,
-			SampleEvery:      time.Millisecond,
+			maxPendingInputs: 64,
+			inboxHigh:        256,
+			sampleEvery:      time.Millisecond,
 		},
 	})
 	// A paused processor pins its share of admitted inputs: the gate fills
@@ -89,22 +89,5 @@ func TestOverloadControllerLadder(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFlowDisabled: Flow.Disable restores the unbounded pre-flow-control
-// behavior — no admission gate, no controller.
-func TestFlowDisabled(t *testing.T) {
-	sys := newSSSP(t, Options{Processors: 2, Flow: FlowOptions{Disable: true}})
-	sys.IngestAll(datasets.PowerLawGraph(50, 2, 9))
-	if err := sys.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	st := sys.FlowStats()
-	if st.Engine.GateCapacity != 0 {
-		t.Fatalf("GateCapacity = %d with flow disabled, want 0", st.Engine.GateCapacity)
-	}
-	if st.OverloadLevel != 0 || st.OverloadTransitions != 0 {
-		t.Fatal("controller active with flow disabled")
 	}
 }

@@ -42,7 +42,7 @@ func newCommitProbe(tb testing.TB) (step func()) {
 			p.tk.Release(u.Token)
 		}
 		p.putLocal(w)
-		if n++; n%64 == 0 { // the main loop's CompactEvery: keeps the vertex's version chain short
+		if n++; n%64 == 0 { // defaultCompactEvery: keeps the vertex's version chain short
 			if err := store.Compact(storage.MainLoop, v.lastCommit); err != nil {
 				tb.Fatal(err)
 			}

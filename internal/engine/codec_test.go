@@ -18,8 +18,8 @@ import (
 
 // The SSSP test programs' states take the fixed-layout path, so the crash,
 // merge, migration and delta-recovery suites of this package exercise it;
-// countState, sumState, chatterState and dsumState have no binary layout and
-// keep the gob fallback under the same suites.
+// countState, sumState and dsumState have no binary layout and keep the gob
+// fallback under the same suites.
 const (
 	tagTestSSSP byte = 240 + iota
 	tagTestDSSSP

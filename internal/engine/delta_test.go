@@ -163,8 +163,8 @@ func TestDeltaChaosSoakRecovery(t *testing.T) {
 		ResendAfter:       5 * time.Millisecond,
 		Seed:              77,
 		HeartbeatInterval: heartbeatFor(nil),
-		SuspectAfter:      suspectAfterFor(nil),
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      suspectAfterFor(nil),
+		restartBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -234,8 +234,8 @@ func TestMigrationCrashAborts(t *testing.T) {
 		Program:           ssspProg{source: 0},
 		Seed:              97,
 		HeartbeatInterval: heartbeatFor(nil),
-		SuspectAfter:      suspectAfterFor(nil),
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      suspectAfterFor(nil),
+		restartBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

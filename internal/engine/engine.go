@@ -69,20 +69,15 @@ type Config struct {
 	// first, sub-threshold pendings park without committing, and
 	// checkpoints persist (state, pending) pairs.
 	Delta delta.Program
-	// Snapshot, when non-nil, bootstraps unseen vertices from another
-	// loop's versions instead of Program.Init.
-	Snapshot *SnapshotSource
-	// StartIteration is the first iteration this loop may commit in
+	// snapshot, when non-nil, bootstraps unseen vertices from another
+	// loop's versions instead of Program.Init. ForkBranch and every
+	// checkpoint restart set it.
+	snapshot *SnapshotSource
+	// startIteration is the first iteration this loop may commit in
 	// (default 0). Every checkpoint restart — crash recovery or Reshard —
 	// moves it above the last terminated iteration, so the resumed loop's
 	// versions supersede its history.
-	StartIteration int64
-	// MaxIterations halts the loop once that many iterations terminated
-	// (0 = unlimited).
-	MaxIterations int64
-	// Converge, when non-nil, is evaluated by the master for every
-	// terminated iteration; returning true halts the loop.
-	Converge func(iter, commits int64, progress float64) bool
+	startIteration int64
 	// Partition maps vertices to processors; defaults to modulo.
 	Partition func(stream.VertexID, int) int
 	// ResendAfter enables at-least-once delivery with the given
@@ -132,11 +127,9 @@ type Config struct {
 	InboxLow  int
 	// Seed drives all engine-internal randomness.
 	Seed int64
-	// CompactEvery makes the master compact the store every N terminated
-	// iterations, dropping versions superseded below the frontier (forks
-	// always happen at or above it, so they are unreachable). 0 disables
-	// compaction; the default for main loops is 64.
-	CompactEvery int64
+	// compactEvery overrides defaultCompactEvery for a main loop (0 = the
+	// constant). Only tests set it, to compact more often.
+	compactEvery int64
 	// Obs, when non-nil, attaches the loop to an observability hub: protocol
 	// counters and frontier gauges register under per-loop labels, the
 	// three-phase protocol flows events into the hub's tracer, and the loop
@@ -158,18 +151,15 @@ type Config struct {
 	// 0 disables supervision (crashes must be recovered manually with
 	// RecoverFromCheckpoint).
 	HeartbeatInterval time.Duration
-	// SuspectAfter is how many consecutive missed beats declare a node dead
-	// (default 3).
-	SuspectAfter int
-	// MaxRestarts is how many times one processor may crash within
-	// RestartWindow before the restart moves its range to a spare or the
-	// least-loaded survivor and quarantines its slot (default 5).
-	MaxRestarts int
-	// RestartWindow is the sliding window for MaxRestarts (default 1m).
-	RestartWindow time.Duration
-	// RestartBackoff is the base of the exponential restart backoff
-	// (default HeartbeatInterval).
-	RestartBackoff time.Duration
+	// suspectAfter, maxRestarts and restartWindow override the constants
+	// defaultSuspectAfter, defaultMaxRestarts and defaultRestartWindow, and
+	// restartBackoff the HeartbeatInterval backoff base (0 = the default).
+	// Only tests set them: a wide suspect window for loaded runners, a
+	// small restart budget to reach quarantine, a 1ms backoff.
+	suspectAfter   int
+	maxRestarts    int
+	restartWindow  time.Duration
+	restartBackoff time.Duration
 
 	// Ablation switches (benchmarking only; both default off = optimized).
 
@@ -180,6 +170,25 @@ type Config struct {
 	// instead of pruning entries below the terminated frontier.
 	DisableJournalPrune bool
 }
+
+// Defaults of the configuration values only tests override.
+const (
+	// defaultCompactEvery makes a main loop's master compact the store every
+	// 64 terminated iterations, dropping versions superseded below the
+	// frontier (forks always happen at or above it, so they are
+	// unreachable).
+	defaultCompactEvery = 64
+	// defaultSuspectAfter is how many consecutive missed heartbeats declare
+	// a node dead.
+	defaultSuspectAfter = 3
+	// defaultMaxRestarts is how many times one processor may crash within
+	// defaultRestartWindow before the restart moves its range to a spare or
+	// the least-loaded survivor and quarantines its slot.
+	defaultMaxRestarts = 5
+	// defaultRestartWindow is the sliding window restarts are counted over,
+	// for quarantine and for the exponential backoff.
+	defaultRestartWindow = time.Minute
+)
 
 func (c *Config) validate() error {
 	if c.Processors < 1 {
@@ -197,7 +206,7 @@ func (c *Config) validate() error {
 	if c.Store == nil {
 		return errors.New("engine: Store is required")
 	}
-	if c.Snapshot != nil && c.Snapshot.Handle == nil {
+	if c.snapshot != nil && c.snapshot.Handle == nil {
 		return errors.New("engine: Snapshot requires a Handle")
 	}
 	if (c.Program == nil) == (c.Delta == nil) {
@@ -206,8 +215,8 @@ func (c *Config) validate() error {
 	if c.Partition == nil {
 		c.Partition = func(id stream.VertexID, n int) int { return int(id % stream.VertexID(n)) }
 	}
-	if c.CompactEvery == 0 && c.Kind == MainLoop {
-		c.CompactEvery = 64
+	if c.compactEvery == 0 && c.Kind == MainLoop {
+		c.compactEvery = defaultCompactEvery
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
@@ -221,17 +230,17 @@ func (c *Config) validate() error {
 		c.InboxLow = c.InboxHigh / 2
 	}
 	if c.HeartbeatInterval > 0 {
-		if c.SuspectAfter < 1 {
-			c.SuspectAfter = 3
+		if c.suspectAfter < 1 {
+			c.suspectAfter = defaultSuspectAfter
 		}
-		if c.MaxRestarts < 1 {
-			c.MaxRestarts = 5
+		if c.maxRestarts < 1 {
+			c.maxRestarts = defaultMaxRestarts
 		}
-		if c.RestartWindow <= 0 {
-			c.RestartWindow = time.Minute
+		if c.restartWindow <= 0 {
+			c.restartWindow = defaultRestartWindow
 		}
-		if c.RestartBackoff <= 0 {
-			c.RestartBackoff = c.HeartbeatInterval
+		if c.restartBackoff <= 0 {
+			c.restartBackoff = c.HeartbeatInterval
 		}
 	}
 	return nil
@@ -247,6 +256,35 @@ type IterationRecord struct {
 	Commits int64
 	// Progress is the iteration's aggregated ReportProgress value.
 	Progress float64
+}
+
+// iterLogCap bounds the master's IterationLog. A delta loop under saturating
+// churn terminates thousands of iterations a second, so an unbounded log
+// grows by hundreds of megabytes an hour; the ring keeps the newest 65 536
+// records (2 MiB).
+const iterLogCap = 1 << 16
+
+// iterRing holds the newest max iteration records.
+type iterRing struct {
+	buf  []IterationRecord
+	max  int
+	next int // once buf is full: the oldest record, overwritten next
+}
+
+func (r *iterRing) add(rec IterationRecord) {
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, rec)
+		return
+	}
+	r.buf[r.next] = rec
+	r.next = (r.next + 1) % r.max
+}
+
+// records returns a copy of the retained records, oldest first.
+func (r *iterRing) records() []IterationRecord {
+	out := make([]IterationRecord, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // Stats are the engine's live counters.
@@ -320,7 +358,7 @@ type StatsSnapshot struct {
 	PendingPrepares int64
 	// Crashes and Recoveries count injected crashes and completed
 	// checkpoint restarts; Quarantined is the number of processors removed
-	// from rotation after exceeding MaxRestarts.
+	// from rotation after exceeding defaultMaxRestarts.
 	Crashes, Recoveries, Quarantined int64
 	// Generation counts loop incarnations (0 = never recovered).
 	Generation int64
@@ -385,8 +423,8 @@ func (inc *incarnation) crashed() bool {
 
 // Engine runs one loop (main or branch) of the iterative computation.
 type Engine struct {
-	// genMu guards the current incarnation, cfg's Snapshot and
-	// StartIteration, slow's width and the restart log, and serializes plan
+	// genMu guards the current incarnation, cfg's snapshot and
+	// startIteration, slow's width and the restart log, and serializes plan
 	// publishes. Processor goroutines never take it: they capture their
 	// incarnation's tracker and snapshot at construction, so a restart
 	// holding the write lock can wait for them to drain without deadlock.
@@ -470,7 +508,7 @@ type Engine struct {
 	traceCommits  []tracedCommit
 
 	iterMu   sync.Mutex
-	iterLog  []IterationRecord
+	iterLog  iterRing
 	haltSent bool
 
 	masterPaused atomic.Bool
@@ -504,6 +542,7 @@ func New(cfg Config) (*Engine, error) {
 		created:    time.Now(),
 		done:       make(chan struct{}),
 		slow:       make([]atomic.Int64, cfg.MaxProcessors),
+		iterLog:    iterRing{max: iterLogCap},
 	}
 	e.plan.Store(basePlan(cfg.Processors, cfg.MaxProcessors))
 	if cfg.MaxPendingInputs > 0 {
@@ -569,7 +608,7 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 		inc.net.SetFaults(e.faultDrop, e.faultDup)
 	}
 	e.faultMu.Unlock()
-	inc.tracker = NewTracker(e.cfg.StartIteration)
+	inc.tracker = NewTracker(e.cfg.startIteration)
 	// Every slot runs a processor goroutine: spares (and quarantined slots)
 	// idle on Recv owning nothing, so scaling out never has to mutate a live
 	// incarnation's topology.
@@ -633,7 +672,7 @@ func (e *Engine) cur() *incarnation {
 func (e *Engine) snapshot() *SnapshotSource {
 	e.genMu.RLock()
 	defer e.genMu.RUnlock()
-	return e.cfg.Snapshot
+	return e.cfg.snapshot
 }
 
 // Start launches the processors and the master. It may be called once.
@@ -797,16 +836,12 @@ func (e *Engine) masterRun(inc *incarnation) {
 				panic(fmt.Sprintf("engine: checkpoint flush: %v", err))
 			}
 			at := time.Since(e.start)
-			halt := false
 			e.iterMu.Lock()
 			for k := from; k <= to; k++ {
 				commits, progress := inc.tracker.IterStats(k)
-				e.iterLog = append(e.iterLog, IterationRecord{Iteration: k, At: at, Commits: commits, Progress: progress})
+				e.iterLog.add(IterationRecord{Iteration: k, At: at, Commits: commits, Progress: progress})
 				if e.iterCommitsHist != nil {
 					e.iterCommitsHist.Observe(float64(commits))
-				}
-				if e.cfg.Converge != nil && e.cfg.Converge(k, commits, progress) {
-					halt = true
 				}
 			}
 			e.iterMu.Unlock()
@@ -815,19 +850,12 @@ func (e *Engine) masterRun(inc *incarnation) {
 			if e.journal != nil && !e.cfg.DisableJournalPrune {
 				e.journal.Prune(to)
 			}
-			if n := e.cfg.CompactEvery; n > 0 && to/n > (from-1)/n {
+			if n := e.cfg.compactEvery; n > 0 && to/n > (from-1)/n {
 				if err := e.cfg.Store.Compact(e.cfg.LoopID, to); err != nil {
 					panic(fmt.Sprintf("engine: compact store: %v", err))
 				}
 			}
 			e.broadcast(inc, msgFrontier{Notified: to})
-			if e.cfg.MaxIterations > 0 && to+1 >= e.cfg.MaxIterations {
-				halt = true
-			}
-			if halt {
-				e.halt(inc)
-				return
-			}
 		}
 		if quiesced && e.cfg.Kind == BranchLoop {
 			// Frozen input and no obligations left: the branch converged.
@@ -926,8 +954,8 @@ func (e *Engine) halt(inc *incarnation) {
 	e.doneOnce.Do(func() { close(e.done) })
 }
 
-// Done is closed when the loop converges (branch quiescence, the Converge
-// predicate, or MaxIterations).
+// Done is closed when a branch loop converges (quiescence under frozen
+// input) or the engine stops.
 func (e *Engine) Done() <-chan struct{} { return e.done }
 
 // WaitDone blocks until the loop completes or the timeout expires.
@@ -1166,13 +1194,13 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 	}
 }
 
-// IterationLog returns a copy of the per-iteration termination records.
+// IterationLog returns a copy of the per-iteration termination records in
+// ascending iteration order: every record for a loop that terminated at most
+// 65 536 iterations, else the newest 65 536.
 func (e *Engine) IterationLog() []IterationRecord {
 	e.iterMu.Lock()
 	defer e.iterMu.Unlock()
-	out := make([]IterationRecord, len(e.iterLog))
-	copy(out, e.iterLog)
-	return out
+	return e.iterLog.records()
 }
 
 // ReadState returns the freshest stored application state of a vertex at or
@@ -1364,10 +1392,8 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 	// compaction below the fork iteration. From now on the branch reads an
 	// immutable root instead of racing the parent's live tree.
 	handle := cfg.Store.Snapshot(e.cfg.LoopID)
-	cfg.Snapshot = &SnapshotSource{UpTo: spec.ForkIter, Handle: handle}
-	cfg.Converge = nil
-	cfg.MaxIterations = 0
-	cfg.StartIteration = 0
+	cfg.snapshot = &SnapshotSource{UpTo: spec.ForkIter, Handle: handle}
+	cfg.startIteration = 0
 	// Branches are short-lived in-process scratch loops: they never ride the
 	// wire even when the parent does (override can opt back in).
 	cfg.Wire = nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -476,7 +477,7 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 		LoopID:     storage.LoopID(9),
 		Store:      store,
 		Program:    ssspProg{source: 0},
-		Snapshot:   &SnapshotSource{UpTo: ckpt, Handle: store.Snapshot(storage.MainLoop)},
+		snapshot:   &SnapshotSource{UpTo: ckpt, Handle: store.Snapshot(storage.MainLoop)},
 		Seed:       42,
 	})
 	if err != nil {
@@ -525,81 +526,6 @@ func TestAtLeastOnceTransportStillConverges(t *testing.T) {
 	checkSSSP(t, e, tuples)
 }
 
-func TestMaxIterationsHaltsLoop(t *testing.T) {
-	// A two-vertex cycle with a program that always re-emits runs forever;
-	// MaxIterations must stop it.
-	e, err := New(Config{
-		Processors:    1,
-		DelayBound:    4,
-		Kind:          MainLoop,
-		LoopID:        storage.MainLoop,
-		Store:         storage.NewMVCCStore(),
-		Program:       chatterProg{},
-		MaxIterations: 50,
-		Seed:          1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	defer e.Stop()
-	e.Ingest(stream.AddEdge(1, 0, 1))
-	e.Ingest(stream.AddEdge(2, 1, 0))
-	if err := e.WaitDone(waitFor); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConvergePredicateHaltsLoop(t *testing.T) {
-	stopAt := int64(20)
-	e, err := New(Config{
-		Processors: 2,
-		DelayBound: 4,
-		Kind:       MainLoop,
-		LoopID:     storage.MainLoop,
-		Store:      storage.NewMVCCStore(),
-		Program:    chatterProg{},
-		Converge:   func(iter, _ int64, _ float64) bool { return iter >= stopAt },
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	defer e.Stop()
-	e.Ingest(stream.AddEdge(1, 0, 1))
-	e.Ingest(stream.AddEdge(2, 1, 0))
-	if err := e.WaitDone(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	log := e.IterationLog()
-	if len(log) == 0 {
-		t.Fatal("no iteration records")
-	}
-}
-
-// chatterProg re-emits forever: used to exercise halting.
-type chatterProg struct{}
-
-type chatterState struct{ N int64 }
-
-func init() { RegisterStateType(&chatterState{}) }
-
-func (chatterProg) Init(ctx Context) { ctx.SetState(&chatterState{}) }
-
-func (chatterProg) OnInput(Context, stream.Tuple) {}
-
-func (chatterProg) Gather(ctx Context, _ stream.VertexID, _ int64, _ any) {
-	ctx.State().(*chatterState).N++
-}
-
-func (chatterProg) Scatter(ctx Context) {
-	st := ctx.State().(*chatterState)
-	for _, t := range ctx.Targets() {
-		ctx.Emit(t, st.N)
-	}
-}
-
 func TestIterationLogMonotone(t *testing.T) {
 	tuples := datasets.PowerLawGraph(60, 3, 41)
 	e := newSSSPEngine(t, 2, 4, storage.NewMVCCStore(), storage.MainLoop)
@@ -640,6 +566,62 @@ func TestIterationLogMonotone(t *testing.T) {
 	}
 }
 
+// TestIterationLogRingWraps: the master's log keeps only the newest records
+// once it holds its capacity, and hands them back oldest first — a partial
+// ring and a wrapped one alike, and on a running loop whose frontier outruns
+// a small ring.
+func TestIterationLogRingWraps(t *testing.T) {
+	r := iterRing{max: 4}
+	iters := func() []int64 {
+		var out []int64
+		for _, rec := range r.records() {
+			out = append(out, rec.Iteration)
+		}
+		return out
+	}
+	for k := int64(0); k < 3; k++ {
+		r.add(IterationRecord{Iteration: k})
+	}
+	if got := iters(); !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Fatalf("partial ring = %v, want [0 1 2]", got)
+	}
+	for k := int64(3); k < 10; k++ {
+		r.add(IterationRecord{Iteration: k})
+	}
+	if got := iters(); !slices.Equal(got, []int64{6, 7, 8, 9}) {
+		t.Fatalf("wrapped ring = %v, want [6 7 8 9]", got)
+	}
+
+	const ring = 4
+	e := newSSSPEngine(t, 2, 4, storage.NewMVCCStore(), storage.MainLoop)
+	e.iterLog = iterRing{max: ring}
+	e.Start()
+	defer e.Stop()
+	e.IngestAll(datasets.PowerLawGraph(60, 3, 41))
+	if err := e.WaitSettled(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Notified(); n < 2*ring {
+		t.Fatalf("frontier reached only %d: the ring of %d never wrapped", n, ring)
+	}
+	deadline := time.Now().Add(waitFor)
+	for {
+		log := e.IterationLog()
+		if len(log) == ring && log[ring-1].Iteration == e.Notified() {
+			for i := 1; i < ring; i++ {
+				if log[i].Iteration != log[i-1].Iteration+1 {
+					t.Fatalf("retained records not ascending and contiguous: %v", log)
+				}
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("log of %d records never ended at the frontier %d: %v", len(log), e.Notified(), log)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	store := storage.NewMVCCStore()
 	cases := []Config{
@@ -647,7 +629,7 @@ func TestConfigValidation(t *testing.T) {
 		{Processors: 1, DelayBound: 0, Store: store, Program: ssspProg{}},
 		{Processors: 1, DelayBound: 1, Program: ssspProg{}},
 		{Processors: 1, DelayBound: 1, Store: store},
-		{Processors: 1, DelayBound: 1, Store: store, Program: ssspProg{}, Snapshot: &SnapshotSource{}},
+		{Processors: 1, DelayBound: 1, Store: store, Program: ssspProg{}, snapshot: &SnapshotSource{}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

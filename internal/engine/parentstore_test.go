@@ -1,4 +1,4 @@
-package algorithms
+package engine_test
 
 import (
 	"bytes"
@@ -6,12 +6,18 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
+	"tornado/internal/algorithms"
 	"tornado/internal/datasets"
 	"tornado/internal/engine"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
+
+// The test lives outside package engine because the blobs are what the real
+// algorithms.SSSP program stored; export_test.go gives it the branch
+// snapshot that only ForkBranch and checkpoint restarts set otherwise.
 
 // parentStore is what a build of the commit before the in-memory vertex
 // layout changed (PR 18's parent) left in its main-loop store after settling
@@ -73,25 +79,24 @@ func TestBranchBootstrapsFromParentWrittenStore(t *testing.T) {
 		}
 		ids = append(ids, r.vertex)
 	}
-	br, err := engine.New(engine.Config{
+	br, err := engine.New(engine.WithSnapshot(engine.Config{
 		Processors: 2, DelayBound: 8, Kind: engine.BranchLoop, LoopID: storage.LoopID(1),
-		Store: store, Program: SSSP{Source: 0}, Seed: 7,
-		Snapshot: &engine.SnapshotSource{UpTo: parentStoreUpTo, Handle: store.Snapshot(storage.MainLoop)},
-	})
+		Store: store, Program: algorithms.SSSP{Source: 0}, Seed: 7,
+	}, &engine.SnapshotSource{UpTo: parentStoreUpTo, Handle: store.Snapshot(storage.MainLoop)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	br.Start()
 	defer br.Stop()
 	br.Activate(ids...)
-	if err := br.WaitDone(waitFor); err != nil {
+	if err := br.WaitDone(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Distances(br)
+	got, err := algorithms.Distances(br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, w := range RefSSSP(parentStoreTuples(), 0, 64) {
+	for v, w := range algorithms.RefSSSP(parentStoreTuples(), 0, 64) {
 		if g, ok := got[v]; !ok || g != w {
 			t.Fatalf("vertex %d: branch distance %d (present %v), reference %d", v, g, ok, w)
 		}

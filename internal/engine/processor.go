@@ -135,12 +135,12 @@ func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Track
 		eng:      eng,
 		ep:       ep,
 		tk:       tk,
-		snap:     eng.cfg.Snapshot,
+		snap:     eng.cfg.snapshot,
 		tr:       eng.tracer,
 		loopU:    uint64(eng.cfg.LoopID),
 		sp:       eng.spans,
 		vertices: make(map[stream.VertexID]*vertex),
-		notified: eng.cfg.StartIteration - 1,
+		notified: eng.cfg.startIteration - 1,
 		holdback: make(map[int64][]msgUpdate, 16),
 		out:      newOutbox(slots),
 		spare:    new(msgBatch),

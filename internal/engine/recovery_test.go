@@ -212,10 +212,10 @@ func TestFlappingProcessorQuarantined(t *testing.T) {
 		Program:           ssspProg{source: 0},
 		Seed:              41,
 		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      5,
-		MaxRestarts:       2,
-		RestartWindow:     time.Minute,
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      5,
+		maxRestarts:       2,
+		restartWindow:     time.Minute,
+		restartBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestFaultPlanSchedule(t *testing.T) {
 		Program:           ssspProg{source: 0},
 		Seed:              51,
 		HeartbeatInterval: 2 * time.Millisecond,
-		RestartBackoff:    time.Millisecond,
+		restartBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,10 +354,10 @@ func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
 		Program:           ssspProg{source: 0},
 		Seed:              43,
 		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      5,
-		MaxRestarts:       2,
-		RestartWindow:     time.Minute,
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      5,
+		maxRestarts:       2,
+		restartWindow:     time.Minute,
+		restartBackoff:    time.Millisecond,
 		Obs:               hub,
 	})
 	if err != nil {
@@ -469,7 +469,7 @@ func TestWaitQuiesceAwaitsCrashRestart(t *testing.T) {
 		Program:           ssspProg{source: 0},
 		Seed:              53,
 		HeartbeatInterval: 10 * time.Millisecond,
-		RestartBackoff:    time.Millisecond,
+		restartBackoff:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

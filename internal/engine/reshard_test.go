@@ -150,7 +150,7 @@ func TestCompactionBoundsMainLoopVersions(t *testing.T) {
 		Processors: 2, DelayBound: 4, Kind: MainLoop,
 		LoopID: storage.MainLoop, Store: store,
 		Program: ssspProg{source: 0}, Seed: 42,
-		CompactEvery: 4,
+		compactEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestCompactionSparesPinnedForks(t *testing.T) {
 		Processors: 2, DelayBound: 4, Kind: MainLoop,
 		LoopID: storage.MainLoop, Store: store,
 		Program: ssspProg{source: 0}, Seed: 42,
-		CompactEvery: 2, // aggressive
+		compactEvery: 2, // aggressive
 	})
 	if err != nil {
 		t.Fatal(err)

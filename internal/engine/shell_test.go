@@ -122,7 +122,7 @@ func TestShellLoadsStoredTargets(t *testing.T) {
 	handle := store.Snapshot(storage.MainLoop)
 	defer handle.Release()
 	br, err := New(Config{Processors: 1, DelayBound: 1 << 40, Kind: BranchLoop, LoopID: storage.LoopID(1), Store: store,
-		Program: ssspProg{source: 0}, Seed: 1, Snapshot: &SnapshotSource{UpTo: e.Notified(), Handle: handle}})
+		Program: ssspProg{source: 0}, Seed: 1, snapshot: &SnapshotSource{UpTo: e.Notified(), Handle: handle}})
 	if err != nil {
 		t.Fatal(err)
 	}

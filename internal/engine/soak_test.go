@@ -28,7 +28,7 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 		Program:      ssspProg{source: 0},
 		ResendAfter:  5 * time.Millisecond,
 		Seed:         2016,
-		CompactEvery: 16,
+		compactEvery: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +194,8 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 		ResendAfter:       5 * time.Millisecond,
 		Seed:              77,
 		HeartbeatInterval: heartbeatFor(wire),
-		SuspectAfter:      suspectAfterFor(wire),
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      suspectAfterFor(wire),
+		restartBackoff:    time.Millisecond,
 		Wire:              wire,
 	})
 	if err != nil {
@@ -345,8 +345,8 @@ func runChaosSoakSurgeOverload(t *testing.T, wire *WireSpec) {
 		InboxHigh:         inboxHigh,
 		InboxLow:          64,
 		HeartbeatInterval: heartbeatFor(wire),
-		SuspectAfter:      suspectAfterFor(wire),
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      suspectAfterFor(wire),
+		restartBackoff:    time.Millisecond,
 		Wire:              wire,
 	})
 	if err != nil {

@@ -15,11 +15,12 @@ package engine
 //     unlike PauseProcessor, which merely models a partition;
 //   - a supervisor goroutine per incarnation that watches heartbeats from
 //     every processor and the master, declares a node dead after
-//     SuspectAfter missed beats, and restarts the loop from the checkpoint;
+//     defaultSuspectAfter missed beats, and restarts the loop from the
+//     checkpoint;
 //   - exponential backoff with jitter between successive restarts, and
-//     quarantine of processors that crash more than MaxRestarts times in
-//     RestartWindow: the restart publishes a plan that moves their range to
-//     a spare or the least-loaded survivor;
+//     quarantine of processors that crash more than defaultMaxRestarts
+//     times in defaultRestartWindow: the restart publishes a plan that
+//     moves their range to a spare or the least-loaded survivor;
 //   - a deterministic fault-plan API for chaos tests (crash processor i at
 //     iteration k, crash the master, crash in the middle of a branch fork).
 //
@@ -157,7 +158,7 @@ func (e *Engine) heartbeatRun(inc *incarnation, proc int, ep *transport.Endpoint
 
 // superviseRun is the failure detector of one incarnation. It drains
 // heartbeats from the supervisor endpoint, declares any node silent for more
-// than SuspectAfter intervals dead, backs off exponentially on repeated
+// than suspectAfter intervals dead, backs off exponentially on repeated
 // restarts, and triggers the checkpoint recovery. It exits after one
 // recovery attempt — the next incarnation starts its own supervisor.
 func (e *Engine) superviseRun(inc *incarnation) {
@@ -172,7 +173,7 @@ func (e *Engine) superviseRun(inc *incarnation) {
 	case <-inc.ready:
 	}
 	hb := e.cfg.HeartbeatInterval
-	suspect := time.Duration(e.cfg.SuspectAfter)*hb + hb/2
+	suspect := time.Duration(e.cfg.suspectAfter)*hb + hb/2
 	rng := rand.New(rand.NewSource(e.cfg.Seed ^ int64(inc.gen)<<21 ^ 0x7ee1))
 	start := time.Now()
 	last := make([]time.Time, len(inc.procs))
@@ -248,11 +249,11 @@ func (e *Engine) superviseRun(inc *incarnation) {
 }
 
 // restartDelay computes the exponential backoff before the next restart:
-// zero for a first failure, then RestartBackoff doubled per restart observed
-// within RestartWindow (capped at 64x) plus up to 25% jitter.
+// zero for a first failure, then restartBackoff doubled per restart observed
+// within restartWindow (capped at 64x) plus up to 25% jitter.
 func (e *Engine) restartDelay(rng *rand.Rand) time.Duration {
 	e.genMu.RLock()
-	cutoff := time.Now().Add(-e.cfg.RestartWindow)
+	cutoff := time.Now().Add(-e.cfg.restartWindow)
 	n := 0
 	for _, ts := range e.restartLog {
 		for _, t := range ts {
@@ -261,7 +262,7 @@ func (e *Engine) restartDelay(rng *rand.Rand) time.Duration {
 			}
 		}
 	}
-	base := e.cfg.RestartBackoff
+	base := e.cfg.restartBackoff
 	e.genMu.RUnlock()
 	if n == 0 || base <= 0 {
 		return 0
@@ -282,11 +283,11 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 	var quarantined []int
 	ninc, resume, replayed := e.restart(from, func(p *PartitionPlan) *PartitionPlan {
 		now := time.Now()
-		cutoff := now.Add(-e.cfg.RestartWindow)
+		cutoff := now.Add(-e.cfg.restartWindow)
 		next := p
 		for _, i := range deadProcs {
 			e.restartLog[i] = append(slices.DeleteFunc(e.restartLog[i], func(t time.Time) bool { return !t.After(cutoff) }), now)
-			if e.cfg.MaxRestarts > 0 && len(e.restartLog[i]) > e.cfg.MaxRestarts && next.Active[i] != slotQuarantined {
+			if e.cfg.maxRestarts > 0 && len(e.restartLog[i]) > e.cfg.maxRestarts && next.Active[i] != slotQuarantined {
 				if q := next.withQuarantine(i, func(s int) int { return from.procs[s].hostedCount() }); q != nil {
 					next, quarantined = q, append(quarantined, i)
 				}
@@ -315,7 +316,7 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 	}
 	for _, i := range quarantined {
 		e.recordEvent(RecoveryEvent{Kind: EventQuarantine, Proc: i, Gen: ninc.gen,
-			Detail: fmt.Sprintf("crashed >%d times in %v; range moved off the slot", e.cfg.MaxRestarts, e.cfg.RestartWindow)})
+			Detail: fmt.Sprintf("crashed >%d times in %v; range moved off the slot", e.cfg.maxRestarts, e.cfg.restartWindow)})
 	}
 	e.recordEvent(RecoveryEvent{Kind: EventRecovery, Proc: -2, Gen: ninc.gen, Resume: resume,
 		Detail: fmt.Sprintf("%s; replayed %d inputs", reason, replayed)})
@@ -388,9 +389,9 @@ func (e *Engine) restart(from *incarnation, next func(*PartitionPlan) *Partition
 	// resume, so commits landing in the live tree after it are never shadowed
 	// and never leak in); the handle the engine read through before — a
 	// fork's, or a previous restart's — is released, idempotently.
-	e.cfg.Snapshot.release()
-	e.cfg.Snapshot = &SnapshotSource{UpTo: resume, Handle: e.cfg.Store.Snapshot(e.cfg.LoopID)}
-	e.cfg.StartIteration = resume + 1
+	e.cfg.snapshot.release()
+	e.cfg.snapshot = &SnapshotSource{UpTo: resume, Handle: e.cfg.Store.Snapshot(e.cfg.LoopID)}
+	e.cfg.startIteration = resume + 1
 	e.plan.Store(next(e.plan.Load()))
 	// Per-slot state that outlives incarnations follows the slot count.
 	if n := len(e.plan.Load().Active); n > len(e.slow) {

@@ -104,8 +104,8 @@ func TestWireModeCrashRecovery(t *testing.T) {
 		// (recover → stall → re-suspect, forever), still sub-second
 		// detection of the injected crash.
 		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      30,
-		RestartBackoff:    time.Millisecond,
+		suspectAfter:      30,
+		restartBackoff:    time.Millisecond,
 		Wire:              &WireSpec{Mem: transport.NewMemWire()},
 	})
 	if err != nil {

@@ -52,45 +52,40 @@ type Decision struct {
 	Proc   int // the partition to split or merge
 }
 
-// ScalePlannerOptions tunes the planner's hysteresis. Zero values pick
+// Planner hysteresis constants.
+const (
+	// splitLevel is the minimum overload-ladder level that counts as
+	// split-worthy degradation: pressure outlasted the first rung — the
+	// query staleness floor alone did not relieve it.
+	splitLevel = 2
+	// mergeAfter is how many consecutive level-0 samples with a starved
+	// scaled-out partition arm a merge: scale in far more cautiously than
+	// out.
+	mergeAfter = 8
+	// minVertices is the minimum vertex count a partition must host to be
+	// split; splitting a tiny partition just moves the hotspot.
+	minVertices = 16
+)
+
+// ScalePlannerOptions tunes the planner's split trigger. Zero values pick
 // conservative defaults.
 type ScalePlannerOptions struct {
-	// SplitLevel is the minimum overload-ladder level that counts as
-	// split-worthy degradation (default 2: pressure outlasted the first
-	// rung — the query staleness floor alone did not relieve it).
-	SplitLevel int
 	// SplitAfter is how many consecutive degraded-and-concentrated samples
 	// arm a split (default 3).
 	SplitAfter int
-	// MergeAfter is how many consecutive level-0 samples with a starved
-	// scaled-out partition arm a merge (default 8: scale in far more
-	// cautiously than out).
-	MergeAfter int
 	// Concentration is the minimum ratio of the hottest partition's update
 	// rate to the mean across active partitions for the heat to count as
 	// concentrated — splitting helps a skewed partition, not a uniformly
 	// overloaded system (default 2.0).
 	Concentration float64
-	// MinVertices is the minimum vertex count a partition must host to be
-	// split (default 16; splitting a tiny partition just moves the hotspot).
-	MinVertices int
 }
 
 func (o *ScalePlannerOptions) fill() {
-	if o.SplitLevel <= 0 {
-		o.SplitLevel = 2
-	}
 	if o.SplitAfter <= 0 {
 		o.SplitAfter = 3
 	}
-	if o.MergeAfter <= 0 {
-		o.MergeAfter = 8
-	}
 	if o.Concentration <= 0 {
 		o.Concentration = 2.0
-	}
-	if o.MinVertices <= 0 {
-		o.MinVertices = 16
 	}
 }
 
@@ -136,8 +131,8 @@ func (p *ScalePlanner) Decide(level int, loads []PartitionLoad, spareAvailable b
 
 	// Split: sustained L2+ degradation whose update traffic concentrates in
 	// one sufficiently large partition, with somewhere to put the other half.
-	splitWorthy := level >= p.opts.SplitLevel && spareAvailable &&
-		hottest >= 0 && loads[hottest].Vertices >= p.opts.MinVertices &&
+	splitWorthy := level >= splitLevel && spareAvailable &&
+		hottest >= 0 && loads[hottest].Vertices >= minVertices &&
 		(active == 1 || (mean > 0 && loads[hottest].UpdateRate >= p.opts.Concentration*mean))
 	if splitWorthy {
 		p.idle = 0
@@ -156,7 +151,7 @@ func (p *ScalePlanner) Decide(level int, loads []PartitionLoad, spareAvailable b
 		loads[coldest].UpdateRate <= mean/p.opts.Concentration
 	if mergeWorthy {
 		p.idle++
-		if p.idle >= p.opts.MergeAfter {
+		if p.idle >= mergeAfter {
 			p.Reset()
 			return Decision{Action: ScaleMerge, Proc: loads[coldest].Proc}
 		}

@@ -12,13 +12,13 @@ func TestHistogramPercentileCacheInvalidation(t *testing.T) {
 	var h Histogram
 	h.Observe(10)
 	h.Observe(20)
-	if got := h.Max(); got != 20 {
-		t.Fatalf("Max = %v; want 20", got)
+	if got := h.Percentile(100); got != 20 {
+		t.Fatalf("Percentile(100) = %v; want 20", got)
 	}
 	// The cache is now populated; a new extreme sample must invalidate it.
 	h.Observe(5)
-	if got := h.Min(); got != 5 {
-		t.Fatalf("Min after cache-invalidating Observe = %v; want 5", got)
+	if got := h.Percentile(0); got != 5 {
+		t.Fatalf("Percentile(0) after cache-invalidating Observe = %v; want 5", got)
 	}
 	h.Observe(100)
 	if got := h.Percentile(100); got != 100 {
@@ -29,8 +29,8 @@ func TestHistogramPercentileCacheInvalidation(t *testing.T) {
 	}
 	h.Reset()
 	h.Observe(7)
-	if got := h.Max(); got != 7 {
-		t.Fatalf("Max after Reset = %v; want 7", got)
+	if got := h.Percentile(100); got != 7 {
+		t.Fatalf("Percentile(100) after Reset = %v; want 7", got)
 	}
 }
 
@@ -48,51 +48,5 @@ func TestBucketizeSkipsEmptyBuckets(t *testing.T) {
 	}
 	if pts[0].Value != 2 || pts[1].Value != 4 {
 		t.Fatalf("rates = %v, %v; want 2, 4", pts[0].Value, pts[1].Value)
-	}
-}
-
-func TestBucketizeFilledEmitsZeros(t *testing.T) {
-	s := NewSeries()
-	w := time.Second
-	s.RecordAt(100*time.Millisecond, 2)
-	s.RecordAt(3500*time.Millisecond, 4)
-	pts := s.BucketizeFilled(w)
-	if len(pts) != 4 {
-		t.Fatalf("BucketizeFilled = %d points; want 4 (gaps filled): %v", len(pts), pts)
-	}
-	wantAt := []time.Duration{0, time.Second, 2 * time.Second, 3 * time.Second}
-	wantVal := []float64{2, 0, 0, 4}
-	for i, p := range pts {
-		if p.At != wantAt[i] || p.Value != wantVal[i] {
-			t.Fatalf("point %d = {%v %v}; want {%v %v}", i, p.At, p.Value, wantAt[i], wantVal[i])
-		}
-	}
-}
-
-func TestBucketizeFilledMatchesBucketizeWhenDense(t *testing.T) {
-	s := NewSeries()
-	for i := 0; i < 10; i++ {
-		s.RecordAt(time.Duration(i)*300*time.Millisecond, 1)
-	}
-	a := s.Bucketize(time.Second)
-	b := s.BucketizeFilled(time.Second)
-	if len(a) != len(b) {
-		t.Fatalf("dense series: Bucketize %d points, Filled %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("point %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestBucketizeFilledEmpty(t *testing.T) {
-	s := NewSeries()
-	if got := s.BucketizeFilled(time.Second); got != nil {
-		t.Fatalf("empty series = %v; want nil", got)
-	}
-	s.RecordAt(time.Second, 1)
-	if got := s.BucketizeFilled(0); got != nil {
-		t.Fatalf("zero width = %v; want nil", got)
 	}
 }

@@ -1,12 +1,10 @@
 // Package metrics provides the measurement primitives used by the Tornado
 // benchmark harness: counters, duration histograms with percentile queries
-// (the paper reports 99th-percentile latencies), rate meters for message
-// throughput (Figure 9b), and time-series recorders for every
-// quantity-versus-time figure (Figures 6-8).
+// (the paper reports 99th-percentile latencies), and time-series recorders
+// for every quantity-versus-time figure (Figures 6-8).
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -43,7 +41,7 @@ type Histogram struct {
 	mu      sync.Mutex
 	samples []float64
 	// sorted caches an ascending copy of samples; Observe invalidates it,
-	// so a burst of percentile queries (Min, Max, p50, p99 in one report
+	// so a burst of percentile queries (p0, p50, p99, p100 in one report
 	// row) sorts once instead of once per call.
 	sorted []float64
 	sum    float64
@@ -73,23 +71,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(len(h.samples))
-}
-
-// Stddev returns the population standard deviation of the samples.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := h.sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using the
@@ -126,12 +107,6 @@ func (h *Histogram) sortedLocked() []float64 {
 	return h.sorted
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
 // Reset discards all samples.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
@@ -158,11 +133,6 @@ type Series struct {
 // NewSeries returns a Series whose time origin is now.
 func NewSeries() *Series {
 	return &Series{origin: time.Now()}
-}
-
-// NewSeriesAt returns a Series with an explicit time origin.
-func NewSeriesAt(origin time.Time) *Series {
-	return &Series{origin: origin}
 }
 
 // Record appends an observation at the current wall time.
@@ -195,16 +165,6 @@ func (s *Series) Len() int {
 	return len(s.points)
 }
 
-// Last returns the most recently recorded value, or 0 if empty.
-func (s *Series) Last() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.points) == 0 {
-		return 0
-	}
-	return s.points[len(s.points)-1].Value
-}
-
 // Bucketize aggregates the series into fixed-width time buckets, returning
 // one point per non-empty bucket whose value is the sum of the bucket's
 // observations divided by the bucket width in seconds (i.e. a rate), which is
@@ -214,22 +174,8 @@ func (s *Series) Last() float64 {
 // each returned Point.At is the start offset of a bucket that actually
 // received data, and consecutive points may be more than one width apart. A
 // plot that connects consecutive points therefore interpolates across the
-// dead air (a stall reads as a line, not a drop to zero). When downstream
-// consumers need an explicit zero for every silent bucket, use
-// BucketizeFilled.
+// dead air (a stall reads as a line, not a drop to zero).
 func (s *Series) Bucketize(width time.Duration) []Point {
-	return s.bucketize(width, false)
-}
-
-// BucketizeFilled is Bucketize with gap filling: every bucket from the first
-// observation through the last emits a point, empty ones with rate 0, so
-// rate plots show stalls as drops to zero instead of interpolating across
-// them.
-func (s *Series) BucketizeFilled(width time.Duration) []Point {
-	return s.bucketize(width, true)
-}
-
-func (s *Series) bucketize(width time.Duration, fillGaps bool) []Point {
 	pts := s.Points()
 	if len(pts) == 0 || width <= 0 {
 		return nil
@@ -237,56 +183,17 @@ func (s *Series) bucketize(width time.Duration, fillGaps bool) []Point {
 	out := []Point{}
 	cur := pts[0].At / width * width
 	var sum float64
-	var any bool
 	flush := func() {
-		if any || fillGaps {
-			out = append(out, Point{At: cur, Value: sum / width.Seconds()})
-		}
-		sum, any = 0, false
+		out = append(out, Point{At: cur, Value: sum / width.Seconds()})
+		sum = 0
 	}
 	for _, p := range pts {
-		b := p.At / width * width
-		for b != cur {
+		if b := p.At / width * width; b != cur {
 			flush()
-			if fillGaps {
-				cur += width // emit every silent bucket up to b
-			} else {
-				cur = b
-			}
+			cur = b
 		}
 		sum += p.Value
-		any = true
 	}
 	flush()
 	return out
-}
-
-// Meter measures event rates: a counter plus the wall-clock window it covers.
-type Meter struct {
-	c     Counter
-	start time.Time
-}
-
-// NewMeter returns a started Meter.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) { m.c.Add(n) }
-
-// Rate returns events per second since the meter started.
-func (m *Meter) Rate() float64 {
-	el := time.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.c.Value()) / el
-}
-
-// Count returns the total number of marked events.
-func (m *Meter) Count() int64 { return m.c.Value() }
-
-// FormatDuration renders a duration the way the paper's tables do
-// (e.g. "87.13s", "0.141s").
-func FormatDuration(d time.Duration) string {
-	return fmt.Sprintf("%.3fs", d.Seconds())
 }

@@ -58,18 +58,8 @@ func TestHistogramPercentiles(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Percentile(99) != 0 || h.Mean() != 0 || h.Stddev() != 0 {
+	if h.Percentile(99) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(v)
-	}
-	if got := h.Stddev(); math.Abs(got-2.0) > 1e-12 {
-		t.Fatalf("Stddev = %v; want 2", got)
 	}
 }
 
@@ -116,9 +106,6 @@ func TestSeriesSortedPoints(t *testing.T) {
 			t.Fatalf("points not sorted: %v", pts)
 		}
 	}
-	if s.Last() != 20 {
-		t.Fatalf("Last = %v; want 20 (insertion order)", s.Last())
-	}
 }
 
 func TestSeriesBucketize(t *testing.T) {
@@ -146,23 +133,5 @@ func TestSeriesBucketizeEmpty(t *testing.T) {
 	s := NewSeries()
 	if got := s.Bucketize(time.Second); got != nil {
 		t.Fatalf("Bucketize on empty series = %v; want nil", got)
-	}
-}
-
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	m.Mark(10)
-	if m.Count() != 10 {
-		t.Fatalf("Count = %d; want 10", m.Count())
-	}
-	time.Sleep(10 * time.Millisecond)
-	if m.Rate() <= 0 {
-		t.Fatal("Rate should be positive after events")
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	if got := FormatDuration(87130 * time.Millisecond); got != "87.130s" {
-		t.Fatalf("FormatDuration = %q; want 87.130s", got)
 	}
 }

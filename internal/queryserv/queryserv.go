@@ -81,6 +81,37 @@ type Backend struct {
 	OnConverged func(time.Duration)
 }
 
+// Service constants. Only Options' fields vary between callers.
+const (
+	// defaultTimeout is the per-query convergence budget applied when a
+	// QuerySpec carries none.
+	defaultTimeout = time.Minute
+	// cacheCap is the maximum number of converged results retained for
+	// staleness-tolerant queries.
+	cacheCap = 8
+	// cacheMaxAge invalidates cached results older than this regardless of
+	// query tolerances, bounding how long a cache entry may pin its fork
+	// snapshot.
+	cacheMaxAge = 10 * time.Second
+	// cacheMaxDeltas invalidates cached results once the main loop has
+	// ingested more than this many inputs past their fork.
+	cacheMaxDeltas = 4096
+	// sweepEvery is the janitor period for cache invalidation. Invalidation
+	// also happens lazily on lookups; the janitor only bounds how long an
+	// idle service pins stale snapshots.
+	sweepEvery = 250 * time.Millisecond
+	// degradeStaleDeltas is the staleness tolerance the service imposes on
+	// every query while degraded (level >= 1): cache hits and running-flight
+	// joins are accepted up to this many input deltas behind the present
+	// even when the query asked for less, trading exactness for fork load.
+	degradeStaleDeltas = 1024
+	// shedBelowPriority is the admission cut applied at degrade level >= 2:
+	// queries with Priority below it are shed with ErrOverloaded before they
+	// can queue a new flight, so the zero/default priority is the first
+	// traffic dropped.
+	shedBelowPriority = 1
+)
+
 // Options tune a Service. The zero value is usable.
 type Options struct {
 	// Workers is the number of branch loops run concurrently (default 4).
@@ -88,40 +119,17 @@ type Options struct {
 	// QueueCap bounds the wait queue of admitted-but-not-yet-running
 	// flights; Submit sheds with ErrOverloaded beyond it (default 128).
 	QueueCap int
-	// DefaultTimeout is the per-query convergence budget applied when a
-	// QuerySpec carries none (default 1m).
-	DefaultTimeout time.Duration
-	// CacheCap is the maximum number of converged results retained for
-	// staleness-tolerant queries (default 8; negative disables the cache).
-	CacheCap int
-	// CacheMaxAge invalidates cached results older than this regardless of
-	// query tolerances, bounding how long a cache entry may pin its fork
-	// snapshot (default 10s).
-	CacheMaxAge time.Duration
-	// CacheMaxDeltas invalidates cached results once the main loop has
-	// ingested more than this many inputs past their fork (default 4096).
-	CacheMaxDeltas uint64
-	// SweepEvery is the janitor period for cache invalidation (default
-	// 250ms). Invalidation also happens lazily on lookups; the janitor only
-	// bounds how long an idle service pins stale snapshots.
-	SweepEvery time.Duration
 	// DisableCoalescing forks one branch per query even when queries could
 	// share (benchmarking the sharing win).
 	DisableCoalescing bool
 	// DisableCache turns the result cache off (benchmarking, and tests that
 	// assert branch teardown on Close).
 	DisableCache bool
-	// DegradeStaleDeltas is the staleness tolerance the service imposes on
-	// every query while degraded (level >= 1): cache hits and running-flight
-	// joins are accepted up to this many input deltas behind the present even
-	// when the query asked for less, trading exactness for fork load
-	// (default 1024).
-	DegradeStaleDeltas uint64
-	// ShedBelowPriority is the admission cut applied at degrade level >= 2:
-	// queries with Priority below it are shed with ErrOverloaded before they
-	// can queue a new flight (default 1, i.e. the zero/default priority is
-	// the first traffic dropped).
-	ShedBelowPriority int
+
+	// sweepEvery and degradeStaleDeltas override the constants of the same
+	// names (0 = the constant). Only tests set them.
+	sweepEvery         time.Duration
+	degradeStaleDeltas uint64
 }
 
 func (o *Options) fill() {
@@ -131,26 +139,11 @@ func (o *Options) fill() {
 	if o.QueueCap <= 0 {
 		o.QueueCap = 128
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = time.Minute
+	if o.sweepEvery <= 0 {
+		o.sweepEvery = sweepEvery
 	}
-	if o.CacheCap == 0 {
-		o.CacheCap = 8
-	}
-	if o.CacheMaxAge <= 0 {
-		o.CacheMaxAge = 10 * time.Second
-	}
-	if o.CacheMaxDeltas == 0 {
-		o.CacheMaxDeltas = 4096
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = 250 * time.Millisecond
-	}
-	if o.DegradeStaleDeltas == 0 {
-		o.DegradeStaleDeltas = 1024
-	}
-	if o.ShedBelowPriority == 0 {
-		o.ShedBelowPriority = 1
+	if o.degradeStaleDeltas == 0 {
+		o.degradeStaleDeltas = degradeStaleDeltas
 	}
 }
 
@@ -602,6 +595,10 @@ func (s *Service) attachObs(hub *obs.Hub) {
 	}
 }
 
+// QueueCap returns the effective wait-queue bound (Options.QueueCap after
+// defaults), which the overload controller normalizes queue depth against.
+func (s *Service) QueueCap() int { return s.opts.QueueCap }
+
 // Snapshot returns the current counters and levels.
 func (s *Service) Snapshot() Snapshot {
 	s.mu.Lock()
@@ -617,10 +614,10 @@ func (s *Service) Snapshot() Snapshot {
 
 // SetDegraded moves the service to the given graceful-degradation level
 // (clamped at 0). Level 0 is exact service; level 1 imposes
-// Options.DegradeStaleDeltas as a floor on every query's staleness tolerance
-// so cache hits and coalescing absorb more load; level 2 additionally sheds
-// queries below Options.ShedBelowPriority with ErrOverloaded before they can
-// fork. The overload controller drives this; it is also callable directly.
+// a staleness floor (degradeStaleDeltas) on every query's tolerance so cache
+// hits and coalescing absorb more load; level 2 additionally sheds queries
+// below shedBelowPriority with ErrOverloaded before they can fork. The
+// overload controller drives this; it is also callable directly.
 func (s *Service) SetDegraded(level int) {
 	if level < 0 {
 		level = 0
@@ -649,7 +646,7 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 	}
 	timeout := spec.Timeout
 	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
+		timeout = defaultTimeout
 	}
 	now := time.Now()
 	deadline := now.Add(timeout)
@@ -684,16 +681,16 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 	s.tickets[t.id] = t
 
 	// While degraded the service imposes its own staleness tolerance on top
-	// of the query's: answers up to DegradeStaleDeltas behind the present are
+	// of the query's: answers up to degradeStaleDeltas behind the present are
 	// handed out from the cache or a running flight rather than forking,
 	// which is the "widen the window" rung of the degradation ladder.
 	effStale := spec.MaxStaleDeltas
-	if s.degraded >= 1 && s.opts.DegradeStaleDeltas > effStale {
-		effStale = s.opts.DegradeStaleDeltas
+	if s.degraded >= 1 && s.opts.degradeStaleDeltas > effStale {
+		effStale = s.opts.degradeStaleDeltas
 	}
 
 	// Fast path 1: the freshness-bounded cache.
-	if shareable && !s.opts.DisableCache && s.opts.CacheCap > 0 {
+	if shareable && !s.opts.DisableCache {
 		if e, ok := s.cache[key]; ok {
 			cur := s.b.JournalSeq()
 			lag := cur - e.sh.forkSeq
@@ -759,7 +756,7 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 	// Slow path: a new flight through the bounded wait queue. At degrade
 	// level >= 2 low-priority traffic is cut here — it may still ride the
 	// free fast paths above, but it cannot cost a fork.
-	if s.degraded >= 2 && spec.Priority < s.opts.ShedBelowPriority {
+	if s.degraded >= 2 && spec.Priority < shedBelowPriority {
 		s.shed++
 		s.shedLowPri++
 		delete(s.tickets, t.id)
@@ -768,7 +765,7 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 		// open the escalation window.
 		s.spans.Escalate(trace.MarkShed, t.tctx, s.spans.Now())
 		return nil, fmt.Errorf("%w: degraded level %d sheds priority < %d (got %d)",
-			ErrOverloaded, s.degraded, s.opts.ShedBelowPriority, spec.Priority)
+			ErrOverloaded, s.degraded, shedBelowPriority, spec.Priority)
 	}
 	if len(s.queue) >= s.opts.QueueCap {
 		s.shed++
@@ -1079,7 +1076,7 @@ func (s *Service) execute(f *flight) {
 			}
 			s.resolveLocked(w, res, nil)
 		}
-		if f.shareable && !s.opts.DisableCache && s.opts.CacheCap > 0 && !s.closed {
+		if f.shareable && !s.opts.DisableCache && !s.closed {
 			releases = s.cacheInsertLocked(f.key, sh)
 		}
 		if f.tctx.Traced() {
@@ -1101,7 +1098,7 @@ func (s *Service) execute(f *flight) {
 }
 
 // cacheInsertLocked retains sh under key, evicting the key's previous entry
-// and, beyond CacheCap, the oldest entries. It returns the shares to release
+// and, beyond cacheCap, the oldest entries. It returns the shares to release
 // once the service mutex is dropped. Caller holds s.mu.
 func (s *Service) cacheInsertLocked(key string, sh *shared) (releases []*shared) {
 	if old, ok := s.cache[key]; ok {
@@ -1109,7 +1106,7 @@ func (s *Service) cacheInsertLocked(key string, sh *shared) (releases []*shared)
 	}
 	sh.acquire()
 	s.cache[key] = &cacheEntry{key: key, sh: sh}
-	for len(s.cache) > s.opts.CacheCap {
+	for len(s.cache) > cacheCap {
 		oldestKey := ""
 		var oldest *cacheEntry
 		for k, e := range s.cache {
@@ -1127,7 +1124,7 @@ func (s *Service) cacheInsertLocked(key string, sh *shared) (releases []*shared)
 // bounds, releasing their snapshot pins even when no queries arrive.
 func (s *Service) sweeper() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.opts.SweepEvery)
+	tick := time.NewTicker(s.opts.sweepEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -1140,7 +1137,7 @@ func (s *Service) sweeper() {
 		var releases []*shared
 		s.mu.Lock()
 		for k, e := range s.cache {
-			if now.Sub(e.sh.created) > s.opts.CacheMaxAge || cur-e.sh.forkSeq > s.opts.CacheMaxDeltas {
+			if now.Sub(e.sh.created) > cacheMaxAge || cur-e.sh.forkSeq > cacheMaxDeltas {
 				delete(s.cache, k)
 				releases = append(releases, e.sh)
 			}

@@ -184,7 +184,7 @@ func TestCoalescingStorm(t *testing.T) {
 
 func TestCacheHitAndInvalidation(t *testing.T) {
 	h, tuples := sssp(t, 2, 32)
-	s := h.newService(t, Options{SweepEvery: time.Hour}) // no janitor interference
+	s := h.newService(t, Options{sweepEvery: time.Hour}) // no janitor interference
 
 	tk, err := s.Submit(context.Background(), QuerySpec{Timeout: waitFor})
 	if err != nil {
@@ -544,7 +544,7 @@ func TestCloseResolvesQueued(t *testing.T) {
 // entry the main loop has already moved past instead of costing a fork.
 func TestDegradedWidensStaleness(t *testing.T) {
 	h, tuples := sssp(t, 3, 32)
-	s := h.newService(t, Options{DegradeStaleDeltas: 1 << 20})
+	s := h.newService(t, Options{degradeStaleDeltas: 1 << 20})
 
 	ingest := func(seed int64) {
 		extra := datasets.PowerLawGraph(120, 2, seed)
@@ -620,7 +620,7 @@ func TestDegradedWidensStaleness(t *testing.T) {
 	h.checkNoLeaks()
 }
 
-// TestDegradedShedsLowPriority: at level 2 queries below ShedBelowPriority
+// TestDegradedShedsLowPriority: at level 2 queries below shedBelowPriority
 // are refused with ErrOverloaded before they can fork, higher priorities are
 // served, and relaxing back to level 0 restores full admission.
 func TestDegradedShedsLowPriority(t *testing.T) {

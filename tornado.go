@@ -134,7 +134,9 @@ const (
 // fixed binary layout, any other through gob.
 func RegisterStateType(v any) { engine.RegisterStateType(v) }
 
-// Options configure a System. The zero value is usable.
+// Options configure a System. The zero value is usable. Every value not
+// listed here is a constant of the package that uses it; DESIGN.md
+// "Configuration surface" names each field's caller and each constant.
 type Options struct {
 	// Processors is the number of processor workers (default 4).
 	Processors int
@@ -148,40 +150,25 @@ type Options struct {
 	// close). Pass storage.OpenDisk's store for durable checkpoints: the
 	// same index with an append-only log underneath it.
 	Store storage.Store
-	// ResendAfter enables at-least-once transport with the given
-	// retransmission timeout (default 0: trusted in-process delivery).
-	ResendAfter time.Duration
 	// Wire, when non-nil, puts the main loop's message plane on a real
 	// socket transport: every frame is length-prefixed, CRC-framed and
 	// crosses the configured listener (a fresh TCP loopback port by
 	// default), with supervised per-peer reconnection and corruption
-	// defense. Implies at-least-once delivery — ResendAfter defaults on.
+	// defense. Implies at-least-once delivery with a 5ms resend timeout;
+	// without it the in-process transport is trusted.
 	Wire *WireSpec
 	// Seed drives engine-internal randomness (default 1).
 	Seed int64
 
-	// Supervision. With a non-zero HeartbeatInterval the main loop runs
-	// under a failure detector: every processor and the master send
-	// periodic heartbeats, and a node silent for SuspectAfter intervals is
-	// declared dead and the loop restarted from the last terminated
-	// iteration's checkpoint (Section 5.3 of the paper).
-
-	// HeartbeatInterval enables supervised crash recovery with the given
-	// heartbeat period (default 0: unsupervised; crashes then need a
-	// manual Engine().RecoverFromCheckpoint).
+	// HeartbeatInterval enables supervised crash recovery (Section 5.3 of
+	// the paper) with the given heartbeat period (default 0: unsupervised;
+	// crashes then need a manual Engine().RecoverFromCheckpoint). Every
+	// processor and the master send periodic heartbeats; a node silent for
+	// 3 intervals is declared dead and the loop restarts from the last
+	// terminated iteration's checkpoint, after a backoff of one interval
+	// doubled per restart in the last minute. A processor that crashes more
+	// than 5 times within a minute is quarantined.
 	HeartbeatInterval time.Duration
-	// SuspectAfter is how many missed heartbeats declare a node dead
-	// (default 3).
-	SuspectAfter int
-	// MaxRestarts quarantines a processor that crashes more than this many
-	// times within RestartWindow: the restart moves its range to a spare (or
-	// the least-loaded survivor) and retires its slot for good (default 5).
-	MaxRestarts int
-	// RestartWindow is the sliding window for MaxRestarts (default 1m).
-	RestartWindow time.Duration
-	// RestartBackoff is the base of the exponential backoff between
-	// successive restarts (default: one heartbeat interval).
-	RestartBackoff time.Duration
 
 	// Observability. Every System carries an obs.Hub: protocol counters,
 	// frontier gauges and a sampled three-phase protocol tracer register
@@ -192,8 +179,6 @@ type Options struct {
 	// /debug/pprof) on this host:port; ":0" picks a free port. Read the
 	// bound address from MetricsURL.
 	MetricsAddr string
-	// TraceCapacity is the protocol tracer's ring size (default 8192).
-	TraceCapacity int
 	// TraceSampleEvery traces 1 in N vertices by identifier hash
 	// (default 64; 1 traces every vertex; negative disables sampling so
 	// only watched vertices are traced).
@@ -206,18 +191,16 @@ type Options struct {
 	// disables tracing entirely). Spans surface on /traces, the shell's
 	// trace/slow commands, and the tornado_stage_seconds histograms.
 	SpanSampleRate float64
-	// SpanCapacity is the span ring's size in spans (default 4096).
-	SpanCapacity int
 
 	// Query tunes the query service that answers Submit and Query calls:
-	// worker-pool size (concurrent branch loops), wait-queue bound,
-	// shed/backpressure behavior and the freshness-bounded result cache.
-	// The zero value uses the service defaults.
+	// worker-pool size (concurrent branch loops), wait-queue bound, and
+	// whether queries coalesce and use the result cache. The zero value
+	// uses the service defaults.
 	Query QueryOptions
 
-	// Flow tunes end-to-end backpressure and the graceful-degradation
-	// ladder. The zero value bounds every queue with the FlowOptions
-	// defaults and runs the overload controller.
+	// Flow holds only the deprecated DelayBoundCeiling: backpressure and
+	// the degradation ladder always run, with constant bounds
+	// (maxPendingInputs, inboxHigh, flowSampleEvery).
 	Flow FlowOptions
 
 	// Elastic tunes live repartitioning: spare processor slots for
@@ -234,79 +217,48 @@ type ElasticOptions struct {
 	// partition splits onto them; ScaleIn drains a slot and retires it
 	// again. Default Processors: no spares, splits impossible.
 	MaxProcessors int
-	// AutoScale runs the background split/merge planner: sustained overload
-	// (degradation ladder level SplitLevel+) concentrated in one partition
-	// splits it onto a spare; a scaled-out partition idle through MergeAfter
-	// calm samples drains back. Requires flow control (the ladder is the
-	// pressure signal) and MaxProcessors > Processors to be useful.
+	// AutoScale runs the background split/merge planner with the
+	// flow.ScalePlanner defaults: sustained overload (degradation ladder
+	// level 2+) concentrated in one partition splits it onto a spare; a
+	// scaled-out partition idle through 8 calm samples drains back. Useful
+	// only with MaxProcessors > Processors.
 	AutoScale bool
-	// SampleEvery is the planner's sampling period (default 250ms).
-	SampleEvery time.Duration
-	// Planner hysteresis overrides; zero values take the flow.ScalePlanner
-	// defaults (split at ladder level 2 after 3 samples when the hottest
-	// partition carries 2x the mean update rate; merge after 8 calm samples).
-	SplitLevel    int
-	SplitAfter    int
-	MergeAfter    int
-	Concentration float64
-	MinVertices   int
 }
 
-// FlowOptions bound the system's queues and drive graceful degradation
-// under overload. With the (default) bounds in place a slow consumer
-// propagates backpressure all the way to the ingesting source instead of
-// growing unbounded buffers, and the overload controller walks a
-// degradation ladder — widen the query staleness window, then shed
-// low-priority queries — before any input is ever dropped. The ladder never
-// touches the engine: the delay bound B is Options.DelayBound for the
-// system's life.
-type FlowOptions struct {
-	// Disable turns all flow control off: unbounded queues, no degradation
-	// (the pre-flow-control behavior).
-	Disable bool
-	// MaxPendingInputs bounds stream inputs admitted into the main loop but
+// scaleSampleEvery is the elastic planner's sampling period.
+const scaleSampleEvery = 250 * time.Millisecond
+
+// Flow-control bounds. With them in place a slow consumer propagates
+// backpressure all the way to the ingesting source instead of growing
+// unbounded buffers, and the overload controller walks a degradation
+// ladder — widen the query staleness window, then shed low-priority
+// queries — before any input is ever dropped. The ladder never touches the
+// engine: the delay bound B is Options.DelayBound for the system's life.
+const (
+	// maxPendingInputs bounds stream inputs admitted into the main loop but
 	// not yet applied to a vertex; Ingest blocks at the bound, parking the
-	// source (default 16384, -1 unbounded).
-	MaxPendingInputs int
-	// InboxHigh / InboxLow are the transport's per-endpoint inbox credit
-	// watermarks: at InboxHigh a receiver withdraws delivery credit and
-	// senders park frames until it drains to InboxLow (default 4096 /
-	// high÷2, -1 unbounded).
-	InboxHigh, InboxLow int
+	// source.
+	maxPendingInputs = 1 << 14
+	// inboxHigh is the transport's per-endpoint inbox credit watermark: at
+	// it a receiver withdraws delivery credit and senders park frames until
+	// the inbox drains to half.
+	inboxHigh = 4096
+	// flowSampleEvery is the overload controller's sampling period.
+	flowSampleEvery = 25 * time.Millisecond
+)
+
+// FlowOptions is what remains of the flow-control options.
+type FlowOptions struct {
 	// Deprecated: ignored. B no longer moves at runtime; the field stays so
 	// that code which set it still compiles.
 	DelayBoundCeiling int64
-	// DisableController keeps the bounds but never walks the degradation
-	// ladder automatically (manual control via QueryService().SetDegraded
-	// remains available).
-	DisableController bool
-	// SampleEvery is the overload controller's sampling period
-	// (default 25ms).
-	SampleEvery time.Duration
-}
 
-func (o *FlowOptions) fill() {
-	if o.Disable {
-		return
-	}
-	if o.MaxPendingInputs == 0 {
-		o.MaxPendingInputs = 1 << 14
-	}
-	if o.InboxHigh == 0 {
-		o.InboxHigh = 4096
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 25 * time.Millisecond
-	}
-}
-
-// nonNeg maps the -1 "explicitly unbounded" convention to the zero value
-// the engine understands as disabled.
-func nonNeg[T int | int64](n T) T {
-	if n < 0 {
-		return 0
-	}
-	return n
+	// maxPendingInputs, inboxHigh and sampleEvery override the constants of
+	// the same names (0 = the constant). Only tests set them, to saturate
+	// the bounds with a small graph.
+	maxPendingInputs int
+	inboxHigh        int
+	sampleEvery      time.Duration
 }
 
 func (o *Options) fill() {
@@ -322,9 +274,14 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	o.Flow.fill()
-	if o.Elastic.SampleEvery <= 0 {
-		o.Elastic.SampleEvery = 250 * time.Millisecond
+	if o.Flow.maxPendingInputs == 0 {
+		o.Flow.maxPendingInputs = maxPendingInputs
+	}
+	if o.Flow.inboxHigh == 0 {
+		o.Flow.inboxHigh = inboxHigh
+	}
+	if o.Flow.sampleEvery == 0 {
+		o.Flow.sampleEvery = flowSampleEvery
 	}
 }
 
@@ -341,11 +298,10 @@ type System struct {
 	qs   *queryserv.Service
 	qapi *queryserv.API
 
-	// Overload controller state: the bounds the pressure signal normalizes
-	// against (fixed at New).
+	// Overload controller and the inbox watermark its pressure signal
+	// normalizes against (fixed at New).
 	flowCtl       *flow.Controller
 	flowInboxHigh int
-	flowQueueCap  int
 
 	// Elastic planner loop (nil when Options.Elastic.AutoScale is off).
 	scaleStop chan struct{}
@@ -383,9 +339,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 		spanRate = 0
 	}
 	hub := obs.NewHub(obs.HubOptions{
-		TraceCapacity:    opts.TraceCapacity,
 		TraceSampleEvery: opts.TraceSampleEvery,
-		SpanCapacity:     opts.SpanCapacity,
 		SpanSampleRate:   spanRate,
 	})
 	cfg := engine.Config{
@@ -397,30 +351,19 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 		Store:             opts.Store,
 		Program:           program,
 		Delta:             dp,
-		ResendAfter:       opts.ResendAfter,
 		Seed:              opts.Seed,
 		Wire:              opts.Wire,
 		Obs:               hub,
 		HeartbeatInterval: opts.HeartbeatInterval,
-		SuspectAfter:      opts.SuspectAfter,
-		MaxRestarts:       opts.MaxRestarts,
-		RestartWindow:     opts.RestartWindow,
-		RestartBackoff:    opts.RestartBackoff,
-	}
-	if !opts.Flow.Disable {
-		cfg.MaxPendingInputs = nonNeg(opts.Flow.MaxPendingInputs)
-		cfg.InboxHigh = nonNeg(opts.Flow.InboxHigh)
-		cfg.InboxLow = nonNeg(opts.Flow.InboxLow)
+		MaxPendingInputs:  opts.Flow.maxPendingInputs,
+		InboxHigh:         opts.Flow.inboxHigh,
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{main: e, store: opts.Store, ownStore: ownStore, program: program, delta: dp, hub: hub}
-	s.flowInboxHigh = cfg.InboxHigh
-	if s.flowQueueCap = opts.Query.QueueCap; s.flowQueueCap <= 0 {
-		s.flowQueueCap = 128 // the queryserv default
-	}
+	s := &System{main: e, store: opts.Store, ownStore: ownStore, program: program, delta: dp, hub: hub,
+		flowInboxHigh: cfg.InboxHigh}
 	s.nextLoop.Store(1)
 	s.attachObs()
 	s.qs = queryserv.New(queryserv.Backend{
@@ -429,19 +372,15 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 		JournalSeq:  func() uint64 { return s.main.JournalSeq() },
 		OnConverged: func(d time.Duration) { s.branchHist.Observe(d.Seconds()) },
 	}, opts.Query, hub)
-	if !opts.Flow.Disable && !opts.Flow.DisableController {
-		s.flowCtl = flow.NewController(flow.ControllerOptions{
-			SampleEvery: opts.Flow.SampleEvery,
-			Spans:       hub.Spans,
-		}, s.flowPressure, s.applyFlowLevel)
-	}
+	s.flowCtl = flow.NewController(flow.ControllerOptions{
+		SampleEvery: opts.Flow.sampleEvery,
+		Spans:       hub.Spans,
+	}, s.flowPressure, s.applyFlowLevel)
 	s.qapi = queryserv.NewAPI(s.qs, 0)
 	s.qapi.Mount(hub.Handle) // before Serve: routes are fixed at bind time
 	if opts.MetricsAddr != "" {
 		if _, err := hub.Serve(opts.MetricsAddr); err != nil {
-			if s.flowCtl != nil {
-				s.flowCtl.Stop()
-			}
+			s.flowCtl.Stop()
 			s.qapi.Close()
 			s.qs.Close()
 			e.Stop()
@@ -452,7 +391,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 	if opts.Elastic.AutoScale {
 		s.scaleStop = make(chan struct{})
 		s.scaleWG.Add(1)
-		go s.scaleRun(opts.Elastic)
+		go s.scaleRun()
 	}
 	return s, nil
 }
@@ -463,16 +402,10 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 // the slots' lifetime counters over the sampling window; a checkpoint restart
 // (crash recovery or Reshard) resets the counters, which reads as a negative
 // delta and is skipped.
-func (s *System) scaleRun(opts ElasticOptions) {
+func (s *System) scaleRun() {
 	defer s.scaleWG.Done()
-	planner := flow.NewScalePlanner(flow.ScalePlannerOptions{
-		SplitLevel:    opts.SplitLevel,
-		SplitAfter:    opts.SplitAfter,
-		MergeAfter:    opts.MergeAfter,
-		Concentration: opts.Concentration,
-		MinVertices:   opts.MinVertices,
-	})
-	tick := time.NewTicker(opts.SampleEvery)
+	planner := flow.NewScalePlanner(flow.ScalePlannerOptions{})
+	tick := time.NewTicker(scaleSampleEvery)
 	defer tick.Stop()
 	var (
 		prev   []engine.PartitionLoad
@@ -512,11 +445,7 @@ func (s *System) scaleRun(opts ElasticOptions) {
 			}
 		}
 		prev, prevAt = loads, now
-		level := 0
-		if c := s.flowCtl; c != nil {
-			level = c.Level()
-		}
-		switch d := planner.Decide(level, fl, spare); d.Action {
+		switch d := planner.Decide(s.flowCtl.Level(), fl, spare); d.Action {
 		case flow.ScaleSplit:
 			_, _ = e.ScaleOut(d.Proc)
 		case flow.ScaleMerge:
@@ -570,13 +499,8 @@ func (s *System) flowPressure() float64 {
 			p = float64(fs.GateDepth) / float64(fs.GateCapacity)
 		}
 	}
-	if s.flowInboxHigh > 0 {
-		p = math.Max(p, float64(fs.InboxMax)/float64(s.flowInboxHigh))
-	}
-	if s.flowQueueCap > 0 {
-		p = math.Max(p, float64(s.qs.Snapshot().QueueDepth)/float64(s.flowQueueCap))
-	}
-	return p
+	p = math.Max(p, float64(fs.InboxMax)/float64(s.flowInboxHigh))
+	return math.Max(p, float64(s.qs.Snapshot().QueueDepth)/float64(s.qs.QueueCap()))
 }
 
 // applyFlowLevel is the degradation ladder. It moves only the query
@@ -624,12 +548,13 @@ type FlowStats struct {
 
 // FlowStats snapshots the backpressure and overload state end to end.
 func (s *System) FlowStats() FlowStats {
-	st := FlowStats{Engine: s.main.FlowSnapshot()}
-	if c := s.flowCtl; c != nil {
-		st.OverloadLevel = c.Level()
-		st.OverloadTransitions = c.Transitions()
-		st.Degraded = c.Degraded()
-		st.Pressure = c.Pressure()
+	c := s.flowCtl
+	st := FlowStats{
+		Engine:              s.main.FlowSnapshot(),
+		OverloadLevel:       c.Level(),
+		OverloadTransitions: c.Transitions(),
+		Degraded:            c.Degraded(),
+		Pressure:            c.Pressure(),
 	}
 	snap := s.qs.Snapshot()
 	st.QueryDegradeLevel = snap.DegradeLevel
@@ -653,38 +578,26 @@ func (s *System) attachObs() {
 		"Wall-clock time from fork to branch-loop convergence.", nil)
 	sc.GaugeFunc("tornado_overload_level",
 		"Degradation-ladder rung the overload controller is at (0 = normal).",
-		func() float64 {
-			if c := s.flowCtl; c != nil {
-				return float64(c.Level())
-			}
-			return 0
-		})
+		func() float64 { return float64(s.flowCtl.Level()) })
 	sc.GaugeFunc("tornado_overload_pressure",
 		"Overload controller's last pressure sample (utilization of the tightest bounded queue).",
-		func() float64 {
-			if c := s.flowCtl; c != nil {
-				return c.Pressure()
-			}
-			return 0
-		})
+		func() float64 { return s.flowCtl.Pressure() })
 	s.hub.AddStatus("system", func() any {
 		prog, mode := any(s.program), "value"
 		if s.delta != nil {
 			prog, mode = s.delta, "delta"
 		}
-		m := map[string]any{
-			"branches_live":  s.branchesLive.Load(),
-			"branches_total": s.branchTotal.Load(),
-			"program":        fmt.Sprintf("%T", prog),
-			"mode":           mode,
+		c := s.flowCtl
+		return map[string]any{
+			"branches_live":        s.branchesLive.Load(),
+			"branches_total":       s.branchTotal.Load(),
+			"program":              fmt.Sprintf("%T", prog),
+			"mode":                 mode,
+			"overload_level":       c.Level(),
+			"overload_transitions": c.Transitions(),
+			"overload_pressure":    c.Pressure(),
+			"degraded_for":         c.Degraded().String(),
 		}
-		if c := s.flowCtl; c != nil {
-			m["overload_level"] = c.Level()
-			m["overload_transitions"] = c.Transitions()
-			m["overload_pressure"] = c.Pressure()
-			m["degraded_for"] = c.Degraded().String()
-		}
-		return m
 	})
 }
 
@@ -931,7 +844,7 @@ func (s *System) InjectFaultPlan(plan FaultPlan) { s.main.InjectFaultPlan(plan) 
 func (s *System) RecoveryLog() []RecoveryEvent { return s.main.RecoveryLog() }
 
 // Quarantined returns the main-loop processor slots the partition plan took
-// out of rotation after they exceeded Options.MaxRestarts.
+// out of rotation after they crashed more than 5 times within a minute.
 func (s *System) Quarantined() []int { return s.main.Quarantined() }
 
 // WireAddr returns the main loop's wire listener address, or "" when the
@@ -964,9 +877,7 @@ func (s *System) Close() {
 	if s.scaleStop != nil {
 		close(s.scaleStop)
 	}
-	if s.flowCtl != nil {
-		s.flowCtl.Stop()
-	}
+	s.flowCtl.Stop()
 	s.qapi.Close()
 	s.qs.Close()
 	s.main.Stop()
