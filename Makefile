@@ -1,6 +1,6 @@
 # Tornado build and verify targets. `make check` is the documented verify
 # loop (README "Testing"): build, vet, full tests, then the data-race pass
-# over the concurrency-heavy observability and metrics packages.
+# over the concurrency-heavy observability and storage packages.
 
 GO ?= go
 
@@ -8,20 +8,24 @@ GO ?= go
 
 all: check
 
+# build and vet also cover the BENCHMARK.json harness (benchmark/, a module
+# of its own), so an internal API change that breaks it fails here.
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) build ./...
 
 test:
 	$(GO) test ./...
 
-# The obs registry/tracer and metrics primitives are hammered concurrently,
-# and the MVCC store's writers mutate in place whatever no snapshot handle can
-# reach while handle readers take no lock (TestInPlaceWritersVsHandles); keep
-# them honest under the race detector on every change. The feed's pump and its
+# The obs registry and the span tracer (its ring, watch set and protocol
+# markers) are hammered concurrently, and the MVCC store's writers mutate in
+# place whatever no snapshot handle can reach while handle readers take no
+# lock (TestInPlaceWritersVsHandles); keep them honest under the race
+# detector on every change. The feed's pump and its
 # hand-off at the admission gate are raced 20 times over (the retired
 # ingestion topology hung there under -race).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/storage/...
+	$(GO) test -race ./internal/obs/... ./internal/storage/...
 	$(GO) test -race -count=20 -run 'TestAttachSource|TestFeed' .
 
 race-all:
@@ -29,6 +33,7 @@ race-all:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Crash-recovery and chaos suite under the race detector: true crash
 # semantics, supervised checkpoint restart, quarantine, fault plans and the

@@ -72,7 +72,7 @@ func main() {
 		// The bench runners assemble their engines privately, so the
 		// endpoint's value here is live profiling (/debug/pprof) of the
 		// experiment process rather than per-loop counters.
-		hub := obs.NewHub(obs.HubOptions{})
+		hub := obs.NewHub(0)
 		addr, err := hub.Serve(*metricsFlag)
 		if err != nil {
 			log.Fatalf("metrics endpoint: %v", err)

@@ -39,10 +39,10 @@
 //	trace [id]           no argument: print recent end-to-end causal
 //	                     freshness traces (sampled input deltas and queries
 //	                     with per-stage latency attribution); with a vertex
-//	                     id: that vertex's recorded protocol events
+//	                     id: that watched vertex's protocol events
 //	slow [min-ms] [n]    the n slowest retained traces at least min-ms of
 //	                     wall time (defaults 0ms, 8)
-//	watch <id>           force tracing of a vertex (ignore sampling)
+//	watch <id>           record a vertex's protocol events (see trace)
 //	partitions           the live partition plan: epoch (bumped by every
 //	                     migration, reshard and quarantine), per-slot state
 //	                     (active/spare/quarantined), hosted vertices and
@@ -91,7 +91,6 @@ func main() {
 	procs := flag.Int("procs", 4, "processors")
 	bound := flag.Int64("bound", 64, "delay bound B (1 = synchronous)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /statusz, /debug/pprof on host:port (\":0\" picks a port)")
-	traceEvery := flag.Int("trace-sample", 0, "trace 1 in N vertices (0 = default 64, 1 = all, negative = watched only)")
 	spanRate := flag.Float64("span-sample", 0, "head-sampling rate for causal freshness traces (0 = default 1%, 1 = all, negative = off)")
 	heartbeat := flag.Duration("heartbeat", 25*time.Millisecond, "supervision heartbeat interval (0 = unsupervised; 'crash' then needs 'recover')")
 	wire := flag.Bool("wire", false, "run the message plane over a TCP loopback socket (serialized, CRC-framed, supervised reconnects)")
@@ -145,7 +144,6 @@ func main() {
 		Processors:        *procs,
 		DelayBound:        *bound,
 		MetricsAddr:       *metricsAddr,
-		TraceSampleEvery:  *traceEvery,
 		SpanSampleRate:    *spanRate,
 		HeartbeatInterval: *heartbeat,
 	}
@@ -538,7 +536,7 @@ func main() {
 			}
 			events := sys.Trace(tornado.VertexID(id))
 			if len(events) == 0 {
-				fmt.Println("no events recorded (vertex sampled out? try 'watch' first)")
+				fmt.Println("no events recorded (only watched vertices record them: 'watch' it first)")
 				continue
 			}
 			for _, e := range events {
@@ -582,7 +580,7 @@ func main() {
 				continue
 			}
 			sys.Watch(tornado.VertexID(id))
-			fmt.Printf("watching vertex %d (all its protocol events are now traced)\n", id)
+			fmt.Printf("watching vertex %d (its protocol events are now recorded)\n", id)
 		case "help":
 			fmt.Println("commands: add s d | remove s d | load n epv seed | query | submit [d] [p] | queries | result id | cancel id | merge | approx | stats | store | flow | partitions | scale out|in|move | trace [id] | slow [ms] [n] | watch id | crash i|master | recover | faults | quit")
 		case "quit", "exit":

@@ -12,6 +12,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -184,6 +186,21 @@ func table(header []string, rows [][]string) string {
 // fmtDur renders a duration in seconds with millisecond resolution.
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
+}
+
+// percentile returns the p-th percentile (0 <= p <= 100) of the samples by
+// the nearest-rank method: the smallest sample with at least p% of the
+// samples at or below it (so p99 of 100 samples is the 99th smallest, and of
+// fewer samples the largest). It returns 0 with no samples and leaves ds
+// unmodified.
+func percentile(ds []time.Duration, p float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // edgeStream builds the SSSP/PageRank input for a scale.

@@ -9,7 +9,6 @@ import (
 	"tornado/internal/baselines"
 	"tornado/internal/datasets"
 	"tornado/internal/engine"
-	"tornado/internal/metrics"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
@@ -69,9 +68,9 @@ func (r Fig5Report) BestBatch() (Fig5Row, bool) {
 // batchLatencies probes a mini-batch engine at the given instants. Each
 // query is charged the compute time plus one simulated network round-trip
 // per synchronization round.
-func batchLatencies(work baselines.Workload, epoch int, tuples []stream.Tuple, probes []int, rtt time.Duration) (*metrics.Histogram, error) {
+func batchLatencies(work baselines.Workload, epoch int, tuples []stream.Tuple, probes []int, rtt time.Duration) ([]time.Duration, error) {
 	eng := baselines.NewMiniBatch(work, epoch)
-	var h metrics.Histogram
+	var lats []time.Duration
 	fed := 0
 	for _, cut := range probes {
 		eng.Feed(tuples[fed:cut]...)
@@ -81,9 +80,9 @@ func batchLatencies(work baselines.Workload, epoch int, tuples []stream.Tuple, p
 			return nil, err
 		}
 		lat := stats.Latency + time.Duration(stats.Rounds)*rtt
-		h.Observe(lat.Seconds())
+		lats = append(lats, lat)
 	}
-	return &h, nil
+	return lats, nil
 }
 
 // tornadoLatencies probes a running main loop with branch-loop queries,
@@ -96,13 +95,13 @@ func batchLatencies(work baselines.Workload, epoch int, tuples []stream.Tuple, p
 // starts near the fixed point but still has real residual work, which is
 // precisely what separates SSSP/PageRank (small residual cascade) from
 // KMeans (any residual forces a full re-scan, Figure 5c).
-func tornadoLatencies(prog engine.Program, procs int, bound int64, tuples []stream.Tuple, probes []int, rtt time.Duration, seed func(*engine.Engine)) (*metrics.Histogram, error) {
+func tornadoLatencies(prog engine.Program, procs int, bound int64, tuples []stream.Tuple, probes []int, rtt time.Duration, seed func(*engine.Engine)) ([]time.Duration, error) {
 	e, err := newEngine(prog, procs, bound)
 	if err != nil {
 		return nil, err
 	}
 	defer e.Stop()
-	var h metrics.Histogram
+	var lats []time.Duration
 	fed := 0
 	for i, cut := range probes {
 		dribble := (cut - fed) / 100
@@ -118,9 +117,22 @@ func tornadoLatencies(prog engine.Program, procs int, bound int64, tuples []stre
 		}
 		lat += branchComm(br, rtt)
 		br.Stop()
-		h.Observe(lat.Seconds())
+		lats = append(lats, lat)
 	}
-	return &h, nil
+	return lats, nil
+}
+
+// fig5Row summarizes one method's probe latencies: their p99 and mean.
+func fig5Row(method string, lats []time.Duration) Fig5Row {
+	row := Fig5Row{Method: method, P99: percentile(lats, 99)}
+	if len(lats) > 0 {
+		var sum time.Duration
+		for _, d := range lats {
+			sum += d
+		}
+		row.Mean = sum / time.Duration(len(lats))
+	}
+	return row
 }
 
 // epochSizesFor derives the swept epoch sizes (largest to smallest) from the
@@ -148,25 +160,17 @@ func RunFig5a(s Scale) (Fig5Report, error) {
 	probes := probeInstants(len(tuples), s.Probes)
 	rep := Fig5Report{Workload: "sssp"}
 	for _, epoch := range epochSizesFor(len(tuples)) {
-		h, err := batchLatencies(baselines.NewSSSPWork(0, 64), epoch, tuples, probes, s.RTT)
+		lats, err := batchLatencies(baselines.NewSSSPWork(0, 64), epoch, tuples, probes, s.RTT)
 		if err != nil {
 			return rep, err
 		}
-		rep.Rows = append(rep.Rows, Fig5Row{
-			Method: fmt.Sprintf("batch,%d", epoch),
-			P99:    time.Duration(h.Percentile(99) * float64(time.Second)),
-			Mean:   time.Duration(h.Mean() * float64(time.Second)),
-		})
+		rep.Rows = append(rep.Rows, fig5Row(fmt.Sprintf("batch,%d", epoch), lats))
 	}
-	h, err := tornadoLatencies(algorithms.SSSP{Source: 0}, s.Procs, 256, tuples, probes, s.RTT, nil)
+	lats, err := tornadoLatencies(algorithms.SSSP{Source: 0}, s.Procs, 256, tuples, probes, s.RTT, nil)
 	if err != nil {
 		return rep, err
 	}
-	rep.Rows = append(rep.Rows, Fig5Row{
-		Method: "approximate",
-		P99:    time.Duration(h.Percentile(99) * float64(time.Second)),
-		Mean:   time.Duration(h.Mean() * float64(time.Second)),
-	})
+	rep.Rows = append(rep.Rows, fig5Row("approximate", lats))
 	return rep, nil
 }
 
@@ -176,25 +180,17 @@ func RunFig5b(s Scale) (Fig5Report, error) {
 	probes := probeInstants(len(tuples), s.Probes)
 	rep := Fig5Report{Workload: "pagerank"}
 	for _, epoch := range epochSizesFor(len(tuples)) {
-		h, err := batchLatencies(baselines.NewPRWork(0.85, 1e-4), epoch, tuples, probes, s.RTT)
+		lats, err := batchLatencies(baselines.NewPRWork(0.85, 1e-4), epoch, tuples, probes, s.RTT)
 		if err != nil {
 			return rep, err
 		}
-		rep.Rows = append(rep.Rows, Fig5Row{
-			Method: fmt.Sprintf("batch,%d", epoch),
-			P99:    time.Duration(h.Percentile(99) * float64(time.Second)),
-			Mean:   time.Duration(h.Mean() * float64(time.Second)),
-		})
+		rep.Rows = append(rep.Rows, fig5Row(fmt.Sprintf("batch,%d", epoch), lats))
 	}
-	h, err := tornadoLatencies(algorithms.PageRank{Epsilon: 1e-3}, s.Procs, 256, tuples, probes, s.RTT, nil)
+	lats, err := tornadoLatencies(algorithms.PageRank{Epsilon: 1e-3}, s.Procs, 256, tuples, probes, s.RTT, nil)
 	if err != nil {
 		return rep, err
 	}
-	rep.Rows = append(rep.Rows, Fig5Row{
-		Method: "approximate",
-		P99:    time.Duration(h.Percentile(99) * float64(time.Second)),
-		Mean:   time.Duration(h.Mean() * float64(time.Second)),
-	})
+	rep.Rows = append(rep.Rows, fig5Row("approximate", lats))
 	return rep, nil
 }
 
@@ -207,15 +203,11 @@ func RunFig5c(s Scale) (Fig5Report, error) {
 	probes := probeInstants(len(tuples), s.Probes)
 	rep := Fig5Report{Workload: "kmeans"}
 	for _, epoch := range epochSizesFor(len(tuples)) {
-		h, err := batchLatencies(baselines.NewKMWork(k, 1e-4), epoch, tuples, probes, s.RTT)
+		lats, err := batchLatencies(baselines.NewKMWork(k, 1e-4), epoch, tuples, probes, s.RTT)
 		if err != nil {
 			return rep, err
 		}
-		rep.Rows = append(rep.Rows, Fig5Row{
-			Method: fmt.Sprintf("batch,%d", epoch),
-			P99:    time.Duration(h.Percentile(99) * float64(time.Second)),
-			Mean:   time.Duration(h.Mean() * float64(time.Second)),
-		})
+		rep.Rows = append(rep.Rows, fig5Row(fmt.Sprintf("batch,%d", epoch), lats))
 	}
 	prog := algorithms.KMeans{
 		CentroidBase: 0, BlockBase: 100, K: k,
@@ -228,7 +220,7 @@ func RunFig5c(s Scale) (Fig5Report, error) {
 	}
 	defer e.Stop()
 	e.IngestAll(algorithms.KMeansEdges(prog, blocks, 1))
-	var h metrics.Histogram
+	var lats []time.Duration
 	fed := 0
 	for i, cut := range probes {
 		dribble := (cut - fed) / 100
@@ -244,12 +236,8 @@ func RunFig5c(s Scale) (Fig5Report, error) {
 		}
 		lat += branchComm(br, s.RTT)
 		br.Stop()
-		h.Observe(lat.Seconds())
+		lats = append(lats, lat)
 	}
-	rep.Rows = append(rep.Rows, Fig5Row{
-		Method: "approximate",
-		P99:    time.Duration(h.Percentile(99) * float64(time.Second)),
-		Mean:   time.Duration(h.Mean() * float64(time.Second)),
-	})
+	rep.Rows = append(rep.Rows, fig5Row("approximate", lats))
 	return rep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -197,8 +196,8 @@ func runOverloadMode(tuples []stream.Tuple, mode string, soak, slowCommit time.D
 	fs1 := e.FlowSnapshot()
 	row.Updates = s1.UpdateMsgs - s0.UpdateMsgs
 	row.UpdatesPerSec = float64(row.Updates) / elapsed.Seconds()
-	row.IngestP50Ms = durPercentile(ingestLat, 0.50).Seconds() * 1e3
-	row.IngestP99Ms = durPercentile(ingestLat, 0.99).Seconds() * 1e3
+	row.IngestP50Ms = percentile(ingestLat, 50).Seconds() * 1e3
+	row.IngestP99Ms = percentile(ingestLat, 99).Seconds() * 1e3
 	row.GatePeak = fs1.GatePeak
 	row.InboxPeak = int(inboxPeak.Load())
 	row.Stalls = fs1.Stalls - fs0.Stalls
@@ -206,18 +205,6 @@ func runOverloadMode(tuples []stream.Tuple, mode string, soak, slowCommit time.D
 	row.UrgentShed = fs1.UrgentShed - fs0.UrgentShed
 	row.PauseSeconds = (fs1.GateWaitTime - fs0.GateWaitTime).Seconds()
 	return row, nil
-}
-
-// durPercentile returns the p-th percentile of the sample set (p in 0..1).
-func durPercentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // String renders the benchmark table.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,13 +129,12 @@ func RunQueries(s Scale) (*QueriesReport, error) {
 			if err, ok := firstErr.Load().(error); ok && err != nil {
 				return nil, fmt.Errorf("bench queries (%d clients, shared=%v): %w", clients, shared, err)
 			}
-			sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 			rep.Rows = append(rep.Rows, QueriesRow{
 				Clients:   clients,
 				Shared:    shared,
 				Queries:   len(latencies),
-				P50Ms:     float64(latencies[len(latencies)/2].Microseconds()) / 1000,
-				P99Ms:     float64(latencies[len(latencies)*99/100].Microseconds()) / 1000,
+				P50Ms:     float64(percentile(latencies, 50).Microseconds()) / 1000,
+				P99Ms:     float64(percentile(latencies, 99).Microseconds()) / 1000,
 				QPS:       float64(len(latencies)) / elapsed.Seconds(),
 				Forks:     snap.Admitted,
 				Coalesced: snap.Coalesced,

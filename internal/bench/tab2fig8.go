@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -10,7 +12,6 @@ import (
 	"tornado/internal/algorithms"
 	"tornado/internal/datasets"
 	"tornado/internal/engine"
-	"tornado/internal/metrics"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
@@ -255,7 +256,7 @@ func engineWithJitter(prog engine.Program, procs int, bound int64, seed int64) (
 type FailureRow struct {
 	Bound int64
 	// Rate is the commits-per-second series across the run.
-	Rate []metrics.Point
+	Rate []RatePoint
 	// DuringFailure is the number of updates committed inside the failure
 	// window.
 	DuringFailure int64
@@ -301,6 +302,57 @@ func (r FailureReport) Row(bound int64) (FailureRow, bool) {
 	return FailureRow{}, false
 }
 
+// RatePoint is one bucket of a rate series: the bucket's start offset from
+// the run's start and the recorded quantity inside it, per second.
+type RatePoint struct {
+	At    time.Duration
+	Value float64
+}
+
+// series records a quantity over time, relative to its creation, for the
+// quantity-versus-time panels. One goroutine records into it.
+type series struct {
+	origin time.Time
+	points []RatePoint
+}
+
+func newSeries() *series { return &series{origin: time.Now()} }
+
+// record appends an observation at the current wall time.
+func (s *series) record(v float64) {
+	s.points = append(s.points, RatePoint{At: time.Since(s.origin), Value: v})
+}
+
+// bucketize aggregates the series into fixed-width time buckets, returning
+// one point per non-empty bucket whose value is the sum of the bucket's
+// observations divided by the bucket width in seconds (i.e. a rate), which is
+// how Figure 8c/8d plot "#updates per second". Observations need not have
+// been recorded in time order.
+//
+// Contract: buckets with no observations are SKIPPED, not emitted as zeros —
+// each returned At is the start offset of a bucket that actually received
+// data, and consecutive points may be more than one width apart. A plot that
+// connects consecutive points therefore interpolates across the dead air (a
+// stall reads as a line, not a drop to zero).
+func (s *series) bucketize(width time.Duration) []RatePoint {
+	if len(s.points) == 0 || width <= 0 {
+		return nil
+	}
+	pts := slices.Clone(s.points)
+	slices.SortStableFunc(pts, func(a, b RatePoint) int { return cmp.Compare(a.At, b.At) })
+	var out []RatePoint
+	cur := pts[0].At / width * width
+	var sum float64
+	for _, p := range pts {
+		if b := p.At / width * width; b != cur {
+			out = append(out, RatePoint{At: cur, Value: sum / width.Seconds()})
+			cur, sum = b, 0
+		}
+		sum += p.Value
+	}
+	return append(out, RatePoint{At: cur, Value: sum / width.Seconds()})
+}
+
 // runFailure drives the deep SSSP loop under each bound, injecting a failure
 // once the loop has committed `killAfter` updates and recovering after
 // `downFor`. kill/recover select the failing component.
@@ -316,7 +368,7 @@ func runFailure(s Scale, kind string) (FailureReport, error) {
 		}
 		killAfter := int64(pathLen / 4)
 		downFor := 250 * time.Millisecond
-		series := metrics.NewSeries()
+		series := newSeries()
 
 		e.IngestAll(tuples)
 		// Wait until the loop has made some progress, then fail.
@@ -336,7 +388,7 @@ func runFailure(s Scale, kind string) (FailureReport, error) {
 		atKill := e.StatsSnapshot().Commits
 		stop := time.Now().Add(downFor)
 		for time.Now().Before(stop) {
-			series.Record(float64(e.StatsSnapshot().Commits))
+			series.record(float64(e.StatsSnapshot().Commits))
 			time.Sleep(5 * time.Millisecond)
 		}
 		atRecover := e.StatsSnapshot().Commits
@@ -356,7 +408,7 @@ func runFailure(s Scale, kind string) (FailureReport, error) {
 		}
 		rep.Rows = append(rep.Rows, FailureRow{
 			Bound:                  bound,
-			Rate:                   series.Bucketize(25 * time.Millisecond),
+			Rate:                   series.bucketize(25 * time.Millisecond),
 			DuringFailure:          atRecover - atKill,
 			CompletedDuringFailure: quiesced,
 			Total:                  total,

@@ -103,9 +103,9 @@ func (r *TraceOverheadReport) Failed() error {
 // runThroughputMode workload, with the transport and engine span hooks live).
 func runTraceOverheadMode(tuples []stream.Tuple, rate float64, soak time.Duration) (TraceOverheadRow, error) {
 	// Every mode carries a full hub so the comparison isolates the span
-	// pipeline; rate 0 disables the tracer (obs.HubOptions semantics), which
-	// is exactly the Enabled() fast path production pays when tracing is off.
-	hub := obs.NewHub(obs.HubOptions{SpanSampleRate: rate})
+	// pipeline; rate 0 disables the tracer (obs.NewHub semantics), which is
+	// exactly the Enabled() fast path production pays when tracing is off.
+	hub := obs.NewHub(rate)
 	e, err := engine.New(engine.Config{
 		Processors:  4,
 		DelayBound:  64,

@@ -136,7 +136,7 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	if n := p.tk.TokenCount(); n != 1 {
 		t.Fatalf("TokenCount = %d after coalescing; want 1 (superseded token released)", n)
 	}
-	if c := e.stats.Coalesced.Value(); c != 1 {
+	if c := e.stats.Coalesced.Load(); c != 1 {
 		t.Fatalf("Coalesced = %d; want 1", c)
 	}
 

@@ -27,7 +27,7 @@ func countFamilies(t *testing.T, hub *obs.Hub) (int, string) {
 // insert into the parent's branchObs pool. Branch activity must still be
 // visible in aggregate through the fixed tornado_branch_* families.
 func TestForkRegistersNoNewFamilies(t *testing.T) {
-	hub := obs.NewHub(obs.HubOptions{})
+	hub := obs.NewHub(0)
 	e, err := New(Config{
 		Processors: 2,
 		DelayBound: 8,
@@ -82,7 +82,7 @@ func TestForkRegistersNoNewFamilies(t *testing.T) {
 	}
 
 	// The pool sees every fork, live, and the work they did.
-	if got := e.branchObs.forks.Value(); got != forks {
+	if got := e.branchObs.forks.Load(); got != forks {
 		t.Fatalf("branchObs.forks = %d; want %d", got, forks)
 	}
 	e.branchObs.mu.Lock()
@@ -154,8 +154,8 @@ func benchFork(b *testing.B, hub *obs.Hub) {
 }
 
 // BenchmarkForkBranch / BenchmarkForkBranchWithHub pin the PR-1 wart fix:
-// with a hub attached a fork pays only the shared protocol tracer plus one
+// with a hub attached a fork pays only the shared span tracer plus one
 // pool insert — not the per-fork collector registration that used to ~2x the
 // fork/converge/close cycle. Compare the two to see the residual hub cost.
 func BenchmarkForkBranch(b *testing.B)        { benchFork(b, nil) }
-func BenchmarkForkBranchWithHub(b *testing.B) { benchFork(b, obs.NewHub(obs.HubOptions{})) }
+func BenchmarkForkBranchWithHub(b *testing.B) { benchFork(b, obs.NewHub(0)) }

@@ -332,7 +332,7 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 	if n := len(queued(p, 0)); n != 1 || m.Iteration != 4 || !m.Cum || m.Value.(float64) != 9.0 {
 		t.Fatalf("delta-into-cum = %+v (window len %d); want iteration 4, value 9, cum=true", m, n)
 	}
-	if c := e.stats.Coalesced.Value(); c != 3 {
+	if c := e.stats.Coalesced.Load(); c != 3 {
 		t.Fatalf("Coalesced = %d; want 3", c)
 	}
 }
@@ -364,7 +364,7 @@ func TestDeltaActivationWaitsForFrontier(t *testing.T) {
 	}
 	waiting := func(when string) {
 		t.Helper()
-		if c := e.stats.Commits.Value(); c != 0 {
+		if c := e.stats.Commits.Load(); c != 0 {
 			t.Fatalf("%s: %d commits; the activation parked at iteration 3 must wait for the frontier (notified %d)",
 				when, c, p.notified)
 		}
@@ -386,7 +386,7 @@ func TestDeltaActivationWaitsForFrontier(t *testing.T) {
 
 	p.handleFrontier(msgFrontier{Notified: 2})
 	p.drainActQ()
-	if c := e.stats.Commits.Value(); c != 1 {
+	if c := e.stats.Commits.Load(); c != 1 {
 		t.Fatalf("%d commits after the frontier reached the activation; want 1", c)
 	}
 	if d := p.deltaDepth.Load(); d != 0 || p.actQ.Len() != 0 {
@@ -395,7 +395,7 @@ func TestDeltaActivationWaitsForFrontier(t *testing.T) {
 	if got := p.vertices[2].state.(*dsumState).Total; got != 8.0 {
 		t.Fatalf("committed total = %v; want 8 (both deltas folded into one commit)", got)
 	}
-	if merged, applied := e.stats.DeltaMerged.Value(), e.stats.DeltaApplied.Value(); merged != 1 || applied != 1 {
+	if merged, applied := e.stats.DeltaMerged.Load(), e.stats.DeltaApplied.Load(); merged != 1 || applied != 1 {
 		t.Fatalf("DeltaMerged = %d, DeltaApplied = %d; want 1 and 1", merged, applied)
 	}
 	if n := p.tk.TokenCount(); n != 0 {

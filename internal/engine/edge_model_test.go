@@ -247,9 +247,9 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 			if !slices.Equal(clocked, sortedKeys(m.clock)) {
 				t.Fatalf("trial %d op %d: clocked %v; model wants %v", trial, op, clocked, sortedKeys(m.clock))
 			}
-			if v.preparing() != m.preparing || v.dirty != m.dirty || int(e.stats.Commits.Value()) != m.commits {
+			if v.preparing() != m.preparing || v.dirty != m.dirty || int(e.stats.Commits.Load()) != m.commits {
 				t.Fatalf("trial %d op %d: preparing %v dirty %v commits %d; model wants %v %v %d",
-					trial, op, v.preparing(), v.dirty, e.stats.Commits.Value(), m.preparing, m.dirty, m.commits)
+					trial, op, v.preparing(), v.dirty, e.stats.Commits.Load(), m.preparing, m.dirty, m.commits)
 			}
 
 			// Stored bytes are what AppendBlob writes for the model's maps.
@@ -277,9 +277,9 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 		if n := p.tk.TokenCount(); n != wantTokens {
 			t.Fatalf("trial %d: %d tokens outstanding; want %d", trial, n, wantTokens)
 		}
-		if m.commits < 10 || e.stats.PrepareMsgs.Value() == 0 || e.stats.AckMsgs.Value() == 0 {
+		if m.commits < 10 || e.stats.PrepareMsgs.Load() == 0 || e.stats.AckMsgs.Load() == 0 {
 			t.Fatalf("trial %d: %d commits, %d prepares, %d acks: the protocol was not exercised",
-				trial, m.commits, e.stats.PrepareMsgs.Value(), e.stats.AckMsgs.Value())
+				trial, m.commits, e.stats.PrepareMsgs.Load(), e.stats.AckMsgs.Load())
 		}
 		e.Stop()
 	}

@@ -241,7 +241,7 @@ func (e *Engine) migrate(r VertexRange, from, dest int, retire bool) error {
 	pin := inc.tracker.AcquireFloor(0)
 	abort := func(why string) error {
 		inc.tracker.Release(pin)
-		e.migAborts.Inc()
+		e.migAborts.Add(1)
 		e.recordEvent(RecoveryEvent{Kind: EventMigrationAbort, Proc: dest, Gen: inc.gen,
 			Detail: fmt.Sprintf("seq %d [%d,%d]→%d: %s", seq, r.Lo, r.Hi, dest, why)})
 		return fmt.Errorf("%w: %s", ErrMigrationAborted, why)
@@ -305,7 +305,7 @@ func (e *Engine) migrate(r VertexRange, from, dest int, retire bool) error {
 	inc.migE.Send(transport.NodeID(dest), msgMigActivate{Seq: seq, Token: pin})
 	inc.migE.Flush()
 
-	e.migrations.Inc()
+	e.migrations.Add(1)
 	e.migratedVerts.Add(int64(moved))
 	if e.migDurHist != nil {
 		e.migDurHist.Observe(time.Since(start).Seconds())

@@ -11,7 +11,6 @@ import (
 	"tornado/internal/delta"
 	"tornado/internal/flow"
 	"tornado/internal/lamport"
-	"tornado/internal/metrics"
 	"tornado/internal/obs"
 	"tornado/internal/obs/trace"
 	"tornado/internal/storage"
@@ -131,11 +130,11 @@ type Config struct {
 	// constant). Only tests set it, to compact more often.
 	compactEvery int64
 	// Obs, when non-nil, attaches the loop to an observability hub: protocol
-	// counters and frontier gauges register under per-loop labels, the
-	// three-phase protocol flows events into the hub's tracer, and the loop
-	// contributes a /statusz section. Branch loops forked from an observed
-	// main loop inherit only the tracer (see attachObs): they are too
-	// short-lived to scrape, and per-query collector registration would
+	// counters and frontier gauges register under per-loop labels, sampled
+	// deltas and watched vertices record spans in the hub's tracer, and the
+	// loop contributes a /statusz section. Branch loops forked from an
+	// observed main loop inherit only the tracer (see attachObs): they are
+	// too short-lived to scrape, and per-query collector registration would
 	// dominate the fork fast path.
 	Obs *obs.Hub
 	// branchObs is set by ForkBranch on branch configs: the parent main
@@ -289,27 +288,27 @@ func (r *iterRing) records() []IterationRecord {
 
 // Stats are the engine's live counters.
 type Stats struct {
-	Commits     metrics.Counter
-	UpdateMsgs  metrics.Counter
-	PrepareMsgs metrics.Counter
-	AckMsgs     metrics.Counter
-	InputMsgs   metrics.Counter
-	Emits       metrics.Counter
+	Commits     atomic.Int64
+	UpdateMsgs  atomic.Int64
+	PrepareMsgs atomic.Int64
+	AckMsgs     atomic.Int64
+	InputMsgs   atomic.Int64
+	Emits       atomic.Int64
 	// Coalesced counts update messages merged into a newer update for the
 	// same (producer, consumer) pair before leaving the processor.
-	Coalesced metrics.Counter
+	Coalesced atomic.Int64
 	// LocalMsgs counts vertex messages whose owner was the sending processor:
 	// dispatched from its own window, never handed to the transport.
-	LocalMsgs metrics.Counter
+	LocalMsgs atomic.Int64
 	// SnapshotLoads counts stored versions decoded to bootstrap a vertex.
-	SnapshotLoads metrics.Counter
+	SnapshotLoads atomic.Int64
 	// Delta-mode counters (static zero in value mode). DeltaMerged counts
 	// deltas accumulated into an already-pending slot, DeltaSkipped counts
 	// sub-threshold pendings parked instead of scheduled (selective
 	// activation), DeltaApplied counts pendings consumed by commits.
-	DeltaMerged  metrics.Counter
-	DeltaSkipped metrics.Counter
-	DeltaApplied metrics.Counter
+	DeltaMerged  atomic.Int64
+	DeltaSkipped atomic.Int64
+	DeltaApplied atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of the counters.
@@ -460,15 +459,15 @@ type Engine struct {
 	migActive     bool
 	migSeq        int64
 	migCrashArm   atomic.Int64 // proc+1 of an armed FaultCrashDuringMigration
-	migrations    metrics.Counter
-	migratedVerts metrics.Counter
-	migAborts     metrics.Counter
-	migBounced    metrics.Counter
+	migrations    atomic.Int64
+	migratedVerts atomic.Int64
+	migAborts     atomic.Int64
+	migBounced    atomic.Int64
 	migDurHist    *obs.StreamHist
 
 	// Supervision counters and event log.
-	crashes     metrics.Counter
-	recoveries  metrics.Counter
+	crashes     atomic.Int64
+	recoveries  atomic.Int64
 	recMu       sync.Mutex
 	recoveryLog []RecoveryEvent
 
@@ -488,7 +487,6 @@ type Engine struct {
 	// Observability (nil / zero unless Config.Obs was set).
 	obsScope        *obs.Scope
 	obsDetach       func()
-	tracer          *obs.Tracer
 	spans           *trace.Tracer
 	pendingPrepares atomic.Int64
 	iterCommitsHist *obs.StreamHist
@@ -555,8 +553,7 @@ func New(cfg Config) (*Engine, error) {
 		e.wireFaults = transport.NewWireFaults(cfg.Seed ^ 0x5719e)
 	}
 	if cfg.Obs != nil {
-		e.tracer = cfg.Obs.Tracer // before the processors: they cache it
-		e.spans = cfg.Obs.Spans
+		e.spans = cfg.Obs.Spans // before the processors: they cache it
 	}
 	e.inc = e.buildIncarnation(0)
 	if cfg.Obs != nil {
@@ -865,13 +862,10 @@ func (e *Engine) masterRun(inc *incarnation) {
 	}
 }
 
-// observeAdvance records one frontier advance with the hub: a trace event
-// (frontier advances are rare, so they are never sampled out) and the
-// inter-advance gap histogram. Master goroutine only.
+// observeAdvance records one frontier advance with the hub: the
+// inter-advance gap histogram and the frontier spans of the traced commits
+// it covers. Master goroutine only.
 func (e *Engine) observeAdvance(to int64) {
-	if e.tracer != nil {
-		e.tracer.Record(uint64(e.cfg.LoopID), obs.EvFrontier, obs.NoVertex, 0, to)
-	}
 	if e.advanceGapHist != nil {
 		now := time.Now()
 		if !e.lastAdvance.IsZero() {
@@ -928,7 +922,7 @@ func (e *Engine) traceFrontier(to int64) {
 	}
 	now := e.spans.Now()
 	for _, tc := range covered {
-		e.spans.Stage(tc.ctx, trace.StageFrontier, uint64(e.cfg.LoopID), trace.NoVertex, uint64(tc.iter), now)
+		e.spans.StageIter(tc.ctx, trace.StageFrontier, uint64(e.cfg.LoopID), trace.NoVertex, 0, tc.iter, now)
 	}
 }
 
@@ -1091,9 +1085,9 @@ func (e *Engine) FlowSnapshot() FlowSnapshot {
 		s.GateResets = g.Resets()
 	}
 	s.InboxMax, s.InboxTotal, s.StalledEndpoints, s.HeldFrames = e.cur().net.QueueDepths()
-	s.Stalls = e.netStats.Stalls.Value()
-	s.FramesHeld = e.netStats.HeldFrames.Value()
-	s.UrgentShed = e.netStats.UrgentShed.Value()
+	s.Stalls = e.netStats.Stalls.Load()
+	s.FramesHeld = e.netStats.HeldFrames.Load()
+	s.UrgentShed = e.netStats.UrgentShed.Load()
 	return s
 }
 
@@ -1158,37 +1152,37 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 	}
 	e.genMu.RUnlock()
 	return StatsSnapshot{
-		DeltaMerged:          e.stats.DeltaMerged.Value(),
-		DeltaSkipped:         e.stats.DeltaSkipped.Value(),
-		DeltaApplied:         e.stats.DeltaApplied.Value(),
+		DeltaMerged:          e.stats.DeltaMerged.Load(),
+		DeltaSkipped:         e.stats.DeltaSkipped.Load(),
+		DeltaApplied:         e.stats.DeltaApplied.Load(),
 		DeltaQueueDepth:      queueDepth,
-		Commits:              e.stats.Commits.Value(),
-		UpdateMsgs:           e.stats.UpdateMsgs.Value(),
-		PrepareMsgs:          e.stats.PrepareMsgs.Value(),
-		AckMsgs:              e.stats.AckMsgs.Value(),
-		InputMsgs:            e.stats.InputMsgs.Value(),
-		Emits:                e.stats.Emits.Value(),
-		Coalesced:            e.stats.Coalesced.Value(),
-		LocalMsgs:            e.stats.LocalMsgs.Value(),
-		SnapshotLoads:        e.stats.SnapshotLoads.Value(),
-		TransportSent:        e.netStats.Sent.Value(),
-		TransportDelivered:   e.netStats.Delivered.Value(),
-		TransportResent:      e.netStats.Resent.Value(),
-		TransportPayloads:    e.netStats.Payloads.Value(),
-		TransportAckFrames:   e.netStats.AckFrames.Value(),
-		TransportDeadLetters: e.netStats.DeadLetters.Value(),
-		WireTxFrames:         e.netStats.WireTxFrames.Value(),
-		WireRxFrames:         e.netStats.WireRxFrames.Value(),
-		WireTxBytes:          e.netStats.WireTxBytes.Value(),
-		WireRxBytes:          e.netStats.WireRxBytes.Value(),
-		WireReconnects:       e.netStats.WireReconnects.Value(),
-		WireChecksumFailures: e.netStats.WireChecksumFailures.Value(),
-		WireTornFrames:       e.netStats.WireTornFrames.Value(),
+		Commits:              e.stats.Commits.Load(),
+		UpdateMsgs:           e.stats.UpdateMsgs.Load(),
+		PrepareMsgs:          e.stats.PrepareMsgs.Load(),
+		AckMsgs:              e.stats.AckMsgs.Load(),
+		InputMsgs:            e.stats.InputMsgs.Load(),
+		Emits:                e.stats.Emits.Load(),
+		Coalesced:            e.stats.Coalesced.Load(),
+		LocalMsgs:            e.stats.LocalMsgs.Load(),
+		SnapshotLoads:        e.stats.SnapshotLoads.Load(),
+		TransportSent:        e.netStats.Sent.Load(),
+		TransportDelivered:   e.netStats.Delivered.Load(),
+		TransportResent:      e.netStats.Resent.Load(),
+		TransportPayloads:    e.netStats.Payloads.Load(),
+		TransportAckFrames:   e.netStats.AckFrames.Load(),
+		TransportDeadLetters: e.netStats.DeadLetters.Load(),
+		WireTxFrames:         e.netStats.WireTxFrames.Load(),
+		WireRxFrames:         e.netStats.WireRxFrames.Load(),
+		WireTxBytes:          e.netStats.WireTxBytes.Load(),
+		WireRxBytes:          e.netStats.WireRxBytes.Load(),
+		WireReconnects:       e.netStats.WireReconnects.Load(),
+		WireChecksumFailures: e.netStats.WireChecksumFailures.Load(),
+		WireTornFrames:       e.netStats.WireTornFrames.Load(),
 		Notified:             tracker.Notified(),
 		Frontier:             tracker.Frontier(),
 		PendingPrepares:      e.pendingPrepares.Load(),
-		Crashes:              e.crashes.Value(),
-		Recoveries:           e.recoveries.Value(),
+		Crashes:              e.crashes.Load(),
+		Recoveries:           e.recoveries.Load(),
 		Quarantined:          int64(len(e.Quarantined())),
 		Generation:           int64(gen),
 	}

@@ -164,7 +164,7 @@ func (p *processor) handleAdopt(m msgAdopt) {
 		v.lastCommit = m.Iteration
 		p.persist(v, m.Iteration)
 		p.tk.RecordCommit(m.Iteration, 0)
-		p.eng.stats.Commits.Inc()
+		p.eng.stats.Commits.Add(1)
 		p.shareMu.Lock()
 		p.share[v.slot].lastCommit = m.Iteration
 		p.shareMu.Unlock()

@@ -64,7 +64,7 @@ func (p *processor) bounce(id stream.VertexID) *msgBatch {
 	if owner == transport.NodeID(p.idx) {
 		return nil
 	}
-	p.eng.migBounced.Inc()
+	p.eng.migBounced.Add(1)
 	return p.out.win[owner]
 }
 

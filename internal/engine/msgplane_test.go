@@ -195,7 +195,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 		t.Fatalf("frame changed on the wire:\n got %+v\nwant %+v", flatten(got), flatten(sent))
 	}
 	// The counter moves just after the frame lands in the inbox.
-	waitUntil(t, waitFor, func() bool { return net.Stats.Delivered.Value() == int64(len(sent.Tags)) },
+	waitUntil(t, waitFor, func() bool { return net.Stats.Delivered.Load() == int64(len(sent.Tags)) },
 		"the decoded frame must still weigh its messages in Stats.Delivered")
 }
 

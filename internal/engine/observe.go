@@ -3,10 +3,11 @@ package engine
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"tornado/internal/metrics"
 	"tornado/internal/obs"
+	"tornado/internal/obs/trace"
 	"tornado/internal/stream"
 )
 
@@ -14,7 +15,7 @@ import (
 // counters register themselves with the hub's registry under per-loop labels
 // (exposition reads the very atomics the engine already maintains, so the
 // protocol pays nothing extra), gauges read the tracker at scrape time, and
-// the shared protocol tracer is installed for the processors.
+// the hub's span tracer is installed for the processors (in New).
 // Branch loops are the exception: they fork per query and live for
 // milliseconds, so no scrape could ever observe their series, while
 // registering (and unregistering) the full collector set would dominate the
@@ -23,7 +24,6 @@ import (
 // their parent's pooled branchObs aggregate, whose fixed tornado_branch_*
 // families sum live and retired branches at scrape time.
 func (e *Engine) attachObs(hub *obs.Hub) {
-	e.tracer = hub.Tracer
 	if e.cfg.Kind == BranchLoop {
 		if bo := e.cfg.branchObs; bo != nil {
 			bo.attach(e)
@@ -374,29 +374,16 @@ func rate(n int64, over time.Duration) float64 {
 	return 0
 }
 
-// Trace returns the tracer's retained protocol events for one vertex of this
-// loop, oldest first (nil without an attached hub). Sampled-out vertices
-// yield nothing; Watch them first.
-func (e *Engine) Trace(id stream.VertexID) []obs.Event {
-	if e.tracer == nil {
-		return nil
-	}
-	return e.tracer.Query(uint64(e.cfg.LoopID), uint64(id))
+// Trace returns the retained protocol markers of one vertex of this loop,
+// oldest first (nil without an attached hub). Only watched vertices record
+// markers; Watch them first.
+func (e *Engine) Trace(id stream.VertexID) []trace.Span {
+	return e.spans.Markers(uint64(e.cfg.LoopID), uint64(id))
 }
 
-// Watch forces tracing of one vertex regardless of the sampling rate.
-func (e *Engine) Watch(id stream.VertexID) {
-	if e.tracer != nil {
-		e.tracer.Watch(uint64(id))
-	}
-}
-
-// Unwatch reverses Watch.
-func (e *Engine) Unwatch(id stream.VertexID) {
-	if e.tracer != nil {
-		e.tracer.Unwatch(uint64(id))
-	}
-}
+// Watch records every protocol transition of one vertex, in this loop and
+// the branches forked from it, as a marker span in the hub's tracer.
+func (e *Engine) Watch(id stream.VertexID) { e.spans.Watch(uint64(id)) }
 
 // partitionLag is the per-partition staleness watermark: the distance between
 // the partition's newest committed iteration and the loop's terminated
@@ -416,11 +403,11 @@ type branchTotals struct {
 }
 
 func (t *branchTotals) add(e *Engine) {
-	t.commits += e.stats.Commits.Value()
-	t.updates += e.stats.UpdateMsgs.Value()
-	t.inputs += e.stats.InputMsgs.Value()
-	t.emits += e.stats.Emits.Value()
-	t.coalesced += e.stats.Coalesced.Value()
+	t.commits += e.stats.Commits.Load()
+	t.updates += e.stats.UpdateMsgs.Load()
+	t.inputs += e.stats.InputMsgs.Load()
+	t.emits += e.stats.Emits.Load()
+	t.coalesced += e.stats.Coalesced.Load()
 }
 
 // branchObs pools branch-loop metric series into a fixed family set owned by
@@ -430,7 +417,7 @@ func (t *branchTotals) add(e *Engine) {
 // observe-package benchmark and family-count guard pin this. Scrapes sum the
 // live branches' hot-path atomics plus the retired accumulator.
 type branchObs struct {
-	forks metrics.Counter
+	forks atomic.Int64
 
 	mu      sync.Mutex
 	live    map[*Engine]struct{}
@@ -446,7 +433,7 @@ func (b *branchObs) attach(br *Engine) {
 	if b == nil {
 		return
 	}
-	b.forks.Inc()
+	b.forks.Add(1)
 	b.mu.Lock()
 	b.live[br] = struct{}{}
 	b.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tornado/internal/obs"
+	"tornado/internal/obs/trace"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
@@ -23,7 +24,7 @@ func ringTuples(n int) []stream.Tuple {
 }
 
 func TestObservabilityReconciliationAndTrace(t *testing.T) {
-	hub := obs.NewHub(obs.HubOptions{TraceCapacity: 1 << 16, TraceSampleEvery: 1})
+	hub := obs.NewHub(0)
 	e, err := New(Config{
 		Processors: 3,
 		DelayBound: 4,
@@ -83,12 +84,12 @@ func TestObservabilityReconciliationAndTrace(t *testing.T) {
 			t.Fatalf("event %d out of order: seq %d after %d", i, ev.Seq, lastSeq)
 		}
 		lastSeq = ev.Seq
-		switch ev.Kind {
-		case obs.EvPrepareSend, obs.EvPrepareRecv:
+		switch ev.Stage {
+		case trace.MarkPrepareSend, trace.MarkPrepareRecv:
 			if firstPrepare < 0 {
 				firstPrepare = i
 			}
-		case obs.EvCommit:
+		case trace.MarkCommit:
 			if firstCommit < 0 {
 				firstCommit = i
 			}
@@ -101,9 +102,25 @@ func TestObservabilityReconciliationAndTrace(t *testing.T) {
 		t.Fatalf("prepare phase (idx %d) must precede commit (idx %d): %v", firstPrepare, firstCommit, events)
 	}
 
-	// Frontier advances are traced against the NoVertex sentinel.
-	if adv := hub.Tracer.QueryVertex(obs.NoVertex); len(adv) == 0 {
-		t.Error("no frontier-advance events recorded")
+	// Frontier advances are read from the iteration log: every terminated
+	// iteration once, in order, all below the live frontier.
+	advances := e.IterationLog()
+	if len(advances) == 0 {
+		t.Fatal("no frontier advances logged")
+	}
+	for i := 1; i < len(advances); i++ {
+		if advances[i].Iteration != advances[i-1].Iteration+1 {
+			t.Fatalf("iteration log skips or repeats at %d: %+v", i, advances)
+		}
+	}
+	if last := advances[len(advances)-1].Iteration; last >= s.Frontier {
+		t.Errorf("last terminated iteration %d not below the frontier %d", last, s.Frontier)
+	}
+	// Only the watched vertex recorded protocol markers.
+	for _, sp := range hub.Spans.Snapshot() {
+		if sp.Trace == 0 && sp.Vertex != uint64(watched) && sp.Vertex != trace.NoVertex {
+			t.Fatalf("unwatched vertex recorded a protocol marker: %v", sp)
+		}
 	}
 
 	// The registry exposes the per-loop series, reading the live counters.
@@ -162,8 +179,7 @@ func TestEngineWithoutHubHasNoObsOverhead(t *testing.T) {
 	if got := e.Trace(1); got != nil {
 		t.Fatalf("Trace without hub = %v; want nil", got)
 	}
-	e.Watch(1)   // must be a no-op, not a panic
-	e.Unwatch(1) // ditto
+	e.Watch(1) // must be a no-op, not a panic
 	s := e.StatsSnapshot()
 	if s.Commits == 0 {
 		t.Fatal("engine without hub did not run")

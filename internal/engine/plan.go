@@ -189,9 +189,9 @@ func (e *Engine) PlanStats() PlanStats {
 		MaxProcessors:    len(p.Active),
 		Active:           make([]bool, len(p.Active)),
 		Overrides:        append([]PlanOverride(nil), p.Overrides...),
-		Migrations:       e.migrations.Value(),
-		MigratedVertices: e.migratedVerts.Value(),
-		Aborts:           e.migAborts.Value(),
+		Migrations:       e.migrations.Load(),
+		MigratedVertices: e.migratedVerts.Load(),
+		Aborts:           e.migAborts.Load(),
 	}
 	for i, a := range p.Active {
 		s.Active[i] = a > 0

@@ -10,7 +10,6 @@ import (
 
 	"tornado/internal/delta"
 	"tornado/internal/lamport"
-	"tornado/internal/obs"
 	"tornado/internal/obs/trace"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
@@ -39,14 +38,12 @@ type processor struct {
 	// from snap in value mode. No other processor holds an unloaded vertex.
 	shells bool
 
-	// tr is the engine's protocol tracer (nil when unobserved), cached here
-	// with the numeric loop ID so the hot path pays one nil check plus, for
-	// sampled-out vertices, one hash.
-	tr    *obs.Tracer
+	// sp is the engine's span tracer (nil-safe), cached here with the
+	// numeric loop ID: message contexts are checked with one bool load
+	// before any call touches it, and a protocol transition costs one atomic
+	// load while no vertex is watched.
+	sp    *trace.Tracer
 	loopU uint64
-	// sp is the engine's causal span tracer (nil-safe); message contexts are
-	// checked with one bool load before any call touches it.
-	sp *trace.Tracer
 
 	vertices map[stream.VertexID]*vertex
 	notified int64 // highest iteration the master announced terminated
@@ -136,7 +133,6 @@ func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Track
 		ep:       ep,
 		tk:       tk,
 		snap:     eng.cfg.snapshot,
-		tr:       eng.tracer,
 		loopU:    uint64(eng.cfg.LoopID),
 		sp:       eng.spans,
 		vertices: make(map[stream.VertexID]*vertex),
@@ -295,10 +291,11 @@ func (p *processor) dispatchBatch(b *msgBatch, from transport.NodeID, at int64) 
 	}
 }
 
-// trace records one protocol event when the vertex is sampled or watched.
-func (p *processor) trace(kind obs.EventKind, vertex, peer stream.VertexID, iter int64) {
-	if t := p.tr; t != nil && t.Enabled(uint64(vertex)) {
-		t.Record(p.loopU, kind, uint64(vertex), uint64(peer), iter)
+// trace records one protocol transition (a trace.Mark* stage) of a watched
+// vertex as a marker span.
+func (p *processor) trace(stage string, vertex, peer stream.VertexID, iter int64) {
+	if p.sp.Watched(uint64(vertex)) {
+		p.sp.Mark(stage, p.loopU, uint64(vertex), uint64(peer), iter)
 	}
 }
 
@@ -364,7 +361,7 @@ func (p *processor) load(v *vertex) {
 			if derr != nil {
 				panic(fmt.Sprintf("engine: decode snapshot of vertex %d: %v", v.id, derr))
 			}
-			p.eng.stats.SnapshotLoads.Inc()
+			p.eng.stats.SnapshotLoads.Add(1)
 			if p.dp != nil && hasPending {
 				// A persisted unconsumed pending rides the checkpoint; if it
 				// is significant, re-queue it so recovery and branch forks
@@ -440,7 +437,7 @@ func (p *processor) deltaSchedule(v *vertex, tok int64) {
 	// Sub-threshold: park the pending (selective activation). The token is
 	// released, so a loop whose remaining pendings are all insignificant
 	// quiesces — that is the delta-mode convergence criterion.
-	p.eng.stats.DeltaSkipped.Inc()
+	p.eng.stats.DeltaSkipped.Add(1)
 	p.tk.Release(tok)
 }
 
@@ -491,7 +488,7 @@ func (p *processor) markDirty(v *vertex) {
 }
 
 func (p *processor) handleInput(m msgInput) {
-	p.eng.stats.InputMsgs.Inc()
+	p.eng.stats.InputMsgs.Add(1)
 	id := routeVertex(m.Tuple)
 	if p.migrating(id) {
 		p.mig.journal.addInput(m)
@@ -502,7 +499,7 @@ func (p *processor) handleInput(m msgInput) {
 		return
 	}
 	v := p.ensure(id)
-	p.trace(obs.EvInput, v.id, 0, v.iter)
+	p.trace(trace.MarkInput, v.id, 0, v.iter)
 	if m.Ctx.Traced() {
 		// Inbox dwell closes at dispatch (delivery -> this handler).
 		m.Ctx = p.sp.Stage(m.Ctx, trace.StageInbox, p.loopU, uint64(v.id), 0, p.sp.Now())
@@ -526,7 +523,7 @@ func (p *processor) handleActivate(m msgActivate) {
 		return
 	}
 	v := p.ensure(m.To)
-	p.trace(obs.EvActivate, v.id, 0, v.iter)
+	p.trace(trace.MarkActivate, v.id, 0, v.iter)
 	work := heldWork{token: m.Token, activate: true}
 	if v.preparing() {
 		v.holdInput = append(v.holdInput, work)
@@ -613,7 +610,7 @@ func (p *processor) handleUpdate(m msgUpdate) {
 	// the cap forever.
 	if m.Iteration >= p.cap() {
 		v := p.ensure(m.To)
-		p.trace(obs.EvHoldback, v.id, m.From, m.Iteration)
+		p.trace(trace.MarkHoldback, v.id, m.From, m.Iteration)
 		v.committedBy(m.From)
 		p.holdback[m.Iteration] = append(p.holdback[m.Iteration], m)
 		p.maybeStart(v)
@@ -629,7 +626,7 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 	} else {
 		v = p.touch(m.To)
 	}
-	p.trace(obs.EvGather, v.id, m.From, m.Iteration)
+	p.trace(trace.MarkGather, v.id, m.From, m.Iteration)
 	if m.Ctx.Traced() {
 		// Inbox dwell (including delay-bound holdback) closes at gather.
 		m.Ctx = p.sp.Stage(m.Ctx, trace.StageInbox, p.loopU, uint64(m.To), uint64(m.From), p.sp.Now())
@@ -660,7 +657,7 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 				if d, ok := p.dp.Gather(ctx, m.From, m.Value, m.Cum); ok {
 					if v.hasPending {
 						v.pending = p.dp.Accumulate(v.pending, d)
-						p.eng.stats.DeltaMerged.Inc()
+						p.eng.stats.DeltaMerged.Add(1)
 					} else {
 						v.pending, v.hasPending = d, true
 					}
@@ -692,7 +689,7 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 					} else {
 						// Sub-threshold: park the pending (selective
 						// activation) but persist it and the gathered record.
-						p.eng.stats.DeltaSkipped.Inc()
+						p.eng.stats.DeltaSkipped.Add(1)
 						p.markDirty(v)
 						p.tk.Release(m.Token)
 					}
@@ -742,7 +739,7 @@ func (p *processor) handlePrepare(m msgPrepare) {
 	if mig := p.mig; mig != nil && mig.shipped {
 		if iter, gone := mig.tomb[m.To]; gone {
 			p.eng.clock.Witness(m.Stamp.Time)
-			p.eng.stats.AckMsgs.Inc()
+			p.eng.stats.AckMsgs.Add(1)
 			p.window(m.From).addAck(msgAck{From: m.To, To: m.From, Iteration: iter})
 			return
 		}
@@ -752,7 +749,7 @@ func (p *processor) handlePrepare(m msgPrepare) {
 		return
 	}
 	v := p.touch(m.To)
-	p.trace(obs.EvPrepareRecv, v.id, m.From, v.iter)
+	p.trace(trace.MarkPrepareRecv, v.id, m.From, v.iter)
 	p.eng.clock.Witness(m.Stamp.Time)
 	if from := v.producer(m.From, true); !from.Preparing {
 		from.Preparing = true
@@ -762,8 +759,8 @@ func (p *processor) handlePrepare(m msgPrepare) {
 	// in-flight update; later ones wait until we commit (Figure 3,
 	// OnReceivePrepare). The Lamport order makes this deadlock-free.
 	if !v.preparing() || m.Stamp.Before(v.stamp) {
-		p.eng.stats.AckMsgs.Inc()
-		p.trace(obs.EvAckSend, v.id, m.From, v.iter)
+		p.eng.stats.AckMsgs.Add(1)
+		p.trace(trace.MarkAckSend, v.id, m.From, v.iter)
 		p.window(m.From).addAck(msgAck{From: v.id, To: m.From, Iteration: v.iter})
 	} else {
 		v.pendingAcks = append(v.pendingAcks, m.From)
@@ -779,7 +776,7 @@ func (p *processor) handleAck(m msgAck) {
 	if !ok || !v.preparing() {
 		return // stale ack (e.g. duplicate delivery)
 	}
-	p.trace(obs.EvAckRecv, v.id, m.From, m.Iteration)
+	p.trace(trace.MarkAckRecv, v.id, m.From, m.Iteration)
 	if m.Iteration > v.iter {
 		v.iter = m.Iteration
 	}
@@ -871,7 +868,7 @@ func (p *processor) maybeStart(v *vertex) {
 			if e := &v.out[i]; e.Flags&edgeConsumer != 0 {
 				e.Flags |= edgeOwesAck
 				v.nwaiting++
-				p.trace(obs.EvPrepareSend, v.id, e.To, lower)
+				p.trace(trace.MarkPrepareSend, v.id, e.To, lower)
 				p.window(e.To).addPrepare(msgPrepare{From: v.id, To: e.To, Stamp: v.stamp})
 			}
 		}
@@ -910,7 +907,7 @@ func (p *processor) commit(v *vertex) {
 	if tau > p.maxCommit.Load() {
 		p.maxCommit.Store(tau)
 	}
-	p.trace(obs.EvCommit, v.id, 0, tau)
+	p.trace(trace.MarkCommit, v.id, 0, tau)
 
 	// User scatter collects emissions.
 	v.emits = p.emitBuf[:0]
@@ -932,7 +929,7 @@ func (p *processor) commit(v *vertex) {
 			p.dp.Priority(&vertexContext{p: p, v: v}, v.pending) >= p.deltaBase) {
 			pend = v.pending
 			v.pending, v.hasPending = nil, false
-			p.eng.stats.DeltaApplied.Inc()
+			p.eng.stats.DeltaApplied.Add(1)
 		}
 		p.dp.Update(ctx, pend)
 	} else {
@@ -944,7 +941,7 @@ func (p *processor) commit(v *vertex) {
 	p.persist(v, tau)
 	p.tk.RecordCommit(tau, v.progress)
 	v.progress = 0
-	p.eng.stats.Commits.Inc()
+	p.eng.stats.Commits.Add(1)
 	p.commitCount.Add(1)
 	p.journalCommitted(v, tau)
 
@@ -1010,7 +1007,7 @@ func (p *processor) commit(v *vertex) {
 	if len(v.pendingAcks) > 0 {
 		p.eng.stats.AckMsgs.Add(int64(len(v.pendingAcks)))
 		for _, producer := range v.pendingAcks {
-			p.trace(obs.EvAckSend, v.id, producer, v.iter)
+			p.trace(trace.MarkAckSend, v.id, producer, v.iter)
 			p.window(producer).addAck(msgAck{From: v.id, To: producer, Iteration: v.iter})
 		}
 		v.pendingAcks = v.pendingAcks[:0]
@@ -1118,7 +1115,7 @@ func (p *processor) coalesceUpdate(old, next msgUpdate) msgUpdate {
 		}
 	}
 	p.tk.Release(old.Token)
-	p.eng.stats.Coalesced.Inc()
+	p.eng.stats.Coalesced.Add(1)
 	return merged
 }
 

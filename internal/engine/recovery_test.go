@@ -87,7 +87,7 @@ func TestCrashDiscardsStateManualRecovery(t *testing.T) {
 // visible in the /metrics exposition (recoveries counter, MTTR histogram).
 func TestSupervisorAutoRecovery(t *testing.T) {
 	tuples := datasets.PowerLawGraph(300, 3, 21)
-	hub := obs.NewHub(obs.HubOptions{})
+	hub := obs.NewHub(0)
 	e, err := New(Config{
 		Processors:        4,
 		DelayBound:        8,
@@ -343,7 +343,7 @@ func TestFaultPlanSchedule(t *testing.T) {
 // nothing.
 func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
 	tuples := datasets.PowerLawGraph(200, 3, 43)
-	hub := obs.NewHub(obs.HubOptions{})
+	hub := obs.NewHub(0)
 	e, err := New(Config{
 		Processors:        2,
 		MaxProcessors:     4,

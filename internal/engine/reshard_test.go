@@ -59,7 +59,7 @@ func TestReshardResumesInPlace(t *testing.T) {
 func TestReshardIsAPlanTransition(t *testing.T) {
 	tuples := datasets.PowerLawGraph(200, 3, 63)
 	half := len(tuples) / 2
-	hub := obs.NewHub(obs.HubOptions{})
+	hub := obs.NewHub(0)
 	e, err := New(Config{Processors: 2, MaxProcessors: 4, DelayBound: 8, Kind: MainLoop, LoopID: storage.MainLoop,
 		Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: 63, Obs: hub})
 	if err != nil {

@@ -106,7 +106,7 @@ func (e *Engine) CrashProcessor(i int) {
 	}
 	p.ep.Crash()
 	p.setPaused(false) // a paused goroutine must wake to observe the crash
-	e.crashes.Inc()
+	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: i, Gen: inc.gen})
 }
 
@@ -122,7 +122,7 @@ func (e *Engine) CrashMaster() {
 	}
 	inc.masterE.Crash()
 	e.masterPaused.Store(false)
-	e.crashes.Inc()
+	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: -1, Gen: inc.gen})
 }
 
@@ -303,7 +303,7 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 		}
 		// Counted under restart's quiescence guard: an observer reading the
 		// stats right after a WaitQuiesce must already see this restart.
-		e.recoveries.Inc()
+		e.recoveries.Add(1)
 		if e.mttrHist != nil {
 			e.mttrHist.Observe(time.Since(detected).Seconds())
 		}

@@ -264,7 +264,7 @@ func (c *vertexContext) emit(to stream.VertexID, value any, cum bool, call strin
 	}
 	v.out[i].Flags |= edgeEmitted
 	if c.p != nil { // contexts built without a processor (tests) skip stats
-		c.p.eng.stats.Emits.Inc()
+		c.p.eng.stats.Emits.Add(1)
 	}
 	v.emits = append(v.emits, emission{value: value, cum: cum, edge: int32(i)})
 }

@@ -174,7 +174,7 @@ func TestWireModePartitionHeal(t *testing.T) {
 // Wire metrics register under the hub and the statusz section carries the
 // wire block.
 func TestWireModeObservability(t *testing.T) {
-	hub := obs.NewHub(obs.HubOptions{})
+	hub := obs.NewHub(0)
 	e, err := New(Config{
 		Processors: 2,
 		DelayBound: 4,

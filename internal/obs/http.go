@@ -14,30 +14,14 @@ import (
 	"tornado/internal/obs/trace"
 )
 
-// HubOptions configure a Hub.
-type HubOptions struct {
-	// TraceCapacity is the tracer ring size (default 8192).
-	TraceCapacity int
-	// TraceSampleEvery traces 1 in N vertices (1 = all, 0 = default 64,
-	// negative = only watched vertices).
-	TraceSampleEvery int
-	// SpanCapacity is the causal-span ring size (default 4096).
-	SpanCapacity int
-	// SpanSampleRate is the head-based probability of tracing an input delta
-	// end to end (0 disables; tail escalation can still force tracing while
-	// a degradation rung is active).
-	SpanSampleRate float64
-}
-
 // Hub is one process's observability root: a Registry every loop registers
-// its collectors into, a shared protocol Tracer, a causal span Tracer for
-// end-to-end freshness tracing, and the HTTP exposition surface (/metrics in
-// Prometheus text format, /statusz as JSON, /traces as filterable JSON span
-// dumps, and /debug/pprof). Components contribute per-loop snapshots to
-// /statusz via AddStatus.
+// its collectors into, the span Tracer (end-to-end freshness traces plus the
+// protocol markers of watched vertices), and the HTTP exposition surface
+// (/metrics in Prometheus text format, /statusz as JSON, /traces as
+// filterable JSON span dumps, and /debug/pprof). Components contribute
+// per-loop snapshots to /statusz via AddStatus.
 type Hub struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Spans    *trace.Tracer
 	start    time.Time
 	build    map[string]string
@@ -57,12 +41,14 @@ type Hub struct {
 	lis   net.Listener
 }
 
-// NewHub returns a hub with an empty registry and running tracers.
-func NewHub(opts HubOptions) *Hub {
+// NewHub returns a hub with an empty registry and a span tracer that traces
+// an input delta end to end with probability spanRate (0 disables head
+// sampling; tail escalation can still force tracing while a degradation rung
+// is active, and watched vertices record their markers regardless).
+func NewHub(spanRate float64) *Hub {
 	h := &Hub{
 		Registry: NewRegistry(),
-		Tracer:   NewTracer(opts.TraceCapacity, opts.TraceSampleEvery),
-		Spans:    trace.NewTracer(opts.SpanCapacity, opts.SpanSampleRate),
+		Spans:    trace.NewTracer(0, spanRate),
 		start:    time.Now(),
 		build:    buildInfo(),
 		status:   make(map[string]func() any),
@@ -167,7 +153,6 @@ func (h *Hub) StatusSnapshot() map[string]any {
 		out[name] = fns[i]()
 	}
 	out["uptime"] = h.Uptime().String()
-	out["trace_events"] = h.Tracer.Recorded()
 	out["trace_spans"] = map[string]any{
 		"recorded":    h.Spans.Recorded(),
 		"retained":    h.Spans.Len(),

@@ -13,9 +13,8 @@ import (
 )
 
 func TestHubEndpoints(t *testing.T) {
-	hub := NewHub(HubOptions{TraceCapacity: 16, TraceSampleEvery: 1})
+	hub := NewHub(0)
 	hub.Registry.Scope(L("loop", "0")).Counter("tornado_commits_total", "c").Add(11)
-	hub.Tracer.Record(0, EvCommit, 3, 0, 1)
 	hub.AddStatus("loop/0", func() any { return map[string]any{"frontier": 4} })
 
 	srv := httptest.NewServer(hub.Handler())
@@ -54,9 +53,6 @@ func TestHubEndpoints(t *testing.T) {
 	if !ok || loop["frontier"] != float64(4) {
 		t.Errorf("/statusz loop section = %v", snap["loop/0"])
 	}
-	if snap["trace_events"] != float64(1) {
-		t.Errorf("/statusz trace_events = %v; want 1", snap["trace_events"])
-	}
 	if _, ok := snap["uptime"]; !ok {
 		t.Error("/statusz missing uptime")
 	}
@@ -73,7 +69,7 @@ func TestHubEndpoints(t *testing.T) {
 }
 
 func TestHubServeIdempotentAndClose(t *testing.T) {
-	hub := NewHub(HubOptions{})
+	hub := NewHub(0)
 	addr, err := hub.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +98,7 @@ func TestHubServeIdempotentAndClose(t *testing.T) {
 }
 
 func TestStatusRemove(t *testing.T) {
-	hub := NewHub(HubOptions{})
+	hub := NewHub(0)
 	hub.AddStatus("x", func() any { return 1 })
 	hub.RemoveStatus("x")
 	if _, ok := hub.StatusSnapshot()["x"]; ok {
@@ -113,11 +109,11 @@ func TestStatusRemove(t *testing.T) {
 // TestHubConcurrentScrapeAndChurn hammers the hub's HTTP surface while the
 // metric and span state underneath it churns: scrapers pull /metrics, /traces
 // and /statusz in tight loops while writers register and close scopes, record
-// causal spans (wrapping the ring), flip status sections, and bump live
+// causal spans (wrapping the default ring), flip status sections, and bump live
 // counters. Run under -race (make race), this pins the contract that a scrape
 // never observes a torn exposition, a half-registered family, or a torn span.
 func TestHubConcurrentScrapeAndChurn(t *testing.T) {
-	hub := NewHub(HubOptions{SpanCapacity: 64, SpanSampleRate: 1})
+	hub := NewHub(1)
 	srv := httptest.NewServer(hub.Handler())
 	defer srv.Close()
 
@@ -176,8 +172,8 @@ func TestHubConcurrentScrapeAndChurn(t *testing.T) {
 			}
 		}
 	}()
-	// Span writers: two tracers wrapping the 64-slot ring continuously, with
-	// stage fan-in to the lazy tornado_stage_seconds families.
+	// Span writers: two tracers recording past the default ring's capacity,
+	// with stage fan-in to the lazy tornado_stage_seconds families.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
@@ -213,7 +209,11 @@ func TestHubConcurrentScrapeAndChurn(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(300 * time.Millisecond)
+	// Churn for at least 300ms and until the span ring has wrapped.
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for time.Now().Before(deadline) || hub.Spans.Recorded() <= uint64(hub.Spans.Len()) {
+		time.Sleep(10 * time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 	// The ring must still be coherent after the churn.

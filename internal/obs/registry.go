@@ -1,21 +1,17 @@
-// Package obs is Tornado's runtime observability layer. It complements the
-// bench-harness measurement primitives in internal/metrics with the pieces a
-// long-running production loop needs:
+// Package obs is Tornado's runtime observability layer:
 //
 //   - a Registry of named counters, gauges and histograms with labels
 //     (loop, kind, program), exposable in Prometheus text format;
 //   - a StreamHist, a bounded-memory streaming histogram, so main loops that
 //     run for days do not accumulate raw samples;
-//   - a Tracer, a sampled ring buffer of three-phase protocol events
-//     (Update/Prepare/Commit/Ack transitions, iteration-number assignments,
-//     progress-frontier advances) queryable per vertex;
-//   - a Hub tying them together behind an HTTP exposition surface
-//     (/metrics, /statusz, /debug/pprof).
+//   - a Hub tying them together with the span tracer of package obs/trace
+//     (causal freshness traces and the protocol markers of watched
+//     vertices) behind an HTTP exposition surface (/metrics, /statusz,
+//     /traces, /debug/pprof).
 //
-// The registry deliberately reuses metrics.Counter as its counter primitive:
-// the engine's hot-path counters register themselves, so exposition reads
-// the very same atomics the engine already maintains and instrumentation
-// adds no per-message cost.
+// Counters are plain atomic.Int64 values: the engine's hot-path counters
+// register themselves, so exposition reads the very same atomics the engine
+// already maintains and instrumentation adds no per-message cost.
 package obs
 
 import (
@@ -27,8 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"tornado/internal/metrics"
 )
 
 // Label is one key=value metric dimension.
@@ -86,7 +80,7 @@ func (k collectorKind) String() string {
 type collector struct {
 	labels []Label
 	value  func() float64 // counter and gauge reads
-	ctr    *metrics.Counter
+	ctr    *atomic.Int64
 	gauge  *Gauge
 	hist   *StreamHist
 }
@@ -228,11 +222,11 @@ func (s *Scope) own(name string, labels []Label, created bool) {
 
 // Counter returns the named counter with the scope's labels (plus extra),
 // creating it on first use.
-func (s *Scope) Counter(name, help string, extra ...Label) *metrics.Counter {
+func (s *Scope) Counter(name, help string, extra ...Label) *atomic.Int64 {
 	labels := s.merge(extra)
 	c, created := s.reg.register(name, help, kindCounter, labels, func() *collector {
-		ctr := &metrics.Counter{}
-		return &collector{ctr: ctr, value: func() float64 { return float64(ctr.Value()) }}
+		ctr := &atomic.Int64{}
+		return &collector{ctr: ctr, value: func() float64 { return float64(ctr.Load()) }}
 	})
 	s.own(name, c.labels, created)
 	return c.ctr
@@ -241,10 +235,10 @@ func (s *Scope) Counter(name, help string, extra ...Label) *metrics.Counter {
 // RegisterCounter exposes an existing counter (e.g. an engine hot-path
 // counter) under the scope's labels. Exposition reads the counter directly,
 // so the hot path pays nothing for being observable.
-func (s *Scope) RegisterCounter(name, help string, ctr *metrics.Counter, extra ...Label) {
+func (s *Scope) RegisterCounter(name, help string, ctr *atomic.Int64, extra ...Label) {
 	labels := s.merge(extra)
 	c, created := s.reg.register(name, help, kindCounter, labels, func() *collector {
-		return &collector{ctr: ctr, value: func() float64 { return float64(ctr.Value()) }}
+		return &collector{ctr: ctr, value: func() float64 { return float64(ctr.Load()) }}
 	})
 	s.own(name, c.labels, created)
 }

@@ -3,9 +3,8 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"tornado/internal/metrics"
 )
 
 func TestScopeCounterAndPrometheusOutput(t *testing.T) {
@@ -38,7 +37,7 @@ func TestScopeCounterAndPrometheusOutput(t *testing.T) {
 func TestRegisterCounterWrapsExisting(t *testing.T) {
 	r := NewRegistry()
 	sc := r.Scope(L("loop", "1"))
-	var raw metrics.Counter
+	var raw atomic.Int64
 	raw.Add(3)
 	sc.RegisterCounter("tornado_update_msgs_total", "updates", &raw)
 	raw.Add(2) // counts observed at scrape time, not registration time
@@ -91,10 +90,10 @@ func TestHistogramExposition(t *testing.T) {
 func TestScopeCloseUnregistersOnlyOwned(t *testing.T) {
 	r := NewRegistry()
 	main := r.Scope(L("loop", "0"))
-	main.Counter("tornado_commits_total", "c").Inc()
+	main.Counter("tornado_commits_total", "c").Add(1)
 
 	branch := r.Scope(L("loop", "7"), L("kind", "branch"))
-	branch.Counter("tornado_commits_total", "c").Inc()
+	branch.Counter("tornado_commits_total", "c").Add(1)
 	branch.Close()
 
 	var b strings.Builder
@@ -142,7 +141,7 @@ func TestRegisterKindMismatchPanics(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Scope(L("program", `alg"or\it`+"\n"+`hm`)).Counter("tornado_x_total", "c").Inc()
+	r.Scope(L("program", `alg"or\it`+"\n"+`hm`)).Counter("tornado_x_total", "c").Add(1)
 	var b strings.Builder
 	_ = r.WritePrometheus(&b)
 	if want := `tornado_x_total{program="alg\"or\\it\nhm"} 1`; !strings.Contains(b.String(), want) {
@@ -162,7 +161,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			g := sc.Gauge("tornado_frontier_iteration", "g")
 			h := sc.Histogram("tornado_iteration_commits", "h", []float64{1, 10, 100})
 			for i := 0; i < 500; i++ {
-				c.Inc()
+				c.Add(1)
 				g.Set(float64(i))
 				h.Observe(float64(i))
 				if i%100 == 0 {

@@ -8,9 +8,8 @@ import (
 
 // StreamHist is a bounded-memory streaming histogram: observations land in a
 // fixed set of buckets with precomputed upper bounds, so memory stays
-// constant no matter how long the loop runs (metrics.Histogram keeps raw
-// samples, which is fine for a bench run and wrong for a main loop that
-// ingests for days). Quantiles are estimated by linear interpolation inside
+// constant no matter how long the loop runs (keeping raw samples is fine for
+// a bench run and wrong for a main loop that ingests for days). Quantiles are estimated by linear interpolation inside
 // the covering bucket; exact min, max, count and sum are tracked alongside.
 // StreamHist is safe for concurrent use.
 type StreamHist struct {

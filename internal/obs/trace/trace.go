@@ -27,6 +27,11 @@
 //     payload's context carries a span *link* to the merged trace and the
 //     merged trace records a terminal "coalesce" span pointing at the
 //     survivor, so latency absorbed by coalescing is attributed, not lost.
+//
+// The same ring carries the protocol view of individual vertices: a watched
+// vertex's three-phase transitions (gather, PREPARE/ACK, COMMIT at an
+// iteration number) are recorded as zero-width marker spans outside any
+// trace, whatever the sampling rate. Unwatched vertices record none.
 package trace
 
 import (
@@ -65,6 +70,20 @@ const (
 	MarkShed       = "shed"        // query shed with ErrOverloaded
 	MarkRung       = "rung"        // degradation-rung transition
 	MarkRecovery   = "recovery"    // crash/recovery incarnation swap
+)
+
+// Protocol marker stages: one per transition of the paper's three-phase
+// update protocol at a watched vertex (see Tracer.Mark).
+const (
+	MarkInput       = "input"        // an external stream tuple was applied
+	MarkActivate    = "activate"     // re-activated (branch seed, recovery)
+	MarkGather      = "gather"       // a COMMIT was gathered; Peer is the producer, Iter its commit iteration
+	MarkHoldback    = "holdback"     // an update at or above the delay cap was held back until the frontier advances
+	MarkPrepareSend = "prepare-send" // phase two began; Peer is the consumer asked, Iter the lower bound
+	MarkPrepareRecv = "prepare-recv" // a producer's PREPARE arrived; Peer is the producer
+	MarkAckSend     = "ack-send"     // a PREPARE was answered with Iter
+	MarkAckRecv     = "ack-recv"     // a consumer's ACK arrived; Iter is its iteration number
+	MarkCommit      = "commit"       // phase three: Iter is the assigned iteration number τ
 )
 
 // NoVertex marks spans not tied to a vertex.
@@ -133,9 +152,12 @@ type Span struct {
 	// Loop is the loop the stage ran in; Vertex/Peer locate it (NoVertex
 	// when not vertex-scoped; Peer is a transport node or consumer).
 	Loop, Vertex, Peer uint64
+	// Iter is the iteration number a protocol marker carries, or the commit
+	// iteration a frontier span saw the watermark cover (0 otherwise).
+	Iter int64
 	// Start is the stage's start offset from the tracer's start; Dur is the
 	// stage's duration (clamped to 1ns when below clock resolution, so a
-	// recorded stage is never zero-width).
+	// recorded stage is never zero-width; markers have Dur 0).
 	Start, Dur time.Duration
 	// Rung is the degradation rung at record time; Forced marks spans
 	// retained by tail escalation.
@@ -146,8 +168,10 @@ type Span struct {
 // Tracer records spans into a fixed-capacity ring. Writes are mutex-guarded
 // so a reader can never observe a half-written span (the wraparound test in
 // this package pins that contract); the hot-path discipline is to check
-// Enabled()/Context.Traced() first, which costs one atomic or bool load.
-// A nil *Tracer is valid and permanently disabled.
+// Enabled()/Context.Traced()/Watched() first, which costs one atomic or bool
+// load. Besides causal spans the ring holds marker spans: escalation markers
+// and the protocol markers of watched vertices. A nil *Tracer is valid and
+// permanently disabled.
 type Tracer struct {
 	start     time.Time
 	startNano int64
@@ -155,6 +179,11 @@ type Tracer struct {
 	on        atomic.Bool   // any tracing possible (rate > 0 or rung > 0)
 	threshold atomic.Uint64 // head sampling: record iff vhash(trace) < threshold
 	rung      atomic.Int32  // current degradation rung (L0–L3)
+	// watchN counts the watched vertices (the set is watch, below), so
+	// every protocol transition checks one atomic while nothing is watched.
+	// It sits with the read-mostly fields above rather than among the
+	// counters below, which every span record writes.
+	watchN atomic.Int64
 
 	nextTrace   atomic.Uint64
 	nextSpan    atomic.Uint64
@@ -167,6 +196,10 @@ type Tracer struct {
 	escalateUntil atomic.Int64
 	forcedLeft    atomic.Int64
 	windowNanos   int64
+
+	// watch is the set of vertices whose protocol transitions are recorded
+	// as markers (uint64 -> struct{}).
+	watch sync.Map
 
 	// onSpan, when set, observes every recorded span (the obs hub points it
 	// at the per-stage latency histogram). Called outside the ring lock.
@@ -274,6 +307,12 @@ func (t *Tracer) Begin(now int64) Context {
 // context restamped at now with the new span as parent. Untraced contexts
 // pass through unchanged at the cost of one bool check.
 func (t *Tracer) Stage(ctx Context, stage string, loop, vertex, peer uint64, now int64) Context {
+	return t.StageIter(ctx, stage, loop, vertex, peer, 0, now)
+}
+
+// StageIter is Stage for a stage that ends at an iteration number — the
+// frontier covering a commit's iteration — which the span carries in Iter.
+func (t *Tracer) StageIter(ctx Context, stage string, loop, vertex, peer uint64, iter, now int64) Context {
 	if t == nil || !ctx.Traced() {
 		return ctx
 	}
@@ -290,7 +329,7 @@ func (t *Tracer) Stage(ctx Context, stage string, loop, vertex, peer uint64, now
 	id := t.nextSpan.Add(1)
 	t.record(Span{
 		Trace: ctx.Trace, ID: id, Parent: ctx.Span, Link: ctx.Link,
-		Stage: stage, Loop: loop, Vertex: vertex, Peer: peer,
+		Stage: stage, Loop: loop, Vertex: vertex, Peer: peer, Iter: iter,
 		Start: time.Duration(ctx.Stamp - t.startNano), Dur: time.Duration(dur),
 		Rung: t.rung.Load(), Forced: ctx.Forced,
 	})
@@ -362,6 +401,53 @@ func (t *Tracer) Escalations() uint64 {
 		return 0
 	}
 	return t.escalations.Load()
+}
+
+// Watch records every protocol transition of one vertex, in every loop, as
+// a marker span (see Mark) from now on, whatever the sampling rate.
+func (t *Tracer) Watch(vertex uint64) {
+	if t == nil {
+		return
+	}
+	if _, loaded := t.watch.LoadOrStore(vertex, struct{}{}); !loaded {
+		t.watchN.Add(1)
+	}
+}
+
+// Watched reports whether the vertex is watched: one atomic load while no
+// vertex is, nil-safe.
+func (t *Tracer) Watched(vertex uint64) bool {
+	if t == nil || t.watchN.Load() == 0 {
+		return false
+	}
+	_, ok := t.watch.Load(vertex)
+	return ok
+}
+
+// Mark records one protocol transition of a watched vertex (a Mark* stage)
+// as a marker span: Trace 0 and Dur 0, so /traces and the stage histograms
+// skip it, with the transition's peer and iteration number. Callers check
+// Watched first.
+func (t *Tracer) Mark(stage string, loop, vertex, peer uint64, iter int64) {
+	if t == nil {
+		return
+	}
+	t.record(Span{
+		ID: t.nextSpan.Add(1), Stage: stage, Loop: loop, Vertex: vertex, Peer: peer, Iter: iter,
+		Start: time.Duration(t.Now() - t.startNano),
+	})
+}
+
+// Markers returns the retained protocol markers of one vertex in one loop,
+// oldest first (ascending Seq).
+func (t *Tracer) Markers(loop, vertex uint64) []Span {
+	var out []Span
+	for _, sp := range t.Snapshot() {
+		if sp.Trace == 0 && sp.Loop == loop && sp.Vertex == vertex {
+			out = append(out, sp)
+		}
+	}
+	return out
 }
 
 // OnSpan installs a hook observing every recorded span (stage histograms).

@@ -150,18 +150,24 @@ func (v TraceView) String() string {
 	fmt.Fprintf(&b, "trace %d  wall=%.3fms busy=%.3fms stages=%s%s\n",
 		v.Trace, ms(v.Wall), ms(v.Busy), strings.Join(v.Stages, ","), flags)
 	for _, sp := range v.Spans {
-		loc := fmt.Sprintf("loop=%d v%d", sp.Loop, sp.Vertex)
-		if sp.Vertex == NoVertex {
-			loc = fmt.Sprintf("loop=%d -", sp.Loop)
-		}
-		link := ""
-		if sp.Link != 0 {
-			link = fmt.Sprintf(" link=%d", sp.Link)
-		}
-		fmt.Fprintf(&b, "  %-13s %9.3fms +%8.3fms %s peer=%d%s\n",
-			sp.Stage, ms(sp.Start), ms(sp.Dur), loc, sp.Peer, link)
+		fmt.Fprintf(&b, "  %s\n", sp)
 	}
 	return b.String()
+}
+
+// String renders one span on one line: stage, start offset, attributed
+// duration, location, peer, iteration and coalesce link.
+func (sp Span) String() string {
+	loc := fmt.Sprintf("loop=%d v%d", sp.Loop, sp.Vertex)
+	if sp.Vertex == NoVertex {
+		loc = fmt.Sprintf("loop=%d -", sp.Loop)
+	}
+	link := ""
+	if sp.Link != 0 {
+		link = fmt.Sprintf(" link=%d", sp.Link)
+	}
+	return fmt.Sprintf("%-13s %9.3fms +%8.3fms %s peer=%d iter=%d%s",
+		sp.Stage, ms(sp.Start), ms(sp.Dur), loc, sp.Peer, sp.Iter, link)
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -28,7 +28,7 @@ func TestBatchedFlushShipsOneFrame(t *testing.T) {
 			t.Fatalf("payload %d: got %+v, %v", i, env, ok)
 		}
 	}
-	if sent, payloads := n.Stats.Sent.Value(), n.Stats.Payloads.Value(); sent != 1 || payloads != 5 {
+	if sent, payloads := n.Stats.Sent.Load(), n.Stats.Payloads.Load(); sent != 1 || payloads != 5 {
 		t.Fatalf("Sent = %d, Payloads = %d; want 1 frame carrying 5 payloads", sent, payloads)
 	}
 }
@@ -229,7 +229,7 @@ func TestDeferredAcksSuppressAckTraffic(t *testing.T) {
 		}
 	}
 	waitZeroUnacked(t, a)
-	sent, acks := n.Stats.Sent.Value(), n.Stats.AckFrames.Value()
+	sent, acks := n.Stats.Sent.Load(), n.Stats.AckFrames.Load()
 	if acks >= sent {
 		t.Fatalf("AckFrames = %d >= Sent = %d; deferred acks are not suppressing traffic", acks, sent)
 	}
@@ -393,11 +393,11 @@ func TestCountedPayloadsFrameByMessages(t *testing.T) {
 		t.Fatalf("Buffered = %d after a 5-message payload; want 5", got)
 	}
 	a.Send(2, weighed(5)) // 5+5 > 8: the first ships alone
-	if sent, buffered := n.Stats.Sent.Value(), a.Buffered(); sent != 1 || buffered != 5 {
+	if sent, buffered := n.Stats.Sent.Load(), a.Buffered(); sent != 1 || buffered != 5 {
 		t.Fatalf("after the second payload: %d frames sent, %d messages buffered; want 1 and 5", sent, buffered)
 	}
 	a.Send(2, weighed(8)) // a full batch: the buffered one ships, then it does
-	if sent, buffered := n.Stats.Sent.Value(), a.Buffered(); sent != 3 || buffered != 0 {
+	if sent, buffered := n.Stats.Sent.Load(), a.Buffered(); sent != 3 || buffered != 0 {
 		t.Fatalf("after the full payload: %d frames sent, %d messages buffered; want 3 and 0", sent, buffered)
 	}
 	a.Send(2, "plain") // everything else weighs one
@@ -406,10 +406,10 @@ func TestCountedPayloadsFrameByMessages(t *testing.T) {
 	if got := b.Pending(); got != 19 {
 		t.Fatalf("Pending = %d; want 19 messages", got)
 	}
-	if got := n.Stats.Payloads.Value(); got != 19 {
+	if got := n.Stats.Payloads.Load(); got != 19 {
 		t.Fatalf("Stats.Payloads = %d; want 19", got)
 	}
-	if got := n.Stats.Delivered.Value(); got != 19 {
+	if got := n.Stats.Delivered.Load(); got != 19 {
 		t.Fatalf("Stats.Delivered = %d; want 19", got)
 	}
 	batch, ok := b.RecvBatch(nil)

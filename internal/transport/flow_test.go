@@ -26,10 +26,10 @@ func TestInboxWatermarkParksSender(t *testing.T) {
 	if held := src.HeldFrames(); held != total-8 {
 		t.Fatalf("sender parked %d frames, want %d", held, total-8)
 	}
-	if net.Stats.Stalls.Value() == 0 {
+	if net.Stats.Stalls.Load() == 0 {
 		t.Fatal("stall not counted")
 	}
-	if net.Stats.HeldFrames.Value() == 0 {
+	if net.Stats.HeldFrames.Load() == 0 {
 		t.Fatal("held frames not counted")
 	}
 
@@ -163,7 +163,7 @@ func TestSendNowBypassesStall(t *testing.T) {
 	if got := dst.Pending(); got != before {
 		t.Fatalf("urgent frame queued into a watermark-full inbox: %d, want %d", got, before)
 	}
-	if got := net.Stats.UrgentShed.Value(); got != 1 {
+	if got := net.Stats.UrgentShed.Load(); got != 1 {
 		t.Fatalf("UrgentShed = %d, want 1", got)
 	}
 	// Below the watermark — even while still stalled — urgent traffic passes.
@@ -178,7 +178,7 @@ func TestSendNowBypassesStall(t *testing.T) {
 	if got := dst.Pending(); got != before+1 {
 		t.Fatalf("SendNow payload parked below the watermark: inbox %d, want %d", got, before+1)
 	}
-	if got := net.Stats.UrgentShed.Value(); got != 1 {
+	if got := net.Stats.UrgentShed.Load(); got != 1 {
 		t.Fatalf("UrgentShed = %d after a deliverable urgent frame, want still 1", got)
 	}
 }
@@ -316,7 +316,7 @@ func TestResendLeavesCreditReplayAlone(t *testing.T) {
 	if peak > high+1 {
 		t.Fatalf("inbox peaked at %d messages; the watermark is %d and one sender overshoots by at most a frame", peak, high)
 	}
-	if n := net.Stats.Resent.Value(); n != 0 {
+	if n := net.Stats.Resent.Load(); n != 0 {
 		t.Fatalf("%d frames resent on a lossless plane: the resend loop raced the credit replay", n)
 	}
 }

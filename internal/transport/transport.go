@@ -63,7 +63,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tornado/internal/metrics"
 	"tornado/internal/obs/trace"
 )
 
@@ -127,27 +126,27 @@ type Stats struct {
 	// first-transmission frames (so Payloads/(Sent−Resent) is the average
 	// batch size); Delivered counts messages handed to live receivers after
 	// dedup.
-	Sent      metrics.Counter
-	Payloads  metrics.Counter
-	Delivered metrics.Counter
+	Sent      atomic.Int64
+	Payloads  atomic.Int64
+	Delivered atomic.Int64
 	// Resent counts retransmissions after the ack timeout; AckFrames counts
 	// acknowledgement frames sent by receivers; Dropped and Duplicated count
 	// fault-injected in-flight losses and duplications.
-	Resent     metrics.Counter
-	AckFrames  metrics.Counter
-	Dropped    metrics.Counter
-	Duplicated metrics.Counter
+	Resent     atomic.Int64
+	AckFrames  atomic.Int64
+	Dropped    atomic.Int64
+	Duplicated atomic.Int64
 	// DeadLetters counts frames abandoned after MaxResends retransmission
 	// attempts — typically traffic addressed to a crashed endpoint.
-	DeadLetters metrics.Counter
+	DeadLetters atomic.Int64
 	// Stalls counts inbox high-watermark crossings (a receiver withdrew
 	// delivery credit); HeldFrames counts data frames senders parked while
 	// waiting for that credit to come back; UrgentShed counts SendNow frames
 	// a watermark-full receiver acknowledged without enqueueing, plus urgent
 	// frames shed at a full wire priority lane (both are refreshable).
-	Stalls     metrics.Counter
-	HeldFrames metrics.Counter
-	UrgentShed metrics.Counter
+	Stalls     atomic.Int64
+	HeldFrames atomic.Int64
+	UrgentShed atomic.Int64
 	// Wire counters, all zero unless Options.Wire attaches a socket
 	// substrate. WireTxFrames/WireRxFrames count frames serialized onto and
 	// decoded off the wire; WireTxBytes/WireRxBytes count the encoded bytes
@@ -160,15 +159,15 @@ type Stats struct {
 	// unresolvable destination) and inbound frames for unknown endpoints;
 	// WireEncodeErrors counts payloads the codec refused (an unregistered
 	// type — a programming error surfaced as a counter, not a panic).
-	WireTxFrames         metrics.Counter
-	WireRxFrames         metrics.Counter
-	WireTxBytes          metrics.Counter
-	WireRxBytes          metrics.Counter
-	WireReconnects       metrics.Counter
-	WireChecksumFailures metrics.Counter
-	WireTornFrames       metrics.Counter
-	WireShed             metrics.Counter
-	WireEncodeErrors     metrics.Counter
+	WireTxFrames         atomic.Int64
+	WireRxFrames         atomic.Int64
+	WireTxBytes          atomic.Int64
+	WireRxBytes          atomic.Int64
+	WireReconnects       atomic.Int64
+	WireChecksumFailures atomic.Int64
+	WireTornFrames       atomic.Int64
+	WireShed             atomic.Int64
+	WireEncodeErrors     atomic.Int64
 }
 
 // Options configure a Network.
@@ -692,7 +691,7 @@ func (e *Endpoint) sealOutbufLocked(frames []frame) []frame {
 // recycles its payload slice when the frame is neither retained for resend
 // nor parked awaiting credit.
 func (e *Endpoint) transmitData(f frame) {
-	e.net.Stats.Sent.Inc()
+	e.net.Stats.Sent.Add(1)
 	e.net.Stats.Payloads.Add(int64(f.msgs))
 	if e.holdOrTransmit(f) {
 		return // parked; the credit grant transmits (and recycles) it later
@@ -717,7 +716,7 @@ func (n *Network) recycleAfterTransmit() bool {
 // don't queue in the inbox, and one control envelope past the watermark is
 // harmless, whereas a parked heartbeat is a false crash suspicion.
 func (e *Endpoint) transmitDataNow(f frame) {
-	e.net.Stats.Sent.Inc()
+	e.net.Stats.Sent.Add(1)
 	e.net.Stats.Payloads.Add(int64(f.msgs))
 	e.transmit(f)
 	if e.net.recycleAfterTransmit() {
@@ -749,7 +748,7 @@ func (e *Endpoint) holdOrTransmit(f frame) bool {
 			e.held = make(map[NodeID][]frame)
 		}
 		e.held[f.to] = append(e.held[f.to], f)
-		e.net.Stats.HeldFrames.Inc()
+		e.net.Stats.HeldFrames.Add(1)
 		e.mu.Unlock()
 		// The receiver may have granted credit between our stall check and
 		// the append; re-check so a frame can never be parked forever.
@@ -815,6 +814,12 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 			}
 		}
 		e.mu.Lock()
+		if e.crashed {
+			// Crash ran while the lock was dropped for the replay: it
+			// discarded the parked frames (e.held is nil), and the rest of
+			// this replay dies with them.
+			break
+		}
 		if stopped >= 0 {
 			// The destination stalled again mid-replay: park the remainder
 			// ahead of anything that arrived while we were draining.
@@ -857,12 +862,12 @@ func (e *Endpoint) transmitTo(dst *Endpoint, f frame) {
 	if !f.ack && e.net.faulty.Load() {
 		drop, dup := e.net.rollFaults()
 		if drop {
-			e.net.Stats.Dropped.Inc()
+			e.net.Stats.Dropped.Add(1)
 			return // lost in flight; the resend loop will retry
 		}
 		e.net.dispatch(dst, f)
 		if dup {
-			e.net.Stats.Duplicated.Inc()
+			e.net.Stats.Duplicated.Add(1)
 			e.net.dispatch(dst, f) // duplicated in flight; receiver must dedup
 		}
 		return
@@ -986,15 +991,15 @@ func (e *Endpoint) deliver(f frame) {
 	ackUpTo := st.next
 	e.mu.Unlock()
 	if stalledNow {
-		e.net.Stats.Stalls.Inc()
+		e.net.Stats.Stalls.Add(1)
 	}
 	if shed {
-		e.net.Stats.UrgentShed.Inc()
+		e.net.Stats.UrgentShed.Add(1)
 	} else if !dup {
 		e.net.Stats.Delivered.Add(int64(f.msgs))
 	}
 	if ackNow && e.net.opts.ResendAfter > 0 {
-		e.net.Stats.AckFrames.Inc()
+		e.net.Stats.AckFrames.Add(1)
 		e.transmit(frame{from: e.id, to: f.from, seq: f.seq, ack: true, ackUpTo: ackUpTo})
 	}
 }
@@ -1207,7 +1212,7 @@ func (e *Endpoint) flushLoop(interval time.Duration) {
 			e.transmitData(f)
 		}
 		for _, f := range acks {
-			e.net.Stats.AckFrames.Inc()
+			e.net.Stats.AckFrames.Add(1)
 			e.transmit(f)
 		}
 	}
@@ -1273,11 +1278,11 @@ func (e *Endpoint) resendLoop(after time.Duration) {
 		}
 		e.mu.Unlock()
 		for i := 0; i < dead; i++ {
-			e.net.Stats.DeadLetters.Inc()
+			e.net.Stats.DeadLetters.Add(1)
 		}
 		for _, f := range retry {
-			e.net.Stats.Sent.Inc()
-			e.net.Stats.Resent.Inc()
+			e.net.Stats.Sent.Add(1)
+			e.net.Stats.Resent.Add(1)
 			e.transmit(f)
 		}
 		// A retried or abandoned traced frame is exactly the anomaly tail

@@ -172,11 +172,11 @@ func TestCountersTrackTraffic(t *testing.T) {
 	a.Send(3, 2)
 	c.Recv()
 	c.Recv()
-	if n.Stats.Sent.Value() != 2 {
-		t.Fatalf("Sent = %d; want 2", n.Stats.Sent.Value())
+	if n.Stats.Sent.Load() != 2 {
+		t.Fatalf("Sent = %d; want 2", n.Stats.Sent.Load())
 	}
-	if n.Stats.Delivered.Value() != 2 {
-		t.Fatalf("Delivered = %d; want 2", n.Stats.Delivered.Value())
+	if n.Stats.Delivered.Load() != 2 {
+		t.Fatalf("Delivered = %d; want 2", n.Stats.Delivered.Load())
 	}
 }
 
@@ -192,8 +192,8 @@ func TestSharedStatsSurviveRebuild(t *testing.T) {
 	b := n2.Register(1)
 	n2.Register(2)
 	b.Send(2, "y")
-	if st.Sent.Value() != 2 {
-		t.Fatalf("shared Sent = %d across rebuild; want 2", st.Sent.Value())
+	if st.Sent.Load() != 2 {
+		t.Fatalf("shared Sent = %d across rebuild; want 2", st.Sent.Load())
 	}
 }
 
@@ -207,14 +207,14 @@ func TestResendBackoffCapDeadLetters(t *testing.T) {
 		a.Send(2, i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for n.Stats.DeadLetters.Value() < total {
+	for n.Stats.DeadLetters.Load() < total {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d frames dead-lettered", n.Stats.DeadLetters.Value(), total)
+			t.Fatalf("only %d/%d frames dead-lettered", n.Stats.DeadLetters.Load(), total)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitZeroUnacked(t, a) // abandoned frames must leave the send buffer
-	if r := n.Stats.Resent.Value(); r != total*3 {
+	if r := n.Stats.Resent.Load(); r != total*3 {
 		t.Fatalf("Resent = %d; want exactly MaxResends per frame (%d)", r, total*3)
 	}
 }
@@ -231,7 +231,7 @@ func TestResendBacksOffExponentially(t *testing.T) {
 	// 4, 8+j, 16+j, 32+j, 64+j ms — i.e. no more than 5; a fixed-interval
 	// retransmitter would have fired ~22 times.
 	time.Sleep(90 * time.Millisecond)
-	if r := n.Stats.Resent.Value(); r > 6 {
+	if r := n.Stats.Resent.Load(); r > 6 {
 		t.Fatalf("Resent = %d after 90ms; backoff is not exponential", r)
 	}
 }

@@ -135,12 +135,12 @@ func (h *wireHost) send(f frame) {
 	addr := h.self
 	if !h.cfg.ForceLoop {
 		if h.cfg.Resolve == nil {
-			h.net.Stats.WireShed.Inc()
+			h.net.Stats.WireShed.Add(1)
 			return
 		}
 		addr = h.cfg.Resolve(f.to)
 		if addr == "" {
-			h.net.Stats.WireShed.Inc()
+			h.net.Stats.WireShed.Add(1)
 			return
 		}
 	}
@@ -153,16 +153,16 @@ func (h *wireHost) send(f frame) {
 	// lane sheds — urgent payloads are refreshed every interval.
 	p := h.peer(addr, f.urgent)
 	if p == nil {
-		h.net.Stats.WireShed.Inc()
+		h.net.Stats.WireShed.Add(1)
 		return
 	}
 	select {
 	case p.q <- f:
 	default:
 		if f.urgent {
-			h.net.Stats.UrgentShed.Inc()
+			h.net.Stats.UrgentShed.Add(1)
 		} else {
-			h.net.Stats.WireShed.Inc()
+			h.net.Stats.WireShed.Add(1)
 		}
 	}
 }
@@ -252,21 +252,21 @@ func (h *wireHost) readLoop(c Conn) {
 		f, err := decodeFrame(b, h.cfg.Codec)
 		if err != nil {
 			if errors.Is(err, errWireChecksum) {
-				h.net.Stats.WireChecksumFailures.Inc()
+				h.net.Stats.WireChecksumFailures.Add(1)
 			} else {
-				h.net.Stats.WireTornFrames.Inc()
+				h.net.Stats.WireTornFrames.Add(1)
 			}
 			h.connDown(c, err, false)
 			return
 		}
-		h.net.Stats.WireRxFrames.Inc()
+		h.net.Stats.WireRxFrames.Add(1)
 		if ep := h.net.endpoint(f.to); ep != nil {
 			ep.deliver(f)
 			// deliver copies payload references into the inbox; the slice
 			// itself is ours to recycle.
 			putPayloadSlice(f.payloads)
 		} else {
-			h.net.Stats.WireShed.Inc()
+			h.net.Stats.WireShed.Add(1)
 		}
 	}
 }
@@ -281,7 +281,7 @@ func isTornRead(err error) bool {
 // connDown records one dead connection and notifies the supervisor hook.
 func (h *wireHost) connDown(c Conn, err error, torn bool) {
 	if torn {
-		h.net.Stats.WireTornFrames.Inc()
+		h.net.Stats.WireTornFrames.Add(1)
 	}
 	h.mu.Lock()
 	closed := h.closed
@@ -398,13 +398,13 @@ func (p *wirePeer) run() {
 func (p *wirePeer) writeOne(conn Conn, scratch []byte, f frame) ([]byte, error) {
 	b, err := encodeFrame(scratch[:0], &f, p.host.cfg.Codec)
 	if err != nil {
-		p.host.net.Stats.WireEncodeErrors.Inc()
+		p.host.net.Stats.WireEncodeErrors.Add(1)
 		return scratch, nil
 	}
 	if err := conn.WriteFrame(b); err != nil {
 		return b, err
 	}
-	p.host.net.Stats.WireTxFrames.Inc()
+	p.host.net.Stats.WireTxFrames.Add(1)
 	p.host.net.Stats.WireTxBytes.Add(int64(len(b) + 4))
 	return b, nil
 }
@@ -437,7 +437,7 @@ func (p *wirePeer) dial(established *int) Conn {
 		c, err := d.Dial(p.addr)
 		if err == nil {
 			if *established > 0 {
-				p.host.net.Stats.WireReconnects.Inc()
+				p.host.net.Stats.WireReconnects.Add(1)
 			}
 			*established++
 			return c

@@ -153,13 +153,13 @@ func TestWireForceLoopDelivery(t *testing.T) {
 		}
 	}()
 	collect(t, b, msgs)
-	if n.Stats.WireTxFrames.Value() == 0 || n.Stats.WireRxFrames.Value() == 0 {
+	if n.Stats.WireTxFrames.Load() == 0 || n.Stats.WireRxFrames.Load() == 0 {
 		t.Fatalf("ForceLoop moved no wire frames: tx=%d rx=%d",
-			n.Stats.WireTxFrames.Value(), n.Stats.WireRxFrames.Value())
+			n.Stats.WireTxFrames.Load(), n.Stats.WireRxFrames.Load())
 	}
-	if n.Stats.WireTxBytes.Value() == 0 || n.Stats.WireRxBytes.Value() == 0 {
+	if n.Stats.WireTxBytes.Load() == 0 || n.Stats.WireRxBytes.Load() == 0 {
 		t.Fatalf("wire byte counters empty: tx=%d rx=%d",
-			n.Stats.WireTxBytes.Value(), n.Stats.WireRxBytes.Value())
+			n.Stats.WireTxBytes.Load(), n.Stats.WireRxBytes.Load())
 	}
 }
 
@@ -263,10 +263,10 @@ func TestWireCorruptionTriggersReconnectNoLoss(t *testing.T) {
 		}
 	}()
 	collect(t, b, msgs)
-	if n.Stats.WireChecksumFailures.Value() == 0 {
+	if n.Stats.WireChecksumFailures.Load() == 0 {
 		t.Fatal("corrupting wire produced no checksum failures")
 	}
-	if n.Stats.WireReconnects.Value() == 0 {
+	if n.Stats.WireReconnects.Load() == 0 {
 		t.Fatal("dropped conns produced no reconnects")
 	}
 }
@@ -371,12 +371,12 @@ func TestWireForceLoopKillRecover(t *testing.T) {
 	collect(t, b, msgs)
 }
 
-func waitCounter(t *testing.T, c interface{ Value() int64 }, want int64) {
+func waitCounter(t *testing.T, c *atomic.Int64, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Value() < want {
+	for c.Load() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("counter stuck at %d, want >= %d", c.Value(), want)
+			t.Fatalf("counter stuck at %d, want >= %d", c.Load(), want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -18,7 +18,6 @@ var optionsSurface = map[string]string{
 	"Options.Seed":                   "every failure replays from its seed (ROADMAP item 1)",
 	"Options.HeartbeatInterval":      "cmd/tornado-shell -heartbeat",
 	"Options.MetricsAddr":            "deployment setting: cmd/tornado-shell -metrics",
-	"Options.TraceSampleEvery":       "cmd/tornado-shell -trace-sample",
 	"Options.SpanSampleRate":         "cmd/tornado-shell -span-sample",
 	"FlowOptions.DelayBoundCeiling":  "benchmark/workloads.go (deprecated, ignored)",
 	"ElasticOptions.MaxProcessors":   "cmd/tornado-shell -spares",

@@ -65,8 +65,9 @@ type (
 	VertexID = stream.VertexID
 	// Tuple is one turnstile stream update.
 	Tuple = stream.Tuple
-	// TraceEvent is one recorded protocol transition (see obs.Event).
-	TraceEvent = obs.Event
+	// TraceEvent is one recorded protocol transition of a watched vertex: a
+	// marker span whose Stage is one of the trace.Mark* names.
+	TraceEvent = trace.Span
 	// RecoveryEvent is one entry of the crash-recovery log.
 	RecoveryEvent = engine.RecoveryEvent
 	// Fault is one entry of a deterministic chaos schedule.
@@ -170,19 +171,16 @@ type Options struct {
 	// than 5 times within a minute is quarantined.
 	HeartbeatInterval time.Duration
 
-	// Observability. Every System carries an obs.Hub: protocol counters,
-	// frontier gauges and a sampled three-phase protocol tracer register
-	// per loop, readable via Obs(), Trace() and the HTTP endpoint.
+	// Observability. Every System carries an obs.Hub: protocol counters and
+	// frontier gauges register per loop, and one span tracer holds sampled
+	// freshness traces plus the three-phase protocol markers of watched
+	// vertices, readable via Obs(), Spans(), Trace() and the HTTP endpoint.
 
 	// MetricsAddr, when non-empty, serves the exposition endpoint
 	// (/metrics in Prometheus text format, /statusz JSON snapshots,
 	// /debug/pprof) on this host:port; ":0" picks a free port. Read the
 	// bound address from MetricsURL.
 	MetricsAddr string
-	// TraceSampleEvery traces 1 in N vertices by identifier hash
-	// (default 64; 1 traces every vertex; negative disables sampling so
-	// only watched vertices are traced).
-	TraceSampleEvery int
 	// SpanSampleRate is the head-based sampling probability for causal
 	// freshness traces: each input delta (and each query) is traced with
 	// this probability from ingest through iterate to the frontier (default
@@ -338,10 +336,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 	case spanRate < 0:
 		spanRate = 0
 	}
-	hub := obs.NewHub(obs.HubOptions{
-		TraceSampleEvery: opts.TraceSampleEvery,
-		SpanSampleRate:   spanRate,
-	})
+	hub := obs.NewHub(spanRate)
 	cfg := engine.Config{
 		Processors:        opts.Processors,
 		MaxProcessors:     opts.Elastic.MaxProcessors,
@@ -622,17 +617,15 @@ func (s *System) MetricsURL() string {
 // /traces HTTP endpoint.
 func (s *System) Spans() *trace.Tracer { return s.hub.Spans }
 
-// Trace returns the retained protocol events of one main-loop vertex, oldest
-// first: input applications, PREPARE/ACK negotiations, iteration-number
-// assignments at commit, and gathered updates. Only sampled or watched
-// vertices have events; call Watch(id) before the run to guarantee coverage.
+// Trace returns the retained protocol markers of one watched main-loop
+// vertex, oldest first: input applications, PREPARE/ACK negotiations,
+// iteration-number assignments at commit, and gathered updates. Only
+// watched vertices record markers; call Watch(id) before the run.
 func (s *System) Trace(id VertexID) []TraceEvent { return s.main.Trace(id) }
 
-// Watch forces tracing of one vertex regardless of the sampling rate.
+// Watch records every protocol transition of one vertex, in the main loop
+// and in query branches, whatever the span sampling rate.
 func (s *System) Watch(id VertexID) { s.main.Watch(id) }
-
-// Unwatch reverses Watch.
-func (s *System) Unwatch(id VertexID) { s.main.Unwatch(id) }
 
 // Ingest feeds one stream tuple to the main loop. Edge tuples evolve the
 // dependency graph; value tuples are delivered to the program's OnInput.
