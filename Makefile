@@ -55,11 +55,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The protocol's inner loop, in-tree: end-to-end ingestion on the MVCC store,
-# one exact query behind a churn burst, value mode and delta mode (with the
-# branch's commits, iterations, emitted values, hosted vertices and decoded
-# versions per query), one commit in isolation, what one more producer costs a
-# hub consumer, and the message plane alone (ns and allocs per delivered
-# message, processor to processor and to itself).
+# one exact query behind a churn burst, value mode and delta mode, each on a
+# one-processor branch (width=1, the default) and a four-processor one
+# (width=4) (with the branch's commits, iterations, emitted values, hosted
+# vertices, decoded versions and transport payloads per query), one commit in
+# isolation, what one more producer costs a hub consumer, and the message
+# plane alone (ns and allocs per delivered message, processor to processor
+# and to itself).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngestSSSP$$|BenchmarkEngineForkQuery$$|BenchmarkEngineDeltaForkQuery$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkProcessorCommit$$|BenchmarkHubInDegree$$|BenchmarkMessageHop$$' -benchmem -count 5 ./internal/engine/
@@ -90,39 +92,52 @@ profile-ingest:
 	@echo "runtime.convT*:         $$($(call pprof_share,-focus='runtime\.convT'))"
 	@echo "Endpoint.Send|deliver:  $$($(call pprof_share,-focus='transport\.\(\*Endpoint\)\.(Send|deliver)$$'))"
 
-# BenchmarkEngineForkQuery under -cpuprofile (3000 queries), then the share of
-# its samples under a branch's vertex bootstrap — processor.ensure, load and
-# touch together, load (the stored-version read and decode) and touch alone —
-# in the stored-version decode (DecodeBlob, or decodeVertex since the branch
-# decodes into the edge records) and in the garbage collector. The profile
-# holds the whole process: the main loop's set-up and bursts too.
+# BenchmarkEngineForkQuery's default sub-benchmark (width=1, a one-processor
+# branch) under -cpuprofile (3000 queries), then the share of its samples
+# under a branch's vertex bootstrap — processor.ensure, load and touch
+# together, load (the stored-version read and decode) and touch alone — in
+# the stored-version decode (DecodeBlob, or decodeVertex since the branch
+# decodes into the edge records), in the garbage collector, on the message
+# plane (outbox.ship and the transport endpoint's methods) and in the
+# scheduler's park/ready path (goroutine hand-offs). The profile holds the
+# whole process: the main loop's set-up and bursts too, which is where the
+# message plane and the scheduler's shares come from now that a branch's
+# vertex messages stay on its one processor.
 QUERY_PROF = .bench_build/query/cpu.pprof
+MSGPLANE = \(\*outbox\)\.ship|transport\.\(\*Endpoint\)
+SCHEDULER = runtime\.(park_m|ready|findRunnable)
 profile-query:
 	@mkdir -p .bench_build/query
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineForkQuery$$' -benchtime 3000x -o .bench_build/query/tornado.test -cpuprofile $(QUERY_PROF) .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineForkQuery$$/^width=1$$' -benchtime 3000x -o .bench_build/query/tornado.test -cpuprofile $(QUERY_PROF) .
 	@echo "processor.ensure|load|touch: $$($(call pprof_share_of,-focus='\(\*processor\)\.(ensure|load|touch)$$',$(QUERY_PROF)))"
 	@echo "  processor.load:            $$($(call pprof_share_of,-focus='\(\*processor\)\.load$$',$(QUERY_PROF)))"
 	@echo "  processor.touch:           $$($(call pprof_share_of,-focus='\(\*processor\)\.touch$$',$(QUERY_PROF)))"
 	@echo "stored-version decode:       $$($(call pprof_share_of,-focus='StateCodec\.(DecodeBlob|decodeVertex)$$',$(QUERY_PROF)))"
 	@echo "runtime GC (runtime.gc*):    $$($(call pprof_share_of,-focus='^runtime\.gc',$(QUERY_PROF)))"
+	@echo "message plane:               $$($(call pprof_share_of,-focus='$(MSGPLANE)',$(QUERY_PROF)))"
+	@echo "scheduler park/ready:        $$($(call pprof_share_of,-focus='$(SCHEDULER)',$(QUERY_PROF)))"
 
-# BenchmarkEngineDeltaForkQuery under -cpuprofile (300 queries), then the share
-# of its samples whose stack passes through the commit (processor.commit, the
-# program's Update and the persist in it), the gather (processor.gatherUpdate,
-# where deltas fold into pendings; a gather that starts a commit counts in
-# both), the activation queue's own methods (delta.(*Queue)), the tracker,
-# the stored-version decode and the garbage collector. Like profile-query, the
-# profile holds the main loop's set-up and bursts too.
+# BenchmarkEngineDeltaForkQuery's default sub-benchmark (width=1) under
+# -cpuprofile (300 queries), then the share of its samples whose stack passes
+# through the commit (processor.commit, the program's Update and the persist
+# in it), the gather (processor.gatherUpdate, where deltas fold into
+# pendings; a gather that starts a commit counts in both), the activation
+# queue's own methods (delta.(*Queue)), the tracker, the stored-version
+# decode, the garbage collector, the message plane and the scheduler's
+# park/ready path. Like profile-query, the profile holds the main loop's
+# set-up and bursts too.
 DELTA_QUERY_PROF = .bench_build/delta-query/cpu.pprof
 profile-delta-query:
 	@mkdir -p .bench_build/delta-query
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineDeltaForkQuery$$' -benchtime 300x -o .bench_build/delta-query/tornado.test -cpuprofile $(DELTA_QUERY_PROF) .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineDeltaForkQuery$$/^width=1$$' -benchtime 300x -o .bench_build/delta-query/tornado.test -cpuprofile $(DELTA_QUERY_PROF) .
 	@echo "processor.commit:            $$($(call pprof_share_of,-focus='\(\*processor\)\.commit$$',$(DELTA_QUERY_PROF)))"
 	@echo "processor.gatherUpdate:      $$($(call pprof_share_of,-focus='\(\*processor\)\.gatherUpdate$$',$(DELTA_QUERY_PROF)))"
 	@echo "delta.(*Queue).*:            $$($(call pprof_share_of,-focus='delta\.\(\*Queue\)\.',$(DELTA_QUERY_PROF)))"
 	@echo "engine.(*Tracker).*:         $$($(call pprof_share_of,-focus='engine\.\(\*Tracker\)\.',$(DELTA_QUERY_PROF)))"
 	@echo "stored-version decode:       $$($(call pprof_share_of,-focus='StateCodec\.(DecodeBlob|decodeVertex)$$',$(DELTA_QUERY_PROF)))"
 	@echo "runtime GC (runtime.gc*):    $$($(call pprof_share_of,-focus='^runtime\.gc',$(DELTA_QUERY_PROF)))"
+	@echo "message plane:               $$($(call pprof_share_of,-focus='$(MSGPLANE)',$(DELTA_QUERY_PROF)))"
+	@echo "scheduler park/ready:        $$($(call pprof_share_of,-focus='$(SCHEDULER)',$(DELTA_QUERY_PROF)))"
 
 # Query-serving benchmark (small scale): prints the coalesced-vs-uncoalesced
 # table and leaves the BENCH_queries.json artifact.

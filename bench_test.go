@@ -261,12 +261,29 @@ func (c *edgeChurn) fill(burst []stream.Tuple) {
 // benchForkQuery measures one exact query as the benchmark harness issues it:
 // a 64-tuple burst of edge churn lands on a settled loop over base, and the
 // query forks at once, so the branch converges behind input the main loop has
-// not absorbed. The main loop settles between operations, off the clock. Per
+// not absorbed. The main loop settles between operations, off the clock. It
+// runs once per branch width: width=1 is the default branch, width=4 widens
+// it to the main loop's four processors through QueryWith's override. Per
 // query it reports the branch's commits, the iterations it ran, the values
-// its commits emitted, the vertices it hosted and the stored versions it
-// decoded to bootstrap them.
-func benchForkQuery(b *testing.B, sys *System, base []stream.Tuple) {
-	b.Helper()
+// its commits emitted, the vertices it hosted, the stored versions it
+// decoded to bootstrap them and the payloads it put on the transport.
+func benchForkQuery(b *testing.B, newSys func() (*System, error), base []stream.Tuple) {
+	for _, width := range []int{1, 4} {
+		var override func(*engine.Config)
+		if width > 1 {
+			override = func(cfg *engine.Config) { cfg.Processors = width }
+		}
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			sys, err := newSys()
+			if err != nil {
+				b.Fatal(err)
+			}
+			forkQueries(b, sys, base, override)
+		})
+	}
+}
+
+func forkQueries(b *testing.B, sys *System, base []stream.Tuple, override func(*engine.Config)) {
 	defer sys.Close()
 	sys.IngestAll(base)
 	if err := sys.WaitQuiesce(time.Minute); err != nil {
@@ -274,12 +291,12 @@ func benchForkQuery(b *testing.B, sys *System, base []stream.Tuple) {
 	}
 	churn := newEdgeChurn(base)
 	burst := make([]stream.Tuple, 64)
-	var commits, iters, emits, hosted, loads int64
+	var commits, iters, emits, hosted, loads, payloads int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		churn.fill(burst)
 		sys.IngestAll(burst)
-		res, err := sys.Query(time.Minute)
+		res, err := sys.QueryWith(time.Minute, override, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,6 +304,7 @@ func benchForkQuery(b *testing.B, sys *System, base []stream.Tuple) {
 		br := res.Engine()
 		s := br.StatsSnapshot()
 		commits, emits, loads = commits+s.Commits, emits+s.Emits, loads+s.SnapshotLoads
+		payloads += s.TransportPayloads
 		iters += s.Notified + 1 // a branch starts at iteration 0
 		for _, n := range br.LoadStats() {
 			hosted += int64(n)
@@ -302,26 +320,23 @@ func benchForkQuery(b *testing.B, sys *System, base []stream.Tuple) {
 	b.ReportMetric(float64(emits)/float64(b.N), "emits/op")
 	b.ReportMetric(float64(hosted)/float64(b.N), "hosted/op")
 	b.ReportMetric(float64(loads)/float64(b.N), "loads/op")
+	b.ReportMetric(float64(payloads)/float64(b.N), "transport/op")
 }
 
 // BenchmarkEngineForkQuery is benchForkQuery on sssp_churn_mem's shape:
 // value-mode SSSP on PowerLawGraph(5000,4,1).
 func BenchmarkEngineForkQuery(b *testing.B) {
-	sys, err := New(algorithms.SSSP{Source: 0}, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchForkQuery(b, sys, datasets.PowerLawGraph(5000, 4, 1))
+	benchForkQuery(b, func() (*System, error) {
+		return New(algorithms.SSSP{Source: 0}, Options{})
+	}, datasets.PowerLawGraph(5000, 4, 1))
 }
 
 // BenchmarkEngineDeltaForkQuery is its delta twin, on pagerank_delta_churn's
 // shape: delta-accumulative PageRank on PowerLawGraph(500,4,1).
 func BenchmarkEngineDeltaForkQuery(b *testing.B) {
-	sys, err := NewDelta(algorithms.DeltaPageRank{}, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchForkQuery(b, sys, datasets.PowerLawGraph(500, 4, 1))
+	benchForkQuery(b, func() (*System, error) {
+		return NewDelta(algorithms.DeltaPageRank{}, Options{})
+	}, datasets.PowerLawGraph(500, 4, 1))
 }
 
 // BenchmarkStorePut measures versioned store writes.

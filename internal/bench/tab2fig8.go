@@ -203,6 +203,11 @@ func RunFig8b(s Scale) (Fig8bReport, error) {
 		b := bound
 		br, lat, err := forkAndWait(e, storage.LoopID(i+1), func(cfg *engine.Config) {
 			cfg.DelayBound = b
+			// A branch runs on one processor by default, which would put the
+			// parameter vertex and every sampler behind one CommitDelay: the
+			// figure models a straggler among separate workers, so the branch
+			// keeps the engine's width.
+			cfg.Processors = e.Config().Processors
 		}, func(br *engine.Engine) {
 			for k := 0; k < prog.Samplers; k++ {
 				br.Activate(prog.SamplerBase + stream.VertexID(k))

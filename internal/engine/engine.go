@@ -1356,11 +1356,12 @@ func (e *Engine) InjectTransportFaults(drop, dup float64) {
 // vertex states from this loop's snapshot and writing to branchLoop, starts
 // it, seeds it with the spec's activations, and replays the residual inputs.
 // The branch signals Done when it converges. The caller owns the returned
-// engine (Stop it after reading results). Override lets the caller tweak the
-// branch configuration (e.g. a different delay bound) before launch; seed,
-// when non-nil, runs extra activations under the branch's bootstrap guard —
-// use it instead of post-fork Activate calls, which can race an empty
-// branch's instant convergence.
+// engine (Stop it after reading results). The branch runs on one processor
+// whatever this loop's width. Override lets the caller tweak the branch
+// configuration before launch (e.g. a different delay bound, or Processors
+// to widen it); seed, when non-nil, runs extra activations under the
+// branch's bootstrap guard — use it instead of post-fork Activate calls,
+// which can race an empty branch's instant convergence.
 func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), seed func(*Engine)) (*Engine, ForkSpec, error) {
 	// Pin before capturing the spec so no compaction — the master's, the
 	// store's background pass, or a direct Compact call — can drop versions
@@ -1376,8 +1377,12 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 	e.genMu.RUnlock()
 	// Chaos schedules may target the fork instant (crash mid-branch-fork).
 	e.fireForkFaults()
-	// The branch runs the main loop's current base width, without spares.
-	cfg.Processors, cfg.MaxProcessors = e.plan.Load().BaseN, 0
+	// The branch runs on one processor, without spares: its work is one
+	// burst's cascade, so every PREPARE/ACK/UPDATE rides the processor's own
+	// window instead of the transport and a goroutine hand-off. Only the
+	// seeds, the residual inputs and the master's frontier notices still
+	// cross the transport. Override widens it.
+	cfg.Processors, cfg.MaxProcessors = 1, 0
 	cfg.Kind = BranchLoop
 	cfg.LoopID = branchLoop
 	cfg.branchObs = e.branchObs
@@ -1408,11 +1413,11 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 	// branch is stopped (lazy snapshot reads happen throughout its life).
 	br.onStop = unpin
 	br.forkJournalSeq = forkSeq
-	br.Start()
-	// Guard against the empty instant between Start and the first seed, in
-	// which the branch would otherwise appear quiescent and converge with no
-	// work done.
+	// Hold quiescence from before Start until the seeds are in: an empty
+	// tracker looks quiescent, and a started master would halt the branch
+	// before it had done any work.
 	release := br.HoldQuiesce()
+	br.Start()
 	br.Activate(spec.Seeds...)
 	br.IngestAll(spec.Residual)
 	if seed != nil {

@@ -6,3 +6,10 @@ func WithSnapshot(cfg Config, snap *SnapshotSource) Config {
 	cfg.snapshot = snap
 	return cfg
 }
+
+// MigrationActive reports whether a migration holds e's coordinator slot.
+func MigrationActive(e *Engine) bool {
+	e.migMu.Lock()
+	defer e.migMu.Unlock()
+	return e.migActive
+}

@@ -235,6 +235,32 @@ func TestDeferredAcksSuppressAckTraffic(t *testing.T) {
 	}
 }
 
+// TestNoAcksWithoutResendLedger: with ResendAfter 0 the sender keeps no
+// unacked map, so receivers neither ack nor defer an ack for the flush tick
+// to sweep — not even across several ticks after in-order deliveries.
+func TestNoAcksWithoutResendLedger(t *testing.T) {
+	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Millisecond})
+	defer n.Close()
+	a := n.Register(1)
+	b := n.Register(2)
+	const frames = 20
+	for f := 0; f < frames; f++ {
+		for i := 0; i < 8; i++ {
+			a.Send(2, f*8+i)
+		}
+	}
+	a.Send(2, "tail") // a partial buffer the flush tick ships
+	for i := 0; i < frames*8+1; i++ {
+		if _, ok := b.Recv(); !ok {
+			t.Fatal("Recv closed early")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // several flush ticks
+	if sent, acks := n.Stats.Sent.Load(), n.Stats.AckFrames.Load(); sent < frames || acks != 0 {
+		t.Fatalf("Sent = %d, AckFrames = %d; want >= %d data frames and no acks without ResendAfter", sent, acks, frames)
+	}
+}
+
 // TestBatchedKillRecover: frames buffered or lost while the destination is
 // partitioned replay after recovery.
 func TestBatchedKillRecover(t *testing.T) {

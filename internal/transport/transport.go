@@ -38,7 +38,8 @@
 // batched mode receivers additionally defer acks for in-order frames
 // (sending one every few frames plus a ticker sweep), which suppresses most
 // ack traffic; duplicates and out-of-order frames are always acked
-// immediately.
+// immediately. Acks exist only for the resend ledger: with ResendAfter 0 a
+// receiver sends none, immediate or deferred.
 //
 // Retransmission backs off exponentially with jitter so a dead peer is not
 // hammered at a fixed rate, and an optional MaxResends cap moves frames that
@@ -980,8 +981,11 @@ func (e *Endpoint) deliver(f frame) {
 		e.stalled.Store(true)
 		stalledNow = true
 	}
-	ackNow := true
-	if e.net.opts.MaxBatch > 1 && inOrder && st.next%ackEvery != 0 {
+	// Acks feed the sender's resend ledger; without one (ResendAfter 0)
+	// there is nothing to ack, now or deferred.
+	resend := e.net.opts.ResendAfter > 0
+	ackNow := resend
+	if resend && e.net.opts.MaxBatch > 1 && inOrder && st.next%ackEvery != 0 {
 		// Defer the ack: a later frame's cumulative watermark (or the flush
 		// tick) covers this one. Duplicates and out-of-order frames are
 		// acked immediately — the sender is demonstrably missing state.
@@ -998,7 +1002,7 @@ func (e *Endpoint) deliver(f frame) {
 	} else if !dup {
 		e.net.Stats.Delivered.Add(int64(f.msgs))
 	}
-	if ackNow && e.net.opts.ResendAfter > 0 {
+	if ackNow {
 		e.net.Stats.AckFrames.Add(1)
 		e.transmit(frame{from: e.id, to: f.from, seq: f.seq, ack: true, ackUpTo: ackUpTo})
 	}
@@ -1189,6 +1193,7 @@ func (e *Endpoint) setDead(dead bool) {
 func (e *Endpoint) flushLoop(interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	resend := e.net.opts.ResendAfter > 0 // only a resend ledger defers acks
 	for {
 		select {
 		case <-e.flushStop:
@@ -1200,10 +1205,12 @@ func (e *Endpoint) flushLoop(interval time.Duration) {
 		var acks []frame
 		if !e.closed && !e.dead {
 			frames = e.sealOutbufLocked(nil)
-			for from, st := range e.recv {
-				if st.ackDirty {
-					st.ackDirty = false
-					acks = append(acks, frame{from: e.id, to: from, seq: st.next - 1, ack: true, ackUpTo: st.next})
+			if resend {
+				for from, st := range e.recv {
+					if st.ackDirty {
+						st.ackDirty = false
+						acks = append(acks, frame{from: e.id, to: from, seq: st.next - 1, ack: true, ackUpTo: st.next})
+					}
 				}
 			}
 		}

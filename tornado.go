@@ -139,7 +139,9 @@ func RegisterStateType(v any) { engine.RegisterStateType(v) }
 // listed here is a constant of the package that uses it; DESIGN.md
 // "Configuration surface" names each field's caller and each constant.
 type Options struct {
-	// Processors is the number of processor workers (default 4).
+	// Processors is the main loop's number of processor workers (default
+	// 4). A query's branch loop runs on one processor whatever this is
+	// (QueryWith's override can widen it).
 	Processors int
 	// DelayBound is the iteration delay bound B (default 64; 1 = BSP).
 	DelayBound int64
