@@ -23,10 +23,12 @@ test:
 # lock (TestInPlaceWritersVsHandles); keep them honest under the race
 # detector on every change. The feed's pump and its
 # hand-off at the admission gate are raced 20 times over (the retired
-# ingestion topology hung there under -race).
+# ingestion topology hung there under -race), and WaitQuiesce's return on
+# the master's published quiescence record 50 times.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/storage/...
 	$(GO) test -race -count=20 -run 'TestAttachSource|TestFeed' .
+	$(GO) test -race -count=50 -run 'TestWaitQuiesceCoversMasterRecord|TestStatsAndIterationLog' . ./internal/engine/
 
 race-all:
 	$(GO) test -race ./...

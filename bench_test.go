@@ -306,8 +306,8 @@ func forkQueries(b *testing.B, sys *System, base []stream.Tuple, override func(*
 		commits, emits, loads = commits+s.Commits, emits+s.Emits, loads+s.SnapshotLoads
 		payloads += s.TransportPayloads
 		iters += s.Notified + 1 // a branch starts at iteration 0
-		for _, n := range br.LoadStats() {
-			hosted += int64(n)
+		for _, l := range br.PartitionLoads() {
+			hosted += int64(l.Vertices)
 		}
 		res.Close()
 		if err := sys.WaitQuiesce(time.Minute); err != nil {

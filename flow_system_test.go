@@ -91,3 +91,31 @@ func TestOverloadControllerLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIdleSystemNeverDegradesQueries: ingesting a graph through a small
+// admission gate climbs the overload ladder, whose level decays on its own
+// hysteresis long after the burst. Once the main loop is at rest (its master
+// published quiescence and nothing arrived since), an exact query must fork
+// at the present: no priority shed and no degraded stale answer.
+func TestIdleSystemNeverDegradesQueries(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		sys := newSSSP(t, Options{
+			Flow: FlowOptions{maxPendingInputs: 64, sampleEvery: time.Millisecond},
+		})
+		sys.IngestAll(datasets.PowerLawGraph(2000, 3, seed))
+		if err := sys.WaitQuiesce(waitFor); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Query(waitFor)
+		if err != nil {
+			fs := sys.FlowStats()
+			t.Fatalf("seed %d: exact query on an idle system: %v (overload level %d, pressure %.3f)",
+				seed, err, fs.OverloadLevel, fs.Pressure)
+		}
+		if got, want := res.ForkSeq(), sys.Engine().JournalSeq(); got != want {
+			t.Fatalf("seed %d: idle system answered at journal sequence %d; want the present %d", seed, got, want)
+		}
+		res.Close()
+		sys.Close()
+	}
+}

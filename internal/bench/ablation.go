@@ -105,7 +105,7 @@ func RunAblations(s Scale) (AblationReport, error) {
 		e.Start()
 		start := time.Now()
 		e.IngestAll(tuples)
-		if err := e.WaitSettled(5 * time.Minute); err != nil {
+		if err := e.WaitQuiesce(5 * time.Minute); err != nil {
 			e.Stop()
 			return rep, err
 		}

@@ -106,7 +106,7 @@ func tornadoLatencies(prog engine.Program, procs int, bound int64, tuples []stre
 	for i, cut := range probes {
 		dribble := (cut - fed) / 100
 		e.IngestAll(tuples[fed : cut-dribble])
-		if err := e.WaitSettled(2 * time.Minute); err != nil {
+		if err := e.WaitQuiesce(2 * time.Minute); err != nil {
 			return nil, err
 		}
 		e.IngestAll(tuples[cut-dribble : cut])
@@ -225,7 +225,7 @@ func RunFig5c(s Scale) (Fig5Report, error) {
 	for i, cut := range probes {
 		dribble := (cut - fed) / 100
 		e.IngestAll(tuples[fed : cut-dribble])
-		if err := e.WaitSettled(2 * time.Minute); err != nil {
+		if err := e.WaitQuiesce(2 * time.Minute); err != nil {
 			return rep, err
 		}
 		e.IngestAll(tuples[cut-dribble : cut])

@@ -194,7 +194,7 @@ func RunFig8b(s Scale) (Fig8bReport, error) {
 	defer e.Stop()
 	e.IngestAll(algorithms.SGDEdges(prog, 1))
 	e.IngestAll(datasets.InstanceStream(instances, prog.SamplerBase, prog.Samplers))
-	if err := e.WaitSettled(5 * time.Minute); err != nil {
+	if err := e.WaitQuiesce(5 * time.Minute); err != nil {
 		return Fig8bReport{}, err
 	}
 

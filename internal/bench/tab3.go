@@ -201,7 +201,7 @@ func RunTable3(s Scale) (Table3Report, error) {
 				tor.Stop()
 				return rep, err
 			}
-			if err := tor.WaitSettled(5 * time.Minute); err != nil {
+			if err := tor.WaitQuiesce(5 * time.Minute); err != nil {
 				tor.Stop()
 				return rep, err
 			}

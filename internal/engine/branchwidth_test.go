@@ -46,7 +46,7 @@ func forkConverged(t *testing.T, e *engine.Engine, loop storage.LoopID, override
 // any branch width; these tests are about width.
 func pinFrontier(t *testing.T, e *engine.Engine) (release func()) {
 	t.Helper()
-	if err := e.WaitSettled(branchWait); err != nil {
+	if err := e.WaitQuiesce(branchWait); err != nil {
 		t.Fatal(err)
 	}
 	return e.HoldQuiesce()
@@ -83,7 +83,7 @@ func TestBranchRunsOnOneProcessor(t *testing.T) {
 	wide := forkConverged(t, e, storage.LoopID(2), widen(4))
 	release()
 
-	if n := len(br.LoadStats()); n != 1 {
+	if n := len(br.PartitionLoads()); n != 1 {
 		t.Fatalf("default branch has %d load entries; want 1 processor", n)
 	}
 	s := br.StatsSnapshot()
@@ -91,7 +91,7 @@ func TestBranchRunsOnOneProcessor(t *testing.T) {
 		t.Fatalf("default branch: %d vertex messages (updates %d − coalesced %d + prepares %d + acks %d), %d dispatched locally; want all local",
 			sent, s.UpdateMsgs, s.Coalesced, s.PrepareMsgs, s.AckMsgs, s.LocalMsgs)
 	}
-	if n := len(wide.LoadStats()); n != 4 {
+	if n := len(wide.PartitionLoads()); n != 4 {
 		t.Fatalf("widened branch has %d load entries; want 4", n)
 	}
 	if ws := wide.StatsSnapshot(); ws.LocalMsgs >= vertexMsgs(ws) {
@@ -177,7 +177,7 @@ func TestBranchWidthExact(t *testing.T) {
 			e.IngestAll(tuples[cut1/2 : cut1])
 			for i, width := range []int{1, 4} {
 				br := forkConverged(t, e, storage.LoopID(1+i), widen(width))
-				if got := len(br.LoadStats()); got != width {
+				if got := len(br.PartitionLoads()); got != width {
 					t.Fatalf("branch has %d processors; want %d", got, width)
 				}
 				tc.check(t, br, tuples[:cut1])

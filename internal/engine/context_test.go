@@ -113,27 +113,26 @@ func TestContextStateAndProgress(t *testing.T) {
 	}
 }
 
+// TestTrackerSettledAndFrontier: a quiescent report announces every
+// iteration that ever held a token, and carries the acquisition count it saw.
 func TestTrackerSettledAndFrontier(t *testing.T) {
 	tr := NewTracker(0)
-	if !tr.Settled() {
-		t.Fatal("fresh tracker should be settled")
+	if _, _, acq, quiet, ok := tr.Advance(); !ok || !quiet || acq != 0 {
+		t.Fatalf("fresh tracker: Advance quiesced %v acquired %d ok %v; want a quiescent report at 0", quiet, acq, ok)
 	}
 	tr.AcquireFloor(3)
-	if tr.Settled() {
-		t.Fatal("tracker with a live token cannot be settled")
-	}
 	if got := tr.Frontier(); got != 3 {
 		t.Fatalf("Frontier = %d; want 3", got)
 	}
+	if got := tr.Acquired(); got != 1 {
+		t.Fatalf("Acquired = %d; want 1", got)
+	}
 	tr.Release(3)
-	if tr.Settled() {
-		t.Fatal("quiescent but unannounced tracker must not be settled")
+	if got := tr.Notified(); got != -1 {
+		t.Fatalf("Notified = %d before the master advanced; want -1", got)
 	}
-	if _, to, _, ok := tr.Advance(); !ok || to != 3 {
-		t.Fatalf("Advance -> %d, %v", to, ok)
-	}
-	if !tr.Settled() {
-		t.Fatal("announced tracker should be settled")
+	if _, to, acq, quiet, ok := tr.Advance(); !ok || !quiet || to != 3 || acq != 1 {
+		t.Fatalf("Advance -> to %d quiesced %v acquired %d ok %v; want a quiescent report through 3 at 1", to, quiet, acq, ok)
 	}
 	if got := tr.Frontier(); got != 4 {
 		t.Fatalf("Frontier after settle = %d; want 4", got)

@@ -195,7 +195,7 @@ func TestDeltaChaosSoakRecovery(t *testing.T) {
 			e.CrashMaster()
 		}
 	}
-	if err := e.WaitSettled(soakWait(nil)); err != nil {
+	if err := e.WaitQuiesce(soakWait(nil)); err != nil {
 		s := e.StatsSnapshot()
 		t.Fatalf("%v (gen=%d crashes=%d recoveries=%d frontier=%d notified=%d log tail: %+v)",
 			err, s.Generation, s.Crashes, s.Recoveries, s.Frontier, s.Notified, tail(e.RecoveryLog(), 6))

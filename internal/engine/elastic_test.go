@@ -262,7 +262,7 @@ func TestMigrationCrashAborts(t *testing.T) {
 	if got := e.PlanEpoch(); got != 0 {
 		t.Fatalf("plan epoch %d after aborted migration; want 0 (pre-epoch plan)", got)
 	}
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		s := e.StatsSnapshot()
 		t.Fatalf("%v (gen=%d crashes=%d recoveries=%d log tail: %+v)",
 			err, s.Generation, s.Crashes, s.Recoveries, tail(e.RecoveryLog(), 6))

@@ -509,12 +509,14 @@ type Engine struct {
 	iterLog  iterRing
 	haltSent bool
 
-	masterPaused atomic.Bool
-	done         chan struct{}
-	doneOnce     sync.Once
-	stopOnce     sync.Once
-	supWG        sync.WaitGroup
-	started      atomic.Bool
+	quiet      atomic.Pointer[quietRecord]   // the master's latest quiescence
+	masterHold atomic.Pointer[chan struct{}] // set while paused; ResumeMaster closes it
+
+	done     chan struct{}
+	doneOnce sync.Once
+	stopOnce sync.Once
+	supWG    sync.WaitGroup
+	started  atomic.Bool
 
 	// forks counts branches forked off this loop and not yet stopped.
 	forks atomic.Int64
@@ -543,6 +545,7 @@ func New(cfg Config) (*Engine, error) {
 		iterLog:    iterRing{max: iterLogCap},
 	}
 	e.plan.Store(basePlan(cfg.Processors, cfg.MaxProcessors))
+	e.quiet.Store(&quietRecord{gen: -1, wake: make(chan struct{})})
 	if cfg.MaxPendingInputs > 0 {
 		e.ingestGate = flow.NewGate(cfg.MaxPendingInputs, 0)
 	}
@@ -799,6 +802,35 @@ func (e *Engine) Activate(ids ...stream.VertexID) {
 	e.ingestShip(inc, out)
 }
 
+// quietRecord is one quiescence the master published: incarnation gen had no
+// obligation left once its tracker had counted acquired acquisitions, and the
+// master had then announced every iteration that ever held a token —
+// flushed, logged, traced, pruned, compacted and broadcast. Records only move
+// forward (gen, then acquired); wake is closed when the next one replaces it.
+type quietRecord struct {
+	gen      int
+	acquired int64
+	wake     chan struct{}
+}
+
+// publishQuiet replaces the quiescence record and wakes its waiters. Master
+// goroutine only, after the advance is fully recorded.
+func (e *Engine) publishQuiet(inc *incarnation, acquired int64) {
+	close(e.quiet.Swap(&quietRecord{gen: inc.gen, acquired: acquired, wake: make(chan struct{})}).wake)
+}
+
+// atRest reports whether inc's master has published quiescence and nothing
+// was acquired since: no work is pending and every iteration that ran is
+// announced, so the last terminated iteration is the loop's fixed point.
+func (e *Engine) atRest(inc *incarnation) bool {
+	r := e.quiet.Load()
+	return r.gen == inc.gen && r.acquired == inc.tracker.Acquired()
+}
+
+// Idle reports whether the loop is at rest: its master has published
+// quiescence and nothing was ingested, activated or held since.
+func (e *Engine) Idle() bool { return e.atRest(e.cur()) }
+
 // masterRun is the master node of one incarnation: it advances the iteration
 // frontier, flushes checkpoints, publishes termination notifications, records
 // statistics, and detects convergence. A crashed master (CrashMaster) simply
@@ -808,18 +840,17 @@ func (e *Engine) masterRun(inc *incarnation) {
 		// A paused master (Figure 8c) stops advancing the frontier; the
 		// tracker keeps accumulating and the announcement happens wholesale
 		// after it resumes.
-		for e.masterPaused.Load() {
+		for hold := e.masterHold.Load(); hold != nil; hold = e.masterHold.Load() {
 			select {
 			case <-inc.stop:
 				return
-			default:
-				time.Sleep(time.Millisecond)
+			case <-*hold:
 			}
 		}
 		if inc.masterCrashed.Load() {
 			return
 		}
-		from, to, quiesced, ok := inc.tracker.Advance()
+		from, to, acquired, quiesced, ok := inc.tracker.Advance()
 		if !ok {
 			return
 		}
@@ -854,7 +885,11 @@ func (e *Engine) masterRun(inc *incarnation) {
 			}
 			e.broadcast(inc, msgFrontier{Notified: to})
 		}
-		if quiesced && e.cfg.Kind == BranchLoop {
+		if !quiesced {
+			continue
+		}
+		e.publishQuiet(inc, acquired)
+		if e.cfg.Kind == BranchLoop {
 			// Frozen input and no obligations left: the branch converged.
 			e.halt(inc)
 			return
@@ -962,39 +997,29 @@ func (e *Engine) WaitDone(timeout time.Duration) error {
 	}
 }
 
-// WaitQuiesce blocks until no obligations remain (all ingested inputs fully
-// processed and propagated) or the timeout expires. It is the main loop's
-// synchronization point for tests and fork call sites that want exact
-// results. It follows the live incarnation: tokens lost in a crash pin the
-// old tracker forever, so quiescence is only ever reached by the incarnation
-// that finishes the work — never by one with a crashed member, whose restart
-// is still to come.
+// WaitQuiesce blocks until the master has published a quiescence record
+// covering every obligation acquired before the call, or the timeout expires:
+// every input is then propagated and every iteration that ran is announced,
+// checkpointed, logged and traced. It follows the live incarnation — the
+// record must come from one with no crashed member, and a later
+// incarnation's first record covers its restart's replay. Only the master
+// publishes, so a paused master blocks the call until ResumeMaster unless a
+// record already covers it (Quiesced is the instantaneous reading).
 func (e *Engine) WaitQuiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	from := e.cur()
+	target := from.tracker.Acquired()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
-		if inc := e.cur(); inc.tracker.Quiesced() && !inc.crashed() {
+		r := e.quiet.Load() // before the incarnation: a later publish closes r.wake
+		if inc := e.cur(); r.gen == inc.gen && (r.gen > from.gen || r.acquired >= target) && !inc.crashed() {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-r.wake:
+		case <-timer.C:
 			return fmt.Errorf("engine: loop %d did not quiesce within %v", e.cfg.LoopID, timeout)
 		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// WaitSettled blocks until the loop is quiescent and the master has
-// announced the termination of every iteration that ran (so a fork taken now
-// snapshots everything and needs no seeds).
-func (e *Engine) WaitSettled(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if inc := e.cur(); inc.tracker.Settled() && !inc.crashed() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("engine: loop %d did not settle within %v", e.cfg.LoopID, timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
@@ -1131,8 +1156,12 @@ func (e *Engine) TransportMapSizes() (seen, unacked int) {
 // Notified returns the highest terminated iteration.
 func (e *Engine) Notified() int64 { return e.cur().tracker.Notified() }
 
-// Quiesced reports whether the loop currently has no pending obligations.
-func (e *Engine) Quiesced() bool { return e.cur().tracker.Quiesced() }
+// Quiesced reports whether the loop holds no obligation token at this
+// instant. It is a raw reading, not the master's verdict: the frontier may
+// not be announced yet, and a paused master never announces it (Figure 8c
+// reads it for that reason). Use WaitQuiesce or Idle for the published
+// record.
+func (e *Engine) Quiesced() bool { return e.cur().tracker.TokenCount() == 0 }
 
 // Generation returns the loop's incarnation number (0 = never recovered).
 func (e *Engine) Generation() int {
@@ -1291,23 +1320,16 @@ type ForkSpec struct {
 	Residual []stream.Tuple
 }
 
-// Fork captures a fork specification at the current frontier: snapshot
+// forkLocked captures a fork specification at the current frontier: snapshot
 // iteration, seed set and residual inputs (Section 5.2). The main loop keeps
 // running; terminated iterations are immutable, which is what makes the
-// snapshot consistent without a pause.
-func (e *Engine) Fork() ForkSpec {
-	e.genMu.RLock()
-	defer e.genMu.RUnlock()
-	return e.forkLocked()
-}
-
-// forkLocked captures the fork spec; caller holds genMu.
+// snapshot consistent without a pause. Caller holds genMu.
 func (e *Engine) forkLocked() ForkSpec {
 	inc := e.inc
-	// Quiescence is sampled before the scans: if nothing was pending at
-	// this point, any activity the scans pick up afterwards stems from
-	// post-fork inputs, which the fork instant may legitimately exclude.
-	quiesced := inc.tracker.Quiesced()
+	// The record is read before the scans: if the loop was at rest here,
+	// any activity the scans pick up afterwards stems from post-fork inputs,
+	// which the fork instant may legitimately exclude.
+	rest := e.atRest(inc)
 	forkIter := inc.tracker.Notified()
 	var seeds []stream.VertexID
 	above := false
@@ -1321,11 +1343,11 @@ func (e *Engine) forkLocked() ForkSpec {
 	if e.journal != nil {
 		spec.Residual = e.journal.Residual(forkIter)
 	}
-	// Fast path for forks from a fully absorbed main loop: with no pending
-	// obligations, no commits above the fork iteration and no residual
-	// inputs, the snapshot alone is the complete fixed point — the branch
-	// needs no re-activation at all.
-	if quiesced && !above && len(spec.Residual) == 0 {
+	// Fast path for forks from a main loop at rest: with every iteration
+	// that ran announced, no commits above the fork iteration and no
+	// residual inputs, the snapshot alone is the complete fixed point — the
+	// branch needs no re-activation at all.
+	if rest && !above && len(spec.Residual) == 0 {
 		spec.Seeds = nil
 	}
 	return spec
@@ -1476,7 +1498,7 @@ func (e *Engine) Reshard(newProcs int, settleTimeout time.Duration) error {
 	if d := e.FlowSnapshot().GateDepth; d > 0 {
 		return fmt.Errorf("%w: %d admitted inputs not yet applied", ErrIngestionActive, d)
 	}
-	if err := e.WaitSettled(settleTimeout); err != nil {
+	if err := e.WaitQuiesce(settleTimeout); err != nil {
 		return err
 	}
 	ninc, resume, _ := e.restart(e.cur(), func(p *PartitionPlan) *PartitionPlan {
@@ -1490,18 +1512,6 @@ func (e *Engine) Reshard(newProcs int, settleTimeout time.Duration) error {
 	e.recordEvent(RecoveryEvent{Kind: EventReshard, Proc: -2, Gen: ninc.gen, Resume: resume,
 		Detail: fmt.Sprintf("epoch %d: base partition over %d processors", e.PlanEpoch(), newProcs)})
 	return nil
-}
-
-// LoadStats returns the number of vertices each processor currently hosts,
-// the signal the paper's master uses to decide when to rebalance
-// (quarantined processors report zero).
-func (e *Engine) LoadStats() []int {
-	loads := e.PartitionLoads()
-	out := make([]int, len(loads))
-	for i, l := range loads {
-		out[i] = l.Vertices
-	}
-	return out
 }
 
 // PauseProcessor pauses processor i (Figure 8d's fault injection as a
@@ -1523,12 +1533,19 @@ func (e *Engine) ResumeProcessor(i int) {
 
 // PauseMaster pauses the master (Figure 8c): termination notifications stop,
 // so synchronous loops stall immediately and bounded-asynchronous loops run
-// until the delay bound is exhausted. State survives; use CrashMaster for
-// true crash semantics.
-func (e *Engine) PauseMaster() { e.masterPaused.Store(true) }
+// until the delay bound is exhausted. No quiescence is published while it is
+// paused. State survives; use CrashMaster for true crash semantics.
+func (e *Engine) PauseMaster() {
+	hold := make(chan struct{})
+	e.masterHold.CompareAndSwap(nil, &hold)
+}
 
 // ResumeMaster resumes a paused master.
-func (e *Engine) ResumeMaster() { e.masterPaused.Store(false) }
+func (e *Engine) ResumeMaster() {
+	if hold := e.masterHold.Swap(nil); hold != nil {
+		close(*hold)
+	}
+}
 
 // proc returns processor i of the current incarnation (nil when out of
 // range).

@@ -532,7 +532,7 @@ func TestIterationLogMonotone(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	// The tracker settles before the master finishes appending the final
@@ -598,7 +598,7 @@ func TestIterationLogRingWraps(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(datasets.PowerLawGraph(60, 3, 41))
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.Notified(); n < 2*ring {
@@ -640,7 +640,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestTrackerAdvanceAndQuiesce(t *testing.T) {
 	tr := NewTracker(0)
-	if !tr.Quiesced() {
+	if tr.TokenCount() != 0 {
 		t.Fatal("fresh tracker should be quiescent")
 	}
 	a := tr.AcquireFloor(0)
@@ -649,7 +649,7 @@ func TestTrackerAdvanceAndQuiesce(t *testing.T) {
 		t.Fatalf("placements = %d, %d; want 0, 5", a, b)
 	}
 	tr.Release(0)
-	from, to, quiesced, ok := tr.Advance()
+	from, to, _, quiesced, ok := tr.Advance()
 	if !ok || from != 0 || to != 4 || quiesced {
 		t.Fatalf("Advance = (%d, %d, %v, %v); want (0, 4, false, true)", from, to, quiesced, ok)
 	}
@@ -662,7 +662,7 @@ func TestTrackerAdvanceAndQuiesce(t *testing.T) {
 	}
 	tr.Release(5)
 	tr.Release(5)
-	from, to, quiesced, ok = tr.Advance()
+	from, to, _, quiesced, ok = tr.Advance()
 	if !ok || !quiesced || to != 5 || from != 5 {
 		t.Fatalf("Advance = (%d, %d, %v, %v); want (5, 5, true, true)", from, to, quiesced, ok)
 	}
@@ -701,7 +701,7 @@ func TestTrackerCloseUnblocksAdvance(t *testing.T) {
 	// Advance would block forever without Close.
 	done := make(chan bool)
 	go func() {
-		_, _, _, ok := tr.Advance()
+		_, _, _, _, ok := tr.Advance()
 		done <- ok
 	}()
 	time.Sleep(5 * time.Millisecond)

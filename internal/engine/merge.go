@@ -50,7 +50,7 @@ func (e *Engine) AdoptBranch(br *Engine) error {
 	// incarnation, which has recomputed its pre-merge state — the merge simply
 	// degrades to a no-op or a conflict, never to corruption.
 	inc := e.cur()
-	if !inc.tracker.Settled() {
+	if !e.atRest(inc) {
 		return fmt.Errorf("%w: loop not quiescent at merge start", ErrMergeConflict)
 	}
 	// The merge is valid only if no inputs arrived since the FORK (not just

@@ -16,7 +16,7 @@ func TestAdoptBranchImprovesApproximation(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)
@@ -57,7 +57,7 @@ func TestAdoptBranchRejectsUnconvergedBranch(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	// Build a branch but don't wait for it; with empty work it may finish
@@ -80,7 +80,7 @@ func TestAdoptBranchRequiresMainLoop(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)
@@ -102,7 +102,7 @@ func TestAdoptBranchDetectsConflictingIngest(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)

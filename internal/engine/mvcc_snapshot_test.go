@@ -175,7 +175,7 @@ func TestCrashRecoveryMVCCStore(t *testing.T) {
 			}
 			e.CrashMaster()
 			e.IngestAll(tuples[half:])
-			if err := e.WaitSettled(waitFor); err != nil {
+			if err := e.WaitQuiesce(waitFor); err != nil {
 				t.Fatal(err)
 			}
 			checkSSSP(t, e, tuples)

@@ -45,6 +45,7 @@ type Tracker struct {
 	min             int64 // lowest iteration holding a token; meaningful while live > 0
 	notified        int64 // highest iteration announced terminated
 	maxSeen         int64 // highest iteration that ever held a token
+	acquired        int64 // acquisitions ever made (calls placing >= 1 token)
 	closed          bool
 	quiesceReported bool // quiescence already surfaced to the master
 }
@@ -115,6 +116,7 @@ func (t *Tracker) AcquireFloorN(iter int64, n int) int64 {
 		iter = t.notified + 1
 	}
 	t.quiesceReported = false
+	t.acquired++
 	t.cell(iter).tokens += int64(n)
 	if t.live == 0 || iter < t.min {
 		t.min = iter
@@ -165,21 +167,13 @@ func (t *Tracker) Notified() int64 {
 	return t.notified
 }
 
-// Quiesced reports whether no obligations remain anywhere in the loop.
-func (t *Tracker) Quiesced() bool {
+// Acquired returns how many acquisitions (AcquireFloorN calls placing at
+// least one token) the tracker has counted. Set against the count an Advance
+// reported quiescence at, it tells whether anything arrived since.
+func (t *Tracker) Acquired() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.live == 0
-}
-
-// Settled reports whether the loop is quiescent AND the master has announced
-// every iteration that ever held a token — i.e. the frontier has fully
-// caught up with the computation. Fork call sites that want a minimal seed
-// set wait for this, not just for quiescence.
-func (t *Tracker) Settled() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.live == 0 && t.notified >= t.maxSeen
+	return t.acquired
 }
 
 // IterStats returns the commit count and progress aggregate of iteration k.
@@ -214,9 +208,11 @@ func (t *Tracker) DropStatsThrough(k int64) {
 // iteration can be terminated (or the loop quiesces with unterminated
 // iterations outstanding, or Close is called), marks those iterations
 // terminated, and returns the inclusive range [from, to] plus whether the
-// loop is quiescent. ok is false when the tracker was closed with nothing
-// left to announce.
-func (t *Tracker) Advance() (from, to int64, quiesced, ok bool) {
+// loop is quiescent. A quiescent report announces through every iteration
+// that ever held a token, and acquired is then the acquisition count at the
+// quiescent instant (see Acquired). ok is false when the tracker was closed
+// with nothing left to announce.
+func (t *Tracker) Advance() (from, to, acquired int64, quiesced, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
@@ -227,16 +223,16 @@ func (t *Tracker) Advance() (from, to int64, quiesced, ok bool) {
 			if quiet {
 				t.quiesceReported = true
 			}
-			return from, upTo, quiet, true
+			return from, upTo, t.acquired, quiet, true
 		}
 		if t.closed {
-			return 0, 0, quiet, false
+			return 0, 0, t.acquired, quiet, false
 		}
 		if quiet && !t.quiesceReported {
 			// Quiescence with nothing new to announce is surfaced exactly
 			// once so the master can evaluate convergence without spinning.
 			t.quiesceReported = true
-			return t.notified + 1, t.notified, true, true
+			return t.notified + 1, t.notified, t.acquired, true, true
 		}
 		t.cond.Wait()
 	}
@@ -264,7 +260,7 @@ func (t *Tracker) Frontier() int64 {
 
 // TokenCount returns the total number of outstanding obligation tokens:
 // in-flight inputs, dirty vertices, and committed-but-ungathered updates.
-// It is an observability gauge (zero exactly when Quiesced).
+// It is an observability gauge, zero exactly when nothing is pending.
 func (t *Tracker) TokenCount() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -187,7 +187,7 @@ func TestSupervisorRecoversCrashedMaster(t *testing.T) {
 	}
 	e.CrashMaster()
 	e.IngestAll(tuples[half:])
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
@@ -258,8 +258,8 @@ func TestFlappingProcessorQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
-	if load := e.LoadStats(); load[2] != 0 {
-		t.Fatalf("quarantined processor reports load %d, want 0 (loads: %v)", load[2], load)
+	if load := e.PartitionLoads(); load[2].Vertices != 0 {
+		t.Fatalf("quarantined processor reports load %d, want 0 (loads: %v)", load[2].Vertices, load)
 	}
 	kinds := make(map[string]int)
 	for _, ev := range e.RecoveryLog() {
@@ -307,7 +307,7 @@ func TestFaultPlanSchedule(t *testing.T) {
 		s := e.StatsSnapshot()
 		return s.Crashes >= 2 && s.Recoveries >= 1
 	}, "planned crashes never fired and recovered")
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
@@ -457,36 +457,48 @@ func scrapeGauge(t *testing.T, hub *obs.Hub, name string) float64 {
 // restart is about to re-activate the whole checkpoint in a new one.
 // WaitQuiesce must not report the crashed incarnation's quiescence: it
 // returns once the restart ran and the incarnation it built quiesced, so an
-// audit right after finds no tokens in the restart's hand-off.
+// audit right after finds no tokens in the restart's hand-off. A crashed
+// master leaves the crashed incarnation's last record current, and the same
+// holds.
 func TestWaitQuiesceAwaitsCrashRestart(t *testing.T) {
-	tuples := datasets.PowerLawGraph(200, 3, 53)
-	e, err := New(Config{
-		Processors:        3,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              53,
-		HeartbeatInterval: 10 * time.Millisecond,
-		restartBackoff:    time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		crash func(*Engine)
+	}{
+		{"processor", func(e *Engine) { e.CrashProcessor(0) }},
+		{"master", (*Engine).CrashMaster},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tuples := datasets.PowerLawGraph(200, 3, 53)
+			e, err := New(Config{
+				Processors:        3,
+				DelayBound:        8,
+				Kind:              MainLoop,
+				LoopID:            storage.MainLoop,
+				Store:             storage.NewMVCCStore(),
+				Program:           ssspProg{source: 0},
+				Seed:              53,
+				HeartbeatInterval: 10 * time.Millisecond,
+				restartBackoff:    time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Start()
+			defer e.Stop()
+			e.IngestAll(tuples)
+			if err := e.WaitQuiesce(waitFor); err != nil {
+				t.Fatal(err)
+			}
+			tc.crash(e)
+			if err := e.WaitQuiesce(waitFor); err != nil {
+				t.Fatal(err)
+			}
+			if s := e.StatsSnapshot(); s.Recoveries != 1 {
+				t.Fatalf("WaitQuiesce returned after a crash with Recoveries = %d; want the restart done", s.Recoveries)
+			}
+			checkSSSP(t, e, tuples)
+			checkQuiescent(t, e)
+		})
 	}
-	e.Start()
-	defer e.Stop()
-	e.IngestAll(tuples)
-	if err := e.WaitSettled(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	e.CrashProcessor(0)
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.StatsSnapshot(); s.Recoveries != 1 {
-		t.Fatalf("WaitQuiesce returned after a crash with Recoveries = %d; want the restart done", s.Recoveries)
-	}
-	checkSSSP(t, e, tuples)
-	checkQuiescent(t, e)
 }

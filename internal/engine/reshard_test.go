@@ -36,13 +36,13 @@ func TestReshardResumesInPlace(t *testing.T) {
 	if got := e.Notified(); got <= 0 {
 		t.Fatalf("resharded loop never advanced: notified=%d", got)
 	}
-	loads := e.LoadStats()
+	loads := e.PartitionLoads()
 	if len(loads) != 5 {
-		t.Fatalf("LoadStats reported %d processors; want 5", len(loads))
+		t.Fatalf("PartitionLoads reported %d processors; want 5", len(loads))
 	}
 	active := 0
-	for _, n := range loads {
-		if n > 0 {
+	for _, l := range loads {
+		if l.Vertices > 0 {
 			active++
 		}
 	}
@@ -127,7 +127,7 @@ func TestReshardRejectsBranch(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.Ingest(stream.AddEdge(1, 0, 1))
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)
@@ -158,7 +158,7 @@ func TestCompactionBoundsMainLoopVersions(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	versions := store.NumVersions(storage.MainLoop)
@@ -187,7 +187,7 @@ func TestCompactionSparesPinnedForks(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples[:half])
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	// Fork, then keep the main loop running hard before the branch reads

@@ -79,7 +79,7 @@ func TestBranchHostsShells(t *testing.T) {
 	e.IngestAll(g)
 	// Settled, not just quiescent: the fork iteration must cover the whole
 	// graph, or the fork seeds (and so loads) every vertex committed above it.
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	e.IngestAll(removes)
@@ -116,7 +116,7 @@ func TestShellLoadsStoredTargets(t *testing.T) {
 	defer e.Stop()
 	// 0 -> 4 -> 1 -> {2, 3}: vertex 1 settles at distance 2.
 	e.IngestAll([]stream.Tuple{stream.AddEdge(1, 0, 4), stream.AddEdge(2, 4, 1), stream.AddEdge(3, 1, 2), stream.AddEdge(4, 1, 3)})
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	handle := store.Snapshot(storage.MainLoop)
@@ -225,7 +225,7 @@ func TestDeltaBranchLoadsEveryVertex(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(g)
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	e.IngestAll(removes)

@@ -68,7 +68,7 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 			e.ResumeMaster()
 		}
 	}
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
@@ -255,7 +255,7 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 		}, "corruption burst never caught by the CRC")
 		e.SetWireCorrupt(0)
 	}
-	if err := e.WaitSettled(soakWait(wire)); err != nil {
+	if err := e.WaitQuiesce(soakWait(wire)); err != nil {
 		s := e.StatsSnapshot()
 		t.Fatalf("%v (gen=%d crashes=%d recoveries=%d events=%d frontier=%d notified=%d log tail: %+v)",
 			err, s.Generation, s.Crashes, s.Recoveries, len(e.RecoveryLog()), s.Frontier, s.Notified, tail(e.RecoveryLog(), 6))
@@ -395,7 +395,7 @@ func runChaosSoakSurgeOverload(t *testing.T, wire *WireSpec) {
 		"planned crash of processor 3 never recovered")
 	e.SlowProcessor(2, 0) // clear the slowdown so settling is prompt
 
-	if err := e.WaitSettled(soakWait(wire)); err != nil {
+	if err := e.WaitQuiesce(soakWait(wire)); err != nil {
 		s := e.StatsSnapshot()
 		t.Fatalf("%v (gen=%d crashes=%d recoveries=%d frontier=%d notified=%d log tail: %+v)",
 			err, s.Generation, s.Crashes, s.Recoveries, s.Frontier, s.Notified, tail(e.RecoveryLog(), 6))

@@ -8,3 +8,6 @@ package engine
 // pauses past windows that comfortably hold in normal builds. Deployments
 // tune detection to transport latency; tests must tune it to the build.
 const raceStretch = 3
+
+// raceBuild reports a -race build.
+const raceBuild = true

@@ -121,7 +121,7 @@ func (e *Engine) CrashMaster() {
 		return
 	}
 	inc.masterE.Crash()
-	e.masterPaused.Store(false)
+	e.ResumeMaster()
 	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: -1, Gen: inc.gen})
 }
@@ -350,7 +350,7 @@ func (e *Engine) restart(from *incarnation, next func(*PartitionPlan) *Partition
 	for _, p := range from.procs {
 		p.setPaused(false)
 	}
-	e.masterPaused.Store(false)
+	e.ResumeMaster()
 	from.wg.Wait()
 
 	// Every in-flight input of the dead incarnation is now either applied

@@ -15,6 +15,7 @@ type mapTracker struct {
 	progress        map[int64]float64
 	notified        int64
 	maxSeen         int64
+	acquired        int64
 	quiesceReported bool
 }
 
@@ -28,6 +29,7 @@ func (t *mapTracker) acquireFloorN(iter int64, n int) int64 {
 		iter = t.notified + 1
 	}
 	t.quiesceReported = false
+	t.acquired++
 	t.counts[iter] += int64(n)
 	t.maxSeen = max(t.maxSeen, iter)
 	return iter
@@ -122,6 +124,7 @@ func TestTrackerRingAgainstMapModel(t *testing.T) {
 				got, want := tr.AcquireFloorN(iter, n), model.acquireFloorN(iter, n)
 				if n == 1 {
 					tr.Release(tr.AcquireFloor(iter)) // the single-token form, there and back
+					model.acquired++
 				}
 				if got != want {
 					t.Fatalf("trial %d op %d: AcquireFloorN(%d, %d) = %d; model %d", trial, op, iter, n, got, want)
@@ -151,9 +154,16 @@ func TestTrackerRingAgainstMapModel(t *testing.T) {
 				if blocks {
 					break
 				}
-				from, to, quiesced, ok := tr.Advance()
+				from, to, acquired, quiesced, ok := tr.Advance()
 				if !ok || from != wf || to != wt || quiesced != wq {
 					t.Fatalf("trial %d op %d: Advance = %d..%d %v %v; model %d..%d %v", trial, op, from, to, quiesced, ok, wf, wt, wq)
+				}
+				// The record the master publishes: a quiescent report has
+				// announced every iteration that ever held a token, at the
+				// acquisition count it saw.
+				if quiesced && (tr.Notified() < model.maxSeen || acquired != model.acquired) {
+					t.Fatalf("trial %d op %d: quiescent report at notified %d, acquired %d; model maxSeen %d, acquired %d",
+						trial, op, tr.Notified(), acquired, model.maxSeen, model.acquired)
 				}
 				for i := from; i <= to && i < from+50; i++ {
 					c, pr := tr.IterStats(i)
@@ -173,10 +183,10 @@ func TestTrackerRingAgainstMapModel(t *testing.T) {
 			maxRing = max(maxRing, len(tr.ring))
 
 			if tr.Notified() != model.notified || tr.Frontier() != model.frontier() || tr.TokenCount() != model.tokenCount() ||
-				tr.Quiesced() != (len(model.counts) == 0) || tr.Settled() != (len(model.counts) == 0 && model.notified >= model.maxSeen) {
-				t.Fatalf("trial %d op %d: notified %d frontier %d tokens %d quiesced %v settled %v; model %d %d %d %v",
-					trial, op, tr.Notified(), tr.Frontier(), tr.TokenCount(), tr.Quiesced(), tr.Settled(),
-					model.notified, model.frontier(), model.tokenCount(), len(model.counts) == 0)
+				tr.Acquired() != model.acquired {
+				t.Fatalf("trial %d op %d: notified %d frontier %d tokens %d acquired %d; model %d %d %d %d",
+					trial, op, tr.Notified(), tr.Frontier(), tr.TokenCount(), tr.Acquired(),
+					model.notified, model.frontier(), model.tokenCount(), model.acquired)
 			}
 			wantLag := max(model.maxSeen-model.frontier()+1, 0)
 			if got := tr.FrontierLag(); got != wantLag {
@@ -200,13 +210,13 @@ func TestTrackerRingAgainstMapModel(t *testing.T) {
 			if blocks {
 				break
 			}
-			if _, to, _, ok := tr.Advance(); !ok || to != wt {
+			if _, to, _, _, ok := tr.Advance(); !ok || to != wt {
 				t.Fatalf("trial %d: draining Advance -> %d, %v; model %d", trial, to, ok, wt)
 			}
 			tr.DropStatsThrough(wt)
 		}
-		if !tr.Settled() || len(tr.ring) != minTrackerRing {
-			t.Fatalf("trial %d: settled %v with a ring of %d cells (peak %d); want %d", trial, tr.Settled(), len(tr.ring), maxRing, minTrackerRing)
+		if settled := tr.TokenCount() == 0 && tr.Notified() >= model.maxSeen; !settled || len(tr.ring) != minTrackerRing {
+			t.Fatalf("trial %d: settled %v with a ring of %d cells (peak %d); want %d", trial, settled, len(tr.ring), maxRing, minTrackerRing)
 		}
 		if spread > minTrackerRing && maxRing == minTrackerRing {
 			t.Fatalf("trial %d spread tokens over %d iterations and never grew the ring", trial, spread)

@@ -194,24 +194,3 @@ func (e *Engine) SetWireCorrupt(rate float64) bool {
 	e.recordEvent(RecoveryEvent{Kind: kind, Proc: -2, Gen: e.Generation(), Detail: detail})
 	return true
 }
-
-// SetWireLoss sets per-frame socket-level drop and duplicate probabilities
-// (independent of the frame-level InjectTransportFaults rates, which apply
-// before serialization). No-op without Config.Wire.
-func (e *Engine) SetWireLoss(drop, dup float64) bool {
-	if e.wireFaults == nil {
-		return false
-	}
-	e.wireFaults.SetLoss(drop, dup)
-	return true
-}
-
-// SetWireLatency adds fixed per-frame latency on the wire (0 clears). No-op
-// without Config.Wire.
-func (e *Engine) SetWireLatency(d time.Duration) bool {
-	if e.wireFaults == nil {
-		return false
-	}
-	e.wireFaults.SetLatency(d)
-	return true
-}

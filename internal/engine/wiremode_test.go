@@ -120,7 +120,7 @@ func TestWireModeCrashRecovery(t *testing.T) {
 	e.IngestAll(tuples[half:])
 	waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Recoveries >= 1 },
 		"crash never recovered in wire mode")
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatalf("%v (recoveries=%d notified=%d)", err, e.StatsSnapshot().Recoveries, e.Notified())
 	}
 	checkSSSP(t, e, tuples)
@@ -250,7 +250,7 @@ func TestWireModeBranchForkMerge(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 	e.IngestAll(tuples)
-	if err := e.WaitSettled(waitFor); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	br, _, err := e.ForkBranch(storage.LoopID(200), nil, nil)

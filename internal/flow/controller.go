@@ -8,51 +8,34 @@ import (
 	"tornado/internal/obs/trace"
 )
 
+// Controller hysteresis constants.
+const (
+	// escalateAbove is the pressure (0..1 utilization of the tightest
+	// bounded queue) at or above which consecutive samples escalate one
+	// ladder level.
+	escalateAbove = 0.85
+	// relaxBelow is the pressure at or below which consecutive samples relax
+	// one level. The dead band between the two keeps the ladder from
+	// oscillating around a single threshold.
+	relaxBelow = 0.5
+	// escalateAfter / relaxAfter are the consecutive-sample counts required
+	// before moving: degrade quickly, recover cautiously.
+	escalateAfter = 3
+	relaxAfter    = 8
+	// maxLevel caps the ladder.
+	maxLevel = 3
+)
+
 // ControllerOptions tunes the overload controller's sampling cadence and
-// hysteresis. The zero value picks conservative defaults.
+// tracing. The zero value samples every 25ms.
 type ControllerOptions struct {
 	// SampleEvery is the sampling period of the background loop (default
 	// 25ms). Ignored by Step, which tests drive directly.
 	SampleEvery time.Duration
-	// EscalateAbove is the pressure (0..1 utilization of the tightest
-	// bounded queue) at or above which consecutive samples escalate one
-	// ladder level (default 0.85).
-	EscalateAbove float64
-	// RelaxBelow is the pressure at or below which consecutive samples
-	// relax one level (default 0.5). The dead band between the two keeps
-	// the ladder from oscillating around a single threshold.
-	RelaxBelow float64
-	// EscalateAfter / RelaxAfter are the consecutive-sample counts required
-	// before moving (defaults 3 and 8: degrade quickly, recover cautiously).
-	EscalateAfter int
-	RelaxAfter    int
-	// MaxLevel caps the ladder (default 3).
-	MaxLevel int
 	// Spans, when non-nil, is told about every ladder transition: rungs
 	// L1–L3 force-retain causal traces (tail sampling), and the current rung
 	// stamps every span recorded while degraded.
 	Spans *trace.Tracer
-}
-
-func (o *ControllerOptions) fill() {
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 25 * time.Millisecond
-	}
-	if o.EscalateAbove <= 0 {
-		o.EscalateAbove = 0.85
-	}
-	if o.RelaxBelow <= 0 {
-		o.RelaxBelow = 0.5
-	}
-	if o.EscalateAfter <= 0 {
-		o.EscalateAfter = 3
-	}
-	if o.RelaxAfter <= 0 {
-		o.RelaxAfter = 8
-	}
-	if o.MaxLevel <= 0 {
-		o.MaxLevel = 3
-	}
 }
 
 // Controller walks a degradation ladder driven by a pressure signal. It
@@ -68,8 +51,8 @@ type Controller struct {
 
 	mu           sync.Mutex
 	level        int
-	hot          int // consecutive samples above EscalateAbove
-	cool         int // consecutive samples below RelaxBelow
+	hot          int // consecutive samples above escalateAbove
+	cool         int // consecutive samples below relaxBelow
 	sinceUp      time.Time
 	movedPending bool
 
@@ -86,7 +69,9 @@ type Controller struct {
 // returns current pressure; apply is invoked (from the sampling goroutine,
 // or from Step's caller) with each new level. Stop it with Stop.
 func NewController(opts ControllerOptions, sample func() float64, apply func(level int)) *Controller {
-	opts.fill()
+	if opts.SampleEvery <= 0 {
+		opts.SampleEvery = 25 * time.Millisecond
+	}
 	c := &Controller{opts: opts, sample: sample, apply: apply, stop: make(chan struct{})}
 	c.wg.Add(1)
 	go c.run()
@@ -115,17 +100,17 @@ func (c *Controller) Step() {
 	c.lastPressure.Store(int64(p * 1e6))
 	c.mu.Lock()
 	switch {
-	case p >= c.opts.EscalateAbove:
+	case p >= escalateAbove:
 		c.hot++
 		c.cool = 0
-		if c.hot >= c.opts.EscalateAfter && c.level < c.opts.MaxLevel {
+		if c.hot >= escalateAfter && c.level < maxLevel {
 			c.moveLocked(c.level + 1)
 			c.hot = 0
 		}
-	case p <= c.opts.RelaxBelow:
+	case p <= relaxBelow:
 		c.cool++
 		c.hot = 0
-		if c.cool >= c.opts.RelaxAfter && c.level > 0 {
+		if c.cool >= relaxAfter && c.level > 0 {
 			c.moveLocked(c.level - 1)
 			c.cool = 0
 		}

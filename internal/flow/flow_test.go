@@ -162,56 +162,59 @@ func newManualController(opts ControllerOptions, sample func() float64, apply fu
 func TestControllerLadder(t *testing.T) {
 	pressure := 0.0
 	var applied []int
-	c := newManualController(ControllerOptions{
-		EscalateAfter: 2, RelaxAfter: 3, MaxLevel: 2,
-	}, func() float64 { return pressure }, func(l int) { applied = append(applied, l) })
+	c := newManualController(ControllerOptions{},
+		func() float64 { return pressure }, func(l int) { applied = append(applied, l) })
+	steps := func(n int) {
+		for ; n > 0; n-- {
+			c.Step()
+		}
+	}
 
 	pressure = 1.0
-	c.Step()
+	steps(escalateAfter - 1)
 	if c.Level() != 0 {
-		t.Fatal("escalated before EscalateAfter consecutive samples")
+		t.Fatal("escalated before escalateAfter consecutive samples")
 	}
 	c.Step()
 	if c.Level() != 1 {
 		t.Fatalf("Level = %d after sustained pressure, want 1", c.Level())
 	}
-	c.Step()
-	c.Step()
-	if c.Level() != 2 {
-		t.Fatalf("Level = %d, want 2 (MaxLevel)", c.Level())
+	steps((maxLevel - 1) * escalateAfter)
+	if c.Level() != maxLevel {
+		t.Fatalf("Level = %d, want %d (maxLevel)", c.Level(), maxLevel)
 	}
-	c.Step()
-	c.Step()
-	if c.Level() != 2 {
-		t.Fatal("climbed past MaxLevel")
+	steps(2 * escalateAfter)
+	if c.Level() != maxLevel {
+		t.Fatal("climbed past maxLevel")
 	}
 
 	// Mid-band samples reset the streaks but never move the ladder.
-	pressure = 0.7
-	for i := 0; i < 10; i++ {
-		c.Step()
-	}
-	if c.Level() != 2 {
+	pressure = (escalateAbove + relaxBelow) / 2
+	steps(2 * relaxAfter)
+	if c.Level() != maxLevel {
 		t.Fatal("moved on mid-band pressure")
 	}
 
 	pressure = 0.1
-	c.Step()
-	c.Step()
-	if c.Level() != 2 {
-		t.Fatal("relaxed before RelaxAfter consecutive samples")
+	steps(relaxAfter - 1)
+	if c.Level() != maxLevel {
+		t.Fatal("relaxed before relaxAfter consecutive samples")
 	}
 	c.Step()
-	if c.Level() != 1 {
-		t.Fatalf("Level = %d after relax, want 1", c.Level())
+	if c.Level() != maxLevel-1 {
+		t.Fatalf("Level = %d after relax, want %d", c.Level(), maxLevel-1)
 	}
-	for i := 0; i < 3; i++ {
-		c.Step()
-	}
+	steps((maxLevel - 1) * relaxAfter)
 	if c.Level() != 0 {
 		t.Fatalf("Level = %d, want 0", c.Level())
 	}
-	want := []int{1, 2, 1, 0}
+	var want []int
+	for l := 1; l <= maxLevel; l++ {
+		want = append(want, l)
+	}
+	for l := maxLevel - 1; l >= 0; l-- {
+		want = append(want, l)
+	}
 	if len(applied) != len(want) {
 		t.Fatalf("apply calls = %v, want %v", applied, want)
 	}
@@ -220,8 +223,8 @@ func TestControllerLadder(t *testing.T) {
 			t.Fatalf("apply calls = %v, want %v", applied, want)
 		}
 	}
-	if c.Transitions() != 4 {
-		t.Fatalf("Transitions = %d, want 4", c.Transitions())
+	if c.Transitions() != int64(2*maxLevel) {
+		t.Fatalf("Transitions = %d, want %d", c.Transitions(), 2*maxLevel)
 	}
 	if c.Degraded() <= 0 {
 		t.Fatal("no degraded time recorded")
@@ -232,8 +235,7 @@ func TestControllerBackgroundLoop(t *testing.T) {
 	var mu sync.Mutex
 	pressure := 1.0
 	c := NewController(ControllerOptions{
-		SampleEvery:   time.Millisecond,
-		EscalateAfter: 1,
+		SampleEvery: time.Millisecond,
 	}, func() float64 { mu.Lock(); defer mu.Unlock(); return pressure }, nil)
 	defer c.Stop()
 	deadline := time.Now().Add(2 * time.Second)

@@ -79,6 +79,10 @@ type Backend struct {
 	// OnConverged, when non-nil, observes each branch loop's fork-to-
 	// convergence wall time (the system-level convergence histogram).
 	OnConverged func(time.Duration)
+	// Idle, when non-nil, reports that the main loop has nothing pending.
+	// While it holds the service degrades nothing: every query forks at the
+	// same journal sequence, and the bounded wait queue stays the guard.
+	Idle func() bool
 }
 
 // Service constants. Only Options' fields vary between callers.
@@ -683,9 +687,14 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 	// While degraded the service imposes its own staleness tolerance on top
 	// of the query's: answers up to degradeStaleDeltas behind the present are
 	// handed out from the cache or a running flight rather than forking,
-	// which is the "widen the window" rung of the degradation ladder.
+	// which is the "widen the window" rung of the degradation ladder. An
+	// idle main loop is served exactly.
+	level := s.degraded
+	if level > 0 && s.b.Idle != nil && s.b.Idle() {
+		level = 0
+	}
 	effStale := spec.MaxStaleDeltas
-	if s.degraded >= 1 && s.opts.degradeStaleDeltas > effStale {
+	if level >= 1 && s.opts.degradeStaleDeltas > effStale {
 		effStale = s.opts.degradeStaleDeltas
 	}
 
@@ -756,7 +765,7 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 	// Slow path: a new flight through the bounded wait queue. At degrade
 	// level >= 2 low-priority traffic is cut here — it may still ride the
 	// free fast paths above, but it cannot cost a fork.
-	if s.degraded >= 2 && spec.Priority < shedBelowPriority {
+	if level >= 2 && spec.Priority < shedBelowPriority {
 		s.shed++
 		s.shedLowPri++
 		delete(s.tickets, t.id)
@@ -765,7 +774,7 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 		// open the escalation window.
 		s.spans.Escalate(trace.MarkShed, t.tctx, s.spans.Now())
 		return nil, fmt.Errorf("%w: degraded level %d sheds priority < %d (got %d)",
-			ErrOverloaded, s.degraded, shedBelowPriority, spec.Priority)
+			ErrOverloaded, level, shedBelowPriority, spec.Priority)
 	}
 	if len(s.queue) >= s.opts.QueueCap {
 		s.shed++

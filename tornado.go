@@ -368,6 +368,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 		Drop:        s.dropBranch,
 		JournalSeq:  func() uint64 { return s.main.JournalSeq() },
 		OnConverged: func(d time.Duration) { s.branchHist.Observe(d.Seconds()) },
+		Idle:        s.main.Idle,
 	}, opts.Query, hub)
 	s.flowCtl = flow.NewController(flow.ControllerOptions{
 		SampleEvery: opts.Flow.sampleEvery,
@@ -636,8 +637,9 @@ func (s *System) Ingest(t Tuple) { s.main.Ingest(t) }
 // IngestAll feeds tuples in order.
 func (s *System) IngestAll(ts []Tuple) { s.main.IngestAll(ts) }
 
-// WaitQuiesce blocks until the main loop has fully absorbed all ingested
-// input (approximation caught up) or the timeout expires.
+// WaitQuiesce blocks until the main loop's master has published that the
+// loop absorbed all input ingested before the call (approximation caught up,
+// every iteration announced) or the timeout expires.
 func (s *System) WaitQuiesce(timeout time.Duration) error {
 	return s.main.WaitQuiesce(timeout)
 }
@@ -777,7 +779,8 @@ func (s *System) Merge(res *Result) error {
 func (s *System) Reshard(newProcs int, timeout time.Duration) error {
 	// Ingestion is paused by contract, so the admitted backlog drains to
 	// zero; if a spout is still feeding, the quiesce times out or the gate
-	// refills and the engine refuses with ErrIngestionActive.
+	// refills and the engine refuses with ErrIngestionActive. The engine's
+	// own wait then finds its record already current.
 	if err := s.main.WaitQuiesce(timeout); err != nil {
 		return err
 	}

@@ -173,13 +173,10 @@ func TestStatsAndIterationLog(t *testing.T) {
 	if s.Commits == 0 || s.UpdateMsgs == 0 || s.InputMsgs == 0 {
 		t.Fatalf("stats look dead: %+v", s)
 	}
-	// Quiescence is the tracker draining; the master appends the iteration's
-	// record after it advances the frontier, so wait for the record itself.
-	for deadline := time.Now().Add(waitFor); len(sys.IterationLog()) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("no iteration records")
-		}
-		time.Sleep(time.Millisecond)
+	// WaitQuiesce returns on the master's published record, which comes after
+	// the iteration's record is logged.
+	if log := sys.IterationLog(); len(log) == 0 || log[len(log)-1].Iteration != s.Notified {
+		t.Fatalf("IterationLog ends at %v; want the record of Notified %d", log[max(len(log)-1, 0):], s.Notified)
 	}
 }
 
