@@ -23,12 +23,16 @@ test:
 # lock (TestInPlaceWritersVsHandles); keep them honest under the race
 # detector on every change. The feed's pump and its
 # hand-off at the admission gate are raced 20 times over (the retired
-# ingestion topology hung there under -race), and WaitQuiesce's return on
-# the master's published quiescence record 50 times.
+# ingestion topology hung there under -race), WaitQuiesce's return on the
+# master's published quiescence record 50 times, a repartition's admission
+# stop 20 times, and a crash landing between two frames of a held-frame
+# replay 200 times.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/storage/...
 	$(GO) test -race -count=20 -run 'TestAttachSource|TestFeed' .
 	$(GO) test -race -count=50 -run 'TestWaitQuiesceCoversMasterRecord|TestStatsAndIterationLog' . ./internal/engine/
+	$(GO) test -race -count=20 -run 'TestRepartitionStopsAdmission' ./internal/engine/
+	$(GO) test -race -count=200 -run 'TestHeldReplayStopsAtCrash' ./internal/transport/
 
 race-all:
 	$(GO) test -race ./...
@@ -221,13 +225,14 @@ soak-overload:
 	$(GO) test -race . -run 'TestOverloadControllerLadder|TestFeedBoundedInFlight' -count=1
 	$(GO) run ./cmd/tornado-bench -experiment overload -scale small
 
-# Elasticity soak: live migration under sustained ingestion (value and delta
-# modes), the crash-mid-migration abort path, and the parked-pending
-# hand-off — all under the race detector and repeated — then the plan
-# transitions on the checkpoint restart (Reshard and quarantine, engine and
-# System level), then the elastic benchmark.
+# Elasticity soak: migrations under sustained ingestion (value and delta
+# modes), the crash-during-drain abort path, the admission stop, parked
+# pendings across a repartition and forks while one waits for rest — all
+# under the race detector and repeated — then the plan transitions on the
+# checkpoint restart (Reshard and quarantine, engine and System level), then
+# the elastic benchmark.
 soak-elastic:
-	$(GO) test -race ./internal/engine/ -run 'TestLiveMigration|TestScaleOutScaleIn|TestMigrationCrashAborts|TestDeltaParkedPendingSurvivesHandoff|TestReshardRejectsActiveIngestion' -count=2
+	$(GO) test -race ./internal/engine/ -run 'TestLiveMigration|TestMigrateRejectsConcurrent|TestScaleOutScaleIn|TestMigrationCrashAborts|TestDeltaParkedPendingSurvivesHandoff|TestRepartitionStopsAdmission|TestReshardWaitsForIngestionBacklog|TestReshardedShellsSurviveScaleOut|TestBranchWidthExact' -count=2
 	$(GO) test -race ./internal/engine/ -run 'TestReshard|TestFlappingProcessorQuarantined|TestQuarantine' -count=3
 	$(GO) test -race . -run 'TestSystemReshard' -count=3
 	$(GO) run ./cmd/tornado-bench -experiment elastic -scale small

@@ -43,16 +43,18 @@
 //	slow [min-ms] [n]    the n slowest retained traces at least min-ms of
 //	                     wall time (defaults 0ms, 8)
 //	watch <id>           record a vertex's protocol events (see trace)
-//	partitions           the live partition plan: epoch (bumped by every
+//	partitions           the partition plan: epoch (bumped by every
 //	                     migration, reshard and quarantine), per-slot state
-//	                     (active/spare/quarantined), hosted vertices and
-//	                     commit/update counters, layered range overrides
-//	                     and lifetime migration counters
-//	scale out            split the hottest partition onto a spare slot as
-//	                     a live migration (ingestion keeps running)
-//	scale in <slot>      drain slot live and retire it from the plan
-//	scale move <lo> <hi> <slot>  migrate the vertex range [lo, hi] onto
-//	                     slot without stopping the loop (DESIGN.md §16)
+//	                     (active/spare/quarantined), hosted vertices (a
+//	                     restarted loop hosts them lazily, as traffic
+//	                     reaches them) and commit/update counters, layered
+//	                     range overrides and lifetime migration counters
+//	scale out            split the hottest partition onto a spare slot
+//	scale in <slot>      drain slot and retire it from the plan
+//	scale move <lo> <hi> <slot>  move the vertex range [lo, hi] onto slot
+//	                     (every scale command stops ingestion, lets the
+//	                     loop come to rest and restarts it from its
+//	                     checkpoint under the new plan; DESIGN.md §16)
 //	crash <i|master>     crash processor i (or the master) for real:
 //	                     its in-memory state dies; the heartbeat
 //	                     supervisor restarts the loop from the last
@@ -94,7 +96,7 @@ func main() {
 	spanRate := flag.Float64("span-sample", 0, "head-sampling rate for causal freshness traces (0 = default 1%, 1 = all, negative = off)")
 	heartbeat := flag.Duration("heartbeat", 25*time.Millisecond, "supervision heartbeat interval (0 = unsupervised; 'crash' then needs 'recover')")
 	wire := flag.Bool("wire", false, "run the message plane over a TCP loopback socket (serialized, CRC-framed, supervised reconnects)")
-	spares := flag.Int("spares", 1, "spare processor slots for live hot splits ('scale out'/'scale move'; 0 disables elasticity)")
+	spares := flag.Int("spares", 1, "spare processor slots for hot splits ('scale out'/'scale move'; 0 disables elasticity)")
 	autoscale := flag.Bool("autoscale", false, "run the pressure-driven split/merge planner in the background")
 	flag.Parse()
 
@@ -383,8 +385,8 @@ func main() {
 				qs.DegradeLevel, qs.ShedLowPriority, qs.Shed, qs.QueueDepth)
 		case "partitions":
 			ps := sys.PlanStats()
-			fmt.Printf("plan epoch=%d processors=%d/%d migrations=%d moved-vertices=%d aborts=%d\n",
-				ps.Epoch, ps.BaseProcessors, ps.MaxProcessors, ps.Migrations, ps.MigratedVertices, ps.Aborts)
+			fmt.Printf("plan epoch=%d processors=%d/%d migrations=%d aborts=%d\n",
+				ps.Epoch, ps.BaseProcessors, ps.MaxProcessors, ps.Migrations, ps.Aborts)
 			for _, l := range sys.PartitionLoads() {
 				state := "spare"
 				switch {
@@ -455,7 +457,7 @@ func main() {
 					fmt.Println("error:", err)
 					continue
 				}
-				fmt.Printf("range [%d, %d] migrated onto slot %d live (plan epoch %d)\n",
+				fmt.Printf("range [%d, %d] moved onto slot %d (plan epoch %d)\n",
 					lo, hi, slot, sys.PlanStats().Epoch)
 			default:
 				fmt.Println("usage: scale out | scale in <slot> | scale move <lo> <hi> <slot>")

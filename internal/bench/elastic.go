@@ -30,11 +30,14 @@ type ElasticWindow struct {
 
 // ElasticRow is one mode (split planner on or off) of the benchmark.
 type ElasticRow struct {
-	Mode         string          `json:"mode"` // "no-split" | "split"
-	BaselineUPS  float64         `json:"baseline_tuples_per_sec"`
-	SkewUPS      float64         `json:"skew_tuples_per_sec"`
-	RecoveredAtS float64         `json:"recovered_at_s"` // seconds after skew onset; -1 = never
-	SplitAtS     float64         `json:"split_at_s"`     // seconds after skew onset; -1 = no split
+	Mode         string  `json:"mode"` // "no-split" | "split"
+	BaselineUPS  float64 `json:"baseline_tuples_per_sec"`
+	SkewUPS      float64 `json:"skew_tuples_per_sec"`
+	RecoveredAtS float64 `json:"recovered_at_s"` // seconds after skew onset; -1 = never
+	SplitAtS     float64 `json:"split_at_s"`     // seconds after skew onset; -1 = no split
+	// SplitStallMS is the split's admission stall: the ScaleOut call, which
+	// stops ingestion, waits for rest and restarts under the split plan.
+	SplitStallMS float64         `json:"split_stall_ms,omitempty"`
 	PlanEpoch    int64           `json:"plan_epoch"`
 	Windows      []ElasticWindow `json:"windows"`
 }
@@ -45,8 +48,10 @@ type ElasticRow struct {
 // partition owns) with an injected per-commit latency making partition
 // commit capacity — not the host CPU — the bottleneck. The control run
 // rides the skew out; the treatment run feeds per-partition load accounting
-// to the flow.ScalePlanner and executes the hot split it orders (a live
-// range migration onto the spare slot). Recovery is the first post-onset
+// to the flow.ScalePlanner and executes the hot split it orders (a
+// repartition onto the spare slot: ingestion stops, the loop rests and
+// restarts from its checkpoint under the split plan). Recovery is the first
+// post-onset
 // window back at >= 80% of the pre-skew baseline throughput.
 type ElasticReport struct {
 	Scale         string       `json:"scale"`
@@ -193,9 +198,11 @@ func runElasticMode(n int, mode string) (ElasticRow, error) {
 				level = 2
 			}
 			if d := planner.Decide(level, flowLoads, true); d.Action == flow.ScaleSplit {
+				stall := time.Now()
 				if _, err := e.ScaleOut(d.Proc); err != nil {
 					return ElasticWindow{}, 0, err
 				}
+				row.SplitStallMS = float64(time.Since(stall).Microseconds()) / 1e3
 				win.Split = true
 				row.SplitAtS = (sinceOnset + elapsed).Seconds()
 			}
@@ -325,15 +332,16 @@ func (g *elasticGen) wave(sources int, hotWeight float64) []stream.Tuple {
 
 // String renders the benchmark table.
 func (r *ElasticReport) String() string {
-	header := []string{"mode", "baseline t/s", "skew t/s", "recovered", "split at", "epoch", "hot share"}
+	header := []string{"mode", "baseline t/s", "skew t/s", "recovered", "split at", "stall", "epoch", "hot share"}
 	var rows [][]string
 	for _, row := range r.Rows {
-		rec, split := "never", "-"
+		rec, split, stall := "never", "-", "-"
 		if row.RecoveredAtS >= 0 {
 			rec = fmt.Sprintf("%.2fs", row.RecoveredAtS)
 		}
 		if row.SplitAtS >= 0 {
 			split = fmt.Sprintf("%.2fs", row.SplitAtS)
+			stall = fmt.Sprintf("%.1fms", row.SplitStallMS)
 		}
 		hot := 0.0
 		for _, w := range row.Windows {
@@ -345,7 +353,7 @@ func (r *ElasticReport) String() string {
 			row.Mode,
 			fmt.Sprintf("%.0f", row.BaselineUPS),
 			fmt.Sprintf("%.0f", row.SkewUPS),
-			rec, split,
+			rec, split, stall,
 			fmt.Sprintf("%d", row.PlanEpoch),
 			fmt.Sprintf("%.2f", hot),
 		})

@@ -27,7 +27,7 @@ func newCommitProbe(tb testing.TB) (step func()) {
 	for t := stream.VertexID(2); t <= 5; t++ {
 		e := v.edge(t)
 		e.add()
-		e.Clock, e.Flags = stream.Timestamp(t), e.Flags|edgeClocked
+		e.clock, e.flags = stream.Timestamp(t), e.flags|edgeClocked
 		v.state.(*ssspState).SrcLens[t+10] = int64(t)
 	}
 	n := 0

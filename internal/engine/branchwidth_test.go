@@ -137,8 +137,9 @@ func TestBranchWaitsForItsSeeds(t *testing.T) {
 // sequential reference at width 1 and at width 4 — value SSSP exactly, delta
 // PageRank within the benchmark harness's 1e-2 relative error. The main loop
 // is elastic and its plan holds a migration override; the second pair of
-// forks is taken while a live Migrate is frozen on a paused source. The
-// frontier stays pinned (pinFrontier) from the first burst to the last fork.
+// forks is taken while a Migrate holds admission waiting for the loop to
+// rest, which the frontier pin (pinFrontier, from the first burst to the
+// last fork) keeps from coming.
 func TestBranchWidthExact(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -183,16 +184,15 @@ func TestBranchWidthExact(t *testing.T) {
 				tc.check(t, br, tuples[:cut1])
 			}
 
-			// Forks during a live migration: the paused source cannot ship,
-			// so the migration stays in flight until it resumes.
+			// Forks while a migration waits for rest: it holds admission,
+			// and the pinned frontier keeps the loop from resting.
 			e.IngestAll(tuples[cut1:cut2])
-			e.PauseProcessor(0)
 			migrated := make(chan error, 1)
 			go func() { migrated <- e.Migrate(engine.VertexRange{Lo: n / 2, Hi: n - 1}, 5) }()
 			deadline := time.Now().Add(branchWait)
-			for !engine.MigrationActive(e) {
+			for !engine.AdmissionStopped(e) {
 				if time.Now().After(deadline) {
-					t.Fatal("migration never started")
+					t.Fatal("migration never stopped admission")
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -200,11 +200,10 @@ func TestBranchWidthExact(t *testing.T) {
 				br := forkConverged(t, e, storage.LoopID(3+i), widen(width))
 				tc.check(t, br, tuples[:cut2])
 			}
-			if !engine.MigrationActive(e) {
-				t.Fatal("migration finished before the forks; the paused source should hold it")
+			if !engine.AdmissionStopped(e) {
+				t.Fatal("migration finished before the forks; the pinned frontier should hold it")
 			}
 			release()
-			e.ResumeProcessor(0)
 			if err := <-migrated; err != nil {
 				t.Fatal(err)
 			}

@@ -138,17 +138,17 @@ func (StateCodec) appendVertex(dst []byte, v *vertex) ([]byte, error) {
 	if ok {
 		var ntargets, nclocks uint64
 		for i := range v.out {
-			if v.out[i].Flags&edgePresent != 0 {
+			if v.out[i].flags&edgePresent != 0 {
 				ntargets++
 			}
-			if v.out[i].Flags&edgeClocked != 0 {
+			if v.out[i].flags&edgeClocked != 0 {
 				nclocks++
 			}
 		}
 		dst = binary.AppendUvarint(dst, ntargets)
 		for i := range v.out {
-			if v.out[i].Flags&edgePresent != 0 {
-				dst = AppendID(dst, v.out[i].To)
+			if v.out[i].flags&edgePresent != 0 {
+				dst = AppendID(dst, v.out[i].to)
 			}
 		}
 		if nclocks > 0 {
@@ -156,8 +156,8 @@ func (StateCodec) appendVertex(dst []byte, v *vertex) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, nclocks)
 		for i := range v.out {
-			if e := &v.out[i]; e.Flags&edgeClocked != 0 {
-				dst = appendTimestamp(AppendID(dst, e.To), e.Clock)
+			if e := &v.out[i]; e.flags&edgeClocked != 0 {
+				dst = appendTimestamp(AppendID(dst, e.to), e.clock)
 			}
 		}
 		dst = AppendBool(dst, v.hasPending)
@@ -175,14 +175,14 @@ func (v *vertex) blob() VertexBlob {
 	b := VertexBlob{State: v.state, Pending: v.pending, HasPending: v.hasPending}
 	for i := range v.out {
 		e := &v.out[i]
-		if e.Flags&edgePresent != 0 {
-			b.Targets = append(b.Targets, e.To)
+		if e.flags&edgePresent != 0 {
+			b.Targets = append(b.Targets, e.to)
 		}
-		if e.Flags&edgeClocked != 0 {
+		if e.flags&edgeClocked != 0 {
 			if b.TargetClock == nil {
 				b.TargetClock = make(map[stream.VertexID]stream.Timestamp)
 			}
-			b.TargetClock[e.To] = e.Clock
+			b.TargetClock[e.to] = e.clock
 		}
 	}
 	return b
@@ -193,15 +193,15 @@ func (v *vertex) blob() VertexBlob {
 // merges into the edge clocks.
 func (v *vertex) setTargets(targets []stream.VertexID, clock map[stream.VertexID]stream.Timestamp) {
 	for i := range v.out {
-		v.out[i].Flags &^= edgePresent | edgeAdded | edgeRemoved
+		v.out[i].flags &^= edgePresent | edgeAdded | edgeRemoved
 	}
 	v.out = slices.Grow(v.out, len(targets))
 	for _, t := range targets {
-		v.edge(t).Flags |= edgePresent
+		v.edge(t).flags |= edgePresent
 	}
 	for t, ts := range clock {
 		e := v.edge(t)
-		e.Clock, e.Flags = ts, e.Flags|edgeClocked
+		e.clock, e.flags = ts, e.flags|edgeClocked
 	}
 }
 
@@ -243,26 +243,26 @@ func (c StateCodec) decodeVertex(data []byte, v *vertex) (pending any, hasPendin
 	}
 	for range nt {
 		to := targets.ID()
-		if len(out) > 0 && to <= out[len(out)-1].To {
+		if len(out) > 0 && to <= out[len(out)-1].to {
 			r.advance(0)
 			break
 		}
-		out = append(out, outEdge{To: to, Flags: edgePresent})
+		out = append(out, outEdge{to: to, flags: edgePresent})
 	}
 	j := 0
 	for k := range nc {
 		to, ts := r.ID(), take(&r, readTimestamp)
-		if k > 0 && to <= out[j].To {
+		if k > 0 && to <= out[j].to {
 			r.advance(0)
 			break
 		}
-		for j < len(out) && out[j].To < to {
+		for j < len(out) && out[j].to < to {
 			j++
 		}
-		if j == len(out) || out[j].To != to { // a clocked record that is not a target
-			out = slices.Insert(out, j, outEdge{To: to})
+		if j == len(out) || out[j].to != to { // a clocked record that is not a target
+			out = slices.Insert(out, j, outEdge{to: to})
 		}
-		out[j].Clock, out[j].Flags = ts, out[j].Flags|edgeClocked
+		out[j].clock, out[j].flags = ts, out[j].flags|edgeClocked
 	}
 	hasPending = r.Byte() != 0
 	pending = readValue(&r)

@@ -17,7 +17,7 @@ import (
 )
 
 // The SSSP test programs' states take the fixed-layout path, so the crash,
-// merge, migration and delta-recovery suites of this package exercise it;
+// merge, repartition and delta-recovery suites of this package exercise it;
 // countState, sumState and dsumState have no binary layout and keep the gob
 // fallback under the same suites.
 const (

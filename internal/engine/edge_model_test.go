@@ -209,31 +209,31 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 			}
 			var waiting, preparing, clocked []stream.VertexID
 			for i, o := range v.out {
-				if i > 0 && v.out[i-1].To >= o.To {
+				if i > 0 && v.out[i-1].to >= o.to {
 					t.Fatalf("trial %d op %d: out not strictly ascending: %+v", trial, op, v.out)
 				}
-				if o.Flags&edgeOwesAck != 0 {
-					waiting = append(waiting, o.To)
+				if o.flags&edgeOwesAck != 0 {
+					waiting = append(waiting, o.to)
 				}
-				if o.Flags&edgeClocked != 0 {
-					clocked = append(clocked, o.To)
-					if o.Clock != m.clock[o.To] {
-						t.Fatalf("trial %d op %d: clock of %d = %d; model has %d", trial, op, o.To, o.Clock, m.clock[o.To])
+				if o.flags&edgeClocked != 0 {
+					clocked = append(clocked, o.to)
+					if o.clock != m.clock[o.to] {
+						t.Fatalf("trial %d op %d: clock of %d = %d; model has %d", trial, op, o.to, o.clock, m.clock[o.to])
 					}
 				}
-				if o.Flags&edgeEmitted != 0 || o.Flags == 0 {
+				if o.flags&edgeEmitted != 0 || o.flags == 0 {
 					t.Fatalf("trial %d op %d: record %+v survived the commit's close-out", trial, op, o)
 				}
 			}
 			for i, in := range v.in {
-				if i > 0 && v.in[i-1].From >= in.From {
+				if i > 0 && v.in[i-1].from >= in.from {
 					t.Fatalf("trial %d op %d: in not strictly ascending: %+v", trial, op, v.in)
 				}
-				if in.Preparing {
-					preparing = append(preparing, in.From)
+				if in.preparing {
+					preparing = append(preparing, in.from)
 				}
-				if last, ok := m.seen[in.From]; (ok && in.Seen != last) || (!ok && in.Seen != -1) {
-					t.Fatalf("trial %d op %d: seen[%d] = %d; model has %d (%v)", trial, op, in.From, in.Seen, last, ok)
+				if last, ok := m.seen[in.from]; (ok && in.seen != last) || (!ok && in.seen != -1) {
+					t.Fatalf("trial %d op %d: seen[%d] = %d; model has %d (%v)", trial, op, in.from, in.seen, last, ok)
 				}
 			}
 			if !slices.Equal(waiting, sortedKeys(m.waiting)) || v.nwaiting != len(m.waiting) ||

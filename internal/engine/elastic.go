@@ -1,44 +1,28 @@
 package engine
 
-// Live vertex-range migration and elastic scaling (ROADMAP item 4).
+// Repartitioning (DESIGN.md §16). The paper changes the partitioning scheme
+// by stopping the loop: "the master stops the computation before the
+// modification to the partitioning scheme; after the partitioning scheme is
+// modified, the computation will restart from the last terminated
+// iteration" (Section 5.1). Every change of the partition map — Migrate,
+// ScaleOut, ScaleIn and Reshard — is that one primitive, repartition:
 //
-// Reshard (engine.go) reproduces the paper's stop-the-world rebalancing as a
-// plan transition on the engine's checkpoint restart (supervisor.go).
-// Migrate changes the partition map WITHOUT stopping the main loop:
+//  1. it closes admission: new Ingest, IngestTraced and IngestAll calls wait
+//     at the stop, while calls already past it finish;
+//  2. it waits for the loop to come to rest (atRest: the master published
+//     quiescence and nothing was acquired since). The checkpoint at the last
+//     terminated iteration then equals memory: every input is applied and
+//     committed, and a delta loop has persisted its parked pendings;
+//  3. it runs the checkpoint restart that crash recovery uses
+//     (supervisor.go) under the next plan, with nothing to re-activate, and
+//     reopens admission.
 //
-//  1. The coordinator (the Migrate caller itself, receiving on the
-//     incarnation's migration endpoint) acquires a floor-0 tracker token —
-//     pinning the iteration frontier for the duration — and sends
-//     msgMigFreeze to every source processor.
-//  2. A frozen source stops starting commits for owned vertices in the
-//     range, journals vertex-addressed messages for them (tokens held), and
-//     once none of them is mid-prepare ships their full state (msgMigState)
-//     to the destination, releasing their dirty tokens (the coordinator's
-//     pin covers the gap) and keeping per-vertex tombstones so prepares
-//     from producers are still answered.
-//  3. The destination installs the state, re-acquiring dirty tokens, and
-//     reports msgMigInstalled. Nothing is activated yet: until the plan
-//     flips, acks and updates it emitted would be misrouted.
-//  4. When every source shipped and the destination installed, the
-//     coordinator publishes the next PartitionPlan epoch through the
-//     engine's atomic pointer — that store is the cutover: every subsequent
-//     route call anywhere resolves the range to the new owner. It then
-//     tells sources to forward their freeze journals to the new owner
-//     (msgMigCutover) and the destination to start the moved vertices
-//     (msgMigActivate, carrying the coordinator's pin token so activation
-//     cannot be passed by termination detection).
-//
-// In-flight frames addressed to the old owner after the cutover bounce:
-// every vertex-addressed handler re-routes messages it does not own through
-// the (new) plan instead of ghost-creating the vertex (processor.go).
-//
-// Crash semantics: a migration lives entirely inside one incarnation. If
-// any participant dies, the supervisor tears the incarnation down, which
-// crashes the coordinator's endpoint mid-Recv — the migration aborts before
-// the publish, so the plan pointer still holds the pre-epoch plan, and the
-// checkpoint recovery (which replays under that plan) restores exactness.
-// After the publish the new plan simply stays: recovery re-activates the
-// checkpoint under it, which is just as correct a mapping as the old one.
+// Each incarnation routes with one plan, so no frame ever reaches a
+// processor that does not own its vertex. Only the restart takes genMu:
+// scrapes, StatsSnapshot, PartitionLoads and ForkBranch never wait on the
+// drain. A crash or Stop during the wait aborts with ErrMigrationAborted and
+// the plan unchanged. The stall — stop to reopening — is what a repartition
+// costs the spout (tornado_elastic_migration_seconds).
 
 import (
 	"errors"
@@ -47,23 +31,15 @@ import (
 	"time"
 
 	"tornado/internal/stream"
-	"tornado/internal/transport"
 )
 
-// Typed preconditions surfaced by the elastic API (and Reshard).
+// Typed errors of the elastic API.
 var (
-	// ErrIngestionActive is returned by Reshard when the admission gate
-	// still holds admitted-but-unapplied inputs: stopping the loop then
-	// would silently lose them.
-	ErrIngestionActive = errors.New("engine: ingestion still active")
-	// ErrMigrationActive is returned when a migration is already running
-	// (one at a time).
-	ErrMigrationActive = errors.New("engine: a migration is already in flight")
 	// ErrNoSpare is returned by ScaleOut when no spare processor slot
 	// remains.
 	ErrNoSpare = errors.New("engine: no spare processor slot")
-	// ErrMigrationAborted is returned when the incarnation died (crash
-	// recovery or Stop) mid-migration; the plan is unchanged.
+	// ErrMigrationAborted is returned when a crash or Stop ended the
+	// incarnation a repartition was waiting on; the plan is unchanged.
 	ErrMigrationAborted = errors.New("engine: migration aborted")
 )
 
@@ -79,7 +55,8 @@ type PartitionLoad struct {
 	Proc        int
 	Active      bool // owns part of the current plan
 	Quarantined bool // out of rotation for good (the plan's third slot state)
-	// Vertices is the number of vertices the slot currently hosts.
+	// Vertices is the number of vertices the slot currently hosts. A
+	// restarted loop hosts vertices lazily, as traffic reaches them.
 	Vertices int
 	// Commits / Updates are lifetime totals for this slot (reset by crash
 	// recoveries with the incarnation); samplers take deltas.
@@ -114,21 +91,21 @@ func (e *Engine) PartitionLoads() []PartitionLoad {
 func (p *processor) hostedCount() int {
 	p.shareMu.Lock()
 	defer p.shareMu.Unlock()
-	return len(p.share) - len(p.freeSlots)
+	return len(p.share)
 }
 
-// Migrate moves the vertex range r onto processor dest without stopping the
-// loop: state ships live, in-flight traffic journal-forwards, and the
-// cutover is one atomic plan publish. It blocks until the migration
-// completes (or aborts with the plan unchanged). Any current owner of a
-// vertex in r is a source; vertices already owned by dest stay put.
+// Migrate moves the vertex range r onto processor dest: admission stops, the
+// loop comes to rest, and it restarts from its checkpoint under a plan whose
+// newest override routes r to dest. It blocks until the restart (or aborts
+// with the plan unchanged). Any current owner of a vertex in r gives it up;
+// vertices already owned by dest stay put.
 func (e *Engine) Migrate(r VertexRange, dest int) error {
 	return e.migrate(r, -1, dest, false)
 }
 
 // ScaleOut splits the hot processor's partition onto the first spare slot:
-// the upper half (by vertex ID) of the vertices it hosts migrates live, and
-// the spare joins the plan. hot < 0 picks the active slot hosting the most
+// the upper half (by vertex ID) of the vertices it hosts moves, and the
+// spare joins the plan. hot < 0 picks the active slot hosting the most
 // vertices. It returns the slot scaled onto.
 func (e *Engine) ScaleOut(hot int) (int, error) {
 	plan := e.plan.Load()
@@ -162,7 +139,7 @@ func (e *Engine) ScaleOut(hot int) (int, error) {
 	return spare, nil
 }
 
-// ScaleIn drains processor slot s live — everything it owns migrates to the
+// ScaleIn drains processor slot s — everything it owns moves to the
 // least-loaded other active slot — and retires it from the plan.
 func (e *Engine) ScaleIn(s int) error {
 	plan := e.plan.Load()
@@ -177,141 +154,111 @@ func (e *Engine) ScaleIn(s int) error {
 	return e.migrate(FullRange(), s, dest, true)
 }
 
-// hostedIDs returns the sorted vertex IDs slot proc currently hosts (per
-// its commit/dirty share, filtered by live ownership).
+// hostedIDs returns the sorted vertex IDs slot proc currently hosts.
 func (e *Engine) hostedIDs(proc int) []stream.VertexID {
 	p := e.proc(proc)
 	if p == nil {
 		return nil
 	}
-	return p.hosted(func(s *shareSlot) bool { return e.owner(s.id) == transport.NodeID(proc) })
+	return p.hosted()
 }
 
-// migrate runs one live migration synchronously: the calling goroutine is
-// the coordinator. from filters sources to one owner (-1 = every owner);
-// retire removes from from the plan after the cutover (scale-in).
+// migrate repartitions onto the plan with one more override: r's vertices
+// owned by from (-1 = any owner) move to dest; retire takes from out of the
+// plan (scale-in).
 func (e *Engine) migrate(r VertexRange, from, dest int, retire bool) error {
 	if e.cfg.Kind != MainLoop {
 		return errors.New("engine: Migrate applies to main loops")
 	}
-	e.migMu.Lock()
-	if e.migActive {
-		e.migMu.Unlock()
-		return ErrMigrationActive
-	}
-	e.migActive = true
-	e.migSeq++
-	seq := e.migSeq
-	e.migMu.Unlock()
-	defer func() {
-		e.migMu.Lock()
-		e.migActive = false
-		e.migMu.Unlock()
-	}()
-
-	e.genMu.RLock()
-	inc := e.inc
-	stopped := e.stopped
 	slots := e.plan.Load().Active
-	e.genMu.RUnlock()
-	if stopped {
-		return errors.New("engine: migrate on a stopped engine")
-	}
 	if dest < 0 || dest >= len(slots) {
 		return fmt.Errorf("engine: migration destination %d out of range [0,%d)", dest, len(slots))
 	}
 	if slots[dest] == slotQuarantined {
 		return fmt.Errorf("engine: migration destination %d is quarantined", dest)
 	}
-	var sources []int
-	for i := range inc.procs {
-		if i != dest && (from < 0 || i == from) {
-			sources = append(sources, i)
-		}
+	ninc, _, err := e.repartition(0, func(p *PartitionPlan) *PartitionPlan {
+		return p.withMove(r, from, dest, retire)
+	})
+	if err != nil {
+		return err
 	}
-	if len(sources) == 0 {
-		return errors.New("engine: no live source processors")
-	}
+	e.migrations.Add(1)
+	e.recordEvent(RecoveryEvent{Kind: EventMigration, Proc: dest, Gen: ninc.gen,
+		Detail: fmt.Sprintf("epoch %d: [%d,%d] from %d → %d", e.PlanEpoch(), r.Lo, r.Hi, from, dest)})
+	return nil
+}
 
+// Reshard rebalances the main loop in place onto newProcs processors, the
+// paper's Section 5.1: the restart publishes the base partition over
+// newProcs — no overrides, no quarantines — on max(newProcs, current) slots.
+// settleTimeout bounds the wait for rest; ingestion waits at the stop
+// meanwhile, so a spout need not be paused.
+func (e *Engine) Reshard(newProcs int, settleTimeout time.Duration) error {
+	if e.cfg.Kind != MainLoop || newProcs < 1 {
+		return errors.New("engine: Reshard applies to main loops, onto >= 1 processor")
+	}
+	ninc, resume, err := e.repartition(settleTimeout, func(p *PartitionPlan) *PartitionPlan {
+		next := basePlan(newProcs, max(newProcs, len(p.Active)))
+		next.Epoch = p.Epoch + 1
+		return next
+	})
+	if err != nil {
+		return err
+	}
+	e.recordEvent(RecoveryEvent{Kind: EventReshard, Proc: -2, Gen: ninc.gen, Resume: resume,
+		Detail: fmt.Sprintf("epoch %d: base partition over %d processors", e.PlanEpoch(), newProcs)})
+	return nil
+}
+
+// repartition is the one way the partition map changes (see the file
+// comment): stop admission, wait for rest (at most timeout; 0 waits until
+// rest or an abort), restart under next's plan, reopen admission. Holding
+// the stop also serializes repartitions. It returns the new incarnation and
+// the checkpoint it resumed from.
+func (e *Engine) repartition(timeout time.Duration, next func(*PartitionPlan) *PartitionPlan) (*incarnation, int64, error) {
 	start := time.Now()
-	// Pin the frontier for the whole migration: no iteration can terminate
-	// while the pin is held, so the dirty tokens sources release at ship
-	// cannot be passed by termination before the destination re-acquires
-	// them at install, and the cutover can never land inside a checkpoint.
-	pin := inc.tracker.AcquireFloor(0)
+	e.admit.Lock()
+	defer func() {
+		e.admit.Unlock()
+		if e.migDurHist != nil {
+			e.migDurHist.Observe(time.Since(start).Seconds())
+		}
+	}()
+	var deadline <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		deadline = t.C
+	}
+	from := e.cur()
 	abort := func(why string) error {
-		inc.tracker.Release(pin)
 		e.migAborts.Add(1)
-		e.recordEvent(RecoveryEvent{Kind: EventMigrationAbort, Proc: dest, Gen: inc.gen,
-			Detail: fmt.Sprintf("seq %d [%d,%d]→%d: %s", seq, r.Lo, r.Hi, dest, why)})
+		e.recordEvent(RecoveryEvent{Kind: EventMigrationAbort, Proc: -2, Gen: from.gen, Detail: why})
 		return fmt.Errorf("%w: %s", ErrMigrationAborted, why)
 	}
-
-	freeze := msgMigFreeze{Seq: seq, R: r, From: from, Dest: dest, NumSources: len(sources)}
-	for _, s := range sources {
-		inc.migE.Send(transport.NodeID(s), freeze)
-	}
-	inc.migE.Flush()
-
-	// Chaos hook: an armed FaultCrashDuringMigration fires here — the range
-	// is frozen, state is about to ship, the cutover has not happened.
-	if arm := e.migCrashArm.Swap(0); arm > 0 {
-		e.CrashProcessor(int(arm - 1))
-	}
-
-	// Collect ships and the install. Stale or duplicate frames (earlier
-	// seqs, at-least-once redelivery) are filtered by seq and idempotent
-	// counting. A dead incarnation crashes the endpoint and aborts here.
-	shipped := make(map[int]bool, len(sources))
-	installed := false
-	moved := 0
-	for len(shipped) < len(sources) || !installed {
-		env, ok := inc.migE.Recv()
-		if !ok {
-			return abort("incarnation torn down before cutover")
+	for {
+		select {
+		case <-from.stop:
+			return nil, 0, abort("incarnation stopped before the loop came to rest")
+		case <-from.down:
+			return nil, 0, abort("a member crashed before the loop came to rest")
+		default:
 		}
-		switch m := env.Payload.(type) {
-		case msgMigShipped:
-			if m.Seq == seq && !shipped[m.Source] {
-				shipped[m.Source] = true
-				moved += m.Count
-			}
-		case msgMigInstalled:
-			if m.Seq == seq {
-				installed = true
+		r := e.quiet.Load() // before the check: a later publish closes r.wake
+		if e.atRest(from) {
+			// restart re-checks rest under genMu: an Activate or an adoption
+			// can still land after this read.
+			if ninc, resume, _ := e.restart(from, true, next, nil); ninc != nil {
+				return ninc, resume, nil
 			}
 		}
+		select {
+		case <-r.wake:
+		case <-from.stop:
+		case <-from.down:
+		case <-deadline:
+			return nil, 0, abort(fmt.Sprintf("the loop did not come to rest within %v", timeout))
+		}
 	}
-
-	// THE cutover: one atomic pointer store. Every route call after this —
-	// any processor, the ingester, recovery's ActivateStored — resolves the
-	// range to dest. The read lock keeps a restart from publishing between
-	// the load and the store, and from having replaced inc already.
-	e.genMu.RLock()
-	if e.inc != inc {
-		e.genMu.RUnlock()
-		return abort("incarnation restarted before cutover")
-	}
-	next := e.plan.Load().withMove(r, from, dest, retire)
-	e.plan.Store(next)
-	e.genMu.RUnlock()
-
-	for _, s := range sources {
-		inc.migE.Send(transport.NodeID(s), msgMigCutover{Seq: seq})
-	}
-	// The pin token rides to the destination: it is released there after
-	// the moved vertices are scheduled, so the loop can never look
-	// quiescent with a significant migrated pending not yet queued.
-	inc.migE.Send(transport.NodeID(dest), msgMigActivate{Seq: seq, Token: pin})
-	inc.migE.Flush()
-
-	e.migrations.Add(1)
-	e.migratedVerts.Add(int64(moved))
-	if e.migDurHist != nil {
-		e.migDurHist.Observe(time.Since(start).Seconds())
-	}
-	e.recordEvent(RecoveryEvent{Kind: EventMigration, Proc: dest, Gen: inc.gen,
-		Detail: fmt.Sprintf("seq %d epoch %d: [%d,%d] from %d → %d (%d vertices, %d sources)",
-			seq, next.Epoch, r.Lo, r.Hi, from, dest, moved, len(sources))})
-	return nil
 }

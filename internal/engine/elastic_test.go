@@ -4,12 +4,14 @@ import (
 	"errors"
 	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"tornado/internal/datasets"
 	"tornado/internal/delta"
+	"tornado/internal/obs"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
 )
@@ -33,10 +35,11 @@ func newElasticSSSP(t *testing.T, procs, maxProcs int, seed int64) *Engine {
 	return e
 }
 
-// TestLiveMigrationUnderIngestion is the tentpole acceptance test (value
-// mode): half the vertex ID space migrates onto a spare slot WHILE the loop
-// keeps ingesting, and the result is still the exact reference fixed point.
-// A second migration moves the range again, exercising override folding.
+// TestLiveMigrationUnderIngestion (value mode): half the vertex ID space
+// migrates onto a spare slot while another goroutine keeps ingesting — its
+// chunks wait at the repartition's stop and land after the restart — and the
+// result is still the exact reference fixed point. A second migration moves
+// the range again, exercising override folding.
 func TestLiveMigrationUnderIngestion(t *testing.T) {
 	tuples := datasets.WithRemovals(datasets.PowerLawGraph(240, 3, 83), 0.1, 11)
 	e := newElasticSSSP(t, 2, 4, 83)
@@ -69,33 +72,93 @@ func TestLiveMigrationUnderIngestion(t *testing.T) {
 	if !st.Active[2] {
 		t.Fatalf("destination slot not active in plan: %+v", st.Active)
 	}
-	if st.MigratedVertices == 0 {
-		t.Fatal("migration moved no vertices")
-	}
-	if loads := e.PartitionLoads(); loads[2].Vertices == 0 {
-		t.Fatalf("destination hosts no vertices after migration: %+v", loads)
-	}
-
-	// Move the same range again (sources now include the previous
-	// destination) and keep streaming: still exact.
-	if err := e.Migrate(VertexRange{Lo: 0, Hi: 119}, 1); err != nil {
-		t.Fatal(err)
-	}
+	// The restarted loop hosts vertices as traffic reaches them.
 	extra := datasets.PowerLawGraph(240, 1, 85)
-	e.IngestAll(extra)
+	e.IngestAll(extra[:len(extra)/2])
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
-	checkSSSP(t, e, append(append([]stream.Tuple{}, tuples...), extra...))
+	if loads := e.PartitionLoads(); loads[2].Vertices == 0 {
+		t.Fatalf("destination hosts no vertices after migration and traffic: %+v", loads)
+	}
+
+	// Move the same range again (the previous destination gives it up) and
+	// keep streaming: still exact.
+	if err := e.Migrate(VertexRange{Lo: 0, Hi: 119}, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.IngestAll(extra[len(extra)/2:])
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	checkSSSP(t, e, slices.Concat(tuples, extra))
 	if got := e.PlanEpoch(); got != 2 {
 		t.Fatalf("plan epoch %d after two migrations; want 2", got)
 	}
 	checkQuiescent(t, e)
 }
 
-// TestLiveMigrationDeltaUnderIngestion is the delta-mode twin: pending
-// accumulators and the selective-activation queue must survive the hand-off
-// mid-stream.
+// TestMigrateRejectsConcurrent pins the destination bounds check and what
+// a concurrent Migrate meets: not a refusal but the first one's admission
+// stop. The second waits while the first waits for rest, then both land,
+// one epoch each, and the loop stays exact.
+func TestMigrateRejectsConcurrent(t *testing.T) {
+	e := newElasticSSSP(t, 2, 3, 107)
+	e.Start()
+	defer e.Stop()
+	tuples := []stream.Tuple{stream.AddEdge(1, 0, 1), stream.AddEdge(2, 1, 2), stream.AddEdge(3, 2, 3)}
+	e.IngestAll(tuples)
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	for _, dest := range []int{-1, 3, 5} {
+		if err := e.Migrate(FullRange(), dest); err == nil {
+			t.Fatalf("Migrate to out-of-range slot %d succeeded", dest)
+		}
+	}
+	if got := e.PlanEpoch(); got != 0 {
+		t.Fatalf("plan epoch %d after refused migrations; want 0", got)
+	}
+
+	release := e.HoldQuiesce()
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- e.Migrate(VertexRange{Lo: 0, Hi: 1}, 2) }()
+	waitUntil(t, waitFor, func() bool { return AdmissionStopped(e) }, "Migrate never stopped admission")
+	go func() { second <- e.Migrate(VertexRange{Lo: 2, Hi: 3}, 2) }()
+	select {
+	case err := <-first:
+		t.Fatalf("Migrate returned %v while the loop was held from rest", err)
+	case err := <-second:
+		t.Fatalf("concurrent Migrate returned %v while the first held the stop", err)
+	default:
+	}
+	release()
+	for i, ch := range []chan error{first, second} {
+		if err := <-ch; err != nil {
+			t.Fatalf("migration %d: %v", i+1, err)
+		}
+	}
+	if st := e.PlanStats(); st.Epoch != 2 || st.Migrations != 2 || !st.Active[2] {
+		t.Fatalf("PlanStats epoch=%d migrations=%d active=%v; want 2/2 with slot 2 active",
+			st.Epoch, st.Migrations, st.Active)
+	}
+	for id := stream.VertexID(0); id <= 3; id++ {
+		if got := e.owner(id); got != 2 {
+			t.Fatalf("vertex %d owned by %d after both migrations; want 2", id, got)
+		}
+	}
+	more := []stream.Tuple{stream.AddEdge(4, 3, 4), stream.AddEdge(5, 0, 2)}
+	e.IngestAll(more)
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	checkSSSP(t, e, slices.Concat(tuples, more))
+	checkQuiescent(t, e)
+}
+
+// TestLiveMigrationDeltaUnderIngestion is the delta-mode twin: the loop
+// rests with its pendings persisted, and the restart under the new plan
+// loses none of them mid-stream.
 func TestLiveMigrationDeltaUnderIngestion(t *testing.T) {
 	tuples := datasets.WithRemovals(datasets.PowerLawGraph(240, 3, 87), 0.1, 13)
 	e, err := New(Config{
@@ -144,9 +207,11 @@ func TestLiveMigrationDeltaUnderIngestion(t *testing.T) {
 // TestScaleOutScaleIn exercises the split/merge operations end to end: a
 // hot partition splits onto a spare (plan grows), the drained slot retires
 // (plan shrinks), spares exhaust with a typed error, and the answer stays
-// exact throughout.
+// exact throughout. A restarted loop hosts vertices lazily, so every hosted
+// count is read after traffic, and each split follows some.
 func TestScaleOutScaleIn(t *testing.T) {
 	tuples := datasets.PowerLawGraph(200, 3, 89)
+	extra := datasets.PowerLawGraph(200, 1, 90)
 	e := newElasticSSSP(t, 2, 4, 89)
 	e.Start()
 	defer e.Stop()
@@ -168,12 +233,12 @@ func TestScaleOutScaleIn(t *testing.T) {
 	if n := activePlanSlots(st); n != 3 {
 		t.Fatalf("%d active slots after scale-out; want 3", n)
 	}
-	if loads := e.PartitionLoads(); loads[spare].Vertices == 0 {
-		t.Fatalf("scaled-out slot hosts no vertices: %+v", loads)
-	}
 	e.IngestAll(tuples[half:])
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
+	}
+	if loads := e.PartitionLoads(); loads[spare].Vertices == 0 {
+		t.Fatalf("scaled-out slot hosts no vertices: %+v", loads)
 	}
 	checkSSSP(t, e, tuples)
 
@@ -184,27 +249,33 @@ func TestScaleOutScaleIn(t *testing.T) {
 	if n := activePlanSlots(st); n != 2 || st.Active[spare] {
 		t.Fatalf("scale-in did not retire slot %d: %+v", spare, st.Active)
 	}
-	// The cutover message that clears the drained slot's share entries is
-	// processed asynchronously after ScaleIn returns.
-	waitUntil(t, waitFor, func() bool { return e.PartitionLoads()[spare].Vertices == 0 },
-		"retired slot never released its hosted vertices")
 	checkSSSP(t, e, tuples)
 
 	// Exhaust the spare slots: two more splits fit, the third has nowhere
 	// to go.
-	if _, err := e.ScaleOut(-1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ScaleOut(-1); err != nil {
-		t.Fatal(err)
+	third := len(extra) / 3
+	for i := range 2 {
+		e.IngestAll(extra[i*third : (i+1)*third])
+		if err := e.WaitQuiesce(waitFor); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if loads := e.PartitionLoads(); loads[spare].Vertices != 0 {
+				t.Fatalf("retired slot %d hosts vertices: %+v", spare, loads)
+			}
+		}
+		if _, err := e.ScaleOut(-1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := e.ScaleOut(-1); !errors.Is(err, ErrNoSpare) {
 		t.Fatalf("ScaleOut with a full plan returned %v; want ErrNoSpare", err)
 	}
+	e.IngestAll(extra[2*third:])
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
-	checkSSSP(t, e, tuples)
+	checkSSSP(t, e, slices.Concat(tuples, extra))
 	checkQuiescent(t, e)
 }
 
@@ -218,11 +289,11 @@ func activePlanSlots(st PlanStats) int {
 	return n
 }
 
-// TestMigrationCrashAborts is the chaos acceptance test: a processor crash
-// armed via FaultCrashDuringMigration fires after the freeze and before the
-// cutover. The migration must abort with the pre-epoch plan intact, the
-// supervised recovery must restore the loop, and the fixed point must stay
-// exact — after which a retry of the same migration succeeds.
+// TestMigrationCrashAborts: a processor crash while a migration waits for
+// the loop to rest — a paused processor holds its backlog, so rest cannot
+// come first — aborts the migration with the pre-epoch plan intact. The
+// supervised recovery restores the loop, the fixed point stays exact, and a
+// retry of the same migration lands.
 func TestMigrationCrashAborts(t *testing.T) {
 	tuples := datasets.PowerLawGraph(160, 3, 97)
 	e, err := New(Config{
@@ -248,16 +319,15 @@ func TestMigrationCrashAborts(t *testing.T) {
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
+	e.PauseProcessor(0)
+	e.IngestAll(tuples[half:])
+	moved := make(chan error, 1)
+	go func() { moved <- e.Migrate(VertexRange{Lo: 80, Hi: FullRange().Hi}, 2) }()
+	waitUntil(t, waitFor, func() bool { return AdmissionStopped(e) }, "Migrate never stopped admission")
+	e.CrashProcessor(1)
 
-	e.InjectFaultPlan(FaultPlan{Faults: []Fault{
-		{Kind: FaultCrashDuringMigration, Proc: 1},
-	}})
-	waitUntil(t, waitFor, func() bool { return e.migCrashArm.Load() > 0 },
-		"FaultCrashDuringMigration never armed")
-
-	err = e.Migrate(VertexRange{Lo: 80, Hi: FullRange().Hi}, 2)
-	if !errors.Is(err, ErrMigrationAborted) {
-		t.Fatalf("Migrate with a mid-flight crash returned %v; want ErrMigrationAborted", err)
+	if err := <-moved; !errors.Is(err, ErrMigrationAborted) {
+		t.Fatalf("Migrate with a crash during the drain returned %v; want ErrMigrationAborted", err)
 	}
 	if got := e.PlanEpoch(); got != 0 {
 		t.Fatalf("plan epoch %d after aborted migration; want 0 (pre-epoch plan)", got)
@@ -279,15 +349,11 @@ func TestMigrationCrashAborts(t *testing.T) {
 	if !abortLogged {
 		t.Fatalf("recovery log has no %q event: %+v", EventMigrationAbort, tail(e.RecoveryLog(), 8))
 	}
-
-	// The recovered loop still answers exactly...
-	e.IngestAll(tuples[half:])
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
+	// The recovered loop answers exactly: the journal replayed the backlog
+	// the crash discarded.
 	checkSSSP(t, e, tuples)
 
-	// ...and the same migration, retried without the fault, lands.
+	// The same migration, retried, lands.
 	if err := e.Migrate(VertexRange{Lo: 80, Hi: FullRange().Hi}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +438,9 @@ func (dflowProg) Update(ctx delta.Context, pending any) {
 
 // TestDeltaParkedPendingSurvivesHandoff pins the selective-activation
 // contract across a migration: pendings parked below the program's threshold
-// travel with their vertices, arrive with the same mass, and stay parked at
-// the new owner until a later delta lifts them over the threshold. The loop
-// must then sit where an unmigrated twin fed the same stream sits. Losing or
+// rest in the checkpoint, and the new owner reads them back and keeps them
+// parked until a later delta lifts them over the threshold. The loop must
+// then sit where an unmigrated twin fed the same stream sits. Losing or
 // changing a parked pending would leave it at a wrong fixed point.
 func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 	// Sources 0..39 feed sinks 100..139, two sources a sink; the sinks are
@@ -425,21 +491,6 @@ func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 			if err := e.Migrate(VertexRange{Lo: 100, Hi: FullRange().Hi}, 2); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.WaitQuiesce(waitFor); err != nil {
-				t.Fatal(err)
-			}
-			if loads := e.PartitionLoads(); loads[2].Vertices != n {
-				t.Fatalf("spare hosts %d vertices after migration; want the %d sinks: %+v", loads[2].Vertices, n, loads)
-			}
-			// The new owner schedules every installed pending once: each
-			// must carry the mass it left with.
-			arrived := prog.takeScored()
-			for i := 0; i < n; i++ {
-				id := stream.VertexID(100 + i)
-				if got, ok := arrived[id]; !ok || got != parked[id] {
-					t.Fatalf("sink %d arrived with pending %d (scored %v); it left with %d", id, got, ok, parked[id])
-				}
-			}
 		}
 		e.IngestAll(lift)
 		if err := e.WaitQuiesce(waitFor); err != nil {
@@ -468,58 +519,121 @@ func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 	}
 }
 
-// TestMigrationCarriesAppliedJournalSeqs: a vertex that ships with inputs
-// applied but not yet committed takes their journal sequences along, so the
-// new owner's commit is what stamps them. The master is paused at B=1, which
-// leaves every second-wave input applied on a cap-blocked vertex — exactly
-// the state the freeze then catches.
-func TestMigrationCarriesAppliedJournalSeqs(t *testing.T) {
+// TestRepartitionStopsAdmission pins the stop: a migration holds a
+// concurrent IngestAll at the stop until the loop rests and restarts, while
+// /metrics and StatsSnapshot keep answering. A paused processor holds the
+// rest back with part of a wave admitted but not committed; it commits
+// before the restart, so the journal ends empty and SSSP exact. A crash
+// during a later drain, with no supervisor, aborts with the plan unchanged,
+// and after RecoverFromCheckpoint a retry lands.
+func TestRepartitionStopsAdmission(t *testing.T) {
 	const n = 20
-	e, err := New(Config{Processors: 2, MaxProcessors: 3, DelayBound: 1, Kind: MainLoop, LoopID: storage.MainLoop,
-		Store: storage.NewMVCCStore(), Program: ssspProg{source: 100}, Seed: 5})
+	hub := obs.NewHub(0)
+	e, err := New(Config{Processors: 2, MaxProcessors: 3, DelayBound: 8, Kind: MainLoop, LoopID: storage.MainLoop,
+		Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: 5, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
 	defer e.Stop()
-	e.PauseMaster()
-	var first, second []stream.Tuple
+	var first, second, held []stream.Tuple
 	for i := 0; i < n; i++ {
 		first = append(first, stream.AddEdge(stream.Timestamp(i), stream.VertexID(100+i), stream.VertexID(200+i)))
 		second = append(second, stream.AddEdge(stream.Timestamp(n+i), stream.VertexID(100+i), stream.VertexID(300+i)))
+		held = append(held, stream.AddEdge(stream.Timestamp(2*n+i), 0, stream.VertexID(100+i)))
 	}
 	e.IngestAll(first)
-	waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Commits >= n }, "first wave never committed at the cap")
-	e.IngestAll(second)
-	waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().InputMsgs == 2*n }, "second wave never reached its vertices")
-	if un, _ := e.JournalSize(); un != n {
-		t.Fatalf("%d uncommitted journal entries with the frontier pinned; want the second wave's %d", un, n)
-	}
-	if err := e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 2); err != nil {
+	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
-	if un, _ := e.JournalSize(); un != n {
-		t.Fatalf("%d uncommitted journal entries after the hand-off; want %d", un, n)
+	stuck := 0 // second-wave inputs for the paused processor
+	for _, tu := range second {
+		if e.owner(routeVertex(tu)) == 1 {
+			stuck++
+		}
 	}
-	e.ResumeMaster()
+	if stuck == 0 || stuck == n {
+		t.Fatalf("%d of %d second-wave inputs route to processor 1; want some, not all", stuck, n)
+	}
+	e.PauseProcessor(1)
+	e.IngestAll(second)
+	waitUntil(t, waitFor, func() bool { un, _ := e.JournalSize(); return un == stuck },
+		"the unpaused processor never committed its share of the second wave")
+
+	moved := make(chan error, 1)
+	go func() { moved <- e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 2) }()
+	waitUntil(t, waitFor, func() bool { return AdmissionStopped(e) }, "Migrate never stopped admission")
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		e.IngestAll(held)
+	}()
+	if got := scrapeGauge(t, hub, "tornado_elastic_plan_epoch"); got != 0 {
+		t.Fatalf("tornado_elastic_plan_epoch = %v during the drain; want 0", got)
+	}
+	if s := e.StatsSnapshot(); s.InputMsgs != int64(2*n-stuck) || e.JournalSeq() != 2*n {
+		t.Fatalf("during the drain: %d inputs applied, journal at %d; want %d and %d, nothing past the stop",
+			s.InputMsgs, e.JournalSeq(), 2*n-stuck, 2*n)
+	}
+	select {
+	case err := <-moved:
+		t.Fatalf("Migrate returned %v with a processor paused; it must wait for rest", err)
+	default:
+	}
+	e.ResumeProcessor(1)
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	<-ingested
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	if un, _ := e.JournalSize(); un != 0 {
-		t.Fatalf("%d journal entries never committed: their sequences were lost in the hand-off", un)
+		t.Fatalf("%d journal entries never committed across the repartition", un)
 	}
-	if s := e.PlanStats(); s.MigratedVertices < n {
-		t.Fatalf("migration moved %d vertices; want at least the %d sources", s.MigratedVertices, n)
+	all := slices.Concat(first, second, held)
+	checkSSSP(t, e, all)
+	if got := e.PlanEpoch(); got != 1 {
+		t.Fatalf("plan epoch %d after one migration; want 1", got)
 	}
+	if got := scrapeGauge(t, hub, "tornado_elastic_migration_seconds_count"); got != 1 {
+		t.Fatalf("tornado_elastic_migration_seconds_count = %v; want one stall", got)
+	}
+
+	// A crash during the drain, no supervisor: the migration aborts and the
+	// plan stays where it was.
+	release := e.HoldQuiesce()
+	go func() { moved <- e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 0) }()
+	waitUntil(t, waitFor, func() bool { return AdmissionStopped(e) }, "Migrate never stopped admission")
+	e.CrashProcessor(1)
+	if err := <-moved; !errors.Is(err, ErrMigrationAborted) {
+		t.Fatalf("Migrate with a crash during the drain returned %v; want ErrMigrationAborted", err)
+	}
+	release()
+	if got := e.PlanEpoch(); got != 1 {
+		t.Fatalf("plan epoch %d after an aborted migration; want 1", got)
+	}
+	if !e.RecoverFromCheckpoint() {
+		t.Fatal("RecoverFromCheckpoint declined")
+	}
+	if err := e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.PlanEpoch(); got != 2 {
+		t.Fatalf("plan epoch %d after the retry; want 2", got)
+	}
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	checkSSSP(t, e, all)
 	checkQuiescent(t, e)
 }
 
-// TestReshardRejectsActiveIngestion is the regression test for the typed
-// Reshard precondition: with admitted-but-unapplied inputs in the admission
-// gate, the stop-the-world Reshard must refuse with ErrIngestionActive
-// instead of silently dropping the backlog; once the backlog drains the
-// same call succeeds.
-func TestReshardRejectsActiveIngestion(t *testing.T) {
+// TestReshardWaitsForIngestionBacklog: a Reshard over a paused processor's
+// admitted-but-unapplied backlog holds admission and returns only once the
+// processor resumes and the loop rests, and the backlog is reflected
+// exactly afterwards.
+func TestReshardWaitsForIngestionBacklog(t *testing.T) {
 	tuples := datasets.PowerLawGraph(120, 3, 103)
 	e, err := New(Config{
 		Processors:       2,
@@ -544,40 +658,21 @@ func TestReshardRejectsActiveIngestion(t *testing.T) {
 	waitUntil(t, waitFor, func() bool { return e.FlowSnapshot().GateDepth > 0 },
 		"admission gate never held depth with a paused processor")
 
-	if err := e.Reshard(4, waitFor); !errors.Is(err, ErrIngestionActive) {
-		t.Fatalf("Reshard over a live ingestion backlog returned %v; want ErrIngestionActive", err)
+	resharded := make(chan error, 1)
+	go func() { resharded <- e.Reshard(4, waitFor) }()
+	waitUntil(t, waitFor, func() bool { return AdmissionStopped(e) }, "Reshard never stopped admission")
+	select {
+	case err := <-resharded:
+		t.Fatalf("Reshard over a paused processor's backlog returned %v before ResumeProcessor", err)
+	default:
 	}
-
 	e.ResumeProcessor(1)
-	if err := e.WaitQuiesce(waitFor); err != nil {
+	if err := <-resharded; err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reshard(4, waitFor); err != nil {
-		t.Fatal(err)
+	if got := e.PlanEpoch(); got != 1 {
+		t.Fatalf("plan epoch %d after Reshard; want 1", got)
 	}
 	checkSSSP(t, e, tuples)
-}
-
-// TestMigrateRejectsConcurrent pins the one-at-a-time coordinator guard and
-// the destination bounds check.
-func TestMigrateRejectsConcurrent(t *testing.T) {
-	e := newElasticSSSP(t, 2, 3, 107)
-	e.Start()
-	defer e.Stop()
-	e.Ingest(stream.AddEdge(1, 0, 1))
-	if err := e.WaitQuiesce(waitFor); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Migrate(FullRange(), 5); err == nil {
-		t.Fatal("Migrate to an out-of-range slot succeeded")
-	}
-	e.migMu.Lock()
-	e.migActive = true
-	e.migMu.Unlock()
-	if err := e.Migrate(FullRange(), 2); !errors.Is(err, ErrMigrationActive) {
-		t.Fatalf("concurrent Migrate returned %v; want ErrMigrationActive", err)
-	}
-	e.migMu.Lock()
-	e.migActive = false
-	e.migMu.Unlock()
+	checkQuiescent(t, e)
 }

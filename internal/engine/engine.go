@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,7 @@ type Config struct {
 	// MaxProcessors is the slot count elastic scaling may grow into (default
 	// Processors — no spares; a Reshard past it grows it). Slots
 	// Processors..MaxProcessors-1 run idle processors owning no vertices
-	// until a hot-partition split migrates a range onto them.
+	// until a repartition (a hot-partition split) routes a range to them.
 	MaxProcessors int
 	// DelayBound is B, the bound on iteration delays (>= 1). B = 1 yields
 	// synchronous (BSP) execution.
@@ -376,7 +375,6 @@ type incarnation struct {
 	masterE *transport.Endpoint
 	ingestE *transport.Endpoint
 	supE    *transport.Endpoint // heartbeat sink; nil when unsupervised
-	migE    *transport.Endpoint // migration-coordinator endpoint (elastic.go)
 	// outboxes recycles the ingest-side windows, one per slot: Ingest,
 	// IngestAll, Activate and AdoptBranch callers run concurrently, so each
 	// call fills an outbox of its own and ships it through ingestE.
@@ -395,6 +393,10 @@ type incarnation struct {
 	readyOnce sync.Once
 
 	masterCrashed atomic.Bool
+	// down is closed by the first crash of a member (CrashProcessor,
+	// CrashMaster): a repartition waiting for rest gives up on it.
+	down     chan struct{}
+	downOnce sync.Once
 }
 
 func (inc *incarnation) stopNow() {
@@ -403,6 +405,10 @@ func (inc *incarnation) stopNow() {
 
 func (inc *incarnation) markReady() {
 	inc.readyOnce.Do(func() { close(inc.ready) })
+}
+
+func (inc *incarnation) markDown() {
+	inc.downOnce.Do(func() { close(inc.down) })
 }
 
 // crashed reports whether a processor or the master of inc crashed: its
@@ -451,19 +457,15 @@ type Engine struct {
 	slow       []atomic.Int64
 
 	// Partition plans (plan.go, elastic.go). plan is the current epoch,
-	// read atomically by every route call and replaced only by a migration's
-	// cutover or a checkpoint restart; it lives on the Engine so plans
-	// survive restarts. migMu serializes migrations (one at a time).
-	plan          atomic.Pointer[PartitionPlan]
-	migMu         sync.Mutex
-	migActive     bool
-	migSeq        int64
-	migCrashArm   atomic.Int64 // proc+1 of an armed FaultCrashDuringMigration
-	migrations    atomic.Int64
-	migratedVerts atomic.Int64
-	migAborts     atomic.Int64
-	migBounced    atomic.Int64
-	migDurHist    *obs.StreamHist
+	// read atomically by every route call and replaced only by a checkpoint
+	// restart; it lives on the Engine so plans survive restarts. admit is the
+	// repartition stop: Ingest, IngestTraced and each IngestAll chunk hold it
+	// shared, a repartition exclusively from the stop to the reopening.
+	plan       atomic.Pointer[PartitionPlan]
+	admit      sync.RWMutex
+	migrations atomic.Int64
+	migAborts  atomic.Int64
+	migDurHist *obs.StreamHist // the admission stall of each repartition
 
 	// Supervision counters and event log.
 	crashes     atomic.Int64
@@ -571,13 +573,12 @@ func (e *Engine) supervised() bool {
 }
 
 // Node-ID layout: processor slots occupy 0..slots-1 (spares idle until a
-// migration lands on them); the control endpoints sit at fixed IDs far above
-// any slot count, so a restart that grows the slots never moves them.
+// plan routes a range to them); the control endpoints sit at fixed IDs far
+// above any slot count, so a restart that grows the slots never moves them.
 const (
 	masterNode transport.NodeID = 1<<30 + iota
 	ingestNode
 	supNode
-	migNode
 )
 
 // buildIncarnation assembles generation gen's topology from the engine's
@@ -585,7 +586,7 @@ const (
 // New).
 func (e *Engine) buildIncarnation(gen int) *incarnation {
 	slots := len(e.plan.Load().Active)
-	inc := &incarnation{gen: gen, stop: make(chan struct{}), ready: make(chan struct{})}
+	inc := &incarnation{gen: gen, stop: make(chan struct{}), ready: make(chan struct{}), down: make(chan struct{})}
 	inc.outboxes.New = func() any { return newOutbox(slots) }
 	var wire *transport.WireConfig
 	if e.cfg.Wire != nil {
@@ -621,12 +622,10 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 	if e.supervised() {
 		inc.supE = inc.net.Register(supNode)
 	}
-	inc.migE = inc.net.Register(migNode)
 	return inc
 }
 
-// owner resolves a vertex to its processor slot under the current plan,
-// read atomically per call so a cutover takes effect everywhere at once.
+// owner resolves a vertex to its processor slot under the current plan.
 func (e *Engine) owner(id stream.VertexID) transport.NodeID {
 	return transport.NodeID(e.plan.Load().Owner(id, e.cfg.Partition))
 }
@@ -691,6 +690,7 @@ func (e *Engine) Start() {
 // the pending work. Holding the incarnation read lock across the acquire and
 // the send keeps the input atomic with respect to recovery: either it lands
 // in the old incarnation (and the journal replays it) or in the new one.
+// While a repartition holds the stop, the call waits for it.
 func (e *Engine) Ingest(t stream.Tuple) {
 	e.IngestTraced(t, trace.Context{})
 }
@@ -711,6 +711,8 @@ func (e *Engine) IngestTraced(t stream.Tuple, ctx trace.Context) {
 			ctx = e.spans.Stage(ctx, trace.StageSpout, uint64(e.cfg.LoopID), uint64(routeVertex(t)), 0, now)
 		}
 	}
+	e.admit.RLock()
+	defer e.admit.RUnlock()
 	if g := e.ingestGate; g != nil {
 		if traceOn && ctx.Traced() {
 			g.Acquire() // before genMu: see the ingestGate field comment
@@ -746,15 +748,25 @@ func (e *Engine) ingestShip(inc *incarnation, out *outbox) {
 // each chunk rides under one incarnation lock and one transport flush, in a
 // handful of multi-payload frames instead of one frame per tuple. With
 // MaxPendingInputs set the call blocks — parking the upstream source —
-// whenever the loop already holds a full window of unapplied inputs.
-func (e *Engine) IngestAll(ts []stream.Tuple) {
-	if e.ingestGate == nil {
-		e.ingestChunk(ts)
-		return
-	}
+// whenever the loop already holds a full window of unapplied inputs. A
+// repartition's stop holds the call between two chunks.
+func (e *Engine) IngestAll(ts []stream.Tuple) { e.ingestAll(ts, true) }
+
+// ingestAll is IngestAll; stop false skips the repartition stop, for the
+// restart's own journal replay, which a repartition may be waiting on.
+func (e *Engine) ingestAll(ts []stream.Tuple, stop bool) {
 	for len(ts) > 0 {
-		n := e.ingestGate.AcquireUpTo(len(ts))
+		if stop {
+			e.admit.RLock()
+		}
+		n := len(ts)
+		if e.ingestGate != nil {
+			n = e.ingestGate.AcquireUpTo(n)
+		}
 		e.ingestChunk(ts[:n])
+		if stop {
+			e.admit.RUnlock()
+		}
 		ts = ts[n:]
 	}
 }
@@ -1337,9 +1349,7 @@ func (e *Engine) forkLocked() ForkSpec {
 		s, a := p.forkScan(forkIter)
 		seeds, above = append(seeds, s...), above || a
 	}
-	// Mid-migration a vertex is in two processors' shares; list it once.
-	slices.Sort(seeds)
-	spec := ForkSpec{ForkIter: forkIter, Seeds: slices.Compact(seeds)}
+	spec := ForkSpec{ForkIter: forkIter, Seeds: seeds}
 	if e.journal != nil {
 		spec.Residual = e.journal.Residual(forkIter)
 	}
@@ -1476,41 +1486,6 @@ func (e *Engine) ActivateStored() error {
 		return err
 	}
 	e.Activate(ids...)
-	return nil
-}
-
-// Reshard rebalances a settled main loop in place onto newProcs processors,
-// the paper's Section 5.1: "the master stops the computation before the
-// modification to the partitioning scheme; after the partitioning scheme is
-// modified, the computation will restart from the last terminated
-// iteration." The checkpoint restart publishes the base partition over
-// newProcs — no overrides, no quarantines — on max(newProcs, current) slots.
-// The caller must pause ingestion around the call.
-func (e *Engine) Reshard(newProcs int, settleTimeout time.Duration) error {
-	if e.cfg.Kind != MainLoop || newProcs < 1 {
-		return errors.New("engine: Reshard applies to main loops, onto >= 1 processor")
-	}
-	// The documented precondition, enforced: admitted-but-unapplied inputs
-	// ride the incarnation the restart tears down, and nothing replays them
-	// (the journal residual of a settled loop is empty). Callers must drain
-	// or pause the spout first — or use live migration (Migrate), which needs
-	// no pause at all.
-	if d := e.FlowSnapshot().GateDepth; d > 0 {
-		return fmt.Errorf("%w: %d admitted inputs not yet applied", ErrIngestionActive, d)
-	}
-	if err := e.WaitQuiesce(settleTimeout); err != nil {
-		return err
-	}
-	ninc, resume, _ := e.restart(e.cur(), func(p *PartitionPlan) *PartitionPlan {
-		next := basePlan(newProcs, max(newProcs, len(p.Active)))
-		next.Epoch = p.Epoch + 1
-		return next
-	}, nil)
-	if ninc == nil {
-		return errors.New("engine: Reshard raced Stop or a crash recovery")
-	}
-	e.recordEvent(RecoveryEvent{Kind: EventReshard, Proc: -2, Gen: ninc.gen, Resume: resume,
-		Detail: fmt.Sprintf("epoch %d: base partition over %d processors", e.PlanEpoch(), newProcs)})
 	return nil
 }
 

@@ -7,9 +7,12 @@ func WithSnapshot(cfg Config, snap *SnapshotSource) Config {
 	return cfg
 }
 
-// MigrationActive reports whether a migration holds e's coordinator slot.
-func MigrationActive(e *Engine) bool {
-	e.migMu.Lock()
-	defer e.migMu.Unlock()
-	return e.migActive
+// AdmissionStopped reports whether a repartition holds, or is taking, e's
+// admission stop: an Ingest issued now would wait for it.
+func AdmissionStopped(e *Engine) bool {
+	if e.admit.TryRLock() {
+		e.admit.RUnlock()
+		return false
+	}
+	return true
 }

@@ -13,9 +13,7 @@ import (
 // brute-force model for every fork iteration. This is the invariant branch
 // exactness rests on: an input is residual at fork iteration i exactly when
 // it is not committed at or below i. Bursts of in-flight inputs push the
-// sequence ring through growth and wrap-around; a
-// "migration" hands a vertex's applied-but-uncommitted sequences to a copy,
-// as a live hand-off does.
+// sequence ring through growth and wrap-around.
 func TestJournalAgainstModel(t *testing.T) {
 	type entry struct {
 		id        int // the tuple's value: identifies the input across re-ingestion
@@ -68,7 +66,7 @@ func TestJournalAgainstModel(t *testing.T) {
 
 		for op := 0; op < 240; op++ {
 			v := stream.VertexID(rng.Intn(8))
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0, 1: // ingest, usually applied at once
 				ingest(v, nextID, rng.Intn(4) > 0)
 				nextID++
@@ -84,9 +82,7 @@ func TestJournalAgainstModel(t *testing.T) {
 					model[seq].committed, model[seq].iter = true, nextIter
 				}
 				applied[v] = applied[v][:0]
-			case 4: // the vertex migrates: the new owner installs a copy of its sequences
-				applied[v] = slices.Clone(applied[v])
-			case 5: // prune at a terminated iteration
+			case 4: // prune at a terminated iteration
 				if nextIter > 0 {
 					pruneFloor = max(pruneFloor, rng.Int63n(nextIter+1))
 					j.Prune(pruneFloor)
@@ -99,7 +95,7 @@ func TestJournalAgainstModel(t *testing.T) {
 						delete(model, modelBase)
 					}
 				}
-			case 6: // crash recovery at a checkpoint: extract, then re-ingest
+			case 5: // crash recovery at a checkpoint: extract, then re-ingest
 				if rng.Intn(4) > 0 {
 					break
 				}

@@ -130,14 +130,6 @@ func (e *Engine) journalSeq() uint64 {
 
 // handleAdopt applies a merged state on the owning processor.
 func (p *processor) handleAdopt(m msgAdopt) {
-	if p.migrating(m.To) {
-		p.mig.journal.addAdopt(m)
-		return
-	}
-	if w := p.bounce(m.To); w != nil {
-		w.addAdopt(m)
-		return
-	}
 	v := p.ensure(m.To)
 	// A dirty or preparing vertex means inputs raced the merge; skip the
 	// adoption for this vertex — the merge driver detects the conflict via

@@ -85,82 +85,3 @@ type msgHalt struct{}
 type msgHeartbeat struct {
 	Proc int
 }
-
-// Live-migration protocol (elastic.go). The coordinator — the Migrate caller
-// itself, receiving on the incarnation's migration endpoint — freezes the
-// moving range at its sources, waits for state to ship and install, then
-// publishes the next plan epoch (the cutover) and releases everyone.
-
-// msgMigFreeze tells one source processor to freeze the migrating range:
-// owned vertices in R stop starting new commits, vertex-addressed messages
-// for them are journaled (tokens held), and once none is mid-prepare the
-// source ships their state to Dest.
-type msgMigFreeze struct {
-	Seq        int64
-	R          VertexRange
-	From       int // owner filter (-1 = any); matches PlanOverride.From
-	Dest       int
-	NumSources int // how many msgMigState the destination should expect
-}
-
-// MigVertex is one vertex's complete in-memory state crossing processors in
-// a msgMigState. State and Pending ride as `any` — programs already
-// gob-register their state types (RegisterStateType) for checkpoints, so
-// the same registrations cover the wire here.
-type MigVertex struct {
-	ID    stream.VertexID
-	State any
-	// Out and In are the vertex's edge records (their exported fields on the
-	// wire), JSeqs the journal sequences of its applied, uncommitted inputs.
-	Out        []outEdge
-	In         []inEdge
-	JSeqs      []uint64
-	Iter       int64
-	LastCommit int64
-	Progress   float64
-	Dirty      bool
-	Activated  bool
-	Pending    any
-	HasPending bool
-}
-
-// msgMigState ships one source's frozen vertices to the destination
-// processor. The source has released the vertices' dirty tokens; the
-// coordinator's floor-0 token pins the frontier until the destination
-// re-acquires them at install.
-type msgMigState struct {
-	Seq        int64
-	Source     int
-	NumSources int
-	Vs         []MigVertex
-}
-
-// msgMigShipped reports a source's ship to the coordinator.
-type msgMigShipped struct {
-	Seq    int64
-	Source int
-	Count  int
-}
-
-// msgMigInstalled reports that the destination installed every source's
-// state (dirty tokens re-acquired, nothing activated yet).
-type msgMigInstalled struct {
-	Seq   int64
-	Count int
-}
-
-// msgMigCutover tells a source the new plan epoch is published: forward the
-// freeze journal to the new owner, drop tombstones, and release the range.
-type msgMigCutover struct {
-	Seq int64
-}
-
-// msgMigActivate tells the destination to start the installed vertices
-// (dirty ones into the protocol, parked pendings through the delta
-// scheduler). Token is the coordinator's frontier pin, handed over so the
-// activation can never be passed by termination detection; the destination
-// releases it after scheduling.
-type msgMigActivate struct {
-	Seq   int64
-	Token int64
-}

@@ -127,23 +127,19 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 		func() float64 { return float64(e.Generation()) })
 
 	// Elastic repartitioning (DESIGN.md §16): plan epoch, active width, and
-	// the live-migration counters.
+	// the repartition counters.
 	sc.RegisterCounter("tornado_elastic_migrations_total",
-		"Live vertex-range migrations completed (plan epoch published).", &e.migrations)
-	sc.RegisterCounter("tornado_elastic_migrated_vertices_total",
-		"Vertices shipped between processors by live migrations.", &e.migratedVerts)
+		"Vertex-range migrations completed (Migrate, ScaleOut, ScaleIn; plan epoch published).", &e.migrations)
 	sc.RegisterCounter("tornado_elastic_migration_aborts_total",
-		"Live migrations aborted before their cutover (crash or shutdown mid-migration).", &e.migAborts)
-	sc.RegisterCounter("tornado_elastic_bounced_frames_total",
-		"Vertex-addressed messages re-routed through the plan after arriving at a non-owner.", &e.migBounced)
+		"Repartitions aborted before their restart (crash, shutdown or settle timeout while waiting for rest).", &e.migAborts)
 	sc.GaugeFunc("tornado_elastic_plan_epoch",
-		"Partition-plan epoch (bumped by every migration cutover, Reshard and quarantine).",
+		"Partition-plan epoch (bumped by every migration, Reshard and quarantine).",
 		func() float64 { return float64(e.PlanEpoch()) })
 	sc.GaugeFunc("tornado_elastic_active_processors",
 		"Processor slots currently owning part of the partition plan.",
 		func() float64 { return float64(e.plan.Load().ActiveCount()) })
 	e.migDurHist = sc.Histogram("tornado_elastic_migration_seconds",
-		"Wall-clock time from freeze to cutover of one live migration.", nil)
+		"Admission stall of one repartition: from stopping ingestion to reopening it after the restart.", nil)
 
 	sc.GaugeFunc("tornado_frontier_iteration",
 		"Smallest iteration still holding an obligation token (progress frontier).",
@@ -322,7 +318,6 @@ func (e *Engine) statusz() any {
 		"active_processors": e.plan.Load().ActiveCount(),
 		"overrides":         len(ps.Overrides),
 		"migrations":        ps.Migrations,
-		"migrated_vertices": ps.MigratedVertices,
 		"aborts":            ps.Aborts,
 	}
 	if e.cfg.Delta != nil {

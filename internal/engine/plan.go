@@ -2,12 +2,12 @@ package engine
 
 // Partition plans: the one description of which processor slot owns which
 // vertex. Routing reads the current plan through one atomic pointer per
-// call, and exactly two places publish the next epoch: a live migration
-// (elastic.go), once the moved range is installed at its new owner — the
-// publish IS the cutover — and the checkpoint restart (supervisor.go),
-// between tearing one incarnation down and building the next, for Reshard's
-// new base partition (Section 5.1) and for quarantines. Plans live on the
-// Engine, so a restarted loop resumes under the routing in force.
+// call, and exactly one place publishes the next epoch: the checkpoint
+// restart (supervisor.go), between tearing one incarnation down and building
+// the next — for a repartition (elastic.go: Migrate, ScaleOut, ScaleIn and
+// Reshard, Section 5.1) and for quarantines. So every incarnation routes
+// with one plan. Plans live on the Engine, so a restarted loop resumes under
+// the routing in force.
 
 import (
 	"math"
@@ -176,22 +176,21 @@ type PlanStats struct {
 	Active []bool
 	// Overrides is a copy of the plan's migration fold.
 	Overrides []PlanOverride
-	// Migrations / MigratedVertices / Aborts are lifetime totals.
-	Migrations, MigratedVertices, Aborts int64
+	// Migrations / Aborts are lifetime totals.
+	Migrations, Aborts int64
 }
 
 // PlanStats returns the engine's current elastic routing state.
 func (e *Engine) PlanStats() PlanStats {
 	p := e.plan.Load()
 	s := PlanStats{
-		Epoch:            p.Epoch,
-		BaseProcessors:   p.BaseN,
-		MaxProcessors:    len(p.Active),
-		Active:           make([]bool, len(p.Active)),
-		Overrides:        append([]PlanOverride(nil), p.Overrides...),
-		Migrations:       e.migrations.Load(),
-		MigratedVertices: e.migratedVerts.Load(),
-		Aborts:           e.migAborts.Load(),
+		Epoch:          p.Epoch,
+		BaseProcessors: p.BaseN,
+		MaxProcessors:  len(p.Active),
+		Active:         make([]bool, len(p.Active)),
+		Overrides:      append([]PlanOverride(nil), p.Overrides...),
+		Migrations:     e.migrations.Load(),
+		Aborts:         e.migAborts.Load(),
 	}
 	for i, a := range p.Active {
 		s.Active[i] = a > 0

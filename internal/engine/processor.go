@@ -95,16 +95,10 @@ type processor struct {
 
 	// share exposes commit/dirty information to fork scans (Section 5.2) and
 	// the elastic planner: one slot per hosted vertex, indexed by vertex.slot,
-	// taken by host and freed when a migration's cutover releases the source.
-	shareMu   sync.Mutex
-	share     []shareSlot
-	freeSlots []int32
-
-	// Live migration (migrate.go): mig is the source-side freeze state,
-	// migIn the destination-side install state. Both confined to the
-	// processor goroutine.
-	mig   *migSource
-	migIn *migDest
+	// taken by host. A vertex never leaves its processor, so a slot is never
+	// given back.
+	shareMu sync.Mutex
+	share   []shareSlot
 
 	// Lifetime load counters read by PartitionLoads (elastic planner).
 	commitCount atomic.Int64
@@ -123,7 +117,6 @@ type shareSlot struct {
 	id         stream.VertexID
 	lastCommit int64 // -1 until the first commit
 	dirty      bool
-	live       bool
 }
 
 func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Tracker) *processor {
@@ -204,7 +197,6 @@ func (p *processor) run() {
 		// within the same frame window. A frontier advance in this window
 		// is what releases the next round's.
 		p.drainActQ()
-		p.migMaybeShip()
 		p.flushOut()
 	}
 }
@@ -240,14 +232,6 @@ func (p *processor) dispatch(env transport.Envelope) bool {
 		}
 	case msgFrontier:
 		p.handleFrontier(m)
-	case msgMigFreeze:
-		p.handleMigFreeze(m)
-	case msgMigState:
-		p.handleMigState(m)
-	case msgMigCutover:
-		p.handleMigCutover(m)
-	case msgMigActivate:
-		p.handleMigActivate(m)
 	case msgHalt:
 		return false
 	default:
@@ -387,27 +371,11 @@ func (p *processor) load(v *vertex) {
 // carrying the vertex's commit and dirty state.
 func (p *processor) host(v *vertex) *vertex {
 	p.vertices[v.id] = v
-	s := shareSlot{id: v.id, lastCommit: v.lastCommit, dirty: v.dirty, live: true}
 	p.shareMu.Lock()
-	if len(p.freeSlots) == 0 {
-		p.freeSlots = append(p.freeSlots, int32(len(p.share)))
-		p.share = append(p.share, shareSlot{})
-	}
-	n := len(p.freeSlots) - 1
-	v.slot, p.freeSlots = p.freeSlots[n], p.freeSlots[:n]
-	p.share[v.slot] = s
+	v.slot = int32(len(p.share))
+	p.share = append(p.share, shareSlot{id: v.id, lastCommit: v.lastCommit, dirty: v.dirty})
 	p.shareMu.Unlock()
 	return v
-}
-
-// unhost frees share slots whose vertices have left this processor.
-func (p *processor) unhost(slots ...int32) {
-	p.shareMu.Lock()
-	for _, slot := range slots {
-		p.share[slot] = shareSlot{}
-	}
-	p.freeSlots = append(p.freeSlots, slots...)
-	p.shareMu.Unlock()
 }
 
 // deltaSchedule decides what to do with a vertex whose pending slot may have
@@ -489,16 +457,7 @@ func (p *processor) markDirty(v *vertex) {
 
 func (p *processor) handleInput(m msgInput) {
 	p.eng.stats.InputMsgs.Add(1)
-	id := routeVertex(m.Tuple)
-	if p.migrating(id) {
-		p.mig.journal.addInput(m)
-		return
-	}
-	if w := p.bounce(id); w != nil {
-		w.addInput(m)
-		return
-	}
-	v := p.ensure(id)
+	v := p.ensure(routeVertex(m.Tuple))
 	p.trace(trace.MarkInput, v.id, 0, v.iter)
 	if m.Ctx.Traced() {
 		// Inbox dwell closes at dispatch (delivery -> this handler).
@@ -514,14 +473,6 @@ func (p *processor) handleInput(m msgInput) {
 }
 
 func (p *processor) handleActivate(m msgActivate) {
-	if p.migrating(m.To) {
-		p.mig.journal.addActivate(m)
-		return
-	}
-	if w := p.bounce(m.To); w != nil {
-		w.addActivate(m)
-		return
-	}
 	v := p.ensure(m.To)
 	p.trace(trace.MarkActivate, v.id, 0, v.iter)
 	work := heldWork{token: m.Token, activate: true}
@@ -550,11 +501,11 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 			// override a newer one for the same target (at-least-once
 			// delivery does not preserve order across retransmissions).
 			e := v.edge(w.tuple.Dst)
-			if e.Flags&edgeClocked != 0 && w.tuple.Time < e.Clock {
+			if e.flags&edgeClocked != 0 && w.tuple.Time < e.clock {
 				stale = true
 				break
 			}
-			e.Clock, e.Flags = w.tuple.Time, e.Flags|edgeClocked
+			e.clock, e.flags = w.tuple.Time, e.flags|edgeClocked
 			if w.tuple.Kind == stream.KindAddEdge {
 				e.add()
 			} else {
@@ -594,14 +545,6 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 
 func (p *processor) handleUpdate(m msgUpdate) {
 	p.updateCount.Add(1)
-	if p.migrating(m.To) {
-		p.mig.journal.addUpdate(m)
-		return
-	}
-	if w := p.bounce(m.To); w != nil {
-		w.addUpdate(m) // no producer record here: forwarded uncoalesced
-		return
-	}
 	// Delay bounding (Section 4.4): updates committed at the cap iteration
 	// are not gathered until the frontier advances. The producer has
 	// committed either way, so it stops blocking our own update immediately
@@ -645,8 +588,8 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 		// must be discarded (Section 5.3).
 		from := v.producer(m.From, true)
 		v.committed(from)
-		if m.Iteration > from.Seen {
-			from.Seen = m.Iteration
+		if m.Iteration > from.seen {
+			from.seen = m.Iteration
 			ctx := &vertexContext{p: p, v: v}
 			if p.dp != nil {
 				// Delta mode: the message becomes a local delta (diffed
@@ -732,27 +675,11 @@ func (p *processor) adoptTraceCtx(v *vertex, ctx trace.Context) {
 }
 
 func (p *processor) handlePrepare(m msgPrepare) {
-	// A prepare for a vertex that already shipped is answered from its
-	// tombstone: the reply carries the ship-time iteration, which the real
-	// owner can only have raised since — indistinguishable from an ack
-	// legally racing the consumer's own commit.
-	if mig := p.mig; mig != nil && mig.shipped {
-		if iter, gone := mig.tomb[m.To]; gone {
-			p.eng.clock.Witness(m.Stamp.Time)
-			p.eng.stats.AckMsgs.Add(1)
-			p.window(m.From).addAck(msgAck{From: m.To, To: m.From, Iteration: iter})
-			return
-		}
-	}
-	if w := p.bounce(m.To); w != nil {
-		w.addPrepare(m)
-		return
-	}
 	v := p.touch(m.To)
 	p.trace(trace.MarkPrepareRecv, v.id, m.From, v.iter)
 	p.eng.clock.Witness(m.Stamp.Time)
-	if from := v.producer(m.From, true); !from.Preparing {
-		from.Preparing = true
+	if from := v.producer(m.From, true); !from.preparing {
+		from.preparing = true
 		v.npreparing++
 	}
 	// Only acknowledge producers whose update happened before our own
@@ -768,10 +695,6 @@ func (p *processor) handlePrepare(m msgPrepare) {
 }
 
 func (p *processor) handleAck(m msgAck) {
-	if w := p.bounce(m.To); w != nil {
-		w.addAck(m)
-		return
-	}
 	v, ok := p.vertices[m.To]
 	if !ok || !v.preparing() {
 		return // stale ack (e.g. duplicate delivery)
@@ -780,8 +703,8 @@ func (p *processor) handleAck(m msgAck) {
 	if m.Iteration > v.iter {
 		v.iter = m.Iteration
 	}
-	if i, ok := v.findOut(m.From); ok && v.out[i].Flags&edgeOwesAck != 0 {
-		v.out[i].Flags &^= edgeOwesAck
+	if i, ok := v.findOut(m.From); ok && v.out[i].flags&edgeOwesAck != 0 {
+		v.out[i].flags &^= edgeOwesAck
 		v.nwaiting--
 		p.eng.pendingPrepares.Add(-1)
 	}
@@ -819,10 +742,8 @@ func (p *processor) handleFrontier(m msgFrontier) {
 	blocked := p.capQ
 	p.capQ = nil // a retry that is still blocked queues afresh
 	for _, v := range blocked {
-		if v.capBlocked { // false once the vertex has shipped to another processor
-			v.capBlocked = false
-			p.maybeStart(v)
-		}
+		v.capBlocked = false
+		p.maybeStart(v)
 	}
 }
 
@@ -844,11 +765,6 @@ func (p *processor) maybeStart(v *vertex) {
 	if v == nil || v.preparing() || !v.dirty || v.npreparing > 0 {
 		return
 	}
-	// A frozen migrating vertex must not start a new commit: it ships as
-	// dirty and the new owner starts it after the cutover.
-	if p.migrating(v.id) {
-		return
-	}
 	lower, c := v.lower(), p.cap()
 	if lower > c {
 		if !v.capBlocked {
@@ -865,11 +781,11 @@ func (p *processor) maybeStart(v *vertex) {
 	// adoption skips a preparing vertex.
 	if lower < c || p.eng.cfg.DisablePrepareSkip {
 		for i := range v.out {
-			if e := &v.out[i]; e.Flags&edgeConsumer != 0 {
-				e.Flags |= edgeOwesAck
+			if e := &v.out[i]; e.flags&edgeConsumer != 0 {
+				e.flags |= edgeOwesAck
 				v.nwaiting++
-				p.trace(trace.MarkPrepareSend, v.id, e.To, lower)
-				p.window(e.To).addPrepare(msgPrepare{From: v.id, To: e.To, Stamp: v.stamp})
+				p.trace(trace.MarkPrepareSend, v.id, e.to, lower)
+				p.window(e.to).addPrepare(msgPrepare{From: v.id, To: e.to, Stamp: v.stamp})
 			}
 		}
 		if v.nwaiting > 0 {
@@ -964,14 +880,14 @@ func (p *processor) commit(v *vertex) {
 	// are acquired, in one call, before the dirty token is released.
 	nmsgs := len(v.emits)
 	for i := range v.out {
-		if f := v.out[i].Flags; f&edgeConsumer != 0 && f&edgeEmitted == 0 {
+		if f := v.out[i].flags; f&edgeConsumer != 0 && f&edgeEmitted == 0 {
 			nmsgs++
 		}
 	}
 	tok := p.tk.AcquireFloorN(tau+1, nmsgs)
 	for _, em := range v.emits {
 		e := &v.out[em.edge]
-		p.sendUpdate(e, msgUpdate{From: v.id, To: e.To, Iteration: tau, Token: tok, Value: em.value, HasValue: true, Cum: em.cum, Ctx: tctx})
+		p.sendUpdate(e, msgUpdate{From: v.id, To: e.to, Iteration: tau, Token: tok, Value: em.value, HasValue: true, Cum: em.cum, Ctx: tctx})
 		tctx = trace.Context{}
 	}
 	// One pass over the edge records sends the valueless COMMITs and closes
@@ -980,11 +896,11 @@ func (p *processor) commit(v *vertex) {
 	kept := v.out[:0]
 	for i := range v.out {
 		e := v.out[i]
-		if e.Flags&edgeConsumer != 0 && e.Flags&edgeEmitted == 0 {
-			p.sendUpdate(&e, msgUpdate{From: v.id, To: e.To, Iteration: tau, Token: tok, Ctx: tctx})
+		if e.flags&edgeConsumer != 0 && e.flags&edgeEmitted == 0 {
+			p.sendUpdate(&e, msgUpdate{From: v.id, To: e.to, Iteration: tau, Token: tok, Ctx: tctx})
 			tctx = trace.Context{}
 		}
-		if e.Flags &^= edgeAdded | edgeRemoved | edgeEmitted; e.Flags != 0 {
+		if e.flags &^= edgeAdded | edgeRemoved | edgeEmitted; e.flags != 0 {
 			kept = append(kept, e)
 		}
 	}
@@ -1143,7 +1059,7 @@ func (p *processor) flushOut() {
 func (p *processor) forkScan(forkIter int64) (seeds []stream.VertexID, above bool) {
 	p.shareMu.Lock()
 	for i := range p.share {
-		if s := &p.share[i]; s.live && (s.dirty || s.lastCommit >= forkIter) {
+		if s := &p.share[i]; s.dirty || s.lastCommit >= forkIter {
 			seeds = append(seeds, s.id)
 			above = above || s.dirty || s.lastCommit > forkIter
 		}
@@ -1152,14 +1068,12 @@ func (p *processor) forkScan(forkIter int64) (seeds []stream.VertexID, above boo
 	return seeds, above
 }
 
-// hosted returns, ascending, the IDs of the share slots pick accepts.
-func (p *processor) hosted(pick func(*shareSlot) bool) []stream.VertexID {
-	var ids []stream.VertexID
+// hosted returns, ascending, the IDs of the vertices this processor hosts.
+func (p *processor) hosted() []stream.VertexID {
 	p.shareMu.Lock()
+	ids := make([]stream.VertexID, len(p.share))
 	for i := range p.share {
-		if s := &p.share[i]; s.live && pick(s) {
-			ids = append(ids, s.id)
-		}
+		ids[i] = p.share[i].id
 	}
 	p.shareMu.Unlock()
 	slices.Sort(ids)

@@ -29,32 +29,31 @@ func checkQuiescent(t *testing.T, e *Engine) {
 		for _, w := range p.out.win {
 			queued += len(w.Tags)
 		}
-		if queued != 0 || p.deltaDepth.Load() != 0 || p.mig != nil || p.migIn != nil {
-			t.Fatalf("processor %d: %d queued messages, activation depth %d, migration %v/%v",
-				p.idx, queued, p.deltaDepth.Load(), p.mig != nil, p.migIn != nil)
+		if queued != 0 || p.deltaDepth.Load() != 0 {
+			t.Fatalf("processor %d: %d queued messages, activation depth %d", p.idx, queued, p.deltaDepth.Load())
 		}
-		if n := len(p.share) - len(p.freeSlots); n != len(p.vertices) {
-			t.Fatalf("processor %d: %d live share slots for %d vertices", p.idx, n, len(p.vertices))
+		if n := len(p.share); n != len(p.vertices) {
+			t.Fatalf("processor %d: %d share slots for %d vertices", p.idx, n, len(p.vertices))
 		}
 		for id, v := range p.vertices {
 			waiting, preparing := 0, 0
 			for i, o := range v.out {
-				if i > 0 && v.out[i-1].To >= o.To {
+				if i > 0 && v.out[i-1].to >= o.to {
 					t.Fatalf("vertex %d: out records not ascending at %d", id, i)
 				}
-				if o.Flags&edgeOwesAck != 0 {
+				if o.flags&edgeOwesAck != 0 {
 					waiting++
 				}
-				if o.Flags&edgeEmitted != 0 || (o.Flags&edgePresent != 0 && o.Flags&edgeRemoved != 0) ||
-					(o.Flags&edgeAdded != 0 && o.Flags&edgePresent == 0) {
+				if o.flags&edgeEmitted != 0 || (o.flags&edgePresent != 0 && o.flags&edgeRemoved != 0) ||
+					(o.flags&edgeAdded != 0 && o.flags&edgePresent == 0) {
 					t.Fatalf("vertex %d: edge record %+v is inconsistent", id, o)
 				}
 			}
 			for i, in := range v.in {
-				if i > 0 && v.in[i-1].From >= in.From {
+				if i > 0 && v.in[i-1].from >= in.from {
 					t.Fatalf("vertex %d: in records not ascending at %d", id, i)
 				}
-				if in.Preparing {
+				if in.preparing {
 					preparing++
 				}
 			}
@@ -72,7 +71,7 @@ func checkQuiescent(t *testing.T, e *Engine) {
 				t.Fatalf("vertex %d is an unloaded shell holding state %v, %d out records, dirty %v, preparing %v, %d jseqs, pending %v",
 					id, v.state, len(v.out), v.dirty, v.preparing(), len(v.jseqs), v.hasPending)
 			}
-			if s := p.share[v.slot]; s != (shareSlot{id: id, lastCommit: v.lastCommit, live: true}) {
+			if s := p.share[v.slot]; s != (shareSlot{id: id, lastCommit: v.lastCommit}) {
 				t.Fatalf("vertex %d (last commit %d): share slot %d holds %+v", id, v.lastCommit, v.slot, s)
 			}
 			applied += len(v.jseqs)

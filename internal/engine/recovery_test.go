@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -340,7 +341,8 @@ func TestFaultPlanSchedule(t *testing.T) {
 // hosts vertices is then active in the plan (and counted by
 // tornado_elastic_active_processors), the quarantined slot is neither active
 // nor a spare, and a later ScaleOut lands on a slot that really hosts
-// nothing.
+// nothing (the restarted loop hosts vertices lazily, so the last check reads
+// the slots after more traffic).
 func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
 	tuples := datasets.PowerLawGraph(200, 3, 43)
 	hub := obs.NewHub(0)
@@ -421,13 +423,15 @@ func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
 	if spare == 0 || before[spare].Vertices != 0 {
 		t.Fatalf("ScaleOut landed on slot %d, which hosted %d vertices (loads before: %+v)", spare, before[spare].Vertices, before)
 	}
+	extra := datasets.PowerLawGraph(200, 1, 44)
+	e.IngestAll(extra)
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	if n := hosting("after scale-out"); n != 3 {
 		t.Fatalf("%d slots host vertices after the scale-out; want 3", n)
 	}
-	checkSSSP(t, e, tuples)
+	checkSSSP(t, e, slices.Concat(tuples, extra))
 	checkQuiescent(t, e)
 }
 

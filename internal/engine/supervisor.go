@@ -30,7 +30,8 @@ package engine
 // the old tracker's frontier is pinned forever. Recovery therefore replaces
 // the whole incarnation — network, tracker, processors — and recomputes from
 // the checkpoint, which is exactly the paper's loop-granularity restart. The
-// same restart is how Reshard changes the partitioning (Section 5.1).
+// same restart is how every repartition changes the partition map (Section
+// 5.1; elastic.go).
 
 import (
 	"fmt"
@@ -105,6 +106,7 @@ func (e *Engine) CrashProcessor(i int) {
 		return
 	}
 	p.ep.Crash()
+	inc.markDown()
 	p.setPaused(false) // a paused goroutine must wake to observe the crash
 	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: i, Gen: inc.gen})
@@ -121,6 +123,7 @@ func (e *Engine) CrashMaster() {
 		return
 	}
 	inc.masterE.Crash()
+	inc.markDown()
 	e.ResumeMaster()
 	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: -1, Gen: inc.gen})
@@ -281,7 +284,7 @@ func (e *Engine) restartDelay(rng *rand.Rand) time.Duration {
 // (MTTR). It returns false when restart declines.
 func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []int, deadMaster bool, reason string) bool {
 	var quarantined []int
-	ninc, resume, replayed := e.restart(from, func(p *PartitionPlan) *PartitionPlan {
+	ninc, resume, replayed := e.restart(from, false, func(p *PartitionPlan) *PartitionPlan {
 		now := time.Now()
 		cutoff := now.Add(-e.cfg.restartWindow)
 		next := p
@@ -324,16 +327,18 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 }
 
 // restart is the engine's one checkpoint restart, shared by crash recovery
-// and Reshard: it tears `from` down, rolls the store back to the last
-// terminated iteration, publishes the plan next derives from the current one
-// (under genMu, `from` drained), then starts the next incarnation above the
-// checkpoint and replays the journal residual into it. recovered, if non-nil,
-// runs before the replay, under the quiescence guard. It returns the new
-// incarnation (nil when the engine stopped or `from` is stale), the
-// checkpoint and the number of inputs replayed.
-func (e *Engine) restart(from *incarnation, next func(*PartitionPlan) *PartitionPlan, recovered func()) (*incarnation, int64, int) {
+// and repartitioning (elastic.go): it tears `from` down, rolls the store back
+// to the last terminated iteration, publishes the plan next derives from the
+// current one (under genMu, `from` drained), then starts the next incarnation
+// above the checkpoint and replays the journal residual into it. recovered,
+// if non-nil, runs before the replay, under the quiescence guard. A settled
+// restart (a repartition's) also declines unless `from` is at rest. It
+// returns the new incarnation (nil when it declines: the engine stopped,
+// `from` is stale, or not at rest), the checkpoint and the number of inputs
+// replayed.
+func (e *Engine) restart(from *incarnation, settled bool, next func(*PartitionPlan) *PartitionPlan, recovered func()) (*incarnation, int64, int) {
 	e.genMu.Lock()
-	if e.stopped || e.inc != from {
+	if e.stopped || e.inc != from || settled && !e.atRest(from) {
 		e.genMu.Unlock()
 		return nil, 0, 0
 	}
@@ -412,7 +417,7 @@ func (e *Engine) restart(from *incarnation, next func(*PartitionPlan) *Partition
 	if recovered != nil {
 		recovered()
 	}
-	e.IngestAll(residual)
+	e.ingestAll(residual, false)
 	ninc.tracker.Release(guard)
 	ninc.markReady()
 	return ninc, resume, len(residual)
@@ -440,11 +445,6 @@ const (
 	// until healed manually). Every corruption is caught by the frame CRC
 	// and drops its connection; nothing corrupt is ever delivered.
 	FaultWireCorrupt
-	// FaultCrashDuringMigration arms a crash of processor Proc that fires in
-	// the middle of the next live migration: after the coordinator freezes
-	// the moving range, before the cutover. The migration must abort to the
-	// pre-epoch plan and the supervised recovery restore exactness.
-	FaultCrashDuringMigration
 )
 
 // Fault is one entry of a deterministic chaos schedule.
@@ -502,8 +502,6 @@ func (e *Engine) applyFault(f Fault) {
 		e.CrashMaster()
 	case FaultSlowProcessor:
 		e.SlowProcessor(f.Proc, f.Delay)
-	case FaultCrashDuringMigration:
-		e.migCrashArm.Store(int64(f.Proc) + 1)
 	case FaultWirePartition:
 		e.SetWirePartition(true)
 		if f.Delay > 0 {

@@ -17,7 +17,7 @@ const (
 	edgePresent edgeFlags = 1 << iota // a current target
 	edgeAdded                         // added since the last commit (implies edgePresent)
 	edgeRemoved                       // removed since the last commit (excludes edgePresent)
-	edgeClocked                       // Clock holds the event time of the latest edge operation
+	edgeClocked                       // clock holds the event time of the latest edge operation
 	edgeOwesAck                       // the consumer has not answered the PREPARE in flight
 	edgeEmitted                       // the Scatter in progress emitted to this target
 
@@ -28,45 +28,45 @@ const (
 )
 
 // outEdge is everything a vertex knows about one target; the records sit in
-// one slice ascending by To, so a lookup is a binary search and persisting
+// one slice ascending by to, so a lookup is a binary search and persisting
 // walks them in stored order. A record outlives the edge's removal: a dropped-
 // and-retransmitted add can arrive after the remove that supersedes it, and
-// gating edge mutations on the event time in Clock keeps topology application
-// commutative. The exported fields travel with a migrating vertex.
+// gating edge mutations on the event time in clock keeps topology application
+// commutative.
 type outEdge struct {
-	To    stream.VertexID
-	Clock stream.Timestamp
+	to    stream.VertexID
+	clock stream.Timestamp
 	// qEpoch and qPos are the coalescing slot: while qEpoch equals the
 	// processor's window epoch, this producer's pending msgUpdate for the
 	// target sits at outQ[qPos].
 	qEpoch uint64
 	qPos   int32
-	Flags  edgeFlags
+	flags  edgeFlags
 }
 
 func (e *outEdge) add() {
-	if e.Flags&edgePresent == 0 {
-		e.Flags = e.Flags&^edgeRemoved | edgePresent | edgeAdded
+	if e.flags&edgePresent == 0 {
+		e.flags = e.flags&^edgeRemoved | edgePresent | edgeAdded
 	}
 }
 
 func (e *outEdge) remove() {
-	if e.Flags&edgePresent != 0 {
-		e.Flags = e.Flags&^(edgePresent|edgeAdded) | edgeRemoved
+	if e.flags&edgePresent != 0 {
+		e.flags = e.flags&^(edgePresent|edgeAdded) | edgeRemoved
 	}
 }
 
-// inEdge is a vertex's record of one producer, kept ascending by From.
+// inEdge is a vertex's record of one producer, kept ascending by from.
 type inEdge struct {
-	From stream.VertexID
-	// Seen is the highest update iteration gathered from the producer (-1 if
+	from stream.VertexID
+	// seen is the highest update iteration gathered from the producer (-1 if
 	// none). Retransmission can reorder two updates from one producer; a
 	// producer's commit iterations are strictly increasing, so discarding
-	// updates at or below Seen restores program order (the paper's Section
+	// updates at or below seen restores program order (the paper's Section
 	// 5.3 stale-update discard).
-	Seen int64
-	// Preparing is set between the producer's PREPARE and its COMMIT.
-	Preparing bool
+	seen int64
+	// preparing is set between the producer's PREPARE and its COMMIT.
+	preparing bool
 }
 
 // vertex is the engine-side state of one component. All access happens on
@@ -87,7 +87,7 @@ type vertex struct {
 	in  []inEdge  // producers, ascending
 
 	// Three-phase protocol state.
-	npreparing  int               // in records with Preparing set
+	npreparing  int               // in records with preparing set
 	stamp       lamport.Stamp     // non-zero while preparing own update
 	nwaiting    int               // out records with edgeOwesAck set
 	pendingAcks []stream.VertexID // producers whose PREPARE was deferred
@@ -163,13 +163,13 @@ func (v *vertex) findOut(to stream.VertexID) (int, bool) {
 	lo, hi := 0, len(v.out)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v.out[mid].To < to {
+		if v.out[mid].to < to {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(v.out) && v.out[lo].To == to
+	return lo, lo < len(v.out) && v.out[lo].to == to
 }
 
 // findIn is findOut over the producer records.
@@ -177,13 +177,13 @@ func (v *vertex) findIn(from stream.VertexID) (int, bool) {
 	lo, hi := 0, len(v.in)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if v.in[mid].From < from {
+		if v.in[mid].from < from {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(v.in) && v.in[lo].From == from
+	return lo, lo < len(v.in) && v.in[lo].from == from
 }
 
 // edge returns the record of target to, inserting an empty one when absent.
@@ -191,7 +191,7 @@ func (v *vertex) findIn(from stream.VertexID) (int, bool) {
 func (v *vertex) edge(to stream.VertexID) *outEdge {
 	i, ok := v.findOut(to)
 	if !ok {
-		v.out = slices.Insert(v.out, i, outEdge{To: to})
+		v.out = slices.Insert(v.out, i, outEdge{to: to})
 	}
 	return &v.out[i]
 }
@@ -204,7 +204,7 @@ func (v *vertex) producer(from stream.VertexID, create bool) *inEdge {
 		if !create {
 			return nil
 		}
-		v.in = slices.Insert(v.in, i, inEdge{From: from, Seen: -1})
+		v.in = slices.Insert(v.in, i, inEdge{from: from, seen: -1})
 	}
 	return &v.in[i]
 }
@@ -218,8 +218,8 @@ func (v *vertex) committedBy(from stream.VertexID) {
 
 // committed is committedBy for a caller that already holds the record.
 func (v *vertex) committed(e *inEdge) {
-	if e.Preparing {
-		e.Preparing = false
+	if e.preparing {
+		e.preparing = false
 		v.npreparing--
 	}
 }
@@ -259,10 +259,10 @@ func (c *vertexContext) emit(to stream.VertexID, value any, cum bool, call strin
 		panic(fmt.Sprintf("engine: vertex %d %s outside Scatter/Update", v.id, call))
 	}
 	i, ok := v.findOut(to)
-	if !ok || v.out[i].Flags&edgeConsumer == 0 {
+	if !ok || v.out[i].flags&edgeConsumer == 0 {
 		panic(fmt.Sprintf("engine: vertex %d %s to %d, which is not a target", v.id, call, to))
 	}
-	v.out[i].Flags |= edgeEmitted
+	v.out[i].flags |= edgeEmitted
 	if c.p != nil { // contexts built without a processor (tests) skip stats
 		c.p.eng.stats.Emits.Add(1)
 	}
@@ -298,8 +298,8 @@ func (c *vertexContext) view(k int, want edgeFlags) []stream.VertexID {
 		ids = c.p.viewBuf[k][:0]
 	}
 	for i := range c.v.out {
-		if c.v.out[i].Flags&want != 0 {
-			ids = append(ids, c.v.out[i].To)
+		if c.v.out[i].flags&want != 0 {
+			ids = append(ids, c.v.out[i].to)
 		}
 	}
 	if c.p != nil {

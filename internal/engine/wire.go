@@ -37,12 +37,6 @@ func init() {
 	gob.Register(msgFrontier{})
 	gob.Register(msgHalt{})
 	gob.Register(msgHeartbeat{})
-	gob.Register(msgMigFreeze{})
-	gob.Register(msgMigState{})
-	gob.Register(msgMigShipped{})
-	gob.Register(msgMigInstalled{})
-	gob.Register(msgMigCutover{})
-	gob.Register(msgMigActivate{})
 }
 
 // WireSpec configures wire mode (Config.Wire). The zero value of a non-nil

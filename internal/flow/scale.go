@@ -6,7 +6,7 @@ package flow
 // there, drain-and-merge a scaled-out partition when the system has been
 // idle long enough. The planner is pure bookkeeping — it never touches the
 // engine; the caller samples loads, feeds Decide, and executes the returned
-// action (live migration) itself.
+// action (a repartition: Engine.ScaleOut or ScaleIn) itself.
 
 // PartitionLoad is one processor slot's load sample as the planner sees it.
 // The engine exposes the same shape (engine.PartitionLoad); flow cannot

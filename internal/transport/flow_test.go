@@ -320,3 +320,50 @@ func TestResendLeavesCreditReplayAlone(t *testing.T) {
 		t.Fatalf("%d frames resent on a lossless plane: the resend loop raced the credit replay", n)
 	}
 }
+
+// TestHeldReplayStopsAtCrash: a crash that lands between two frames of a
+// held-frame replay ends the replay. Nothing panics — the replay runs
+// unlocked, and Crash drops the parked frames under it — and no frame is
+// delivered after the crash. The crash runs inside the replay, after its
+// first frame, so the interleaving is the same on every run.
+func TestHeldReplayStopsAtCrash(t *testing.T) {
+	const parked = 8
+	net := NewNetwork(Options{InboxHigh: 4, InboxLow: 2})
+	defer net.Close()
+	src, dst := net.Register(1), net.Register(2)
+	src.Send(2, weighed(4)) // fills the receiver's window: credit withdrawn
+	src.Flush()
+	if !dst.Stalled() {
+		t.Fatal("receiver not stalled at its high watermark")
+	}
+	for i := 0; i < parked; i++ {
+		src.Send(2, i)
+		src.Flush()
+	}
+	if held := src.HeldFrames(); held != parked {
+		t.Fatalf("HeldFrames = %d; want %d", held, parked)
+	}
+	atCrash := -1
+	src.replayed = func() {
+		if atCrash < 0 {
+			src.Crash()
+			atCrash = dst.Pending()
+		}
+	}
+	// Draining the window grants credit: the replay runs right here.
+	if env, ok := dst.Recv(); !ok || env.Payload != weighed(4) {
+		t.Fatalf("Recv = %v, %v; want the window-filling payload", env.Payload, ok)
+	}
+	if atCrash != 1 {
+		t.Fatalf("the replay crashed its sender with %d messages delivered; want 1", atCrash)
+	}
+	if got := dst.Pending(); got != atCrash {
+		t.Fatalf("%d messages pending after the replay; the crash left %d — frames were delivered after it", got, atCrash)
+	}
+	if env, ok := dst.TryRecv(); !ok || env.Payload != 0 {
+		t.Fatalf("first replayed payload = %v, %v; want 0", env.Payload, ok)
+	}
+	if held := src.HeldFrames(); held != 0 {
+		t.Fatalf("crashed sender still parks %d frames", held)
+	}
+}

@@ -546,6 +546,9 @@ type Endpoint struct {
 	// per-pair order). Both guarded by mu, allocated lazily.
 	held     map[NodeID][]frame
 	draining map[NodeID]bool
+	// replayed, when set (tests only), runs after each frame a held-frame
+	// replay transmits, with no lock held: between two frames of the replay.
+	replayed func()
 
 	resendStop chan struct{}
 	flushStop  chan struct{}
@@ -805,6 +808,9 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 		dst := e.peer(to)
 		stopped := -1
 		for i, f := range frames {
+			if e.Crashed() {
+				break // a crash between two frames: the rest dies with it
+			}
 			if dst != nil && dst.stalled.Load() {
 				stopped = i
 				break
@@ -813,12 +819,15 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 			if recycle {
 				putPayloadSlice(f.payloads)
 			}
+			if e.replayed != nil {
+				e.replayed()
+			}
 		}
 		e.mu.Lock()
 		if e.crashed {
 			// Crash ran while the lock was dropped for the replay: it
-			// discarded the parked frames (e.held is nil), and the rest of
-			// this replay dies with them.
+			// discarded the parked frames (e.held is nil), and the frames
+			// this replay had not sent died with them.
 			break
 		}
 		if stopped >= 0 {

@@ -89,7 +89,7 @@ type (
 	// StoreStats is the versioned store's residency report (live versions,
 	// resident bytes, compactions, pinned snapshots; see System.StoreStats).
 	StoreStats = storage.StoreStats
-	// VertexRange is a contiguous inclusive vertex-ID range (live migration).
+	// VertexRange is a contiguous inclusive vertex-ID range (Migrate).
 	VertexRange = engine.VertexRange
 	// PlanStats describes the current partition plan: epoch, active slots,
 	// overrides, and migration counters (see System.PlanStats).
@@ -103,15 +103,6 @@ type (
 // the query was shed (backpressure; retry later or relax the load).
 var ErrOverloaded = queryserv.ErrOverloaded
 
-// ErrIngestionActive is returned by Reshard when admitted inputs are still
-// unapplied — stop-the-world resharding would lose them. Drain (WaitQuiesce)
-// first, or use live migration (Migrate/ScaleOut), which needs no pause.
-var ErrIngestionActive = engine.ErrIngestionActive
-
-// ErrMigrationActive is returned when a live migration is already in flight
-// (one at a time).
-var ErrMigrationActive = engine.ErrMigrationActive
-
 // Loop kind values.
 const (
 	MainLoop   = engine.MainLoop
@@ -120,12 +111,11 @@ const (
 
 // Planned fault kinds.
 const (
-	FaultCrashProcessor       = engine.FaultCrashProcessor
-	FaultCrashMaster          = engine.FaultCrashMaster
-	FaultSlowProcessor        = engine.FaultSlowProcessor
-	FaultWirePartition        = engine.FaultWirePartition
-	FaultWireCorrupt          = engine.FaultWireCorrupt
-	FaultCrashDuringMigration = engine.FaultCrashDuringMigration
+	FaultCrashProcessor = engine.FaultCrashProcessor
+	FaultCrashMaster    = engine.FaultCrashMaster
+	FaultSlowProcessor  = engine.FaultSlowProcessor
+	FaultWirePartition  = engine.FaultWirePartition
+	FaultWireCorrupt    = engine.FaultWireCorrupt
 )
 
 // RegisterStateType registers a concrete vertex-state type for
@@ -203,7 +193,7 @@ type Options struct {
 	// (maxPendingInputs, inboxHigh, flowSampleEvery).
 	Flow FlowOptions
 
-	// Elastic tunes live repartitioning: spare processor slots for
+	// Elastic tunes repartitioning: spare processor slots for
 	// hot-partition splits, and the pressure-driven split/merge planner.
 	// The zero value runs without spares and without the planner; manual
 	// Migrate/ScaleOut/ScaleIn remain available whenever spare slots exist.
@@ -396,7 +386,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 
 // scaleRun is the elastic planner loop: it samples per-partition load and
 // the overload ladder, asks the flow.ScalePlanner for a verdict, and
-// executes split/merge decisions as live migrations. Rates are deltas of
+// executes split/merge decisions as repartitions. Rates are deltas of
 // the slots' lifetime counters over the sampling window; a checkpoint restart
 // (crash recovery or Reshard) resets the counters, which reads as a negative
 // delta and is skipped.
@@ -771,39 +761,34 @@ func (s *System) Merge(res *Result) error {
 }
 
 // Reshard rebalances the main loop onto a new processor count (the paper's
-// Section 5.1 repartitioning): the loop settles, and the engine's checkpoint
-// restart resumes it from its last terminated iteration under the base
-// partition over newProcs — the same engine, counters and recovery log, with
-// the plan epoch bumped by one. Pause ingestion (and any attached Feed)
-// around the call.
+// Section 5.1 repartitioning): ingestion waits at a stop while the loop
+// comes to rest (at most timeout), and the engine's checkpoint restart
+// resumes it from its last terminated iteration under the base partition
+// over newProcs — the same engine, counters and recovery log, with the plan
+// epoch bumped by one.
 func (s *System) Reshard(newProcs int, timeout time.Duration) error {
-	// Ingestion is paused by contract, so the admitted backlog drains to
-	// zero; if a spout is still feeding, the quiesce times out or the gate
-	// refills and the engine refuses with ErrIngestionActive. The engine's
-	// own wait then finds its record already current.
-	if err := s.main.WaitQuiesce(timeout); err != nil {
-		return err
-	}
 	return s.main.Reshard(newProcs, timeout)
 }
 
 // Migrate moves the inclusive vertex-ID range [lo, hi] onto main-loop
-// processor dest WITHOUT stopping the loop (DESIGN.md §16): the range
-// freezes at its current owners, state ships live while in-flight traffic
-// journal-forwards, and the cutover is one atomic partition-plan publish.
-// Ingestion and queries keep running throughout. Blocks until the migration
-// completes; on a crash mid-migration it aborts with the plan unchanged.
+// processor dest the way Reshard changes the partitioning (DESIGN.md §16):
+// ingestion waits at a stop, the loop comes to rest, and it restarts from
+// its checkpoint under a plan that routes the range to dest. Queries keep
+// being served from the resting loop meanwhile; the stall is
+// tornado_elastic_migration_seconds. On a crash or Close before the restart
+// it aborts with the plan unchanged.
 func (s *System) Migrate(lo, hi VertexID, dest int) error {
 	return s.main.Migrate(VertexRange{Lo: lo, Hi: hi}, dest)
 }
 
 // ScaleOut splits the hottest partition (by hosted vertex count) onto the
-// first spare processor slot as a live migration, returning the slot scaled
+// first spare processor slot, as Migrate does, returning the slot scaled
 // onto. Requires Options.Elastic.MaxProcessors > Processors.
 func (s *System) ScaleOut() (int, error) { return s.main.ScaleOut(-1) }
 
-// ScaleIn drains processor slot proc live — everything it owns migrates to
-// the least-loaded remaining active slot — and retires it from the plan.
+// ScaleIn drains processor slot proc — everything it owns moves to the
+// least-loaded remaining active slot, as Migrate does — and retires it from
+// the plan.
 func (s *System) ScaleIn(proc int) error { return s.main.ScaleIn(proc) }
 
 // PlanStats reports the current partition plan: epoch, base and maximum
@@ -879,8 +864,9 @@ func (s *System) Close() {
 	s.qapi.Close()
 	s.qs.Close()
 	s.main.Stop()
-	// After Stop: a planner-driven migration in flight aborts when the
-	// incarnation dies, unblocking the loop to observe the closed channel.
+	// After Stop: a planner-driven repartition waiting for rest aborts when
+	// the incarnation stops, unblocking the loop to observe the closed
+	// channel.
 	s.scaleWG.Wait()
 	if s.ownStore {
 		_ = s.store.Close() // stops the default MVCC store's compactor
