@@ -43,19 +43,22 @@ vet:
 
 # Crash-recovery and chaos suite under the race detector: true crash
 # semantics, supervised checkpoint restart, quarantine, fault plans and the
-# seeded chaos soak (crashes + lossy transport in one run). The $-anchored
-# soak names keep the wire variants out — those run in chaos-wire.
+# seeded soaks (crashes, pauses, forks and reshards in one run). An
+# in-process frame cannot be lost, so frame loss is the wire's: the
+# $-anchored soak names keep the wire variants out — those run in chaos-wire.
 chaos:
-	$(GO) test -race ./internal/engine/ -run 'TestCrash|TestSupervisor|TestFlapping|TestFaultPlan|TestChaosSoakRecovery$$|TestChaosSoakSurgeOverload$$|TestDeltaChaosSoakRecovery$$'
+	$(GO) test -race ./internal/engine/ -run 'TestCrash|TestSupervisor|TestFlapping|TestFaultPlan|TestChaosSoakRecovery$$|TestChaosSoakSurgeOverload$$|TestDeltaChaosSoakRecovery$$|TestSoakEverythingAtOnce$$'
 
 # Wire-layer chaos under the race detector: codec/supervision/fault-conn
-# unit tests and the fuzz-regression corpus, goroutine-leak checks, the
-# multi-process SSSP cluster (real worker processes over real sockets, with
-# and without socket-level chaos), the hermetic wire-mode engine tests, and
-# both chaos soaks re-run with the message plane on the TCP loopback wire.
+# unit tests, the wire ledger's tests and the fuzz-regression corpus,
+# goroutine-leak checks, the multi-process SSSP cluster (real worker
+# processes over real sockets, with and without socket-level chaos), the
+# hermetic wire-mode engine tests, the lossy-transport engine tests, and every
+# soak re-run on a wire that drops and duplicates 2% of its frames (TCP
+# loopback for the two chaos soaks, the in-memory wire for the rest).
 chaos-wire:
 	$(GO) test -race -count=1 ./internal/transport/ ./internal/wirenode/
-	$(GO) test -race -count=1 -timeout 15m ./internal/engine/ -run 'TestWireMode|TestChaosSoakRecoveryWire|TestChaosSoakSurgeOverloadWire'
+	$(GO) test -race -count=1 -timeout 15m ./internal/engine/ -run 'TestWireMode|TestLossyTransport|TestAtLeastOnceTransport|TestChaosSoakRecoveryWire|TestChaosSoakSurgeOverloadWire|TestDeltaChaosSoakRecoveryWire|TestSoakEverythingAtOnceWire'
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -341,8 +341,8 @@ func main() {
 			}
 			fmt.Printf("batching payloads=%d payloads/frame=%.2f coalesced=%d acks/payload=%.3f\n",
 				s.TransportPayloads, ppf, s.Coalesced, app)
-			fmt.Printf("generation=%d crashes=%d recoveries=%d quarantined=%d dead-letters=%d\n",
-				s.Generation, s.Crashes, s.Recoveries, s.Quarantined, s.TransportDeadLetters)
+			fmt.Printf("generation=%d crashes=%d recoveries=%d quarantined=%d\n",
+				s.Generation, s.Crashes, s.Recoveries, s.Quarantined)
 			if deltaMode {
 				fmt.Printf("delta queue-depth=%d merged=%d parked=%d applied=%d\n",
 					s.DeltaQueueDepth, s.DeltaMerged, s.DeltaSkipped, s.DeltaApplied)

@@ -362,17 +362,11 @@ func TestThroughputShape(t *testing.T) {
 		t.Fatalf("rows malformed\n%s", rep)
 	}
 	b := rep.Rows[1]
-	// The paper-shape claims: multi-payload frames amortize per-frame cost,
-	// cumulative acks suppress ack traffic, and the bookkeeping maps do not
-	// retain anything once the soak settles.
+	// The paper-shape claim: multi-payload frames amortize per-frame cost.
+	// (Ack suppression and bounded ledger maps are the wire's, checked by
+	// the transport package's ledger tests.)
 	if b.PayloadsPerFrame < 2 {
 		t.Fatalf("payloads/frame = %.2f; batching is not amortizing\n%s", b.PayloadsPerFrame, rep)
-	}
-	if b.AckFramesPerPayload > 0.2 {
-		t.Fatalf("acks/payload = %.3f; cumulative acks not suppressing\n%s", b.AckFramesPerPayload, rep)
-	}
-	if b.SeenEnd != 0 || b.UnackedEnd != 0 {
-		t.Fatalf("transport maps retained seen=%d unacked=%d after settling\n%s", b.SeenEnd, b.UnackedEnd, rep)
 	}
 	if rep.Speedup < 1.2 {
 		t.Fatalf("speedup %.2fx; batching should clearly beat unbatched\n%s", rep.Speedup, rep)

@@ -16,28 +16,21 @@ import (
 
 // ThroughputRow is one transport mode of the batching benchmark.
 type ThroughputRow struct {
-	Mode                string  `json:"mode"` // "unbatched" | "batched"
-	Waves               int     `json:"waves"`
-	Updates             int64   `json:"updates"`
-	UpdatesPerSec       float64 `json:"updates_per_sec"`
-	AllocsPerUpdate     float64 `json:"allocs_per_update"`
-	DataFrames          int64   `json:"data_frames"`
-	PayloadsPerFrame    float64 `json:"payloads_per_frame"`
-	AckFramesPerPayload float64 `json:"ack_frames_per_payload"`
-	Coalesced           int64   `json:"coalesced"`
-	SeenWarm            int     `json:"seen_warm"`
-	UnackedWarm         int     `json:"unacked_warm"`
-	SeenEnd             int     `json:"seen_end"`
-	UnackedEnd          int     `json:"unacked_end"`
+	Mode             string  `json:"mode"` // "unbatched" | "batched"
+	Waves            int     `json:"waves"`
+	Updates          int64   `json:"updates"`
+	UpdatesPerSec    float64 `json:"updates_per_sec"`
+	AllocsPerUpdate  float64 `json:"allocs_per_update"`
+	DataFrames       int64   `json:"data_frames"`
+	PayloadsPerFrame float64 `json:"payloads_per_frame"`
+	Coalesced        int64   `json:"coalesced"`
 }
 
 // ThroughputReport is the transport-batching experiment: the same SSSP
-// edge-churn soak driven with every message a frame of its own (MaxBatch 1:
-// an ack per message) and with frames of up to 256 messages (deferred
-// cumulative acks). Both coalesce updates within a receive window — there is
-// one dispatch path. Speedup is batched over unbatched sustained updates/sec;
-// the map-size columns are the bounded-memory check (seen/unacked must not
-// grow between warmup and the end of the soak).
+// edge-churn soak on the shipping in-process configuration, driven with every
+// message a frame of its own (MaxBatch 1) and with frames of up to 256
+// messages. Both coalesce updates within a receive window — there is one
+// dispatch path. Speedup is batched over unbatched sustained updates/sec.
 type ThroughputReport struct {
 	Scale       string          `json:"scale"`
 	Processors  int             `json:"processors"`
@@ -87,12 +80,6 @@ func runThroughputMode(tuples []stream.Tuple, mode string, soak time.Duration) (
 		Store:      storage.NewMVCCStore(),
 		Program:    algorithms.SSSP{Source: 0},
 		Seed:       1,
-		// Reliability on: without an ack/resend deadline the transport
-		// never acks and the comparison would omit exactly the per-frame
-		// machinery batching amortizes (and the ack-suppression and
-		// map-compaction columns would be vacuous).
-		ResendAfter: 20 * time.Millisecond,
-		MaxResends:  10,
 		// Full-scale receive windows outgrow the default frame cap of 64
 		// (the 60s soak averages ~54 payloads/frame against it); a larger
 		// cap lets frame sizes track the window instead of truncating.
@@ -120,7 +107,6 @@ func runThroughputMode(tuples []stream.Tuple, mode string, soak time.Duration) (
 	ts := stream.Timestamp(len(tuples))
 
 	row := ThroughputRow{Mode: mode}
-	row.SeenWarm, row.UnackedWarm = e.TransportMapSizes()
 	s0 := e.StatsSnapshot()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -153,16 +139,6 @@ func runThroughputMode(tuples []stream.Tuple, mode string, soak time.Duration) (
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 	s1 := e.StatsSnapshot()
-	// Quiescence settles the protocol, not the transport bookkeeping: the
-	// last deferred acks ride the next flush tick. Give them a moment so the
-	// end sizes measure retention, not in-flight acks.
-	for settle := time.Now().Add(time.Second); time.Now().Before(settle); {
-		if _, unacked := e.TransportMapSizes(); unacked == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	row.SeenEnd, row.UnackedEnd = e.TransportMapSizes()
 
 	row.Updates = s1.UpdateMsgs - s0.UpdateMsgs
 	row.UpdatesPerSec = float64(row.Updates) / elapsed.Seconds()
@@ -170,11 +146,8 @@ func runThroughputMode(tuples []stream.Tuple, mode string, soak time.Duration) (
 		row.AllocsPerUpdate = float64(m1.Mallocs-m0.Mallocs) / float64(row.Updates)
 	}
 	row.DataFrames = s1.TransportSent - s0.TransportSent
-	if first := (s1.TransportSent - s1.TransportResent) - (s0.TransportSent - s0.TransportResent); first > 0 {
-		row.PayloadsPerFrame = float64(s1.TransportPayloads-s0.TransportPayloads) / float64(first)
-	}
-	if payloads := s1.TransportPayloads - s0.TransportPayloads; payloads > 0 {
-		row.AckFramesPerPayload = float64(s1.TransportAckFrames-s0.TransportAckFrames) / float64(payloads)
+	if row.DataFrames > 0 {
+		row.PayloadsPerFrame = float64(s1.TransportPayloads-s0.TransportPayloads) / float64(row.DataFrames)
 	}
 	row.Coalesced = s1.Coalesced - s0.Coalesced
 	return row, nil
@@ -182,7 +155,7 @@ func runThroughputMode(tuples []stream.Tuple, mode string, soak time.Duration) (
 
 // String renders the benchmark table.
 func (r *ThroughputReport) String() string {
-	header := []string{"mode", "waves", "updates/s", "allocs/upd", "frames", "payloads/frame", "acks/payload", "coalesced", "seen", "unacked"}
+	header := []string{"mode", "waves", "updates/s", "allocs/upd", "frames", "payloads/frame", "coalesced"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -192,10 +165,7 @@ func (r *ThroughputReport) String() string {
 			fmt.Sprintf("%.1f", row.AllocsPerUpdate),
 			fmt.Sprintf("%d", row.DataFrames),
 			fmt.Sprintf("%.2f", row.PayloadsPerFrame),
-			fmt.Sprintf("%.3f", row.AckFramesPerPayload),
 			fmt.Sprintf("%d", row.Coalesced),
-			fmt.Sprintf("%d→%d", row.SeenWarm, row.SeenEnd),
-			fmt.Sprintf("%d→%d", row.UnackedWarm, row.UnackedEnd),
 		})
 	}
 	return table(header, rows) + fmt.Sprintf("speedup: %.2fx over %.0fs soak\n", r.Speedup, r.SoakSeconds)

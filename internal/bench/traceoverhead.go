@@ -107,17 +107,15 @@ func runTraceOverheadMode(tuples []stream.Tuple, rate float64, soak time.Duratio
 	// exactly the Enabled() fast path production pays when tracing is off.
 	hub := obs.NewHub(rate)
 	e, err := engine.New(engine.Config{
-		Processors:  4,
-		DelayBound:  64,
-		Kind:        engine.MainLoop,
-		LoopID:      storage.MainLoop,
-		Store:       storage.NewMVCCStore(),
-		Program:     algorithms.SSSP{Source: 0},
-		Seed:        1,
-		ResendAfter: 20 * time.Millisecond,
-		MaxResends:  10,
-		MaxBatch:    256,
-		Obs:         hub,
+		Processors: 4,
+		DelayBound: 64,
+		Kind:       engine.MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    algorithms.SSSP{Source: 0},
+		Seed:       1,
+		MaxBatch:   256,
+		Obs:        hub,
 	})
 	if err != nil {
 		return TraceOverheadRow{}, err

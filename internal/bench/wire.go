@@ -140,18 +140,21 @@ func RunWire(s Scale) (*WireReport, error) {
 // wave. The returned engine is still running (wire legs reuse it for the
 // storm); callers own Stop.
 func runWireChurn(tuples []stream.Tuple, waves int, wire *engine.WireSpec) (WireRow, *engine.Engine, error) {
-	e, err := engine.New(engine.Config{
-		Processors:  4,
-		DelayBound:  64,
-		Kind:        engine.MainLoop,
-		LoopID:      storage.MainLoop,
-		Store:       storage.NewMVCCStore(),
-		Program:     algorithms.SSSP{Source: 0},
-		Seed:        83,
-		ResendAfter: 20 * time.Millisecond,
-		MaxBatch:    256,
-		Wire:        wire,
-	})
+	cfg := engine.Config{
+		Processors: 4,
+		DelayBound: 64,
+		Kind:       engine.MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    algorithms.SSSP{Source: 0},
+		Seed:       83,
+		MaxBatch:   256,
+		Wire:       wire,
+	}
+	if wire != nil {
+		cfg.ResendAfter = 20 * time.Millisecond // the wire ledger's timeout; in-process has none
+	}
+	e, err := engine.New(cfg)
 	if err != nil {
 		return WireRow{}, nil, err
 	}

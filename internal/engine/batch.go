@@ -145,9 +145,9 @@ func (b *msgBatch) stage(sp *trace.Tracer, name string, loop, peer uint64, now i
 
 // framePool recycles frames. A sender takes one per frame it ships; the
 // receiving processor puts it back after dispatching it — but only on an
-// in-process plane without resends (processor.recycle), where the hand-off
-// transfers the only reference. A resend ledger or a wire queue keeps the
-// sender's frame alive, so there frames are left to the collector.
+// in-process plane (processor.recycle), where the hand-off transfers the only
+// reference. A wire's queue and ledger keep the sender's frame alive, so
+// there frames are left to the collector.
 var framePool = sync.Pool{New: func() any { return new(msgBatch) }}
 
 // outbox is one sender's window: a batch per destination processor, filled in

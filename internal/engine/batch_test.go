@@ -221,7 +221,6 @@ func TestCrashMidFlushExactInputCounts(t *testing.T) {
 		Program:           countProg{},
 		Seed:              31,
 		HeartbeatInterval: 5 * time.Millisecond,
-		ResendAfter:       10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

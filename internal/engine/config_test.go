@@ -20,8 +20,7 @@ var configSurface = map[string]string{
 	"Program":             "tornado.New; internal/bench",
 	"Delta":               "tornado.NewDelta; internal/bench/delta.go",
 	"Partition":           "internal/bench/elastic.go",
-	"ResendAfter":         "internal/bench/throughput.go, wire.go, traceoverhead.go",
-	"MaxResends":          "internal/bench/throughput.go, traceoverhead.go",
+	"ResendAfter":         "internal/bench/wire.go",
 	"MaxBatch":            "internal/bench/throughput.go, wire.go",
 	"CommitDelay":         "internal/bench/tab2fig8.go, elastic.go",
 	"Wire":                "tornado.New (Options.Wire); internal/bench/wire.go",

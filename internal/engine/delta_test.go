@@ -9,6 +9,7 @@ import (
 	"tornado/internal/delta"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
+	"tornado/internal/transport"
 )
 
 // dssspState / dssspProg: a delta-accumulative SSSP for engine-internal
@@ -144,15 +145,30 @@ func checkDSSSP(t *testing.T, e *Engine, tuples []stream.Tuple) {
 
 // TestDeltaChaosSoakRecovery is the delta-mode twin of TestChaosSoakRecovery:
 // the same crash schedule (a planned processor crash, a direct one, then the
-// master) over a lossy, duplicating transport, with the pending-delta table
-// riding in every checkpoint. Convergence to the exact reference fixed point
-// proves checkpointed (state, pending) pairs survive incarnation restarts
-// with no delta lost or double-applied. Skipped with -short.
+// master), with the pending-delta table riding in every checkpoint.
+// Convergence to the exact reference fixed point proves checkpointed (state,
+// pending) pairs survive incarnation restarts with no delta lost or
+// double-applied. Skipped with -short.
 func TestDeltaChaosSoakRecovery(t *testing.T) {
+	runDeltaChaosSoakRecovery(t, nil)
+}
+
+// TestDeltaChaosSoakRecoveryWire runs the delta soak over the in-memory
+// wire, which drops and duplicates 2% of its frames: the wire ledger must
+// repair every loss across the three restarts.
+func TestDeltaChaosSoakRecoveryWire(t *testing.T) {
+	runDeltaChaosSoakRecovery(t, &WireSpec{Mem: transport.NewMemWire()})
+}
+
+func runDeltaChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
-	tuples := datasets.WithRemovals(datasets.PowerLawGraph(600, 3, 77), 0.1, 7)
+	vertices := 600
+	if wire != nil {
+		vertices = 300 // as in the value soak: the wire twin tests the ledger, not scale
+	}
+	tuples := datasets.WithRemovals(datasets.PowerLawGraph(vertices, 3, 77), 0.1, 7)
 	e, err := New(Config{
 		Processors:        5,
 		DelayBound:        16,
@@ -160,16 +176,18 @@ func TestDeltaChaosSoakRecovery(t *testing.T) {
 		LoopID:            storage.MainLoop,
 		Store:             storage.NewMVCCStore(),
 		Delta:             dssspProg{source: 0},
-		ResendAfter:       5 * time.Millisecond,
 		Seed:              77,
-		HeartbeatInterval: heartbeatFor(nil),
-		suspectAfter:      suspectAfterFor(nil),
+		HeartbeatInterval: heartbeatFor(wire),
+		suspectAfter:      suspectAfterFor(wire),
 		restartBackoff:    time.Millisecond,
+		Wire:              wire,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.InjectTransportFaults(0.02, 0.02)
+	if wire != nil {
+		e.wireFaults.SetLoss(0.02, 0.02)
+	}
 	e.InjectFaultPlan(FaultPlan{Faults: []Fault{
 		{Kind: FaultCrashProcessor, Proc: 1, AtIteration: 1},
 	}})
@@ -186,16 +204,16 @@ func TestDeltaChaosSoakRecovery(t *testing.T) {
 		e.IngestAll(tuples[lo:hi])
 		switch w {
 		case 1:
-			waitUntil(t, soakWait(nil), func() bool { return e.StatsSnapshot().Recoveries >= 1 },
+			waitUntil(t, soakWait(wire), func() bool { return e.StatsSnapshot().Recoveries >= 1 },
 				"planned crash of processor 1 never recovered")
 			e.CrashProcessor(3)
 		case 2:
-			waitUntil(t, soakWait(nil), func() bool { return e.StatsSnapshot().Recoveries >= 2 },
+			waitUntil(t, soakWait(wire), func() bool { return e.StatsSnapshot().Recoveries >= 2 },
 				"crash of processor 3 never recovered")
 			e.CrashMaster()
 		}
 	}
-	if err := e.WaitQuiesce(soakWait(nil)); err != nil {
+	if err := e.WaitQuiesce(soakWait(wire)); err != nil {
 		s := e.StatsSnapshot()
 		t.Fatalf("%v (gen=%d crashes=%d recoveries=%d frontier=%d notified=%d log tail: %+v)",
 			err, s.Generation, s.Crashes, s.Recoveries, s.Frontier, s.Notified, tail(e.RecoveryLog(), 6))

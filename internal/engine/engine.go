@@ -78,15 +78,10 @@ type Config struct {
 	startIteration int64
 	// Partition maps vertices to processors; defaults to modulo.
 	Partition func(stream.VertexID, int) int
-	// ResendAfter enables at-least-once delivery with the given
-	// retransmission timeout (0 = trusted in-process channels).
+	// ResendAfter is the wire ledger's retransmission timeout (see
+	// transport.Options.ResendAfter, which defaults it to 5ms). Only a wire
+	// can lose a frame, so it requires Wire.
 	ResendAfter time.Duration
-	// MaxResends caps transport retransmission attempts per frame; frames
-	// exceeding it are dead-lettered (visible as dead_letters in /metrics).
-	// 0 retries forever. Leave it 0 unless a supervisor is running: a
-	// dead-lettered frame to a live processor leaks its obligation token,
-	// which only a checkpoint recovery can reclaim.
-	MaxResends int
 	// MaxBatch caps a frame in messages: senders queue vertex messages for a
 	// whole receive window, and at its end cut each destination's queue into
 	// frames of at most this many. Default 64; 1 (or less) ships every
@@ -103,9 +98,8 @@ type Config struct {
 	// Wire, when non-nil, runs the loop's message plane over a real socket
 	// substrate (see WireSpec): every frame is serialized through the
 	// CRC32-framed binary codec and crosses a supervised connection to the
-	// process's own listener. Implies ResendAfter > 0 (defaulted to 5ms if
-	// unset) — the wire sheds frames on reconnects and relies on the resend
-	// ledger for recovery.
+	// process's own listener. The wire sheds frames on reconnects and
+	// relies on its ledger (timeout ResendAfter) for recovery.
 	Wire *WireSpec
 
 	// Flow control (all zero = unbounded legacy behavior).
@@ -221,8 +215,8 @@ func (c *Config) validate() error {
 	} else if c.MaxBatch < 1 {
 		c.MaxBatch = 1
 	}
-	if c.Wire != nil && c.ResendAfter <= 0 {
-		c.ResendAfter = 5 * time.Millisecond
+	if c.Wire == nil && c.ResendAfter != 0 {
+		return errors.New("engine: ResendAfter requires Wire (an in-process frame cannot be lost)")
 	}
 	if c.InboxHigh > 0 && (c.InboxLow <= 0 || c.InboxLow >= c.InboxHigh) {
 		c.InboxLow = c.InboxHigh / 2
@@ -331,10 +325,13 @@ type StatsSnapshot struct {
 	TransportSent, TransportDelivered, TransportResent int64
 	// TransportPayloads counts messages inside first-transmission frames, so
 	// TransportPayloads/(TransportSent−TransportResent) is the average batch
-	// size and TransportAckFrames/TransportPayloads the ack suppression
-	// ratio.
+	// size and TransportAckFrames/TransportPayloads the wire ledger's ack
+	// suppression ratio. TransportResent and TransportAckFrames stay zero
+	// without Config.Wire.
 	TransportPayloads, TransportAckFrames int64
-	TransportDeadLetters                  int64
+	// TransportDeadLetters is always zero: the transport no longer abandons
+	// a frame. It stays until the benchmark harness stops reading it.
+	TransportDeadLetters int64
 	// Wire counters (all zero without Config.Wire): frames and bytes
 	// serialized onto / decoded off the socket substrate, supervised
 	// reconnects after dead connections, and corrupt frames caught by the
@@ -473,14 +470,11 @@ type Engine struct {
 	recMu       sync.Mutex
 	recoveryLog []RecoveryEvent
 
-	// Fault injection (chaos schedules + transport faults, re-applied to
-	// every incarnation's network). wireFaults is the socket-level analogue:
+	// Fault injection. planMu guards the armed chaos schedule; wireFaults is
 	// one shared fault state wrapping every wire connection of every
-	// incarnation (nil without Config.Wire); lastWireDown rate-limits
-	// wire-down recovery events.
-	faultMu       sync.Mutex
-	faultDrop     float64
-	faultDup      float64
+	// incarnation (nil without Config.Wire), so frame loss survives crash
+	// recoveries; lastWireDown rate-limits wire-down recovery events.
+	planMu        sync.Mutex
 	pendingFaults []Fault
 	watcherOn     bool
 	wireFaults    *transport.WireFaults
@@ -594,7 +588,6 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 	}
 	inc.net = transport.NewNetwork(transport.Options{
 		ResendAfter:   e.cfg.ResendAfter,
-		MaxResends:    e.cfg.MaxResends,
 		MaxBatch:      e.cfg.MaxBatch,
 		FlushInterval: e.cfg.flushInterval,
 		InboxHigh:     e.cfg.InboxHigh,
@@ -604,11 +597,6 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 		Spans:         e.spans,
 		Wire:          wire,
 	})
-	e.faultMu.Lock()
-	if e.faultDrop > 0 || e.faultDup > 0 {
-		inc.net.SetFaults(e.faultDrop, e.faultDup)
-	}
-	e.faultMu.Unlock()
 	inc.tracker = NewTracker(e.cfg.startIteration)
 	// Every slot runs a processor goroutine: spares (and quarantined slots)
 	// idle on Recv owning nothing, so scaling out never has to mutate a live
@@ -1157,14 +1145,6 @@ func (e *Engine) SlowProcessor(i int, d time.Duration) {
 	}
 }
 
-// TransportMapSizes sums the current incarnation's transport bookkeeping:
-// dedup entries beyond the cumulative-ack watermarks and unacknowledged
-// outgoing frames. Both are bounded by the in-flight window; the throughput
-// soak asserts they do not grow with traffic volume.
-func (e *Engine) TransportMapSizes() (seen, unacked int) {
-	return e.cur().net.MapSizes()
-}
-
 // Notified returns the highest terminated iteration.
 func (e *Engine) Notified() int64 { return e.cur().tracker.Notified() }
 
@@ -1211,7 +1191,6 @@ func (e *Engine) StatsSnapshot() StatsSnapshot {
 		TransportResent:      e.netStats.Resent.Load(),
 		TransportPayloads:    e.netStats.Payloads.Load(),
 		TransportAckFrames:   e.netStats.AckFrames.Load(),
-		TransportDeadLetters: e.netStats.DeadLetters.Load(),
 		WireTxFrames:         e.netStats.WireTxFrames.Load(),
 		WireRxFrames:         e.netStats.WireRxFrames.Load(),
 		WireTxBytes:          e.netStats.WireTxBytes.Load(),
@@ -1372,17 +1351,6 @@ func (e *Engine) JournalSize() (int, int) {
 	return e.journal.Size()
 }
 
-// InjectTransportFaults makes the engine's transport drop and duplicate
-// data frames with the given probabilities (fault-tolerance experiments;
-// requires ResendAfter > 0 or dropped work is lost forever). The rates are
-// remembered and re-applied to every incarnation a recovery builds.
-func (e *Engine) InjectTransportFaults(drop, dup float64) {
-	e.faultMu.Lock()
-	e.faultDrop, e.faultDup = drop, dup
-	e.faultMu.Unlock()
-	e.cur().net.SetFaults(drop, dup)
-}
-
 // ForkBranch forks a branch loop from the current frontier (Section 5.2):
 // it captures a ForkSpec, assembles a branch engine reading its initial
 // vertex states from this loop's snapshot and writing to branchLoop, starts
@@ -1427,7 +1395,7 @@ func (e *Engine) ForkBranch(branchLoop storage.LoopID, override func(*Config), s
 	cfg.startIteration = 0
 	// Branches are short-lived in-process scratch loops: they never ride the
 	// wire even when the parent does (override can opt back in).
-	cfg.Wire = nil
+	cfg.Wire, cfg.ResendAfter = nil, 0
 	if override != nil {
 		override(&cfg)
 	}

@@ -12,6 +12,7 @@ import (
 	"tornado/internal/graph"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
+	"tornado/internal/transport"
 )
 
 const (
@@ -502,6 +503,8 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 	checkSSSP(t, r, tuples)
 }
 
+// TestAtLeastOnceTransportStillConverges runs the loop over the in-memory
+// wire with its ledger on (numbering, dedup, cumulative acks, resends).
 func TestAtLeastOnceTransportStillConverges(t *testing.T) {
 	tuples := datasets.PowerLawGraph(60, 3, 37)
 	e, err := New(Config{
@@ -512,6 +515,7 @@ func TestAtLeastOnceTransportStillConverges(t *testing.T) {
 		Store:       storage.NewMVCCStore(),
 		Program:     ssspProg{source: 0},
 		ResendAfter: 5 * time.Millisecond,
+		Wire:        &WireSpec{Mem: transport.NewMemWire()},
 		Seed:        42,
 	})
 	if err != nil {
@@ -630,6 +634,9 @@ func TestConfigValidation(t *testing.T) {
 		{Processors: 1, DelayBound: 1, Program: ssspProg{}},
 		{Processors: 1, DelayBound: 1, Store: store},
 		{Processors: 1, DelayBound: 1, Store: store, Program: ssspProg{}, snapshot: &SnapshotSource{}},
+		// Only a wire can lose a frame: a resend timeout without one is a
+		// configuration error, not a no-op.
+		{Processors: 1, DelayBound: 1, Store: store, Program: ssspProg{}, ResendAfter: time.Millisecond},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

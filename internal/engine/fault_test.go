@@ -10,11 +10,13 @@ import (
 	"tornado/internal/datasets"
 	"tornado/internal/storage"
 	"tornado/internal/stream"
+	"tornado/internal/transport"
 )
 
 // TestLossyTransportStillConverges exercises the at-least-once path hard:
-// data frames are dropped and duplicated in flight, retransmission recovers
-// them, and the loop still reaches the sequential reference fixed point.
+// frames are dropped and duplicated on the in-memory wire, the wire ledger's
+// retransmission recovers them, and the loop still reaches the sequential
+// reference fixed point.
 func TestLossyTransportStillConverges(t *testing.T) {
 	tuples := datasets.PowerLawGraph(60, 3, 77)
 	cases := []struct{ drop, dup float64 }{
@@ -30,14 +32,15 @@ func TestLossyTransportStillConverges(t *testing.T) {
 				Store:       storage.NewMVCCStore(),
 				Program:     ssspProg{source: 0},
 				ResendAfter: 2 * time.Millisecond,
+				Wire:        &WireSpec{Mem: transport.NewMemWire()},
 				Seed:        42,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.wireFaults.SetLoss(c.drop, c.dup)
 			e.Start()
 			defer e.Stop()
-			e.InjectTransportFaults(c.drop, c.dup)
 			e.IngestAll(tuples)
 			if err := e.WaitQuiesce(waitFor); err != nil {
 				t.Fatal(err)
@@ -47,8 +50,8 @@ func TestLossyTransportStillConverges(t *testing.T) {
 	}
 }
 
-// TestLossyTransportBranchFork forks a branch while frames are being dropped
-// in the main loop; both must still be exact.
+// TestLossyTransportBranchFork forks a branch while the main loop's wire
+// drops and duplicates frames; both must still be exact.
 func TestLossyTransportBranchFork(t *testing.T) {
 	tuples := datasets.PowerLawGraph(50, 3, 79)
 	e, err := New(Config{
@@ -59,14 +62,15 @@ func TestLossyTransportBranchFork(t *testing.T) {
 		Store:       storage.NewMVCCStore(),
 		Program:     ssspProg{source: 0},
 		ResendAfter: 2 * time.Millisecond,
+		Wire:        &WireSpec{Mem: transport.NewMemWire()},
 		Seed:        42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.wireFaults.SetLoss(0.05, 0.05)
 	e.Start()
 	defer e.Stop()
-	e.InjectTransportFaults(0.05, 0.05)
 	e.IngestAll(tuples)
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)
 	if err != nil {

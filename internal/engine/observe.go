@@ -82,21 +82,15 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	}
 
 	sc.RegisterCounter("tornado_transport_sent_total",
-		"Data frames accepted for transmission, including resends and duplicates.", &e.netStats.Sent)
+		"Data frames accepted for transmission, including wire resends.", &e.netStats.Sent)
 	sc.RegisterCounter("tornado_transport_payloads_total",
 		"Payloads carried by first-transmission data frames (payloads/frame = payloads / (sent - resent)).", &e.netStats.Payloads)
 	sc.RegisterCounter("tornado_transport_delivered_total",
-		"Payloads handed to live receivers after frame deduplication.", &e.netStats.Delivered)
+		"Payloads handed to live receivers (after the wire ledger's dedup).", &e.netStats.Delivered)
 	sc.RegisterCounter("tornado_transport_resent_total",
-		"Frames retransmitted after the at-least-once ack timeout.", &e.netStats.Resent)
+		"Frames the wire ledger retransmitted after its ack timeout.", &e.netStats.Resent)
 	sc.RegisterCounter("tornado_transport_ack_frames_total",
-		"Acknowledgement frames sent by receivers.", &e.netStats.AckFrames)
-	sc.RegisterCounter("tornado_transport_dropped_total",
-		"Data frames dropped in flight by fault injection.", &e.netStats.Dropped)
-	sc.RegisterCounter("tornado_transport_duplicated_total",
-		"Data frames duplicated in flight by fault injection.", &e.netStats.Duplicated)
-	sc.RegisterCounter("tornado_transport_dead_letters_total",
-		"Frames abandoned after exhausting the retransmission budget.", &e.netStats.DeadLetters)
+		"Acknowledgement frames sent by wire receivers.", &e.netStats.AckFrames)
 
 	sc.RegisterCounter("tornado_wire_frames_total",
 		"Frames serialized onto the wire substrate.", &e.netStats.WireTxFrames, obs.L("dir", "tx"))
@@ -293,7 +287,6 @@ func (e *Engine) statusz() any {
 		"crashes":            s.Crashes,
 		"recoveries":         s.Recoveries,
 		"quarantined":        s.Quarantined,
-		"dead_letters":       s.TransportDeadLetters,
 		"commits":            s.Commits,
 		"update_msgs":        s.UpdateMsgs,
 		"prepare_msgs":       s.PrepareMsgs,

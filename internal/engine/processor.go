@@ -133,7 +133,7 @@ func newProcessor(idx, slots int, eng *Engine, ep *transport.Endpoint, tk *Track
 		holdback: make(map[int64][]msgUpdate, 16),
 		out:      newOutbox(slots),
 		spare:    new(msgBatch),
-		recycle:  eng.cfg.ResendAfter <= 0 && eng.cfg.Wire == nil,
+		recycle:  eng.cfg.Wire == nil,
 	}
 	for _, w := range p.out.win {
 		w.epoch = p.nextEpoch() // from 1: 0 is "no slot" in a fresh edge record

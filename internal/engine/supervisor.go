@@ -437,8 +437,8 @@ const (
 	FaultSlowProcessor
 	// FaultWirePartition hard-partitions the socket substrate (no-op
 	// without Config.Wire): outbound frames vanish for Delay, then the
-	// partition heals (Delay 0 = until healed manually). Resend ledgers
-	// replay the backlog exactly once past the ack watermark.
+	// partition heals (Delay 0 = until healed manually). The wire ledger
+	// replays the backlog exactly once past the ack watermark.
 	FaultWirePartition
 	// FaultWireCorrupt flips one byte in each outbound wire frame with
 	// probability Rate (default 0.02) for Delay, then heals (Delay 0 =
@@ -481,13 +481,13 @@ func (e *Engine) InjectFaultPlan(plan FaultPlan) {
 	if len(plan.Faults) == 0 {
 		return
 	}
-	e.faultMu.Lock()
+	e.planMu.Lock()
 	e.pendingFaults = append(e.pendingFaults, plan.Faults...)
 	startWatcher := !e.watcherOn
 	if startWatcher {
 		e.watcherOn = true
 	}
-	e.faultMu.Unlock()
+	e.planMu.Unlock()
 	if startWatcher {
 		e.supWG.Add(1)
 		go e.faultWatcherRun()
@@ -532,14 +532,14 @@ func (e *Engine) faultWatcherRun() {
 		notified := e.inc.tracker.Notified()
 		e.genMu.RUnlock()
 		if stopped {
-			e.faultMu.Lock()
+			e.planMu.Lock()
 			e.watcherOn = false
-			e.faultMu.Unlock()
+			e.planMu.Unlock()
 			return
 		}
 		var fire []Fault
 		pendingForks := 0
-		e.faultMu.Lock()
+		e.planMu.Lock()
 		rest := e.pendingFaults[:0]
 		for _, f := range e.pendingFaults {
 			switch {
@@ -553,25 +553,25 @@ func (e *Engine) faultWatcherRun() {
 			}
 		}
 		e.pendingFaults = rest
-		e.faultMu.Unlock()
+		e.planMu.Unlock()
 		for _, f := range fire {
 			e.applyFault(f)
 		}
-		e.faultMu.Lock()
+		e.planMu.Lock()
 		if len(e.pendingFaults) == pendingForks {
 			// Only OnFork faults (or nothing) left: ForkBranch handles those.
 			e.watcherOn = false
-			e.faultMu.Unlock()
+			e.planMu.Unlock()
 			return
 		}
-		e.faultMu.Unlock()
+		e.planMu.Unlock()
 	}
 }
 
 // fireForkFaults fires all armed OnFork faults; ForkBranch calls it between
 // capturing the fork spec and building the branch engine.
 func (e *Engine) fireForkFaults() {
-	e.faultMu.Lock()
+	e.planMu.Lock()
 	var fire []Fault
 	rest := e.pendingFaults[:0]
 	for _, f := range e.pendingFaults {
@@ -582,7 +582,7 @@ func (e *Engine) fireForkFaults() {
 		}
 	}
 	e.pendingFaults = rest
-	e.faultMu.Unlock()
+	e.planMu.Unlock()
 	for _, f := range fire {
 		e.applyFault(f)
 	}

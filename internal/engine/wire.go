@@ -14,10 +14,10 @@ package engine
 // substrate, and the socket-level fault API below adds wire faults
 // (partition, corruption, latency, loss) to the chaos vocabulary.
 //
-// Wire faults live on the Engine, not the incarnation: like the frame-level
-// drop/dup rates, they survive crash recoveries — a new incarnation's
-// connections come up as faulty as the old ones', because real networks do
-// not heal to honor a process restart.
+// Wire faults live on the Engine, not the incarnation: they survive crash
+// recoveries — a new incarnation's connections come up as faulty as the old
+// ones', because real networks do not heal to honor a process restart. They
+// are also the only frame loss there is: an in-process frame cannot be lost.
 
 import (
 	"encoding/gob"
@@ -154,9 +154,9 @@ func (e *Engine) WireAddr() string {
 }
 
 // SetWirePartition hard-partitions (or heals) the wire: while set, every
-// outbound frame on every connection vanishes. Senders keep everything on
-// their resend ledgers, so healing replays the backlog exactly once past the
-// ack watermark. No-op without Config.Wire; reports whether a wire exists.
+// outbound frame on every connection vanishes. The wire ledger keeps
+// everything unacknowledged, so healing replays the backlog exactly once
+// past the ack watermark. No-op without Config.Wire; reports whether a wire exists.
 func (e *Engine) SetWirePartition(on bool) bool {
 	if e.wireFaults == nil {
 		return false

@@ -65,11 +65,10 @@ const (
 
 // Escalation marker stages (always Forced).
 const (
-	MarkResend     = "resend"      // transport resent a frame carrying this trace
-	MarkDeadLetter = "dead_letter" // transport gave up on a frame carrying this trace
-	MarkShed       = "shed"        // query shed with ErrOverloaded
-	MarkRung       = "rung"        // degradation-rung transition
-	MarkRecovery   = "recovery"    // crash/recovery incarnation swap
+	MarkResend   = "resend"   // the wire ledger resent a frame carrying this trace
+	MarkShed     = "shed"     // query shed with ErrOverloaded
+	MarkRung     = "rung"     // degradation-rung transition
+	MarkRecovery = "recovery" // crash/recovery incarnation swap
 )
 
 // Protocol marker stages: one per transition of the paper's three-phase
@@ -131,7 +130,7 @@ func (c Context) Traced() bool { return c.Sampled && c.Trace != 0 }
 
 // Carrier is implemented by transport payloads whose members carry Contexts,
 // letting the transport (which sees payloads as `any`) tell a traced frame
-// from an untraced one and attribute a resend or dead letter to a trace
+// from an untraced one and attribute a wire resend to a trace
 // without knowing concrete types. TraceCtx returns the context of the first
 // traced member, or the zero Context when there is none.
 type Carrier interface {
@@ -340,7 +339,7 @@ func (t *Tracer) StageIter(ctx Context, stage string, loop, vertex, peer uint64,
 }
 
 // Escalate records a tail-escalation marker span for the triggering event
-// (resend, shed, dead letter, recovery) and opens the escalation window so
+// (resend, shed, rung, recovery) and opens the escalation window so
 // deltas beginning in the next EscalationWindow are fully traced. ctx may be
 // an untraced or zero context — the marker still records against its trace
 // ID (0 for system-wide events).

@@ -100,14 +100,14 @@ func TestSendNowBypassesBuffer(t *testing.T) {
 // acks must deliver every payload exactly once under heavy drop and
 // duplication faults.
 func TestBatchedOrderUnderDropDupResend(t *testing.T) {
-	n := NewNetwork(Options{
+	n, faults := lossyLoop(t, 11, Options{
 		ResendAfter: 5 * time.Millisecond, MaxBatch: 8,
-		FlushInterval: time.Millisecond, DropSeed: 11,
+		FlushInterval: time.Millisecond,
 	})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	n.SetFaults(0.3, 0.3)
+	faults.SetLoss(0.3, 0.3)
 	const total = 500
 	for i := 0; i < total; i++ {
 		a.Send(2, i)
@@ -134,22 +134,23 @@ func TestBatchedOrderUnderDropDupResend(t *testing.T) {
 			t.Fatalf("payload %d delivered %d times", v, c)
 		}
 	}
-	n.SetFaults(0, 0)
-	waitZeroUnacked(t, a)
+	faults.SetLoss(0, 0)
+	waitLedgerDrained(t, n)
 }
 
 // TestCumulativeAckCompactsMaps is the bounded-memory regression test: the
-// dedup and unacked maps must not grow with the number of frames sent (the
-// pre-cumulative-ack implementation kept one seen entry per frame forever).
+// ledger's dedup and unacked maps must not grow with the number of frames
+// sent (the pre-cumulative-ack implementation kept one seen entry per frame
+// forever).
 func TestCumulativeAckCompactsMaps(t *testing.T) {
-	n := NewNetwork(Options{
+	n, faults := lossyLoop(t, 13, Options{
 		ResendAfter: 5 * time.Millisecond, MaxBatch: 4,
-		FlushInterval: time.Millisecond, DropSeed: 13,
+		FlushInterval: time.Millisecond,
 	})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	n.SetFaults(0.2, 0) // drops force out-of-order arrivals worth deduping
+	faults.SetLoss(0.2, 0) // drops force out-of-order arrivals worth deduping
 	const total = 4000
 	go func() {
 		for i := 0; i < total; i++ {
@@ -173,21 +174,20 @@ func TestCumulativeAckCompactsMaps(t *testing.T) {
 			t.Fatalf("only %d/%d payloads received", received, total)
 		}
 	}
-	n.SetFaults(0, 0)
-	waitZeroUnacked(t, a)
+	faults.SetLoss(0, 0)
 	// Once retransmission fills every gap, the watermark covers all traffic:
 	// the receiver retains no dedup entries and the sender no pending frames.
 	waitCondition(t, func() bool {
-		seen, unacked := n.MapSizes()
+		seen, unacked := n.wire.ledgerSizes()
 		return seen == 0 && unacked == 0
 	}, "seen/unacked maps did not compact to zero")
 }
 
-// TestLegacySeenCompacts: cumulative compaction also bounds the legacy
-// unbatched path (frames arrive in order, so the watermark covers them all
+// TestLegacySeenCompacts: cumulative compaction also bounds the unbatched
+// path (frames arrive in order, so the watermark covers them all
 // immediately).
 func TestLegacySeenCompacts(t *testing.T) {
-	n := NewNetwork(Options{ResendAfter: 5 * time.Millisecond})
+	n, _ := lossyLoop(t, 0, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
@@ -200,17 +200,17 @@ func TestLegacySeenCompacts(t *testing.T) {
 			t.Fatal("Recv closed early")
 		}
 	}
-	if s := b.SeenSize(); s != 0 {
-		t.Fatalf("SeenSize = %d after in-order delivery; want 0 (the map leaked)", s)
+	if seen, _ := n.wire.ledgerSizes(); seen != 0 {
+		t.Fatalf("%d dedup entries after in-order delivery; want 0 (the map leaked)", seen)
 	}
-	waitZeroUnacked(t, a)
+	waitLedgerDrained(t, n)
 }
 
-// TestDeferredAcksSuppressAckTraffic: in batched mode receivers ack a
-// fraction of data frames immediately (the rest ride later watermarks or the
-// flush tick), so ack frames stay well below data frames.
+// TestDeferredAcksSuppressAckTraffic: wire receivers ack a fraction of
+// in-order data frames immediately (the rest ride later watermarks or the
+// ledger tick), so ack frames stay well below data frames.
 func TestDeferredAcksSuppressAckTraffic(t *testing.T) {
-	n := NewNetwork(Options{
+	n, _ := lossyLoop(t, 0, Options{
 		ResendAfter: 50 * time.Millisecond, MaxBatch: 8,
 		FlushInterval: 2 * time.Millisecond,
 	})
@@ -228,18 +228,19 @@ func TestDeferredAcksSuppressAckTraffic(t *testing.T) {
 			t.Fatal("Recv closed early")
 		}
 	}
-	waitZeroUnacked(t, a)
+	waitLedgerDrained(t, n)
 	sent, acks := n.Stats.Sent.Load(), n.Stats.AckFrames.Load()
 	if acks >= sent {
 		t.Fatalf("AckFrames = %d >= Sent = %d; deferred acks are not suppressing traffic", acks, sent)
 	}
 }
 
-// TestNoAcksWithoutResendLedger: with ResendAfter 0 the sender keeps no
-// unacked map, so receivers neither ack nor defer an ack for the flush tick
-// to sweep — not even across several ticks after in-order deliveries.
+// TestNoAcksWithoutResendLedger: an in-process network has no ledger — a
+// frame between two local endpoints cannot be lost — so it sends no ack
+// frames, not even across several flush ticks after in-order deliveries,
+// and ResendAfter changes nothing there.
 func TestNoAcksWithoutResendLedger(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Millisecond})
+	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Millisecond, ResendAfter: time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
@@ -256,31 +257,32 @@ func TestNoAcksWithoutResendLedger(t *testing.T) {
 		}
 	}
 	time.Sleep(20 * time.Millisecond) // several flush ticks
-	if sent, acks := n.Stats.Sent.Load(), n.Stats.AckFrames.Load(); sent < frames || acks != 0 {
-		t.Fatalf("Sent = %d, AckFrames = %d; want >= %d data frames and no acks without ResendAfter", sent, acks, frames)
+	if sent, acks, resent := n.Stats.Sent.Load(), n.Stats.AckFrames.Load(), n.Stats.Resent.Load(); sent != frames+1 || acks != 0 || resent != 0 {
+		t.Fatalf("Sent = %d, AckFrames = %d, Resent = %d; want %d data frames and no acks or resends in-process",
+			sent, acks, resent, frames+1)
 	}
 }
 
-// TestBatchedKillRecover: frames buffered or lost while the destination is
-// partitioned replay after recovery.
-func TestBatchedKillRecover(t *testing.T) {
-	n := NewNetwork(Options{
+// TestBatchedPartitionHeal: frames buffered or lost while the wire is
+// partitioned replay after it heals.
+func TestBatchedPartitionHeal(t *testing.T) {
+	n, faults := lossyLoop(t, 0, Options{
 		ResendAfter: 5 * time.Millisecond, MaxBatch: 4,
 		FlushInterval: time.Millisecond,
 	})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	n.Kill(2)
+	faults.SetPartition(true)
 	for i := 0; i < 10; i++ {
 		a.Send(2, i)
 	}
 	a.Flush()
 	time.Sleep(15 * time.Millisecond)
 	if _, ok := b.TryRecv(); ok {
-		t.Fatal("partitioned node received a frame")
+		t.Fatal("a frame crossed a partitioned wire")
 	}
-	n.Recover(2)
+	faults.SetPartition(false)
 	got := make(map[int]bool)
 	deadline := time.After(5 * time.Second)
 	for len(got) < 10 {
@@ -294,10 +296,10 @@ func TestBatchedKillRecover(t *testing.T) {
 		case env := <-ch:
 			got[env.Payload.(int)] = true
 		case <-deadline:
-			t.Fatalf("only %d/10 payloads after recovery", len(got))
+			t.Fatalf("only %d/10 payloads after healing", len(got))
 		}
 	}
-	waitZeroUnacked(t, a)
+	waitLedgerDrained(t, n)
 }
 
 // TestCrashDiscardsOutputBuffer: a crash loses buffered payloads, exactly as

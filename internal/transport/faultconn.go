@@ -8,9 +8,9 @@
 //
 // Byte corruption is the interesting one: the flipped byte invalidates the
 // frame CRC, the receiving reader counts a checksum failure and drops the
-// connection rather than delivering garbage, and the cumulative-ack/resend
-// machinery re-delivers everything unacknowledged over the next conn — the
-// end-to-end defense the codec fuzz target and the wire chaos soaks pin.
+// connection rather than delivering garbage, and the wire ledger re-delivers
+// everything unacknowledged over the next conn — the end-to-end defense the
+// codec fuzz target and the wire chaos soaks pin.
 package transport
 
 import (
@@ -59,7 +59,7 @@ func (w *WireFaults) SetCorrupt(rate float64) { w.mu.Lock(); w.corrupt = rate; w
 func (w *WireFaults) SetSlowDrip(d time.Duration) { w.mu.Lock(); w.slowDrip = d; w.mu.Unlock() }
 
 // SetPartition hard-partitions the wire: every outbound frame vanishes
-// until the partition heals. Senders keep frames on their resend ledgers,
+// until the partition heals. The sending hosts' ledgers keep every frame,
 // so healing replays everything past the ack watermark exactly once.
 func (w *WireFaults) SetPartition(on bool) { w.mu.Lock(); w.partition = on; w.mu.Unlock() }
 
@@ -120,8 +120,7 @@ type FaultConn struct {
 }
 
 // WriteFrame implements Conn, applying the fault plan to the outbound
-// frame. Corruption operates on a copy: the caller's buffer (and any resend
-// ledger aliasing it) stays pristine.
+// frame. Corruption operates on a copy: the caller's buffer stays pristine.
 func (f *FaultConn) WriteFrame(frame []byte) error {
 	p := f.Faults.plan()
 	if p.latency > 0 {

@@ -32,7 +32,7 @@ func checkGoroutines(t *testing.T, fn func()) {
 
 func TestNoLeakPlainNetworkClose(t *testing.T) {
 	checkGoroutines(t, func() {
-		n := NewNetwork(Options{ResendAfter: 5 * time.Millisecond, MaxBatch: 8})
+		n := NewNetwork(Options{MaxBatch: 8})
 		a := n.Register(1)
 		b := n.Register(2)
 		for i := 0; i < 100; i++ {

@@ -2,14 +2,22 @@
 // moves messages between the nodes of a topology (ingesters, processors,
 // master) and ensures they are delivered without error.
 //
-// The package provides an in-process Network of Endpoints. Delivery is
-// at-least-once: every frame carries a sequence number, receivers
-// acknowledge, senders retransmit unacknowledged frames after a timeout,
-// and receivers drop duplicates (Section 5.3: "When a sent message is not
+// The package provides an in-process Network of Endpoints. An in-process
+// Endpoint is a credit-controlled, crash-only queue: a frame handed to a
+// local destination lands in its inbox by function call, in send order, and
+// nothing between two endpoints of one process can lose or duplicate it. The
+// only loss an in-process frame meets is a crash, and a crash loses exactly
+// what a process crash would (see Crash); recovering it is the engine's job
+// (restart from the last terminated-iteration checkpoint).
+//
+// At-least-once delivery (Section 5.3: "When a sent message is not
 // acknowledged in certain time, it will be resent to ensure at-least-once
-// message passing"). Exactly-once is deliberately NOT promised — the engine
-// layer above tolerates duplicates through the causality rule (stale updates
-// are discarded).
+// message passing") lives on the wire (wire.go), the one layer that can lose
+// a frame: the wire host numbers each (from, to) pair's frames, receivers
+// dedup and acknowledge them, and a ledger resends what stays unacknowledged
+// past ResendAfter. Exactly-once is deliberately NOT promised across a crash
+// — the engine layer above tolerates duplicates through the causality rule
+// (stale updates are discarded).
 //
 // # Batching
 //
@@ -30,36 +38,16 @@
 // payload — one lock, one frame — without changing what the credit watermarks
 // and the payloads-per-frame ratio mean.
 //
-// Acks are cumulative: an ack frame carries both the acked sequence and the
-// receiver's contiguous watermark (every sequence below it has been
-// delivered). Senders compact their unacked map against the watermark, and
-// receivers keep dedup state only for out-of-order sequences above it, so
-// neither side's bookkeeping grows with the life of the connection. In
-// batched mode receivers additionally defer acks for in-order frames
-// (sending one every few frames plus a ticker sweep), which suppresses most
-// ack traffic; duplicates and out-of-order frames are always acked
-// immediately. Acks exist only for the resend ledger: with ResendAfter 0 a
-// receiver sends none, immediate or deferred.
+// # Credit
 //
-// Retransmission backs off exponentially with jitter so a dead peer is not
-// hammered at a fixed rate, and an optional MaxResends cap moves frames that
-// can never be delivered to a dead-letter counter instead of retrying
-// forever.
-//
-// Fault injection hooks reproduce the paper's failure experiments (Figures
-// 8c and 8d) deterministically, at two severities:
-//
-//   - Kill/Recover pause a node: frames to it vanish but senders keep them
-//     buffered, so recovery replays everything (a network partition).
-//   - Crash tears a node down: its inbox, dedup state and send buffers are
-//     discarded and its sequence state is gone — exactly what a process
-//     crash loses. Recovery of crashed state is the engine layer's job
-//     (restart from the last terminated-iteration checkpoint).
+// With InboxHigh set, a receiver whose inbox reaches the high watermark
+// withdraws delivery credit; senders park further data frames locally and
+// replay them in order once it drains to InboxLow. Urgent (SendNow) frames
+// are never parked, and one that meets a full inbox is shed instead.
 package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,27 +82,22 @@ func payloadLen(p any) int {
 	return 1
 }
 
-// frame is the wire representation: a batch of payloads (data) or an ack.
+// frame is the unit of transmission: a batch of payloads from one endpoint
+// to another. The wire carries it inside a wireFrame, which adds the
+// ledger's sequence number; an in-process frame has none.
 type frame struct {
 	from, to NodeID
-	seq      uint64
-	ack      bool
-	// ackUpTo is the receiver's contiguous watermark on ack frames: every
-	// data sequence below it has been delivered, so the sender may discard
-	// all of them even if their dedicated acks were lost.
-	ackUpTo  uint64
-	payloads []any // data frames: one or more payloads, in send order
+	payloads []any // one or more payloads, in send order
 	// msgs is the number of messages inside payloads (see Counted); the wire
 	// decoder recounts it.
 	msgs int
 	// urgent marks SendNow traffic: it bypasses sender-side credit parking,
-	// and a watermark-full receiver sheds (acks without enqueueing) it
-	// rather than growing without bound — urgent payloads are refreshable
-	// control signals, not data.
+	// and a watermark-full receiver sheds it rather than growing without
+	// bound — urgent payloads are refreshable control signals, not data.
 	urgent bool
 	// traced marks a frame carrying at least one causally-traced payload: its
-	// delivery is stamped (Envelope.At), and a resend or dead letter records
-	// an escalation marker against the trace.
+	// delivery is stamped (Envelope.At), and a wire resend of it records an
+	// escalation marker against the trace.
 	traced bool
 }
 
@@ -122,28 +105,22 @@ type frame struct {
 // threads it through every Network it builds, so counts survive the network
 // teardown/rebuild a crash recovery performs.
 type Stats struct {
-	// Sent counts every data frame accepted for transmission (including
-	// resends and duplicates); Payloads counts the messages inside
-	// first-transmission frames (so Payloads/(Sent−Resent) is the average
-	// batch size); Delivered counts messages handed to live receivers after
-	// dedup.
+	// Sent counts every data frame accepted for transmission (including wire
+	// resends); Payloads counts the messages inside first-transmission frames
+	// (so Payloads/(Sent−Resent) is the average batch size); Delivered counts
+	// messages handed to live receivers (after the wire's dedup).
 	Sent      atomic.Int64
 	Payloads  atomic.Int64
 	Delivered atomic.Int64
-	// Resent counts retransmissions after the ack timeout; AckFrames counts
-	// acknowledgement frames sent by receivers; Dropped and Duplicated count
-	// fault-injected in-flight losses and duplications.
-	Resent     atomic.Int64
-	AckFrames  atomic.Int64
-	Dropped    atomic.Int64
-	Duplicated atomic.Int64
-	// DeadLetters counts frames abandoned after MaxResends retransmission
-	// attempts — typically traffic addressed to a crashed endpoint.
-	DeadLetters atomic.Int64
+	// Resent counts wire retransmissions after the ack timeout; AckFrames
+	// counts the acknowledgement frames wire receivers send. Both stay zero
+	// on an in-process network.
+	Resent    atomic.Int64
+	AckFrames atomic.Int64
 	// Stalls counts inbox high-watermark crossings (a receiver withdrew
 	// delivery credit); HeldFrames counts data frames senders parked while
 	// waiting for that credit to come back; UrgentShed counts SendNow frames
-	// a watermark-full receiver acknowledged without enqueueing, plus urgent
+	// a watermark-full receiver dropped instead of enqueueing, plus urgent
 	// frames shed at a full wire priority lane (both are refreshable).
 	Stalls     atomic.Int64
 	HeldFrames atomic.Int64
@@ -173,18 +150,13 @@ type Stats struct {
 
 // Options configure a Network.
 type Options struct {
-	// ResendAfter is how long a message may stay unacknowledged before it is
-	// first retransmitted. Zero disables retransmission (exact-once
-	// channels). Subsequent retransmissions of the same frame back off
-	// exponentially (doubling, with up to 25% jitter) capped at MaxBackoff.
+	// ResendAfter is the wire ledger's timeout: how long a frame may stay
+	// unacknowledged after the wire writer wrote (or shed) it before it is
+	// first retransmitted. Later retransmissions of the same frame back off
+	// exponentially (doubling, with up to 25% jitter) up to 64 × ResendAfter.
+	// Default 5ms with a Wire; an in-process network ignores it, as it has
+	// nothing to resend.
 	ResendAfter time.Duration
-	// MaxBackoff caps the per-frame retransmission interval (default
-	// 64 × ResendAfter).
-	MaxBackoff time.Duration
-	// MaxResends caps retransmission attempts per frame; a frame exceeding
-	// it is abandoned and counted in Stats.DeadLetters. Zero means
-	// unlimited (legacy behavior).
-	MaxResends int
 	// MaxBatch is the per-destination output buffer size in messages: Send
 	// buffers payloads and ships a multi-payload frame when the buffer fills
 	// (or on Flush / the FlushInterval tick); a payload that would take the
@@ -192,21 +164,21 @@ type Options struct {
 	// it unless a single payload does. Zero or one sends every payload as
 	// its own frame immediately.
 	MaxBatch int
-	// FlushInterval bounds how long a buffered payload or a deferred ack may
-	// wait before a background tick ships it. Only meaningful with
-	// MaxBatch > 1 (default 2ms there).
+	// FlushInterval bounds how long a buffered payload may wait before a
+	// background tick ships it. Only meaningful with MaxBatch > 1 (default
+	// 2ms there).
 	FlushInterval time.Duration
 	// InboxHigh bounds every endpoint's inbox with credit-based flow
 	// control: once an inbox holds this many messages the receiver
 	// withdraws delivery credit and senders park further data frames
 	// locally (they never block) until the receiver drains back to
-	// InboxLow. Control traffic — acks and SendNow frames — is never
-	// parked, so heartbeats and failure detection are immune to data
-	// congestion; a SendNow frame arriving at an inbox already holding
-	// InboxHigh messages is instead shed (acknowledged but not enqueued,
-	// counted in Stats.UrgentShed), so a starved consumer's control backlog
-	// stays bounded too — urgent payloads are refreshed every interval, so
-	// dropping the excess loses nothing a later beat does not restate.
+	// InboxLow. SendNow frames are never parked, so heartbeats and failure
+	// detection are immune to data congestion; a SendNow frame arriving at
+	// an inbox already holding InboxHigh messages is instead shed (not
+	// enqueued, counted in Stats.UrgentShed), so a starved consumer's
+	// control backlog stays bounded too — urgent payloads are refreshed
+	// every interval, so dropping the excess loses nothing a later beat
+	// does not restate.
 	// Zero leaves inboxes unbounded (legacy behavior). The bound is on
 	// messages, not frames: a frame already in flight when the watermark
 	// trips still lands whole, so momentary overshoot is at most one
@@ -216,32 +188,27 @@ type Options struct {
 	// inbox (default InboxHigh/2). The hysteresis gap keeps senders from
 	// thrashing between parked and draining one envelope at a time.
 	InboxLow int
-	// DropSeed seeds the fault-injection and jitter RNGs.
+	// DropSeed seeds the wire's jitter RNGs (resend and redial backoff).
 	DropSeed int64
 	// Stats, when non-nil, receives the network's counters; otherwise the
 	// network allocates its own.
 	Stats *Stats
 	// Spans, when non-nil, makes the transport trace-aware: frames carrying
 	// a traced payload (one implementing trace.Carrier) stamp their delivery
-	// on the Envelope, and a resend or dead letter of one records an
-	// escalation marker against the trace. The stage spans themselves are
-	// recorded by whoever owns the payload's members: the sender closes the
-	// output-buffer dwell (batch) before Send, the receiver the frame transit
-	// (frame, credit parking included) at Envelope.At.
+	// on the Envelope, and a wire resend of one records an escalation marker
+	// against the trace. The stage spans themselves are recorded by whoever
+	// owns the payload's members: the sender closes the output-buffer dwell
+	// (batch) before Send, the receiver the frame transit (frame, credit
+	// parking included) at Envelope.At.
 	Spans *trace.Tracer
 	// Wire, when non-nil, attaches a socket substrate (see WireConfig): in
 	// ForceLoop mode every frame between local endpoints detours through a
 	// real connection; otherwise frames addressed to NodeIDs with no local
-	// endpoint are resolved to peer addresses and shipped remotely. Wire
-	// deployments should set ResendAfter > 0 — the wire sheds frames freely
-	// (reconnects, full queues, partitions) and relies on the resend ledger
-	// for recovery.
+	// endpoint are resolved to peer addresses and shipped remotely. The wire
+	// sheds frames freely (reconnects, full queues, partitions) and always
+	// runs its ledger to recover them (see ResendAfter).
 	Wire *WireConfig
 }
-
-// ackEvery is the in-order ack sampling rate in batched mode: one immediate
-// cumulative ack per this many frames, the rest deferred to the flush tick.
-const ackEvery = 4
 
 // Network connects a set of endpoints. Create one per topology (or per loop
 // incarnation: a crash recovery tears the old network down and builds a
@@ -251,14 +218,6 @@ type Network struct {
 	endpoints map[NodeID]*Endpoint
 	opts      Options
 	closed    bool
-
-	// Fault injection lives behind its own mutex plus an atomic gate so the
-	// steady-state transmit path (faults off) takes no lock at all.
-	faulty   atomic.Bool
-	faultMu  sync.Mutex
-	rng      *rand.Rand
-	dropRate float64 // probability of dropping a data frame in flight
-	dupRate  float64 // probability of duplicating a data frame in flight
 
 	// Stats holds the delivery counters (shared with the creator when
 	// Options.Stats was set).
@@ -270,9 +229,6 @@ type Network struct {
 
 // NewNetwork returns an empty network.
 func NewNetwork(opts Options) *Network {
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 64 * opts.ResendAfter
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 1
 	}
@@ -289,10 +245,12 @@ func NewNetwork(opts Options) *Network {
 	n := &Network{
 		endpoints: make(map[NodeID]*Endpoint),
 		opts:      opts,
-		rng:       rand.New(rand.NewSource(opts.DropSeed)),
 		Stats:     st,
 	}
 	if opts.Wire != nil {
+		if n.opts.ResendAfter <= 0 {
+			n.opts.ResendAfter = 5 * time.Millisecond
+		}
 		n.wire = newWireHost(n, *opts.Wire)
 	}
 	return n
@@ -307,25 +265,6 @@ func (n *Network) WireAddr() string {
 	return n.wire.Addr()
 }
 
-// SetFaults configures in-flight fault injection: each data frame is dropped
-// with probability drop and duplicated with probability dup.
-func (n *Network) SetFaults(drop, dup float64) {
-	n.faultMu.Lock()
-	n.dropRate, n.dupRate = drop, dup
-	n.faultMu.Unlock()
-	n.faulty.Store(drop > 0 || dup > 0)
-}
-
-// rollFaults draws the drop/duplicate decision for one data frame.
-func (n *Network) rollFaults() (drop, dup bool) {
-	n.faultMu.Lock()
-	roll, roll2 := n.rng.Float64(), n.rng.Float64()
-	drop = roll < n.dropRate
-	dup = roll2 < n.dupRate
-	n.faultMu.Unlock()
-	return drop, dup
-}
-
 // Register creates the endpoint for id. Registering the same id twice panics
 // (topology wiring bugs should fail loudly), which is also what makes the
 // per-endpoint peer cache sound: a NodeID can never be rebound to a
@@ -336,66 +275,14 @@ func (n *Network) Register(id NodeID) *Endpoint {
 	if _, ok := n.endpoints[id]; ok {
 		panic(fmt.Sprintf("transport: node %d registered twice", id))
 	}
-	ep := &Endpoint{
-		id:      id,
-		net:     n,
-		nextSeq: make(map[NodeID]uint64),
-		outbuf:  make(map[NodeID]outBuf),
-		unacked: make(map[NodeID]map[uint64]*pending),
-		recv:    make(map[NodeID]*recvState),
-		rng:     rand.New(rand.NewSource(n.opts.DropSeed ^ int64(id)<<17 ^ 0x5bf03635)),
-	}
+	ep := &Endpoint{id: id, net: n, outbuf: make(map[NodeID]outBuf)}
 	ep.cond = sync.NewCond(&ep.mu)
 	n.endpoints[id] = ep
-	if n.opts.ResendAfter > 0 {
-		ep.resendStop = make(chan struct{})
-		go ep.resendLoop(n.opts.ResendAfter)
-	}
 	if n.opts.MaxBatch > 1 {
 		ep.flushStop = make(chan struct{})
 		go ep.flushLoop(n.opts.FlushInterval)
 	}
 	return ep
-}
-
-// Kill simulates a network partition of node id: frames to it vanish
-// (senders keep them buffered for retransmission), and its own sends are
-// suppressed. State is preserved; Recover undoes it.
-func (n *Network) Kill(id NodeID) {
-	if ep := n.endpoint(id); ep != nil {
-		ep.setDead(true)
-		n.invalidateRoutes(id)
-	}
-}
-
-// Recover reverses Kill: the node receives again, and retransmissions of
-// frames lost while it was down will reach it.
-func (n *Network) Recover(id NodeID) {
-	if ep := n.endpoint(id); ep != nil {
-		ep.setDead(false)
-		n.invalidateRoutes(id)
-	}
-}
-
-// Crash tears node id down with true crash semantics: its inbox (delivered
-// but unprocessed messages), send buffers (buffered and unacknowledged
-// frames) and dedup state are discarded, and blocked Recv calls return false
-// immediately. The endpoint cannot be revived — recovery means building a
-// new topology.
-func (n *Network) Crash(id NodeID) {
-	if ep := n.endpoint(id); ep != nil {
-		ep.Crash()
-		n.invalidateRoutes(id)
-	}
-}
-
-// invalidateRoutes drops id from every endpoint's peer cache. Correctness
-// does not depend on it (deliver checks the destination's own liveness
-// flags), but fault transitions are rare and this keeps caches minimal.
-func (n *Network) invalidateRoutes(id NodeID) {
-	for _, ep := range n.list() {
-		ep.peers.Delete(id)
-	}
 }
 
 func (n *Network) endpoint(id NodeID) *Endpoint {
@@ -450,38 +337,8 @@ func (n *Network) list() []*Endpoint {
 	return eps
 }
 
-// MapSizes sums the per-endpoint bookkeeping maps: dedup entries beyond the
-// cumulative-ack watermark and unacknowledged outgoing frames. Both are
-// bounded by the in-flight window, not by connection lifetime — the soak
-// benchmark asserts this.
-func (n *Network) MapSizes() (seen, unacked int) {
-	for _, ep := range n.list() {
-		seen += ep.SeenSize()
-		unacked += ep.Unacked()
-	}
-	return seen, unacked
-}
-
-// pending is an unacknowledged outgoing frame with its retransmission state.
-type pending struct {
-	f        frame
-	nextAt   time.Time     // earliest next retransmission
-	backoff  time.Duration // current retransmission interval
-	attempts int           // retransmissions so far
-}
-
-// recvState is the per-sender receive ledger: next is the contiguous
-// watermark (every sequence below it delivered), ahead holds only the
-// out-of-order sequences above it, and ackDirty marks a deferred cumulative
-// ack owed at the next flush tick.
-type recvState struct {
-	next     uint64
-	ahead    map[uint64]struct{}
-	ackDirty bool
-}
-
-// payloadPool recycles the per-frame payload slices on paths where the frame
-// is not retained for retransmission. A sync.Pool holds pointers, and boxing a
+// payloadPool recycles the per-frame payload slices of in-process frames,
+// whose hand-off to the receiver's inbox leaves the sender no reference. A sync.Pool holds pointers, and boxing a
 // slice header into one allocates, so the slices travel in *[]any holders and
 // the emptied holders wait in holderPool for the next put: a steady
 // get/put cycle allocates nothing.
@@ -516,8 +373,7 @@ type Endpoint struct {
 
 	// peers caches destination endpoints so the steady-state transmit path
 	// never takes the global Network mutex. Sound because NodeIDs are never
-	// rebound (Register panics on reuse); invalidated on fault transitions
-	// anyway.
+	// rebound (Register panics on reuse).
 	peers sync.Map // NodeID → *Endpoint
 
 	mu    sync.Mutex
@@ -527,13 +383,8 @@ type Endpoint struct {
 	// watermarks and Pending count.
 	inboxMsgs int
 	closed    bool
-	dead      bool
 	crashed   bool
-	nextSeq   map[NodeID]uint64
 	outbuf    map[NodeID]outBuf
-	unacked   map[NodeID]map[uint64]*pending
-	recv      map[NodeID]*recvState
-	rng       *rand.Rand // jitter; guarded by mu
 
 	// stalled is the receiver-side credit flag: set (under mu, in deliver)
 	// once the inbox reaches the high watermark, cleared once a drain takes
@@ -550,8 +401,7 @@ type Endpoint struct {
 	// replay transmits, with no lock held: between two frames of the replay.
 	replayed func()
 
-	resendStop chan struct{}
-	flushStop  chan struct{}
+	flushStop chan struct{}
 }
 
 // outBuf is one destination's output buffer: the payloads waiting for a seal,
@@ -566,9 +416,7 @@ type outBuf struct {
 func (e *Endpoint) ID() NodeID { return e.id }
 
 // Send transmits payload to node to, buffering it when batching is on. It
-// never blocks. Messages from a dead (killed) node are silently suppressed;
-// messages to a dead node stay buffered and are retransmitted after the node
-// recovers (when the network has a resend timeout).
+// never blocks. Sends from a closed or crashed endpoint are suppressed.
 func (e *Endpoint) Send(to NodeID, payload any) {
 	maxBatch := e.net.opts.MaxBatch
 	msgs := payloadLen(payload)
@@ -581,7 +429,7 @@ func (e *Endpoint) Send(to NodeID, payload any) {
 		}
 	}
 	e.mu.Lock()
-	if e.closed || e.dead {
+	if e.closed {
 		e.mu.Unlock()
 		return
 	}
@@ -591,7 +439,7 @@ func (e *Endpoint) Send(to NodeID, payload any) {
 	if len(ob.payloads) > 0 && ob.msgs+msgs > maxBatch {
 		// The payload would take the buffer past MaxBatch: what is buffered
 		// ships as its own frame first.
-		frames[n] = e.sealLocked(to, ob)
+		frames[n] = e.seal(to, ob)
 		n++
 		ob = outBuf{}
 	}
@@ -603,7 +451,7 @@ func (e *Endpoint) Send(to NodeID, payload any) {
 	ob.traced = ob.traced || traced
 	if ob.msgs >= maxBatch {
 		delete(e.outbuf, to)
-		frames[n] = e.sealLocked(to, ob)
+		frames[n] = e.seal(to, ob)
 		n++
 	} else {
 		e.outbuf[to] = ob
@@ -620,7 +468,7 @@ func (e *Endpoint) Send(to NodeID, payload any) {
 // it so batching cannot delay them.
 func (e *Endpoint) SendNow(to NodeID, payload any) {
 	e.mu.Lock()
-	if e.closed || e.dead {
+	if e.closed {
 		e.mu.Unlock()
 		return
 	}
@@ -628,17 +476,12 @@ func (e *Endpoint) SendNow(to NodeID, payload any) {
 	hasPre := false
 	if ob := e.outbuf[to]; len(ob.payloads) > 0 {
 		delete(e.outbuf, to)
-		pre = e.sealLocked(to, ob)
+		pre = e.seal(to, ob)
 		hasPre = true
 	}
-	f := e.sealLocked(to, outBuf{payloads: append(getPayloadSlice(), payload), msgs: payloadLen(payload)})
-	f.urgent = true
-	if m := e.unacked[to]; m != nil {
-		if p := m[f.seq]; p != nil {
-			p.f.urgent = true // resends of an urgent frame stay sheddable
-		}
-	}
 	e.mu.Unlock()
+	f := e.seal(to, outBuf{payloads: append(getPayloadSlice(), payload), msgs: payloadLen(payload)})
+	f.urgent = true
 	// SendNow traffic skips the credit check (see transmitDataNow). The
 	// drained buffer rides the same bypass: holding it while the urgent
 	// frame jumps ahead would reorder the pair.
@@ -655,7 +498,7 @@ func (e *Endpoint) Flush() {
 	var buf [8]frame // a flush rarely has more destinations; more spill to the heap
 	frames := buf[:0]
 	e.mu.Lock()
-	if !e.closed && !e.dead {
+	if !e.closed {
 		frames = e.sealOutbufLocked(frames)
 	}
 	e.mu.Unlock()
@@ -664,21 +507,9 @@ func (e *Endpoint) Flush() {
 	}
 }
 
-// sealLocked assigns the next sequence number for to, builds the frame from
-// the buffer and registers it for retransmission. Caller holds e.mu.
-func (e *Endpoint) sealLocked(to NodeID, ob outBuf) frame {
-	seq := e.nextSeq[to]
-	e.nextSeq[to] = seq + 1
-	f := frame{from: e.id, to: to, seq: seq, payloads: ob.payloads, msgs: ob.msgs, traced: ob.traced}
-	if after := e.net.opts.ResendAfter; after > 0 {
-		m := e.unacked[to]
-		if m == nil {
-			m = make(map[uint64]*pending)
-			e.unacked[to] = m
-		}
-		m[seq] = &pending{f: f, nextAt: time.Now().Add(after), backoff: after}
-	}
-	return f
+// seal builds the frame for to from a sealed output buffer.
+func (e *Endpoint) seal(to NodeID, ob outBuf) frame {
+	return frame{from: e.id, to: to, payloads: ob.payloads, msgs: ob.msgs, traced: ob.traced}
 }
 
 // sealOutbufLocked seals every buffered destination, appending the frames to
@@ -686,46 +517,42 @@ func (e *Endpoint) sealLocked(to NodeID, ob outBuf) frame {
 func (e *Endpoint) sealOutbufLocked(frames []frame) []frame {
 	for to, ob := range e.outbuf {
 		delete(e.outbuf, to)
-		frames = append(frames, e.sealLocked(to, ob))
+		frames = append(frames, e.seal(to, ob))
 	}
 	return frames
 }
 
-// transmitData counts and transmits a first-transmission data frame, and
-// recycles its payload slice when the frame is neither retained for resend
-// nor parked awaiting credit.
+// transmitData counts and transmits a data frame, and recycles its payload
+// slice unless the frame was parked awaiting credit.
 func (e *Endpoint) transmitData(f frame) {
 	e.net.Stats.Sent.Add(1)
 	e.net.Stats.Payloads.Add(int64(f.msgs))
 	if e.holdOrTransmit(f) {
 		return // parked; the credit grant transmits (and recycles) it later
 	}
-	if e.net.recycleAfterTransmit() {
+	e.net.recycle(f)
+}
+
+// recycle returns a transmitted frame's payload slice to the pool. An
+// in-process transmit is synchronous — the receiver's inbox took the payload
+// references — so the slice is free. A wire makes transmit asynchronous: the
+// frame sits in a peer queue and the wire ledger, still referencing the
+// slice, so wire frames are left to the garbage collector instead.
+func (n *Network) recycle(f frame) {
+	if n.wire == nil {
 		putPayloadSlice(f.payloads)
 	}
 }
 
-// recycleAfterTransmit reports whether a transmitted frame's payload slice
-// can be recycled by the sender. With resends off and no wire, transmit
-// delivers synchronously and retains nothing. A wire makes transmit
-// asynchronous — the frame sits in a peer queue still referencing the slice —
-// so wire frames are left to the garbage collector instead (wire deployments
-// run with resends on anyway, where the ledger owns the slice).
-func (n *Network) recycleAfterTransmit() bool {
-	return n.opts.ResendAfter <= 0 && n.wire == nil
-}
-
 // transmitDataNow is transmitData without the credit check: SendNow traffic
-// (heartbeats, failure detection) must reach a congested receiver — acks
-// don't queue in the inbox, and one control envelope past the watermark is
-// harmless, whereas a parked heartbeat is a false crash suspicion.
+// (heartbeats, failure detection) must reach a congested receiver — one
+// control envelope past the watermark is harmless, whereas a parked
+// heartbeat is a false crash suspicion.
 func (e *Endpoint) transmitDataNow(f frame) {
 	e.net.Stats.Sent.Add(1)
 	e.net.Stats.Payloads.Add(int64(f.msgs))
 	e.transmit(f)
-	if e.net.recycleAfterTransmit() {
-		putPayloadSlice(f.payloads)
-	}
+	e.net.recycle(f)
 }
 
 // holdOrTransmit implements the sender half of credit-based flow control:
@@ -742,12 +569,12 @@ func (e *Endpoint) holdOrTransmit(f frame) bool {
 	if dst == nil {
 		// Unregistered destination: transmit handles the wire detour (remote
 		// peers are outside the credit domain — their flow control is the
-		// bounded peer queue plus the resend ledger) or drops the frame.
+		// bounded peer queue plus the wire ledger) or drops the frame.
 		e.transmit(f)
 		return false
 	}
 	e.mu.Lock()
-	if !e.closed && !e.crashed && (dst.stalled.Load() || len(e.held[f.to]) > 0 || e.draining[f.to]) {
+	if !e.closed && (dst.stalled.Load() || len(e.held[f.to]) > 0 || e.draining[f.to]) {
 		if e.held == nil {
 			e.held = make(map[NodeID][]frame)
 		}
@@ -762,7 +589,7 @@ func (e *Endpoint) holdOrTransmit(f frame) bool {
 		return true
 	}
 	e.mu.Unlock()
-	e.transmitTo(dst, f)
+	e.net.dispatch(dst, f)
 	return false
 }
 
@@ -779,7 +606,8 @@ func (n *Network) grantCredits(to NodeID) {
 // releaseHeld transmits this endpoint's parked frames for destination to,
 // oldest first. The draining flag keeps per-pair order: concurrent sends
 // park behind the replay and the loop picks them up, and a second grant
-// returns immediately rather than interleaving.
+// returns immediately rather than interleaving. A parked frame has not
+// reached the wire, so no ledger holds it: the replay is its only sender.
 func (e *Endpoint) releaseHeld(to NodeID) {
 	e.mu.Lock()
 	if len(e.held[to]) == 0 || e.draining[to] {
@@ -790,20 +618,9 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 		e.draining = make(map[NodeID]bool)
 	}
 	e.draining[to] = true
-	recycle := e.net.recycleAfterTransmit()
 	for len(e.held[to]) > 0 {
 		frames := e.held[to]
 		delete(e.held, to)
-		// Their resend clocks ran while they were parked; restart them, or
-		// the first resend tick after the replay retransmits every one.
-		if m := e.unacked[to]; m != nil {
-			now := time.Now()
-			for _, f := range frames {
-				if p := m[f.seq]; p != nil {
-					p.nextAt = now.Add(p.backoff)
-				}
-			}
-		}
 		e.mu.Unlock()
 		dst := e.peer(to)
 		stopped := -1
@@ -816,9 +633,7 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 				break
 			}
 			e.transmit(f)
-			if recycle {
-				putPayloadSlice(f.payloads)
-			}
+			e.net.recycle(f)
 			if e.replayed != nil {
 				e.replayed()
 			}
@@ -851,34 +666,15 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 	e.mu.Unlock()
 }
 
-// transmit hands a frame to the destination endpoint, applying fault
-// injection to data frames. The peer cache keeps the global Network mutex
-// off this path. A destination with no local endpoint routes over the wire
-// when one is attached (remote deployments); without a wire it is dropped,
-// matching the legacy unregistered-destination behavior.
+// transmit hands a frame to its destination. The peer cache keeps the global
+// Network mutex off this path. A destination with no local endpoint routes
+// over the wire when one is attached (remote deployments); without a wire it
+// is dropped.
 func (e *Endpoint) transmit(f frame) {
 	dst := e.peer(f.to)
 	if dst == nil {
 		if w := e.net.wire; w != nil && !w.cfg.ForceLoop {
 			w.send(f)
-		}
-		return
-	}
-	e.transmitTo(dst, f)
-}
-
-// transmitTo is transmit with the destination already resolved.
-func (e *Endpoint) transmitTo(dst *Endpoint, f frame) {
-	if !f.ack && e.net.faulty.Load() {
-		drop, dup := e.net.rollFaults()
-		if drop {
-			e.net.Stats.Dropped.Add(1)
-			return // lost in flight; the resend loop will retry
-		}
-		e.net.dispatch(dst, f)
-		if dup {
-			e.net.Stats.Duplicated.Add(1)
-			e.net.dispatch(dst, f) // duplicated in flight; receiver must dedup
 		}
 		return
 	}
@@ -909,111 +705,46 @@ func (e *Endpoint) peer(to NodeID) *Endpoint {
 	return dst
 }
 
-// deliver is called by a sending endpoint with an incoming frame.
+// deliver lands an incoming frame in the inbox: called by a local sender, or
+// by the wire's reader once its ledger has deduplicated the frame.
 func (e *Endpoint) deliver(f frame) {
 	e.mu.Lock()
-	if e.closed || e.dead {
+	if e.closed {
 		e.mu.Unlock()
 		return
 	}
-	if f.ack {
-		if m := e.unacked[f.from]; m != nil {
-			delete(m, f.seq)
-			// Cumulative compaction: everything below the watermark is
-			// delivered even if its dedicated ack was lost or deferred.
-			if f.ackUpTo > 0 {
-				for seq := range m {
-					if seq < f.ackUpTo {
-						delete(m, seq)
-					}
-				}
-			}
+	// An urgent frame meeting a watermark-full inbox is shed: its sender
+	// refreshes it every interval, and appending would grow a starved
+	// consumer's backlog without bound (urgent traffic is exempt from
+	// sender-side parking).
+	high := e.net.opts.InboxHigh
+	shed := f.urgent && high > 0 && e.inboxMsgs >= high
+	if !shed {
+		// Frame transit (seal -> inbox, credit parking included) ends here;
+		// the stamp rides the envelope and the receiver closes the stage.
+		at := int64(0)
+		if sp := e.net.opts.Spans; f.traced && sp.Enabled() {
+			at = sp.Now()
 		}
-		e.mu.Unlock()
-		return
-	}
-	st := e.recv[f.from]
-	if st == nil {
-		st = &recvState{}
-		e.recv[f.from] = st
-	}
-	var dup, inOrder, shed bool
-	switch {
-	case f.seq < st.next:
-		dup = true
-	case st.ahead != nil:
-		_, dup = st.ahead[f.seq]
-	}
-	if !dup {
-		if f.seq == st.next {
-			inOrder = true
-			st.next++
-			// Fold now-contiguous out-of-order arrivals into the watermark;
-			// this is what keeps the dedup map bounded by the reorder window.
-			for len(st.ahead) > 0 {
-				if _, ok := st.ahead[st.next]; !ok {
-					break
-				}
-				delete(st.ahead, st.next)
-				st.next++
-			}
-		} else {
-			if st.ahead == nil {
-				st.ahead = make(map[uint64]struct{})
-			}
-			st.ahead[f.seq] = struct{}{}
+		for _, pl := range f.payloads {
+			e.inbox = append(e.inbox, Envelope{From: f.from, Payload: pl, At: at})
 		}
-		// An urgent frame meeting a watermark-full inbox is shed: the seq
-		// bookkeeping above stands and the ack below confirms it, but the
-		// payloads are not enqueued — its sender refreshes them every
-		// interval, and appending would grow a starved consumer's backlog
-		// without bound (urgent traffic is exempt from sender-side parking).
-		if high := e.net.opts.InboxHigh; f.urgent && high > 0 && e.inboxMsgs >= high {
-			shed = true
-		} else {
-			// Frame transit (seal -> inbox, credit parking included) ends
-			// here; the payloads are the sender's to retransmit, so the stamp
-			// rides the envelope and the receiver closes the stage.
-			at := int64(0)
-			if sp := e.net.opts.Spans; f.traced && sp.Enabled() {
-				at = sp.Now()
-			}
-			for _, pl := range f.payloads {
-				e.inbox = append(e.inbox, Envelope{From: f.from, Payload: pl, At: at})
-			}
-			e.inboxMsgs += f.msgs
-			e.cond.Broadcast()
-		}
+		e.inboxMsgs += f.msgs
+		e.cond.Broadcast()
 	}
 	stalledNow := false
-	if high := e.net.opts.InboxHigh; high > 0 && e.inboxMsgs >= high && !e.stalled.Load() {
+	if high > 0 && e.inboxMsgs >= high && !e.stalled.Load() {
 		e.stalled.Store(true)
 		stalledNow = true
 	}
-	// Acks feed the sender's resend ledger; without one (ResendAfter 0)
-	// there is nothing to ack, now or deferred.
-	resend := e.net.opts.ResendAfter > 0
-	ackNow := resend
-	if resend && e.net.opts.MaxBatch > 1 && inOrder && st.next%ackEvery != 0 {
-		// Defer the ack: a later frame's cumulative watermark (or the flush
-		// tick) covers this one. Duplicates and out-of-order frames are
-		// acked immediately — the sender is demonstrably missing state.
-		st.ackDirty = true
-		ackNow = false
-	}
-	ackUpTo := st.next
 	e.mu.Unlock()
 	if stalledNow {
 		e.net.Stats.Stalls.Add(1)
 	}
 	if shed {
 		e.net.Stats.UrgentShed.Add(1)
-	} else if !dup {
+	} else {
 		e.net.Stats.Delivered.Add(int64(f.msgs))
-	}
-	if ackNow {
-		e.net.Stats.AckFrames.Add(1)
-		e.transmit(frame{from: e.id, to: f.from, seq: f.seq, ack: true, ackUpTo: ackUpTo})
 	}
 }
 
@@ -1030,29 +761,16 @@ func (e *Endpoint) drainedLocked() bool {
 
 // Recv blocks until a message arrives or the endpoint closes. The second
 // result is false once the endpoint is closed and drained (or crashed).
-func (e *Endpoint) Recv() (Envelope, bool) {
-	e.mu.Lock()
-	for len(e.inbox) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.inbox) == 0 {
-		e.mu.Unlock()
-		return Envelope{}, false
-	}
-	env := e.inbox[0]
-	e.inbox = e.inbox[1:]
-	e.inboxMsgs -= payloadLen(env.Payload)
-	grant := e.drainedLocked()
-	e.mu.Unlock()
-	if grant {
-		e.net.grantCredits(e.id)
-	}
-	return env, true
-}
+func (e *Endpoint) Recv() (Envelope, bool) { return e.recvOne(true) }
 
 // TryRecv returns the next message without blocking.
-func (e *Endpoint) TryRecv() (Envelope, bool) {
+func (e *Endpoint) TryRecv() (Envelope, bool) { return e.recvOne(false) }
+
+func (e *Endpoint) recvOne(block bool) (Envelope, bool) {
 	e.mu.Lock()
+	for block && len(e.inbox) == 0 && !e.closed {
+		e.cond.Wait()
+	}
 	if len(e.inbox) == 0 {
 		e.mu.Unlock()
 		return Envelope{}, false
@@ -1122,14 +840,8 @@ func (e *Endpoint) Close() {
 		e.mu.Unlock()
 		return
 	}
-	var frames []frame
-	if !e.dead {
-		frames = e.sealOutbufLocked(nil)
-	}
+	frames := e.sealOutbufLocked(nil)
 	e.closed = true
-	if e.resendStop != nil {
-		close(e.resendStop)
-	}
 	if e.flushStop != nil {
 		close(e.flushStop)
 	}
@@ -1148,9 +860,10 @@ func (e *Endpoint) Close() {
 }
 
 // Crash tears the endpoint down with true crash semantics: queued incoming
-// messages, buffered and unacknowledged outgoing frames and dedup state are
-// all discarded, as a process crash would lose them. Blocked Recv calls
-// return false immediately (nothing is drained). Idempotent.
+// messages and buffered and parked outgoing frames are all discarded, as a
+// process crash would lose them, and the wire ledger forgets the endpoint's
+// unacknowledged frames. Blocked Recv calls return false immediately
+// (nothing is drained). Idempotent.
 func (e *Endpoint) Crash() {
 	e.mu.Lock()
 	if e.crashed {
@@ -1158,23 +871,20 @@ func (e *Endpoint) Crash() {
 		return
 	}
 	e.crashed = true
-	e.dead = true
 	e.inbox, e.inboxMsgs = nil, 0
 	e.outbuf = make(map[NodeID]outBuf)
-	e.unacked = make(map[NodeID]map[uint64]*pending)
-	e.recv = make(map[NodeID]*recvState)
 	e.held = nil // our own parked frames die with us
 	if !e.closed {
 		e.closed = true
-		if e.resendStop != nil {
-			close(e.resendStop)
-		}
 		if e.flushStop != nil {
 			close(e.flushStop)
 		}
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
+	if w := e.net.wire; w != nil {
+		w.forget(e.id)
+	}
 	// A crashed inbox will never drain: clear the stall and let senders
 	// replay their parked frames into deliver's closed-endpoint drop, so
 	// their held queues cannot leak (or park new traffic forever).
@@ -1191,18 +901,11 @@ func (e *Endpoint) Crashed() bool {
 	return e.crashed
 }
 
-func (e *Endpoint) setDead(dead bool) {
-	e.mu.Lock()
-	e.dead = dead
-	e.mu.Unlock()
-}
-
-// flushLoop is the batching latency backstop: it ships buffers and deferred
-// acks that no explicit Flush picked up within FlushInterval.
+// flushLoop is the batching latency backstop: it ships buffers that no
+// explicit Flush picked up within FlushInterval.
 func (e *Endpoint) flushLoop(interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	resend := e.net.opts.ResendAfter > 0 // only a resend ledger defers acks
 	for {
 		select {
 		case <-e.flushStop:
@@ -1211,149 +914,14 @@ func (e *Endpoint) flushLoop(interval time.Duration) {
 		}
 		e.mu.Lock()
 		var frames []frame
-		var acks []frame
-		if !e.closed && !e.dead {
+		if !e.closed {
 			frames = e.sealOutbufLocked(nil)
-			if resend {
-				for from, st := range e.recv {
-					if st.ackDirty {
-						st.ackDirty = false
-						acks = append(acks, frame{from: e.id, to: from, seq: st.next - 1, ack: true, ackUpTo: st.next})
-					}
-				}
-			}
 		}
 		e.mu.Unlock()
 		for _, f := range frames {
 			e.transmitData(f)
 		}
-		for _, f := range acks {
-			e.net.Stats.AckFrames.Add(1)
-			e.transmit(f)
-		}
 	}
-}
-
-// resendLoop periodically retransmits unacknowledged frames. Each frame
-// backs off exponentially (doubling with up to 25% jitter, capped at
-// MaxBackoff); frames exceeding MaxResends attempts are dead-lettered.
-func (e *Endpoint) resendLoop(after time.Duration) {
-	tick := time.NewTicker(after / 2)
-	defer tick.Stop()
-	maxResends := e.net.opts.MaxResends
-	maxBackoff := e.net.opts.MaxBackoff
-	for {
-		select {
-		case <-e.resendStop:
-			return
-		case <-tick.C:
-		}
-		now := time.Now()
-		var retry []frame
-		var deadTraced []frame
-		dead := 0
-		e.mu.Lock()
-		if e.dead || e.closed {
-			e.mu.Unlock()
-			continue
-		}
-		for to, m := range e.unacked {
-			// Frames parked for this destination were never delivered;
-			// retransmitting them here would race the credit-grant replay
-			// and deliver a second copy out of order — and, resends skipping
-			// the credit check, would pour the whole parked backlog into the
-			// inbox the stall protects. While a replay runs the queue is in
-			// releaseHeld's hands (held is empty, draining set). The resend
-			// clock resumes once the grant empties the queue.
-			if len(e.held[to]) > 0 || e.draining[to] {
-				continue
-			}
-			for seq, p := range m {
-				if now.Before(p.nextAt) {
-					continue
-				}
-				if maxResends > 0 && p.attempts >= maxResends {
-					delete(m, seq)
-					dead++
-					if p.f.traced {
-						deadTraced = append(deadTraced, p.f)
-					}
-					continue
-				}
-				p.attempts++
-				p.backoff *= 2
-				if p.backoff > maxBackoff {
-					p.backoff = maxBackoff
-				}
-				// Jitter desynchronizes retransmission bursts after a
-				// recovery (up to +25% of the interval).
-				jitter := time.Duration(e.rng.Int63n(int64(p.backoff)/4 + 1))
-				p.nextAt = now.Add(p.backoff + jitter)
-				retry = append(retry, p.f)
-			}
-		}
-		e.mu.Unlock()
-		for i := 0; i < dead; i++ {
-			e.net.Stats.DeadLetters.Add(1)
-		}
-		for _, f := range retry {
-			e.net.Stats.Sent.Add(1)
-			e.net.Stats.Resent.Add(1)
-			e.transmit(f)
-		}
-		// A retried or abandoned traced frame is exactly the anomaly tail
-		// sampling exists for: record the marker against the trace and open
-		// the escalation window so the aftermath is fully traced.
-		if sp := e.net.opts.Spans; sp.Enabled() && (len(deadTraced) > 0 || len(retry) > 0) {
-			spanNow := sp.Now()
-			for _, f := range deadTraced {
-				sp.Escalate(trace.MarkDeadLetter, frameTraceCtx(f), spanNow)
-			}
-			for _, f := range retry {
-				if f.traced {
-					sp.Escalate(trace.MarkResend, frameTraceCtx(f), spanNow)
-				}
-			}
-		}
-	}
-}
-
-// frameTraceCtx extracts the first traced payload context of a frame, for
-// attributing resend/dead-letter escalation markers to a concrete trace.
-func frameTraceCtx(f frame) trace.Context {
-	for _, pl := range f.payloads {
-		if c, ok := pl.(trace.Carrier); ok {
-			if ctx := c.TraceCtx(); ctx.Traced() {
-				return ctx
-			}
-		}
-	}
-	return trace.Context{}
-}
-
-// Unacked reports how many frames this endpoint is still waiting to have
-// acknowledged (diagnostics and tests).
-func (e *Endpoint) Unacked() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, m := range e.unacked {
-		n += len(m)
-	}
-	return n
-}
-
-// SeenSize reports how many dedup entries this endpoint holds beyond the
-// cumulative-ack watermarks (out-of-order sequences only). Bounded by the
-// reorder window, not by traffic volume.
-func (e *Endpoint) SeenSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, st := range e.recv {
-		n += len(st.ahead)
-	}
-	return n
 }
 
 // Buffered reports how many messages are waiting in output buffers

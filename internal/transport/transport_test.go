@@ -76,12 +76,22 @@ func TestDoubleRegisterPanics(t *testing.T) {
 	n.Register(1)
 }
 
+// lossyLoop builds a ForceLoop network on a fresh MemWire whose every frame
+// — data and acks alike — meets the returned fault state: the ledger tests'
+// substrate, since only the wire can lose a frame.
+func lossyLoop(t *testing.T, seed int64, opts Options) (*Network, *WireFaults) {
+	t.Helper()
+	faults := NewWireFaults(seed)
+	opts.DropSeed = seed
+	return memWireNet(t, NewMemWire(), "", WireConfig{ForceLoop: true, Faults: faults}, opts), faults
+}
+
 func TestResendRecoversDroppedMessages(t *testing.T) {
-	n := NewNetwork(Options{ResendAfter: 5 * time.Millisecond, DropSeed: 1})
+	n, faults := lossyLoop(t, 1, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	n.SetFaults(0.5, 0) // half of all data frames are lost in flight
+	faults.SetLoss(0.5, 0) // half of all frames are lost in flight
 	const total = 200
 	for i := 0; i < total; i++ {
 		a.Send(2, i)
@@ -102,16 +112,16 @@ func TestResendRecoversDroppedMessages(t *testing.T) {
 			t.Fatalf("only %d/%d messages recovered under 50%% drop", len(got), total)
 		}
 	}
-	n.SetFaults(0, 0)
-	waitZeroUnacked(t, a)
+	faults.SetLoss(0, 0)
+	waitLedgerDrained(t, n)
 }
 
 func TestDuplicatesSuppressed(t *testing.T) {
-	n := NewNetwork(Options{ResendAfter: 5 * time.Millisecond, DropSeed: 2})
+	n, faults := lossyLoop(t, 2, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	n.SetFaults(0, 1.0) // every frame duplicated in flight
+	faults.SetLoss(0, 1.0) // every frame duplicated in flight
 	const total = 50
 	for i := 0; i < total; i++ {
 		a.Send(2, i)
@@ -128,38 +138,38 @@ func TestDuplicatesSuppressed(t *testing.T) {
 	}
 }
 
-func TestKillAndRecover(t *testing.T) {
-	n := NewNetwork(Options{ResendAfter: 5 * time.Millisecond})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
+// TestPartitionAndHeal: two hosts on one MemWire, the first cut off the wire
+// (its outbound frames vanish). Its sends reach nobody while the partition
+// holds, though it still hears the other host; once healed, its ledger
+// retransmits everything and drains.
+func TestPartitionAndHeal(t *testing.T) {
+	mw := NewMemWire()
+	faultsA := NewWireFaults(1)
+	resolve := func(id NodeID) string { return map[NodeID]string{1: "a", 2: "b"}[id] }
+	opts := Options{ResendAfter: 5 * time.Millisecond}
+	netA := memWireNet(t, mw, "a", WireConfig{Resolve: resolve, Faults: faultsA}, opts)
+	defer netA.Close()
+	netB := memWireNet(t, mw, "b", WireConfig{Resolve: resolve}, opts)
+	defer netB.Close()
+	a, b := netA.Register(1), netB.Register(2)
 
-	n.Kill(2)
+	faultsA.SetPartition(true)
 	a.Send(2, "while-down")
+	b.Send(1, "inbound")
+	if env, ok := recvWithin(t, a, time.Second); !ok || env.Payload != "inbound" {
+		t.Fatalf("the partitioned host did not hear its peer: %+v, %v", env, ok)
+	}
 	time.Sleep(15 * time.Millisecond)
 	if _, ok := b.TryRecv(); ok {
-		t.Fatal("dead node received a message")
+		t.Fatal("a partitioned host's send was delivered")
 	}
 
-	n.Recover(2)
-	env, ok := b.Recv() // retransmission must arrive
+	faultsA.SetPartition(false)
+	env, ok := recvWithin(t, b, 5*time.Second) // the retransmission must arrive
 	if !ok || env.Payload != "while-down" {
-		t.Fatalf("after recovery got %+v, %v", env, ok)
+		t.Fatalf("after healing got %+v, %v", env, ok)
 	}
-	waitZeroUnacked(t, a)
-}
-
-func TestDeadNodeCannotSend(t *testing.T) {
-	n := NewNetwork(Options{})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
-	n.Kill(1)
-	a.Send(2, "ghost")
-	time.Sleep(5 * time.Millisecond)
-	if _, ok := b.TryRecv(); ok {
-		t.Fatal("killed node's send was delivered")
-	}
+	waitLedgerDrained(t, netA)
 }
 
 func TestCountersTrackTraffic(t *testing.T) {
@@ -197,53 +207,42 @@ func TestSharedStatsSurviveRebuild(t *testing.T) {
 	}
 }
 
-func TestResendBackoffCapDeadLetters(t *testing.T) {
-	n := NewNetwork(Options{ResendAfter: 2 * time.Millisecond, MaxResends: 3, DropSeed: 7})
-	defer n.Close()
-	a := n.Register(1)
-	n.Register(2).Crash() // dead forever: every frame to it is undeliverable
-	const total = 5
-	for i := 0; i < total; i++ {
-		a.Send(2, i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Stats.DeadLetters.Load() < total {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d frames dead-lettered", n.Stats.DeadLetters.Load(), total)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	waitZeroUnacked(t, a) // abandoned frames must leave the send buffer
-	if r := n.Stats.Resent.Load(); r != total*3 {
-		t.Fatalf("Resent = %d; want exactly MaxResends per frame (%d)", r, total*3)
-	}
-}
-
 func TestResendBacksOffExponentially(t *testing.T) {
 	const after = 4 * time.Millisecond
-	n := NewNetwork(Options{ResendAfter: after, DropSeed: 3})
+	n, faults := lossyLoop(t, 3, Options{ResendAfter: after})
 	defer n.Close()
 	a := n.Register(1)
 	n.Register(2)
-	n.Kill(2) // frames to it vanish but stay buffered at the sender
+	faults.SetPartition(true) // frames vanish but stay on the ledger
 	a.Send(2, "slow")
 	// With doubling backoff the first ~90ms allow at most attempts at
-	// 4, 8+j, 16+j, 32+j, 64+j ms — i.e. no more than 5; a fixed-interval
-	// retransmitter would have fired ~22 times.
+	// 4, 8+j, 16+j, 32+j, 64+j ms after each write — i.e. no more than 5; a
+	// fixed-interval retransmitter would have fired ~22 times.
 	time.Sleep(90 * time.Millisecond)
 	if r := n.Stats.Resent.Load(); r > 6 {
 		t.Fatalf("Resent = %d after 90ms; backoff is not exponential", r)
 	}
 }
 
+// TestCrashDiscardsState: a crash loses the inbox and suppresses the
+// endpoint's sends, and the wire ledger forgets the frames addressed to it.
 func TestCrashDiscardsState(t *testing.T) {
-	n := NewNetwork(Options{ResendAfter: 5 * time.Millisecond})
+	n, faults := lossyLoop(t, 4, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	a.Send(2, "queued")
-	time.Sleep(10 * time.Millisecond) // let it arrive in b's inbox
+	waitCondition(t, func() bool { return b.Pending() == 1 }, "the frame never reached the inbox")
+	waitLedgerDrained(t, n)
+	faults.SetPartition(true)
+	a.Send(2, "unacked")
+	waitCondition(t, func() bool { _, unacked := n.wire.ledgerSizes(); return unacked == 1 },
+		"the partitioned frame never entered the ledger")
 	b.Crash()
+	if _, unacked := n.wire.ledgerSizes(); unacked != 0 {
+		t.Fatalf("the ledger still holds %d frames for the crashed endpoint", unacked)
+	}
+	faults.SetPartition(false)
 	if _, ok := b.TryRecv(); ok {
 		t.Fatal("crashed endpoint still delivered queued input")
 	}
@@ -258,6 +257,45 @@ func TestCrashDiscardsState(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	if _, ok := a.TryRecv(); ok {
 		t.Fatal("crashed endpoint's send was delivered")
+	}
+}
+
+// TestQueuedFramesAreNotResent: a frame waiting in a peer queue is not lost,
+// so the ledger's clock starts only when the writer writes it. The
+// destination host is not listening yet: the writer keeps redialing while
+// every frame waits in its queue, and none is resent however long that
+// takes. Once the listener opens, every frame arrives exactly once, in order.
+func TestQueuedFramesAreNotResent(t *testing.T) {
+	const (
+		after = 5 * time.Millisecond
+		total = 100
+	)
+	mw := NewMemWire()
+	resolve := func(id NodeID) string { return map[NodeID]string{1: "src", 2: "dst"}[id] }
+	wire := WireConfig{Resolve: resolve, MaxDialBackoff: 10 * time.Millisecond}
+	src := memWireNet(t, mw, "src", wire, Options{ResendAfter: after})
+	defer src.Close()
+	a := src.Register(1)
+	for i := 0; i < total; i++ {
+		a.Send(2, i)
+	}
+	time.Sleep(20 * after)
+	if r := src.Stats.Resent.Load(); r != 0 {
+		t.Fatalf("Resent = %d while every frame waited in the peer queue; want 0", r)
+	}
+
+	dst := memWireNet(t, mw, "dst", wire, Options{ResendAfter: after})
+	defer dst.Close()
+	b := dst.Register(2)
+	for i := 0; i < total; i++ {
+		env, ok := recvWithin(t, b, 5*time.Second)
+		if !ok || env.Payload != i {
+			t.Fatalf("message %d: got %+v, %v", i, env, ok)
+		}
+	}
+	waitLedgerDrained(t, src)
+	if env, ok := b.TryRecv(); ok {
+		t.Fatalf("a frame arrived twice: %+v", env)
 	}
 }
 
@@ -299,14 +337,10 @@ func TestSendToUnknownNodeIsNoop(t *testing.T) {
 	a.Send(99, "void") // must not panic or block
 }
 
-func waitZeroUnacked(t *testing.T, e *Endpoint) {
+// waitLedgerDrained waits until the wire ledger holds no unacknowledged
+// frame.
+func waitLedgerDrained(t *testing.T, n *Network) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if e.Unacked() == 0 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("endpoint still has %d unacked frames", e.Unacked())
+	waitCondition(t, func() bool { _, unacked := n.wire.ledgerSizes(); return unacked == 0 },
+		"the wire ledger still holds unacknowledged frames")
 }

@@ -1,12 +1,12 @@
-// Wire host: attaches a real (or in-memory) socket substrate to a Network.
+// Wire host: attaches a real (or in-memory) socket substrate to a Network,
+// and keeps the transport's one at-least-once ledger.
 //
 // The in-process transport delivers frames by calling the destination
-// endpoint's deliver method directly. With a wire configured, that final hop
-// is replaced by serialization: the frame is encoded (wirecodec.go), queued
-// on a supervised per-peer connection, crosses a Conn (TCP or mem), and the
-// receiving host's reader decodes it and hands it to the local destination
-// endpoint's deliver — the exact same at-least-once frame/batch/ack protocol,
-// now surviving real sockets.
+// endpoint's deliver method directly, and nothing on that path can lose a
+// frame. With a wire configured, that final hop is replaced by serialization:
+// the frame is encoded (wirecodec.go), queued on a supervised per-peer
+// connection, crosses a Conn (TCP or mem), and the receiving host's reader
+// decodes it and hands it to the local destination endpoint's deliver.
 //
 // Two deployment shapes share the machinery:
 //
@@ -21,14 +21,32 @@
 // The connection is a supervised object. Each peer address owns one writer
 // goroutine with a bounded frame queue: it dials with exponential backoff
 // plus jitter, encodes and coalesces queued frames into batched writes, and
-// on any write error drops the conn and redials. Frames lost in the gap are
-// not the wire's problem: the sender's cumulative-ack/resend ledger already
-// holds everything unacknowledged, so reconnection replays exactly the
-// frames the receiver has not folded into its watermark — no loss, and no
-// duplication past the ack watermark. Readers drop a connection on any
-// checksum failure or torn frame instead of delivering garbage, and an
-// optional read-idle deadline evicts stuck peers so silence turns into the
-// missed heartbeats the PR 2 failure detector already knows how to judge.
+// on any write error drops the conn and redials. Readers drop a connection
+// on any checksum failure or torn frame instead of delivering garbage, and
+// an optional read-idle deadline evicts stuck peers so silence turns into
+// the missed heartbeats the engine's failure detector already judges.
+//
+// # The ledger
+//
+// The wire sheds frames freely — full queues, dropped connections, faults —
+// so it is where at-least-once delivery lives. The host numbers each (from,
+// to) pair's frames as they enter a peer queue and keeps each one until the
+// receiving host acknowledges it. Acks are cumulative: an ack carries the
+// receiver's contiguous watermark, so a lost ack is covered by the next one,
+// and both sides' bookkeeping stays bounded by the in-flight window.
+// Receivers dedup and ack in the reader before the frame reaches the
+// endpoint, acking every ackEvery-th in-order frame at once and deferring
+// the rest to the ledger tick; duplicates and out-of-order frames are acked
+// at once. Acks ride the control lane (see send): on the data lane an ack
+// waits behind every data frame the sender's reader has yet to decode, and a
+// late ack is a spurious resend, which lengthens that backlog. A frame's
+// resend clock starts when the writer writes it (or sheds it at a full
+// queue), not when it is queued: a frame waiting in a peer queue is not
+// lost, and resending it would only grow the queue. Retransmissions back off
+// exponentially with jitter up to 64 × ResendAfter. Frames an endpoint parks
+// for credit never reach the wire, so the ledger never holds them. A crashed
+// endpoint's unacknowledged frames are forgotten, as its process would have
+// lost them.
 package transport
 
 import (
@@ -38,6 +56,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"tornado/internal/obs/trace"
 )
 
 // WireConfig attaches a socket substrate to a Network via Options.Wire.
@@ -70,8 +90,8 @@ type WireConfig struct {
 	// engine's failure detector. Size it well above the heartbeat interval.
 	ReadIdle time.Duration
 	// QueueLen bounds each peer's outbound frame queue (default 1024).
-	// Frames arriving at a full queue are shed — the resend ledger
-	// retransmits them once the writer catches up.
+	// Frames arriving at a full queue are shed — the ledger retransmits
+	// them once the writer catches up.
 	QueueLen int
 	// OnPeerDown, when non-nil, is called whenever a peer connection is
 	// dropped (dial failure storms excluded): once per established conn
@@ -97,8 +117,8 @@ func (c *WireConfig) fill() {
 	}
 }
 
-// wireHost is the per-Network wire runtime: the accept/reader side plus the
-// supervised outbound peers.
+// wireHost is the per-Network wire runtime: the accept/reader side, the
+// supervised outbound peers and the ledger.
 type wireHost struct {
 	net  *Network
 	cfg  WireConfig
@@ -108,7 +128,64 @@ type wireHost struct {
 	peers  map[string]*wirePeer
 	conns  map[Conn]struct{} // accepted conns, for teardown
 	closed bool
+	stop   chan struct{} // closed by close: ends the ledger loop
 	wg     sync.WaitGroup
+
+	// The ledger (see the file comment), guarded by lmu. after is
+	// Options.ResendAfter.
+	after time.Duration
+	lmu   sync.Mutex
+	sent  map[pairKey]*sendState
+	recv  map[pairKey]*recvState
+	rng   *rand.Rand // resend jitter
+}
+
+// ackEvery is the in-order ack sampling rate: one immediate cumulative ack
+// per this many frames, the rest deferred to the ledger tick.
+const ackEvery = 4
+
+// wireFrame is a frame as the wire carries it: a data frame with the
+// sending host's sequence number for its (from, to) pair, or an ack.
+type wireFrame struct {
+	frame
+	seq uint64
+	// ack marks an acknowledgement of data frame seq from the pair to → from;
+	// ackUpTo is the receiver's contiguous watermark: every sequence below it
+	// has been delivered, so the sender may forget all of them even if their
+	// own acks were lost or deferred.
+	ack     bool
+	ackUpTo uint64
+}
+
+// pairKey names one direction of traffic between two endpoints: the unit the
+// ledger numbers, dedups and acks.
+type pairKey struct{ from, to NodeID }
+
+// sendState is the sending side of one pair: the last sequence assigned, the
+// cumulative ack watermark and the frames still unacknowledged above it.
+type sendState struct {
+	last    uint64
+	ackedTo uint64
+	unacked map[uint64]*pending
+}
+
+// pending is an unacknowledged frame with its retransmission state. Its
+// clock is armed (nextAt set) when the writer writes or sheds the frame, and
+// disarmed while a copy waits in a peer queue.
+type pending struct {
+	f       wireFrame
+	nextAt  time.Time
+	backoff time.Duration
+}
+
+// recvState is the receiving side of one pair: next is the contiguous
+// watermark (every sequence below it delivered), ahead holds only the
+// out-of-order sequences above it, and ackDirty marks a deferred cumulative
+// ack owed at the next ledger tick.
+type recvState struct {
+	next     uint64
+	ahead    map[uint64]struct{}
+	ackDirty bool
 }
 
 func newWireHost(n *Network, cfg WireConfig) *wireHost {
@@ -119,52 +196,285 @@ func newWireHost(n *Network, cfg WireConfig) *wireHost {
 		self:  cfg.Listener.Addr(),
 		peers: make(map[string]*wirePeer),
 		conns: make(map[Conn]struct{}),
+		stop:  make(chan struct{}),
+		after: n.opts.ResendAfter,
+		sent:  make(map[pairKey]*sendState),
+		recv:  make(map[pairKey]*recvState),
+		rng:   rand.New(rand.NewSource(n.opts.DropSeed ^ 0x5bf03635)),
 	}
-	h.wg.Add(1)
+	h.wg.Add(2)
 	go h.acceptLoop()
+	go h.ledgerLoop()
 	return h
 }
 
 // Addr returns the listener's bound address (the host's wire identity).
 func (h *wireHost) Addr() string { return h.self }
 
-// send routes one frame over the wire. ForceLoop frames go to the host's
-// own listener; otherwise the destination resolves through cfg.Resolve.
-// Never blocks: a full peer queue sheds the frame (resend recovers it).
-func (h *wireHost) send(f frame) {
-	addr := h.self
-	if !h.cfg.ForceLoop {
-		if h.cfg.Resolve == nil {
-			h.net.Stats.WireShed.Add(1)
-			return
-		}
-		addr = h.cfg.Resolve(f.to)
-		if addr == "" {
-			h.net.Stats.WireShed.Add(1)
-			return
-		}
+// route returns the wire address of node to's host ("" = unroutable).
+func (h *wireHost) route(to NodeID) string {
+	if h.cfg.ForceLoop {
+		return h.self
 	}
-	// Urgent control traffic (heartbeats, halt votes) rides a dedicated
-	// control-plane connection per peer: with a shared socket a heartbeat
-	// written after a replay storm of data frames sits behind megabytes of
-	// bytes the receiver must decode first, and the starved failure detector
-	// declares the peer dead — a recovery livelock. A separate conn gives
-	// control frames their own socket and their own reader. A full urgent
-	// lane sheds — urgent payloads are refreshed every interval.
-	p := h.peer(addr, f.urgent)
+	if h.cfg.Resolve == nil {
+		return ""
+	}
+	return h.cfg.Resolve(to)
+}
+
+// send routes one data frame over the wire, numbering it for the ledger.
+// Never blocks: a full peer queue sheds the frame, and its resend clock
+// starts at once.
+//
+// Urgent control traffic (heartbeats, halt votes, and the ledger's acks)
+// rides a dedicated control-plane connection per peer: with a shared socket
+// a heartbeat written after a replay storm of data frames sits behind
+// megabytes of bytes the receiver must decode first, and the starved failure
+// detector declares the peer dead — a recovery livelock. A separate conn
+// gives control frames their own socket and their own reader.
+func (h *wireHost) send(f frame) {
+	p := h.peerFor(f.to, f.urgent)
 	if p == nil {
-		h.net.Stats.WireShed.Add(1)
 		return
 	}
-	select {
-	case p.q <- f:
-	default:
-		if f.urgent {
-			h.net.Stats.UrgentShed.Add(1)
-		} else {
-			h.net.Stats.WireShed.Add(1)
+	wf := wireFrame{frame: f}
+	k := pairKey{f.from, f.to}
+	h.lmu.Lock()
+	st := h.sent[k]
+	if st == nil {
+		st = &sendState{ackedTo: 1, unacked: make(map[uint64]*pending)}
+		h.sent[k] = st
+	}
+	st.last++
+	wf.seq = st.last
+	pd := &pending{f: wf, backoff: h.after}
+	st.unacked[wf.seq] = pd
+	// Pushing under lmu keeps each pair's queue order its sequence order;
+	// the push never blocks.
+	if !p.push(wf) {
+		h.armLocked(pd, time.Now())
+	}
+	h.lmu.Unlock()
+}
+
+// peerFor resolves node to's peer lane, counting an unroutable frame as shed.
+func (h *wireHost) peerFor(to NodeID, urgent bool) *wirePeer {
+	addr := h.route(to)
+	if addr == "" {
+		h.net.Stats.WireShed.Add(1)
+		return nil
+	}
+	p := h.peer(addr, urgent)
+	if p == nil {
+		h.net.Stats.WireShed.Add(1)
+	}
+	return p
+}
+
+// armLocked starts a pending frame's resend clock. Caller holds lmu.
+func (h *wireHost) armLocked(pd *pending, now time.Time) {
+	// Jitter desynchronizes retransmission bursts after a recovery (up to
+	// +25% of the interval).
+	jitter := time.Duration(h.rng.Int63n(int64(pd.backoff)/4 + 1))
+	pd.nextAt = now.Add(pd.backoff + jitter)
+}
+
+// arm starts the resend clocks of frames the writer has just written (or
+// lost with its connection). Acks have no clock, and a frame acknowledged
+// meanwhile is gone.
+func (h *wireHost) arm(written []wireFrame) {
+	now := time.Now()
+	h.lmu.Lock()
+	for i := range written {
+		f := &written[i]
+		if f.ack {
+			continue
+		}
+		if st := h.sent[pairKey{f.from, f.to}]; st != nil {
+			if pd := st.unacked[f.seq]; pd != nil {
+				h.armLocked(pd, now)
+			}
 		}
 	}
+	h.lmu.Unlock()
+}
+
+// acked applies an ack to the pair it acknowledges: the frame itself, and
+// everything below the receiver's watermark.
+func (h *wireHost) acked(a wireFrame) {
+	h.lmu.Lock()
+	if st := h.sent[pairKey{a.to, a.from}]; st != nil {
+		delete(st.unacked, a.seq)
+		for upTo := min(a.ackUpTo, st.last+1); st.ackedTo < upTo; st.ackedTo++ {
+			delete(st.unacked, st.ackedTo)
+		}
+	}
+	h.lmu.Unlock()
+}
+
+// admit runs the receiving side of the ledger for a numbered data frame: it
+// reports whether the frame is new (a duplicate is dropped) and acks it, at
+// once or at the next ledger tick.
+func (h *wireHost) admit(f *wireFrame) bool {
+	k := pairKey{f.from, f.to}
+	h.lmu.Lock()
+	st := h.recv[k]
+	if st == nil {
+		st = &recvState{next: 1}
+		h.recv[k] = st
+	}
+	dup, inOrder := f.seq < st.next, false
+	if !dup && st.ahead != nil {
+		_, dup = st.ahead[f.seq]
+	}
+	if !dup {
+		if f.seq == st.next {
+			inOrder = true
+			st.next++
+			// Fold now-contiguous out-of-order arrivals into the watermark;
+			// this is what keeps the dedup map bounded by the reorder window.
+			for len(st.ahead) > 0 {
+				if _, ok := st.ahead[st.next]; !ok {
+					break
+				}
+				delete(st.ahead, st.next)
+				st.next++
+			}
+		} else {
+			if st.ahead == nil {
+				st.ahead = make(map[uint64]struct{})
+			}
+			st.ahead[f.seq] = struct{}{}
+		}
+	}
+	// Defer the ack of an in-order frame when a ledger tick will sweep it: a
+	// later frame's cumulative watermark (or the tick) covers it. Duplicates
+	// and out-of-order frames are acked at once — the sender is demonstrably
+	// missing state.
+	deferAck := inOrder && st.next%ackEvery != 0
+	st.ackDirty = deferAck
+	upTo := st.next
+	h.lmu.Unlock()
+	if !deferAck {
+		h.sendAck(f.to, f.from, f.seq, upTo)
+	}
+	return !dup
+}
+
+// sendAck acknowledges sequence seq of the pair to → from (the ack itself
+// travels from → to), carrying the watermark upTo. It rides the control
+// lane; an ack shed there is restated by the next one, or by the reply to
+// the resend it provokes.
+func (h *wireHost) sendAck(from, to NodeID, seq, upTo uint64) {
+	if p := h.peerFor(to, true); p != nil {
+		h.net.Stats.AckFrames.Add(1)
+		p.push(wireFrame{frame: frame{from: from, to: to}, seq: seq, ack: true, ackUpTo: upTo})
+	}
+}
+
+// forget drops a crashed endpoint's unacknowledged frames: those it sent die
+// with it, as its process's send buffers would, and those addressed to it
+// would only be dropped on arrival. The receive watermarks stay — copies of
+// its frames still in flight must meet the dedup that already saw them.
+func (h *wireHost) forget(id NodeID) {
+	h.lmu.Lock()
+	for k := range h.sent {
+		if k.from == id || k.to == id {
+			delete(h.sent, k)
+		}
+	}
+	h.lmu.Unlock()
+}
+
+// ledgerLoop is the host's one ledger goroutine: every half ResendAfter it
+// retransmits frames whose armed clock ran out and sends the deferred acks.
+func (h *wireHost) ledgerLoop() {
+	defer h.wg.Done()
+	tick := time.NewTicker(h.after / 2)
+	defer tick.Stop()
+	maxBackoff := 64 * h.after
+	var retry, acks []wireFrame
+	for {
+		select {
+		case <-h.stop:
+			return
+		case <-tick.C:
+		}
+		now := time.Now()
+		retry, acks = retry[:0], acks[:0]
+		h.lmu.Lock()
+		for _, st := range h.sent {
+			for _, pd := range st.unacked {
+				if pd.nextAt.IsZero() || now.Before(pd.nextAt) {
+					continue
+				}
+				pd.backoff = min(2*pd.backoff, maxBackoff)
+				pd.nextAt = time.Time{} // re-armed when the copy is written
+				retry = append(retry, pd.f)
+			}
+		}
+		for k, st := range h.recv {
+			if st.ackDirty {
+				st.ackDirty = false
+				acks = append(acks, wireFrame{frame: frame{from: k.to, to: k.from}, seq: st.next - 1, ackUpTo: st.next})
+			}
+		}
+		h.lmu.Unlock()
+		var shed []wireFrame
+		for _, f := range retry {
+			h.net.Stats.Sent.Add(1)
+			h.net.Stats.Resent.Add(1)
+			if p := h.peerFor(f.to, f.urgent); p == nil || !p.push(f) {
+				shed = append(shed, f)
+			}
+		}
+		if len(shed) > 0 {
+			h.arm(shed)
+		}
+		for _, a := range acks {
+			h.sendAck(a.from, a.to, a.seq, a.ackUpTo)
+		}
+		// A retried traced frame is exactly the anomaly tail sampling exists
+		// for: record the marker against the trace and open the escalation
+		// window so the aftermath is fully traced.
+		if sp := h.net.opts.Spans; sp.Enabled() {
+			spanNow := sp.Now()
+			for _, f := range retry {
+				if f.traced {
+					sp.Escalate(trace.MarkResend, frameTraceCtx(f.frame), spanNow)
+				}
+			}
+		}
+		clear(retry) // drop payload references until the next tick
+	}
+}
+
+// frameTraceCtx extracts the first traced payload context of a frame, for
+// attributing a resend marker to a concrete trace.
+func frameTraceCtx(f frame) trace.Context {
+	for _, pl := range f.payloads {
+		if c, ok := pl.(trace.Carrier); ok {
+			if ctx := c.TraceCtx(); ctx.Traced() {
+				return ctx
+			}
+		}
+	}
+	return trace.Context{}
+}
+
+// ledgerSizes sums the ledger's bookkeeping: dedup entries beyond the
+// receive watermarks and unacknowledged outgoing frames. Both are bounded by
+// the in-flight window, not by connection lifetime.
+func (h *wireHost) ledgerSizes() (seen, unacked int) {
+	h.lmu.Lock()
+	defer h.lmu.Unlock()
+	for _, st := range h.recv {
+		seen += len(st.ahead)
+	}
+	for _, st := range h.sent {
+		unacked += len(st.unacked)
+	}
+	return seen, unacked
 }
 
 // peer returns (creating on first use) the supervised connection to addr.
@@ -175,7 +485,7 @@ func (h *wireHost) peer(addr string, urgent bool) *wirePeer {
 	qlen := h.cfg.QueueLen
 	if urgent {
 		key = "\x00u|" + addr // NUL prefix cannot collide with a real address
-		qlen = 64             // low-rate refreshable control traffic
+		qlen = 64             // small refreshable frames: beats, votes, cumulative acks
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -187,7 +497,7 @@ func (h *wireHost) peer(addr string, urgent bool) *wirePeer {
 		p = &wirePeer{
 			host: h,
 			addr: addr,
-			q:    make(chan frame, qlen),
+			q:    make(chan wireFrame, qlen),
 			stop: make(chan struct{}),
 			rng:  rand.New(rand.NewSource(h.net.opts.DropSeed ^ int64(addrHash(key)))),
 		}
@@ -225,10 +535,11 @@ func (h *wireHost) acceptLoop() {
 	}
 }
 
-// readLoop decodes inbound frames and hands them to local endpoints. Any
-// corruption — checksum mismatch, torn frame, malformed lengths — drops the
-// whole connection: delivering a frame that fails verification is never an
-// option, and the peer's resend ledger replays what was lost.
+// readLoop decodes inbound frames and hands them to local endpoints, running
+// the ledger's receive side first. Any corruption — checksum mismatch, torn
+// frame, malformed lengths — drops the whole connection: delivering a frame
+// that fails verification is never an option, and the peer's ledger replays
+// what was lost.
 func (h *wireHost) readLoop(c Conn) {
 	defer h.wg.Done()
 	defer func() {
@@ -244,7 +555,10 @@ func (h *wireHost) readLoop(c Conn) {
 		}
 		b, err := c.ReadFrame(buf)
 		if err != nil {
-			h.connDown(c, err, isTornRead(err))
+			if isTornRead(err) {
+				h.net.Stats.WireTornFrames.Add(1)
+			}
+			h.peerDown(c.RemoteAddr(), err)
 			return
 		}
 		buf = b
@@ -256,18 +570,22 @@ func (h *wireHost) readLoop(c Conn) {
 			} else {
 				h.net.Stats.WireTornFrames.Add(1)
 			}
-			h.connDown(c, err, false)
+			h.peerDown(c.RemoteAddr(), err)
 			return
 		}
 		h.net.Stats.WireRxFrames.Add(1)
-		if ep := h.net.endpoint(f.to); ep != nil {
-			ep.deliver(f)
-			// deliver copies payload references into the inbox; the slice
-			// itself is ours to recycle.
-			putPayloadSlice(f.payloads)
-		} else {
-			h.net.Stats.WireShed.Add(1)
+		if f.ack {
+			h.acked(f)
+			continue
 		}
+		if ep := h.net.endpoint(f.to); ep == nil {
+			h.net.Stats.WireShed.Add(1)
+		} else if h.admit(&f) {
+			ep.deliver(f.frame)
+		}
+		// deliver copies payload references into the inbox; the slice
+		// itself is ours to recycle.
+		putPayloadSlice(f.payloads)
 	}
 }
 
@@ -278,16 +596,14 @@ func isTornRead(err error) bool {
 	return errors.Is(err, errWireLength) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// connDown records one dead connection and notifies the supervisor hook.
-func (h *wireHost) connDown(c Conn, err error, torn bool) {
-	if torn {
-		h.net.Stats.WireTornFrames.Add(1)
-	}
+// peerDown notifies the supervisor hook of one dead connection (reader or
+// writer side) unless the host is closing.
+func (h *wireHost) peerDown(addr string, err error) {
 	h.mu.Lock()
 	closed := h.closed
 	h.mu.Unlock()
 	if !closed && h.cfg.OnPeerDown != nil {
-		h.cfg.OnPeerDown(c.RemoteAddr(), err)
+		h.cfg.OnPeerDown(addr, err)
 	}
 }
 
@@ -299,6 +615,7 @@ func (h *wireHost) close() {
 		return
 	}
 	h.closed = true
+	close(h.stop)
 	peers := make([]*wirePeer, 0, len(h.peers))
 	for _, p := range h.peers {
 		peers = append(peers, p)
@@ -323,26 +640,45 @@ func (h *wireHost) close() {
 type wirePeer struct {
 	host     *wireHost
 	addr     string
-	q        chan frame
+	q        chan wireFrame
 	stop     chan struct{}
 	stopOnce sync.Once
 	rng      *rand.Rand
 }
 
+// push queues f without blocking and reports whether it was queued; a full
+// queue sheds it (a full urgent lane sheds refreshable control traffic).
+func (p *wirePeer) push(f wireFrame) bool {
+	select {
+	case p.q <- f:
+		return true
+	default:
+		if f.urgent {
+			p.host.net.Stats.UrgentShed.Add(1)
+		} else {
+			p.host.net.Stats.WireShed.Add(1)
+		}
+		return false
+	}
+}
+
 // run is the writer loop. One live conn at a time; any error tears it down
 // and the next frame triggers a redial with exponential backoff + jitter.
+// Every data frame it dequeues has its resend clock armed after the write,
+// whether the write succeeded or died with the conn.
 func (p *wirePeer) run() {
 	defer p.host.wg.Done()
 	var conn Conn
 	var established int
 	encBuf := make([]byte, 0, 16<<10)
+	var written []wireFrame
 	defer func() {
 		if conn != nil {
 			_ = conn.Close()
 		}
 	}()
 	for {
-		var f frame
+		var f wireFrame
 		select {
 		case <-p.stop:
 			return
@@ -351,11 +687,12 @@ func (p *wirePeer) run() {
 		if conn == nil {
 			conn = p.dial(&established)
 			if conn == nil {
-				return // host closing; queued frames die, resend recovers
+				return // host closing; queued frames die with it
 			}
 		}
 		// Encode the frame plus everything else already queued, then flush
 		// once: frames-per-flush is the wire's batching ratio.
+		written = append(written[:0], f)
 		frames := 0
 		var werr error
 		encBuf, werr = p.writeOne(conn, encBuf, f)
@@ -365,6 +702,7 @@ func (p *wirePeer) run() {
 			for {
 				select {
 				case f2 := <-p.q:
+					written = append(written, f2)
 					encBuf, werr = p.writeOne(conn, encBuf, f2)
 					if werr != nil {
 						break drain
@@ -381,13 +719,15 @@ func (p *wirePeer) run() {
 		if frames > 0 && p.host.cfg.ObserveFlush != nil {
 			p.host.cfg.ObserveFlush(frames)
 		}
+		p.host.arm(written)
+		clear(written) // drop payload references while the queue is idle
 		if werr != nil {
-			// The conn is gone. Everything already dequeued but unflushed is
-			// lost here — and recovered by the cumulative-ack/resend path,
-			// which still holds every unacknowledged frame.
+			// The conn is gone, and with it everything dequeued but
+			// unflushed — recovered by the ledger, which still holds every
+			// unacknowledged frame.
 			_ = conn.Close()
 			conn = nil
-			p.host.connDown2(p.addr, werr)
+			p.host.peerDown(p.addr, werr)
 		}
 	}
 }
@@ -395,7 +735,7 @@ func (p *wirePeer) run() {
 // writeOne encodes one frame into scratch and writes it. Encode failures
 // (an unregistered payload type, typically) skip the frame and count it;
 // they are a programming error, not a connection fault.
-func (p *wirePeer) writeOne(conn Conn, scratch []byte, f frame) ([]byte, error) {
+func (p *wirePeer) writeOne(conn Conn, scratch []byte, f wireFrame) ([]byte, error) {
 	b, err := encodeFrame(scratch[:0], &f, p.host.cfg.Codec)
 	if err != nil {
 		p.host.net.Stats.WireEncodeErrors.Add(1)
@@ -407,17 +747,6 @@ func (p *wirePeer) writeOne(conn Conn, scratch []byte, f frame) ([]byte, error) 
 	p.host.net.Stats.WireTxFrames.Add(1)
 	p.host.net.Stats.WireTxBytes.Add(int64(len(b) + 4))
 	return b, nil
-}
-
-// connDown2 is connDown for the writer side, where only the address is
-// known.
-func (h *wireHost) connDown2(addr string, err error) {
-	h.mu.Lock()
-	closed := h.closed
-	h.mu.Unlock()
-	if !closed && h.cfg.OnPeerDown != nil {
-		h.cfg.OnPeerDown(addr, err)
-	}
 }
 
 // dial establishes the peer conn, backing off exponentially with jitter

@@ -12,11 +12,11 @@ import (
 
 func TestWireCodecRoundTrip(t *testing.T) {
 	pc := GobPayloadCodec{}
-	cases := []frame{
-		{from: 1, to: 2, seq: 7, payloads: []any{"hello", int64(42), []byte{1, 2, 3}}},
-		{from: 3, to: 4, seq: 9, ack: true, ackUpTo: 8},
-		{from: 0, to: 1, seq: 0, urgent: true, traced: true, payloads: []any{"hb"}},
-		{from: 5, to: 6, seq: 1, payloads: []any{}},
+	cases := []wireFrame{
+		{frame: frame{from: 1, to: 2, payloads: []any{"hello", int64(42), []byte{1, 2, 3}}}, seq: 7},
+		{frame: frame{from: 3, to: 4}, seq: 9, ack: true, ackUpTo: 8},
+		{frame: frame{from: 0, to: 1, urgent: true, traced: true, payloads: []any{"hb"}}},
+		{frame: frame{from: 5, to: 6, payloads: []any{}}, seq: 1},
 	}
 	var buf []byte
 	for i, want := range cases {
@@ -61,7 +61,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 // disagree with the recomputation.
 func TestWireCodecRejectsBitFlips(t *testing.T) {
 	pc := GobPayloadCodec{}
-	f := frame{from: 1, to: 2, seq: 3, payloads: []any{"payload", int64(-1)}}
+	f := wireFrame{frame: frame{from: 1, to: 2, payloads: []any{"payload", int64(-1)}}, seq: 3}
 	enc, err := encodeFrame(nil, &f, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestWireCodecBufferReuse(t *testing.T) {
 	pc := GobPayloadCodec{}
 	buf := make([]byte, 0, 4096)
 	for i := 0; i < 100; i++ {
-		f := frame{from: 1, to: 2, seq: uint64(i), payloads: []any{int64(i)}}
+		f := wireFrame{frame: frame{from: 1, to: 2, payloads: []any{int64(i)}}, seq: uint64(i)}
 		out, err := encodeFrame(buf[:0], &f, pc)
 		if err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestWireTCPRemoteDelivery(t *testing.T) {
 
 // A corrupting wire: every corrupted frame must surface as a checksum
 // failure and a dropped conn — never as a delivered frame — and the
-// supervised reconnect plus the resend ledger must still get every payload
+// supervised reconnect plus the wire ledger must still get every payload
 // through exactly once.
 func TestWireCorruptionTriggersReconnectNoLoss(t *testing.T) {
 	mw := NewMemWire()
@@ -343,32 +343,11 @@ func TestWireIdleEviction(t *testing.T) {
 func TestWireUnroutableShed(t *testing.T) {
 	mw := NewMemWire()
 	n := memWireNet(t, mw, "", WireConfig{Resolve: func(NodeID) string { return "" }},
-		Options{ResendAfter: 0})
+		Options{})
 	defer n.Close()
 	a := n.Register(1)
 	a.Send(99, "void")
 	waitCounter(t, &n.Stats.WireShed, 1)
-}
-
-// ForceLoop keeps Kill/Recover partition semantics: frames to a killed
-// endpoint cross the wire but are not delivered, and recovery replays them.
-func TestWireForceLoopKillRecover(t *testing.T) {
-	mw := NewMemWire()
-	n := memWireNet(t, mw, "", WireConfig{ForceLoop: true},
-		Options{ResendAfter: 10 * time.Millisecond})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
-	n.Kill(2)
-	const msgs = 50
-	go func() {
-		for i := 0; i < msgs; i++ {
-			a.Send(2, i)
-		}
-	}()
-	time.Sleep(30 * time.Millisecond)
-	n.Recover(2)
-	collect(t, b, msgs)
 }
 
 func waitCounter(t *testing.T, c *atomic.Int64, want int64) {
@@ -388,7 +367,7 @@ func TestWireEncodeErrorSkipsFrame(t *testing.T) {
 	type unregistered struct{ X int }
 	mw := NewMemWire()
 	n := memWireNet(t, mw, "", WireConfig{ForceLoop: true},
-		Options{ResendAfter: 0})
+		Options{})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
@@ -398,6 +377,9 @@ func TestWireEncodeErrorSkipsFrame(t *testing.T) {
 	if env, ok := b.Recv(); !ok || env.Payload != 7 {
 		t.Fatalf("delivery after encode error: %+v, %v", env, ok)
 	}
+	// Options without ResendAfter still run the wire's ledger: the receiver
+	// acknowledges what it got.
+	waitCounter(t, &n.Stats.AckFrames, 1)
 }
 
 func TestTCPConnRejectsOversizedPrefix(t *testing.T) {

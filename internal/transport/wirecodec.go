@@ -1,7 +1,8 @@
 // Wire frame codec: the length-prefixed binary representation of a frame on
 // a real connection. The in-process transport hands frames between endpoints
-// as Go values; the wire layer serializes the exact same frame/batch/ack
-// structure so nothing above the transport can tell the substrates apart.
+// as Go values; the wire layer serializes the same frame plus the ledger's
+// sequence number or ack (wireFrame), so nothing above the transport can tell
+// the substrates apart.
 //
 // Layout of one encoded frame (the Conn implementations additionally prefix
 // the whole blob with a uint32 length when the medium is a byte stream):
@@ -21,8 +22,8 @@
 // never a panic, never a delivery, and never an allocation sized by
 // attacker-controlled lengths (every declared length is validated against
 // the bytes actually present before anything is allocated). The connection
-// that produced such a frame is dropped by the reader; the cumulative-ack /
-// resend machinery re-delivers whatever was in flight after the reconnect.
+// that produced such a frame is dropped by the reader; the wire ledger
+// re-delivers whatever was in flight after the reconnect.
 package transport
 
 import (
@@ -77,7 +78,7 @@ type PayloadCodec interface {
 
 // encodeFrame appends the wire encoding of f to dst and returns the extended
 // slice. Payloads are serialized through pc.
-func encodeFrame(dst []byte, f *frame, pc PayloadCodec) ([]byte, error) {
+func encodeFrame(dst []byte, f *wireFrame, pc PayloadCodec) ([]byte, error) {
 	base := len(dst)
 	var flags byte
 	if f.ack {
@@ -118,8 +119,8 @@ func encodeFrame(dst []byte, f *frame, pc PayloadCodec) ([]byte, error) {
 // Every failure mode — truncation, bad version, checksum mismatch, a length
 // or count field larger than the data present — returns an error; no input
 // can panic or force an allocation bigger than the input itself.
-func decodeFrame(data []byte, pc PayloadCodec) (frame, error) {
-	var f frame
+func decodeFrame(data []byte, pc PayloadCodec) (wireFrame, error) {
+	var f wireFrame
 	if len(data) < wireHeaderLen {
 		return f, errWireShort
 	}

@@ -17,11 +17,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	pc := GobPayloadCodec{}
 
 	// Valid encodings seed the corpus so mutation starts near the format.
-	for _, fr := range []frame{
-		{from: 1, to: 2, seq: 1, payloads: []any{"seed", int64(7)}},
-		{from: 3, to: 4, seq: 9, ack: true, ackUpTo: 9},
-		{from: 0, to: 0, seq: 0},
-		{from: 5, to: 6, seq: 2, urgent: true, payloads: []any{[]byte{0, 1, 2, 3}}},
+	for _, fr := range []wireFrame{
+		{frame: frame{from: 1, to: 2, payloads: []any{"seed", int64(7)}}, seq: 1},
+		{frame: frame{from: 3, to: 4}, seq: 9, ack: true, ackUpTo: 9},
+		{},
+		{frame: frame{from: 5, to: 6, urgent: true, payloads: []any{[]byte{0, 1, 2, 3}}}, seq: 2},
 	} {
 		enc, err := encodeFrame(nil, &fr, pc)
 		if err != nil {
