@@ -80,9 +80,12 @@ bench-engine:
 # functions (all of them, and without the harness's own host-speed job and the
 # programs' state maps, which leaves the protocol's), the store, the
 # per-message searches of a vertex's edge records, sync.(*Mutex) (split into
-# the store's writer lock and every other lock — the tracker's is the largest
-# of the rest), the input journal, boxing into interfaces (runtime.convT*)
-# and the transport's per-payload entry points.
+# the store's writer lock and every other lock), the input journal (and the
+# processors' part of it, Committed), the shared accounting a processor
+# publishes in batches — the tracker, the ingest gate's Release — and the
+# Lamport package (its clocks apart: the rest is the stamp test in
+# vertex.preparing, a vertex's first load in handleAck), boxing into
+# interfaces (runtime.convT*) and the transport's per-payload entry points.
 pprof_share_of = $(GO) tool pprof -top -nodecount=100000 -nodefraction=0 $(1) $(2) 2>/dev/null | sed -n 's/^Showing nodes accounting for [^,]*, \([0-9.]*%\) of .*/\1/p'
 pprof_share = $(call pprof_share_of,$(1),.bench_build/out/sssp_churn_mem/cpu.pprof)
 MAPFUNCS = runtime\.map|internal/runtime/maps\.
@@ -98,6 +101,11 @@ profile-ingest:
 	@echo "  under storage.:       $$($(call pprof_share,-focus='$(MUTEX)' -show_from='$(STORAGE)'))"
 	@echo "  everywhere else:      $$($(call pprof_share,-focus='$(MUTEX)' -ignore='$(STORAGE)'))"
 	@echo "inputJournal.*:         $$($(call pprof_share,-focus='inputJournal'))"
+	@echo "  Committed:            $$($(call pprof_share,-focus='\(\*inputJournal\)\.Committed'))"
+	@echo "engine.(*Tracker).*:    $$($(call pprof_share,-focus='engine\.\(\*Tracker\)\.'))"
+	@echo "flow.(*Gate).Release:   $$($(call pprof_share,-focus='flow\.\(\*Gate\)\.Release$$'))"
+	@echo "lamport.*:              $$($(call pprof_share,-focus='internal/lamport\.'))"
+	@echo "  (*Clock):             $$($(call pprof_share,-focus='lamport\.\(\*Clock\)'))"
 	@echo "runtime.convT*:         $$($(call pprof_share,-focus='runtime\.convT'))"
 	@echo "Endpoint.Send|deliver:  $$($(call pprof_share,-focus='transport\.\(\*Endpoint\)\.(Send|deliver)$$'))"
 

@@ -133,6 +133,7 @@ func TestCoalesceQueueMergesUpdates(t *testing.T) {
 	if m.Iteration != 2 || !m.HasValue || m.Value.(int64) != 3 {
 		t.Fatalf("merged update = %+v; want iteration 2, last-writer value 3", m)
 	}
+	p.publish() // the window's ledger reaches the tracker and the counters
 	if n := p.tk.TokenCount(); n != 1 {
 		t.Fatalf("TokenCount = %d after coalescing; want 1 (superseded token released)", n)
 	}

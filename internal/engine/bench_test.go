@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -32,9 +33,10 @@ func newCommitProbe(tb testing.TB) (step func()) {
 	}
 	n := 0
 	return func() {
-		p.markDirty(v)
+		// No cause token to release: the tracker places the dirty token.
+		p.markDirty(v, math.MaxInt64)
 		v.activated = true // re-deliver the value to every target, as a seed or recovery commit does
-		v.stamp = lamport.Stamp{Time: e.clock.Tick(), Owner: uint64(v.id)}
+		v.stamp = lamport.Stamp{Time: p.clock.Tick(), Owner: uint64(v.id)}
 		p.commit(v)
 		p.flushOut()
 		w := p.takeLocal() // the targets are this (only) processor's: as run would
@@ -120,12 +122,12 @@ func TestInnerLoopAllocs(t *testing.T) {
 
 	j := newInputJournal()
 	tuple := stream.AddEdge(1, 2, 3)
-	seqs := make([]uint64, 0, 1)
+	stamps := make([]journalStamp, 1)
 	iter := int64(0)
 	cycle := func() {
-		seqs = append(seqs[:0], j.Ingested(tuple))
 		iter++
-		j.Committed(seqs, iter)
+		stamps[0] = journalStamp{seq: j.Ingested(tuple), iter: iter}
+		j.Committed(stamps)
 		j.Prune(iter)
 	}
 	for i := 0; i < 1024; i++ {

@@ -331,6 +331,7 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 	if m.Iteration != 2 || !m.HasValue || m.Cum || m.Value.(float64) != 8.0 {
 		t.Fatalf("merged delta = %+v; want iteration 2, accumulated value 8, cum=false", m)
 	}
+	p.publish() // the window's ledger reaches the tracker
 	if n := p.tk.TokenCount(); n != 1 {
 		t.Fatalf("TokenCount = %d after coalescing; want 1 (superseded token released)", n)
 	}
@@ -350,6 +351,7 @@ func TestDeltaCoalesceAccumulates(t *testing.T) {
 	if n := len(queued(p, 0)); n != 1 || m.Iteration != 4 || !m.Cum || m.Value.(float64) != 9.0 {
 		t.Fatalf("delta-into-cum = %+v (window len %d); want iteration 4, value 9, cum=true", m, n)
 	}
+	p.publish()
 	if c := e.stats.Coalesced.Load(); c != 3 {
 		t.Fatalf("Coalesced = %d; want 3", c)
 	}
@@ -379,6 +381,7 @@ func TestDeltaActivationWaitsForFrontier(t *testing.T) {
 	deliver := func(from stream.VertexID, v float64) {
 		p.handleUpdate(msgUpdate{From: from, To: 2, Iteration: 2, Token: p.tk.AcquireFloor(3), Value: v, HasValue: true})
 		p.drainActQ() // the receive window ends
+		p.publish()
 	}
 	waiting := func(when string) {
 		t.Helper()
@@ -400,10 +403,12 @@ func TestDeltaActivationWaitsForFrontier(t *testing.T) {
 	}
 	p.handleFrontier(msgFrontier{Notified: 1})
 	p.drainActQ()
+	p.publish()
 	waiting("frontier at 1")
 
 	p.handleFrontier(msgFrontier{Notified: 2})
 	p.drainActQ()
+	p.publish()
 	if c := e.stats.Commits.Load(); c != 1 {
 		t.Fatalf("%d commits after the frontier reached the activation; want 1", c)
 	}

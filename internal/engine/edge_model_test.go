@@ -153,7 +153,7 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 				p.handleInput(msgInput{Tuple: tup, Token: p.tk.AcquireFloor(0)})
 				m.input(tup)
 			case 3: // PREPARE from a producer (possibly a duplicate)
-				p.handlePrepare(msgPrepare{From: peer, To: self, Stamp: lamport.Stamp{Time: e.clock.Tick(), Owner: uint64(peer)}})
+				p.handlePrepare(msgPrepare{From: peer, To: self, Stamp: lamport.Stamp{Time: p.clock.Tick(), Owner: uint64(peer)}})
 				m.prep[peer] = struct{}{}
 			case 4, 5, 6: // COMMIT from a producer, with or without a value, possibly stale
 				u := msgUpdate{From: peer, To: self, Iteration: int64(rng.Intn(op + 1)), HasValue: rng.Intn(2) == 0, Value: int64(op)}
@@ -182,7 +182,7 @@ func TestEdgeRecordsAgainstMapModel(t *testing.T) {
 					t.Fatalf("trial %d op %d: two updates to %d in one commit", trial, op, u.To)
 				}
 				sent[u.To] = u.HasValue
-				p.tk.Release(u.Token)
+				p.ledger.tokens.Release(u.Token)
 			}
 			p.flushOut()
 			dropLocal(p) // the processor is the only one and never runs

@@ -9,7 +9,6 @@ import (
 
 	"tornado/internal/delta"
 	"tornado/internal/flow"
-	"tornado/internal/lamport"
 	"tornado/internal/obs"
 	"tornado/internal/obs/trace"
 	"tornado/internal/storage"
@@ -304,6 +303,32 @@ type Stats struct {
 	DeltaApplied atomic.Int64
 }
 
+// statCounts is a processor's receive window of Stats increments (its
+// ledger's), added to the shared counters at each publish.
+type statCounts struct {
+	Commits, UpdateMsgs, PrepareMsgs, AckMsgs, InputMsgs, Emits int64
+	Coalesced, LocalMsgs, SnapshotLoads                         int64
+	DeltaMerged, DeltaSkipped, DeltaApplied                     int64
+}
+
+// add moves c into the counters and zeroes it.
+func (s *Stats) add(c *statCounts) {
+	for _, f := range [...]struct {
+		n   int64
+		dst *atomic.Int64
+	}{
+		{c.Commits, &s.Commits}, {c.UpdateMsgs, &s.UpdateMsgs}, {c.PrepareMsgs, &s.PrepareMsgs},
+		{c.AckMsgs, &s.AckMsgs}, {c.InputMsgs, &s.InputMsgs}, {c.Emits, &s.Emits},
+		{c.Coalesced, &s.Coalesced}, {c.LocalMsgs, &s.LocalMsgs}, {c.SnapshotLoads, &s.SnapshotLoads},
+		{c.DeltaMerged, &s.DeltaMerged}, {c.DeltaSkipped, &s.DeltaSkipped}, {c.DeltaApplied, &s.DeltaApplied},
+	} {
+		if f.n != 0 {
+			f.dst.Add(f.n)
+		}
+	}
+	*c = statCounts{}
+}
+
 // StatsSnapshot is a point-in-time copy of the counters.
 type StatsSnapshot struct {
 	Commits, UpdateMsgs, PrepareMsgs, AckMsgs, InputMsgs int64
@@ -363,7 +388,8 @@ type StatsSnapshot struct {
 // tracker, one processor per plan slot, and control endpoints. A checkpoint
 // restart tears it down wholesale and builds the next one from the last
 // terminated-iteration checkpoint; everything durable (store, journal,
-// counters, Lamport clock, plan) lives on the Engine and survives.
+// counters, plan) lives on the Engine and survives. The Lamport clocks are
+// the processors' own: an incarnation's prepares die with it.
 type incarnation struct {
 	gen     int
 	net     *transport.Network
@@ -436,7 +462,6 @@ type Engine struct {
 	restartLog map[int][]time.Time // per-processor restart times (-1 = master)
 	stopped    bool
 
-	clock    lamport.Clock
 	journal  *inputJournal // main loops only
 	stats    Stats
 	netStats *transport.Stats // shared across incarnations

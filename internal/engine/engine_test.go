@@ -688,8 +688,10 @@ func TestTrackerReleaseWithoutAcquirePanics(t *testing.T) {
 func TestTrackerCommitStats(t *testing.T) {
 	tr := NewTracker(0)
 	tr.AcquireFloor(2)
-	tr.RecordCommit(2, 1.5)
-	tr.RecordCommit(2, 2.5)
+	var l TokenLedger
+	l.RecordCommit(2, 1.5)
+	l.RecordCommit(2, 2.5)
+	tr.Publish(&l)
 	c, p := tr.IterStats(2)
 	if c != 2 || p != 4.0 {
 		t.Fatalf("IterStats = (%d, %v); want (2, 4.0)", c, p)
@@ -732,8 +734,9 @@ func TestJournalLifecycle(t *testing.T) {
 	s2 := j.Ingested(t2)
 	j.Ingested(t3) // stays in flight
 
-	_ = s2                        // applied by its vertex, which has not committed
-	j.Committed([]uint64{s1}, 10) // t1's vertex commits: reflected at iteration 10
+	_ = s2 // applied by its vertex, which has not committed
+	// t1's vertex commits: reflected at iteration 10
+	j.Committed([]journalStamp{{seq: s1, iter: 10}})
 
 	// Fork at 5: t1 committed later than 5, t2 applied-uncommitted, t3 in
 	// flight -> all three are residual, in ingest order.

@@ -81,15 +81,22 @@ func (j *inputJournal) Ingested(tuples ...stream.Tuple) uint64 {
 	return first
 }
 
-// Committed stamps the inputs a vertex applied since its previous commit
-// (seqs) with the vertex's commit iteration. Sequences an intervening
-// RecoverResidual extracted are skipped.
-func (j *inputJournal) Committed(seqs []uint64, iter int64) {
+// journalStamp is one applied input's commit: its journal sequence and the
+// iteration at which its vertex committed.
+type journalStamp struct {
+	seq  uint64
+	iter int64
+}
+
+// Committed stamps applied inputs with their vertices' commit iterations (a
+// processor hands over one receive window's stamps at a time). Sequences an
+// intervening RecoverResidual extracted are skipped.
+func (j *inputJournal) Committed(stamps []journalStamp) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, seq := range seqs {
-		if s := j.slot(seq); seq >= j.base && seq < j.nextSeq && s.state == journalLive {
-			s.state, s.iter = journalCommitted, iter
+	for _, st := range stamps {
+		if s := j.slot(st.seq); st.seq >= j.base && st.seq < j.nextSeq && s.state == journalLive {
+			s.state, s.iter = journalCommitted, st.iter
 			j.live--
 			j.held++
 		}

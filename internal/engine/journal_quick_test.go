@@ -77,10 +77,12 @@ func TestJournalAgainstModel(t *testing.T) {
 				}
 			case 3: // commit a vertex at the next iteration
 				nextIter++
-				j.Committed(applied[v], nextIter)
+				var stamps []journalStamp
 				for _, seq := range applied[v] {
+					stamps = append(stamps, journalStamp{seq: seq, iter: nextIter})
 					model[seq].committed, model[seq].iter = true, nextIter
 				}
+				j.Committed(stamps)
 				applied[v] = applied[v][:0]
 			case 4: // prune at a terminated iteration
 				if nextIter > 0 {

@@ -146,7 +146,7 @@ func (p *processor) handleAdopt(m msgAdopt) {
 			v.pending, v.hasPending = nil, false
 			if it, ok := p.actQ.Remove(v.id); ok {
 				p.deltaDepth.Add(-1)
-				p.tk.Release(it.Token)
+				p.ledger.tokens.Release(it.Token)
 			}
 		}
 		v.setTargets(m.Targets, m.TargetClock)
@@ -155,11 +155,11 @@ func (p *processor) handleAdopt(m msgAdopt) {
 		}
 		v.lastCommit = m.Iteration
 		p.persist(v, m.Iteration)
-		p.tk.RecordCommit(m.Iteration, 0)
-		p.eng.stats.Commits.Add(1)
+		p.ledger.tokens.RecordCommit(m.Iteration, 0)
+		p.ledger.stats.Commits++
 		p.shareMu.Lock()
 		p.share[v.slot].lastCommit = m.Iteration
 		p.shareMu.Unlock()
 	}
-	p.tk.Release(m.Token)
+	p.ledger.tokens.Release(m.Token)
 }

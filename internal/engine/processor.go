@@ -20,7 +20,9 @@ import (
 // three-phase update protocol, delay bounding and input application. All
 // vertex state is confined to the processor goroutine; the only shared
 // structures are the tracker (tokens), the store, and a small mutex-guarded
-// share used by fork scans.
+// share used by fork scans. Its writes to shared accounting — tracker, input
+// journal, ingest gate, counters — collect in a private ledger published at
+// the end of each receive window and every publishEvery messages (publish).
 type processor struct {
 	idx int
 	eng *Engine
@@ -47,6 +49,15 @@ type processor struct {
 
 	vertices map[stream.VertexID]*vertex
 	notified int64 // highest iteration the master announced terminated
+	// clock stamps this processor's prepares (Tick in maybeStart) and
+	// witnesses the stamps of those it receives (handlePrepare): Lamport's
+	// rule needs a clock per process, and the (time, owner) total order is
+	// all the protocol's deadlock freedom rests on.
+	clock lamport.Clock
+	// ledger collects the receive window's writes to shared accounting;
+	// sincePublish counts the messages dispatched since it was last published.
+	ledger       windowLedger
+	sincePublish int
 	// holdback keeps, per commit iteration, the updates the delay bound is
 	// withholding; they are released in ascending iteration order (heldIters).
 	holdback map[int64][]msgUpdate
@@ -87,6 +98,7 @@ type processor struct {
 	paused    atomic.Bool // read once per message; the lock is only for parking
 	pauseMu   sync.Mutex
 	pauseCond *sync.Cond
+	parked    bool // under pauseMu: the goroutine waits in maybePause
 
 	// maxCommit is the highest iteration this partition has committed;
 	// written only by the processor goroutine, read by the per-partition
@@ -100,7 +112,8 @@ type processor struct {
 	shareMu sync.Mutex
 	share   []shareSlot
 
-	// Lifetime load counters read by PartitionLoads (elastic planner).
+	// Lifetime load counters read by PartitionLoads (elastic planner),
+	// advanced at each publish.
 	commitCount atomic.Int64
 	updateCount atomic.Int64
 
@@ -111,6 +124,28 @@ type processor struct {
 	emitBuf []emission
 	viewBuf [3][]stream.VertexID
 }
+
+// windowLedger is one receive window's writes to shared accounting, held by
+// the processor until publish: tracker acquisitions, commit records and
+// releases, input-journal commit stamps, ingest-gate credits, the change in
+// PREPAREs awaiting their ACK, and the counters.
+type windowLedger struct {
+	tokens           TokenLedger
+	stamps           []journalStamp
+	credits          int
+	prepares         int64
+	stats            statCounts
+	commits, updates int64 // this processor's commitCount / updateCount
+}
+
+// publishEvery bounds the messages a receive window dispatches between two
+// publishes. A window lasts as long as dispatching everything the inbox held,
+// which grows with load, and publishing only at its end holds back every
+// release, gate credit and journal stamp by the whole window: the frontier
+// (and with it the delay bound's cap), admission and the commit watermark all
+// lag behind the work done. Every 64 messages keeps that lag short at one
+// tracker lock hold per 64 messages at most (EXPERIMENTS "Window ledger").
+const publishEvery = 64
 
 // shareSlot is one hosted vertex's entry in the processor share.
 type shareSlot struct {
@@ -169,6 +204,7 @@ func (p *processor) nextEpoch() uint64 {
 // processor's own vertices are the next window's first: they skip the
 // transport, and the inbox is polled instead of waited on while there are any.
 func (p *processor) run() {
+	defer p.publish() // an exit mid-window publishes what the window did
 	var inbox []transport.Envelope
 	for {
 		p.maybePause()
@@ -210,7 +246,7 @@ func (p *processor) takeLocal() *msgBatch {
 	}
 	p.spare.epoch = p.nextEpoch()
 	p.out.win[p.idx], p.spare = p.spare, nil
-	p.eng.stats.LocalMsgs.Add(int64(len(w.Tags)))
+	p.ledger.stats.LocalMsgs += int64(len(w.Tags))
 	return w
 }
 
@@ -248,6 +284,9 @@ func (p *processor) dispatchBatch(b *msgBatch, from transport.NodeID, at int64) 
 	var pos [numKinds]int
 	for _, k := range b.Tags {
 		p.maybePause()
+		if p.sincePublish++; p.sincePublish == publishEvery {
+			p.publish()
+		}
 		i := pos[k]
 		pos[k]++
 		switch k {
@@ -283,14 +322,19 @@ func (p *processor) trace(stage string, vertex, peer stream.VertexID, iter int64
 	}
 }
 
+// maybePause parks the processor while it is paused. The window's ledger is
+// published first, so a pause never hides a release from the tracker.
 func (p *processor) maybePause() {
 	if !p.paused.Load() {
 		return
 	}
+	p.publish()
 	p.pauseMu.Lock()
+	p.parked = true
 	for p.paused.Load() {
 		p.pauseCond.Wait()
 	}
+	p.parked = false
 	p.pauseMu.Unlock()
 }
 
@@ -345,7 +389,7 @@ func (p *processor) load(v *vertex) {
 			if derr != nil {
 				panic(fmt.Sprintf("engine: decode snapshot of vertex %d: %v", v.id, derr))
 			}
-			p.eng.stats.SnapshotLoads.Add(1)
+			p.ledger.stats.SnapshotLoads++
 			if p.dp != nil && hasPending {
 				// A persisted unconsumed pending rides the checkpoint; if it
 				// is significant, re-queue it so recovery and branch forks
@@ -385,7 +429,7 @@ func (p *processor) deltaSchedule(v *vertex, tok int64) {
 	if !v.hasPending || v.dirty {
 		// Nothing pending, or an already-scheduled commit will consume the
 		// pending under its own dirty token.
-		p.tk.Release(tok)
+		p.ledger.tokens.Release(tok)
 		return
 	}
 	prio := p.dp.Priority(&vertexContext{p: p, v: v}, v.pending)
@@ -394,7 +438,7 @@ func (p *processor) deltaSchedule(v *vertex, tok int64) {
 		// the OLDER queued token (it sits at the lower floor, so the merged
 		// activation still cannot be passed by the frontier).
 		p.actQ.Update(v.id, prio)
-		p.tk.Release(tok)
+		p.ledger.tokens.Release(tok)
 		return
 	}
 	if prio >= p.deltaBase {
@@ -405,8 +449,8 @@ func (p *processor) deltaSchedule(v *vertex, tok int64) {
 	// Sub-threshold: park the pending (selective activation). The token is
 	// released, so a loop whose remaining pendings are all insignificant
 	// quiesces — that is the delta-mode convergence criterion.
-	p.eng.stats.DeltaSkipped.Add(1)
-	p.tk.Release(tok)
+	p.ledger.stats.DeltaSkipped++
+	p.ledger.tokens.Release(tok)
 }
 
 // drainActQ fires the activations the frontier has reached — those whose
@@ -432,8 +476,8 @@ func (p *processor) drainActQ() {
 		}
 		p.deltaDepth.Add(-1)
 		v := p.vertices[it.ID]
-		p.markDirty(v)
-		p.tk.Release(it.Token)
+		p.markDirty(v, it.Token)
+		p.ledger.tokens.Release(it.Token)
 		p.maybeStart(v)
 	}
 }
@@ -441,12 +485,21 @@ func (p *processor) drainActQ() {
 // markDirty acquires the vertex's dirty token at the lower bound of its
 // future commit iteration. The vertex's iteration is raised to the token's
 // placement so the commit can never land inside a terminated iteration.
-func (p *processor) markDirty(v *vertex) {
+// cause is the token whose consumption dirties the vertex, which the caller
+// releases right after (math.MaxInt64 if none): when it sits at or below the
+// lower bound, the tracker's floor cannot be above the bound either, and the
+// acquisition waits in the ledger for the publish that releases the cause.
+func (p *processor) markDirty(v *vertex, cause int64) {
 	if v.dirty {
 		return
 	}
 	v.dirty = true
-	v.dirtyToken = p.tk.AcquireFloor(v.lower())
+	if lower := v.lower(); lower >= cause {
+		v.dirtyToken = lower
+		p.ledger.tokens.Acquire(lower, 1)
+	} else {
+		v.dirtyToken = p.tk.AcquireFloor(lower)
+	}
 	if v.dirtyToken > v.iter {
 		v.iter = v.dirtyToken
 	}
@@ -456,7 +509,7 @@ func (p *processor) markDirty(v *vertex) {
 }
 
 func (p *processor) handleInput(m msgInput) {
-	p.eng.stats.InputMsgs.Add(1)
+	p.ledger.stats.InputMsgs++
 	v := p.ensure(routeVertex(m.Tuple))
 	p.trace(trace.MarkInput, v.id, 0, v.iter)
 	if m.Ctx.Traced() {
@@ -491,7 +544,7 @@ func (p *processor) handleActivate(m msgActivate) {
 func (p *processor) applyWork(v *vertex, w heldWork) {
 	if w.activate {
 		v.activated = true
-		p.markDirty(v)
+		p.markDirty(v, w.token)
 	} else {
 		ctx := &vertexContext{p: p, v: v, allowTarget: true}
 		stale := false
@@ -518,7 +571,7 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 			} else {
 				p.eng.cfg.Program.OnInput(ctx, w.tuple)
 			}
-			p.markDirty(v)
+			p.markDirty(v, w.token)
 		}
 		if w.tctx.Traced() {
 			// The delta's state change has landed: close the process stage
@@ -536,15 +589,13 @@ func (p *processor) applyWork(v *vertex, w heldWork) {
 		}
 		// The input has landed on its vertex: hand the admission credit back
 		// so the gate tracks unapplied inputs, not unterminated iterations.
-		if g := p.eng.ingestGate; g != nil {
-			g.Release(1)
-		}
+		p.ledger.credits++
 	}
-	p.tk.Release(w.token)
+	p.ledger.tokens.Release(w.token)
 }
 
 func (p *processor) handleUpdate(m msgUpdate) {
-	p.updateCount.Add(1)
+	p.ledger.updates++
 	// Delay bounding (Section 4.4): updates committed at the cap iteration
 	// are not gathered until the frontier advances. The producer has
 	// committed either way, so it stops blocking our own update immediately
@@ -600,7 +651,7 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 				if d, ok := p.dp.Gather(ctx, m.From, m.Value, m.Cum); ok {
 					if v.hasPending {
 						v.pending = p.dp.Accumulate(v.pending, d)
-						p.eng.stats.DeltaMerged.Add(1)
+						p.ledger.stats.DeltaMerged++
 					} else {
 						v.pending, v.hasPending = d, true
 					}
@@ -625,35 +676,33 @@ func (p *processor) gatherUpdate(m msgUpdate) {
 						// Merged into an existing activation: re-score it in
 						// place; the queued (older) token keeps the floor.
 						p.actQ.Update(v.id, prio)
-						p.tk.Release(m.Token)
+						p.ledger.tokens.Release(m.Token)
 					} else if prio >= p.deltaBase {
 						p.actQ.Push(v.id, prio, m.Token)
 						p.deltaDepth.Add(1)
 					} else {
 						// Sub-threshold: park the pending (selective
 						// activation) but persist it and the gathered record.
-						p.eng.stats.DeltaSkipped.Add(1)
-						p.markDirty(v)
-						p.tk.Release(m.Token)
+						p.ledger.stats.DeltaSkipped++
+						p.markDirty(v, m.Token)
+						p.ledger.tokens.Release(m.Token)
 					}
 				} else {
-					if !v.dirty {
-						p.markDirty(v)
-					}
-					p.tk.Release(m.Token)
+					p.markDirty(v, m.Token)
+					p.ledger.tokens.Release(m.Token)
 				}
 				p.maybeStart(v)
 				return
 			}
 			p.eng.cfg.Program.Gather(ctx, m.From, m.Iteration, m.Value)
-			p.markDirty(v)
+			p.markDirty(v, m.Token)
 			if m.Ctx.Traced() {
 				p.adoptTraceCtx(v, p.sp.Stage(m.Ctx, trace.StageProcess,
 					p.loopU, uint64(m.To), uint64(m.From), p.sp.Now()))
 			}
 		}
 	}
-	p.tk.Release(m.Token)
+	p.ledger.tokens.Release(m.Token)
 	p.maybeStart(v)
 }
 
@@ -677,7 +726,7 @@ func (p *processor) adoptTraceCtx(v *vertex, ctx trace.Context) {
 func (p *processor) handlePrepare(m msgPrepare) {
 	v := p.touch(m.To)
 	p.trace(trace.MarkPrepareRecv, v.id, m.From, v.iter)
-	p.eng.clock.Witness(m.Stamp.Time)
+	p.clock.Witness(m.Stamp.Time)
 	if from := v.producer(m.From, true); !from.preparing {
 		from.preparing = true
 		v.npreparing++
@@ -686,7 +735,7 @@ func (p *processor) handlePrepare(m msgPrepare) {
 	// in-flight update; later ones wait until we commit (Figure 3,
 	// OnReceivePrepare). The Lamport order makes this deadlock-free.
 	if !v.preparing() || m.Stamp.Before(v.stamp) {
-		p.eng.stats.AckMsgs.Add(1)
+		p.ledger.stats.AckMsgs++
 		p.trace(trace.MarkAckSend, v.id, m.From, v.iter)
 		p.window(m.From).addAck(msgAck{From: v.id, To: m.From, Iteration: v.iter})
 	} else {
@@ -706,7 +755,7 @@ func (p *processor) handleAck(m msgAck) {
 	if i, ok := v.findOut(m.From); ok && v.out[i].flags&edgeOwesAck != 0 {
 		v.out[i].flags &^= edgeOwesAck
 		v.nwaiting--
-		p.eng.pendingPrepares.Add(-1)
+		p.ledger.prepares--
 	}
 	if v.nwaiting == 0 {
 		p.commit(v)
@@ -773,7 +822,7 @@ func (p *processor) maybeStart(v *vertex) {
 		}
 		return
 	}
-	v.stamp = lamport.Stamp{Time: p.eng.clock.Tick(), Owner: uint64(v.id)}
+	v.stamp = lamport.Stamp{Time: p.clock.Tick(), Owner: uint64(v.id)}
 	// A vertex committing at the cap can skip the prepare phase: no consumer
 	// iteration can exceed the cap (Section 4.4). So can a vertex with no
 	// consumers. The consumer set cannot change between here and this
@@ -789,8 +838,8 @@ func (p *processor) maybeStart(v *vertex) {
 			}
 		}
 		if v.nwaiting > 0 {
-			p.eng.stats.PrepareMsgs.Add(int64(v.nwaiting))
-			p.eng.pendingPrepares.Add(int64(v.nwaiting))
+			p.ledger.stats.PrepareMsgs += int64(v.nwaiting)
+			p.ledger.prepares += int64(v.nwaiting)
 			return
 		}
 	}
@@ -834,7 +883,7 @@ func (p *processor) commit(v *vertex) {
 		// release its parked token — the dirty token is still held.
 		if it, ok := p.actQ.Remove(v.id); ok {
 			p.deltaDepth.Add(-1)
-			p.tk.Release(it.Token)
+			p.ledger.tokens.Release(it.Token)
 		}
 		// Consume the pending if it is significant or the commit was forced
 		// by an activation (recovery replay, branch seed — those must fold
@@ -845,7 +894,7 @@ func (p *processor) commit(v *vertex) {
 			p.dp.Priority(&vertexContext{p: p, v: v}, v.pending) >= p.deltaBase) {
 			pend = v.pending
 			v.pending, v.hasPending = nil, false
-			p.eng.stats.DeltaApplied.Add(1)
+			p.ledger.stats.DeltaApplied++
 		}
 		p.dp.Update(ctx, pend)
 	} else {
@@ -855,10 +904,10 @@ func (p *processor) commit(v *vertex) {
 	// Persist before propagating: when the iteration terminates, all of its
 	// versions are already in the store (checkpoint property, Section 5.3).
 	p.persist(v, tau)
-	p.tk.RecordCommit(tau, v.progress)
+	p.ledger.tokens.RecordCommit(tau, v.progress)
 	v.progress = 0
-	p.eng.stats.Commits.Add(1)
-	p.commitCount.Add(1)
+	p.ledger.stats.Commits++
+	p.ledger.commits++
 	p.journalCommitted(v, tau)
 
 	// Close the traced delta's commit stage (apply -> version persisted) and
@@ -877,14 +926,17 @@ func (p *processor) commit(v *vertex) {
 
 	// Propagate: every effective consumer gets a COMMIT message; those the
 	// program emitted to carry the value. Message tokens live at tau+1 and
-	// are acquired, in one call, before the dirty token is released.
+	// are acquired, in one call, before the dirty token is released — in the
+	// same ledger, whose publish counts them first: the dirty token at or
+	// below tau keeps the floor below tau+1 until then.
 	nmsgs := len(v.emits)
 	for i := range v.out {
 		if f := v.out[i].flags; f&edgeConsumer != 0 && f&edgeEmitted == 0 {
 			nmsgs++
 		}
 	}
-	tok := p.tk.AcquireFloorN(tau+1, nmsgs)
+	tok := tau + 1
+	p.ledger.tokens.Acquire(tok, nmsgs)
 	for _, em := range v.emits {
 		e := &v.out[em.edge]
 		p.sendUpdate(e, msgUpdate{From: v.id, To: e.to, Iteration: tau, Token: tok, Value: em.value, HasValue: true, Cum: em.cum, Ctx: tctx})
@@ -905,7 +957,7 @@ func (p *processor) commit(v *vertex) {
 		}
 	}
 	v.out = kept
-	p.eng.stats.UpdateMsgs.Add(int64(nmsgs))
+	p.ledger.stats.UpdateMsgs += int64(nmsgs)
 
 	p.emitBuf, v.emits = v.emits[:0], nil
 	v.dirty = false
@@ -915,13 +967,13 @@ func (p *processor) commit(v *vertex) {
 	p.share[v.slot].dirty, p.share[v.slot].lastCommit = false, tau
 	p.shareMu.Unlock()
 	if v.dirtyToken >= 0 {
-		p.tk.Release(v.dirtyToken)
+		p.ledger.tokens.Release(v.dirtyToken)
 		v.dirtyToken = -1
 	}
 
 	// Answer prepares deferred during our update (Figure 3, OnCommitUpdate).
 	if len(v.pendingAcks) > 0 {
-		p.eng.stats.AckMsgs.Add(int64(len(v.pendingAcks)))
+		p.ledger.stats.AckMsgs += int64(len(v.pendingAcks))
 		for _, producer := range v.pendingAcks {
 			p.trace(trace.MarkAckSend, v.id, producer, v.iter)
 			p.window(producer).addAck(msgAck{From: v.id, To: producer, Iteration: v.iter})
@@ -941,12 +993,54 @@ func (p *processor) commit(v *vertex) {
 	}
 }
 
-// journalCommitted stamps the inputs v applied since its last commit with iter.
+// journalCommitted stamps, in the ledger, the inputs v applied since its last
+// commit with iter.
 func (p *processor) journalCommitted(v *vertex, iter int64) {
-	if len(v.jseqs) > 0 {
-		p.eng.journal.Committed(v.jseqs, iter)
-		v.jseqs = v.jseqs[:0]
+	for _, seq := range v.jseqs {
+		p.ledger.stamps = append(p.ledger.stamps, journalStamp{seq: seq, iter: iter})
 	}
+	v.jseqs = v.jseqs[:0]
+}
+
+// publish hands the window's ledger to the shared accounting of this
+// processor's incarnation. Journal stamps go first: a fork at an iteration
+// the releases below terminate must find those inputs committed, or its
+// residual re-applies them. The counters, PREPAREs and gate credits go next,
+// so an observer that saw the loop quiesce sees them too; the tracker last.
+// Called before the windows ship (flushOut), so every receiver's release
+// follows its token's count, every publishEvery dispatched messages
+// (dispatchBatch; any point between two messages is safe, since a deferred
+// acquisition and the release covering it fall in one handler), before
+// parking (maybePause) and before run returns — an old incarnation's
+// processor has exited by the time its successor's restart resets the
+// shared gauges.
+func (p *processor) publish() {
+	p.sincePublish = 0
+	l := &p.ledger
+	if len(l.stamps) > 0 {
+		p.eng.journal.Committed(l.stamps)
+		l.stamps = l.stamps[:0]
+	}
+	p.eng.stats.add(&l.stats)
+	if l.prepares != 0 {
+		p.eng.pendingPrepares.Add(l.prepares)
+		l.prepares = 0
+	}
+	if l.commits != 0 {
+		p.commitCount.Add(l.commits)
+		l.commits = 0
+	}
+	if l.updates != 0 {
+		p.updateCount.Add(l.updates)
+		l.updates = 0
+	}
+	if l.credits > 0 {
+		if g := p.eng.ingestGate; g != nil {
+			g.Release(l.credits)
+		}
+		l.credits = 0
+	}
+	p.tk.Publish(&l.tokens)
 }
 
 // persist writes the vertex's current version at iter, encoded straight from
@@ -1030,18 +1124,20 @@ func (p *processor) coalesceUpdate(old, next msgUpdate) msgUpdate {
 			merged.Ctx = old.Ctx
 		}
 	}
-	p.tk.Release(old.Token)
-	p.eng.stats.Coalesced.Add(1)
+	p.ledger.tokens.Release(old.Token)
+	p.ledger.stats.Coalesced++
 	return merged
 }
 
-// flushOut ships the windows for the other processors as frames, in order,
-// and retires every coalescing slot — this processor's own window included,
-// whose messages stay queued for run to dispatch. Called at the end of every
-// receive window (so the processor never blocks on an unflushed window) and
-// before applying a frontier advance (so no coalesced update ever merges
-// commits made under different iteration caps).
+// flushOut publishes the window's ledger, then ships the windows for the
+// other processors as frames, in order, and retires every coalescing slot —
+// this processor's own window included, whose messages stay queued for run to
+// dispatch. Called at the end of every receive window (so the processor never
+// blocks on an unflushed window or an unpublished ledger) and before applying
+// a frontier advance (so no coalesced update ever merges commits made under
+// different iteration caps).
 func (p *processor) flushOut() {
+	p.publish()
 	for _, w := range p.out.win {
 		if len(w.Tags) > 0 {
 			w.epoch = p.nextEpoch()

@@ -19,12 +19,14 @@ import (
 //     iterations > i).
 //
 // Obligations acquire their consequence tokens before releasing their cause
-// tokens, so the frontier (the smallest iteration holding a token) can never
-// advance past hidden work: when no tokens at or below k remain, iteration k
-// has terminated exactly in the paper's sense — all preceding iterations
-// have terminated and every vertex has proceeded beyond it. When no tokens
-// remain at all the loop is quiescent, which for a branch loop (whose input
-// is frozen) means convergence.
+// tokens — a processor hands both over in batches of up to a receive window,
+// in a TokenLedger whose Publish keeps that order — so the frontier (the
+// smallest iteration holding a token) can never advance past hidden work:
+// when no tokens at or below k remain, iteration k has terminated exactly in
+// the paper's sense — all preceding iterations have terminated and every
+// vertex has proceeded beyond it. When no tokens remain at all the loop is
+// quiescent, which for a branch loop (whose input is frozen) means
+// convergence.
 //
 // AcquireFloor places tokens at max(requested, lastTerminated+1), never
 // inside an already-announced iteration, keeping terminated iterations
@@ -146,18 +148,112 @@ func (t *Tracker) Release(iter int64) {
 	}
 }
 
-// RecordCommit accumulates one committed vertex update (and its progress
-// contribution) into iteration iter's statistics. It must be called while
-// the committing vertex still holds a token at or below iter, which the
-// processor guarantees by recording before releasing.
-func (t *Tracker) RecordCommit(iter int64, progress float64) {
-	t.mu.Lock()
-	if iter >= t.base {
-		c := t.cell(iter)
-		c.commits++
-		c.progress += progress
+// TokenLedger batches one processor's tracker writes over (part of) a receive
+// window — acquisitions, commit records and releases, summed per iteration —
+// for Publish to apply under one lock hold (DESIGN §5). A release or a commit
+// record may always wait in it: over-counting only holds the frontier back.
+// An acquisition may wait in it only at or above a token the tracker has
+// counted and the same ledger releases, so the placement is the requested
+// iteration (the floor, lastTerminated+1, cannot be above it) and the
+// frontier cannot pass the deferred token before it is counted.
+type TokenLedger struct {
+	cells        []ledgerCell // one per iteration touched, in first-touch order
+	acquisitions int64        // acquisitions placing >= 1 token
+}
+
+type ledgerCell struct {
+	iter              int64
+	acq, rel, commits int64
+	progress          float64
+}
+
+// cell returns the ledger's entry for iter. A window touches a handful of
+// iterations and mostly the one it touched last, so the search runs from the
+// end.
+func (l *TokenLedger) cell(iter int64) *ledgerCell {
+	for i := len(l.cells) - 1; i >= 0; i-- {
+		if l.cells[i].iter == iter {
+			return &l.cells[i]
+		}
 	}
-	t.mu.Unlock()
+	l.cells = append(l.cells, ledgerCell{iter: iter})
+	return &l.cells[len(l.cells)-1]
+}
+
+// Acquire defers the placement of n tokens at iter (none for n = 0).
+func (l *TokenLedger) Acquire(iter int64, n int) {
+	if n > 0 {
+		l.cell(iter).acq += int64(n)
+		l.acquisitions++
+	}
+}
+
+// Release defers the release of one token at iter.
+func (l *TokenLedger) Release(iter int64) { l.cell(iter).rel++ }
+
+// RecordCommit accumulates one committed vertex update (and its progress
+// contribution) into iteration iter's statistics. It must be recorded while
+// the committing vertex still holds a token at or below iter, released in
+// the same publish or a later one.
+func (l *TokenLedger) RecordCommit(iter int64, progress float64) {
+	c := l.cell(iter)
+	c.commits++
+	c.progress += progress
+}
+
+// Empty reports whether the ledger holds nothing to publish.
+func (l *TokenLedger) Empty() bool { return len(l.cells) == 0 }
+
+// Publish applies a ledger and empties it: each iteration's acquisitions,
+// commit records and releases under one lock hold, so no observer sees a
+// release before the acquisitions it covered. The master is woken once, and
+// only if the frontier moved. A release the ledger's and the tracker's
+// tokens together cannot cover panics, as Release does.
+func (t *Tracker) Publish(l *TokenLedger) {
+	if l.Empty() {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	live0, min0 := t.live, t.min
+	if l.acquisitions > 0 {
+		t.quiesceReported = false
+		t.acquired += l.acquisitions
+	}
+	for i := range l.cells {
+		lc := &l.cells[i]
+		if lc.acq > 0 {
+			if lc.iter <= t.notified {
+				panic(fmt.Sprintf("engine: deferred acquisition at terminated iteration %d (announced %d)", lc.iter, t.notified))
+			}
+			t.cell(lc.iter).tokens += lc.acq
+			if t.live == 0 || lc.iter < t.min {
+				t.min = lc.iter
+			}
+			t.live += lc.acq
+			t.maxSeen = max(t.maxSeen, lc.iter)
+		}
+		if lc.commits > 0 && lc.iter >= t.base {
+			c := t.cell(lc.iter)
+			c.commits += lc.commits
+			c.progress += lc.progress
+		}
+		if lc.rel > 0 {
+			c := t.at(lc.iter)
+			if lc.iter < t.base || lc.iter > t.top || c.tokens < lc.rel {
+				panic(fmt.Sprintf("engine: token release at iteration %d without acquire", lc.iter))
+			}
+			c.tokens -= lc.rel
+			t.live -= lc.rel
+		}
+	}
+	for t.live > 0 && t.at(t.min).tokens == 0 {
+		t.min++
+	}
+	if t.live == 0 && (live0 > 0 || l.acquisitions > 0) || live0 > 0 && t.live > 0 && t.min > min0 {
+		t.cond.Broadcast()
+	}
+	l.cells, l.acquisitions = l.cells[:0], 0
 }
 
 // Notified returns the highest iteration announced terminated (-1 if none).

@@ -5,14 +5,26 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tornado/internal/datasets"
+	"tornado/internal/storage"
 )
+
+// ledgerEmpty reports whether a processor's window ledger holds nothing it
+// has not published.
+func ledgerEmpty(p *processor) bool {
+	l := &p.ledger
+	return l.tokens.Empty() && len(l.stamps) == 0 && l.credits == 0 && l.prepares == 0 &&
+		l.stats == (statCounts{}) && l.commits == 0 && l.updates == 0
+}
 
 // checkQuiescent audits a loop a test has just seen quiesce, and stops it
 // (the audit reads processor-confined state, which is only safe once the
 // processor goroutines have exited; call it last). No obligation may be
 // left anywhere — tokens, owed acks, dirty share slots, queued messages —
 // and every counter the inner loop maintains incrementally must equal a
-// recount of the records it summarizes.
+// recount of the records it summarizes. The published PREPARE gauge reads 0,
+// and every processor exited with its window ledger published.
 func checkQuiescent(t *testing.T, e *Engine) {
 	t.Helper()
 	inc := e.cur()
@@ -28,6 +40,9 @@ func checkQuiescent(t *testing.T, e *Engine) {
 		queued := 0
 		for _, w := range p.out.win {
 			queued += len(w.Tags)
+		}
+		if !ledgerEmpty(p) {
+			t.Fatalf("processor %d exited holding an unpublished ledger %+v", p.idx, p.ledger)
 		}
 		if queued != 0 || p.deltaDepth.Load() != 0 {
 			t.Fatalf("processor %d: %d queued messages, activation depth %d", p.idx, queued, p.deltaDepth.Load())
@@ -110,4 +125,63 @@ func tokenDump(e *Engine, inc *incarnation) string {
 			ev.Time.Format("15:04:05.000000"), ev.Kind, ev.Proc, ev.Gen, ev.Resume, ev.Detail)
 	}
 	return b.String()
+}
+
+// TestPauseNeverHidesARelease pauses a processor again and again while a
+// burst streams in: each time it parks, its window ledger has been published
+// — the tracker already holds every release it made before parking, and the
+// journal, gate and counters every other write — so a paused processor holds
+// the frontier back only by the obligations it really keeps.
+func TestPauseNeverHidesARelease(t *testing.T) {
+	tuples := datasets.PowerLawGraph(2000, 4, 31)
+	e := newSSSPEngine(t, 2, 4, storage.NewMVCCStore(), storage.MainLoop)
+	e.Start()
+	stop := make(chan struct{})
+	fed := make(chan struct{})
+	go func() { // the burst, in chunks, for as long as the pauses last
+		defer close(fed)
+		for i := 0; ; i = (i + 200) % len(tuples) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.IngestAll(tuples[i:min(i+200, len(tuples))])
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	p := e.proc(1)
+	parks := 0
+	for round := 0; round < 40; round++ {
+		e.PauseProcessor(1)
+		for deadline := time.Now().Add(waitFor); ; time.Sleep(50 * time.Microsecond) {
+			p.pauseMu.Lock() // the parked goroutine wrote its ledger before taking it
+			parked := p.parked
+			empty := parked && ledgerEmpty(p)
+			p.pauseMu.Unlock()
+			if parked {
+				if !empty {
+					t.Fatalf("round %d: processor 1 parked holding an unpublished ledger %+v", round, p.ledger)
+				}
+				parks++
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: processor 1 never parked while the burst streamed in", round)
+			}
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		e.ResumeProcessor(1)
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-fed
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if parks != 40 {
+		t.Fatalf("processor 1 parked %d times in 40 pauses", parks)
+	}
+	checkSSSP(t, e, tuples)
+	checkQuiescent(t, e)
 }

@@ -79,11 +79,17 @@ func TestBranchHostsShells(t *testing.T) {
 	e.IngestAll(g)
 	// Settled, not just quiescent: the fork iteration must cover the whole
 	// graph, or the fork seeds (and so loads) every vertex committed above it.
+	// The hold then pins the frontier below the churn until the fork is
+	// taken: a main loop that absorbed the churn first would leave the branch
+	// nothing to compute (and a fork from a moving frontier can lose a
+	// gather, ROADMAP 1(b)).
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
+	release := e.HoldQuiesce()
 	e.IngestAll(removes)
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +144,7 @@ func TestShellLoadsStoredTargets(t *testing.T) {
 
 	// A new shortest path 0 -> 1 (the producer's emission at distance 0).
 	p.handleUpdate(msgUpdate{From: 0, To: 1, Iteration: 0, Token: p.tk.AcquireFloor(1), Value: int64(0), HasValue: true})
+	p.publish() // the window's ledger reaches the counters
 	if v.unloaded || br.StatsSnapshot().SnapshotLoads != 1 {
 		t.Fatalf("a valued COMMIT left vertex 1 unloaded (%v) after %d loads", v.unloaded, br.StatsSnapshot().SnapshotLoads)
 	}
@@ -153,6 +160,7 @@ func TestShellLoadsStoredTargets(t *testing.T) {
 	for _, c := range prepared {
 		p.handleAck(msgAck{From: c, To: 1, Iteration: 0})
 	}
+	p.publish() // the commit's update tokens reach the tracker
 	w = p.takeLocal()
 	got := map[stream.VertexID]any{}
 	for _, m := range w.Updates {
@@ -225,8 +233,10 @@ func TestDeltaBranchLoadsEveryVertex(t *testing.T) {
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
+	release := e.HoldQuiesce() // the fork stays behind the churn, as above
 	e.IngestAll(removes)
 	br, _, err := e.ForkBranch(storage.LoopID(1), nil, nil)
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}

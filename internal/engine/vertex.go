@@ -264,7 +264,7 @@ func (c *vertexContext) emit(to stream.VertexID, value any, cum bool, call strin
 	}
 	v.out[i].flags |= edgeEmitted
 	if c.p != nil { // contexts built without a processor (tests) skip stats
-		c.p.eng.stats.Emits.Add(1)
+		c.p.ledger.stats.Emits++
 	}
 	v.emits = append(v.emits, emission{value: value, cum: cum, edge: int32(i)})
 }

@@ -11,8 +11,9 @@ package lamport
 
 import "sync/atomic"
 
-// Clock is a monotonically increasing logical clock shared by all components
-// of a loop. The zero value is ready to use.
+// Clock is a monotonically increasing logical clock. The engine keeps one per
+// processor — Lamport's rule asks for one per process. The zero value is
+// ready to use.
 type Clock struct {
 	now atomic.Int64
 }
