@@ -362,7 +362,7 @@ func TestThroughputShape(t *testing.T) {
 		t.Fatalf("rows malformed\n%s", rep)
 	}
 	b := rep.Rows[1]
-	// The paper-shape claim: multi-payload frames amortize per-frame cost.
+	// The paper-shape claim: multi-message frames amortize per-frame cost.
 	// (Ack suppression and bounded ledger maps are the wire's, checked by
 	// the transport package's ledger tests.)
 	if b.PayloadsPerFrame < 2 {

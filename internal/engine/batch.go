@@ -166,10 +166,10 @@ func newOutbox(procs int) *outbox {
 
 // ship hands every non-empty window except skip's (a processor's own, which
 // never touches the transport; -1 ships all) to ep, cut into frames of at
-// most maxBatch messages, flushes the endpoint and empties the windows. A
-// traced member's output-buffer dwell — queued to handed off — closes here.
+// most maxBatch messages, and empties the windows. Each Send is one
+// transport frame, on its way before Send returns. A traced member's
+// output-window dwell — queued to handed off — closes here.
 func (o *outbox) ship(ep *transport.Endpoint, skip, maxBatch int, sp *trace.Tracer, loop uint64) {
-	sent := false
 	now := int64(0)
 	for node, w := range o.win {
 		if len(w.Tags) == 0 || node == skip {
@@ -188,9 +188,5 @@ func (o *outbox) ship(ep *transport.Endpoint, skip, maxBatch int, sp *trace.Trac
 			ep.Send(transport.NodeID(node), f)
 		}
 		w.reset()
-		sent = true
-	}
-	if sent {
-		ep.Flush()
 	}
 }

@@ -86,11 +86,6 @@ type Config struct {
 	// frames of at most this many. Default 64; 1 (or less) ships every
 	// message as a frame of its own, on the same path.
 	MaxBatch int
-	// flushInterval overrides the transport's latency backstop, the tick
-	// that ships buffered frames and deferred acks no protocol boundary
-	// flushed (0 = the transport's 2ms default). Only tests about send order
-	// set it, so that a partial frame never ships out of turn.
-	flushInterval time.Duration
 	// CommitDelay, when non-nil, injects per-commit latency into a
 	// processor (straggler and I/O-cost modelling in the experiments).
 	CommitDelay func(proc int) time.Duration
@@ -612,15 +607,13 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 		wire = e.buildWire(gen)
 	}
 	inc.net = transport.NewNetwork(transport.Options{
-		ResendAfter:   e.cfg.ResendAfter,
-		MaxBatch:      e.cfg.MaxBatch,
-		FlushInterval: e.cfg.flushInterval,
-		InboxHigh:     e.cfg.InboxHigh,
-		InboxLow:      e.cfg.InboxLow,
-		DropSeed:      e.cfg.Seed,
-		Stats:         e.netStats,
-		Spans:         e.spans,
-		Wire:          wire,
+		ResendAfter: e.cfg.ResendAfter,
+		InboxHigh:   e.cfg.InboxHigh,
+		InboxLow:    e.cfg.InboxLow,
+		DropSeed:    e.cfg.Seed,
+		Stats:       e.netStats,
+		Spans:       e.spans,
+		Wire:        wire,
 	})
 	inc.tracker = NewTracker(e.cfg.startIteration)
 	// Every slot runs a processor goroutine: spares (and quarantined slots)
@@ -758,9 +751,9 @@ func (e *Engine) ingestShip(inc *incarnation, out *outbox) {
 }
 
 // IngestAll ingests a tuple slice in order, in admission-gate-sized chunks:
-// each chunk rides under one incarnation lock and one transport flush, in a
-// handful of multi-payload frames instead of one frame per tuple. With
-// MaxPendingInputs set the call blocks — parking the upstream source —
+// each chunk rides under one incarnation lock and one outbox ship, in a
+// handful of frames of up to MaxBatch inputs instead of one frame per tuple.
+// With MaxPendingInputs set the call blocks — parking the upstream source —
 // whenever the loop already holds a full window of unapplied inputs. A
 // repartition's stop holds the call between two chunks.
 func (e *Engine) IngestAll(ts []stream.Tuple) { e.ingestAll(ts, true) }
@@ -986,13 +979,11 @@ func (e *Engine) traceFrontier(to int64) {
 	}
 }
 
-// broadcast sends a control message to every processor and flushes, so
-// frontier notifications and halts are never delayed by batching.
+// broadcast sends a control message to every processor.
 func (e *Engine) broadcast(inc *incarnation, payload any) {
 	for i := range inc.procs {
 		inc.masterE.Send(transport.NodeID(i), payload)
 	}
-	inc.masterE.Flush()
 }
 
 // halt stops the processors and signals completion.

@@ -29,12 +29,7 @@ func TestWindowMatchesBoxedQueue(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		maxBatch := 1 + rng.Intn(9)
 		e, err := New(Config{Processors: procs, DelayBound: 8, Kind: MainLoop, LoopID: storage.MainLoop,
-			Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: seed, MaxBatch: maxBatch,
-			// The transport's backstop tick seals buffers from its own
-			// goroutine and can deliver a partial frame out of turn (the
-			// transport dedups, it does not order); this test is about the
-			// sender's order, so keep the tick out of it.
-			flushInterval: time.Hour})
+			Store: storage.NewMVCCStore(), Program: ssspProg{source: 0}, Seed: seed, MaxBatch: maxBatch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +155,7 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewNetwork(transport.Options{ResendAfter: 20 * time.Millisecond, MaxBatch: 64,
+	net := transport.NewNetwork(transport.Options{ResendAfter: 20 * time.Millisecond,
 		Wire: &transport.WireConfig{Listener: ln, Dialer: mw.Dialer(), ForceLoop: true}})
 	defer net.Close()
 	a, b := net.Register(0), net.Register(1)
@@ -178,7 +173,6 @@ func TestWireBatchRoundTrip(t *testing.T) {
 		TargetClock: map[stream.VertexID]stream.Timestamp{1: 5}, Iteration: 9, Token: 2})
 	sent.addInput(msgInput{Tuple: stream.AddEdge(4, 2, 6)})
 	a.Send(1, sent)
-	a.Flush()
 
 	env, ok := b.Recv()
 	if !ok {

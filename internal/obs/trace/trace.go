@@ -1,6 +1,6 @@
 // Package trace is the causal-span pipeline behind Tornado's freshness
 // accounting: it follows a sampled input delta from spout ingestion through
-// the admission gate, the transport output buffer, the frame batch, the peer
+// the admission gate, the sender's output window, the frame batch, the peer
 // inbox, engine processing/coalescing, iteration commit, and the frontier
 // advance — and, for queries, from Submit through coalesce/cache/fork to
 // result delivery.
@@ -45,8 +45,8 @@ import (
 const (
 	StageSpout    = "spout"    // spout emission -> main-loop ingest entry
 	StageGate     = "gate"     // admission-gate wait
-	StageBatch    = "batch"    // transport output buffer dwell (Send -> frame seal)
-	StageFrame    = "frame"    // frame transit incl. credit parking (seal -> inbox)
+	StageBatch    = "batch"    // sender's output window dwell (queued -> Send)
+	StageFrame    = "frame"    // frame transit incl. credit parking (Send -> inbox)
 	StageInbox    = "inbox"    // peer inbox dwell (delivery -> dispatch)
 	StageProcess  = "process"  // dispatch -> state applied / update gathered
 	StageCommit   = "commit"   // apply -> three-phase commit persisted

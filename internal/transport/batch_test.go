@@ -1,94 +1,65 @@
 package transport
 
 import (
+	"encoding/gob"
 	"testing"
 	"time"
 )
 
-// TestBatchedFlushShipsOneFrame: buffered sends ship as a single
-// multi-payload frame on Flush, preserving order.
+// TestBatchedFlushShipsOneFrame: a sender-built batch crosses as a single
+// frame carrying all its messages in order, and Flush, now a no-op, ships
+// nothing more.
 func TestBatchedFlushShipsOneFrame(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Hour})
+	n := NewNetwork(Options{})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	for i := 0; i < 5; i++ {
-		a.Send(2, i)
+	sendBatches(a, 2, 5, 8)
+	a.Flush()
+	if sent, payloads := n.Stats.Sent.Load(), n.Stats.Payloads.Load(); sent != 1 || payloads != 5 {
+		t.Fatalf("Sent = %d, Payloads = %d; want 1 frame carrying 5 messages", sent, payloads)
 	}
-	if got := a.Buffered(); got != 5 {
-		t.Fatalf("Buffered = %d before flush; want 5", got)
+	env, ok := b.TryRecv()
+	if !ok {
+		t.Fatal("batch not delivered")
+	}
+	got, _ := env.Payload.(batchOf)
+	if len(got) != 5 {
+		t.Fatalf("payload = %+v; want a batch of 5", env.Payload)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("message %d = %d; want %d (send order)", i, v, i)
+		}
 	}
 	if _, ok := b.TryRecv(); ok {
-		t.Fatal("payload delivered before flush")
-	}
-	a.Flush()
-	for i := 0; i < 5; i++ {
-		env, ok := b.Recv()
-		if !ok || env.Payload != i {
-			t.Fatalf("payload %d: got %+v, %v", i, env, ok)
-		}
-	}
-	if sent, payloads := n.Stats.Sent.Load(), n.Stats.Payloads.Load(); sent != 1 || payloads != 5 {
-		t.Fatalf("Sent = %d, Payloads = %d; want 1 frame carrying 5 payloads", sent, payloads)
+		t.Fatal("Flush delivered a second payload")
 	}
 }
 
-// TestBatchFullShipsWithoutFlush: a buffer reaching MaxBatch ships on its
-// own.
+// TestBatchFullShipsWithoutFlush: every Send ships its payload as a frame
+// of its own at once — a sender-built batch of any size and a lone message
+// alike — so the receiver holds it before the call returns, in send order,
+// and nothing waits in the sender for a flush.
 func TestBatchFullShipsWithoutFlush(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 4, FlushInterval: time.Hour})
+	n := NewNetwork(Options{})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
-	for i := 0; i < 4; i++ {
+	a.Send(2, weighed(64))
+	if got := b.Pending(); got != 64 {
+		t.Fatalf("Pending = %d after a 64-message batch; want it delivered at once", got)
+	}
+	for i := 0; i < 5; i++ {
 		a.Send(2, i)
 	}
-	for i := 0; i < 4; i++ {
-		env, ok := b.Recv()
-		if !ok || env.Payload != i {
-			t.Fatalf("payload %d: got %+v, %v", i, env, ok)
-		}
+	if sent, payloads := n.Stats.Sent.Load(), n.Stats.Payloads.Load(); sent != 6 || payloads != 69 {
+		t.Fatalf("Sent = %d, Payloads = %d; want 6 frames carrying 69 messages", sent, payloads)
 	}
-	if a.Buffered() != 0 {
-		t.Fatalf("Buffered = %d after the buffer filled", a.Buffered())
+	if env, ok := b.TryRecv(); !ok || env.Payload != weighed(64) {
+		t.Fatalf("first payload: got %+v, %v", env, ok)
 	}
-}
-
-// TestFlushIntervalBackstop: a lone buffered payload ships within the
-// background flush interval even if nobody calls Flush.
-func TestFlushIntervalBackstop(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 64, FlushInterval: 2 * time.Millisecond})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
-	a.Send(2, "lonely")
-	done := make(chan Envelope, 1)
-	go func() {
-		if env, ok := b.Recv(); ok {
-			done <- env
-		}
-	}()
-	select {
-	case env := <-done:
-		if env.Payload != "lonely" {
-			t.Fatalf("got %+v", env)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("buffered payload never shipped by the flush ticker")
-	}
-}
-
-// TestSendNowBypassesBuffer: SendNow ships immediately, draining the
-// destination's buffer first so per-pair order survives.
-func TestSendNowBypassesBuffer(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 64, FlushInterval: time.Hour})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
-	a.Send(2, 0)
-	a.Send(2, 1)
-	a.SendNow(2, 2)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		env, ok := b.TryRecv()
 		if !ok || env.Payload != i {
 			t.Fatalf("payload %d: got %+v, %v", i, env, ok)
@@ -96,23 +67,17 @@ func TestSendNowBypassesBuffer(t *testing.T) {
 	}
 }
 
-// TestBatchedOrderUnderDropDupResend: multi-payload frames plus cumulative
-// acks must deliver every payload exactly once under heavy drop and
+// TestBatchedOrderUnderDropDupResend: sender-built batches plus cumulative
+// acks must deliver every message exactly once under heavy drop and
 // duplication faults.
 func TestBatchedOrderUnderDropDupResend(t *testing.T) {
-	n, faults := lossyLoop(t, 11, Options{
-		ResendAfter: 5 * time.Millisecond, MaxBatch: 8,
-		FlushInterval: time.Millisecond,
-	})
+	n, faults := lossyLoop(t, 11, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	faults.SetLoss(0.3, 0.3)
 	const total = 500
-	for i := 0; i < total; i++ {
-		a.Send(2, i)
-	}
-	a.Flush()
+	sendBatches(a, 2, total, 8)
 	got := make(map[int]int)
 	deadline := time.After(10 * time.Second)
 	for len(got) < total {
@@ -124,7 +89,9 @@ func TestBatchedOrderUnderDropDupResend(t *testing.T) {
 		}()
 		select {
 		case env := <-ch:
-			got[env.Payload.(int)]++
+			for _, v := range env.Payload.(batchOf) {
+				got[v]++
+			}
 		case <-deadline:
 			t.Fatalf("only %d/%d payloads recovered under faults", len(got), total)
 		}
@@ -143,33 +110,25 @@ func TestBatchedOrderUnderDropDupResend(t *testing.T) {
 // sent (the pre-cumulative-ack implementation kept one seen entry per frame
 // forever).
 func TestCumulativeAckCompactsMaps(t *testing.T) {
-	n, faults := lossyLoop(t, 13, Options{
-		ResendAfter: 5 * time.Millisecond, MaxBatch: 4,
-		FlushInterval: time.Millisecond,
-	})
+	n, faults := lossyLoop(t, 13, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	faults.SetLoss(0.2, 0) // drops force out-of-order arrivals worth deduping
 	const total = 4000
-	go func() {
-		for i := 0; i < total; i++ {
-			a.Send(2, i)
-		}
-		a.Flush()
-	}()
+	go sendBatches(a, 2, total, 4)
 	received := 0
 	deadline := time.After(15 * time.Second)
 	for received < total {
-		ch := make(chan struct{}, 1)
+		ch := make(chan int, 1)
 		go func() {
-			if _, ok := b.Recv(); ok {
-				ch <- struct{}{}
+			if env, ok := b.Recv(); ok {
+				ch <- len(env.Payload.(batchOf))
 			}
 		}()
 		select {
-		case <-ch:
-			received++
+		case k := <-ch:
+			received += k
 		case <-deadline:
 			t.Fatalf("only %d/%d payloads received", received, total)
 		}
@@ -183,9 +142,9 @@ func TestCumulativeAckCompactsMaps(t *testing.T) {
 	}, "seen/unacked maps did not compact to zero")
 }
 
-// TestLegacySeenCompacts: cumulative compaction also bounds the unbatched
-// path (frames arrive in order, so the watermark covers them all
-// immediately).
+// TestLegacySeenCompacts: cumulative compaction also bounds one-message
+// frames on a clean wire (frames arrive in order, so the watermark covers
+// them all immediately).
 func TestLegacySeenCompacts(t *testing.T) {
 	n, _ := lossyLoop(t, 0, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
@@ -210,20 +169,13 @@ func TestLegacySeenCompacts(t *testing.T) {
 // in-order data frames immediately (the rest ride later watermarks or the
 // ledger tick), so ack frames stay well below data frames.
 func TestDeferredAcksSuppressAckTraffic(t *testing.T) {
-	n, _ := lossyLoop(t, 0, Options{
-		ResendAfter: 50 * time.Millisecond, MaxBatch: 8,
-		FlushInterval: 2 * time.Millisecond,
-	})
+	n, _ := lossyLoop(t, 0, Options{ResendAfter: 50 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	const frames = 40
-	for f := 0; f < frames; f++ {
-		for i := 0; i < 8; i++ {
-			a.Send(2, f*8+i)
-		}
-	}
-	for i := 0; i < frames*8; i++ {
+	sendBatches(a, 2, frames*8, 8)
+	for i := 0; i < frames; i++ {
 		if _, ok := b.Recv(); !ok {
 			t.Fatal("Recv closed early")
 		}
@@ -237,47 +189,37 @@ func TestDeferredAcksSuppressAckTraffic(t *testing.T) {
 
 // TestNoAcksWithoutResendLedger: an in-process network has no ledger — a
 // frame between two local endpoints cannot be lost — so it sends no ack
-// frames, not even across several flush ticks after in-order deliveries,
-// and ResendAfter changes nothing there.
+// frames, not even well after in-order deliveries, and ResendAfter changes
+// nothing there.
 func TestNoAcksWithoutResendLedger(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Millisecond, ResendAfter: time.Millisecond})
+	n := NewNetwork(Options{ResendAfter: time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	const frames = 20
-	for f := 0; f < frames; f++ {
-		for i := 0; i < 8; i++ {
-			a.Send(2, f*8+i)
-		}
-	}
-	a.Send(2, "tail") // a partial buffer the flush tick ships
-	for i := 0; i < frames*8+1; i++ {
+	sendBatches(a, 2, frames*8, 8)
+	a.Send(2, "tail")
+	for i := 0; i < frames+1; i++ {
 		if _, ok := b.Recv(); !ok {
 			t.Fatal("Recv closed early")
 		}
 	}
-	time.Sleep(20 * time.Millisecond) // several flush ticks
+	time.Sleep(20 * time.Millisecond) // many resend timeouts
 	if sent, acks, resent := n.Stats.Sent.Load(), n.Stats.AckFrames.Load(), n.Stats.Resent.Load(); sent != frames+1 || acks != 0 || resent != 0 {
 		t.Fatalf("Sent = %d, AckFrames = %d, Resent = %d; want %d data frames and no acks or resends in-process",
 			sent, acks, resent, frames+1)
 	}
 }
 
-// TestBatchedPartitionHeal: frames buffered or lost while the wire is
+// TestBatchedPartitionHeal: sender-built batches lost while the wire is
 // partitioned replay after it heals.
 func TestBatchedPartitionHeal(t *testing.T) {
-	n, faults := lossyLoop(t, 0, Options{
-		ResendAfter: 5 * time.Millisecond, MaxBatch: 4,
-		FlushInterval: time.Millisecond,
-	})
+	n, faults := lossyLoop(t, 0, Options{ResendAfter: 5 * time.Millisecond})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	faults.SetPartition(true)
-	for i := 0; i < 10; i++ {
-		a.Send(2, i)
-	}
-	a.Flush()
+	sendBatches(a, 2, 10, 4)
 	time.Sleep(15 * time.Millisecond)
 	if _, ok := b.TryRecv(); ok {
 		t.Fatal("a frame crossed a partitioned wire")
@@ -294,7 +236,9 @@ func TestBatchedPartitionHeal(t *testing.T) {
 		}()
 		select {
 		case env := <-ch:
-			got[env.Payload.(int)] = true
+			for _, v := range env.Payload.(batchOf) {
+				got[v] = true
+			}
 		case <-deadline:
 			t.Fatalf("only %d/10 payloads after healing", len(got))
 		}
@@ -302,51 +246,16 @@ func TestBatchedPartitionHeal(t *testing.T) {
 	waitLedgerDrained(t, n)
 }
 
-// TestCrashDiscardsOutputBuffer: a crash loses buffered payloads, exactly as
-// a process crash would.
-func TestCrashDiscardsOutputBuffer(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 64, FlushInterval: time.Hour})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
-	a.Send(2, "doomed")
-	a.Crash()
-	if a.Buffered() != 0 {
-		t.Fatalf("Buffered = %d after crash", a.Buffered())
-	}
-	a.Flush()
-	time.Sleep(5 * time.Millisecond)
-	if _, ok := b.TryRecv(); ok {
-		t.Fatal("crashed endpoint's buffered payload was delivered")
-	}
-}
-
-// TestCloseFlushesBuffers: graceful shutdown ships what was buffered so
-// receivers can drain it.
-func TestCloseFlushesBuffers(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 64, FlushInterval: time.Hour})
-	a := n.Register(1)
-	b := n.Register(2)
-	a.Send(2, "parting")
-	a.Close()
-	env, ok := b.Recv()
-	if !ok || env.Payload != "parting" {
-		t.Fatalf("after Close got %+v, %v", env, ok)
-	}
-	b.Close()
-}
-
 // TestRecvBatchDrainsInbox: RecvBatch returns everything queued in order and
 // recycles the caller's previous slice as the next inbox.
 func TestRecvBatchDrainsInbox(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 16, FlushInterval: time.Hour})
+	n := NewNetwork(Options{})
 	defer n.Close()
 	a := n.Register(1)
 	b := n.Register(2)
 	for i := 0; i < 10; i++ {
 		a.Send(2, i)
 	}
-	a.Flush()
 	waitCondition(t, func() bool { return b.Pending() == 10 }, "payloads did not arrive")
 	batch, ok := b.RecvBatch(nil)
 	if !ok || len(batch) != 10 {
@@ -361,7 +270,6 @@ func TestRecvBatchDrainsInbox(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Send(2, 100+i)
 	}
-	a.Flush()
 	waitCondition(t, func() bool { return b.Pending() == 3 }, "second round did not arrive")
 	batch2, ok := b.RecvBatch(batch)
 	if !ok || len(batch2) != 3 {
@@ -376,7 +284,7 @@ func TestRecvBatchDrainsInbox(t *testing.T) {
 
 // TestRecvBatchUnblocksOnClose mirrors the Recv close contract.
 func TestRecvBatchUnblocksOnClose(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 16})
+	n := NewNetwork(Options{})
 	a := n.Register(1)
 	done := make(chan bool)
 	go func() {
@@ -407,30 +315,42 @@ type weighed int
 
 func (w weighed) PayloadLen() int { return int(w) }
 
-// TestCountedPayloadsFrameByMessages: MaxBatch, Buffered, Pending and the
-// Payloads/Delivered counters all count the messages inside Counted payloads,
-// and a payload that would take a buffer past MaxBatch ships what is buffered
-// first — no frame exceeds MaxBatch messages.
+// batchOf is a sender-built batch that crosses the wire: one payload, a
+// message per element.
+type batchOf []int
+
+func (b batchOf) PayloadLen() int { return len(b) }
+
+func init() { gob.Register(batchOf(nil)) }
+
+// sendBatches sends the messages 0..total-1 from a to node to in batches of
+// at most size, one payload each.
+func sendBatches(a *Endpoint, to NodeID, total, size int) {
+	for from := 0; from < total; from += size {
+		b := make(batchOf, 0, size)
+		for i := from; i < min(from+size, total); i++ {
+			b = append(b, i)
+		}
+		a.Send(to, b)
+	}
+}
+
+// TestCountedPayloadsFrameByMessages: Pending and the Payloads/Delivered
+// counters count the messages inside Counted payloads, while Sent counts one
+// frame per payload whatever it weighs.
 func TestCountedPayloadsFrameByMessages(t *testing.T) {
-	n := NewNetwork(Options{MaxBatch: 8, FlushInterval: time.Hour})
+	n := NewNetwork(Options{})
 	defer n.Close()
 	a, b := n.Register(1), n.Register(2)
 
 	a.Send(2, weighed(5))
-	if got := a.Buffered(); got != 5 {
-		t.Fatalf("Buffered = %d after a 5-message payload; want 5", got)
-	}
-	a.Send(2, weighed(5)) // 5+5 > 8: the first ships alone
-	if sent, buffered := n.Stats.Sent.Load(), a.Buffered(); sent != 1 || buffered != 5 {
-		t.Fatalf("after the second payload: %d frames sent, %d messages buffered; want 1 and 5", sent, buffered)
-	}
-	a.Send(2, weighed(8)) // a full batch: the buffered one ships, then it does
-	if sent, buffered := n.Stats.Sent.Load(), a.Buffered(); sent != 3 || buffered != 0 {
-		t.Fatalf("after the full payload: %d frames sent, %d messages buffered; want 3 and 0", sent, buffered)
-	}
+	a.Send(2, weighed(5))
+	a.Send(2, weighed(8))
 	a.Send(2, "plain") // everything else weighs one
-	a.Flush()
 
+	if got := n.Stats.Sent.Load(); got != 4 {
+		t.Fatalf("Stats.Sent = %d; want a frame per payload, 4", got)
+	}
 	if got := b.Pending(); got != 19 {
 		t.Fatalf("Pending = %d; want 19 messages", got)
 	}

@@ -183,34 +183,29 @@ func TestSendNowBypassesStall(t *testing.T) {
 	}
 }
 
-// TestBatchedStallAndResume exercises the watermark with batching and the
-// wire ledger on: every payload must arrive exactly once despite the parked
-// window, the resends, and the deferred-ack machinery.
+// TestBatchedStallAndResume exercises the watermark with sender-built
+// batches and the wire ledger on: every message must arrive exactly once
+// despite the parked window, the resends, and the deferred-ack machinery.
 func TestBatchedStallAndResume(t *testing.T) {
 	net, _ := lossyLoop(t, 0, Options{
-		InboxHigh:     32,
-		InboxLow:      8,
-		MaxBatch:      4,
-		FlushInterval: time.Millisecond,
-		ResendAfter:   5 * time.Millisecond,
+		InboxHigh:   32,
+		InboxLow:    8,
+		ResendAfter: 5 * time.Millisecond,
 	})
 	defer net.Close()
 	src := net.Register(1)
 	dst := net.Register(2)
 
 	const total = 500
-	go func() {
-		for i := 0; i < total; i++ {
-			src.Send(2, i)
-		}
-		src.Flush()
-	}()
+	go sendBatches(src, 2, total, 4)
 
 	seen := make(map[int]int, total)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(seen) < total && time.Now().Before(deadline) {
 		if env, ok := dst.TryRecv(); ok {
-			seen[env.Payload.(int)]++
+			for _, v := range env.Payload.(batchOf) {
+				seen[v]++
+			}
 			continue
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -335,13 +330,11 @@ func TestHeldReplayStopsAtCrash(t *testing.T) {
 	defer net.Close()
 	src, dst := net.Register(1), net.Register(2)
 	src.Send(2, weighed(4)) // fills the receiver's window: credit withdrawn
-	src.Flush()
 	if !dst.Stalled() {
 		t.Fatal("receiver not stalled at its high watermark")
 	}
 	for i := 0; i < parked; i++ {
 		src.Send(2, i)
-		src.Flush()
 	}
 	if held := src.HeldFrames(); held != parked {
 		t.Fatalf("HeldFrames = %d; want %d", held, parked)

@@ -32,9 +32,13 @@ func checkGoroutines(t *testing.T, fn func()) {
 
 func TestNoLeakPlainNetworkClose(t *testing.T) {
 	checkGoroutines(t, func() {
-		n := NewNetwork(Options{MaxBatch: 8})
+		before := runtime.NumGoroutine()
+		n := NewNetwork(Options{})
 		a := n.Register(1)
 		b := n.Register(2)
+		if now := runtime.NumGoroutine(); now > before {
+			t.Fatalf("two in-process endpoints run %d goroutines; want none", now-before)
+		}
 		for i := 0; i < 100; i++ {
 			a.Send(2, i)
 		}

@@ -21,22 +21,21 @@
 //
 // # Batching
 //
-// The unit of transmission is a frame carrying one or more payloads. With
-// MaxBatch > 1 each endpoint keeps a per-destination output buffer: Send
-// appends to it, and the buffer ships as one multi-payload frame when it
-// reaches MaxBatch, when the sender calls Flush, or when the FlushInterval
-// ticker fires (the latency backstop). SendNow bypasses the buffer for
-// latency-critical traffic (heartbeats) while still draining the buffer
-// first so per-destination order is preserved. Receivers drain their whole
-// inbox under a single lock with RecvBatch, recycling the caller's previous
-// batch slice so the steady state allocates nothing.
+// The unit of transmission is a frame carrying one payload: Send and SendNow
+// hand the payload on at once, and nothing waits in the transport for a
+// later flush. Batching is the sender's job. A sender that wants fewer,
+// larger frames builds its own batch and sends it as one payload — the
+// engine's processors cut each receive window into frames of at most its
+// MaxBatch messages, and wirenode ships a worker's relaxations per owner.
+// Receivers drain their whole inbox under a single lock with RecvBatch,
+// recycling the caller's previous batch slice so the steady state allocates
+// nothing.
 //
-// Everything the transport counts — MaxBatch, the inbox watermarks, Pending,
+// Everything the transport counts — the inbox watermarks, Pending,
 // Stats.Payloads and Stats.Delivered — is in messages. A payload is one
-// message unless it implements Counted, which is how a sender that builds its
-// own batches (the engine's processors) hands a whole batch over as a single
-// payload — one lock, one frame — without changing what the credit watermarks
-// and the payloads-per-frame ratio mean.
+// message unless it implements Counted, which is how a sender-built batch
+// travels as a single payload — one lock, one frame — without changing what
+// the credit watermarks and the payloads-per-frame ratio mean.
 //
 // # Credit
 //
@@ -82,13 +81,13 @@ func payloadLen(p any) int {
 	return 1
 }
 
-// frame is the unit of transmission: a batch of payloads from one endpoint
-// to another. The wire carries it inside a wireFrame, which adds the
-// ledger's sequence number; an in-process frame has none.
+// frame is the unit of transmission: one payload from one endpoint to
+// another. The wire carries it inside a wireFrame, which adds the ledger's
+// sequence number; an in-process frame has none.
 type frame struct {
 	from, to NodeID
-	payloads []any // one or more payloads, in send order
-	// msgs is the number of messages inside payloads (see Counted); the wire
+	payload  any // nil only on a wire ack
+	// msgs is the number of messages inside payload (see Counted); the wire
 	// decoder recounts it.
 	msgs int
 	// urgent marks SendNow traffic: it bypasses sender-side credit parking,
@@ -157,16 +156,13 @@ type Options struct {
 	// Default 5ms with a Wire; an in-process network ignores it, as it has
 	// nothing to resend.
 	ResendAfter time.Duration
-	// MaxBatch is the per-destination output buffer size in messages: Send
-	// buffers payloads and ships a multi-payload frame when the buffer fills
-	// (or on Flush / the FlushInterval tick); a payload that would take the
-	// buffer past MaxBatch ships what is buffered first, so no frame exceeds
-	// it unless a single payload does. Zero or one sends every payload as
-	// its own frame immediately.
+	// MaxBatch is ignored: every payload travels as a frame of its own.
+	//
+	// Deprecated: senders build their own batches (see Counted).
 	MaxBatch int
-	// FlushInterval bounds how long a buffered payload may wait before a
-	// background tick ships it. Only meaningful with MaxBatch > 1 (default
-	// 2ms there).
+	// FlushInterval is ignored: nothing waits in the transport for a flush.
+	//
+	// Deprecated: there is no flush ticker.
 	FlushInterval time.Duration
 	// InboxHigh bounds every endpoint's inbox with credit-based flow
 	// control: once an inbox holds this many messages the receiver
@@ -182,7 +178,7 @@ type Options struct {
 	// Zero leaves inboxes unbounded (legacy behavior). The bound is on
 	// messages, not frames: a frame already in flight when the watermark
 	// trips still lands whole, so momentary overshoot is at most one
-	// MaxBatch frame per concurrent sender.
+	// sender-built batch per concurrent sender.
 	InboxHigh int
 	// InboxLow is the drain watermark that restores credit to a stalled
 	// inbox (default InboxHigh/2). The hysteresis gap keeps senders from
@@ -197,7 +193,7 @@ type Options struct {
 	// a traced payload (one implementing trace.Carrier) stamp their delivery
 	// on the Envelope, and a wire resend of one records an escalation marker
 	// against the trace. The stage spans themselves are recorded by whoever
-	// owns the payload's members: the sender closes the output-buffer dwell
+	// owns the payload's members: the sender closes its own batch's dwell
 	// (batch) before Send, the receiver the frame transit (frame, credit
 	// parking included) at Envelope.At.
 	Spans *trace.Tracer
@@ -229,12 +225,6 @@ type Network struct {
 
 // NewNetwork returns an empty network.
 func NewNetwork(opts Options) *Network {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 1
-	}
-	if opts.MaxBatch > 1 && opts.FlushInterval <= 0 {
-		opts.FlushInterval = 2 * time.Millisecond
-	}
 	if opts.InboxHigh > 0 && (opts.InboxLow <= 0 || opts.InboxLow >= opts.InboxHigh) {
 		opts.InboxLow = opts.InboxHigh / 2
 	}
@@ -275,13 +265,9 @@ func (n *Network) Register(id NodeID) *Endpoint {
 	if _, ok := n.endpoints[id]; ok {
 		panic(fmt.Sprintf("transport: node %d registered twice", id))
 	}
-	ep := &Endpoint{id: id, net: n, outbuf: make(map[NodeID]outBuf)}
+	ep := &Endpoint{id: id, net: n}
 	ep.cond = sync.NewCond(&ep.mu)
 	n.endpoints[id] = ep
-	if n.opts.MaxBatch > 1 {
-		ep.flushStop = make(chan struct{})
-		go ep.flushLoop(n.opts.FlushInterval)
-	}
 	return ep
 }
 
@@ -291,9 +277,8 @@ func (n *Network) endpoint(id NodeID) *Endpoint {
 	return n.endpoints[id]
 }
 
-// Close shuts down every endpoint gracefully: buffered frames flush and
-// receivers may drain their remaining inboxes. The wire (if any) comes down
-// last, after the endpoints have flushed through it.
+// Close shuts down every endpoint gracefully: receivers may drain their
+// remaining inboxes. The wire (if any) comes down last.
 func (n *Network) Close() {
 	for _, ep := range n.snapshotEndpoints() {
 		ep.Close()
@@ -337,34 +322,6 @@ func (n *Network) list() []*Endpoint {
 	return eps
 }
 
-// payloadPool recycles the per-frame payload slices of in-process frames,
-// whose hand-off to the receiver's inbox leaves the sender no reference. A sync.Pool holds pointers, and boxing a
-// slice header into one allocates, so the slices travel in *[]any holders and
-// the emptied holders wait in holderPool for the next put: a steady
-// get/put cycle allocates nothing.
-var (
-	payloadPool = sync.Pool{New: func() any { s := make([]any, 0, 8); return &s }}
-	holderPool  = sync.Pool{New: func() any { return new([]any) }}
-)
-
-func getPayloadSlice() []any {
-	h := payloadPool.Get().(*[]any)
-	s := (*h)[:0]
-	*h = nil
-	holderPool.Put(h)
-	return s
-}
-
-func putPayloadSlice(s []any) {
-	if cap(s) == 0 || cap(s) > 1024 {
-		return
-	}
-	clear(s)
-	h := holderPool.Get().(*[]any)
-	*h = s[:0]
-	payloadPool.Put(h)
-}
-
 // Endpoint is one node's attachment to the network. Send and Recv are safe
 // for concurrent use.
 type Endpoint struct {
@@ -384,7 +341,6 @@ type Endpoint struct {
 	inboxMsgs int
 	closed    bool
 	crashed   bool
-	outbuf    map[NodeID]outBuf
 
 	// stalled is the receiver-side credit flag: set (under mu, in deliver)
 	// once the inbox reaches the high watermark, cleared once a drain takes
@@ -400,197 +356,79 @@ type Endpoint struct {
 	// replayed, when set (tests only), runs after each frame a held-frame
 	// replay transmits, with no lock held: between two frames of the replay.
 	replayed func()
-
-	flushStop chan struct{}
-}
-
-// outBuf is one destination's output buffer: the payloads waiting for a seal,
-// how many messages they hold, and whether any of them is traced.
-type outBuf struct {
-	payloads []any
-	msgs     int
-	traced   bool
 }
 
 // ID returns the endpoint's node ID.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// Send transmits payload to node to, buffering it when batching is on. It
-// never blocks. Sends from a closed or crashed endpoint are suppressed.
-func (e *Endpoint) Send(to NodeID, payload any) {
-	maxBatch := e.net.opts.MaxBatch
-	msgs := payloadLen(payload)
-	// One atomic load decides whether the trace machinery is consulted at
-	// all; only then is the payload's carrier interface inspected.
-	traced := false
+// Send transmits payload to node to as a frame of its own. It never blocks:
+// a destination that has withdrawn credit gets the frame parked, in order,
+// until it drains. Sends from a closed or crashed endpoint are suppressed.
+func (e *Endpoint) Send(to NodeID, payload any) { e.send(e.frame(to, payload)) }
+
+// SendNow is Send for latency-critical control traffic (heartbeats, halt
+// votes): the frame skips the credit check — one control envelope past the
+// watermark is harmless, whereas a parked heartbeat is a false crash
+// suspicion — and a watermark-full receiver sheds it instead (see deliver).
+func (e *Endpoint) SendNow(to NodeID, payload any) {
+	f := e.frame(to, payload)
+	f.urgent = true
+	e.send(f)
+}
+
+// Flush does nothing: Send has already transmitted every payload.
+//
+// Deprecated: the transport keeps no output buffer to flush.
+func (e *Endpoint) Flush() {}
+
+// frame wraps one payload for to. One atomic load decides whether the trace
+// machinery is consulted at all; only then is the payload's carrier
+// interface inspected.
+func (e *Endpoint) frame(to NodeID, payload any) frame {
+	f := frame{from: e.id, to: to, payload: payload, msgs: payloadLen(payload)}
 	if e.net.opts.Spans.Enabled() {
 		if c, ok := payload.(trace.Carrier); ok && c.TraceCtx().Traced() {
-			traced = true
+			f.traced = true
 		}
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	var frames [2]frame
-	n := 0
-	ob := e.outbuf[to]
-	if len(ob.payloads) > 0 && ob.msgs+msgs > maxBatch {
-		// The payload would take the buffer past MaxBatch: what is buffered
-		// ships as its own frame first.
-		frames[n] = e.seal(to, ob)
-		n++
-		ob = outBuf{}
-	}
-	if ob.payloads == nil {
-		ob.payloads = getPayloadSlice()
-	}
-	ob.payloads = append(ob.payloads, payload)
-	ob.msgs += msgs
-	ob.traced = ob.traced || traced
-	if ob.msgs >= maxBatch {
-		delete(e.outbuf, to)
-		frames[n] = e.seal(to, ob)
-		n++
-	} else {
-		e.outbuf[to] = ob
-	}
-	e.mu.Unlock()
-	for _, f := range frames[:n] {
-		e.transmitData(f)
-	}
+	return f
 }
 
-// SendNow transmits payload immediately, bypassing the batch buffer (after
-// draining any buffered payloads for the same destination, so per-pair order
-// is preserved). Heartbeats and other latency-critical control traffic use
-// it so batching cannot delay them.
-func (e *Endpoint) SendNow(to NodeID, payload any) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	var pre frame
-	hasPre := false
-	if ob := e.outbuf[to]; len(ob.payloads) > 0 {
-		delete(e.outbuf, to)
-		pre = e.seal(to, ob)
-		hasPre = true
-	}
-	e.mu.Unlock()
-	f := e.seal(to, outBuf{payloads: append(getPayloadSlice(), payload), msgs: payloadLen(payload)})
-	f.urgent = true
-	// SendNow traffic skips the credit check (see transmitDataNow). The
-	// drained buffer rides the same bypass: holding it while the urgent
-	// frame jumps ahead would reorder the pair.
-	if hasPre {
-		e.transmitDataNow(pre)
-	}
-	e.transmitDataNow(f)
-}
-
-// Flush seals every non-empty output buffer into a frame and transmits it.
-// Senders call it at protocol boundaries (end of a dispatch window, frontier
-// notifications); the FlushInterval ticker is only the latency backstop.
-func (e *Endpoint) Flush() {
-	var buf [8]frame // a flush rarely has more destinations; more spill to the heap
-	frames := buf[:0]
-	e.mu.Lock()
-	if !e.closed {
-		frames = e.sealOutbufLocked(frames)
-	}
-	e.mu.Unlock()
-	for _, f := range frames {
-		e.transmitData(f)
-	}
-}
-
-// seal builds the frame for to from a sealed output buffer.
-func (e *Endpoint) seal(to NodeID, ob outBuf) frame {
-	return frame{from: e.id, to: to, payloads: ob.payloads, msgs: ob.msgs, traced: ob.traced}
-}
-
-// sealOutbufLocked seals every buffered destination, appending the frames to
-// frames. Caller holds e.mu.
-func (e *Endpoint) sealOutbufLocked(frames []frame) []frame {
-	for to, ob := range e.outbuf {
-		delete(e.outbuf, to)
-		frames = append(frames, e.seal(to, ob))
-	}
-	return frames
-}
-
-// transmitData counts and transmits a data frame, and recycles its payload
-// slice unless the frame was parked awaiting credit.
-func (e *Endpoint) transmitData(f frame) {
-	e.net.Stats.Sent.Add(1)
-	e.net.Stats.Payloads.Add(int64(f.msgs))
-	if e.holdOrTransmit(f) {
-		return // parked; the credit grant transmits (and recycles) it later
-	}
-	e.net.recycle(f)
-}
-
-// recycle returns a transmitted frame's payload slice to the pool. An
-// in-process transmit is synchronous — the receiver's inbox took the payload
-// references — so the slice is free. A wire makes transmit asynchronous: the
-// frame sits in a peer queue and the wire ledger, still referencing the
-// slice, so wire frames are left to the garbage collector instead.
-func (n *Network) recycle(f frame) {
-	if n.wire == nil {
-		putPayloadSlice(f.payloads)
-	}
-}
-
-// transmitDataNow is transmitData without the credit check: SendNow traffic
-// (heartbeats, failure detection) must reach a congested receiver — one
-// control envelope past the watermark is harmless, whereas a parked
-// heartbeat is a false crash suspicion.
-func (e *Endpoint) transmitDataNow(f frame) {
-	e.net.Stats.Sent.Add(1)
-	e.net.Stats.Payloads.Add(int64(f.msgs))
-	e.transmit(f)
-	e.net.recycle(f)
-}
-
-// holdOrTransmit implements the sender half of credit-based flow control:
-// a data frame whose destination has withdrawn credit — or that would
-// overtake frames already parked for it — is queued locally instead of
-// delivered, and replayed in order when the receiver grants credit again.
-// Reports whether the frame was parked.
-func (e *Endpoint) holdOrTransmit(f frame) bool {
-	if e.net.opts.InboxHigh <= 0 {
-		e.transmit(f)
-		return false
-	}
+// send counts and transmits a data frame. It implements the sender half of
+// credit-based flow control: a data frame whose destination has withdrawn
+// credit — or that would overtake frames already parked for it — is queued
+// locally instead of delivered, and replayed in order when the receiver
+// grants credit again. Urgent frames are never parked. A destination with no
+// local endpoint is outside the credit domain: its flow control is the wire's
+// bounded peer queue plus the ledger.
+func (e *Endpoint) send(f frame) {
 	dst := e.peer(f.to)
-	if dst == nil {
-		// Unregistered destination: transmit handles the wire detour (remote
-		// peers are outside the credit domain — their flow control is the
-		// bounded peer queue plus the wire ledger) or drops the frame.
-		e.transmit(f)
-		return false
-	}
 	e.mu.Lock()
-	if !e.closed && (dst.stalled.Load() || len(e.held[f.to]) > 0 || e.draining[f.to]) {
+	if e.closed {
+		e.mu.Unlock()
+		return
+	}
+	park := !f.urgent && dst != nil && e.net.opts.InboxHigh > 0 &&
+		(dst.stalled.Load() || len(e.held[f.to]) > 0 || e.draining[f.to])
+	if park {
 		if e.held == nil {
 			e.held = make(map[NodeID][]frame)
 		}
 		e.held[f.to] = append(e.held[f.to], f)
-		e.net.Stats.HeldFrames.Add(1)
-		e.mu.Unlock()
-		// The receiver may have granted credit between our stall check and
-		// the append; re-check so a frame can never be parked forever.
-		if !dst.stalled.Load() {
-			e.releaseHeld(f.to)
-		}
-		return true
 	}
 	e.mu.Unlock()
-	e.net.dispatch(dst, f)
-	return false
+	e.net.Stats.Sent.Add(1)
+	e.net.Stats.Payloads.Add(int64(f.msgs))
+	if !park {
+		e.transmit(dst, f)
+		return
+	}
+	e.net.Stats.HeldFrames.Add(1)
+	// The receiver may have granted credit between our stall check and the
+	// append; re-check so a frame can never be parked forever.
+	if !dst.stalled.Load() {
+		e.releaseHeld(f.to)
+	}
 }
 
 // grantCredits replays frames parked for destination to across every
@@ -632,8 +470,7 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 				stopped = i
 				break
 			}
-			e.transmit(f)
-			e.net.recycle(f)
+			e.transmit(dst, f)
 			if e.replayed != nil {
 				e.replayed()
 			}
@@ -666,12 +503,10 @@ func (e *Endpoint) releaseHeld(to NodeID) {
 	e.mu.Unlock()
 }
 
-// transmit hands a frame to its destination. The peer cache keeps the global
-// Network mutex off this path. A destination with no local endpoint routes
-// over the wire when one is attached (remote deployments); without a wire it
-// is dropped.
-func (e *Endpoint) transmit(f frame) {
-	dst := e.peer(f.to)
+// transmit hands a frame to its destination, dst (the local endpoint of
+// f.to, or nil). A destination with no local endpoint routes over the wire
+// when one is attached (remote deployments); without a wire it is dropped.
+func (e *Endpoint) transmit(dst *Endpoint, f frame) {
 	if dst == nil {
 		if w := e.net.wire; w != nil && !w.cfg.ForceLoop {
 			w.send(f)
@@ -693,7 +528,8 @@ func (n *Network) dispatch(dst *Endpoint, f frame) {
 	dst.deliver(f)
 }
 
-// peer resolves the destination endpoint through the per-endpoint cache.
+// peer resolves the destination endpoint through the per-endpoint cache,
+// which keeps the global Network mutex off the transmit path.
 func (e *Endpoint) peer(to NodeID) *Endpoint {
 	if v, ok := e.peers.Load(to); ok {
 		return v.(*Endpoint)
@@ -720,15 +556,13 @@ func (e *Endpoint) deliver(f frame) {
 	high := e.net.opts.InboxHigh
 	shed := f.urgent && high > 0 && e.inboxMsgs >= high
 	if !shed {
-		// Frame transit (seal -> inbox, credit parking included) ends here;
+		// Frame transit (send -> inbox, credit parking included) ends here;
 		// the stamp rides the envelope and the receiver closes the stage.
 		at := int64(0)
 		if sp := e.net.opts.Spans; f.traced && sp.Enabled() {
 			at = sp.Now()
 		}
-		for _, pl := range f.payloads {
-			e.inbox = append(e.inbox, Envelope{From: f.from, Payload: pl, At: at})
-		}
+		e.inbox = append(e.inbox, Envelope{From: f.from, Payload: f.payload, At: at})
 		e.inboxMsgs += f.msgs
 		e.cond.Broadcast()
 	}
@@ -832,24 +666,17 @@ func (e *Endpoint) Pending() int {
 	return e.inboxMsgs
 }
 
-// Close shuts the endpoint down gracefully; buffered outgoing frames are
-// flushed first and blocked Recv calls return false after the inbox drains.
+// Close shuts the endpoint down gracefully: blocked Recv calls return false
+// after the inbox drains.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return
 	}
-	frames := e.sealOutbufLocked(nil)
 	e.closed = true
-	if e.flushStop != nil {
-		close(e.flushStop)
-	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	for _, f := range frames {
-		e.transmitData(f)
-	}
 	// Frames other endpoints parked for us would otherwise wait for a drain
 	// that may never happen; release them now — deliver drops traffic to a
 	// closed endpoint, so this empties sender queues without side effects.
@@ -860,7 +687,7 @@ func (e *Endpoint) Close() {
 }
 
 // Crash tears the endpoint down with true crash semantics: queued incoming
-// messages and buffered and parked outgoing frames are all discarded, as a
+// messages and parked outgoing frames are all discarded, as a
 // process crash would lose them, and the wire ledger forgets the endpoint's
 // unacknowledged frames. Blocked Recv calls return false immediately
 // (nothing is drained). Idempotent.
@@ -872,14 +699,8 @@ func (e *Endpoint) Crash() {
 	}
 	e.crashed = true
 	e.inbox, e.inboxMsgs = nil, 0
-	e.outbuf = make(map[NodeID]outBuf)
 	e.held = nil // our own parked frames die with us
-	if !e.closed {
-		e.closed = true
-		if e.flushStop != nil {
-			close(e.flushStop)
-		}
-	}
+	e.closed = true
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	if w := e.net.wire; w != nil {
@@ -899,41 +720,6 @@ func (e *Endpoint) Crashed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.crashed
-}
-
-// flushLoop is the batching latency backstop: it ships buffers that no
-// explicit Flush picked up within FlushInterval.
-func (e *Endpoint) flushLoop(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.flushStop:
-			return
-		case <-tick.C:
-		}
-		e.mu.Lock()
-		var frames []frame
-		if !e.closed {
-			frames = e.sealOutbufLocked(nil)
-		}
-		e.mu.Unlock()
-		for _, f := range frames {
-			e.transmitData(f)
-		}
-	}
-}
-
-// Buffered reports how many messages are waiting in output buffers
-// (diagnostics and tests).
-func (e *Endpoint) Buffered() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, ob := range e.outbuf {
-		n += ob.msgs
-	}
-	return n
 }
 
 // Stalled reports whether this endpoint's inbox has withdrawn delivery

@@ -18,20 +18,68 @@ func TestBasicDelivery(t *testing.T) {
 	}
 }
 
+// TestOrderPreservedPerSender: a (sender, receiver) pair sees the sender's
+// order. The second case interleaves Send and SendNow to two destinations
+// while each receiver drains concurrently: nothing in the transport may ship
+// a payload out of turn behind the sender's back.
 func TestOrderPreservedPerSender(t *testing.T) {
-	n := NewNetwork(Options{})
-	defer n.Close()
-	a := n.Register(1)
-	b := n.Register(2)
-	for i := 0; i < 100; i++ {
-		a.Send(2, i)
-	}
-	for i := 0; i < 100; i++ {
-		env, ok := b.Recv()
-		if !ok || env.Payload != i {
-			t.Fatalf("message %d: got %+v, %v", i, env, ok)
+	t.Run("sequential", func(t *testing.T) {
+		n := NewNetwork(Options{})
+		defer n.Close()
+		a := n.Register(1)
+		b := n.Register(2)
+		for i := 0; i < 100; i++ {
+			a.Send(2, i)
 		}
-	}
+		for i := 0; i < 100; i++ {
+			env, ok := b.Recv()
+			if !ok || env.Payload != i {
+				t.Fatalf("message %d: got %+v, %v", i, env, ok)
+			}
+		}
+	})
+	t.Run("interleaved-under-load", func(t *testing.T) {
+		const total = 200_000
+		n := NewNetwork(Options{})
+		defer n.Close()
+		a := n.Register(1)
+		dsts := []*Endpoint{n.Register(2), n.Register(3)}
+		var wg sync.WaitGroup
+		got := make([]int, len(dsts))
+		for d, ep := range dsts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				last := -1
+				var batch []Envelope
+				for got[d] < total/len(dsts) {
+					var ok bool
+					if batch, ok = ep.RecvBatch(batch); !ok {
+						t.Errorf("destination %d closed after %d payloads", ep.ID(), got[d])
+						return
+					}
+					for _, env := range batch {
+						v := env.Payload.(int)
+						if v <= last {
+							t.Errorf("destination %d received %d after %d", ep.ID(), v, last)
+							return
+						}
+						last = v
+						got[d]++
+					}
+				}
+			}()
+		}
+		for i := 0; i < total; i++ {
+			to := dsts[i%len(dsts)].ID()
+			if i%3 == 0 {
+				a.SendNow(to, i)
+			} else {
+				a.Send(to, i)
+			}
+		}
+		wg.Wait()
+	})
 }
 
 func TestRecvUnblocksOnClose(t *testing.T) {

@@ -449,15 +449,11 @@ func (h *wireHost) ledgerLoop() {
 	}
 }
 
-// frameTraceCtx extracts the first traced payload context of a frame, for
-// attributing a resend marker to a concrete trace.
+// frameTraceCtx extracts a frame's traced payload context, for attributing a
+// resend marker to a concrete trace.
 func frameTraceCtx(f frame) trace.Context {
-	for _, pl := range f.payloads {
-		if c, ok := pl.(trace.Carrier); ok {
-			if ctx := c.TraceCtx(); ctx.Traced() {
-				return ctx
-			}
-		}
+	if c, ok := f.payload.(trace.Carrier); ok {
+		return c.TraceCtx()
 	}
 	return trace.Context{}
 }
@@ -583,9 +579,6 @@ func (h *wireHost) readLoop(c Conn) {
 		} else if h.admit(&f) {
 			ep.deliver(f.frame)
 		}
-		// deliver copies payload references into the inbox; the slice
-		// itself is ours to recycle.
-		putPayloadSlice(f.payloads)
 	}
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,10 +15,10 @@ import (
 func TestWireCodecRoundTrip(t *testing.T) {
 	pc := GobPayloadCodec{}
 	cases := []wireFrame{
-		{frame: frame{from: 1, to: 2, payloads: []any{"hello", int64(42), []byte{1, 2, 3}}}, seq: 7},
+		{frame: frame{from: 1, to: 2, payload: "hello", msgs: 1}, seq: 7},
+		{frame: frame{from: 1, to: 2, payload: []byte{1, 2, 3}, msgs: 1}, seq: 8},
 		{frame: frame{from: 3, to: 4}, seq: 9, ack: true, ackUpTo: 8},
-		{frame: frame{from: 0, to: 1, urgent: true, traced: true, payloads: []any{"hb"}}},
-		{frame: frame{from: 5, to: 6, payloads: []any{}}, seq: 1},
+		{frame: frame{from: 0, to: 1, urgent: true, traced: true, payload: int64(42), msgs: 1}},
 	}
 	var buf []byte
 	for i, want := range cases {
@@ -34,24 +36,32 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			got.urgent != want.urgent || got.traced != want.traced {
 			t.Fatalf("case %d: header round-trip: got %+v want %+v", i, got, want)
 		}
-		if len(got.payloads) != len(want.payloads) {
-			t.Fatalf("case %d: payload count %d want %d", i, len(got.payloads), len(want.payloads))
+		if got.msgs != want.msgs { // the decoder recounts; these payloads weigh one each
+			t.Fatalf("case %d: decoded frame weighs %d messages; want %d", i, got.msgs, want.msgs)
 		}
-		if got.msgs != len(want.payloads) { // the decoder recounts; these payloads weigh one each
-			t.Fatalf("case %d: decoded frame weighs %d messages; want %d", i, got.msgs, len(want.payloads))
-		}
-		for j := range want.payloads {
-			switch w := want.payloads[j].(type) {
-			case []byte:
-				g, ok := got.payloads[j].([]byte)
-				if !ok || string(g) != string(w) {
-					t.Fatalf("case %d payload %d: got %#v want %#v", i, j, got.payloads[j], w)
-				}
-			default:
-				if got.payloads[j] != w {
-					t.Fatalf("case %d payload %d: got %#v want %#v", i, j, got.payloads[j], w)
-				}
+		if w, ok := want.payload.([]byte); ok {
+			if g, ok := got.payload.([]byte); !ok || string(g) != string(w) {
+				t.Fatalf("case %d: payload %#v; want %#v", i, got.payload, w)
 			}
+		} else if got.payload != want.payload {
+			t.Fatalf("case %d: payload %#v; want %#v", i, got.payload, want.payload)
+		}
+	}
+	// A frame declares no payload (an ack) or one (a data frame); any other
+	// count is corrupt even under a valid checksum.
+	for _, c := range []struct {
+		flags byte
+		count uint32
+	}{{0, 0}, {wireFlagAck, 1}, {0, 2}} {
+		enc := make([]byte, wireHeaderLen)
+		enc[0], enc[5] = wireVersion, c.flags
+		binary.BigEndian.PutUint32(enc[30:34], c.count)
+		for i := uint32(0); i < c.count; i++ {
+			enc = append(enc, 0, 0, 0, 1, 0) // a one-byte payload
+		}
+		binary.BigEndian.PutUint32(enc[1:5], crc32.ChecksumIEEE(enc[5:]))
+		if _, err := decodeFrame(enc, pc); err == nil {
+			t.Fatalf("decode accepted a frame (flags %#x) declaring %d payloads", c.flags, c.count)
 		}
 	}
 }
@@ -61,7 +71,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 // disagree with the recomputation.
 func TestWireCodecRejectsBitFlips(t *testing.T) {
 	pc := GobPayloadCodec{}
-	f := wireFrame{frame: frame{from: 1, to: 2, payloads: []any{"payload", int64(-1)}}, seq: 3}
+	f := wireFrame{frame: frame{from: 1, to: 2, payload: "payload"}, seq: 3}
 	enc, err := encodeFrame(nil, &f, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +98,7 @@ func TestWireCodecBufferReuse(t *testing.T) {
 	pc := GobPayloadCodec{}
 	buf := make([]byte, 0, 4096)
 	for i := 0; i < 100; i++ {
-		f := wireFrame{frame: frame{from: 1, to: 2, payloads: []any{int64(i)}}, seq: uint64(i)}
+		f := wireFrame{frame: frame{from: 1, to: 2, payload: int64(i)}, seq: uint64(i)}
 		out, err := encodeFrame(buf[:0], &f, pc)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +107,7 @@ func TestWireCodecBufferReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.seq != uint64(i) || g.payloads[0] != int64(i) {
+		if g.seq != uint64(i) || g.payload != int64(i) {
 			t.Fatalf("iteration %d: round-trip mismatch: %+v", i, g)
 		}
 		buf = out

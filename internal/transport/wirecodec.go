@@ -14,8 +14,8 @@
 //	[10:14] to NodeID (uint32)
 //	[14:22] seq (uint64)
 //	[22:30] ackUpTo (uint64)
-//	[30:34] payload count (uint32)
-//	then per payload: uint32 length + that many payload-codec bytes
+//	[30:34] payload count (uint32): 0 on an ack, 1 on a data frame
+//	then, on a data frame: uint32 length + that many payload-codec bytes
 //
 // Corruption defense is layered: a frame whose version byte, CRC, count or
 // any declared length disagrees with the bytes on hand decodes to an error —
@@ -45,11 +45,11 @@ const wireVersion = 1
 // conn allocates). A length prefix beyond it is treated as corruption.
 const MaxFrameBytes = 16 << 20
 
-// maxWirePayloads bounds the payload count one frame may declare. The
-// batching layer seals frames at MaxBatch payloads (default 64), so a frame
-// claiming more than this is adversarial or corrupt (a sender-built batch is
-// one payload however many messages it holds).
-const maxWirePayloads = 1 << 16
+// maxWirePayloads bounds the payload count one frame may declare: a data
+// frame carries exactly one payload (a sender-built batch is one payload
+// however many messages it holds) and an ack none, so a frame claiming any
+// other count is adversarial or corrupt.
+const maxWirePayloads = 1
 
 const wireHeaderLen = 34 // version..count, before the payload section
 
@@ -95,13 +95,15 @@ func encodeFrame(dst []byte, f *wireFrame, pc PayloadCodec) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(f.to))
 	dst = binary.BigEndian.AppendUint64(dst, f.seq)
 	dst = binary.BigEndian.AppendUint64(dst, f.ackUpTo)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.payloads)))
-	for _, p := range f.payloads {
+	if f.ack {
+		dst = binary.BigEndian.AppendUint32(dst, 0)
+	} else {
+		dst = binary.BigEndian.AppendUint32(dst, 1)
 		// Reserve the length field, encode in place, then backfill it.
 		lenAt := len(dst)
 		dst = append(dst, 0, 0, 0, 0)
 		var err error
-		dst, err = pc.EncodePayload(dst, p)
+		dst, err = pc.EncodePayload(dst, f.payload)
 		if err != nil {
 			return dst[:base], fmt.Errorf("transport: encode payload: %w", err)
 		}
@@ -143,46 +145,29 @@ func decodeFrame(data []byte, pc PayloadCodec) (wireFrame, error) {
 	f.ackUpTo = binary.BigEndian.Uint64(data[22:30])
 	count := binary.BigEndian.Uint32(data[30:34])
 	rest := data[wireHeaderLen:]
+	// An ack declares no payload and a data frame exactly one.
+	if f.ack != (count == 0) || count > maxWirePayloads {
+		return f, errWireLength
+	}
 	if count == 0 {
 		if len(rest) != 0 {
 			return f, errWireLength
 		}
 		return f, nil
 	}
-	// A payload costs at least its 4-byte length field, so the count can be
-	// sanity-checked against the bytes on hand before any slice is sized.
-	if count > maxWirePayloads || int(count) > len(rest)/4 {
+	if len(rest) < 4 {
+		return f, errWireShort
+	}
+	n := binary.BigEndian.Uint32(rest[:4])
+	rest = rest[4:]
+	if uint64(n) != uint64(len(rest)) {
 		return f, errWireLength
 	}
-	f.payloads = getPayloadSlice()
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			putPayloadSlice(f.payloads)
-			f.payloads = nil
-			return f, errWireShort
-		}
-		n := binary.BigEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if uint64(n) > uint64(len(rest)) {
-			putPayloadSlice(f.payloads)
-			f.payloads = nil
-			return f, errWireLength
-		}
-		p, err := pc.DecodePayload(rest[:n])
-		if err != nil {
-			putPayloadSlice(f.payloads)
-			f.payloads = nil
-			return f, fmt.Errorf("transport: decode payload: %w", err)
-		}
-		f.payloads = append(f.payloads, p)
-		f.msgs += payloadLen(p)
-		rest = rest[n:]
+	p, err := pc.DecodePayload(rest)
+	if err != nil {
+		return f, fmt.Errorf("transport: decode payload: %w", err)
 	}
-	if len(rest) != 0 {
-		putPayloadSlice(f.payloads)
-		f.payloads = nil
-		return f, errWireLength
-	}
+	f.payload, f.msgs = p, payloadLen(p)
 	return f, nil
 }
 

@@ -18,10 +18,10 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	// Valid encodings seed the corpus so mutation starts near the format.
 	for _, fr := range []wireFrame{
-		{frame: frame{from: 1, to: 2, payloads: []any{"seed", int64(7)}}, seq: 1},
+		{frame: frame{from: 1, to: 2, payload: "seed"}, seq: 1},
 		{frame: frame{from: 3, to: 4}, seq: 9, ack: true, ackUpTo: 9},
 		{},
-		{frame: frame{from: 5, to: 6, urgent: true, payloads: []any{[]byte{0, 1, 2, 3}}}, seq: 2},
+		{frame: frame{from: 5, to: 6, urgent: true, payload: []byte{0, 1, 2, 3}}, seq: 2},
 	} {
 		enc, err := encodeFrame(nil, &fr, pc)
 		if err != nil {
@@ -48,10 +48,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := decodeFrame(data, pc)
 		if err == nil {
-			// Anything accepted must re-encode (modulo payload bytes the gob
-			// codec may normalize) without violating the frame invariants.
-			if len(fr.payloads) > maxWirePayloads {
-				t.Fatalf("accepted frame with %d payloads", len(fr.payloads))
+			// Anything accepted must respect the frame invariant: an ack
+			// carries no payload.
+			if fr.ack && (fr.payload != nil || fr.msgs != 0) {
+				t.Fatalf("accepted an ack carrying a payload: %+v", fr)
 			}
 		}
 		if len(data) >= wireHeaderLen && data[0] == wireVersion {
@@ -61,8 +61,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			copy(fixed, data)
 			binary.BigEndian.PutUint32(fixed[1:5], crc32.ChecksumIEEE(fixed[5:]))
 			fr2, err := decodeFrame(fixed, pc)
-			if err == nil && len(fr2.payloads) > maxWirePayloads {
-				t.Fatalf("accepted fixed-CRC frame with %d payloads", len(fr2.payloads))
+			if err == nil && fr2.ack && (fr2.payload != nil || fr2.msgs != 0) {
+				t.Fatalf("accepted a fixed-CRC ack carrying a payload: %+v", fr2)
 			}
 		}
 	})

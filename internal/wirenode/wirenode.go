@@ -12,12 +12,13 @@
 //   - the master assigns dense worker IDs 1..N and broadcasts the full
 //     address table (Assign), then ships each worker its partition of the
 //     edge list (Load/LoadDone) — vertex v is owned by worker 1 + v mod N;
-//   - workers relax distances asynchronously, sending Relax messages to the
-//     owners of boundary targets; the transport's cumulative-ack/resend
-//     machinery makes every message exactly-once end to end, so the
-//     Chandy-Lamport-style double probe (Probe/ProbeAck: matching global
-//     sent/received counts and idle inboxes in two consecutive rounds)
-//     detects termination exactly;
+//   - workers relax distances asynchronously, sending Relaxes batches to the
+//     owners of boundary targets — one per owner per handled message, since
+//     the transport ships every payload as a frame of its own; the
+//     transport's cumulative-ack/resend machinery makes every message
+//     exactly-once end to end, so the Chandy-Lamport-style double probe
+//     (Probe/ProbeAck: matching global sent/received counts and idle inboxes
+//     in two consecutive rounds) detects termination exactly;
 //   - the master fetches per-worker distance maps (Fetch/Result) and sends
 //     Quit.
 //
@@ -63,12 +64,14 @@ type (
 		Dst  uint64
 		Dist int64
 	}
+	// Relaxes is a worker's batch of relaxations for one owner.
+	Relaxes []Relax
 	// Probe asks a worker for its termination counters.
 	Probe struct{ Epoch int64 }
-	// ProbeAck reports them: Relax messages sent and received so far. A
-	// Relax still in flight (or parked in an inbox behind the probe) was
-	// counted by its sender but not yet by its receiver, so the global sums
-	// disagree and termination is not declared.
+	// ProbeAck reports them: relaxations sent and received so far. A
+	// relaxation still in flight (or parked in an inbox behind the probe)
+	// was counted by its sender but not yet by its receiver, so the global
+	// sums disagree and termination is not declared.
 	ProbeAck struct {
 		Epoch      int64
 		Sent, Recv int64
@@ -85,7 +88,7 @@ func init() {
 	gob.Register(Assign{})
 	gob.Register(Load{})
 	gob.Register(LoadDone{})
-	gob.Register(Relax{})
+	gob.Register(Relaxes(nil))
 	gob.Register(Probe{})
 	gob.Register(ProbeAck{})
 	gob.Register(Fetch{})
@@ -94,6 +97,10 @@ func init() {
 }
 
 const masterID transport.NodeID = 0
+
+// chunk caps the edges of a Load and the relaxations of a Relaxes payload,
+// so no frame nears the size cap.
+const chunk = 512
 
 // owner maps a vertex to the worker that holds it.
 func owner(v uint64, workers int32) transport.NodeID {
@@ -131,7 +138,6 @@ func newNet(listenAddr string, tab *table, faults *transport.WireFaults, seed in
 	}
 	n := transport.NewNetwork(transport.Options{
 		ResendAfter: 5 * time.Millisecond,
-		MaxBatch:    64,
 		DropSeed:    seed,
 		Wire: &transport.WireConfig{
 			Listener: ln,
@@ -230,10 +236,8 @@ func RunMaster(cfg MasterConfig) (map[uint64]int64, error) {
 	for temp, id := range temps {
 		ep.Send(temp, Assign{ID: id, Workers: workers, Table: full})
 	}
-	ep.Flush()
 
 	// Phase 2: ship partitions, chunked so no frame nears the size cap.
-	const chunk = 512
 	parts := make(map[transport.NodeID][]Edge)
 	for _, e := range cfg.Edges {
 		o := owner(e.Src, workers)
@@ -251,11 +255,10 @@ func RunMaster(cfg MasterConfig) (map[uint64]int64, error) {
 	for id := int32(1); id <= workers; id++ {
 		ep.Send(transport.NodeID(id), LoadDone{Source: cfg.Source})
 	}
-	ep.Flush()
 
 	// Phase 3: double probe until global quiescence. Termination holds when
 	// two consecutive epochs agree on the same sent==recv totals with every
-	// inbox idle — no Relax in flight anywhere.
+	// inbox idle — no relaxation in flight anywhere.
 	acks := make(map[int32]ProbeAck)
 	var epoch int64
 	var prevSent, prevRecv int64 = -1, -2
@@ -270,7 +273,6 @@ func RunMaster(cfg MasterConfig) (map[uint64]int64, error) {
 		for id := int32(1); id <= workers; id++ {
 			ep.Send(transport.NodeID(id), Probe{Epoch: epoch})
 		}
-		ep.Flush()
 		for have := 0; have < cfg.Workers; {
 			env, err := recvDeadline(ep, deadline)
 			if err != nil {
@@ -304,7 +306,6 @@ func RunMaster(cfg MasterConfig) (map[uint64]int64, error) {
 	for id := int32(1); id <= workers; id++ {
 		ep.Send(transport.NodeID(id), Fetch{})
 	}
-	ep.Flush()
 	dists := make(map[uint64]int64)
 	for have := 0; have < cfg.Workers; {
 		env, err := recvDeadline(ep, deadline)
@@ -321,9 +322,8 @@ func RunMaster(cfg MasterConfig) (map[uint64]int64, error) {
 	for id := int32(1); id <= workers; id++ {
 		ep.Send(transport.NodeID(id), Quit{})
 	}
-	ep.Flush()
-	// Give the quit frames a moment to flush before the deferred Close
-	// tears the wire down; workers also exit on their read deadline.
+	// Give the quit frames a moment to reach the socket before the deferred
+	// Close tears the wire down; workers also exit on their read deadline.
 	time.Sleep(20 * time.Millisecond)
 	return dists, nil
 }
@@ -359,7 +359,6 @@ func RunWorker(cfg WorkerConfig) error {
 	self := net.WireAddr()
 	temp := net.Register(tempID(self))
 	temp.Send(masterID, Hello{Addr: self})
-	temp.Flush()
 	deadline := time.Now().Add(cfg.Timeout)
 
 	var assign Assign
@@ -380,6 +379,7 @@ func RunWorker(cfg WorkerConfig) error {
 
 	adj := make(map[uint64][]Edge)
 	dist := make(map[uint64]int64)
+	out := make(relaxOut)
 	var sent, recv int64
 	for {
 		env, err := recvDeadline(ep, deadline)
@@ -390,7 +390,7 @@ func RunWorker(cfg WorkerConfig) error {
 		case Load:
 			for _, e := range m.Edges {
 				adj[e.Src] = append(adj[e.Src], e)
-				// The wire dedups but does not reorder: a Relax can arrive
+				// The wire dedups but does not reorder: a relaxation can arrive
 				// before this chunk (another worker loaded faster), and a
 				// resent chunk can arrive after LoadDone. Either way e.Src
 				// may already hold a settled distance whose relaxation never
@@ -399,40 +399,58 @@ func RunWorker(cfg WorkerConfig) error {
 				// probe counters still balance.
 				if d, ok := dist[e.Src]; ok {
 					nd := d + e.W
-					if owner(e.Dst, assign.Workers) == transport.NodeID(assign.ID) {
-						relaxLocal(&dist, adj, e.Dst, nd, assign, ep, &sent)
+					if o := owner(e.Dst, assign.Workers); o == transport.NodeID(assign.ID) {
+						relaxLocal(&dist, adj, e.Dst, nd, assign, out)
 					} else {
-						sent++
-						ep.Send(transport.NodeID(owner(e.Dst, assign.Workers)), Relax{Dst: e.Dst, Dist: nd})
+						out[o] = append(out[o], Relax{Dst: e.Dst, Dist: nd})
 					}
 				}
 			}
-			ep.Flush()
+			out.ship(ep, &sent)
 		case LoadDone:
 			if owner(m.Source, assign.Workers) == transport.NodeID(assign.ID) {
-				relaxLocal(&dist, adj, m.Source, 0, assign, ep, &sent)
-				ep.Flush()
+				relaxLocal(&dist, adj, m.Source, 0, assign, out)
+				out.ship(ep, &sent)
 			}
-		case Relax:
-			recv++
-			relaxLocal(&dist, adj, m.Dst, m.Dist, assign, ep, &sent)
-			ep.Flush()
+		case Relaxes:
+			recv += int64(len(m))
+			for _, r := range m {
+				relaxLocal(&dist, adj, r.Dst, r.Dist, assign, out)
+			}
+			out.ship(ep, &sent)
 		case Probe:
 			ep.SendNow(masterID, ProbeAck{Epoch: m.Epoch, Sent: sent, Recv: recv})
 		case Fetch:
 			ep.Send(masterID, Result{Dists: dist})
-			ep.Flush()
 		case Quit:
 			return nil
 		}
 	}
 }
 
+// relaxOut collects a worker's cross-partition relaxations per owner between
+// two ship points.
+type relaxOut map[transport.NodeID]Relaxes
+
+// ship sends each owner its relaxations, at most chunk per payload, counting
+// them in sent, and empties out.
+func (out relaxOut) ship(ep *transport.Endpoint, sent *int64) {
+	for to, rs := range out {
+		*sent += int64(len(rs))
+		for len(rs) > 0 {
+			n := min(len(rs), chunk)
+			ep.Send(to, rs[:n])
+			rs = rs[n:]
+		}
+		delete(out, to)
+	}
+}
+
 // relaxLocal is the iterative relaxation core: a worklist of (vertex,
-// distance) pairs drained depth-first, sending cross-partition improvements
-// and applying local ones in place.
+// distance) pairs drained depth-first, queueing cross-partition improvements
+// in out and applying local ones in place.
 func relaxLocal(dist *map[uint64]int64, adj map[uint64][]Edge, v uint64, d int64,
-	assign Assign, ep *transport.Endpoint, sent *int64) {
+	assign Assign, out relaxOut) {
 	type item struct {
 		v uint64
 		d int64
@@ -447,13 +465,12 @@ func relaxLocal(dist *map[uint64]int64, adj map[uint64][]Edge, v uint64, d int64
 		(*dist)[it.v] = it.d
 		for _, e := range adj[it.v] {
 			nd := it.d + e.W
-			if owner(e.Dst, assign.Workers) == transport.NodeID(assign.ID) {
+			if o := owner(e.Dst, assign.Workers); o == transport.NodeID(assign.ID) {
 				if old, ok := (*dist)[e.Dst]; !ok || nd < old {
 					work = append(work, item{e.Dst, nd})
 				}
 			} else {
-				*sent++
-				ep.Send(transport.NodeID(owner(e.Dst, assign.Workers)), Relax{Dst: e.Dst, Dist: nd})
+				out[o] = append(out[o], Relax{Dst: e.Dst, Dist: nd})
 			}
 		}
 	}
