@@ -42,7 +42,7 @@ vet:
 	cd benchmark && $(GO) vet ./...
 
 # Crash-recovery and chaos suite under the race detector: true crash
-# semantics, supervised checkpoint restart, quarantine, fault plans and the
+# semantics, crash-triggered checkpoint restart, quarantine, fault plans and the
 # seeded soaks (crashes, pauses, forks and reshards in one run). An
 # in-process frame cannot be lost, so frame loss is the wire's: the
 # $-anchored soak names keep the wire variants out — those run in chaos-wire.

@@ -56,10 +56,8 @@
 //	                     loop come to rest and restarts it from its
 //	                     checkpoint under the new plan; DESIGN.md §16)
 //	crash <i|master>     crash processor i (or the master) for real:
-//	                     its in-memory state dies; the heartbeat
-//	                     supervisor restarts the loop from the last
-//	                     checkpoint (Section 5.3)
-//	recover              manual checkpoint restart (when -heartbeat 0)
+//	                     its in-memory state dies, and the crash restarts
+//	                     the loop from the last checkpoint (Section 5.3)
 //	faults               print the recovery log and quarantined set
 //	help                 this text
 //	quit
@@ -94,7 +92,6 @@ func main() {
 	bound := flag.Int64("bound", 64, "delay bound B (1 = synchronous)")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /statusz, /debug/pprof on host:port (\":0\" picks a port)")
 	spanRate := flag.Float64("span-sample", 0, "head-sampling rate for causal freshness traces (0 = default 1%, 1 = all, negative = off)")
-	heartbeat := flag.Duration("heartbeat", 25*time.Millisecond, "supervision heartbeat interval (0 = unsupervised; 'crash' then needs 'recover')")
 	wire := flag.Bool("wire", false, "run the message plane over a TCP loopback socket (serialized, CRC-framed, supervised reconnects)")
 	spares := flag.Int("spares", 1, "spare processor slots for hot splits ('scale out'/'scale move'; 0 disables elasticity)")
 	autoscale := flag.Bool("autoscale", false, "run the pressure-driven split/merge planner in the background")
@@ -143,11 +140,10 @@ func main() {
 	}
 
 	opts := tornado.Options{
-		Processors:        *procs,
-		DelayBound:        *bound,
-		MetricsAddr:       *metricsAddr,
-		SpanSampleRate:    *spanRate,
-		HeartbeatInterval: *heartbeat,
+		Processors:     *procs,
+		DelayBound:     *bound,
+		MetricsAddr:    *metricsAddr,
+		SpanSampleRate: *spanRate,
 	}
 	if *spares > 0 {
 		opts.Elastic = tornado.ElasticOptions{
@@ -378,9 +374,9 @@ func main() {
 			fmt.Printf("ingest gate depth=%d/%d peak=%d%s waits=%d paused-for=%s resets=%d\n",
 				fs.Engine.GateDepth, fs.Engine.GateCapacity, fs.Engine.GatePeak, sat,
 				fs.Engine.GateWaits, fs.Engine.GateWaitTime.Round(time.Millisecond), fs.Engine.GateResets)
-			fmt.Printf("transport inbox max=%d total=%d stalled-endpoints=%d held-frames=%d stalls=%d frames-held=%d urgent-shed=%d\n",
+			fmt.Printf("transport inbox max=%d total=%d stalled-endpoints=%d held-frames=%d stalls=%d frames-held=%d\n",
 				fs.Engine.InboxMax, fs.Engine.InboxTotal, fs.Engine.StalledEndpoints,
-				fs.Engine.HeldFrames, fs.Engine.Stalls, fs.Engine.FramesHeld, fs.Engine.UrgentShed)
+				fs.Engine.HeldFrames, fs.Engine.Stalls, fs.Engine.FramesHeld)
 			fmt.Printf("queries degrade-level=%d shed-low-priority=%d shed-total=%d queue-depth=%d\n",
 				qs.DegradeLevel, qs.ShedLowPriority, qs.Shed, qs.QueueDepth)
 		case "partitions":
@@ -479,17 +475,7 @@ func main() {
 				sys.CrashProcessor(i)
 				fmt.Printf("processor %d crashed: its in-memory state is gone\n", i)
 			}
-			if *heartbeat > 0 {
-				fmt.Println("(the supervisor will restart the loop from the last checkpoint)")
-			} else {
-				fmt.Println("(unsupervised: run 'recover' to restart from the checkpoint)")
-			}
-		case "recover":
-			if sys.RecoverFromCheckpoint() {
-				fmt.Println("restarted from the last terminated iteration's checkpoint")
-			} else {
-				fmt.Println("nothing to do (a concurrent recovery already ran?)")
-			}
+			fmt.Println("(the loop restarts from the last checkpoint)")
 		case "faults":
 			log := sys.RecoveryLog()
 			if len(log) == 0 {
@@ -584,7 +570,7 @@ func main() {
 			sys.Watch(tornado.VertexID(id))
 			fmt.Printf("watching vertex %d (its protocol events are now recorded)\n", id)
 		case "help":
-			fmt.Println("commands: add s d | remove s d | load n epv seed | query | submit [d] [p] | queries | result id | cancel id | merge | approx | stats | store | flow | partitions | scale out|in|move | trace [id] | slow [ms] [n] | watch id | crash i|master | recover | faults | quit")
+			fmt.Println("commands: add s d | remove s d | load n epv seed | query | submit [d] [p] | queries | result id | cancel id | merge | approx | stats | store | flow | partitions | scale out|in|move | trace [id] | slow [ms] [n] | watch id | crash i|master | faults | quit")
 		case "quit", "exit":
 			return
 		default:

@@ -33,11 +33,10 @@ type OverloadRow struct {
 	InboxPeak    int `json:"inbox_peak"`
 	InboxHigh    int `json:"inbox_high"`
 	// Flow-control activity: watermark crossings, frames parked at
-	// senders, stall-exempt control frames shed, and the cumulative time
-	// the producer spent blocked at the gate.
+	// senders, and the cumulative time the producer spent blocked at the
+	// gate.
 	Stalls       int64   `json:"stalls"`
 	FramesHeld   int64   `json:"frames_held"`
-	UrgentShed   int64   `json:"urgent_shed"`
 	PauseSeconds float64 `json:"pause_seconds"`
 }
 
@@ -202,14 +201,13 @@ func runOverloadMode(tuples []stream.Tuple, mode string, soak, slowCommit time.D
 	row.InboxPeak = int(inboxPeak.Load())
 	row.Stalls = fs1.Stalls - fs0.Stalls
 	row.FramesHeld = fs1.FramesHeld - fs0.FramesHeld
-	row.UrgentShed = fs1.UrgentShed - fs0.UrgentShed
 	row.PauseSeconds = (fs1.GateWaitTime - fs0.GateWaitTime).Seconds()
 	return row, nil
 }
 
 // String renders the benchmark table.
 func (r *OverloadReport) String() string {
-	header := []string{"mode", "waves", "updates/s", "ingest p50", "ingest p99", "gate peak", "inbox peak", "stalls", "held", "shed", "paused"}
+	header := []string{"mode", "waves", "updates/s", "ingest p50", "ingest p99", "gate peak", "inbox peak", "stalls", "held", "paused"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -222,7 +220,6 @@ func (r *OverloadReport) String() string {
 			fmt.Sprintf("%d/%d", row.InboxPeak, row.InboxHigh),
 			fmt.Sprintf("%d", row.Stalls),
 			fmt.Sprintf("%d", row.FramesHeld),
-			fmt.Sprintf("%d", row.UrgentShed),
 			fmt.Sprintf("%.2fs", row.PauseSeconds),
 		})
 	}

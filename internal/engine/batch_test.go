@@ -205,8 +205,8 @@ func TestCoalesceCombiner(t *testing.T) {
 }
 
 // TestCrashMidFlushExactInputCounts crashes a processor while batched frames
-// are in flight and asserts exactly-once input application after supervised
-// recovery: the journal must replay everything the crash destroyed (buffered
+// are in flight and asserts exactly-once input application after the
+// crash's recovery: the journal must replay everything the crash destroyed (buffered
 // frames included) and nothing twice (runs under -race via make chaos).
 func TestCrashMidFlushExactInputCounts(t *testing.T) {
 	const (
@@ -214,14 +214,13 @@ func TestCrashMidFlushExactInputCounts(t *testing.T) {
 		total    = 2000
 	)
 	e, err := New(Config{
-		Processors:        3,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           countProg{},
-		Seed:              31,
-		HeartbeatInterval: 5 * time.Millisecond,
+		Processors: 3,
+		DelayBound: 8,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    countProg{},
+		Seed:       31,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +236,9 @@ func TestCrashMidFlushExactInputCounts(t *testing.T) {
 	// First wave lands, then the crash hits while the second wave's frames
 	// are still buffering and flushing. The final chunk is held back and
 	// ingested only after the crash: its frames land on the dead endpoint, so
-	// the run cannot quiesce without an actual supervised recovery — on a
-	// fast machine the concurrent waves alone can drain before the crash
-	// bites, which used to make this test flaky.
+	// the run cannot quiesce without an actual recovery — on a fast machine
+	// the concurrent waves alone can drain before the crash bites, which used
+	// to make this test flaky.
 	const tail = 100
 	e.IngestAll(tuples[:total/4])
 	done := make(chan struct{})

@@ -144,7 +144,7 @@ func TestInnerLoopAllocs(t *testing.T) {
 	// a program value that needs a box is the program's allocation.) The race
 	// detector makes sync.Pool drop a quarter of its puts, so only a normal
 	// build can hold the pools to zero.
-	if raceStretch == 1 {
+	if !raceBuild {
 		for _, local := range []bool{false, true} {
 			hop, _ := newHopProbe(t, local, 3)
 			for i := 0; i < 64; i++ {

@@ -29,7 +29,6 @@ var configSurface = map[string]string{
 	"InboxLow":            "internal/bench/overload.go",
 	"Seed":                "tornado.New; internal/bench",
 	"Obs":                 "tornado.New; internal/bench/traceoverhead.go",
-	"HeartbeatInterval":   "tornado.New (cmd/tornado-shell -heartbeat)",
 	"DisablePrepareSkip":  "internal/bench/ablation.go",
 	"DisableJournalPrune": "internal/bench/ablation.go",
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"testing"
-	"time"
 
 	"tornado/internal/datasets"
 	"tornado/internal/delta"
@@ -170,17 +169,14 @@ func runDeltaChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 	}
 	tuples := datasets.WithRemovals(datasets.PowerLawGraph(vertices, 3, 77), 0.1, 7)
 	e, err := New(Config{
-		Processors:        5,
-		DelayBound:        16,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Delta:             dssspProg{source: 0},
-		Seed:              77,
-		HeartbeatInterval: heartbeatFor(wire),
-		suspectAfter:      suspectAfterFor(wire),
-		restartBackoff:    time.Millisecond,
-		Wire:              wire,
+		Processors: 5,
+		DelayBound: 16,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Delta:      dssspProg{source: 0},
+		Seed:       77,
+		Wire:       wire,
 	})
 	if err != nil {
 		t.Fatal(err)

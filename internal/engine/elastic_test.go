@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"tornado/internal/datasets"
 	"tornado/internal/delta"
@@ -292,21 +291,18 @@ func activePlanSlots(st PlanStats) int {
 // TestMigrationCrashAborts: a processor crash while a migration waits for
 // the loop to rest — a paused processor holds its backlog, so rest cannot
 // come first — aborts the migration with the pre-epoch plan intact. The
-// supervised recovery restores the loop, the fixed point stays exact, and a
+// crash's recovery restores the loop, the fixed point stays exact, and a
 // retry of the same migration lands.
 func TestMigrationCrashAborts(t *testing.T) {
 	tuples := datasets.PowerLawGraph(160, 3, 97)
 	e, err := New(Config{
-		Processors:        3,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              97,
-		HeartbeatInterval: heartbeatFor(nil),
-		suspectAfter:      suspectAfterFor(nil),
-		restartBackoff:    time.Millisecond,
+		Processors: 3,
+		DelayBound: 8,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    ssspProg{source: 0},
+		Seed:       97,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -524,8 +520,8 @@ func TestDeltaParkedPendingSurvivesHandoff(t *testing.T) {
 // /metrics and StatsSnapshot keep answering. A paused processor holds the
 // rest back with part of a wave admitted but not committed; it commits
 // before the restart, so the journal ends empty and SSSP exact. A crash
-// during a later drain, with no supervisor, aborts with the plan unchanged,
-// and after RecoverFromCheckpoint a retry lands.
+// during a later drain aborts with the plan unchanged, and once the crash's
+// own restart has run a retry lands.
 func TestRepartitionStopsAdmission(t *testing.T) {
 	const n = 20
 	hub := obs.NewHub(0)
@@ -600,8 +596,10 @@ func TestRepartitionStopsAdmission(t *testing.T) {
 		t.Fatalf("tornado_elastic_migration_seconds_count = %v; want one stall", got)
 	}
 
-	// A crash during the drain, no supervisor: the migration aborts and the
-	// plan stays where it was.
+	// A crash during the drain: the migration aborts and the plan stays
+	// where it was. The hold keeps the loop from resting, so only the crash
+	// can end the wait.
+	before := e.StatsSnapshot().Recoveries
 	release := e.HoldQuiesce()
 	go func() { moved <- e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 0) }()
 	waitUntil(t, waitFor, func() bool { return AdmissionStopped(e) }, "Migrate never stopped admission")
@@ -613,9 +611,8 @@ func TestRepartitionStopsAdmission(t *testing.T) {
 	if got := e.PlanEpoch(); got != 1 {
 		t.Fatalf("plan epoch %d after an aborted migration; want 1", got)
 	}
-	if !e.RecoverFromCheckpoint() {
-		t.Fatal("RecoverFromCheckpoint declined")
-	}
+	waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Recoveries > before },
+		"the crash during the drain never recovered")
 	if err := e.Migrate(VertexRange{Lo: 100, Hi: 100 + n - 1}, 0); err != nil {
 		t.Fatal(err)
 	}

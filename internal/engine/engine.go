@@ -129,23 +129,11 @@ type Config struct {
 	// own metric families (see observe.go).
 	branchObs *branchObs
 
-	// Supervision (main loops only; all zero = no supervisor).
-
-	// HeartbeatInterval makes every processor and the master send liveness
-	// beats to a supervisor at this interval; the supervisor restarts the
-	// loop from the last terminated-iteration checkpoint when beats stop.
-	// 0 disables supervision (crashes must be recovered manually with
-	// RecoverFromCheckpoint).
-	HeartbeatInterval time.Duration
-	// suspectAfter, maxRestarts and restartWindow override the constants
-	// defaultSuspectAfter, defaultMaxRestarts and defaultRestartWindow, and
-	// restartBackoff the HeartbeatInterval backoff base (0 = the default).
-	// Only tests set them: a wide suspect window for loaded runners, a
-	// small restart budget to reach quarantine, a 1ms backoff.
-	suspectAfter   int
-	maxRestarts    int
-	restartWindow  time.Duration
-	restartBackoff time.Duration
+	// maxRestarts and restartWindow override the quarantine constants
+	// defaultMaxRestarts and defaultRestartWindow (0 = the default). Only
+	// tests set them, for a small restart budget that reaches quarantine.
+	maxRestarts   int
+	restartWindow time.Duration
 
 	// Ablation switches (benchmarking only; both default off = optimized).
 
@@ -164,15 +152,12 @@ const (
 	// frontier (forks always happen at or above it, so they are
 	// unreachable).
 	defaultCompactEvery = 64
-	// defaultSuspectAfter is how many consecutive missed heartbeats declare
-	// a node dead.
-	defaultSuspectAfter = 3
 	// defaultMaxRestarts is how many times one processor may crash within
 	// defaultRestartWindow before the restart moves its range to a spare or
 	// the least-loaded survivor and quarantines its slot.
 	defaultMaxRestarts = 5
-	// defaultRestartWindow is the sliding window restarts are counted over,
-	// for quarantine and for the exponential backoff.
+	// defaultRestartWindow is the sliding window restarts are counted over
+	// for quarantine.
 	defaultRestartWindow = time.Minute
 )
 
@@ -215,19 +200,11 @@ func (c *Config) validate() error {
 	if c.InboxHigh > 0 && (c.InboxLow <= 0 || c.InboxLow >= c.InboxHigh) {
 		c.InboxLow = c.InboxHigh / 2
 	}
-	if c.HeartbeatInterval > 0 {
-		if c.suspectAfter < 1 {
-			c.suspectAfter = defaultSuspectAfter
-		}
-		if c.maxRestarts < 1 {
-			c.maxRestarts = defaultMaxRestarts
-		}
-		if c.restartWindow <= 0 {
-			c.restartWindow = defaultRestartWindow
-		}
-		if c.restartBackoff <= 0 {
-			c.restartBackoff = c.HeartbeatInterval
-		}
+	if c.maxRestarts < 1 {
+		c.maxRestarts = defaultMaxRestarts
+	}
+	if c.restartWindow <= 0 {
+		c.restartWindow = defaultRestartWindow
 	}
 	return nil
 }
@@ -392,7 +369,6 @@ type incarnation struct {
 	procs   []*processor
 	masterE *transport.Endpoint
 	ingestE *transport.Endpoint
-	supE    *transport.Endpoint // heartbeat sink; nil when unsupervised
 	// outboxes recycles the ingest-side windows, one per slot: Ingest,
 	// IngestAll, Activate and AdoptBranch callers run concurrently, so each
 	// call fills an outbox of its own and ships it through ingestE.
@@ -403,16 +379,15 @@ type incarnation struct {
 	wg       sync.WaitGroup
 
 	// ready is closed once the incarnation is fully bootstrapped (checkpoint
-	// re-activation and residual replay done). The supervisor waits for it
-	// before it starts judging heartbeats: the replay storm of a large
-	// recovery can starve the sender goroutines long enough to look like
-	// death, and suspecting during it livelocks recovery.
+	// re-activation and residual replay done). A crash recovery waits for it
+	// before it tears the incarnation down (see recoverRun).
 	ready     chan struct{}
 	readyOnce sync.Once
 
 	masterCrashed atomic.Bool
 	// down is closed by the first crash of a member (CrashProcessor,
-	// CrashMaster): a repartition waiting for rest gives up on it.
+	// CrashMaster; see Engine.markDown): a repartition waiting for rest gives
+	// up on it.
 	down     chan struct{}
 	downOnce sync.Once
 }
@@ -423,10 +398,6 @@ func (inc *incarnation) stopNow() {
 
 func (inc *incarnation) markReady() {
 	inc.readyOnce.Do(func() { close(inc.ready) })
-}
-
-func (inc *incarnation) markDown() {
-	inc.downOnce.Do(func() { close(inc.down) })
 }
 
 // crashed reports whether a processor or the master of inc crashed: its
@@ -454,7 +425,7 @@ type Engine struct {
 	genMu      sync.RWMutex
 	cfg        Config
 	inc        *incarnation
-	restartLog map[int][]time.Time // per-processor restart times (-1 = master)
+	restartLog map[int][]time.Time // per-processor restart times
 	stopped    bool
 
 	journal  *inputJournal // main loops only
@@ -484,7 +455,7 @@ type Engine struct {
 	migAborts  atomic.Int64
 	migDurHist *obs.StreamHist // the admission stall of each repartition
 
-	// Supervision counters and event log.
+	// Recovery counters and event log.
 	crashes     atomic.Int64
 	recoveries  atomic.Int64
 	recMu       sync.Mutex
@@ -496,7 +467,6 @@ type Engine struct {
 	// recoveries; lastWireDown rate-limits wire-down recovery events.
 	planMu        sync.Mutex
 	pendingFaults []Fault
-	watcherOn     bool
 	wireFaults    *transport.WireFaults
 	lastWireDown  atomic.Int64
 
@@ -581,18 +551,12 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// supervised reports whether this engine runs a heartbeat supervisor.
-func (e *Engine) supervised() bool {
-	return e.cfg.Kind == MainLoop && e.cfg.HeartbeatInterval > 0
-}
-
 // Node-ID layout: processor slots occupy 0..slots-1 (spares idle until a
 // plan routes a range to them); the control endpoints sit at fixed IDs far
 // above any slot count, so a restart that grows the slots never moves them.
 const (
 	masterNode transport.NodeID = 1<<30 + iota
 	ingestNode
-	supNode
 )
 
 // buildIncarnation assembles generation gen's topology from the engine's
@@ -625,9 +589,6 @@ func (e *Engine) buildIncarnation(gen int) *incarnation {
 	}
 	inc.masterE = inc.net.Register(masterNode)
 	inc.ingestE = inc.net.Register(ingestNode)
-	if e.supervised() {
-		inc.supE = inc.net.Register(supNode)
-	}
 	return inc
 }
 
@@ -636,8 +597,8 @@ func (e *Engine) owner(id stream.VertexID) transport.NodeID {
 	return transport.NodeID(e.plan.Load().Owner(id, e.cfg.Partition))
 }
 
-// startIncarnation launches an incarnation's goroutines: processors, master,
-// and (when supervised) heartbeat senders plus the supervisor.
+// startIncarnation launches an incarnation's goroutines: its processors and
+// its master.
 func (e *Engine) startIncarnation(inc *incarnation) {
 	for _, p := range inc.procs {
 		inc.wg.Add(1)
@@ -651,16 +612,6 @@ func (e *Engine) startIncarnation(inc *incarnation) {
 		defer inc.wg.Done()
 		e.masterRun(inc)
 	}()
-	if e.supervised() {
-		for i, p := range inc.procs {
-			inc.wg.Add(1)
-			go e.heartbeatRun(inc, i, p.ep)
-		}
-		inc.wg.Add(1)
-		go e.heartbeatRun(inc, -1, inc.masterE)
-		e.supWG.Add(1)
-		go e.superviseRun(inc)
-	}
 }
 
 // cur returns the current incarnation (a snapshot: a recovery may replace it
@@ -851,8 +802,9 @@ func (e *Engine) Idle() bool { return e.atRest(e.cur()) }
 
 // masterRun is the master node of one incarnation: it advances the iteration
 // frontier, flushes checkpoints, publishes termination notifications, records
-// statistics, and detects convergence. A crashed master (CrashMaster) simply
-// exits; the supervisor notices the missing beats and restarts the loop.
+// statistics, fires the fault plan's iteration faults, and detects
+// convergence. A crashed master (CrashMaster) simply exits; the crash has
+// already started the restart that replaces it.
 func (e *Engine) masterRun(inc *incarnation) {
 	for {
 		// A paused master (Figure 8c) stops advancing the frontier; the
@@ -902,6 +854,7 @@ func (e *Engine) masterRun(inc *incarnation) {
 				}
 			}
 			e.broadcast(inc, msgFrontier{Notified: to})
+			e.fireDueFaults(to)
 		}
 		if !quiesced {
 			continue
@@ -1107,10 +1060,8 @@ type FlowSnapshot struct {
 	// withholding credit and the frames senders have parked for them.
 	InboxMax, InboxTotal         int
 	StalledEndpoints, HeldFrames int
-	// Stalls and FramesHeld are the cumulative transport counters;
-	// UrgentShed counts stall-exempt control frames a watermark-full
-	// receiver acknowledged without enqueueing.
-	Stalls, FramesHeld, UrgentShed int64
+	// Stalls and FramesHeld are the cumulative transport counters.
+	Stalls, FramesHeld int64
 }
 
 // FlowSnapshot captures the engine's current backpressure state.
@@ -1128,7 +1079,6 @@ func (e *Engine) FlowSnapshot() FlowSnapshot {
 	s.InboxMax, s.InboxTotal, s.StalledEndpoints, s.HeldFrames = e.cur().net.QueueDepths()
 	s.Stalls = e.netStats.Stalls.Load()
 	s.FramesHeld = e.netStats.HeldFrames.Load()
-	s.UrgentShed = e.netStats.UrgentShed.Load()
 	return s
 }
 

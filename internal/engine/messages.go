@@ -77,11 +77,3 @@ type msgFrontier struct {
 
 // msgHalt stops a processor (loop converged or engine stopping).
 type msgHalt struct{}
-
-// msgHeartbeat is a liveness beat sent to the supervisor endpoint (node P+2)
-// by every processor (Proc = index) and by the master (Proc = -1). A crashed
-// endpoint cannot send, so missed beats are how the supervisor detects
-// failures.
-type msgHeartbeat struct {
-	Proc int
-}

@@ -142,7 +142,7 @@ func TestForkBranchExactSnapshotUnderCompaction(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryMVCCStore reruns supervised master-crash recovery on every
+// TestCrashRecoveryMVCCStore reruns master-crash recovery on every
 // store: the rollback (Truncate), handle-pinned checkpoint bootstrap, and
 // post-recovery commits must reach the exact fixed point, with an
 // aggressive background compactor running the whole time.
@@ -153,14 +153,13 @@ func TestCrashRecoveryMVCCStore(t *testing.T) {
 			compactBehind(t, store, time.Millisecond)
 			tuples := datasets.PowerLawGraph(200, 3, 31)
 			e, err := New(Config{
-				Processors:        3,
-				DelayBound:        4,
-				Kind:              MainLoop,
-				LoopID:            storage.MainLoop,
-				Store:             store,
-				Program:           ssspProg{source: 0},
-				Seed:              31,
-				HeartbeatInterval: 2 * time.Millisecond,
+				Processors: 3,
+				DelayBound: 4,
+				Kind:       MainLoop,
+				LoopID:     storage.MainLoop,
+				Store:      store,
+				Program:    ssspProg{source: 0},
+				Seed:       31,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -112,7 +112,7 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 	sc.RegisterCounter("tornado_crashes_total",
 		"Processor and master crashes injected (API or fault plan).", &e.crashes)
 	sc.RegisterCounter("tornado_recoveries_total",
-		"Completed checkpoint restarts (supervisor-driven or manual).", &e.recoveries)
+		"Completed crash-recovery checkpoint restarts.", &e.recoveries)
 	sc.GaugeFunc("tornado_quarantined_processors",
 		"Processor slots the partition plan took out of rotation after exceeding the restart budget.",
 		func() float64 { return float64(len(e.Quarantined())) })
@@ -155,8 +155,6 @@ func (e *Engine) attachObs(hub *obs.Hub) {
 		"Transport inbox high-watermark crossings (delivery credit withdrawn).", &e.netStats.Stalls)
 	sc.RegisterCounter("tornado_flow_frames_held_total",
 		"Data frames senders parked while a receiver withheld credit.", &e.netStats.HeldFrames)
-	sc.RegisterCounter("tornado_flow_urgent_shed_total",
-		"Stall-exempt control frames shed (acked, not enqueued) by watermark-full receivers.", &e.netStats.UrgentShed)
 	sc.GaugeFunc("tornado_flow_inbox_depth_max",
 		"Deepest transport inbox right now (compare against the InboxHigh watermark).",
 		func() float64 { m, _, _, _ := e.cur().net.QueueDepths(); return float64(m) })
@@ -275,7 +273,6 @@ func (e *Engine) statusz() any {
 			"held_frames":       fs.HeldFrames,
 			"stalls":            fs.Stalls,
 			"frames_held":       fs.FramesHeld,
-			"urgent_shed":       fs.UrgentShed,
 		},
 		"processors":         e.plan.Load().BaseN,
 		"frontier":           s.Frontier,

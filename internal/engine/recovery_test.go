@@ -26,12 +26,12 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, msg string
 	}
 }
 
-// TestCrashDiscardsStateManualRecovery checks true crash semantics without a
-// supervisor: a crashed processor's in-memory state and pending inputs are
-// really gone (the loop cannot quiesce — the dead tokens pin the frontier),
-// and a manual RecoverFromCheckpoint restarts from the last terminated
-// iteration and still reaches the exact fixed point.
-func TestCrashDiscardsStateManualRecovery(t *testing.T) {
+// TestCrashDiscardsStateAutoRecovery checks true crash semantics: the inputs
+// queued at a crashed processor really die with it — the restart the crash
+// starts replays them from the journal — and the loop restarts from the last
+// terminated iteration on its own, reaches the exact fixed point, and keeps
+// working afterwards.
+func TestCrashDiscardsStateAutoRecovery(t *testing.T) {
 	tuples := datasets.PowerLawGraph(300, 3, 11)
 	store := storage.NewMVCCStore()
 	e := newSSSPEngine(t, 4, 8, store, storage.MainLoop)
@@ -45,28 +45,39 @@ func TestCrashDiscardsStateManualRecovery(t *testing.T) {
 	}
 
 	// Pause processor 2, queue inputs against it, then crash it: the queued
-	// inputs (and their obligation tokens) deterministically die with it.
+	// inputs (and their obligation tokens) deterministically die with it,
+	// uncommitted, so the restart must replay at least those.
+	stuck := 0
+	for _, tu := range tuples[half:] {
+		if e.owner(routeVertex(tu)) == 2 {
+			stuck++
+		}
+	}
+	if stuck == 0 {
+		t.Fatal("no second-half input routes to processor 2")
+	}
 	e.PauseProcessor(2)
 	e.IngestAll(tuples[half:])
 	e.CrashProcessor(2)
 
-	if err := e.WaitQuiesce(300 * time.Millisecond); err == nil {
-		t.Fatal("loop quiesced despite a crashed processor holding obligations")
-	}
-	if s := e.StatsSnapshot(); s.Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1", s.Crashes)
-	}
-
-	if !e.RecoverFromCheckpoint() {
-		t.Fatal("RecoverFromCheckpoint declined")
-	}
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
 	checkSSSP(t, e, tuples)
 	s := e.StatsSnapshot()
-	if s.Recoveries != 1 || s.Generation != 1 {
-		t.Fatalf("Recoveries = %d, Generation = %d, want 1, 1", s.Recoveries, s.Generation)
+	if s.Crashes != 1 || s.Recoveries != 1 || s.Generation != 1 {
+		t.Fatalf("Crashes = %d, Recoveries = %d, Generation = %d, want 1, 1, 1", s.Crashes, s.Recoveries, s.Generation)
+	}
+	replayed := -1
+	for _, ev := range e.RecoveryLog() {
+		if ev.Kind == EventRecovery {
+			if _, err := fmt.Sscanf(ev.Detail, "replayed %d inputs", &replayed); err != nil {
+				t.Fatalf("recovery event detail %q: %v", ev.Detail, err)
+			}
+		}
+	}
+	if replayed < stuck {
+		t.Fatalf("the restart replayed %d inputs; want at least the %d queued at the crashed processor", replayed, stuck)
 	}
 
 	// The recovered loop keeps working: more inputs land correctly.
@@ -83,22 +94,21 @@ func TestCrashDiscardsStateManualRecovery(t *testing.T) {
 }
 
 // TestSupervisorAutoRecovery crashes a processor mid-run and asserts the
-// heartbeat supervisor detects the failure and restarts the loop from the
-// checkpoint without any manual intervention — and that the whole episode is
-// visible in the /metrics exposition (recoveries counter, MTTR histogram).
+// crash restarts the loop from the checkpoint without any intervention — and
+// that the whole episode is visible in the /metrics exposition (recoveries
+// counter, MTTR histogram).
 func TestSupervisorAutoRecovery(t *testing.T) {
 	tuples := datasets.PowerLawGraph(300, 3, 21)
 	hub := obs.NewHub(0)
 	e, err := New(Config{
-		Processors:        4,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              21,
-		HeartbeatInterval: 2 * time.Millisecond,
-		Obs:               hub,
+		Processors: 4,
+		DelayBound: 8,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    ssspProg{source: 0},
+		Seed:       21,
+		Obs:        hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +125,7 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 	e.IngestAll(tuples[half:])
 	e.CrashProcessor(1)
 
-	// No manual recovery: quiescence is only reachable through the
-	// supervisor detecting the missed heartbeats and restarting the loop.
+	// Quiescence is only reachable through the restart the crash started.
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +135,12 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 		t.Fatalf("Recoveries = %d, Generation = %d, want >= 1", s.Recoveries, s.Generation)
 	}
 
-	// The recovery log tells the story: crash, suspicion, recovery.
+	// The recovery log tells the story: crash, recovery.
 	kinds := make(map[string]int)
 	for _, ev := range e.RecoveryLog() {
 		kinds[ev.Kind]++
 	}
-	for _, k := range []string{EventCrash, EventSuspect, EventRecovery} {
+	for _, k := range []string{EventCrash, EventRecovery} {
 		if kinds[k] == 0 {
 			t.Fatalf("recovery log has no %q event: %+v", k, e.RecoveryLog())
 		}
@@ -161,19 +170,18 @@ func TestSupervisorAutoRecovery(t *testing.T) {
 }
 
 // TestSupervisorRecoversCrashedMaster crashes the master: termination
-// notifications stop, so a bounded loop eventually stalls; the supervisor
-// must notice the silent master and restart the loop.
+// notifications stop, so a bounded loop would stall; the crash must restart
+// the loop.
 func TestSupervisorRecoversCrashedMaster(t *testing.T) {
 	tuples := datasets.PowerLawGraph(200, 3, 31)
 	e, err := New(Config{
-		Processors:        3,
-		DelayBound:        4,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              31,
-		HeartbeatInterval: 2 * time.Millisecond,
+		Processors: 3,
+		DelayBound: 4,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    ssspProg{source: 0},
+		Seed:       31,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,24 +207,21 @@ func TestSupervisorRecoversCrashedMaster(t *testing.T) {
 }
 
 // TestFlappingProcessorQuarantined crashes the same processor repeatedly;
-// after MaxRestarts restarts inside the window the supervisor must quarantine
+// after maxRestarts restarts inside the window the restart must quarantine
 // it, remap its partition onto the survivors, and the loop must still reach
 // the exact fixed point without it.
 func TestFlappingProcessorQuarantined(t *testing.T) {
 	tuples := datasets.PowerLawGraph(300, 3, 41)
 	e, err := New(Config{
-		Processors:        4,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              41,
-		HeartbeatInterval: 10 * time.Millisecond,
-		suspectAfter:      5,
-		maxRestarts:       2,
-		restartWindow:     time.Minute,
-		restartBackoff:    time.Millisecond,
+		Processors:    4,
+		DelayBound:    8,
+		Kind:          MainLoop,
+		LoopID:        storage.MainLoop,
+		Store:         storage.NewMVCCStore(),
+		Program:       ssspProg{source: 0},
+		Seed:          41,
+		maxRestarts:   2,
+		restartWindow: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +241,7 @@ func TestFlappingProcessorQuarantined(t *testing.T) {
 		before := e.StatsSnapshot().Recoveries
 		e.CrashProcessor(2)
 		waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Recoveries > before },
-			fmt.Sprintf("round %d: supervisor never recovered the crash", round))
+			fmt.Sprintf("round %d: the crash never recovered", round))
 	}
 
 	quarantined := e.Quarantined()
@@ -273,21 +278,20 @@ func TestFlappingProcessorQuarantined(t *testing.T) {
 }
 
 // TestFaultPlanSchedule arms a deterministic chaos schedule — crash a
-// processor at iteration 1, the master at iteration 3, and a processor in
-// the middle of a branch fork — and asserts both the main loop and the
-// branch end at the exact fixed point.
+// processor at iteration 1, the master at iteration 3, a processor below the
+// frontier of a quiescent loop, and a processor in the middle of a branch
+// fork — and asserts both the main loop and the branch end at the exact
+// fixed point.
 func TestFaultPlanSchedule(t *testing.T) {
 	tuples := datasets.PowerLawGraph(300, 3, 51)
 	e, err := New(Config{
-		Processors:        4,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              51,
-		HeartbeatInterval: 2 * time.Millisecond,
-		restartBackoff:    time.Millisecond,
+		Processors: 4,
+		DelayBound: 8,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    ssspProg{source: 0},
+		Seed:       51,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,16 +304,38 @@ func TestFaultPlanSchedule(t *testing.T) {
 	defer e.Stop()
 
 	e.IngestAll(tuples)
-	// Both faults fire, but recovery is loop-granular: deaths noticed in
-	// the same detection window legitimately share one restart. The watcher
-	// polls the frontier every millisecond, so a fast run can settle before
-	// it fires them: wait for the crashes and a recovery, then for the loop.
+	// Both faults fire, but recovery is loop-granular: deaths in the same
+	// incarnation legitimately share one restart. The faults apply off the
+	// master goroutine, so a fast run can settle before they land: wait for
+	// the crashes and a recovery, then for the loop.
 	waitUntil(t, waitFor, func() bool {
 		s := e.StatsSnapshot()
 		return s.Crashes >= 2 && s.Recoveries >= 1
 	}, "planned crashes never fired and recovered")
 	if err := e.WaitQuiesce(waitFor); err != nil {
 		t.Fatal(err)
+	}
+	checkSSSP(t, e, tuples)
+
+	// A fault armed below the frontier of a quiescent loop fires before
+	// InjectFaultPlan returns: the loop is at rest, so no advance would ever
+	// reach it.
+	before := e.StatsSnapshot()
+	if before.Notified <= 1 {
+		t.Fatalf("frontier at %d after the run; want it past iteration 1", before.Notified)
+	}
+	e.InjectFaultPlan(FaultPlan{Faults: []Fault{
+		{Kind: FaultCrashProcessor, Proc: 2, AtIteration: 1},
+	}})
+	if s := e.StatsSnapshot(); s.Crashes != before.Crashes+1 {
+		t.Fatalf("a fault armed below the frontier (%d) of a quiescent loop did not fire: Crashes %d -> %d",
+			before.Notified, before.Crashes, s.Crashes)
+	}
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.StatsSnapshot(); s.Recoveries != before.Recoveries+1 {
+		t.Fatalf("Recoveries %d -> %d after one crash; want one restart", before.Recoveries, s.Recoveries)
 	}
 	checkSSSP(t, e, tuples)
 
@@ -347,20 +373,17 @@ func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
 	tuples := datasets.PowerLawGraph(200, 3, 43)
 	hub := obs.NewHub(0)
 	e, err := New(Config{
-		Processors:        2,
-		MaxProcessors:     4,
-		DelayBound:        8,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              43,
-		HeartbeatInterval: 10 * time.Millisecond,
-		suspectAfter:      5,
-		maxRestarts:       2,
-		restartWindow:     time.Minute,
-		restartBackoff:    time.Millisecond,
-		Obs:               hub,
+		Processors:    2,
+		MaxProcessors: 4,
+		DelayBound:    8,
+		Kind:          MainLoop,
+		LoopID:        storage.MainLoop,
+		Store:         storage.NewMVCCStore(),
+		Program:       ssspProg{source: 0},
+		Seed:          43,
+		maxRestarts:   2,
+		restartWindow: time.Minute,
+		Obs:           hub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +400,7 @@ func TestQuarantineMovesRangeOntoSpare(t *testing.T) {
 		before := e.StatsSnapshot().Recoveries
 		e.CrashProcessor(0)
 		waitUntil(t, waitFor, func() bool { return e.StatsSnapshot().Recoveries > before },
-			fmt.Sprintf("round %d: supervisor never recovered the crash", round))
+			fmt.Sprintf("round %d: the crash never recovered", round))
 	}
 	if q := e.Quarantined(); len(q) != 1 || q[0] != 0 {
 		t.Fatalf("Quarantined() = %v after three crashes of slot 0; want [0]", q)
@@ -457,7 +480,7 @@ func scrapeGauge(t *testing.T, hub *obs.Hub, name string) float64 {
 }
 
 // TestWaitQuiesceAwaitsCrashRestart: a processor that crashes holding no
-// tokens leaves its incarnation's tracker quiescent, yet the supervisor's
+// tokens leaves its incarnation's tracker quiescent, yet the crash's
 // restart is about to re-activate the whole checkpoint in a new one.
 // WaitQuiesce must not report the crashed incarnation's quiescence: it
 // returns once the restart ran and the incarnation it built quiesced, so an
@@ -475,15 +498,13 @@ func TestWaitQuiesceAwaitsCrashRestart(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tuples := datasets.PowerLawGraph(200, 3, 53)
 			e, err := New(Config{
-				Processors:        3,
-				DelayBound:        8,
-				Kind:              MainLoop,
-				LoopID:            storage.MainLoop,
-				Store:             storage.NewMVCCStore(),
-				Program:           ssspProg{source: 0},
-				Seed:              53,
-				HeartbeatInterval: 10 * time.Millisecond,
-				restartBackoff:    time.Millisecond,
+				Processors: 3,
+				DelayBound: 8,
+				Kind:       MainLoop,
+				LoopID:     storage.MainLoop,
+				Store:      storage.NewMVCCStore(),
+				Program:    ssspProg{source: 0},
+				Seed:       53,
 			})
 			if err != nil {
 				t.Fatal(err)

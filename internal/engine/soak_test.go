@@ -138,8 +138,8 @@ func tail(evs []RecoveryEvent, n int) []RecoveryEvent {
 }
 
 // TestChaosSoakRecovery is the crash-recovery soak: a seeded fault plan
-// crashes two processors and the master at fixed iterations, all under the
-// heartbeat supervisor. The run must still end at the exact reference fixed
+// crashes two processors and the master at fixed iterations, each crash
+// restarting the loop. The run must still end at the exact reference fixed
 // point, with every injected crash recovered. Skipped with -short.
 func TestChaosSoakRecovery(t *testing.T) {
 	runChaosSoakRecovery(t, nil)
@@ -153,30 +153,6 @@ func TestChaosSoakRecovery(t *testing.T) {
 // lost and zero duplicated committed updates across reconnects.
 func TestChaosSoakRecoveryWire(t *testing.T) {
 	runChaosSoakRecovery(t, &WireSpec{})
-}
-
-// heartbeatFor and suspectAfterFor tune the failure detector to the
-// transport under test. The in-memory plane delivers by function call, so a
-// 5ms beat and a tight 6-interval window hold even mid-replay; the wire adds
-// per-frame serialization, CRC and socket hops that — on a small or
-// race-instrumented box — stretch heartbeat latency far past that window
-// during replay storms, livelocking recovery on false suspicions. Real
-// deployments tune detection windows to transport latency for exactly this
-// reason: beat slower (less serialization load) and judge over a wider
-// window (~400ms — times raceStretch when instrumentation slows every
-// serialization further) so only genuine silence trips recovery.
-func heartbeatFor(wire *WireSpec) time.Duration {
-	if wire != nil {
-		return 20 * time.Millisecond * raceStretch
-	}
-	return 5 * time.Millisecond
-}
-
-func suspectAfterFor(wire *WireSpec) int {
-	if wire != nil {
-		return 20
-	}
-	return 6
 }
 
 // soakWait scales the soak deadlines to the transport: the wire pays gob,
@@ -196,25 +172,21 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 	// The wire variant runs the same chaos schedule on a smaller graph: it
 	// tests the socket machinery (codec, reconnect supervision, corruption
 	// defense), not scale — the in-memory variant covers scale — and every
-	// recovery replays the whole input log through gob+CRC, so the replay
-	// storm must fit the detection window even on one instrumented core.
+	// recovery replays the whole input log through gob+CRC.
 	vertices := 600
 	if wire != nil {
 		vertices = 300
 	}
 	tuples := datasets.WithRemovals(datasets.PowerLawGraph(vertices, 3, 77), 0.1, 7)
 	e, err := New(Config{
-		Processors:        5,
-		DelayBound:        16,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              77,
-		HeartbeatInterval: heartbeatFor(wire),
-		suspectAfter:      suspectAfterFor(wire),
-		restartBackoff:    time.Millisecond,
-		Wire:              wire,
+		Processors: 5,
+		DelayBound: 16,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    ssspProg{source: 0},
+		Seed:       77,
+		Wire:       wire,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,11 +237,16 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 		// elapse while no frame is in flight (or while the partition window
 		// is still eating frames before they can be corrupted). The
 		// corruption *defense* must be exercised deterministically: corrupt
-		// half of everything — heartbeats flow constantly — until the CRC
-		// catches one, then heal and settle as usual.
+		// half of everything, and keep frames flowing by re-activating the
+		// source (a re-scatter leaves the fixed point where it is), until
+		// the CRC catches one, then heal and settle as usual.
 		e.SetWireCorrupt(0.5)
 		waitUntil(t, soakWait(wire), func() bool {
-			return e.StatsSnapshot().WireChecksumFailures > 0
+			if e.StatsSnapshot().WireChecksumFailures > 0 {
+				return true
+			}
+			e.Activate(0)
+			return false
 		}, "corruption burst never caught by the CRC")
 		e.SetWireCorrupt(0)
 	}
@@ -302,7 +279,7 @@ func runChaosSoakRecovery(t *testing.T, wire *WireSpec) {
 // TestChaosSoakSurgeOverload is the overload soak: a 10x ingest surge slams
 // into a deliberately slowed processor with the whole backpressure stack on
 // (admission gate + inbox watermarks), and a planned crash lands mid-surge.
-// The queues must stay bounded while the supervisor recovers, and the run
+// The queues must stay bounded while the loop recovers, and the run
 // must still end at the exact reference fixed point — backpressure may delay
 // tuples but must never lose or double-apply one, even across an
 // incarnation change. Skipped with -short.
@@ -351,21 +328,18 @@ func runChaosSoakSurgeOverload(t *testing.T, wire *WireSpec) {
 		surge[i].Dst += 20000
 	}
 	e, err := New(Config{
-		Processors:        procs,
-		DelayBound:        16,
-		Kind:              MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             storage.NewMVCCStore(),
-		Program:           ssspProg{source: 0},
-		Seed:              404,
-		MaxBatch:          maxBatch,
-		MaxPendingInputs:  512,
-		InboxHigh:         inboxHigh,
-		InboxLow:          64,
-		HeartbeatInterval: heartbeatFor(wire),
-		suspectAfter:      suspectAfterFor(wire),
-		restartBackoff:    time.Millisecond,
-		Wire:              wire,
+		Processors:       procs,
+		DelayBound:       16,
+		Kind:             MainLoop,
+		LoopID:           storage.MainLoop,
+		Store:            storage.NewMVCCStore(),
+		Program:          ssspProg{source: 0},
+		Seed:             404,
+		MaxBatch:         maxBatch,
+		MaxPendingInputs: 512,
+		InboxHigh:        inboxHigh,
+		InboxLow:         64,
+		Wire:             wire,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,7 @@
 
 package engine
 
-// raceStretch widens wire-soak failure-detection windows when the race
-// detector is on: instrumentation multiplies the CPU cost of serializing
-// every frame, and on a small box that stretches replay storms and GC
-// pauses past windows that comfortably hold in normal builds. Deployments
-// tune detection to transport latency; tests must tune it to the build.
-const raceStretch = 3
-
-// raceBuild reports a -race build.
+// raceBuild reports a -race build: instrumentation slows every goroutine,
+// and sync.Pool drops a quarter of its puts, so tests that repeat a run or
+// count allocations scale down or skip under it.
 const raceBuild = true

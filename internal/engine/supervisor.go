@@ -1,6 +1,6 @@
 package engine
 
-// Supervised crash recovery (Section 5.3).
+// Crash recovery (Section 5.3).
 //
 // The paper's recovery protocol falls out of termination detection for free:
 // every terminated iteration was flushed before it was announced, so the
@@ -13,12 +13,12 @@ package engine
 //     endpoint is torn down and its goroutine exits, discarding all
 //     in-memory vertex state, in-flight frames and unreleased tokens —
 //     unlike PauseProcessor, which merely models a partition;
-//   - a supervisor goroutine per incarnation that watches heartbeats from
-//     every processor and the master, declares a node dead after
-//     defaultSuspectAfter missed beats, and restarts the loop from the
-//     checkpoint;
-//   - exponential backoff with jitter between successive restarts, and
-//     quarantine of processors that crash more than defaultMaxRestarts
+//   - crash-triggered recovery: the first crash of an incarnation's member
+//     starts one recovery goroutine, which restarts a main loop from the
+//     checkpoint once the incarnation has finished its own bootstrap. A
+//     crash is the only way a member fails in this process, so the crash
+//     itself is the failure signal: nothing guesses at it from silence;
+//   - quarantine of processors that crash more than defaultMaxRestarts
 //     times in defaultRestartWindow: the restart publishes a plan that
 //     moves their range to a spare or the least-loaded survivor;
 //   - a deterministic fault-plan API for chaos tests (crash processor i at
@@ -35,20 +35,17 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"tornado/internal/obs/trace"
 	"tornado/internal/stream"
-	"tornado/internal/transport"
 )
 
 // Recovery event kinds recorded in the engine's recovery log.
 const (
 	EventCrash      = "crash"      // a crash was injected (API or fault plan)
-	EventSuspect    = "suspect"    // the supervisor declared a node dead
 	EventRecovery   = "recovery"   // a checkpoint restart completed
 	EventQuarantine = "quarantine" // a flapping processor left the rotation
 	EventReshard    = "reshard"    // Reshard restarted under a new base partition
@@ -77,8 +74,8 @@ func (e *Engine) recordEvent(ev RecoveryEvent) {
 	e.recMu.Unlock()
 }
 
-// RecoveryLog returns a copy of the recovery event log (crashes, suspicions,
-// restarts, quarantines) in chronological order.
+// RecoveryLog returns a copy of the recovery event log (crashes, restarts,
+// quarantines, repartitions, wire faults) in chronological order.
 func (e *Engine) RecoveryLog() []RecoveryEvent {
 	e.recMu.Lock()
 	defer e.recMu.Unlock()
@@ -88,11 +85,11 @@ func (e *Engine) RecoveryLog() []RecoveryEvent {
 }
 
 // CrashProcessor crashes processor i with true crash semantics: its endpoint
-// is torn down (in-flight frames, dedup state and unsent acks are gone), its
+// is torn down (in-flight frames and unsent messages are gone), its
 // goroutine exits, and every in-memory vertex state and unreleased token it
-// held is lost. Without a supervisor the loop is stuck afterwards — tokens
-// that died with the processor pin the frontier — until
-// RecoverFromCheckpoint is called. Idempotent; a no-op for quarantined or
+// held is lost. The tokens that died with it pin the incarnation's frontier;
+// a main loop restarts from the checkpoint on its own (see markDown), a
+// branch stays stuck until stopped. Idempotent; a no-op for quarantined or
 // out-of-range indexes.
 func (e *Engine) CrashProcessor(i int) {
 	e.genMu.RLock()
@@ -106,15 +103,15 @@ func (e *Engine) CrashProcessor(i int) {
 		return
 	}
 	p.ep.Crash()
-	inc.markDown()
 	p.setPaused(false) // a paused goroutine must wake to observe the crash
 	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: i, Gen: inc.gen})
+	e.markDown(inc)
 }
 
 // CrashMaster crashes the master with true crash semantics: its endpoint is
 // torn down and the master goroutine exits, so termination notifications
-// stop and no further checkpoints are taken. Idempotent.
+// stop and no further checkpoints are taken until the restart. Idempotent.
 func (e *Engine) CrashMaster() {
 	e.genMu.RLock()
 	inc := e.inc
@@ -123,181 +120,67 @@ func (e *Engine) CrashMaster() {
 		return
 	}
 	inc.masterE.Crash()
-	inc.markDown()
 	e.ResumeMaster()
 	e.crashes.Add(1)
 	e.recordEvent(RecoveryEvent{Kind: EventCrash, Proc: -1, Gen: inc.gen})
+	e.markDown(inc)
 }
 
-// RecoverFromCheckpoint manually restarts the loop from the last terminated
-// iteration's checkpoint (the unsupervised counterpart of the supervisor's
-// automatic recovery). It returns false when there is nothing to do: the
-// engine is stopped, or a concurrent recovery already replaced the
-// incarnation.
-func (e *Engine) RecoverFromCheckpoint() bool {
-	return e.doRecover(e.cur(), time.Now(), nil, false, "manual")
-}
-
-// heartbeatRun sends liveness beats for one node (proc >= 0, or -1 for the
-// master) to the supervisor endpoint. A crashed endpoint silently drops the
-// sends, which is precisely how the supervisor learns of the crash. Note a
-// paused node still beats: a pause models a partition of the data plane, not
-// a process death.
-func (e *Engine) heartbeatRun(inc *incarnation, proc int, ep *transport.Endpoint) {
-	defer inc.wg.Done()
-	t := time.NewTicker(e.cfg.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-inc.stop:
-			return
-		case <-t.C:
-			// SendNow bypasses the batch buffer: a beat delayed behind a
-			// filling data frame would look like a missed heartbeat.
-			ep.SendNow(supNode, msgHeartbeat{Proc: proc})
-		}
+// markDown closes inc.down on the first crash of one of its members (a
+// repartition waiting for rest gives up on it) and, for a main loop, starts
+// the one goroutine that recovers inc.
+func (e *Engine) markDown(inc *incarnation) {
+	first := false
+	inc.downOnce.Do(func() {
+		close(inc.down)
+		first = true
+	})
+	if !first || e.cfg.Kind != MainLoop {
+		return
 	}
+	// Under genMu, so the Add cannot race Stop's wait: Stop marks the engine
+	// stopped under the write lock before it waits.
+	e.genMu.RLock()
+	defer e.genMu.RUnlock()
+	if e.stopped {
+		return
+	}
+	e.supWG.Add(1)
+	go e.recoverRun(inc, time.Now())
 }
 
-// superviseRun is the failure detector of one incarnation. It drains
-// heartbeats from the supervisor endpoint, declares any node silent for more
-// than suspectAfter intervals dead, backs off exponentially on repeated
-// restarts, and triggers the checkpoint recovery. It exits after one
-// recovery attempt — the next incarnation starts its own supervisor.
-func (e *Engine) superviseRun(inc *incarnation) {
+// recoverRun is crash recovery (Section 5.3): once inc is fully
+// bootstrapped — a recovery never overlaps the re-activation and replay of
+// the restart that built inc — it restarts the loop from the checkpoint,
+// logging each crashed processor's restart (quarantining, as a plan
+// transition, one over its budget), and re-activates the checkpoint, so work
+// lost in the crash is recomputed. Members that crash meanwhile go down with
+// the same restart. crashed is when the first member crashed (MTTR).
+func (e *Engine) recoverRun(inc *incarnation, crashed time.Time) {
 	defer e.supWG.Done()
-	// Detection only starts once the incarnation is fully bootstrapped: the
-	// residual replay of a recovery can monopolize the CPU for longer than
-	// the suspect window, and judging heartbeats during it livelocks
-	// recovery on its own false suspicions.
 	select {
 	case <-inc.stop:
 		return
 	case <-inc.ready:
 	}
-	hb := e.cfg.HeartbeatInterval
-	suspect := time.Duration(e.cfg.suspectAfter)*hb + hb/2
-	rng := rand.New(rand.NewSource(e.cfg.Seed ^ int64(inc.gen)<<21 ^ 0x7ee1))
-	start := time.Now()
-	last := make([]time.Time, len(inc.procs))
-	for i := range last {
-		last[i] = start
-	}
-	masterLast := start
-	prevTick := start
-	tick := time.NewTicker(hb)
-	defer tick.Stop()
-	for {
-		select {
-		case <-inc.stop:
-			return
-		case <-tick.C:
-		}
-		for {
-			env, ok := inc.supE.TryRecv()
-			if !ok {
-				break
-			}
-			if m, ok := env.Payload.(msgHeartbeat); ok {
-				if m.Proc < 0 {
-					masterLast = time.Now()
-				} else if m.Proc < len(last) {
-					last[m.Proc] = time.Now()
-				}
-			}
-		}
-		now := time.Now()
-		// Starvation guard: when the detector itself missed a whole suspect
-		// window (GC pause, CPU saturation), sender silence over that gap
-		// proves nothing — the heartbeat goroutines were likely starved by
-		// the same cause. Re-baseline and keep watching; a real crash stays
-		// silent and is caught on the next smooth window.
-		if now.Sub(prevTick) > suspect {
-			for i := range last {
-				last[i] = now
-			}
-			masterLast = now
-			prevTick = now
-			continue
-		}
-		prevTick = now
-		var dead []int
-		for i := range inc.procs {
-			if now.Sub(last[i]) > suspect {
-				dead = append(dead, i)
-			}
-		}
-		deadMaster := now.Sub(masterLast) > suspect
-		if len(dead) == 0 && !deadMaster {
-			continue
-		}
-		for _, i := range dead {
-			e.recordEvent(RecoveryEvent{Kind: EventSuspect, Proc: i, Gen: inc.gen,
-				Detail: fmt.Sprintf("no heartbeat for %v", now.Sub(last[i]).Round(time.Millisecond))})
-		}
-		if deadMaster {
-			e.recordEvent(RecoveryEvent{Kind: EventSuspect, Proc: -1, Gen: inc.gen,
-				Detail: fmt.Sprintf("no heartbeat for %v", now.Sub(masterLast).Round(time.Millisecond))})
-		}
-		if d := e.restartDelay(rng); d > 0 {
-			select {
-			case <-inc.stop:
-				return
-			case <-time.After(d):
-			}
-		}
-		e.doRecover(inc, now, dead, deadMaster, "heartbeat timeout")
-		return
-	}
-}
-
-// restartDelay computes the exponential backoff before the next restart:
-// zero for a first failure, then restartBackoff doubled per restart observed
-// within restartWindow (capped at 64x) plus up to 25% jitter.
-func (e *Engine) restartDelay(rng *rand.Rand) time.Duration {
-	e.genMu.RLock()
-	cutoff := time.Now().Add(-e.cfg.restartWindow)
-	n := 0
-	for _, ts := range e.restartLog {
-		for _, t := range ts {
-			if t.After(cutoff) {
-				n++
-			}
+	var dead []int
+	for i, p := range inc.procs {
+		if p.ep.Crashed() {
+			dead = append(dead, i)
 		}
 	}
-	base := e.cfg.restartBackoff
-	e.genMu.RUnlock()
-	if n == 0 || base <= 0 {
-		return 0
-	}
-	if n > 6 {
-		n = 6
-	}
-	d := base << uint(n)
-	return d + time.Duration(rng.Int63n(int64(d)/4+1))
-}
-
-// doRecover is crash recovery (Section 5.3): the checkpoint restart of `from`
-// that also logs each dead processor's restart (quarantining, as a plan
-// transition, one over its budget) and re-activates the checkpoint, so work
-// lost in the crash is recomputed. detected is when the failure was noticed
-// (MTTR). It returns false when restart declines.
-func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []int, deadMaster bool, reason string) bool {
 	var quarantined []int
-	ninc, resume, replayed := e.restart(from, false, func(p *PartitionPlan) *PartitionPlan {
+	ninc, resume, replayed := e.restart(inc, false, func(p *PartitionPlan) *PartitionPlan {
 		now := time.Now()
 		cutoff := now.Add(-e.cfg.restartWindow)
 		next := p
-		for _, i := range deadProcs {
+		for _, i := range dead {
 			e.restartLog[i] = append(slices.DeleteFunc(e.restartLog[i], func(t time.Time) bool { return !t.After(cutoff) }), now)
-			if e.cfg.maxRestarts > 0 && len(e.restartLog[i]) > e.cfg.maxRestarts && next.Active[i] != slotQuarantined {
-				if q := next.withQuarantine(i, func(s int) int { return from.procs[s].hostedCount() }); q != nil {
+			if len(e.restartLog[i]) > e.cfg.maxRestarts && next.Active[i] != slotQuarantined {
+				if q := next.withQuarantine(i, func(s int) int { return inc.procs[s].hostedCount() }); q != nil {
 					next, quarantined = q, append(quarantined, i)
 				}
 			}
-		}
-		if deadMaster {
-			e.restartLog[-1] = append(e.restartLog[-1], now)
 		}
 		return next
 	}, func() {
@@ -308,22 +191,21 @@ func (e *Engine) doRecover(from *incarnation, detected time.Time, deadProcs []in
 		// stats right after a WaitQuiesce must already see this restart.
 		e.recoveries.Add(1)
 		if e.mttrHist != nil {
-			e.mttrHist.Observe(time.Since(detected).Seconds())
+			e.mttrHist.Observe(time.Since(crashed).Seconds())
 		}
 		// A recovered incarnation is exactly the window tail sampling wants
 		// traced: mark the event and force-retain the aftermath.
 		e.spans.Escalate(trace.MarkRecovery, trace.Context{}, e.spans.Now())
 	})
 	if ninc == nil {
-		return false
+		return
 	}
 	for _, i := range quarantined {
 		e.recordEvent(RecoveryEvent{Kind: EventQuarantine, Proc: i, Gen: ninc.gen,
 			Detail: fmt.Sprintf("crashed >%d times in %v; range moved off the slot", e.cfg.maxRestarts, e.cfg.restartWindow)})
 	}
 	e.recordEvent(RecoveryEvent{Kind: EventRecovery, Proc: -2, Gen: ninc.gen, Resume: resume,
-		Detail: fmt.Sprintf("%s; replayed %d inputs", reason, replayed)})
-	return true
+		Detail: fmt.Sprintf("replayed %d inputs", replayed)})
 }
 
 // restart is the engine's one checkpoint restart, shared by crash recovery
@@ -469,29 +351,64 @@ type Fault struct {
 
 // FaultPlan is a deterministic chaos schedule: crash processor i at
 // iteration k, crash the master, crash mid-branch-fork. Faults fire at most
-// once, in the order their conditions are met.
+// once, in the order their conditions are met; faults due at the same moment
+// fire in plan order.
 type FaultPlan struct {
 	Faults []Fault
 }
 
-// InjectFaultPlan arms a chaos schedule. Iteration-triggered faults fire
-// from a watcher polling the terminated frontier; OnFork faults fire inside
-// the next ForkBranch call. Plans accumulate.
+// InjectFaultPlan arms a chaos schedule. A fault whose iteration the
+// terminated frontier has already reached fires before the call returns;
+// the rest fire once the master has checkpointed the advance that reaches
+// them (see fireDueFaults), and OnFork faults inside the next ForkBranch
+// call. Plans accumulate.
 func (e *Engine) InjectFaultPlan(plan FaultPlan) {
 	if len(plan.Faults) == 0 {
 		return
 	}
 	e.planMu.Lock()
 	e.pendingFaults = append(e.pendingFaults, plan.Faults...)
-	startWatcher := !e.watcherOn
-	if startWatcher {
-		e.watcherOn = true
-	}
 	e.planMu.Unlock()
-	if startWatcher {
-		e.supWG.Add(1)
-		go e.faultWatcherRun()
+	notified := e.cur().tracker.Notified()
+	for _, f := range e.takeFaults(func(f Fault) bool { return !f.OnFork && f.AtIteration <= notified }) {
+		e.applyFault(f)
 	}
+}
+
+// takeFaults disarms and returns, in plan order, the armed faults due
+// reports true for.
+func (e *Engine) takeFaults(due func(Fault) bool) []Fault {
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	var fire []Fault
+	rest := e.pendingFaults[:0]
+	for _, f := range e.pendingFaults {
+		if due(f) {
+			fire = append(fire, f)
+		} else {
+			rest = append(rest, f)
+		}
+	}
+	e.pendingFaults = rest
+	return fire
+}
+
+// fireDueFaults fires the iteration faults the checkpointed frontier `to`
+// has reached. The master calls it after each advance; the faults apply on a
+// goroutine of their own, as a crash from outside would, not on the master
+// goroutine they may crash.
+func (e *Engine) fireDueFaults(to int64) {
+	fire := e.takeFaults(func(f Fault) bool { return !f.OnFork && f.AtIteration <= to })
+	if len(fire) == 0 {
+		return
+	}
+	e.supWG.Add(1)
+	go func() {
+		defer e.supWG.Done()
+		for _, f := range fire {
+			e.applyFault(f)
+		}
+	}()
 }
 
 func (e *Engine) applyFault(f Fault) {
@@ -502,88 +419,15 @@ func (e *Engine) applyFault(f Fault) {
 		e.CrashMaster()
 	case FaultSlowProcessor:
 		e.SlowProcessor(f.Proc, f.Delay)
-	case FaultWirePartition:
-		e.SetWirePartition(true)
-		if f.Delay > 0 {
-			time.AfterFunc(f.Delay, func() { e.SetWirePartition(false) })
-		}
-	case FaultWireCorrupt:
-		rate := f.Rate
-		if rate <= 0 {
-			rate = 0.02
-		}
-		e.SetWireCorrupt(rate)
-		if f.Delay > 0 {
-			time.AfterFunc(f.Delay, func() { e.SetWireCorrupt(0) })
-		}
-	}
-}
-
-// faultWatcherRun fires iteration-triggered faults as the terminated
-// frontier passes them and exits once none remain (OnFork faults are left
-// for ForkBranch).
-func (e *Engine) faultWatcherRun() {
-	defer e.supWG.Done()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for range tick.C {
-		e.genMu.RLock()
-		stopped := e.stopped
-		notified := e.inc.tracker.Notified()
-		e.genMu.RUnlock()
-		if stopped {
-			e.planMu.Lock()
-			e.watcherOn = false
-			e.planMu.Unlock()
-			return
-		}
-		var fire []Fault
-		pendingForks := 0
-		e.planMu.Lock()
-		rest := e.pendingFaults[:0]
-		for _, f := range e.pendingFaults {
-			switch {
-			case f.OnFork:
-				rest = append(rest, f)
-				pendingForks++
-			case notified >= f.AtIteration:
-				fire = append(fire, f)
-			default:
-				rest = append(rest, f)
-			}
-		}
-		e.pendingFaults = rest
-		e.planMu.Unlock()
-		for _, f := range fire {
-			e.applyFault(f)
-		}
-		e.planMu.Lock()
-		if len(e.pendingFaults) == pendingForks {
-			// Only OnFork faults (or nothing) left: ForkBranch handles those.
-			e.watcherOn = false
-			e.planMu.Unlock()
-			return
-		}
-		e.planMu.Unlock()
+	case FaultWirePartition, FaultWireCorrupt:
+		e.injectWireFault(f)
 	}
 }
 
 // fireForkFaults fires all armed OnFork faults; ForkBranch calls it between
 // capturing the fork spec and building the branch engine.
 func (e *Engine) fireForkFaults() {
-	e.planMu.Lock()
-	var fire []Fault
-	rest := e.pendingFaults[:0]
-	for _, f := range e.pendingFaults {
-		if f.OnFork {
-			fire = append(fire, f)
-		} else {
-			rest = append(rest, f)
-		}
-	}
-	e.pendingFaults = rest
-	e.planMu.Unlock()
-	for _, f := range fire {
+	for _, f := range e.takeFaults(func(f Fault) bool { return f.OnFork }) {
 		e.applyFault(f)
 	}
 }

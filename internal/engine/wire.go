@@ -3,7 +3,7 @@ package engine
 // Wire mode: running the loop's transport over real sockets.
 //
 // Config.Wire puts the incarnation's Network into ForceLoop wire mode: every
-// frame between the loop's processors, master, ingester and supervisor is
+// frame between the loop's processors, master and ingester is
 // serialized through the CRC32-framed binary codec, crosses a connection
 // dialed to the process's own listener (TCP by default, an in-memory wire
 // for hermetic tests), and is decoded back before delivery. All protocol
@@ -36,12 +36,11 @@ func init() {
 	gob.Register(&msgBatch{})
 	gob.Register(msgFrontier{})
 	gob.Register(msgHalt{})
-	gob.Register(msgHeartbeat{})
 }
 
 // WireSpec configures wire mode (Config.Wire). The zero value of a non-nil
-// spec means: TCP on a fresh loopback port each incarnation, no idle
-// deadline, default queue depth.
+// spec means: TCP on a fresh loopback port each incarnation, default queue
+// depth.
 type WireSpec struct {
 	// Addr is the TCP listen address (default "127.0.0.1:0" — a fresh port
 	// per incarnation; fixed ports risk rebind races during recovery).
@@ -50,11 +49,6 @@ type WireSpec struct {
 	// codec, supervision and fault machinery without sockets (hermetic unit
 	// tests).
 	Mem *transport.MemWire
-	// ReadIdle evicts peer connections silent for this long (0 = never).
-	// Size it well above the heartbeat interval: with supervision on,
-	// steady-state beats keep healthy connections alive, so only genuinely
-	// stuck peers trip it.
-	ReadIdle time.Duration
 	// QueueLen bounds each peer connection's outbound frame queue
 	// (default 1024).
 	QueueLen int
@@ -116,7 +110,6 @@ func (e *Engine) buildWire(gen int) *transport.WireConfig {
 		Dialer:    d,
 		ForceLoop: true,
 		Faults:    e.wireFaults,
-		ReadIdle:  ws.ReadIdle,
 		QueueLen:  ws.QueueLen,
 		OnPeerDown: func(addr string, cause error) {
 			e.noteWireDown(gen, addr, cause)
@@ -170,6 +163,26 @@ func (e *Engine) SetWirePartition(on bool) bool {
 	}
 	e.recordEvent(RecoveryEvent{Kind: kind, Proc: -2, Gen: e.Generation(), Detail: detail})
 	return true
+}
+
+// injectWireFault applies a planned wire fault (FaultWirePartition or
+// FaultWireCorrupt) and, for a positive Delay, schedules its heal.
+func (e *Engine) injectWireFault(f Fault) {
+	if f.Kind == FaultWirePartition {
+		e.SetWirePartition(true)
+		if f.Delay > 0 {
+			time.AfterFunc(f.Delay, func() { e.SetWirePartition(false) })
+		}
+		return
+	}
+	rate := f.Rate
+	if rate <= 0 {
+		rate = 0.02
+	}
+	e.SetWireCorrupt(rate)
+	if f.Delay > 0 {
+		time.AfterFunc(f.Delay, func() { e.SetWireCorrupt(0) })
+	}
 }
 
 // SetWireCorrupt makes each outbound wire frame suffer a flipped byte with

@@ -100,14 +100,7 @@ func TestWireModeCrashRecovery(t *testing.T) {
 		Store:      storage.NewMVCCStore(),
 		Program:    ssspProg{source: 0},
 		Seed:       31,
-		// A 300ms suspicion window: wide enough that race-detector
-		// scheduling stalls don't trigger spurious suspicion storms
-		// (recover → stall → re-suspect, forever), still sub-second
-		// detection of the injected crash.
-		HeartbeatInterval: 10 * time.Millisecond,
-		suspectAfter:      30,
-		restartBackoff:    time.Millisecond,
-		Wire:              &WireSpec{Mem: transport.NewMemWire()},
+		Wire:       &WireSpec{Mem: transport.NewMemWire()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +163,48 @@ func TestWireModePartitionHeal(t *testing.T) {
 	if !sawFault || !sawHeal {
 		t.Fatalf("recovery log missing wire fault/heal events: %+v", e.RecoveryLog())
 	}
+}
+
+// TestWirePartitionIsNotACrash: a wire partition that outlasts the widest
+// heartbeat window the engine ever used (20 beats of 20ms) silences the
+// message plane but kills no member, so nothing restarts: healing replays
+// the ledger's backlog and the loop reaches the exact fixed point in its
+// first incarnation.
+func TestWirePartitionIsNotACrash(t *testing.T) {
+	tuples := datasets.PowerLawGraph(120, 3, 67)
+	e, err := New(Config{
+		Processors: 3,
+		DelayBound: 8,
+		Kind:       MainLoop,
+		LoopID:     storage.MainLoop,
+		Store:      storage.NewMVCCStore(),
+		Program:    ssspProg{source: 0},
+		Seed:       67,
+		Wire:       &WireSpec{Mem: transport.NewMemWire()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	e.IngestAll(tuples[:len(tuples)/2])
+	e.SetWirePartition(true)
+	e.IngestAll(tuples[len(tuples)/2:])
+	time.Sleep(500 * time.Millisecond)
+	e.SetWirePartition(false)
+	if err := e.WaitQuiesce(waitFor); err != nil {
+		t.Fatal(err)
+	}
+	checkSSSP(t, e, tuples)
+	for _, ev := range e.RecoveryLog() {
+		if ev.Kind == EventCrash || ev.Kind == EventRecovery {
+			t.Fatalf("a wire partition logged %q: %+v", ev.Kind, e.RecoveryLog())
+		}
+	}
+	if s := e.StatsSnapshot(); s.Generation != 0 || s.Recoveries != 0 {
+		t.Fatalf("Generation = %d, Recoveries = %d after a partition; want 0, 0", s.Generation, s.Recoveries)
+	}
+	checkQuiescent(t, e)
 }
 
 // Wire metrics register under the hub and the statusz section carries the

@@ -144,45 +144,6 @@ func TestInboxWatermarkBoundWhileDraining(t *testing.T) {
 	}
 }
 
-// TestSendNowBypassesStall: control traffic must reach a stalled receiver.
-func TestSendNowBypassesStall(t *testing.T) {
-	net := NewNetwork(Options{InboxHigh: 4, InboxLow: 1})
-	src := net.Register(1)
-	dst := net.Register(2)
-
-	for i := 0; i < 10; i++ {
-		src.Send(2, i)
-	}
-	if !dst.Stalled() {
-		t.Fatal("receiver not stalled")
-	}
-	// At the watermark the urgent frame is shed, not parked and not queued:
-	// the control backlog of a starved consumer must stay bounded too.
-	before := dst.Pending()
-	src.SendNow(2, "heartbeat")
-	if got := dst.Pending(); got != before {
-		t.Fatalf("urgent frame queued into a watermark-full inbox: %d, want %d", got, before)
-	}
-	if got := net.Stats.UrgentShed.Load(); got != 1 {
-		t.Fatalf("UrgentShed = %d, want 1", got)
-	}
-	// Below the watermark — even while still stalled — urgent traffic passes.
-	if _, ok := dst.TryRecv(); !ok {
-		t.Fatal("TryRecv failed on a full inbox")
-	}
-	if !dst.Stalled() {
-		t.Fatal("receiver unstalled above the low watermark")
-	}
-	before = dst.Pending()
-	src.SendNow(2, "heartbeat")
-	if got := dst.Pending(); got != before+1 {
-		t.Fatalf("SendNow payload parked below the watermark: inbox %d, want %d", got, before+1)
-	}
-	if got := net.Stats.UrgentShed.Load(); got != 1 {
-		t.Fatalf("UrgentShed = %d after a deliverable urgent frame, want still 1", got)
-	}
-}
-
 // TestBatchedStallAndResume exercises the watermark with sender-built
 // batches and the wire ledger on: every message must arrive exactly once
 // despite the parked window, the resends, and the deferred-ack machinery.

@@ -21,12 +21,12 @@
 //
 // # Batching
 //
-// The unit of transmission is a frame carrying one payload: Send and SendNow
-// hand the payload on at once, and nothing waits in the transport for a
-// later flush. Batching is the sender's job. A sender that wants fewer,
-// larger frames builds its own batch and sends it as one payload — the
-// engine's processors cut each receive window into frames of at most its
-// MaxBatch messages, and wirenode ships a worker's relaxations per owner.
+// The unit of transmission is a frame carrying one payload: Send hands the
+// payload on at once, and nothing waits in the transport for a later flush.
+// Batching is the sender's job. A sender that wants fewer, larger frames
+// builds its own batch and sends it as one payload — the engine's processors
+// cut each receive window into frames of at most its MaxBatch messages, and
+// wirenode ships a worker's relaxations per owner.
 // Receivers drain their whole inbox under a single lock with RecvBatch,
 // recycling the caller's previous batch slice so the steady state allocates
 // nothing.
@@ -41,8 +41,7 @@
 //
 // With InboxHigh set, a receiver whose inbox reaches the high watermark
 // withdraws delivery credit; senders park further data frames locally and
-// replay them in order once it drains to InboxLow. Urgent (SendNow) frames
-// are never parked, and one that meets a full inbox is shed instead.
+// replay them in order once it drains to InboxLow.
 package transport
 
 import (
@@ -90,10 +89,6 @@ type frame struct {
 	// msgs is the number of messages inside payload (see Counted); the wire
 	// decoder recounts it.
 	msgs int
-	// urgent marks SendNow traffic: it bypasses sender-side credit parking,
-	// and a watermark-full receiver sheds it rather than growing without
-	// bound — urgent payloads are refreshable control signals, not data.
-	urgent bool
 	// traced marks a frame carrying at least one causally-traced payload: its
 	// delivery is stamped (Envelope.At), and a wire resend of it records an
 	// escalation marker against the trace.
@@ -118,12 +113,9 @@ type Stats struct {
 	AckFrames atomic.Int64
 	// Stalls counts inbox high-watermark crossings (a receiver withdrew
 	// delivery credit); HeldFrames counts data frames senders parked while
-	// waiting for that credit to come back; UrgentShed counts SendNow frames
-	// a watermark-full receiver dropped instead of enqueueing, plus urgent
-	// frames shed at a full wire priority lane (both are refreshable).
+	// waiting for that credit to come back.
 	Stalls     atomic.Int64
 	HeldFrames atomic.Int64
-	UrgentShed atomic.Int64
 	// Wire counters, all zero unless Options.Wire attaches a socket
 	// substrate. WireTxFrames/WireRxFrames count frames serialized onto and
 	// decoded off the wire; WireTxBytes/WireRxBytes count the encoded bytes
@@ -168,17 +160,10 @@ type Options struct {
 	// control: once an inbox holds this many messages the receiver
 	// withdraws delivery credit and senders park further data frames
 	// locally (they never block) until the receiver drains back to
-	// InboxLow. SendNow frames are never parked, so heartbeats and failure
-	// detection are immune to data congestion; a SendNow frame arriving at
-	// an inbox already holding InboxHigh messages is instead shed (not
-	// enqueued, counted in Stats.UrgentShed), so a starved consumer's
-	// control backlog stays bounded too — urgent payloads are refreshed
-	// every interval, so dropping the excess loses nothing a later beat
-	// does not restate.
-	// Zero leaves inboxes unbounded (legacy behavior). The bound is on
-	// messages, not frames: a frame already in flight when the watermark
-	// trips still lands whole, so momentary overshoot is at most one
-	// sender-built batch per concurrent sender.
+	// InboxLow. Zero leaves inboxes unbounded (legacy behavior). The bound
+	// is on messages, not frames: a frame already in flight when the
+	// watermark trips still lands whole, so momentary overshoot is at most
+	// one sender-built batch per concurrent sender.
 	InboxHigh int
 	// InboxLow is the drain watermark that restores credit to a stalled
 	// inbox (default InboxHigh/2). The hysteresis gap keeps senders from
@@ -366,16 +351,6 @@ func (e *Endpoint) ID() NodeID { return e.id }
 // until it drains. Sends from a closed or crashed endpoint are suppressed.
 func (e *Endpoint) Send(to NodeID, payload any) { e.send(e.frame(to, payload)) }
 
-// SendNow is Send for latency-critical control traffic (heartbeats, halt
-// votes): the frame skips the credit check — one control envelope past the
-// watermark is harmless, whereas a parked heartbeat is a false crash
-// suspicion — and a watermark-full receiver sheds it instead (see deliver).
-func (e *Endpoint) SendNow(to NodeID, payload any) {
-	f := e.frame(to, payload)
-	f.urgent = true
-	e.send(f)
-}
-
 // Flush does nothing: Send has already transmitted every payload.
 //
 // Deprecated: the transport keeps no output buffer to flush.
@@ -398,9 +373,9 @@ func (e *Endpoint) frame(to NodeID, payload any) frame {
 // credit-based flow control: a data frame whose destination has withdrawn
 // credit — or that would overtake frames already parked for it — is queued
 // locally instead of delivered, and replayed in order when the receiver
-// grants credit again. Urgent frames are never parked. A destination with no
-// local endpoint is outside the credit domain: its flow control is the wire's
-// bounded peer queue plus the ledger.
+// grants credit again. A destination with no local endpoint is outside the
+// credit domain: its flow control is the wire's bounded peer queue plus the
+// ledger.
 func (e *Endpoint) send(f frame) {
 	dst := e.peer(f.to)
 	e.mu.Lock()
@@ -408,7 +383,7 @@ func (e *Endpoint) send(f frame) {
 		e.mu.Unlock()
 		return
 	}
-	park := !f.urgent && dst != nil && e.net.opts.InboxHigh > 0 &&
+	park := dst != nil && e.net.opts.InboxHigh > 0 &&
 		(dst.stalled.Load() || len(e.held[f.to]) > 0 || e.draining[f.to])
 	if park {
 		if e.held == nil {
@@ -549,25 +524,17 @@ func (e *Endpoint) deliver(f frame) {
 		e.mu.Unlock()
 		return
 	}
-	// An urgent frame meeting a watermark-full inbox is shed: its sender
-	// refreshes it every interval, and appending would grow a starved
-	// consumer's backlog without bound (urgent traffic is exempt from
-	// sender-side parking).
-	high := e.net.opts.InboxHigh
-	shed := f.urgent && high > 0 && e.inboxMsgs >= high
-	if !shed {
-		// Frame transit (send -> inbox, credit parking included) ends here;
-		// the stamp rides the envelope and the receiver closes the stage.
-		at := int64(0)
-		if sp := e.net.opts.Spans; f.traced && sp.Enabled() {
-			at = sp.Now()
-		}
-		e.inbox = append(e.inbox, Envelope{From: f.from, Payload: f.payload, At: at})
-		e.inboxMsgs += f.msgs
-		e.cond.Broadcast()
+	// Frame transit (send -> inbox, credit parking included) ends here; the
+	// stamp rides the envelope and the receiver closes the stage.
+	at := int64(0)
+	if sp := e.net.opts.Spans; f.traced && sp.Enabled() {
+		at = sp.Now()
 	}
+	e.inbox = append(e.inbox, Envelope{From: f.from, Payload: f.payload, At: at})
+	e.inboxMsgs += f.msgs
+	e.cond.Broadcast()
 	stalledNow := false
-	if high > 0 && e.inboxMsgs >= high && !e.stalled.Load() {
+	if high := e.net.opts.InboxHigh; high > 0 && e.inboxMsgs >= high && !e.stalled.Load() {
 		e.stalled.Store(true)
 		stalledNow = true
 	}
@@ -575,11 +542,7 @@ func (e *Endpoint) deliver(f frame) {
 	if stalledNow {
 		e.net.Stats.Stalls.Add(1)
 	}
-	if shed {
-		e.net.Stats.UrgentShed.Add(1)
-	} else {
-		e.net.Stats.Delivered.Add(int64(f.msgs))
-	}
+	e.net.Stats.Delivered.Add(int64(f.msgs))
 }
 
 // drainedLocked re-evaluates the stall flag after the inbox shrank; caller

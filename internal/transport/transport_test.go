@@ -19,9 +19,9 @@ func TestBasicDelivery(t *testing.T) {
 }
 
 // TestOrderPreservedPerSender: a (sender, receiver) pair sees the sender's
-// order. The second case interleaves Send and SendNow to two destinations
-// while each receiver drains concurrently: nothing in the transport may ship
-// a payload out of turn behind the sender's back.
+// order. The second case interleaves sends to two destinations while each
+// receiver drains concurrently: nothing in the transport may ship a payload
+// out of turn behind the sender's back.
 func TestOrderPreservedPerSender(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) {
 		n := NewNetwork(Options{})
@@ -71,12 +71,7 @@ func TestOrderPreservedPerSender(t *testing.T) {
 			}()
 		}
 		for i := 0; i < total; i++ {
-			to := dsts[i%len(dsts)].ID()
-			if i%3 == 0 {
-				a.SendNow(to, i)
-			} else {
-				a.Send(to, i)
-			}
+			a.Send(dsts[i%len(dsts)].ID(), i)
 		}
 		wg.Wait()
 	})

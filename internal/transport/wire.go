@@ -23,8 +23,7 @@
 // plus jitter, encodes and coalesces queued frames into batched writes, and
 // on any write error drops the conn and redials. Readers drop a connection
 // on any checksum failure or torn frame instead of delivering garbage, and
-// an optional read-idle deadline evicts stuck peers so silence turns into
-// the missed heartbeats the engine's failure detector already judges.
+// an optional read-idle deadline evicts stuck peers.
 //
 // # The ledger
 //
@@ -37,7 +36,7 @@
 // Receivers dedup and ack in the reader before the frame reaches the
 // endpoint, acking every ackEvery-th in-order frame at once and deferring
 // the rest to the ledger tick; duplicates and out-of-order frames are acked
-// at once. Acks ride the control lane (see send): on the data lane an ack
+// at once. Acks ride the control lane (see sendAck): on the data lane an ack
 // waits behind every data frame the sender's reader has yet to decode, and a
 // late ack is a spurious resend, which lengthens that backlog. A frame's
 // resend clock starts when the writer writes it (or sheds it at a full
@@ -85,9 +84,9 @@ type WireConfig struct {
 	DialBackoff    time.Duration
 	MaxDialBackoff time.Duration
 	// ReadIdle, when positive, drops a peer connection that delivers
-	// nothing for this long. A stuck or silently dead peer then stops
-	// occupying a reader, and the resulting missed heartbeats feed the
-	// engine's failure detector. Size it well above the heartbeat interval.
+	// nothing for this long, so a stuck or silently dead peer stops
+	// occupying a reader. A quiet sender's healthy connection is idle too:
+	// size it above the longest pause between two frames.
 	ReadIdle time.Duration
 	// QueueLen bounds each peer's outbound frame queue (default 1024).
 	// Frames arriving at a full queue are shed — the ledger retransmits
@@ -224,16 +223,10 @@ func (h *wireHost) route(to NodeID) string {
 
 // send routes one data frame over the wire, numbering it for the ledger.
 // Never blocks: a full peer queue sheds the frame, and its resend clock
-// starts at once.
-//
-// Urgent control traffic (heartbeats, halt votes, and the ledger's acks)
-// rides a dedicated control-plane connection per peer: with a shared socket
-// a heartbeat written after a replay storm of data frames sits behind
-// megabytes of bytes the receiver must decode first, and the starved failure
-// detector declares the peer dead — a recovery livelock. A separate conn
-// gives control frames their own socket and their own reader.
+// starts at once. Data frames ride the peer's data lane; the ledger's acks
+// ride a control lane of their own (see sendAck).
 func (h *wireHost) send(f frame) {
-	p := h.peerFor(f.to, f.urgent)
+	p := h.peerFor(f.to, false)
 	if p == nil {
 		return
 	}
@@ -257,14 +250,15 @@ func (h *wireHost) send(f frame) {
 	h.lmu.Unlock()
 }
 
-// peerFor resolves node to's peer lane, counting an unroutable frame as shed.
-func (h *wireHost) peerFor(to NodeID, urgent bool) *wirePeer {
+// peerFor resolves node to's peer lane (the control lane when control is
+// set), counting an unroutable frame as shed.
+func (h *wireHost) peerFor(to NodeID, control bool) *wirePeer {
 	addr := h.route(to)
 	if addr == "" {
 		h.net.Stats.WireShed.Add(1)
 		return nil
 	}
-	p := h.peer(addr, urgent)
+	p := h.peer(addr, control)
 	if p == nil {
 		h.net.Stats.WireShed.Add(1)
 	}
@@ -424,7 +418,7 @@ func (h *wireHost) ledgerLoop() {
 		for _, f := range retry {
 			h.net.Stats.Sent.Add(1)
 			h.net.Stats.Resent.Add(1)
-			if p := h.peerFor(f.to, f.urgent); p == nil || !p.push(f) {
+			if p := h.peerFor(f.to, false); p == nil || !p.push(f) {
 				shed = append(shed, f)
 			}
 		}
@@ -474,14 +468,14 @@ func (h *wireHost) ledgerSizes() (seen, unacked int) {
 }
 
 // peer returns (creating on first use) the supervised connection to addr.
-// Each peer address has up to two lanes — bulk data and urgent control —
-// each a wirePeer with its own conn, queue, and reconnect supervision.
-func (h *wireHost) peer(addr string, urgent bool) *wirePeer {
+// Each peer address has up to two lanes — data frames and the ledger's acks
+// — each a wirePeer with its own conn, queue, and reconnect supervision.
+func (h *wireHost) peer(addr string, control bool) *wirePeer {
 	key := addr
 	qlen := h.cfg.QueueLen
-	if urgent {
-		key = "\x00u|" + addr // NUL prefix cannot collide with a real address
-		qlen = 64             // small refreshable frames: beats, votes, cumulative acks
+	if control {
+		key = "\x00c|" + addr // NUL prefix cannot collide with a real address
+		qlen = 64             // cumulative acks: a later one restates a shed one
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -640,17 +634,13 @@ type wirePeer struct {
 }
 
 // push queues f without blocking and reports whether it was queued; a full
-// queue sheds it (a full urgent lane sheds refreshable control traffic).
+// queue sheds it.
 func (p *wirePeer) push(f wireFrame) bool {
 	select {
 	case p.q <- f:
 		return true
 	default:
-		if f.urgent {
-			p.host.net.Stats.UrgentShed.Add(1)
-		} else {
-			p.host.net.Stats.WireShed.Add(1)
-		}
+		p.host.net.Stats.WireShed.Add(1)
 		return false
 	}
 }

@@ -18,7 +18,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		{frame: frame{from: 1, to: 2, payload: "hello", msgs: 1}, seq: 7},
 		{frame: frame{from: 1, to: 2, payload: []byte{1, 2, 3}, msgs: 1}, seq: 8},
 		{frame: frame{from: 3, to: 4}, seq: 9, ack: true, ackUpTo: 8},
-		{frame: frame{from: 0, to: 1, urgent: true, traced: true, payload: int64(42), msgs: 1}},
+		{frame: frame{from: 0, to: 1, traced: true, payload: int64(42), msgs: 1}},
 	}
 	var buf []byte
 	for i, want := range cases {
@@ -33,7 +33,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		}
 		if got.from != want.from || got.to != want.to || got.seq != want.seq ||
 			got.ack != want.ack || got.ackUpTo != want.ackUpTo ||
-			got.urgent != want.urgent || got.traced != want.traced {
+			got.traced != want.traced {
 			t.Fatalf("case %d: header round-trip: got %+v want %+v", i, got, want)
 		}
 		if got.msgs != want.msgs { // the decoder recounts; these payloads weigh one each

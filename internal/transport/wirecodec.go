@@ -9,7 +9,7 @@
 //
 //	[0]     version byte (wireVersion)
 //	[1:5]   CRC32 (IEEE) of everything after this field, big endian
-//	[5]     flags: bit0 ack, bit1 urgent, bit2 traced
+//	[5]     flags: bit0 ack, bit2 traced (bit1 is unused)
 //	[6:10]  from NodeID (uint32)
 //	[10:14] to NodeID (uint32)
 //	[14:22] seq (uint64)
@@ -55,7 +55,6 @@ const wireHeaderLen = 34 // version..count, before the payload section
 
 const (
 	wireFlagAck    = 1 << 0
-	wireFlagUrgent = 1 << 1
 	wireFlagTraced = 1 << 2
 )
 
@@ -83,9 +82,6 @@ func encodeFrame(dst []byte, f *wireFrame, pc PayloadCodec) ([]byte, error) {
 	var flags byte
 	if f.ack {
 		flags |= wireFlagAck
-	}
-	if f.urgent {
-		flags |= wireFlagUrgent
 	}
 	if f.traced {
 		flags |= wireFlagTraced
@@ -137,7 +133,6 @@ func decodeFrame(data []byte, pc PayloadCodec) (wireFrame, error) {
 	}
 	flags := data[5]
 	f.ack = flags&wireFlagAck != 0
-	f.urgent = flags&wireFlagUrgent != 0
 	f.traced = flags&wireFlagTraced != 0
 	f.from = NodeID(binary.BigEndian.Uint32(data[6:10]))
 	f.to = NodeID(binary.BigEndian.Uint32(data[10:14]))

@@ -21,7 +21,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{frame: frame{from: 1, to: 2, payload: "seed"}, seq: 1},
 		{frame: frame{from: 3, to: 4}, seq: 9, ack: true, ackUpTo: 9},
 		{},
-		{frame: frame{from: 5, to: 6, urgent: true, payload: []byte{0, 1, 2, 3}}, seq: 2},
+		{frame: frame{from: 5, to: 6, payload: []byte{0, 1, 2, 3}}, seq: 2},
 	} {
 		enc, err := encodeFrame(nil, &fr, pc)
 		if err != nil {

@@ -419,7 +419,7 @@ func RunWorker(cfg WorkerConfig) error {
 			}
 			out.ship(ep, &sent)
 		case Probe:
-			ep.SendNow(masterID, ProbeAck{Epoch: m.Epoch, Sent: sent, Recv: recv})
+			ep.Send(masterID, ProbeAck{Epoch: m.Epoch, Sent: sent, Recv: recv})
 		case Fetch:
 			ep.Send(masterID, Result{Dists: dist})
 		case Quit:

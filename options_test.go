@@ -16,7 +16,6 @@ var optionsSurface = map[string]string{
 	"Options.Store":                  "deployment setting: storage.OpenDisk for durable checkpoints",
 	"Options.Wire":                   "cmd/tornado-shell -wire; benchmark/workloads.go",
 	"Options.Seed":                   "every failure replays from its seed (ROADMAP item 1)",
-	"Options.HeartbeatInterval":      "cmd/tornado-shell -heartbeat",
 	"Options.MetricsAddr":            "deployment setting: cmd/tornado-shell -metrics",
 	"Options.SpanSampleRate":         "cmd/tornado-shell -span-sample",
 	"FlowOptions.DelayBoundCeiling":  "benchmark/workloads.go (deprecated, ignored)",

@@ -153,16 +153,6 @@ type Options struct {
 	// Seed drives engine-internal randomness (default 1).
 	Seed int64
 
-	// HeartbeatInterval enables supervised crash recovery (Section 5.3 of
-	// the paper) with the given heartbeat period (default 0: unsupervised;
-	// crashes then need a manual Engine().RecoverFromCheckpoint). Every
-	// processor and the master send periodic heartbeats; a node silent for
-	// 3 intervals is declared dead and the loop restarts from the last
-	// terminated iteration's checkpoint, after a backoff of one interval
-	// doubled per restart in the last minute. A processor that crashes more
-	// than 5 times within a minute is quarantined.
-	HeartbeatInterval time.Duration
-
 	// Observability. Every System carries an obs.Hub: protocol counters and
 	// frontier gauges register per loop, and one span tracer holds sampled
 	// freshness traces plus the three-phase protocol markers of watched
@@ -330,20 +320,19 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 	}
 	hub := obs.NewHub(spanRate)
 	cfg := engine.Config{
-		Processors:        opts.Processors,
-		MaxProcessors:     opts.Elastic.MaxProcessors,
-		DelayBound:        opts.DelayBound,
-		Kind:              engine.MainLoop,
-		LoopID:            storage.MainLoop,
-		Store:             opts.Store,
-		Program:           program,
-		Delta:             dp,
-		Seed:              opts.Seed,
-		Wire:              opts.Wire,
-		Obs:               hub,
-		HeartbeatInterval: opts.HeartbeatInterval,
-		MaxPendingInputs:  opts.Flow.maxPendingInputs,
-		InboxHigh:         opts.Flow.inboxHigh,
+		Processors:       opts.Processors,
+		MaxProcessors:    opts.Elastic.MaxProcessors,
+		DelayBound:       opts.DelayBound,
+		Kind:             engine.MainLoop,
+		LoopID:           storage.MainLoop,
+		Store:            opts.Store,
+		Program:          program,
+		Delta:            dp,
+		Seed:             opts.Seed,
+		Wire:             opts.Wire,
+		Obs:              hub,
+		MaxPendingInputs: opts.Flow.maxPendingInputs,
+		InboxHigh:        opts.Flow.inboxHigh,
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -803,27 +792,22 @@ func (s *System) PartitionLoads() []PartitionLoad { return s.main.PartitionLoads
 
 // CrashProcessor crashes main-loop processor i with true crash semantics:
 // its in-memory vertex states, pending inputs and in-flight frames are
-// discarded (unlike a pause, which merely delays them). With supervision
-// enabled (Options.HeartbeatInterval) the failure is detected via missed
-// heartbeats and the loop restarts from the last checkpoint automatically;
-// without it, call RecoverFromCheckpoint.
+// discarded (unlike a pause, which merely delays them). The crash starts the
+// main loop's recovery (Section 5.3 of the paper): the loop restarts from the
+// last terminated iteration's checkpoint. A processor that crashes more than
+// 5 times within a minute is quarantined.
 func (s *System) CrashProcessor(i int) { s.main.CrashProcessor(i) }
 
 // CrashMaster crashes the main loop's master: termination notifications stop
-// and no further checkpoints are taken until recovery.
+// and no further checkpoints are taken until the restart the crash starts.
 func (s *System) CrashMaster() { s.main.CrashMaster() }
-
-// RecoverFromCheckpoint manually restarts the main loop from the last
-// terminated iteration's checkpoint. It returns false when there is nothing
-// to do (system closed, or a concurrent recovery already ran).
-func (s *System) RecoverFromCheckpoint() bool { return s.main.RecoverFromCheckpoint() }
 
 // InjectFaultPlan arms a deterministic chaos schedule against the main loop:
 // crash processor i at iteration k, crash the master, crash mid-fork.
 func (s *System) InjectFaultPlan(plan FaultPlan) { s.main.InjectFaultPlan(plan) }
 
 // RecoveryLog returns the main loop's crash-recovery event log (crashes,
-// suspicions, restarts, quarantines) in chronological order.
+// restarts, quarantines, repartitions, wire faults) in chronological order.
 func (s *System) RecoveryLog() []RecoveryEvent { return s.main.RecoveryLog() }
 
 // Quarantined returns the main-loop processor slots the partition plan took
