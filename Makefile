@@ -228,24 +228,27 @@ benchmark: harness-test
 	bash benchmark/run.sh suite
 
 # Overload soak: the surge-plus-slow-consumer chaos test under the race
-# detector (bounded inboxes, credit stalls, recovery mid-surge), then the
-# backpressure benchmark — sustained updates/sec and p99 ingest latency at
+# detector (bounded inboxes, credit stalls, recovery mid-surge), the
+# saturated-gate system tests (B constant and an exact fixed point after the
+# pressure clears, exact queries admitted under saturation, no span with
+# tracing off), then the backpressure benchmark — sustained updates/sec and p99 ingest latency at
 # the overload knee; leaves the BENCH_overload.json artifact.
 soak-overload:
 	$(GO) test -race ./internal/engine/ -run 'TestChaosSoakSurgeOverload$$|TestSlowConsumerBoundedInbox' -count=1
-	$(GO) test -race . -run 'TestOverloadControllerLadder|TestFeedBoundedInFlight' -count=1
+	$(GO) test -race . -run 'TestSaturated|TestNegativeSampleRateRecordsNoSpanUnderOverload|TestFeedBoundedInFlight' -count=1
 	$(GO) run ./cmd/tornado-bench -experiment overload -scale small
 
 # Elasticity soak: migrations under sustained ingestion (value and delta
 # modes), the crash-during-drain abort path, the admission stop, parked
 # pendings across a repartition and forks while one waits for rest — all
 # under the race detector and repeated — then the plan transitions on the
-# checkpoint restart (Reshard and quarantine, engine and System level), then
-# the elastic benchmark.
+# checkpoint restart (Reshard and quarantine, engine and System level) and
+# the background planner's split of a hot partition, then the elastic
+# benchmark.
 soak-elastic:
 	$(GO) test -race ./internal/engine/ -run 'TestLiveMigration|TestMigrateRejectsConcurrent|TestScaleOutScaleIn|TestMigrationCrashAborts|TestDeltaParkedPendingSurvivesHandoff|TestRepartitionStopsAdmission|TestReshardWaitsForIngestionBacklog|TestReshardedShellsSurviveScaleOut|TestBranchWidthExact' -count=2
 	$(GO) test -race ./internal/engine/ -run 'TestReshard|TestFlappingProcessorQuarantined|TestQuarantine' -count=3
-	$(GO) test -race . -run 'TestSystemReshard' -count=3
+	$(GO) test -race . -run 'TestSystemReshard|TestAutoScaleSplitsHotPartition' -count=3
 	$(GO) run ./cmd/tornado-bench -experiment elastic -scale small
 
 check: build vet test harness-test race fuzz-codec chaos chaos-wire bench-queries bench-throughput bench-trace bench-wire bench-delta bench-store soak-overload soak-elastic

@@ -32,10 +32,9 @@
 //	store                MVCC store stats: live versions, resident bytes,
 //	                     compactions, reclaimed versions, pinned snapshots
 //	                     and the oldest snapshot's age
-//	flow                 backpressure and overload state (alias: pressure):
-//	                     the degradation-ladder level, admission-gate
-//	                     ledger, transport inbox watermark state and
-//	                     query shedding
+//	flow                 backpressure state (alias: pressure): the
+//	                     admission-gate ledger, transport inbox watermark
+//	                     state and query shedding
 //	trace [id]           no argument: print recent end-to-end causal
 //	                     freshness traces (sampled input deltas and queries
 //	                     with per-stage latency attribution); with a vertex
@@ -365,8 +364,6 @@ func main() {
 		case "flow", "pressure":
 			fs := sys.FlowStats()
 			qs := sys.QueryService().Snapshot()
-			fmt.Printf("overload level=%d pressure=%.2f transitions=%d degraded-for=%s\n",
-				fs.OverloadLevel, fs.Pressure, fs.OverloadTransitions, fs.Degraded.Round(time.Millisecond))
 			sat := ""
 			if fs.Engine.GateSaturated {
 				sat = " SATURATED"
@@ -377,8 +374,7 @@ func main() {
 			fmt.Printf("transport inbox max=%d total=%d stalled-endpoints=%d held-frames=%d stalls=%d frames-held=%d\n",
 				fs.Engine.InboxMax, fs.Engine.InboxTotal, fs.Engine.StalledEndpoints,
 				fs.Engine.HeldFrames, fs.Engine.Stalls, fs.Engine.FramesHeld)
-			fmt.Printf("queries degrade-level=%d shed-low-priority=%d shed-total=%d queue-depth=%d\n",
-				qs.DegradeLevel, qs.ShedLowPriority, qs.Shed, qs.QueueDepth)
+			fmt.Printf("queries shed=%d queue-depth=%d\n", qs.Shed, qs.QueueDepth)
 		case "partitions":
 			ps := sys.PlanStats()
 			fmt.Printf("plan epoch=%d processors=%d/%d migrations=%d aborts=%d\n",

@@ -190,14 +190,14 @@ func runElasticMode(n int, mode string) (ElasticRow, error) {
 			// Pressure signal: one partition is doing the lion's share of
 			// the commit work (healthy over two active partitions is ~50%)
 			// AND throughput has measurably degraded — that combination
-			// reads as overload-ladder level 2, the rung where the planner
-			// is allowed to order a split.
-			level := 0
+			// reads as full pressure, which the planner may answer with a
+			// split.
+			pressure := 0.0
 			if win.HotShare >= 0.7 && row.BaselineUPS > 0 &&
 				win.TuplesPerSec < 0.9*row.BaselineUPS {
-				level = 2
+				pressure = 1
 			}
-			if d := planner.Decide(level, flowLoads, true); d.Action == flow.ScaleSplit {
+			if d := planner.Decide(pressure, flowLoads, true); d.Action == flow.ScaleSplit {
 				stall := time.Now()
 				if _, err := e.ScaleOut(d.Proc); err != nil {
 					return ElasticWindow{}, 0, err

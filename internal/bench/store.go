@@ -103,14 +103,16 @@ func forkLatencyRow(n, reps int) (StoreForkRow, error) {
 }
 
 // runChurnSoak drives put-wave / flush / fork-drop churn against an MVCC
-// store with aggressive background compaction and samples live versions and
-// post-GC heap, then repeats the same churn with compaction off as a control.
+// store that compacts to the checkpoint after every wave, as the engine's
+// master does when iterations terminate, and samples live versions and
+// post-GC heap; then it repeats the same churn with compaction off as a
+// control.
 func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 	rep.SoakVertices = vertices
 	rep.SoakRounds = rounds
 	rep.SoakPayload = payloadLen
 
-	churn := func(st storage.Store, sample func(round int, st storage.Store)) error {
+	churn := func(st storage.Store, compact bool, sample func(round int, st storage.Store)) error {
 		payload := make([]byte, payloadLen)
 		var unpin func()
 		var snap storage.Snapshot
@@ -123,6 +125,11 @@ func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 			}
 			if err := st.Flush(storage.MainLoop, int64(round)); err != nil {
 				return err
+			}
+			if compact {
+				if err := st.Compact(storage.MainLoop, int64(round)); err != nil {
+					return err
+				}
 			}
 			// Periodic fork: pin a snapshot for a few waves, then drop it —
 			// the reader-churn pattern compaction has to stay live under.
@@ -137,18 +144,20 @@ func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 			if sample != nil && (round%10 == 0 || round == rounds) {
 				sample(round, st)
 			}
-			time.Sleep(200 * time.Microsecond) // give the compactor air
 		}
 		if unpin != nil {
 			unpin()
 			snap.Release()
 		}
+		if compact { // the last fork is gone: reclaim what it pinned
+			return st.Compact(storage.MainLoop, int64(rounds))
+		}
 		return nil
 	}
 
-	mv := storage.NewMVCCStore(storage.AutoCompact(2 * time.Millisecond))
+	mv := storage.NewMVCCStore()
 	defer mv.Close()
-	err := churn(mv, func(round int, st storage.Store) {
+	err := churn(mv, true, func(round int, st storage.Store) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -161,16 +170,14 @@ func runChurnSoak(rep *StoreReport, vertices, rounds, payloadLen int) error {
 	if err != nil {
 		return err
 	}
-	// Let the compactor catch up with the final waves before the verdict.
-	time.Sleep(20 * time.Millisecond)
 	st := mv.StoreStats()
 	rep.SoakEndVer = st.LiveVersions
 	rep.Compactions = st.Compactions
 	rep.ReclaimedVer = st.ReclaimedVersions
 
-	control := storage.NewMVCCStore() // no compactor: versions accumulate
+	control := storage.NewMVCCStore() // never compacted: versions accumulate
 	defer control.Close()
-	if err := churn(control, nil); err != nil {
+	if err := churn(control, false, nil); err != nil {
 		return err
 	}
 	rep.ControlEndVer = control.StoreStats().LiveVersions

@@ -796,10 +796,6 @@ func (e *Engine) atRest(inc *incarnation) bool {
 	return r.gen == inc.gen && r.acquired == inc.tracker.Acquired()
 }
 
-// Idle reports whether the loop is at rest: its master has published
-// quiescence and nothing was ingested, activated or held since.
-func (e *Engine) Idle() bool { return e.atRest(e.cur()) }
-
 // masterRun is the master node of one incarnation: it advances the iteration
 // frontier, flushes checkpoints, publishes termination notifications, records
 // statistics, fires the fault plan's iteration faults, and detects

@@ -28,7 +28,8 @@ func loopStores(t *testing.T) map[string]storage.Store {
 }
 
 // compactBehind compacts the main loop to its checkpoint every interval until
-// the test ends: the background pass of AutoCompact, on any store.
+// the test ends, on any store: a compaction storm on top of the master's
+// own.
 func compactBehind(t *testing.T, store storage.Store, every time.Duration) {
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -145,7 +146,7 @@ func TestForkBranchExactSnapshotUnderCompaction(t *testing.T) {
 // TestCrashRecoveryMVCCStore reruns master-crash recovery on every
 // store: the rollback (Truncate), handle-pinned checkpoint bootstrap, and
 // post-recovery commits must reach the exact fixed point, with an
-// aggressive background compactor running the whole time.
+// aggressive compaction storm running the whole time.
 func TestCrashRecoveryMVCCStore(t *testing.T) {
 	for name, store := range loopStores(t) {
 		store := store

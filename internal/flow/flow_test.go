@@ -151,98 +151,3 @@ func TestGateConcurrentBound(t *testing.T) {
 		t.Fatalf("peak outstanding %d exceeded high watermark %d", p, high)
 	}
 }
-
-// step drives the controller without its background loop.
-func newManualController(opts ControllerOptions, sample func() float64, apply func(int)) *Controller {
-	c := NewController(opts, sample, apply)
-	c.Stop() // kill the background sampler; tests call Step directly
-	return c
-}
-
-func TestControllerLadder(t *testing.T) {
-	pressure := 0.0
-	var applied []int
-	c := newManualController(ControllerOptions{},
-		func() float64 { return pressure }, func(l int) { applied = append(applied, l) })
-	steps := func(n int) {
-		for ; n > 0; n-- {
-			c.Step()
-		}
-	}
-
-	pressure = 1.0
-	steps(escalateAfter - 1)
-	if c.Level() != 0 {
-		t.Fatal("escalated before escalateAfter consecutive samples")
-	}
-	c.Step()
-	if c.Level() != 1 {
-		t.Fatalf("Level = %d after sustained pressure, want 1", c.Level())
-	}
-	steps((maxLevel - 1) * escalateAfter)
-	if c.Level() != maxLevel {
-		t.Fatalf("Level = %d, want %d (maxLevel)", c.Level(), maxLevel)
-	}
-	steps(2 * escalateAfter)
-	if c.Level() != maxLevel {
-		t.Fatal("climbed past maxLevel")
-	}
-
-	// Mid-band samples reset the streaks but never move the ladder.
-	pressure = (escalateAbove + relaxBelow) / 2
-	steps(2 * relaxAfter)
-	if c.Level() != maxLevel {
-		t.Fatal("moved on mid-band pressure")
-	}
-
-	pressure = 0.1
-	steps(relaxAfter - 1)
-	if c.Level() != maxLevel {
-		t.Fatal("relaxed before relaxAfter consecutive samples")
-	}
-	c.Step()
-	if c.Level() != maxLevel-1 {
-		t.Fatalf("Level = %d after relax, want %d", c.Level(), maxLevel-1)
-	}
-	steps((maxLevel - 1) * relaxAfter)
-	if c.Level() != 0 {
-		t.Fatalf("Level = %d, want 0", c.Level())
-	}
-	var want []int
-	for l := 1; l <= maxLevel; l++ {
-		want = append(want, l)
-	}
-	for l := maxLevel - 1; l >= 0; l-- {
-		want = append(want, l)
-	}
-	if len(applied) != len(want) {
-		t.Fatalf("apply calls = %v, want %v", applied, want)
-	}
-	for i := range want {
-		if applied[i] != want[i] {
-			t.Fatalf("apply calls = %v, want %v", applied, want)
-		}
-	}
-	if c.Transitions() != int64(2*maxLevel) {
-		t.Fatalf("Transitions = %d, want %d", c.Transitions(), 2*maxLevel)
-	}
-	if c.Degraded() <= 0 {
-		t.Fatal("no degraded time recorded")
-	}
-}
-
-func TestControllerBackgroundLoop(t *testing.T) {
-	var mu sync.Mutex
-	pressure := 1.0
-	c := NewController(ControllerOptions{
-		SampleEvery: time.Millisecond,
-	}, func() float64 { mu.Lock(); defer mu.Unlock(); return pressure }, nil)
-	defer c.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Level() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background sampler never escalated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}

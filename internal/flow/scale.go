@@ -1,11 +1,11 @@
 package flow
 
-// ScalePlanner turns per-partition load accounting plus the overload
-// ladder's pressure level into elastic scaling decisions: split a hot
-// partition onto a spare processor when sustained degradation concentrates
-// there, drain-and-merge a scaled-out partition when the system has been
-// idle long enough. The planner is pure bookkeeping — it never touches the
-// engine; the caller samples loads, feeds Decide, and executes the returned
+// ScalePlanner turns per-partition load accounting plus a pressure sample
+// into elastic scaling decisions: split a hot partition onto a spare
+// processor when sustained pressure concentrates there, drain-and-merge a
+// scaled-out partition when the system has been calm long enough. The
+// planner is pure bookkeeping — it never touches the engine; the caller
+// samples loads and pressure, feeds Decide, and executes the returned
 // action (a repartition: Engine.ScaleOut or ScaleIn) itself.
 
 // PartitionLoad is one processor slot's load sample as the planner sees it.
@@ -54,11 +54,14 @@ type Decision struct {
 
 // Planner hysteresis constants.
 const (
-	// splitLevel is the minimum overload-ladder level that counts as
-	// split-worthy degradation: pressure outlasted the first rung — the
-	// query staleness floor alone did not relieve it.
-	splitLevel = 2
-	// mergeAfter is how many consecutive level-0 samples with a starved
+	// splitAbove is the pressure (0..1 utilization of the tightest bounded
+	// queue) at or above which a sample counts as split-worthy.
+	splitAbove = 0.85
+	// mergeBelow is the pressure at or below which a sample counts as calm
+	// enough to merge. The dead band between the two keeps the planner from
+	// splitting and merging around a single threshold.
+	mergeBelow = 0.5
+	// mergeAfter is how many consecutive calm samples with a starved
 	// scaled-out partition arm a merge: scale in far more cautiously than
 	// out.
 	mergeAfter = 8
@@ -70,7 +73,7 @@ const (
 // ScalePlannerOptions tunes the planner's split trigger. Zero values pick
 // conservative defaults.
 type ScalePlannerOptions struct {
-	// SplitAfter is how many consecutive degraded-and-concentrated samples
+	// SplitAfter is how many consecutive pressured-and-concentrated samples
 	// arm a split (default 3).
 	SplitAfter int
 	// Concentration is the minimum ratio of the hottest partition's update
@@ -103,11 +106,12 @@ func NewScalePlanner(opts ScalePlannerOptions) *ScalePlanner {
 	return &ScalePlanner{opts: opts}
 }
 
-// Decide takes one sample: the current overload-ladder level, per-slot
-// loads, and whether a spare slot exists. It returns at most one action;
-// the caller should re-sample from scratch after executing it (Reset is
-// called internally on every non-none decision).
-func (p *ScalePlanner) Decide(level int, loads []PartitionLoad, spareAvailable bool) Decision {
+// Decide takes one sample: the current pressure (0..1 utilization of the
+// tightest bounded queue), per-slot loads, and whether a spare slot exists.
+// It returns at most one action; the caller should re-sample from scratch
+// after executing it (Reset is called internally on every non-none
+// decision).
+func (p *ScalePlanner) Decide(pressure float64, loads []PartitionLoad, spareAvailable bool) Decision {
 	hottest, coldest := -1, -1
 	var sum float64
 	active := 0
@@ -129,9 +133,9 @@ func (p *ScalePlanner) Decide(level int, loads []PartitionLoad, spareAvailable b
 	}
 	mean := sum / float64(active)
 
-	// Split: sustained L2+ degradation whose update traffic concentrates in
-	// one sufficiently large partition, with somewhere to put the other half.
-	splitWorthy := level >= splitLevel && spareAvailable &&
+	// Split: sustained pressure whose update traffic concentrates in one
+	// sufficiently large partition, with somewhere to put the other half.
+	splitWorthy := pressure >= splitAbove && spareAvailable &&
 		hottest >= 0 && loads[hottest].Vertices >= minVertices &&
 		(active == 1 || (mean > 0 && loads[hottest].UpdateRate >= p.opts.Concentration*mean))
 	if splitWorthy {
@@ -145,9 +149,9 @@ func (p *ScalePlanner) Decide(level int, loads []PartitionLoad, spareAvailable b
 	}
 	p.hot = 0
 
-	// Merge: the ladder is fully relaxed and a scaled-out partition has gone
-	// quiet relative to the mean — keep draining the quietest one.
-	mergeWorthy := level == 0 && coldest >= 0 &&
+	// Merge: pressure is low and a scaled-out partition has gone quiet
+	// relative to the mean — keep draining the quietest one.
+	mergeWorthy := pressure <= mergeBelow && coldest >= 0 &&
 		loads[coldest].UpdateRate <= mean/p.opts.Concentration
 	if mergeWorthy {
 		p.idle++

@@ -18,7 +18,7 @@ func TestScalePlannerSplitsConcentratedHeat(t *testing.T) {
 		if d.Action != ScaleNone {
 			t.Fatalf("decided %v after %d samples; want 3", d.Action, i)
 		}
-		d = p.Decide(2, sampleLoads(500), true)
+		d = p.Decide(1, sampleLoads(500), true)
 	}
 	if d.Action != ScaleSplit || d.Proc != 0 {
 		t.Fatalf("got %v proc %d; want split of proc 0", d.Action, d.Proc)
@@ -29,7 +29,7 @@ func TestScalePlannerIgnoresUniformOverload(t *testing.T) {
 	p := NewScalePlanner(ScalePlannerOptions{})
 	loads := sampleLoads(11) // hottest barely above mean: not concentrated
 	for i := 0; i < 10; i++ {
-		if d := p.Decide(3, loads, true); d.Action != ScaleNone {
+		if d := p.Decide(1, loads, true); d.Action != ScaleNone {
 			t.Fatalf("split a uniformly overloaded system at sample %d", i)
 		}
 	}
@@ -37,15 +37,15 @@ func TestScalePlannerIgnoresUniformOverload(t *testing.T) {
 
 func TestScalePlannerNeedsSustainedDegradation(t *testing.T) {
 	p := NewScalePlanner(ScalePlannerOptions{})
-	p.Decide(2, sampleLoads(500), true)
-	p.Decide(2, sampleLoads(500), true)
+	p.Decide(1, sampleLoads(500), true)
+	p.Decide(1, sampleLoads(500), true)
 	// One healthy sample resets the streak.
 	if d := p.Decide(0, sampleLoads(500), true); d.Action != ScaleNone {
 		t.Fatalf("acted on a healthy sample: %v", d.Action)
 	}
-	p.Decide(2, sampleLoads(500), true)
-	p.Decide(2, sampleLoads(500), true)
-	if d := p.Decide(2, sampleLoads(500), true); d.Action != ScaleSplit {
+	p.Decide(1, sampleLoads(500), true)
+	p.Decide(1, sampleLoads(500), true)
+	if d := p.Decide(1, sampleLoads(500), true); d.Action != ScaleSplit {
 		t.Fatalf("streak did not re-arm after reset: %v", d.Action)
 	}
 }
@@ -53,14 +53,14 @@ func TestScalePlannerNeedsSustainedDegradation(t *testing.T) {
 func TestScalePlannerNeedsSpareAndSize(t *testing.T) {
 	p := NewScalePlanner(ScalePlannerOptions{})
 	for i := 0; i < 10; i++ {
-		if d := p.Decide(3, sampleLoads(500), false); d.Action != ScaleNone {
+		if d := p.Decide(1, sampleLoads(500), false); d.Action != ScaleNone {
 			t.Fatalf("split without a spare slot: %v", d.Action)
 		}
 	}
 	small := sampleLoads(500)
 	small[0].Vertices = 4
 	for i := 0; i < 10; i++ {
-		if d := p.Decide(3, small, true); d.Action != ScaleNone {
+		if d := p.Decide(1, small, true); d.Action != ScaleNone {
 			t.Fatalf("split a %d-vertex partition: %v", small[0].Vertices, d.Action)
 		}
 	}
@@ -103,8 +103,9 @@ func TestScalePlannerMergeNeedsCalmLadder(t *testing.T) {
 		{Proc: 3, Active: true, Scaled: true, Vertices: 40, UpdateRate: 1},
 	}
 	for i := 0; i < 20; i++ {
-		if d := p.Decide(1, loads, false); d.Action != ScaleNone {
-			t.Fatalf("merged while degraded: %v", d.Action)
+		// 0.7 sits in the dead band between mergeBelow and splitAbove.
+		if d := p.Decide(0.7, loads, false); d.Action != ScaleNone {
+			t.Fatalf("merged under mid-band pressure: %v", d.Action)
 		}
 	}
 }

@@ -42,9 +42,8 @@ type Hub struct {
 }
 
 // NewHub returns a hub with an empty registry and a span tracer that traces
-// an input delta end to end with probability spanRate (0 disables head
-// sampling; tail escalation can still force tracing while a degradation rung
-// is active, and watched vertices record their markers regardless).
+// an input delta end to end with probability spanRate (0 disables tracing;
+// watched vertices record their markers regardless).
 func NewHub(spanRate float64) *Hub {
 	h := &Hub{
 		Registry: NewRegistry(),
@@ -59,7 +58,7 @@ func NewHub(spanRate float64) *Hub {
 		"Causal spans ever recorded (including overwritten).",
 		func() float64 { return float64(h.Spans.Recorded()) })
 	h.stageScope.GaugeFunc("tornado_trace_escalations",
-		"Tail-sampling escalation triggers (resend, shed, rung, recovery).",
+		"Tail-sampling escalation triggers (resend, shed, recovery).",
 		func() float64 { return float64(h.Spans.Escalations()) })
 	h.stageScope.GaugeFunc("tornado_trace_sample_rate",
 		"Head-based span sampling probability.",
@@ -160,7 +159,6 @@ func (h *Hub) StatusSnapshot() map[string]any {
 		"sample_rate": h.Spans.Rate(),
 	}
 	out["build"] = h.build
-	out["degrade_rung"] = h.Spans.Rung()
 	return out
 }
 
@@ -210,8 +208,8 @@ func (h *Hub) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // serveTraces dumps reconstructed causal traces as JSON. Query parameters:
-// trace (ID), min_ms (minimum wall duration), rung (minimum degradation
-// rung), forced (tail-escalated only), stage (must contain stage), limit.
+// trace (ID), min_ms (minimum wall duration), forced (tail-escalated only),
+// stage (must contain stage), limit.
 func (h *Hub) serveTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var f trace.Filter
@@ -231,14 +229,6 @@ func (h *Hub) serveTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		f.MinDur = time.Duration(ms * float64(time.Millisecond))
 	}
-	if v := q.Get("rung"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			http.Error(w, "bad rung", http.StatusBadRequest)
-			return
-		}
-		f.MinRung = int32(n)
-	}
 	if v := q.Get("forced"); v == "1" || v == "true" {
 		f.ForcedOnly = true
 	}
@@ -257,7 +247,6 @@ func (h *Hub) serveTraces(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(map[string]any{
 		"sample_rate": h.Spans.Rate(),
-		"rung":        h.Spans.Rung(),
 		"escalations": h.Spans.Escalations(),
 		"traces":      views,
 	})

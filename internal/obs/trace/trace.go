@@ -15,9 +15,9 @@
 //     for free; nothing in a Context is a pointer or an in-process handle.
 //   - Sampling is head-based probabilistic (decided once per delta at
 //     ingestion, carried in the Sampled bit so every stage agrees without
-//     coordination) with a tail-based escalation path: degradation rungs
-//     L1–L3, ErrOverloaded sheds, transport resends, and crash/recovery
-//     incarnations force-retain traces by (a) recording a marker span for
+//     coordination) with a tail-based escalation path: ErrOverloaded
+//     sheds, transport resends, and crash/recovery incarnations
+//     force-retain traces by (a) recording a marker span for
 //     the triggering event and (b) opening a window during which new deltas
 //     are traced regardless of the head decision — up to a fixed budget per
 //     window, so a resend storm under saturation cannot silently flip the
@@ -67,7 +67,6 @@ const (
 const (
 	MarkResend   = "resend"   // the wire ledger resent a frame carrying this trace
 	MarkShed     = "shed"     // query shed with ErrOverloaded
-	MarkRung     = "rung"     // degradation-rung transition
 	MarkRecovery = "recovery" // crash/recovery incarnation swap
 )
 
@@ -88,8 +87,8 @@ const (
 // NoVertex marks spans not tied to a vertex.
 const NoVertex = ^uint64(0)
 
-// forcedBudget bounds how many traces one tail-escalation window (or rung
-// transition) may force-retain: enough fully-traced deltas to reconstruct the
+// forcedBudget bounds how many traces one tail-escalation window may
+// force-retain: enough fully-traced deltas to reconstruct the
 // incident, small enough that escalation cannot become de-facto 100% sampling
 // (the trace_overhead bench gate pins the cost). Triggers landing inside an
 // already-open window extend it but spend from the same budget.
@@ -158,9 +157,7 @@ type Span struct {
 	// stage's duration (clamped to 1ns when below clock resolution, so a
 	// recorded stage is never zero-width; markers have Dur 0).
 	Start, Dur time.Duration
-	// Rung is the degradation rung at record time; Forced marks spans
-	// retained by tail escalation.
-	Rung   int32
+	// Forced marks spans retained by tail escalation.
 	Forced bool
 }
 
@@ -175,9 +172,7 @@ type Tracer struct {
 	start     time.Time
 	startNano int64
 
-	on        atomic.Bool   // any tracing possible (rate > 0 or rung > 0)
-	threshold atomic.Uint64 // head sampling: record iff vhash(trace) < threshold
-	rung      atomic.Int32  // current degradation rung (L0–L3)
+	threshold atomic.Uint64 // head sampling: record iff vhash(trace) < threshold; 0 = off
 	// watchN counts the watched vertices (the set is watch, below), so
 	// every protocol transition checks one atomic while nothing is watched.
 	// It sits with the read-mostly fields above rather than among the
@@ -212,7 +207,7 @@ type Tracer struct {
 }
 
 // EscalationWindow is how long tail escalation forces full sampling after a
-// trigger (resend, shed, rung transition, recovery).
+// trigger (resend, shed, recovery).
 const EscalationWindow = 2 * time.Second
 
 // NewTracer returns a span tracer with the given ring capacity (default 4096
@@ -246,7 +241,6 @@ func (t *Tracer) SetRate(p float64) {
 	default:
 		t.threshold.Store(uint64(p * float64(1<<32) * float64(1<<32)))
 	}
-	t.refreshOn()
 }
 
 // Rate returns the head sampling probability.
@@ -261,13 +255,9 @@ func (t *Tracer) Rate() float64 {
 	return float64(th) / (float64(1<<32) * float64(1<<32))
 }
 
-func (t *Tracer) refreshOn() {
-	t.on.Store(t.threshold.Load() > 0 || t.rung.Load() > 0)
-}
-
 // Enabled reports whether any tracing is possible; hot paths check it before
 // touching contexts. One atomic load, nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
+func (t *Tracer) Enabled() bool { return t != nil && t.threshold.Load() > 0 }
 
 // Now returns the wall-clock nanosecond used for stamps. Callers on a hot
 // path should call it once and reuse the value across Begin/Stage calls.
@@ -282,15 +272,14 @@ func vhash(v uint64) uint64 {
 
 // Begin assigns a trace context to a new input delta. The head sampling
 // decision is made here, once, and carried in the Sampled bit; during a tail
-// escalation window (or while a degradation rung is active) every delta is
-// sampled and marked Forced.
+// escalation window every delta is sampled and marked Forced.
 func (t *Tracer) Begin(now int64) Context {
 	if !t.Enabled() {
 		return Context{}
 	}
 	id := t.nextTrace.Add(1)
 	ctx := Context{Trace: id, Stamp: now}
-	if t.rung.Load() > 0 || now <= t.escalateUntil.Load() {
+	if now <= t.escalateUntil.Load() {
 		if t.forcedLeft.Add(-1) >= 0 {
 			ctx.Sampled, ctx.Forced = true, true
 			return ctx
@@ -330,7 +319,7 @@ func (t *Tracer) StageIter(ctx Context, stage string, loop, vertex, peer uint64,
 		Trace: ctx.Trace, ID: id, Parent: ctx.Span, Link: ctx.Link,
 		Stage: stage, Loop: loop, Vertex: vertex, Peer: peer, Iter: iter,
 		Start: time.Duration(ctx.Stamp - t.startNano), Dur: time.Duration(dur),
-		Rung: t.rung.Load(), Forced: ctx.Forced,
+		Forced: ctx.Forced,
 	})
 	ctx.Span = id
 	ctx.Stamp = now
@@ -339,7 +328,7 @@ func (t *Tracer) StageIter(ctx Context, stage string, loop, vertex, peer uint64,
 }
 
 // Escalate records a tail-escalation marker span for the triggering event
-// (resend, shed, rung, recovery) and opens the escalation window so
+// (resend, shed, recovery) and opens the escalation window so
 // deltas beginning in the next EscalationWindow are fully traced. ctx may be
 // an untraced or zero context — the marker still records against its trace
 // ID (0 for system-wide events).
@@ -359,39 +348,8 @@ func (t *Tracer) Escalate(reason string, ctx Context, now int64) {
 	t.record(Span{
 		Trace: ctx.Trace, ID: id, Parent: ctx.Span, Stage: reason,
 		Vertex: NoVertex, Start: time.Duration(now - t.startNano),
-		Rung: t.rung.Load(), Forced: true,
+		Forced: true,
 	})
-}
-
-// SetRung records the current degradation rung. While the rung is above
-// zero, every new trace is force-retained (the L1–L3 contract) and every
-// span carries the rung; a transition to a higher rung also records a marker
-// span and opens the escalation window so the traces that *caused* the
-// pressure are kept once the rung relaxes.
-func (t *Tracer) SetRung(level int32, now int64) {
-	if t == nil {
-		return
-	}
-	old := t.rung.Swap(level)
-	t.refreshOn()
-	if level > 0 && level != old {
-		t.forcedLeft.Store(forcedBudget)
-		t.escalateUntil.Store(now + t.windowNanos)
-		t.escalations.Add(1)
-		id := t.nextSpan.Add(1)
-		t.record(Span{
-			Trace: 0, ID: id, Stage: MarkRung, Vertex: NoVertex,
-			Start: time.Duration(now - t.startNano), Rung: level, Forced: true,
-		})
-	}
-}
-
-// Rung returns the rung last recorded via SetRung.
-func (t *Tracer) Rung() int32 {
-	if t == nil {
-		return 0
-	}
-	return t.rung.Load()
 }
 
 // Escalations returns how many tail-escalation triggers fired.

@@ -122,37 +122,6 @@ func TestEscalationForcesSampling(t *testing.T) {
 	}
 }
 
-func TestRungForcesRetentionAndStamp(t *testing.T) {
-	tr := NewTracer(256, 0)
-	now := tr.Now()
-	tr.SetRung(2, now)
-	if !tr.Enabled() {
-		t.Fatal("rung 2 with rate 0 should enable tracing")
-	}
-	ctx := tr.Begin(now + 1)
-	if !ctx.Traced() || !ctx.Forced {
-		t.Fatalf("delta under rung 2 not forced: %+v", ctx)
-	}
-	ctx = stageCtx(tr, ctx, StageGate, now+5)
-	var gate Span
-	for _, sp := range tr.Snapshot() {
-		if sp.Stage == StageGate {
-			gate = sp
-		}
-	}
-	if gate.Rung != 2 {
-		t.Fatalf("span rung %d, want 2", gate.Rung)
-	}
-	tr.SetRung(0, now+10)
-	if tr.Enabled() {
-		t.Fatal("rate 0 rung 0 tracer still enabled")
-	}
-	views := tr.Traces(Filter{MinRung: 2})
-	if len(views) != 1 || views[0].Trace != ctx.Trace {
-		t.Fatalf("MinRung filter returned %v", views)
-	}
-}
-
 func TestHopCapQuietsTrace(t *testing.T) {
 	tr := NewTracer(maxHops*2, 1)
 	now := tr.Now()
@@ -283,7 +252,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	ctx := tr.Begin(1)
 	ctx = tr.Stage(ctx, StageGate, 0, 0, 0, 2)
 	tr.Escalate(MarkShed, ctx, 3)
-	tr.SetRung(2, 4)
 	tr.SetRate(1)
 	tr.OnSpan(func(Span) {})
 	if tr.Len() != 0 || tr.Snapshot() != nil || tr.Traces(Filter{}) != nil {

@@ -15,8 +15,6 @@ type Filter struct {
 	// MinDur drops traces whose wall duration (first span start to last span
 	// end) is below the bound.
 	MinDur time.Duration
-	// MinRung drops traces none of whose spans saw at least this rung.
-	MinRung int32
 	// ForcedOnly keeps only traces retained by tail escalation.
 	ForcedOnly bool
 	// Stage keeps only traces containing a span with this stage name.
@@ -37,10 +35,8 @@ type TraceView struct {
 	// instrumented stages).
 	Wall time.Duration `json:"wall_ns"`
 	Busy time.Duration `json:"busy_ns"`
-	// Rung is the highest degradation rung any span saw; Forced reports
-	// tail-escalation retention.
-	Rung   int32 `json:"rung"`
-	Forced bool  `json:"forced"`
+	// Forced reports tail-escalation retention.
+	Forced bool `json:"forced"`
 	// Stages lists the distinct stage names in first-seen order.
 	Stages []string `json:"stages"`
 	// Spans are the trace's spans, ascending Seq.
@@ -83,9 +79,6 @@ func (t *Tracer) Traces(f Filter) []TraceView {
 			tv.Wall = end - tv.Start
 		}
 		tv.Busy += sp.Dur
-		if sp.Rung > tv.Rung {
-			tv.Rung = sp.Rung
-		}
 		tv.Forced = tv.Forced || sp.Forced
 		seen := false
 		for _, s := range tv.Stages {
@@ -101,7 +94,7 @@ func (t *Tracer) Traces(f Filter) []TraceView {
 	out := make([]TraceView, 0, len(order))
 	for i := len(order) - 1; i >= 0 && len(out) < f.Limit; i-- {
 		tv := byTrace[order[i]]
-		if tv.Wall < f.MinDur || tv.Rung < f.MinRung || (f.ForcedOnly && !tv.Forced) {
+		if tv.Wall < f.MinDur || (f.ForcedOnly && !tv.Forced) {
 			continue
 		}
 		if f.Stage != "" {
@@ -143,9 +136,6 @@ func (v TraceView) String() string {
 	flags := ""
 	if v.Forced {
 		flags = " forced"
-	}
-	if v.Rung > 0 {
-		flags += fmt.Sprintf(" rung=L%d", v.Rung)
 	}
 	fmt.Fprintf(&b, "trace %d  wall=%.3fms busy=%.3fms stages=%s%s\n",
 		v.Trace, ms(v.Wall), ms(v.Busy), strings.Join(v.Stages, ","), flags)

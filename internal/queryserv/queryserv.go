@@ -79,10 +79,6 @@ type Backend struct {
 	// OnConverged, when non-nil, observes each branch loop's fork-to-
 	// convergence wall time (the system-level convergence histogram).
 	OnConverged func(time.Duration)
-	// Idle, when non-nil, reports that the main loop has nothing pending.
-	// While it holds the service degrades nothing: every query forks at the
-	// same journal sequence, and the bounded wait queue stays the guard.
-	Idle func() bool
 }
 
 // Service constants. Only Options' fields vary between callers.
@@ -104,16 +100,6 @@ const (
 	// also happens lazily on lookups; the janitor only bounds how long an
 	// idle service pins stale snapshots.
 	sweepEvery = 250 * time.Millisecond
-	// degradeStaleDeltas is the staleness tolerance the service imposes on
-	// every query while degraded (level >= 1): cache hits and running-flight
-	// joins are accepted up to this many input deltas behind the present
-	// even when the query asked for less, trading exactness for fork load.
-	degradeStaleDeltas = 1024
-	// shedBelowPriority is the admission cut applied at degrade level >= 2:
-	// queries with Priority below it are shed with ErrOverloaded before they
-	// can queue a new flight, so the zero/default priority is the first
-	// traffic dropped.
-	shedBelowPriority = 1
 )
 
 // Options tune a Service. The zero value is usable.
@@ -130,10 +116,9 @@ type Options struct {
 	// assert branch teardown on Close).
 	DisableCache bool
 
-	// sweepEvery and degradeStaleDeltas override the constants of the same
-	// names (0 = the constant). Only tests set them.
-	sweepEvery         time.Duration
-	degradeStaleDeltas uint64
+	// sweepEvery overrides the constant of the same name (0 = the
+	// constant). Only tests set it.
+	sweepEvery time.Duration
 }
 
 func (o *Options) fill() {
@@ -145,9 +130,6 @@ func (o *Options) fill() {
 	}
 	if o.sweepEvery <= 0 {
 		o.sweepEvery = sweepEvery
-	}
-	if o.degradeStaleDeltas == 0 {
-		o.degradeStaleDeltas = degradeStaleDeltas
 	}
 }
 
@@ -437,17 +419,12 @@ type cacheEntry struct {
 	sh  *shared
 }
 
-// Snapshot is a point-in-time copy of the service counters and levels.
+// Snapshot is a point-in-time copy of the service counters.
 type Snapshot struct {
 	Submitted, Admitted, Coalesced, CacheHits int64
 	Shed, Cancelled, Expired, Failed          int64
 	Completed                                 int64
 	QueueDepth, Inflight, Cached, Tickets     int
-	// DegradeLevel is the current graceful-degradation level (0 = exact
-	// service); ShedLowPriority counts queries dropped by the level-2
-	// priority cut (a subset of Shed).
-	DegradeLevel    int
-	ShedLowPriority int64
 }
 
 // Service is the query-serving front end. Create one with New; it owns a
@@ -475,12 +452,7 @@ type Service struct {
 	// already hold mu). Exposed through Snapshot and the obs scope.
 	submitted, admitted, coalesced, cacheHits int64
 	shed, cancelled, expired, failed          int64
-	completed, shedLowPri                     int64
-
-	// degraded is the graceful-degradation level set by the overload
-	// controller; it only widens tolerances and cuts admission, it never
-	// changes what an admitted query computes.
-	degraded int
+	completed                                 int64
 
 	obsScope  *obs.Scope
 	obsDetach func()
@@ -542,13 +514,6 @@ func (s *Service) attachObs(hub *obs.Hub) {
 	counter("tornado_queries_expired_total", "Queries that hit their deadline before resolving.", &s.expired)
 	counter("tornado_queries_failed_total", "Queries that failed (fork error or branch abort).", &s.failed)
 	counter("tornado_queries_completed_total", "Queries resolved with a result.", &s.completed)
-	counter("tornado_queries_shed_low_priority_total",
-		"Queries shed by the degrade-level-2 priority cut (subset of shed).", &s.shedLowPri)
-	sc.GaugeFunc("tornado_query_degrade_level", "Graceful-degradation level (0 = exact service).", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.degraded)
-	})
 	sc.GaugeFunc("tornado_query_queue_depth", "Flights waiting for a worker.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -574,23 +539,21 @@ func (s *Service) attachObs(hub *obs.Hub) {
 	hub.AddStatus("queryserv", func() any {
 		snap := s.Snapshot()
 		return map[string]any{
-			"submitted":         snap.Submitted,
-			"admitted":          snap.Admitted,
-			"coalesced":         snap.Coalesced,
-			"cache_hits":        snap.CacheHits,
-			"shed":              snap.Shed,
-			"cancelled":         snap.Cancelled,
-			"expired":           snap.Expired,
-			"failed":            snap.Failed,
-			"completed":         snap.Completed,
-			"queue_depth":       snap.QueueDepth,
-			"inflight":          snap.Inflight,
-			"cached":            snap.Cached,
-			"tickets":           snap.Tickets,
-			"workers":           s.opts.Workers,
-			"queue_cap":         s.opts.QueueCap,
-			"degrade_level":     snap.DegradeLevel,
-			"shed_low_priority": snap.ShedLowPriority,
+			"submitted":   snap.Submitted,
+			"admitted":    snap.Admitted,
+			"coalesced":   snap.Coalesced,
+			"cache_hits":  snap.CacheHits,
+			"shed":        snap.Shed,
+			"cancelled":   snap.Cancelled,
+			"expired":     snap.Expired,
+			"failed":      snap.Failed,
+			"completed":   snap.Completed,
+			"queue_depth": snap.QueueDepth,
+			"inflight":    snap.Inflight,
+			"cached":      snap.Cached,
+			"tickets":     snap.Tickets,
+			"workers":     s.opts.Workers,
+			"queue_cap":   s.opts.QueueCap,
 		}
 	})
 	s.obsDetach = func() {
@@ -599,11 +562,7 @@ func (s *Service) attachObs(hub *obs.Hub) {
 	}
 }
 
-// QueueCap returns the effective wait-queue bound (Options.QueueCap after
-// defaults), which the overload controller normalizes queue depth against.
-func (s *Service) QueueCap() int { return s.opts.QueueCap }
-
-// Snapshot returns the current counters and levels.
+// Snapshot returns the current counters.
 func (s *Service) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -612,30 +571,8 @@ func (s *Service) Snapshot() Snapshot {
 		CacheHits: s.cacheHits, Shed: s.shed, Cancelled: s.cancelled,
 		Expired: s.expired, Failed: s.failed, Completed: s.completed,
 		QueueDepth: len(s.queue), Inflight: s.running, Cached: len(s.cache),
-		Tickets: len(s.tickets), DegradeLevel: s.degraded, ShedLowPriority: s.shedLowPri,
+		Tickets: len(s.tickets),
 	}
-}
-
-// SetDegraded moves the service to the given graceful-degradation level
-// (clamped at 0). Level 0 is exact service; level 1 imposes
-// a staleness floor (degradeStaleDeltas) on every query's tolerance so cache
-// hits and coalescing absorb more load; level 2 additionally sheds queries
-// below shedBelowPriority with ErrOverloaded before they can fork. The
-// overload controller drives this; it is also callable directly.
-func (s *Service) SetDegraded(level int) {
-	if level < 0 {
-		level = 0
-	}
-	s.mu.Lock()
-	s.degraded = level
-	s.mu.Unlock()
-}
-
-// Degraded returns the current graceful-degradation level.
-func (s *Service) Degraded() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
 }
 
 // Submit enqueues one query and returns its ticket. The fast paths resolve
@@ -684,27 +621,13 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 	}
 	s.tickets[t.id] = t
 
-	// While degraded the service imposes its own staleness tolerance on top
-	// of the query's: answers up to degradeStaleDeltas behind the present are
-	// handed out from the cache or a running flight rather than forking,
-	// which is the "widen the window" rung of the degradation ladder. An
-	// idle main loop is served exactly.
-	level := s.degraded
-	if level > 0 && s.b.Idle != nil && s.b.Idle() {
-		level = 0
-	}
-	effStale := spec.MaxStaleDeltas
-	if level >= 1 && s.opts.degradeStaleDeltas > effStale {
-		effStale = s.opts.degradeStaleDeltas
-	}
-
 	// Fast path 1: the freshness-bounded cache.
 	if shareable && !s.opts.DisableCache {
 		if e, ok := s.cache[key]; ok {
 			cur := s.b.JournalSeq()
 			lag := cur - e.sh.forkSeq
 			age := now.Sub(e.sh.created)
-			if lag == 0 || (lag <= effStale &&
+			if lag == 0 || (lag <= spec.MaxStaleDeltas &&
 				(spec.MaxStaleAge <= 0 || age <= spec.MaxStaleAge)) {
 				s.cacheHits++
 				e.sh.acquire()
@@ -737,7 +660,7 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 			case flightRunning:
 				if f.forked {
 					lag := s.b.JournalSeq() - f.forkSeq
-					join = lag <= effStale
+					join = lag <= spec.MaxStaleDeltas
 				}
 			}
 			if join {
@@ -762,24 +685,13 @@ func (s *Service) Submit(ctx context.Context, spec QuerySpec) (*Ticket, error) {
 		}
 	}
 
-	// Slow path: a new flight through the bounded wait queue. At degrade
-	// level >= 2 low-priority traffic is cut here — it may still ride the
-	// free fast paths above, but it cannot cost a fork.
-	if level >= 2 && spec.Priority < shedBelowPriority {
-		s.shed++
-		s.shedLowPri++
-		delete(s.tickets, t.id)
-		s.mu.Unlock()
-		// A shed is exactly what tail sampling force-retains: mark it and
-		// open the escalation window.
-		s.spans.Escalate(trace.MarkShed, t.tctx, s.spans.Now())
-		return nil, fmt.Errorf("%w: degraded level %d sheds priority < %d (got %d)",
-			ErrOverloaded, level, shedBelowPriority, spec.Priority)
-	}
+	// Slow path: a new flight through the bounded wait queue.
 	if len(s.queue) >= s.opts.QueueCap {
 		s.shed++
 		delete(s.tickets, t.id)
 		s.mu.Unlock()
+		// A shed is exactly what tail sampling force-retains: mark it and
+		// open the escalation window.
 		s.spans.Escalate(trace.MarkShed, t.tctx, s.spans.Now())
 		return nil, fmt.Errorf("%w: %d flights queued (cap %d)", ErrOverloaded, s.opts.QueueCap, s.opts.QueueCap)
 	}

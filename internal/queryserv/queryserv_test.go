@@ -539,134 +539,6 @@ func TestCloseResolvesQueued(t *testing.T) {
 	h.checkNoLeaks()
 }
 
-// TestDegradedWidensStaleness: at degrade level 1 the service imposes its own
-// staleness floor, so a query demanding exactness is served from a cache
-// entry the main loop has already moved past instead of costing a fork.
-func TestDegradedWidensStaleness(t *testing.T) {
-	h, tuples := sssp(t, 3, 32)
-	s := h.newService(t, Options{degradeStaleDeltas: 1 << 20})
-
-	ingest := func(seed int64) {
-		extra := datasets.PowerLawGraph(120, 2, seed)
-		tuples = append(tuples, extra...)
-		h.e.IngestAll(extra)
-		if err := h.e.WaitQuiesce(waitFor); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	submitExact := func() *Result {
-		tk, err := s.Submit(context.Background(), QuerySpec{Timeout: waitFor})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tk.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	// Seed the cache, then move the main loop past it.
-	res1 := submitExact()
-	res1.Close()
-	ingest(71)
-
-	// Level 0: an exact query must refork — the cached answer is stale.
-	res2 := submitExact()
-	if res2.CacheHit {
-		t.Fatal("exact query at level 0 served a stale cache entry")
-	}
-	checkSSSP(t, res2, tuples)
-	res2.Close()
-	ingest(73)
-
-	// Level 1: the same exact query now rides the stale cache entry.
-	s.SetDegraded(1)
-	if s.Degraded() != 1 {
-		t.Fatalf("Degraded = %d, want 1", s.Degraded())
-	}
-	res3 := submitExact()
-	if !res3.CacheHit {
-		t.Fatal("degraded level 1 did not widen the staleness window to the cache")
-	}
-	if res3.Staleness == 0 {
-		t.Fatal("degraded cache hit reports zero staleness; the loop had moved on")
-	}
-	checkSSSP(t, res3, tuples)
-	res3.Close()
-
-	// Level 2 still serves low-priority queries from the cache: the priority
-	// cut guards the fork path, not the free paths.
-	s.SetDegraded(2)
-	tk, err := s.Submit(context.Background(), QuerySpec{Timeout: waitFor, Priority: 0})
-	if err != nil {
-		t.Fatalf("cache-servable low-priority query shed at level 2: %v", err)
-	}
-	res4, err := tk.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res4.CacheHit {
-		t.Fatal("level-2 low-priority query forked instead of hitting the cache")
-	}
-	res4.Close()
-
-	s.SetDegraded(-3) // clamps to 0
-	if s.Degraded() != 0 {
-		t.Fatalf("Degraded after clamp = %d, want 0", s.Degraded())
-	}
-	s.Close()
-	h.checkNoLeaks()
-}
-
-// TestDegradedShedsLowPriority: at level 2 queries below shedBelowPriority
-// are refused with ErrOverloaded before they can fork, higher priorities are
-// served, and relaxing back to level 0 restores full admission.
-func TestDegradedShedsLowPriority(t *testing.T) {
-	h, tuples := sssp(t, 2, 32)
-	s := h.newService(t, Options{DisableCache: true, DisableCoalescing: true})
-
-	s.SetDegraded(2)
-	if _, err := s.Submit(context.Background(), QuerySpec{Timeout: waitFor}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("priority-0 submit at level 2 = %v, want ErrOverloaded", err)
-	}
-	snap := s.Snapshot()
-	if snap.ShedLowPriority != 1 || snap.Shed != 1 {
-		t.Fatalf("ShedLowPriority = %d Shed = %d, want 1 and 1", snap.ShedLowPriority, snap.Shed)
-	}
-	if snap.DegradeLevel != 2 {
-		t.Fatalf("DegradeLevel = %d, want 2", snap.DegradeLevel)
-	}
-
-	tk, err := s.Submit(context.Background(), QuerySpec{Timeout: waitFor, Priority: 1})
-	if err != nil {
-		t.Fatalf("priority-1 submit at level 2: %v", err)
-	}
-	res, err := tk.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSSSP(t, res, tuples)
-	res.Close()
-
-	s.SetDegraded(0)
-	tk, err = s.Submit(context.Background(), QuerySpec{Timeout: waitFor})
-	if err != nil {
-		t.Fatalf("priority-0 submit after relaxing: %v", err)
-	}
-	res, err = tk.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
-	if got := s.Snapshot().ShedLowPriority; got != 1 {
-		t.Fatalf("ShedLowPriority after relax = %d, want still 1", got)
-	}
-	s.Close()
-	h.checkNoLeaks()
-}
-
 // TestResultFreshnessTracksLag pins Result.Freshness(): a held result's
 // staleness watermark is live — it reads 0 while the main loop sits at the
 // fork's journal sequence and grows by exactly the number of inputs ingested

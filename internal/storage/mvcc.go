@@ -55,10 +55,6 @@ type MVCCStore struct {
 
 	compactions  atomic.Int64
 	reclaimedVer atomic.Int64
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // mvccLoop is one loop's namespace: the tree root and the writer epoch, both
@@ -106,39 +102,11 @@ type vchain struct {
 	epoch uint64
 }
 
-// MVCCOption configures an MVCCStore.
-type MVCCOption func(*mvccConfig)
-
-type mvccConfig struct {
-	compactInterval time.Duration
-}
-
-// AutoCompact runs a background compactor that, every interval, compacts
-// each loop to its checkpoint horizon (clamped, as every compaction is, at
-// the oldest pinned snapshot). Without it the store still compacts whenever
-// the engine calls Compact; the background pass additionally reclaims loops
-// the engine is not actively driving.
-func AutoCompact(interval time.Duration) MVCCOption {
-	return func(c *mvccConfig) { c.compactInterval = interval }
-}
-
-// NewMVCCStore returns an empty copy-on-write store.
-func NewMVCCStore(opts ...MVCCOption) *MVCCStore {
-	var cfg mvccConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s := &MVCCStore{
-		handles: make(map[*snapTag]struct{}),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	if cfg.compactInterval > 0 {
-		go s.compactor(cfg.compactInterval)
-	} else {
-		close(s.done)
-	}
-	return s
+// NewMVCCStore returns an empty copy-on-write store. It reclaims superseded
+// versions only when Compact is called: the engine's master compacts the
+// main loop to its checkpoint horizon as iterations terminate.
+func NewMVCCStore() *MVCCStore {
+	return &MVCCStore{handles: make(map[*snapTag]struct{})}
 }
 
 func (s *MVCCStore) loop(l LoopID) *mvccLoop {
@@ -392,44 +360,13 @@ func (s *MVCCStore) Pin(loop LoopID, iter int64) func() {
 	return s.pins.pin(loop, iter)
 }
 
-// Close implements Store: it stops the background compactor and drops all
-// loops. Idempotent.
+// Close implements Store: it drops all loops. Idempotent.
 func (s *MVCCStore) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
 	s.loops.Range(func(k, _ any) bool {
 		s.loops.Delete(k)
 		return true
 	})
 	return nil
-}
-
-// compactor is the background reclamation pass: every interval, each loop
-// with a checkpoint is compacted to that horizon (Compact clamps at pins).
-func (s *MVCCStore) compactor(interval time.Duration) {
-	defer close(s.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.CompactAll()
-		}
-	}
-}
-
-// CompactAll compacts every loop below its checkpoint horizon (loops never
-// flushed are left untouched; nothing below no-checkpoint is reclaimable).
-func (s *MVCCStore) CompactAll() {
-	s.loops.Range(func(k, _ any) bool {
-		loop := k.(LoopID)
-		if ck, err := s.LastCheckpoint(loop); err == nil {
-			_ = s.Compact(loop, ck)
-		}
-		return true
-	})
 }
 
 // NumVersions reports the number of live versions in a loop (the published

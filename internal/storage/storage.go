@@ -89,8 +89,8 @@ type Store interface {
 	// Pin marks iteration iter of the loop as snapshot-visible: until the
 	// returned release is called, Compact keeps every version a reader of
 	// the live store at iter can observe (the freshest version <= iter of
-	// each vertex), whoever calls Compact — the engine's master, the
-	// background compactor, or anyone else. The release is idempotent.
+	// each vertex), whoever calls Compact — the engine's master or anyone
+	// else. The release is idempotent.
 	// Truncate and DropLoop are deliberately not clamped: they are
 	// crash-recovery and teardown floors, authoritative over any snapshot.
 	Pin(loop LoopID, iter int64) func()

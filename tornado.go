@@ -136,9 +136,9 @@ type Options struct {
 	// DelayBound is the iteration delay bound B (default 64; 1 = BSP).
 	DelayBound int64
 	// Store holds versioned vertex state. The default is the in-memory MVCC
-	// copy-on-write store with a background compactor: query forks pin O(1)
-	// snapshot handles and superseded versions are reclaimed below the
-	// checkpoint horizon, so RSS stays bounded on long-running streams (the
+	// copy-on-write store: query forks pin O(1) snapshot handles and the
+	// master reclaims superseded versions below the checkpoint horizon as
+	// iterations terminate, so RSS stays bounded on long-running streams (the
 	// system closes a store it defaulted; one you pass stays yours to
 	// close). Pass storage.OpenDisk's store for durable checkpoints: the
 	// same index with an append-only log underneath it.
@@ -166,9 +166,9 @@ type Options struct {
 	// SpanSampleRate is the head-based sampling probability for causal
 	// freshness traces: each input delta (and each query) is traced with
 	// this probability from ingest through iterate to the frontier (default
-	// 0.01; 0 disables head sampling — tail escalation on sheds, resends,
-	// recoveries and degradation rungs still force-retains traces; negative
-	// disables tracing entirely). Spans surface on /traces, the shell's
+	// 0.01, which 0 selects; negative disables tracing entirely). While
+	// tracing is on, tail escalation on sheds, resends and recoveries
+	// force-retains traces. Spans surface on /traces, the shell's
 	// trace/slow commands, and the tornado_stage_seconds histograms.
 	SpanSampleRate float64
 
@@ -178,9 +178,8 @@ type Options struct {
 	// uses the service defaults.
 	Query QueryOptions
 
-	// Flow holds only the deprecated DelayBoundCeiling: backpressure and
-	// the degradation ladder always run, with constant bounds
-	// (maxPendingInputs, inboxHigh, flowSampleEvery).
+	// Flow holds only the deprecated DelayBoundCeiling: backpressure always
+	// runs, with constant bounds (maxPendingInputs, inboxHigh).
 	Flow FlowOptions
 
 	// Elastic tunes repartitioning: spare processor slots for
@@ -198,8 +197,8 @@ type ElasticOptions struct {
 	// again. Default Processors: no spares, splits impossible.
 	MaxProcessors int
 	// AutoScale runs the background split/merge planner with the
-	// flow.ScalePlanner defaults: sustained overload (degradation ladder
-	// level 2+) concentrated in one partition splits it onto a spare; a
+	// flow.ScalePlanner defaults: sustained pressure on the admission gate
+	// or an inbox, concentrated in one partition, splits it onto a spare; a
 	// scaled-out partition idle through 8 calm samples drains back. Useful
 	// only with MaxProcessors > Processors.
 	AutoScale bool
@@ -210,10 +209,9 @@ const scaleSampleEvery = 250 * time.Millisecond
 
 // Flow-control bounds. With them in place a slow consumer propagates
 // backpressure all the way to the ingesting source instead of growing
-// unbounded buffers, and the overload controller walks a degradation
-// ladder — widen the query staleness window, then shed low-priority
-// queries — before any input is ever dropped. The ladder never touches the
-// engine: the delay bound B is Options.DelayBound for the system's life.
+// unbounded buffers: no input is ever dropped, and every query is served at
+// the staleness it asked for. The delay bound B is Options.DelayBound for
+// the system's life.
 const (
 	// maxPendingInputs bounds stream inputs admitted into the main loop but
 	// not yet applied to a vertex; Ingest blocks at the bound, parking the
@@ -223,8 +221,6 @@ const (
 	// it a receiver withdraws delivery credit and senders park frames until
 	// the inbox drains to half.
 	inboxHigh = 4096
-	// flowSampleEvery is the overload controller's sampling period.
-	flowSampleEvery = 25 * time.Millisecond
 )
 
 // FlowOptions is what remains of the flow-control options.
@@ -233,12 +229,11 @@ type FlowOptions struct {
 	// that code which set it still compiles.
 	DelayBoundCeiling int64
 
-	// maxPendingInputs, inboxHigh and sampleEvery override the constants of
-	// the same names (0 = the constant). Only tests set them, to saturate
-	// the bounds with a small graph.
+	// maxPendingInputs and inboxHigh override the constants of the same
+	// names (0 = the constant). Only tests set them, to saturate the bounds
+	// with a small graph.
 	maxPendingInputs int
 	inboxHigh        int
-	sampleEvery      time.Duration
 }
 
 func (o *Options) fill() {
@@ -249,7 +244,7 @@ func (o *Options) fill() {
 		o.DelayBound = 64
 	}
 	if o.Store == nil {
-		o.Store = storage.NewMVCCStore(storage.AutoCompact(2 * time.Second))
+		o.Store = storage.NewMVCCStore()
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -259,9 +254,6 @@ func (o *Options) fill() {
 	}
 	if o.Flow.inboxHigh == 0 {
 		o.Flow.inboxHigh = inboxHigh
-	}
-	if o.Flow.sampleEvery == 0 {
-		o.Flow.sampleEvery = flowSampleEvery
 	}
 }
 
@@ -277,11 +269,6 @@ type System struct {
 
 	qs   *queryserv.Service
 	qapi *queryserv.API
-
-	// Overload controller and the inbox watermark its pressure signal
-	// normalizes against (fixed at New).
-	flowCtl       *flow.Controller
-	flowInboxHigh int
 
 	// Elastic planner loop (nil when Options.Elastic.AutoScale is off).
 	scaleStop chan struct{}
@@ -338,8 +325,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &System{main: e, store: opts.Store, ownStore: ownStore, program: program, delta: dp, hub: hub,
-		flowInboxHigh: cfg.InboxHigh}
+	s := &System{main: e, store: opts.Store, ownStore: ownStore, program: program, delta: dp, hub: hub}
 	s.nextLoop.Store(1)
 	s.attachObs()
 	s.qs = queryserv.New(queryserv.Backend{
@@ -347,17 +333,11 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 		Drop:        s.dropBranch,
 		JournalSeq:  func() uint64 { return s.main.JournalSeq() },
 		OnConverged: func(d time.Duration) { s.branchHist.Observe(d.Seconds()) },
-		Idle:        s.main.Idle,
 	}, opts.Query, hub)
-	s.flowCtl = flow.NewController(flow.ControllerOptions{
-		SampleEvery: opts.Flow.sampleEvery,
-		Spans:       hub.Spans,
-	}, s.flowPressure, s.applyFlowLevel)
 	s.qapi = queryserv.NewAPI(s.qs, 0)
 	s.qapi.Mount(hub.Handle) // before Serve: routes are fixed at bind time
 	if opts.MetricsAddr != "" {
 		if _, err := hub.Serve(opts.MetricsAddr); err != nil {
-			s.flowCtl.Stop()
 			s.qapi.Close()
 			s.qs.Close()
 			e.Stop()
@@ -374,7 +354,7 @@ func newSystem(program Program, dp DeltaProgram, opts Options) (*System, error) 
 }
 
 // scaleRun is the elastic planner loop: it samples per-partition load and
-// the overload ladder, asks the flow.ScalePlanner for a verdict, and
+// flowPressure, asks the flow.ScalePlanner for a verdict, and
 // executes split/merge decisions as repartitions. Rates are deltas of
 // the slots' lifetime counters over the sampling window; a checkpoint restart
 // (crash recovery or Reshard) resets the counters, which reads as a negative
@@ -422,7 +402,7 @@ func (s *System) scaleRun() {
 			}
 		}
 		prev, prevAt = loads, now
-		switch d := planner.Decide(s.flowCtl.Level(), fl, spare); d.Action {
+		switch d := planner.Decide(s.flowPressure(), fl, spare); d.Action {
 		case flow.ScaleSplit:
 			_, _ = e.ScaleOut(d.Proc)
 		case flow.ScaleMerge:
@@ -459,10 +439,11 @@ func (s *System) StoreStats() (stats StoreStats, ok bool) {
 	return s.store.StoreStats(), true
 }
 
-// flowPressure is the overload controller's signal: utilization of the
-// tightest bounded queue in the system — the ingest admission gate, the
-// deepest transport inbox against its high watermark, and the query wait
-// queue — as a 0..1 fraction.
+// flowPressure is the elastic planner's signal: utilization of the tightest
+// of the engine's own bounded queues — the ingest admission gate and the
+// deepest transport inbox against its high watermark — as a 0..1 fraction.
+// A query backlog is not a partition's load, so the query wait queue does
+// not count.
 func (s *System) flowPressure() float64 {
 	fs := s.main.FlowSnapshot()
 	var p float64
@@ -476,67 +457,27 @@ func (s *System) flowPressure() float64 {
 			p = float64(fs.GateDepth) / float64(fs.GateCapacity)
 		}
 	}
-	p = math.Max(p, float64(fs.InboxMax)/float64(s.flowInboxHigh))
-	return math.Max(p, float64(s.qs.Snapshot().QueueDepth)/float64(s.qs.QueueCap()))
+	return math.Max(p, float64(fs.InboxMax)/float64(s.main.Config().InboxHigh))
 }
 
-// applyFlowLevel is the degradation ladder. It moves only the query
-// service, and every rung is reversible — input is never dropped:
-//
-//	level 0:     exact service.
-//	level 1, 2:  the query service imposes its degraded staleness floor, so
-//	             cache hits and coalescing absorb fork load.
-//	level 3+:    additionally shed queries below the priority cut with
-//	             ErrOverloaded.
-//
-// The controller still tells levels 1 and 2 apart, because the elastic
-// planner splits a hot partition from level 2 up.
-func (s *System) applyFlowLevel(level int) {
-	switch {
-	case level <= 0:
-		s.qs.SetDegraded(0)
-	case level <= 2:
-		s.qs.SetDegraded(1)
-	default:
-		s.qs.SetDegraded(2)
-	}
-}
-
-// FlowStats is a point-in-time view of the system's backpressure and
-// degradation state.
+// FlowStats is a point-in-time view of the system's backpressure state.
 type FlowStats struct {
 	// Engine is the main loop's flow snapshot: admission-gate ledger,
 	// transport inbox depths, credit stalls.
 	Engine engine.FlowSnapshot
-	// OverloadLevel is the degradation ladder's current rung (0 = normal);
-	// OverloadTransitions counts rung changes and Degraded the cumulative
-	// time spent above level 0. Pressure is the controller's last sample
-	// (utilization of the tightest bounded queue, 0..1).
-	OverloadLevel       int
+
+	// Deprecated: always zero. There is no degradation ladder; the fields
+	// stay so that code which reads them still compiles.
 	OverloadTransitions int64
-	Degraded            time.Duration
-	Pressure            float64
-	// QueryDegradeLevel and ShedLowPriority mirror the query service: its
-	// imposed degradation level and how many low-priority queries the
-	// level-2 cut refused.
+	// Deprecated: always zero, as OverloadTransitions.
+	Degraded time.Duration
+	// Deprecated: always zero, as OverloadTransitions.
 	QueryDegradeLevel int
-	ShedLowPriority   int64
 }
 
-// FlowStats snapshots the backpressure and overload state end to end.
+// FlowStats snapshots the backpressure state.
 func (s *System) FlowStats() FlowStats {
-	c := s.flowCtl
-	st := FlowStats{
-		Engine:              s.main.FlowSnapshot(),
-		OverloadLevel:       c.Level(),
-		OverloadTransitions: c.Transitions(),
-		Degraded:            c.Degraded(),
-		Pressure:            c.Pressure(),
-	}
-	snap := s.qs.Snapshot()
-	st.QueryDegradeLevel = snap.DegradeLevel
-	st.ShedLowPriority = snap.ShedLowPriority
-	return st
+	return FlowStats{Engine: s.main.FlowSnapshot()}
 }
 
 // attachObs registers the system-level collectors: branch-loop lifecycle
@@ -553,27 +494,16 @@ func (s *System) attachObs() {
 		func() float64 { return float64(s.branchTotal.Load()) })
 	s.branchHist = sc.Histogram("tornado_branch_converge_seconds",
 		"Wall-clock time from fork to branch-loop convergence.", nil)
-	sc.GaugeFunc("tornado_overload_level",
-		"Degradation-ladder rung the overload controller is at (0 = normal).",
-		func() float64 { return float64(s.flowCtl.Level()) })
-	sc.GaugeFunc("tornado_overload_pressure",
-		"Overload controller's last pressure sample (utilization of the tightest bounded queue).",
-		func() float64 { return s.flowCtl.Pressure() })
 	s.hub.AddStatus("system", func() any {
 		prog, mode := any(s.program), "value"
 		if s.delta != nil {
 			prog, mode = s.delta, "delta"
 		}
-		c := s.flowCtl
 		return map[string]any{
-			"branches_live":        s.branchesLive.Load(),
-			"branches_total":       s.branchTotal.Load(),
-			"program":              fmt.Sprintf("%T", prog),
-			"mode":                 mode,
-			"overload_level":       c.Level(),
-			"overload_transitions": c.Transitions(),
-			"overload_pressure":    c.Pressure(),
-			"degraded_for":         c.Degraded().String(),
+			"branches_live":  s.branchesLive.Load(),
+			"branches_total": s.branchTotal.Load(),
+			"program":        fmt.Sprintf("%T", prog),
+			"mode":           mode,
 		}
 	})
 }
@@ -594,8 +524,7 @@ func (s *System) MetricsURL() string {
 // Spans returns the causal span tracer: head-sampled end-to-end freshness
 // traces of input deltas (spout -> gate -> batch -> frame -> inbox ->
 // process -> commit -> frontier) and queries (submit -> queue -> fork ->
-// wait -> serve), with tail escalation on sheds, resends, recoveries and
-// degradation rungs. Use trace.Filter with Spans().Traces to query, or the
+// wait -> serve), with tail escalation on sheds, resends and recoveries. Use trace.Filter with Spans().Traces to query, or the
 // /traces HTTP endpoint.
 func (s *System) Spans() *trace.Tracer { return s.hub.Spans }
 
@@ -837,14 +766,13 @@ func (s *System) IterationLog() []IterationRecord { return s.main.IterationLog()
 // injection, custom forks).
 func (s *System) Engine() *engine.Engine { return s.main }
 
-// Close stops the overload controller, the query service, the main loop and
-// the exposition endpoint. Branch results obtained earlier must be closed
+// Close stops the elastic planner, the query service, the main loop and the
+// exposition endpoint. Branch results obtained earlier must be closed
 // separately.
 func (s *System) Close() {
 	if s.scaleStop != nil {
 		close(s.scaleStop)
 	}
-	s.flowCtl.Stop()
 	s.qapi.Close()
 	s.qs.Close()
 	s.main.Stop()
@@ -853,7 +781,7 @@ func (s *System) Close() {
 	// channel.
 	s.scaleWG.Wait()
 	if s.ownStore {
-		_ = s.store.Close() // stops the default MVCC store's compactor
+		_ = s.store.Close()
 	}
 	if s.obsScope != nil {
 		s.hub.RemoveStatus("system")

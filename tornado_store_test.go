@@ -18,7 +18,7 @@ import (
 // read the exact reference fixed point of its journal prefix: the fork pins
 // clamp compaction and the O(1) snapshot handles keep the prefix reachable.
 func TestQueriesExactOnMVCCUnderCompaction(t *testing.T) {
-	store := storage.NewMVCCStore(storage.AutoCompact(time.Millisecond))
+	store := storage.NewMVCCStore()
 	t.Cleanup(func() { _ = store.Close() })
 	sys := newSSSP(t, Options{Processors: 3, DelayBound: 32, Store: store})
 
